@@ -14,14 +14,16 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .dsl import Binary, ComposeNode, LSym, PowNode, Unary, eval_expr, parse_expr
+from .dsl import eval_expr, parse_expr, uses_lambda
 from .errors import DomainError, ParseError, UmbralError, UnknownIdentity
-from .families import BESPOKE_TAGS, FAMILY_NAMES, bespoke_pair, family_polys
+from .families import bespoke_pair, family_polys
 from .fields import QL, QQ
 from .identities import (
     IDENTITY_TAGS,
+    REGISTRY,
     aggregate_pass,
     default_grid,
+    integer_order,
     run_registry,
 )
 from .series import Poly, Series, working_trunc
@@ -57,18 +59,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None, metavar="p/q")
     p_exp.add_argument("--format", choices=("csv", "json", "latex"), default="json")
 
+    # a parameter flag not given leaves no attribute, so _cmd_family sees
+    # exactly the flags on the command line
     p_fam = sub.add_parser(
         "family",
         help="tabulate a named polynomial family or a registry pair's sequence",
+        argument_default=argparse.SUPPRESS,
     )
-    p_fam.add_argument("name", choices=FAMILY_NAMES + BESPOKE_TAGS)
-    p_fam.add_argument("--order-param", dest="order", type=int, default=1, metavar="k")
-    p_fam.add_argument("--lambda", dest="lam", type=_lambda_arg, default=None, metavar="p/q|symbolic")
-    p_fam.add_argument("--a", type=_fraction_arg, default=None, metavar="p/q",
+    p_fam.add_argument("name", choices=[n for n, e in REGISTRY.items() if e.pair])
+    p_fam.add_argument("--order-param", dest="order", type=int, metavar="k")
+    p_fam.add_argument("--lambda", dest="lam", type=_lambda_arg, metavar="p/q|symbolic")
+    p_fam.add_argument("--a", type=_fraction_arg, metavar="p/q",
                        help="Poisson-Charlier parameter (nonzero)")
-    p_fam.add_argument("--b", type=_fraction_arg, default=None, metavar="p/q")
-    p_fam.add_argument("--c", type=_fraction_arg, default=None, metavar="p/q")
-    p_fam.add_argument("--m", type=int, default=None, metavar="k")
+    p_fam.add_argument("--b", type=_fraction_arg, metavar="p/q")
+    p_fam.add_argument("--c", type=_fraction_arg, metavar="p/q")
+    p_fam.add_argument("--m", type=int, metavar="k")
     p_fam.add_argument("--n", type=int, required=True, metavar="N")
     p_fam.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
 
@@ -85,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"identity tag ({', '.join(IDENTITY_TAGS)})")
     p_ver.add_argument("--all", action="store_true", help="run the whole registry")
     p_ver.add_argument("--n-max", dest="n_max", type=int, default=6, metavar="N")
-    p_ver.add_argument("--grid", choices=("default",), default="default")
     p_ver.add_argument("--format", choices=("json",), default="json")
     return top
 
@@ -179,26 +183,12 @@ def _emit_rows(polys, fmt, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ast_uses_lambda(ast) -> bool:
-    if isinstance(ast, LSym):
-        return True
-    if isinstance(ast, Unary):
-        return _ast_uses_lambda(ast.arg)
-    if isinstance(ast, Binary):
-        return _ast_uses_lambda(ast.left) or _ast_uses_lambda(ast.right)
-    if isinstance(ast, PowNode):
-        return _ast_uses_lambda(ast.base)
-    if isinstance(ast, ComposeNode):
-        return _ast_uses_lambda(ast.outer) or _ast_uses_lambda(ast.inner)
-    return False
-
-
 def _pick_field(args, asts):
     if args.field == "q" or args.lam is not None:
         return QQ
     if args.field == "qlambda":
         return QL
-    return QL if any(_ast_uses_lambda(a) for a in asts) else QQ
+    return QL if any(uses_lambda(a) for a in asts) else QQ
 
 
 def _cmd_expand(args, out) -> int:
@@ -217,34 +207,33 @@ def _cmd_expand(args, out) -> int:
     return 0
 
 
+# the family command's parameter flags, by argparse dest
+_FAMILY_FLAGS = {"order": "--order-param", "lam": "--lambda", "a": "--a", "b": "--b",
+                 "c": "--c", "m": "--m"}
+
+
+def family_flags(name: str) -> list[str]:
+    """The flags of the family command that a registry name takes."""
+    entry = REGISTRY[name]
+    return [_FAMILY_FLAGS["order" if q.domain is integer_order else q.name] for q in entry.params]
+
+
 def _cmd_family(args, out) -> int:
     if args.n < 0:
         raise DomainError("--n must be >= 0")
-    if args.name in BESPOKE_TAGS:
+    given = {dest: v for dest, v in vars(args).items() if dest in _FAMILY_FLAGS}
+    takes = family_flags(args.name)
+    for dest in given:
+        if _FAMILY_FLAGS[dest] not in takes:
+            raise DomainError(f"{_FAMILY_FLAGS[dest]} does not apply to {args.name}")
+    order = given.pop("order", 1)
+    if REGISTRY[args.name].check is None:  # a named family: rows from its generating function
+        polys = family_polys(args.name, order, args.n, **given)
+    else:
         if args.n < 1:
             raise DomainError("registry pairs need --n >= 1")
-        if args.a is not None:
-            raise DomainError("--a applies to the poisson_charlier family only")
-        pair = bespoke_pair(
-            args.name,
-            working_trunc(args.n),
-            order=args.order,
-            b=args.b,
-            c=args.c,
-            m=args.m,
-            lam=args.lam,
-        )
-        _emit_rows(sheffer_gf(pair, args.n), args.format, out)
-        return 0
-    for flag, value in (("--b", args.b), ("--c", args.c), ("--m", args.m)):
-        if value is not None:
-            raise DomainError(f"{flag} applies to registry pairs only")
-    lam_needed = args.name in ("frobenius_euler", "frobenius_eulerian", "daehee")
-    if not lam_needed and args.lam is not None:
-        raise DomainError(f"--lambda does not apply to the {args.name} family")
-    if args.name != "poisson_charlier" and args.a is not None:
-        raise DomainError("--a applies to the poisson_charlier family only")
-    polys = family_polys(args.name, args.order, args.n, lam=args.lam, a=args.a)
+        pair = bespoke_pair(args.name, working_trunc(args.n), order=order, **given)
+        polys = sheffer_gf(pair, args.n)
     _emit_rows(polys, args.format, out)
     return 0
 
@@ -276,8 +265,10 @@ def _cmd_sheffer(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.id is None and not getattr(args, "all", False):
+    if args.id is None and not args.all:
         raise DomainError("verify needs an identity tag or --all")
+    if args.n_max < 1:
+        raise DomainError("--n-max must be >= 1")
     grid = default_grid()
     if args.id is not None:
         if args.id not in IDENTITY_TAGS:

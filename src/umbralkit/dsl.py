@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CompositionOrder, ParseError, UnboundSymbol
+from .errors import CompositionOrder, DomainError, ParseError, UnboundSymbol
 from .fields import QL, QQ, LAMBDA
 from .series import Series, constant, t_series
 
@@ -119,7 +119,10 @@ class _Tokens:
 def parse_expr(src: str):
     """Parse a DSL expression into an AST; ParseError carries the offset."""
     toks = _Tokens(src)
-    ast = _parse_sum(toks)
+    try:
+        ast = _parse_sum(toks)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", toks.peek()[2]) from None
     tok = toks.peek()
     if tok[0] != "EOF":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "-", "*", "/", "EOF"))
@@ -201,8 +204,28 @@ def _parse_rational(toks) -> Fraction:
     if toks.peek()[0] == "/":
         toks.next()
         den = toks.expect("INT", ("INT",))
+        if not int(den[1]):
+            raise ParseError("zero denominator", den[2])
         value = value / int(den[1])
     return value
+
+
+def uses_lambda(ast) -> bool:
+    """True iff the symbol L occurs in the AST (iterative, so any depth)."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, LSym):
+            return True
+        if isinstance(node, Unary):
+            stack.append(node.arg)
+        elif isinstance(node, Binary):
+            stack += (node.left, node.right)
+        elif isinstance(node, PowNode):
+            stack.append(node.base)
+        elif isinstance(node, ComposeNode):
+            stack += (node.outer, node.inner)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +288,13 @@ def eval_expr(ast, T: int, field=QQ, lam: Fraction | None = None) -> Series:
     ``lam`` binds the symbol L to a rational when the field is Q; with the
     Q(L) field, L evaluates to the indeterminate.
     """
+    try:
+        return _eval(ast, T, field, lam)
+    except RecursionError:
+        raise DomainError("expression nested too deeply to evaluate") from None
+
+
+def _eval(ast, T, field, lam) -> Series:
     if isinstance(ast, Lit):
         return constant(field, ast.value, T)
     if isinstance(ast, TVar):
@@ -277,8 +307,8 @@ def eval_expr(ast, T: int, field=QQ, lam: Fraction | None = None) -> Series:
         raise UnboundSymbol("the symbol L needs the Q(L) field or a bound value")
     if isinstance(ast, Unary):
         if ast.op == "neg":
-            return -eval_expr(ast.arg, T, field, lam)
-        arg = eval_expr(ast.arg, T, field, lam)
+            return -_eval(ast.arg, T, field, lam)
+        arg = _eval(ast.arg, T, field, lam)
         if ast.op == "inv":
             return arg.inverse()
         if ast.op == "exp":
@@ -291,8 +321,8 @@ def eval_expr(ast, T: int, field=QQ, lam: Fraction | None = None) -> Series:
             return arg.revert()
         raise ValueError(f"unknown unary op {ast.op!r}")
     if isinstance(ast, Binary):
-        left = eval_expr(ast.left, T, field, lam)
-        right = eval_expr(ast.right, T, field, lam)
+        left = _eval(ast.left, T, field, lam)
+        right = _eval(ast.right, T, field, lam)
         if ast.op == "add":
             return left + right
         if ast.op == "sub":
@@ -303,12 +333,12 @@ def eval_expr(ast, T: int, field=QQ, lam: Fraction | None = None) -> Series:
             return left / right
         raise ValueError(f"unknown binary op {ast.op!r}")
     if isinstance(ast, PowNode):
-        base = eval_expr(ast.base, T, field, lam)
+        base = _eval(ast.base, T, field, lam)
         if ast.exponent.denominator == 1:
             return base.pow_int(int(ast.exponent))
         return base.pow_field(ast.exponent)
     if isinstance(ast, ComposeNode):
-        outer = eval_expr(ast.outer, T, field, lam)
-        inner = eval_expr(ast.inner, T, field, lam)
+        outer = _eval(ast.outer, T, field, lam)
+        inner = _eval(ast.inner, T, field, lam)
         return outer.compose(inner)
     raise TypeError(f"not an AST node: {ast!r}")

@@ -9,8 +9,13 @@ class DivisionByZero(UmbralError, ZeroDivisionError):
     """Division by an exact zero (rational, rational function, or series)."""
 
 
-class EvalPole(DivisionByZero):
-    """A rational function was evaluated at a root of its denominator."""
+class DomainError(UmbralError):
+    """A parameter is outside the domain an operation is stated for."""
+
+
+class EvalPole(DivisionByZero, DomainError):
+    """A rational function was evaluated at a root of its denominator
+    (lambda = 1 is such a root for every Frobenius denominator)."""
 
 
 class NotInvertible(UmbralError):
@@ -35,10 +40,6 @@ class UnitConstantRequired(UmbralError):
 
 class TruncationTooShort(UmbralError):
     """A series is truncated too low for the requested operation."""
-
-
-class DomainError(UmbralError):
-    """A parameter is outside the domain an operation is stated for."""
 
 
 class UnknownIdentity(UmbralError):

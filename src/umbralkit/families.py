@@ -29,20 +29,7 @@ from .series import (
     t_series,
     working_trunc,
 )
-from .umbral import ShefferPair
-
-FAMILY_NAMES = (
-    "bernoulli",
-    "euler",
-    "frobenius_euler",
-    "frobenius_eulerian",
-    "narumi",
-    "daehee",
-    "poisson_charlier",
-    "bernoulli_2nd",
-)
-
-BESPOKE_TAGS = ("T2", "T3", "T4", "R27", "T6", "P8", "T10", "DAE")
+from .umbral import ShefferPair, sheffer_gf
 
 
 def binom(n: int, k: int) -> int:
@@ -274,6 +261,80 @@ def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
 # ---------------------------------------------------------------------------
 # Sheffer pairs
 # ---------------------------------------------------------------------------
+#
+# One function per pair, keyed to a name by the registry table in the
+# identities module.  It takes the working truncation and the validated
+# parameters and returns (g, f), each truncated at or above it.
+
+
+def _bernoulli_pair(T, a):
+    return _bern_base(a, T), t_series(QQ, T)
+
+
+def _euler_pair(T, a):
+    return _euler_base(a, T), t_series(QQ, T)
+
+
+def _frobenius_euler_pair(T, a, lam):
+    return _fe_g(a, lam, T), t_series(_lam_field(lam)[0], T)
+
+
+def _frobenius_eulerian_pair(T, a, lam):
+    return _fte_g(a, lam, T), t_series(_lam_field(lam)[0], T)
+
+
+def _narumi_pair(T, a):
+    return _bern_base(a, T), exp_ct(QQ, 1, T) - 1
+
+
+def _bernoulli_2nd_pair(T):
+    return _narumi_pair(T, -1)
+
+
+def _daehee_pair(T, lam):
+    """((1-L)/(e^t-L), (e^t-1)/(e^t+1)): the Daehee family and the DAE identity."""
+    e = exp_ct(_lam_field(lam)[0], 1, T)
+    return _fe_g(-1, lam, T), (e - 1) / (e + 1)
+
+
+def _poisson_charlier_pair(T, a):
+    de = (exp_ct(QQ, 1, T) - 1) * a
+    return de.exp(), de
+
+
+def _t2_pair(T, a, b, lam):
+    fld = _lam_field(lam)[0]
+    return _fe_g(a, lam, T), (exp_ct(fld, b, T) - 1).shift_div(1).inverse().mul_t(1)
+
+
+def _t3_pair(T, a, b, c):
+    f = (exp_ct(QQ, c, T) - 1).shift_div(1).inverse() * exp_ct(QQ, b, T - 1)
+    return _bern_base(a, T), f.mul_t(1)
+
+
+def _t4_pair(T, a):
+    return _euler_base(a, T), log1p_series(QQ, T).shift_div(1).inverse().mul_t(1)
+
+
+def _r27_pair(T, a):
+    return _bern_base(a, T), log1p_series(QQ, T)
+
+
+def _t6_pair(T, a, c, lam):
+    fld = _lam_field(lam)[0]
+    return _fe_g(a, lam, T), log1p_series(fld, T) * one_plus_t_pow(fld, -c, T)
+
+
+def _p8_pair(T, a, c, lam):
+    fld = _lam_field(lam)[0]
+    base = log1p_series(fld, T).shift_div(1).inverse()
+    return _fte_g(a, lam, T), (base * one_plus_t_pow(fld, c, T - 1)).mul_t(1)
+
+
+def _t10_pair(T, a, b, c, lam, m):
+    fld = _lam_field(lam)[0]
+    lin = Series(fld, [fld.one, b], trunc=T)
+    return _fte_g(a, lam, T), (exp_ct(fld, -c, T) * lin.pow_int(-m)).mul_t(1)
 
 
 @dataclass(frozen=True)
@@ -297,47 +358,19 @@ class FamilySpec:
 
 
 def catalog_pair(spec: FamilySpec, T: int | None = None, n_max: int = 10) -> ShefferPair:
-    """The classical (g, f) Sheffer pair of a named family."""
+    """The classical (g, f) Sheffer pair of a named family (or of any
+    registry name with a pair), with ``spec.order`` as its order a."""
+    from .identities import build_pair  # the registry table imports this module
+
     if T is None:
         T = working_trunc(n_max)
-    name = spec.name
-    a = spec.order
-    if name not in FAMILY_NAMES:
-        raise DomainError(f"unknown family {name!r}")
-    if name == "bernoulli":
-        return ShefferPair(_bern_base(a, T), t_series(QQ, T))
-    if name == "euler":
-        return ShefferPair(_euler_base(a, T), t_series(QQ, T))
-    if name == "frobenius_euler":
-        fld, _ = _lam_field(spec.param("lam"))
-        return ShefferPair(_fe_g(a, spec.param("lam"), T), t_series(fld, T))
-    if name == "frobenius_eulerian":
-        fld, _ = _lam_field(spec.param("lam"))
-        return ShefferPair(_fte_g(a, spec.param("lam"), T), t_series(fld, T))
-    if name == "narumi":
-        return ShefferPair(_bern_base(a, T), exp_ct(QQ, 1, T) - 1)
-    if name == "daehee":
-        fld, lam_el = _lam_field(spec.param("lam"))
-        e = exp_ct(fld, 1, T)
-        g = ((e - lam_el) * (fld.one / (fld.one - lam_el))).inverse()
-        f = (e - 1) / (e + 1)
-        return ShefferPair(g, f.truncate(T))
-    if name == "poisson_charlier":
-        pa = Fraction(spec.param("a", 1))
-        if not pa:
-            raise DivisionByZero("Poisson-Charlier parameter a must be nonzero")
-        de = (exp_ct(QQ, 1, T) - 1) * pa
-        return ShefferPair(de.exp(), de)
-    # bernoulli_2nd
-    return ShefferPair(_bern_base(-1, T), exp_ct(QQ, 1, T) - 1)
+    return build_pair(spec.name, T, spec.order, dict(spec.params))
 
 
 def family_polys(name: str, order: int, n_max: int, lam=None, a=None) -> list:
     """P_0 .. P_{n_max} for a named family, straight from its generating
     function (the Daehee family, defined only by its pair, goes through the
     generating-function Sheffer construction)."""
-    if name not in FAMILY_NAMES:
-        raise DomainError(f"unknown family {name!r}")
     T = n_max + 1
     if name == "bernoulli":
         return [bernoulli_poly(order, n) for n in range(n_max + 1)]
@@ -356,72 +389,14 @@ def family_polys(name: str, order: int, n_max: int, lam=None, a=None) -> list:
     if name == "poisson_charlier":
         pa = Fraction(a if a is not None else 1)
         return [poisson_charlier(n, pa) for n in range(n_max + 1)]
-    # daehee: defined by its Sheffer pair
-    from .umbral import sheffer_gf
-
-    spec = FamilySpec.make("daehee", order, lam=lam)
-    return sheffer_gf(catalog_pair(spec, T=n_max + 1), n_max)
+    if name == "daehee":
+        return sheffer_gf(catalog_pair(FamilySpec.make("daehee", order, lam=lam), T=T), n_max)
+    raise DomainError(f"unknown family {name!r}")
 
 
 def bespoke_pair(tag: str, T: int, order: int = 1, b=None, c=None, m=None, lam=None) -> ShefferPair:
     """The parameterized pairs behind the registry identities (tags as in
-    the identities module).
+    the identities module); parameters a tag does not take are ignored."""
+    from .identities import build_pair  # the registry table imports this module
 
-    Built with internal margin so both members come out truncated at exactly T.
-    """
-    Tw = T + 2
-    if tag in ("T2", "T6"):
-        fld, _ = _lam_field(lam)
-        g = _fe_g(order, lam, Tw)
-    elif tag in ("P8", "T10", "DAE"):
-        fld, _ = _lam_field(lam)
-        g = _fte_g(order, lam, Tw) if tag != "DAE" else None
-    elif tag == "T4":
-        fld = QQ
-        g = _euler_base(order, Tw)
-    elif tag in ("T3", "R27"):
-        fld = QQ
-        g = _bern_base(order, Tw)
-    else:
-        raise DomainError(f"unknown bespoke pair {tag!r}")
-
-    if tag == "T2":
-        if b is None or not Fraction(b):
-            raise DomainError("T2 requires b != 0")
-        base = (exp_ct(fld, fld.coerce(Fraction(b)), Tw) - 1).shift_div(1)
-        f = base.inverse().mul_t(1)
-    elif tag == "T3":
-        if c is None or not Fraction(c):
-            raise DomainError("T3 requires c != 0")
-        bq = Fraction(b if b is not None else 0)
-        base = (exp_ct(fld, Fraction(c), Tw) - 1).shift_div(1)
-        f = base.inverse() * exp_ct(fld, bq, Tw - 1)
-        f = f.mul_t(1)
-    elif tag == "T4":
-        f = log1p_series(fld, Tw).shift_div(1).inverse().mul_t(1)
-    elif tag == "R27":
-        f = log1p_series(fld, Tw)
-    elif tag == "T6":
-        if c is None or not Fraction(c):
-            raise DomainError("T6 requires c != 0")
-        f = log1p_series(fld, Tw) * one_plus_t_pow(fld, fld.coerce(-Fraction(c)), Tw)
-    elif tag == "P8":
-        if c is None or not Fraction(c):
-            raise DomainError("P8 requires c != 0")
-        base = log1p_series(fld, Tw).shift_div(1).inverse()
-        f = (base * one_plus_t_pow(fld, fld.coerce(Fraction(c)), Tw - 1)).mul_t(1)
-    elif tag == "T10":
-        if b is None or c is None or not Fraction(b) or not Fraction(c):
-            raise DomainError("T10 requires b != 0 and c != 0")
-        if m is None or int(m) < 0:
-            raise DomainError("T10 requires m to be a nonnegative integer")
-        lin = Series(fld, [fld.one, fld.coerce(Fraction(b))], trunc=Tw)
-        f = exp_ct(fld, fld.coerce(-Fraction(c)), Tw) * lin.pow_int(-int(m))
-        f = f.mul_t(1)
-    else:  # DAE
-        fld, lam_el = _lam_field(lam)
-        e = exp_ct(fld, 1, Tw)
-        g = ((e - lam_el) * (fld.one / (fld.one - lam_el))).inverse()
-        f = (e - 1) / (e + 1)
-
-    return ShefferPair(g.truncate(T), f.truncate(T))
+    return build_pair(tag, T, order, {"b": b, "c": c, "m": m, "lam": lam})

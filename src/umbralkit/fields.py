@@ -32,21 +32,7 @@ __all__ = [
     "QL",
     "RationalField",
     "LambdaField",
-    "rat",
-    "rat_str",
 ]
-
-
-def rat(value, den=None) -> Fraction:
-    """Build a Fraction from ints, strings like ``"3/4"``, or a pair."""
-    if den is not None:
-        return Fraction(value, den)
-    return Fraction(value)
-
-
-def rat_str(q: Fraction) -> str:
-    """Canonical rendering: ``p/q``, or just ``p`` when q = 1."""
-    return str(q)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +470,7 @@ class RationalField:
         raise TypeError(f"cannot coerce {v!r} into Q")
 
     def to_str(self, v) -> str:
-        return rat_str(v)
+        return str(v)
 
     def __repr__(self):
         return "QQ"

@@ -25,11 +25,26 @@ from math import factorial
 
 from .errors import DomainError, UnknownIdentity
 from .families import (
+    _bernoulli_2nd_pair,
+    _bernoulli_pair,
+    _daehee_pair,
+    _euler_pair,
+    _frobenius_euler_pair,
+    _frobenius_eulerian_pair,
+    _lam_field,
+    _narumi_pair,
+    _p8_pair,
+    _poisson_charlier_pair,
+    _r27_pair,
+    _t10_pair,
+    _t2_pair,
+    _t3_pair,
+    _t4_pair,
+    _t6_pair,
     bernoulli_2nd,
     bernoulli_number,
     bernoulli_poly,
     bernoulli_value,
-    bespoke_pair,
     binom,
     euler_poly,
     frobenius_euler_poly,
@@ -41,47 +56,10 @@ from .families import (
     poisson_charlier,
     stirling1,
     stirling2,
-    _lam_field,
 )
 from .series import Poly, Series, exp_ct, log1p_series, one_plus_t_pow, t_series, working_trunc
 from .fields import QQ
-from .umbral import sheffer_transfer_all
-
-IDENTITY_TAGS = (
-    "T2",
-    "T3",
-    "T4",
-    "C5",
-    "R27",
-    "T6",
-    "T7",
-    "R35",
-    "P8",
-    "T9",
-    "R42",
-    "T10",
-    "DAE",
-    "E14",
-    "E25",
-)
-
-_DESCRIPTIONS = {
-    "T2": "pair (((e^t-L)/(1-L))^a, t^2/(e^{bt}-1)) vs Stirling-2 / Frobenius-Euler sum",
-    "T3": "pair (((e^t-1)/t)^a, t^2 e^{bt}/(e^{ct}-1)) vs Stirling-2 / Bernoulli double sum",
-    "T4": "pair (((e^t+1)/2)^a, t^2/log(1+t)) vs Narumi-number / Euler sum",
-    "C5": "Narumi numbers vs higher-order Bernoulli numbers: N_l^(n)/n = B_l^(n+l)/(n+l)",
-    "R27": "pair (((e^t-1)/t)^a, log(1+t)) vs negative-order Narumi / Bernoulli sum",
-    "T6": "pair (((e^t-L)/(1-L))^a, log(1+t)/(1+t)^c) vs shifted-Bernoulli / Frobenius-Euler sum",
-    "T7": "n-fold convolution of 2nd-kind Bernoulli values vs B_l^(l-n+1)(cn+1)",
-    "R35": "N_l^(-n)(cn) vs the same n-fold convolution of 2nd-kind Bernoulli values",
-    "P8": "pair (((e^{(L-1)t}-L)/(1-L))^a, t^2(1+t)^c/log(1+t)) vs shifted-Narumi / Eulerian sum",
-    "T9": "N_l^(n)(-cn) vs Stirling-1 / generalized-binomial sum",
-    "R42": "N_l^(n) vs Stirling-number-over-binomial form (misprint arbitration)",
-    "T10": "pair (((e^{(L-1)t}-L)/(1-L))^a, t/(e^{ct}(1+bt)^m)) vs Poisson-Charlier-value sum",
-    "DAE": "transfer route for the pair ((1-L)/(e^t-L), (e^t-1)/(e^t+1)) vs its closed form",
-    "E14": "EGF of Poisson-Charlier values at integers vs e^t((t-a)/a)^n",
-    "E25": "(log(1+t)/t)^n coefficients vs n B_l^(n+l)/((n+l) l!)",
-}
+from .umbral import ShefferPair, sheffer_transfer_all
 
 
 @dataclass(frozen=True)
@@ -124,84 +102,102 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# parameter plumbing
+# parameter schema
 # ---------------------------------------------------------------------------
-
-_PARAM_KEYS = {
-    "T2": ("a", "b", "lam"),
-    "T3": ("a", "b", "c"),
-    "T4": ("a",),
-    "C5": (),
-    "R27": ("a",),
-    "T6": ("a", "c", "lam"),
-    "T7": ("c",),
-    "R35": ("c",),
-    "P8": ("a", "c", "lam"),
-    "T9": ("c",),
-    "R42": (),
-    "T10": ("a", "b", "c", "lam", "m"),
-    "DAE": ("lam",),
-    "E14": ("a",),
-    "E25": (),
-}
+#
+# A domain takes (parameter name, value) and returns the value in canonical
+# form, or raises DomainError; None stands for a value not given.
 
 _SYMBOLIC = (None, "sym", "L", "symbolic")
 
 
-def _clean_params(tag: str, params: dict) -> dict:
-    keys = _PARAM_KEYS[tag]
-    unknown = set(params) - set(keys)
+def integer_order(key, v):
+    if isinstance(v, int):
+        return v
+    raise DomainError(f"{key} must be an integer")
+
+
+def nonnegative_integer(key, v):
+    if isinstance(v, int) and v >= 0:
+        return v
+    raise DomainError(f"{key} must be a nonnegative integer")
+
+
+def nonzero_rational(key, v):
+    if v is not None and Fraction(v):
+        return Fraction(v)
+    raise DomainError(f"{key} != 0 is required")
+
+
+def rational(key, v):
+    return Fraction(v)
+
+
+def lambda_value(key, v):
+    """None for the symbol L; otherwise a rational other than 1."""
+    return None if v in _SYMBOLIC else _lam_field(v)[1]
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter: its name, its domain, and the value taken when it is
+    not given (None: the domain decides)."""
+
+    name: str
+    domain: object
+    default: object = None
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One row of the registry table.  ``pair`` builds (g, f) from the
+    working truncation and the parameters; ``check`` is the right-hand side
+    S_n(x) for a tag with a pair (compared with the transfer route) and
+    otherwise a runner returning (status, counterexamples, note)."""
+
+    params: tuple[Param, ...]
+    pair: object = None
+    check: object = None
+    description: str = ""
+
+
+# the integer order a of g, and the Frobenius parameter lambda
+ORDER = Param("a", integer_order, 1)
+LAM = Param("lam", lambda_value)
+
+
+def check_params(name: str, params: dict) -> dict:
+    """The parameters of a registry name in canonical form, schema order."""
+    entry = REGISTRY[name]
+    unknown = set(params) - {q.name for q in entry.params}
     if unknown:
-        raise DomainError(f"{tag} does not take parameter(s) {sorted(unknown)}")
+        raise DomainError(f"{name} does not take parameter(s) {sorted(unknown)}")
     out = {}
-    for k in keys:
-        v = params.get(k, None)
-        if k == "lam":
-            if v in _SYMBOLIC:
-                out[k] = None
-            else:
-                v = Fraction(v)
-                if v == 1:
-                    raise DomainError("lambda = 1 is excluded")
-                out[k] = v
-        elif k == "m":
-            if v is None:
-                v = 1
-            if not isinstance(v, int) or v < 0:
-                raise DomainError("m must be a nonnegative integer")
-            out[k] = v
-        elif k == "a":
-            if v is None:
-                v = 1
-            if tag == "E14":
-                v = Fraction(v)
-                if not v:
-                    raise DomainError("E14 requires a != 0")
-            else:
-                if not isinstance(v, int):
-                    raise DomainError("the order parameter a must be an integer")
-            out[k] = v
-        else:  # b, c
-            v = Fraction(v if v is not None else 1)
-            out[k] = v
-    # stated nonzero-ness
-    if tag == "T2" and not out["b"]:
-        raise DomainError("T2 requires b != 0")
-    if tag in ("T3", "T6", "T7", "R35", "P8", "T9") and not out["c"]:
-        raise DomainError(f"{tag} requires c != 0")
-    if tag == "T10" and (not out["b"] or not out["c"]):
-        raise DomainError("T10 requires b != 0 and c != 0")
+    for q in entry.params:
+        v = params.get(q.name)
+        try:
+            out[q.name] = q.domain(q.name, q.default if v is None else v)
+        except DomainError as exc:
+            raise type(exc)(f"{name}: {exc}") from None
     return out
 
 
+def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
+    """The Sheffer pair of a registry name truncated at T.  ``order`` fills
+    the integer-order parameter if the name takes one; entries of ``params``
+    that the name does not take are ignored."""
+    entry = REGISTRY.get(name)
+    if entry is None or entry.pair is None:
+        raise DomainError(f"no Sheffer pair named {name!r}")
+    given = {q.name: order if q.domain is integer_order else params.get(q.name)
+             for q in entry.params}
+    # built with a margin so both members come out truncated at exactly T
+    g, f = entry.pair(T + 2, **check_params(name, given))
+    return ShefferPair(g.truncate(T), f.truncate(T))
+
+
 def _render_param(v) -> str:
-    if v is None:
-        return "L"
-    return str(v)
-
-
-def _params_key(tag: str, params: dict) -> tuple[tuple[str, str], ...]:
-    return tuple((k, _render_param(params[k])) for k in _PARAM_KEYS[tag])
+    return "L" if v is None else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +206,25 @@ def _params_key(tag: str, params: dict) -> tuple[tuple[str, str], ...]:
 
 
 @lru_cache(maxsize=None)
-def _pair(tag: str, order: int, b, c, m, lam, T: int):
-    return bespoke_pair(tag, T, order=order, b=b, c=c, m=m, lam=lam)
+def _pair(tag: str, T: int, params: tuple):
+    p = dict(params)
+    return build_pair(tag, T, p.get("a", 1), p)
 
 
-def _poly_counterexamples(n, lhs: Poly, rhs: Poly):
-    out = []
-    fld = lhs.field
-    for j in range(max(lhs.degree, rhs.degree) + 1):
-        lc, rc = lhs.coefficient(j), rhs.coefficient(j)
-        if lc != rc:
-            out.append(Counterexample((n, j), fld.to_str(lc), fld.to_str(rc)))
-    return out
-
-
-def _check_transfer_vs_sum(tag, p, n_max, rhs_fn):
-    """LHS = transfer route over the tag's pair; RHS = explicit sum."""
-    T = working_trunc(n_max)
-    pair = _pair(tag, p.get("a", 1), p.get("b"), p.get("c"), p.get("m"), p.get("lam"), T)
-    lhs = sheffer_transfer_all(pair, n_max)
-    ces = []
+def _transfer_vs_sum(tag, p, n_max, rhs):
+    """(indices, lhs, rhs) per coefficient: the transfer route over the
+    tag's pair against the explicit sum rhs(p, n)."""
+    lhs = sheffer_transfer_all(_pair(tag, working_trunc(n_max), tuple(p.items())), n_max)
     for n in range(1, n_max + 1):
-        ces.extend(_poly_counterexamples(n, lhs[n - 1], rhs_fn(n)))
-    return ces
+        right = rhs(p, n)
+        for j in range(max(lhs[n - 1].degree, right.degree) + 1):
+            yield (n, j), lhs[n - 1].coefficient(j), right.coefficient(j)
 
 
-def _scalar_counterexamples(pairs_iter):
-    """pairs_iter yields (indices, lhs_value, rhs_value) with Fraction values."""
-    out = []
-    for indices, lv, rv in pairs_iter:
-        if lv != rv:
-            out.append(Counterexample(indices, str(lv), str(rv)))
-    return out
+def _compare(triples):
+    """(status, counterexamples, note) from (indices, lhs, rhs) triples."""
+    ces = [Counterexample(idx, str(lv), str(rv)) for idx, lv, rv in triples if lv != rv]
+    return ("fail" if ces else "pass"), ces, ""
 
 
 @lru_cache(maxsize=None)
@@ -284,158 +267,127 @@ def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the registry rows
+# the checks: right-hand sides S_n(x) of the pair tags, runners of the rest
 # ---------------------------------------------------------------------------
 
 
-def _run_T2(p, n_max):
+def _rhs_T2(p, n):
     a, b, lam = p["a"], p["b"], p["lam"]
-    fld, _ = _lam_field(lam)
-
-    def rhs(n):
-        out = Poly(fld)
-        for k in range(n):
-            coef = (
-                Fraction(binom(n - 1, k), binom(k + n, n))
-                * stirling2(k + n, n)
-                * b ** (k + n)
-            )
-            out = out + frobenius_euler_poly(a, n - k, lam) * coef
-        return out
-
-    return _check_transfer_vs_sum("T2", p, n_max, rhs)
+    out = Poly(_lam_field(lam)[0])
+    for k in range(n):
+        coef = Fraction(binom(n - 1, k), binom(k + n, n)) * stirling2(k + n, n) * b ** (k + n)
+        out = out + frobenius_euler_poly(a, n - k, lam) * coef
+    return out
 
 
-def _run_T3(p, n_max):
+def _rhs_T3(p, n):
     a, b, c = p["a"], p["b"], p["c"]
-
-    def rhs(n):
-        out = Poly(QQ)
-        for l in range(n):
-            for j in range(n - l):
-                coef = (
-                    Fraction(binom(n - 1, l), binom(l + n, n))
-                    * binom(n - 1 - l, j)
-                    * stirling2(l + n, n)
-                    * c ** (n + l)
-                    * (-n * b) ** j
-                )
-                out = out + bernoulli_poly(a, n - l - j) * coef
-        return out
-
-    return _check_transfer_vs_sum("T3", p, n_max, rhs)
+    out = Poly(QQ)
+    for l in range(n):
+        for j in range(n - l):
+            coef = (
+                Fraction(binom(n - 1, l), binom(l + n, n))
+                * binom(n - 1 - l, j)
+                * stirling2(l + n, n)
+                * c ** (n + l)
+                * (-n * b) ** j
+            )
+            out = out + bernoulli_poly(a, n - l - j) * coef
+    return out
 
 
-def _run_T4(p, n_max):
-    a = p["a"]
-
-    def rhs(n):
-        out = Poly(QQ)
-        for l in range(n):
-            out = out + euler_poly(a, n - l) * (binom(n - 1, l) * narumi_number(n, l))
-        return out
-
-    return _check_transfer_vs_sum("T4", p, n_max, rhs)
+def _rhs_T4(p, n):
+    out = Poly(QQ)
+    for l in range(n):
+        out = out + euler_poly(p["a"], n - l) * (binom(n - 1, l) * narumi_number(n, l))
+    return out
 
 
 def _run_C5(p, n_max):
-    def gen():
-        for n in range(1, n_max + 1):
-            for l in range(n):
-                yield (n, l), Fraction(narumi_number(n, l), n), Fraction(
-                    bernoulli_number(n + l, l), n + l
-                )
-
-    return _scalar_counterexamples(gen())
+    return _compare(
+        ((n, l), Fraction(narumi_number(n, l), n), Fraction(bernoulli_number(n + l, l), n + l))
+        for n in range(1, n_max + 1)
+        for l in range(n)
+    )
 
 
-def _run_R27(p, n_max):
-    a = p["a"]
-
-    def rhs(n):
-        out = Poly(QQ)
-        for l in range(n):
-            out = out + bernoulli_poly(a, n - l) * (
-                binom(n - 1, l) * narumi_number(-n, l)
-            )
-        return out
-
-    return _check_transfer_vs_sum("R27", p, n_max, rhs)
+def _rhs_R27(p, n):
+    out = Poly(QQ)
+    for l in range(n):
+        out = out + bernoulli_poly(p["a"], n - l) * (binom(n - 1, l) * narumi_number(-n, l))
+    return out
 
 
-def _run_T6(p, n_max):
+def _rhs_T6(p, n):
     a, c, lam = p["a"], p["c"], p["lam"]
-    fld, _ = _lam_field(lam)
-
-    def rhs(n):
-        out = Poly(fld)
-        for l in range(n):
-            coef = binom(n - 1, l) * bernoulli_value(l - n + 1, l, c * n + 1)
-            out = out + frobenius_euler_poly(a, n - l, lam) * coef
-        return out
-
-    return _check_transfer_vs_sum("T6", p, n_max, rhs)
+    out = Poly(_lam_field(lam)[0])
+    for l in range(n):
+        coef = binom(n - 1, l) * bernoulli_value(l - n + 1, l, c * n + 1)
+        out = out + frobenius_euler_poly(a, n - l, lam) * coef
+    return out
 
 
 def _run_T7(p, n_max):
     c = p["c"]
-
-    def gen():
-        for n in range(1, n_max + 1):
-            for l in range(n):
-                yield (n, l), b2_convolution(n, l, c), bernoulli_value(
-                    l - n + 1, l, c * n + 1
-                )
-
-    return _scalar_counterexamples(gen())
+    return _compare(
+        ((n, l), b2_convolution(n, l, c), bernoulli_value(l - n + 1, l, c * n + 1))
+        for n in range(1, n_max + 1)
+        for l in range(n)
+    )
 
 
 def _run_R35(p, n_max):
     c = p["c"]
-
-    def gen():
-        for n in range(1, n_max + 1):
-            for l in range(n):
-                yield (n, l), narumi_value(-n, l, c * n), b2_convolution(n, l, c)
-
-    return _scalar_counterexamples(gen())
+    return _compare(
+        ((n, l), narumi_value(-n, l, c * n), b2_convolution(n, l, c))
+        for n in range(1, n_max + 1)
+        for l in range(n)
+    )
 
 
-def _run_P8(p, n_max):
+def _rhs_P8(p, n):
     a, c, lam = p["a"], p["c"], p["lam"]
-    fld, _ = _lam_field(lam)
-
-    def rhs(n):
-        out = Poly(fld)
-        for l in range(n):
-            coef = binom(n - 1, l) * narumi_value(n, l, -c * n)
-            out = out + frobenius_eulerian_poly(a, n - l, lam) * coef
-        return out
-
-    return _check_transfer_vs_sum("P8", p, n_max, rhs)
+    out = Poly(_lam_field(lam)[0])
+    for l in range(n):
+        coef = binom(n - 1, l) * narumi_value(n, l, -c * n)
+        out = out + frobenius_eulerian_poly(a, n - l, lam) * coef
+    return out
 
 
 def _run_T9(p, n_max):
     c = p["c"]
 
-    def gen():
-        for n in range(1, n_max + 1):
-            for l in range(n):
-                rhs = factorial(l) * sum(
-                    (
-                        Fraction(factorial(n), factorial(n + k))
-                        * stirling1(k + n, n)
-                        * gen_binom(-n * c, l - k)
-                        for k in range(l + 1)
-                    ),
-                    Fraction(0),
-                )
-                yield (n, l), narumi_value(n, l, -c * n), rhs
+    def rhs(n, l):
+        return factorial(l) * sum(
+            (
+                Fraction(factorial(n), factorial(n + k))
+                * stirling1(k + n, n)
+                * gen_binom(-n * c, l - k)
+                for k in range(l + 1)
+            ),
+            Fraction(0),
+        )
 
-    return _scalar_counterexamples(gen())
+    return _compare(
+        ((n, l), narumi_value(n, l, -c * n), rhs(n, l))
+        for n in range(1, n_max + 1)
+        for l in range(n)
+    )
+
+
+_R42_NOTE = (
+    "as-printed form N_l^(n) = S2(l+n,n)/C(l+n,n) fails (first at (n,l)=(1,1): "
+    "expansion of (log(1+t)/t)^n gives -1/2, the printed form +1/2); the "
+    "Stirling-1 variant S1(l+n,n)/C(l+n,n) passes for every checked (n,l). "
+    "Oracle: direct coefficient extraction from (log(1+t)/t)^n, cross-checked "
+    "against the falling-factorial Stirling-1 table. Counterexamples list the "
+    "as-printed form; the companion sum over (log(1+t))^n uses the row index "
+    "n, not a free index, in S1(l+n, .)."
+)
 
 
 def _run_R42(p, n_max):
+    """The as-printed Stirling-2 form, arbitrated against the Stirling-1 one."""
     # checked through l = n (not just l = n-1): both Stirling forms are
     # defined there and the wider range pins the first failure at (1, 1)
     as_printed = []
@@ -449,134 +401,185 @@ def _run_R42(p, n_max):
                 as_printed.append(Counterexample((n, l), str(lhs), str(s2_form)))
             if lhs != s1_form:
                 corrected.append(Counterexample((n, l), str(lhs), str(s1_form)))
-    return as_printed, corrected
+    if not as_printed:
+        return "pass", [], ""
+    if not corrected:
+        return "paper_discrepancy", as_printed, _R42_NOTE
+    return "fail", as_printed + corrected, "both forms fail"
 
 
-def _run_T10(p, n_max):
+def _rhs_T10(p, n):
     a, b, c, m, lam = p["a"], p["b"], p["c"], p["m"], p["lam"]
-    fld, _ = _lam_field(lam)
-
-    def rhs(n):
-        out = Poly(fld)
-        sign = -1 if (m * n) % 2 else 1
-        for l in range(n):
-            coef = (
-                sign
-                * poisson_charlier(m * n, Fraction(-n * c, 1) / b, x_eval=l)
-                * (n * c) ** l
-                * binom(n - 1, l)
-            )
-            out = out + frobenius_eulerian_poly(a, n - l, lam) * coef
-        return out
-
-    return _check_transfer_vs_sum("T10", p, n_max, rhs)
+    out = Poly(_lam_field(lam)[0])
+    sign = -1 if (m * n) % 2 else 1
+    for l in range(n):
+        coef = (
+            sign
+            * poisson_charlier(m * n, Fraction(-n * c, 1) / b, x_eval=l)
+            * (n * c) ** l
+            * binom(n - 1, l)
+        )
+        out = out + frobenius_eulerian_poly(a, n - l, lam) * coef
+    return out
 
 
-def _run_DAE(p, n_max):
-    lam = p["lam"]
-    fld, lam_el = _lam_field(lam)
-    inv_one_minus = fld.one / (fld.one - lam_el)
+def _rhs_DAE(p, n):
+    fld, lam_el = _lam_field(p["lam"])
     x = Poly.x(fld)
     x_plus_1 = x + fld.one
-
-    def rhs(n):
-        base = bernoulli_poly(n, n - 1).to_field(fld)
-        out = Poly(fld)
-        for l in range(n + 1):
-            up = base.shift_arg(fld.coerce(l + 1))
-            down = base.shift_arg(fld.coerce(l))
-            term = x_plus_1 * up - (x * down) * lam_el
-            out = out + term * binom(n, l)
-        return out * inv_one_minus
-
-    return _check_transfer_vs_sum("DAE", p, n_max, rhs)
+    base = bernoulli_poly(n, n - 1).to_field(fld)
+    out = Poly(fld)
+    for l in range(n + 1):
+        up = base.shift_arg(fld.coerce(l + 1))
+        down = base.shift_arg(fld.coerce(l))
+        term = x_plus_1 * up - (x * down) * lam_el
+        out = out + term * binom(n, l)
+    return out * (fld.one / (fld.one - lam_el))
 
 
 def _run_E14(p, n_max):
     a = p["a"]
     T = 12
-    ces = []
     e_t = exp_ct(QQ, 1, T)
     ratio = (t_series(QQ, T) - a) * (Fraction(1) / a)
-    for n in range(1, min(n_max, 4) + 1):
-        pc = poisson_charlier(n, a)
-        lhs = Series(QQ, [pc.eval(l) / factorial(l) for l in range(T)])
-        rhs = e_t * ratio.pow_int(n)
-        for l in range(T):
-            if lhs.coeffs[l] != rhs.coeffs[l]:
-                ces.append(
-                    Counterexample((n, l), str(lhs.coeffs[l]), str(rhs.coeffs[l]))
-                )
-    return ces
+
+    def gen():
+        for n in range(1, min(n_max, 4) + 1):
+            pc = poisson_charlier(n, a)
+            rhs = e_t * ratio.pow_int(n)
+            for l in range(T):
+                yield (n, l), pc.eval(l) / factorial(l), rhs.coeffs[l]
+
+    return _compare(gen())
 
 
 def _run_E25(p, n_max):
     l_max = 8
-    ces = []
     base = log1p_series(QQ, l_max + 2).shift_div(1)
-    acc = None
-    for n in range(1, n_max + 1):
-        acc = base if acc is None else acc * base
-        for l in range(l_max + 1):
-            lhs = acc.coeffs[l]
-            rhs = Fraction(n, n + l) * bernoulli_number(n + l, l) / factorial(l)
-            if lhs != rhs:
-                ces.append(Counterexample((n, l), str(lhs), str(rhs)))
-    return ces
+
+    def gen():
+        acc = None
+        for n in range(1, n_max + 1):
+            acc = base if acc is None else acc * base
+            for l in range(l_max + 1):
+                rhs = Fraction(n, n + l) * bernoulli_number(n + l, l) / factorial(l)
+                yield (n, l), acc.coeffs[l], rhs
+
+    return _compare(gen())
 
 
-_RUNNERS = {
-    "T2": _run_T2,
-    "T3": _run_T3,
-    "T4": _run_T4,
-    "C5": _run_C5,
-    "R27": _run_R27,
-    "T6": _run_T6,
-    "T7": _run_T7,
-    "R35": _run_R35,
-    "P8": _run_P8,
-    "T9": _run_T9,
-    "T10": _run_T10,
-    "DAE": _run_DAE,
-    "E14": _run_E14,
-    "E25": _run_E25,
+# ---------------------------------------------------------------------------
+# the registry table
+# ---------------------------------------------------------------------------
+#
+# Every name with its parameter schema, Sheffer pair, check and description.
+# The named families (no check) come first; the identity tags follow in
+# registry order.  Absent parameters: see check_params and verify_identity.
+
+REGISTRY = {
+    "bernoulli": Entry((ORDER,), _bernoulli_pair),
+    "euler": Entry((ORDER,), _euler_pair),
+    "frobenius_euler": Entry((ORDER, LAM), _frobenius_euler_pair),
+    "frobenius_eulerian": Entry((ORDER, LAM), _frobenius_eulerian_pair),
+    "narumi": Entry((ORDER,), _narumi_pair),
+    "daehee": Entry((LAM,), _daehee_pair),
+    "poisson_charlier": Entry((Param("a", nonzero_rational, 1),), _poisson_charlier_pair),
+    "bernoulli_2nd": Entry((), _bernoulli_2nd_pair),
+    "T2": Entry(
+        (ORDER, Param("b", nonzero_rational), LAM), _t2_pair, _rhs_T2,
+        "pair (((e^t-L)/(1-L))^a, t^2/(e^{bt}-1)) vs Stirling-2 / Frobenius-Euler sum",
+    ),
+    # without b, the pair (the family command) takes b = 0; verify_identity takes 1
+    "T3": Entry(
+        (ORDER, Param("b", rational, 0), Param("c", nonzero_rational)), _t3_pair, _rhs_T3,
+        "pair (((e^t-1)/t)^a, t^2 e^{bt}/(e^{ct}-1)) vs Stirling-2 / Bernoulli double sum",
+    ),
+    "T4": Entry(
+        (ORDER,), _t4_pair, _rhs_T4,
+        "pair (((e^t+1)/2)^a, t^2/log(1+t)) vs Narumi-number / Euler sum",
+    ),
+    "C5": Entry(
+        (), None, _run_C5,
+        "Narumi numbers vs higher-order Bernoulli numbers: N_l^(n)/n = B_l^(n+l)/(n+l)",
+    ),
+    "R27": Entry(
+        (ORDER,), _r27_pair, _rhs_R27,
+        "pair (((e^t-1)/t)^a, log(1+t)) vs negative-order Narumi / Bernoulli sum",
+    ),
+    "T6": Entry(
+        (ORDER, Param("c", nonzero_rational), LAM), _t6_pair, _rhs_T6,
+        "pair (((e^t-L)/(1-L))^a, log(1+t)/(1+t)^c) vs shifted-Bernoulli / Frobenius-Euler sum",
+    ),
+    "T7": Entry(
+        (Param("c", nonzero_rational),), None, _run_T7,
+        "n-fold convolution of 2nd-kind Bernoulli values vs B_l^(l-n+1)(cn+1)",
+    ),
+    "R35": Entry(
+        (Param("c", nonzero_rational),), None, _run_R35,
+        "N_l^(-n)(cn) vs the same n-fold convolution of 2nd-kind Bernoulli values",
+    ),
+    "P8": Entry(
+        (ORDER, Param("c", nonzero_rational), LAM), _p8_pair, _rhs_P8,
+        "pair (((e^{(L-1)t}-L)/(1-L))^a, t^2(1+t)^c/log(1+t)) vs shifted-Narumi / Eulerian sum",
+    ),
+    "T9": Entry(
+        (Param("c", nonzero_rational),), None, _run_T9,
+        "N_l^(n)(-cn) vs Stirling-1 / generalized-binomial sum",
+    ),
+    "R42": Entry(
+        (), None, _run_R42,
+        "N_l^(n) vs Stirling-number-over-binomial form (misprint arbitration)",
+    ),
+    "T10": Entry(
+        (ORDER, Param("b", nonzero_rational), Param("c", nonzero_rational), LAM,
+         Param("m", nonnegative_integer)),
+        _t10_pair, _rhs_T10,
+        "pair (((e^{(L-1)t}-L)/(1-L))^a, t/(e^{ct}(1+bt)^m)) vs Poisson-Charlier-value sum",
+    ),
+    "DAE": Entry(
+        (LAM,), _daehee_pair, _rhs_DAE,
+        "transfer route for the pair ((1-L)/(e^t-L), (e^t-1)/(e^t+1)) vs its closed form",
+    ),
+    "E14": Entry(
+        (Param("a", nonzero_rational),), None, _run_E14,
+        "EGF of Poisson-Charlier values at integers vs e^t((t-a)/a)^n",
+    ),
+    "E25": Entry(
+        (), None, _run_E25,
+        "(log(1+t)/t)^n coefficients vs n B_l^(n+l)/((n+l) l!)",
+    ),
 }
 
-_R42_NOTE = (
-    "as-printed form N_l^(n) = S2(l+n,n)/C(l+n,n) fails (first at (n,l)=(1,1): "
-    "expansion of (log(1+t)/t)^n gives -1/2, the printed form +1/2); the "
-    "Stirling-1 variant S1(l+n,n)/C(l+n,n) passes for every checked (n,l). "
-    "Oracle: direct coefficient extraction from (log(1+t)/t)^n, cross-checked "
-    "against the falling-factorial Stirling-1 table. Counterexamples list the "
-    "as-printed form; the companion sum over (log(1+t))^n uses the row index "
-    "n, not a free index, in S1(l+n, .)."
-)
+FAMILY_NAMES = tuple(name for name, entry in REGISTRY.items() if entry.check is None)
+IDENTITY_TAGS = tuple(name for name, entry in REGISTRY.items() if entry.check is not None)
+
+
+def _identity(tag: str) -> Entry:
+    entry = REGISTRY.get(tag)
+    if entry is None or entry.check is None:
+        raise UnknownIdentity(f"unknown identity tag {tag!r}")
+    return entry
 
 
 def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> IdentityReport:
     """Check one registry identity exactly over 1 <= n <= n_max.
 
-    Raises UnknownIdentity for a bad tag and DomainError for parameters
-    outside the identity's stated domain.
+    A parameter not given is 1 (lambda: the symbol L).  Raises
+    UnknownIdentity for a bad tag and DomainError for parameters outside
+    the identity's stated domain.
     """
-    if tag not in _RUNNERS and tag != "R42":
-        raise UnknownIdentity(f"unknown identity tag {tag!r}")
+    entry = _identity(tag)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    p = _clean_params(tag, dict(params or {}))
-    key = _params_key(tag, p)
-    if tag == "R42":
-        as_printed, corrected = _run_R42(p, n_max)
-        if as_printed and not corrected:
-            return IdentityReport(tag, key, n_max, "paper_discrepancy", tuple(as_printed), _R42_NOTE)
-        if not as_printed:
-            return IdentityReport(tag, key, n_max, "pass")
-        return IdentityReport(
-            tag, key, n_max, "fail", tuple(as_printed + corrected), "both forms fail"
-        )
-    ces = _RUNNERS[tag](p, n_max)
-    status = "pass" if not ces else "fail"
-    return IdentityReport(tag, key, n_max, status, tuple(ces))
+    given = {q.name: 1 for q in entry.params if q.domain is not lambda_value}
+    given.update((k, v) for k, v in (params or {}).items() if v is not None)
+    p = check_params(tag, given)
+    if entry.pair is None:
+        status, ces, note = entry.check(p, n_max)
+    else:
+        status, ces, note = _compare(_transfer_vs_sum(tag, p, n_max, entry.check))
+    key = tuple((k, _render_param(v)) for k, v in p.items())
+    return IdentityReport(tag, key, n_max, status, tuple(ces), note)
 
 
 def verify_identity_report_errors(tag, params, n_max) -> IdentityReport:
@@ -637,6 +640,4 @@ def aggregate_pass(reports) -> bool:
 
 
 def describe(tag: str) -> str:
-    if tag not in _DESCRIPTIONS:
-        raise UnknownIdentity(f"unknown identity tag {tag!r}")
-    return _DESCRIPTIONS[tag]
+    return _identity(tag).description

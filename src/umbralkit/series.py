@@ -15,9 +15,9 @@ from .errors import (
     NotDelta,
     NotInvertible,
     OrderTooLow,
+    TruncationTooShort,
     UnitConstantRequired,
 )
-from .fields import QQ
 
 
 def working_trunc(n_max: int) -> int:
@@ -234,7 +234,9 @@ class Series:
         The compose round-trip is checked before returning.
         """
         T = self.trunc
-        if self.order() != 1 or not self.coeffs[1]:
+        if T < 2:
+            raise TruncationTooShort("compositional inverse needs truncation >= 2")
+        if self.order() != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
         zero, one_ = self.field.zero, self.field.one
         # powers[k] = self^k truncated at T
@@ -367,19 +369,6 @@ def one_plus_t_pow(field, c, T: int) -> Series:
         acc = acc * (c - (k - 1)) * field.coerce(Fraction(1, k))
         out.append(acc)
     return Series(field, out)
-
-
-def make_series(kind: str, T: int, field=QQ, c=None, k: int | None = None) -> Series:
-    """Dispatch constructor for the named generating-series building blocks."""
-    if kind == "exp_ct":
-        return exp_ct(field, c if c is not None else 1, T)
-    if kind == "log1p":
-        return log1p_series(field, T)
-    if kind == "monomial":
-        return monomial(field, k if k is not None else 1, T)
-    if kind == "one_plus_t_pow":
-        return one_plus_t_pow(field, c if c is not None else 1, T)
-    raise ValueError(f"unknown series kind {kind!r}")
 
 
 # ---------------------------------------------------------------------- Poly

@@ -65,7 +65,9 @@ class ShefferPair:
             raise ValueError("g and f must share a coefficient field")
         if self.g.order() != 0:
             raise NotInvertible("g must be an invertible series (order 0)")
-        if self.f.order() != 1 or not self.f.coeffs[1]:
+        if self.f.trunc < 2:
+            raise TruncationTooShort("f must be known through t^1 (truncation >= 2)")
+        if self.f.order() != 1:
             raise NotDelta("f must be a delta series (order exactly 1)")
 
     @property
@@ -106,21 +108,9 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     return polys
 
 
-def _transfer_step(ginv: Series, q: Series, n: int) -> Poly:
-    """(1/g) x q x^{n-1} for q = (t/f)^n, evaluated right to left."""
-    p = operator_apply(q, Poly.monomial(ginv.field, n - 1))
-    p = p.mul_by_x()
-    return operator_apply(ginv, p)
-
-
 def sheffer_transfer(pair: ShefferPair, n: int) -> Poly:
     """S_n(x) by the operator route (1/g) x (t/f)^n x^{n-1}; n >= 1 only."""
-    if n < 1:
-        raise DomainError("the transfer route is stated for n >= 1 only")
-    if pair.trunc < 2 * n:
-        raise TruncationTooShort(f"need truncation >= {2 * n}, have {pair.trunc}")
-    t_over_f = pair.f.shift_div(1).inverse()
-    return _transfer_step(pair.g.inverse(), t_over_f.pow_int(n), n)
+    return sheffer_transfer_all(pair, n)[-1]
 
 
 def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
@@ -134,7 +124,9 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     out = []
     q = t_over_f
     for n in range(1, n_max + 1):
-        out.append(_transfer_step(ginv, q, n))
+        # (1/g) x q x^{n-1} for q = (t/f)^n, evaluated right to left
+        p = operator_apply(q, Poly.monomial(ginv.field, n - 1)).mul_by_x()
+        out.append(operator_apply(ginv, p))
         if n < n_max:
             q = q * t_over_f
     return out

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,22 @@ class TestExpand:
         code, _ = run_cli("expand", "t*)", "--order", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "expr,order",
+        [
+            ("rev(t)", "1"),  # no t^1 coefficient at truncation 1
+            ("pow(1+t, 1/0)", "3"),  # zero denominator in the exponent
+            ("(" * 3000 + "t" + ")" * 3000, "3"),  # nested past the parser's stack
+            ("+".join(["t"] * 3000), "3"),  # a chain past the evaluator's stack
+        ],
+        ids=["rev-order-1", "zero-denominator", "deep-nesting", "long-chain"],
+    )
+    def test_no_traceback(self, expr, order, capsys):
+        code, _ = run_cli("expand", expr, "--order", order)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "error: " in err[0]
+
 
 class TestFamily:
     def test_documented_bernoulli_csv(self):
@@ -105,10 +122,17 @@ class TestFamily:
         assert out.splitlines()[2] == "2 & x^{2} - x \\\\"
 
     def test_inapplicable_flag_rejected(self):
-        code, _ = run_cli("family", "bernoulli", "--n", "3", "--lambda", "2")
-        assert code == 2
-        code, _ = run_cli("family", "euler", "--n", "3", "--a", "2")
-        assert code == 2
+        for argv in [
+            ("bernoulli", "--n", "3", "--lambda", "2"),
+            ("euler", "--n", "3", "--a", "2"),
+            ("DAE", "--c", "1", "--n", "2"),
+            ("T4", "--lambda", "2", "--n", "2"),
+            ("T2", "--b", "1", "--m", "3", "--n", "1"),
+            ("T4", "--lambda", "symbolic", "--n", "2"),
+            ("daehee", "--order-param", "2", "--n", "2"),
+        ]:
+            code, out = run_cli("family", *argv)
+            assert (code, out) == (2, ""), argv
 
     def test_unknown_family_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -216,6 +240,23 @@ class TestVerify:
     def test_missing_tag(self):
         code, _ = run_cli("verify")
         assert code == 2
+
+    def test_n_max_zero_is_usage_error(self, capsys):
+        code, out = run_cli("verify", "T2", "--n-max", "0")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == "error: --n-max must be >= 1\n"
+
+
+def test_readme_lists_each_registry_pairs_flags():
+    from umbralkit.cli import family_flags
+    from umbralkit.identities import REGISTRY
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, entry in REGISTRY.items():
+        if entry.pair and entry.check:
+            flags = ", ".join(f"`{flag}`" for flag in family_flags(name)) or "none"
+            assert f"| `{name}` | {flags} |" in readme
 
 
 class TestByteStability:

@@ -19,7 +19,15 @@ from umbralkit import (
     run_registry,
     verify_identity,
 )
-from umbralkit.identities import IDENTITY_TAGS, verify_identity_report_errors
+from umbralkit import FamilySpec, bespoke_pair, catalog_pair
+from umbralkit.identities import (
+    FAMILY_NAMES,
+    IDENTITY_TAGS,
+    REGISTRY,
+    Param,
+    check_params,
+    verify_identity_report_errors,
+)
 
 
 class TestSingleIdentities:
@@ -183,3 +191,44 @@ class TestRegistry:
         undocumented = IdentityReport("C5", (), 4, "paper_discrepancy")
         assert not fake_fail.ok
         assert not undocumented.ok  # discrepancy without a note is not ok
+
+
+class TestTable:
+    def test_every_tag_has_schema_check_and_description(self):
+        grid_tags = {tag for tag, _ in default_grid()}
+        for tag in IDENTITY_TAGS:
+            entry = REGISTRY[tag]
+            assert all(isinstance(q, Param) and callable(q.domain) for q in entry.params)
+            assert callable(entry.check)
+            assert entry.description and describe(tag) == entry.description
+            assert tag in grid_tags
+
+    def test_names_partition_the_table(self):
+        assert set(FAMILY_NAMES) | set(IDENTITY_TAGS) == set(REGISTRY)
+        assert not set(FAMILY_NAMES) & set(IDENTITY_TAGS)
+        assert all(REGISTRY[name].pair for name in FAMILY_NAMES)
+
+    def test_parameter_names_unique_per_row(self):
+        for entry in REGISTRY.values():
+            names = [q.name for q in entry.params]
+            assert len(names) == len(set(names))
+
+    def test_daehee_pair_built_once(self):
+        assert REGISTRY["daehee"].pair is REGISTRY["DAE"].pair
+        for lam in (None, F(2)):
+            assert catalog_pair(FamilySpec.make("daehee", 1, lam=lam), T=9) == bespoke_pair(
+                "DAE", 9, lam=lam
+            )
+
+    def test_check_params_canonical_form(self):
+        assert check_params("T10", {"a": 2, "b": 1, "c": "1/2", "m": 0}) == {
+            "a": 2, "b": F(1), "c": F(1, 2), "lam": None, "m": 0,
+        }
+        assert check_params("T3", {"a": 1, "c": 1})["b"] == 0  # the pair's default
+        with pytest.raises(DomainError):
+            check_params("T10", {"a": 1, "b": 1, "c": 1})  # m has no default
+
+    def test_verify_defaults(self):
+        # a parameter not given to verify_identity is 1, lambda the symbol L
+        assert dict(verify_identity("T3", {}, 2).params) == {"a": "1", "b": "1", "c": "1"}
+        assert dict(verify_identity("DAE", {}, 2).params) == {"lam": "L"}

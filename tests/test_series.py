@@ -19,10 +19,8 @@ from umbralkit import (
     exp_ct,
     falling_factorial,
     log1p_series,
-    make_series,
     monomial,
     one,
-    one_plus_t_pow,
     t_series,
     stirling1,
 )
@@ -219,16 +217,6 @@ class TestNamedSeries:
         got = exp_ct(QL, LAMBDA - 1, 3)
         lm1 = LAMBDA - 1
         assert got.coeffs == (QL.one, lm1, lm1 * lm1 / 2)
-
-    def test_make_series_dispatch(self):
-        assert make_series("exp_ct", 4, c=1) == exp_ct(QQ, 1, 4)
-        assert make_series("log1p", 4) == log1p_series(QQ, 4)
-        assert make_series("monomial", 4, k=2) == monomial(QQ, 2, 4)
-        assert make_series("one_plus_t_pow", 4, c=F(1, 2)) == one_plus_t_pow(
-            QQ, F(1, 2), 4
-        )
-        with pytest.raises(ValueError):
-            make_series("nope", 4)
 
     def test_order(self):
         assert S(0, 0, 1, 0).order() == 2
