@@ -17,7 +17,7 @@ from . import __version__
 from .dsl import eval_expr, parse_expr, uses_lambda
 from .errors import DomainError, ParseError, UmbralError, UnknownIdentity
 from .families import bespoke_pair, family_polys
-from .fields import QL, QQ
+from .fields import QL, QQ, format_terms
 from .identities import (
     IDENTITY_TAGS,
     REGISTRY,
@@ -26,7 +26,7 @@ from .identities import (
     integer_order,
     run_registry,
 )
-from .series import Poly, Series, working_trunc
+from .series import Poly, working_trunc
 from .umbral import ShefferPair, sheffer_gf, sheffer_transfer_all
 
 
@@ -99,72 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_strs(s: Series) -> list[str]:
-    return [s.field.to_str(c) for c in s.coeffs]
-
-
 def _poly_row(p: Poly) -> list[str]:
-    if p.is_zero():
-        return ["0"]
-    return [p.field.to_str(c) for c in p.coeffs]
-
-
-def _latex_scalar(text: str) -> str:
-    """LaTeX for one exact scalar rendered by the field (L spelled lambda)."""
-    text = text.replace("L", r"\lambda ")
-    if "/" in text and "(" not in text:
-        num, den = text.split("/", 1)
-        sign = ""
-        if num.startswith("-"):
-            sign, num = "-", num[1:]
-        return rf"{sign}\frac{{{num}}}{{{den}}}"
-    if text.startswith("(") and ")/(" in text:
-        num, den = text[1:-1].split(")/(", 1)
-        return rf"\frac{{{num}}}{{{den}}}"
-    return text
-
-
-def _latex_poly(p: Poly, var: str = "x") -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if not c:
-            continue
-        cs = p.field.to_str(c)
-        neg = cs.startswith("-") and " " not in cs
-        mag = cs[1:] if neg else cs
-        body = _latex_scalar(mag) if " " not in mag else rf"\left({_latex_scalar(cs)}\right)"
-        if k > 0:
-            xs = var if k == 1 else f"{var}^{{{k}}}"
-            body = xs if body == "1" else body + " " + xs
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
-
-
-def _latex_series(s: Series) -> str:
-    parts = []
-    for k, c in enumerate(s.coeffs):
-        if not c:
-            continue
-        cs = s.field.to_str(c)
-        neg = cs.startswith("-") and " " not in cs
-        mag = cs[1:] if neg else cs
-        body = _latex_scalar(mag) if " " not in mag else rf"\left({_latex_scalar(cs)}\right)"
-        if k > 0:
-            ts = "t" if k == 1 else f"t^{{{k}}}"
-            body = ts if body == "1" else body + " " + ts
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    if not parts:
-        parts = ["0"]
-    return " ".join(parts) + f" + O(t^{{{s.trunc}}})"
+    return p.coeff_texts() or ["0"]
 
 
 def _emit_rows(polys, fmt, out) -> None:
@@ -175,7 +111,7 @@ def _emit_rows(polys, fmt, out) -> None:
         out.write(json.dumps([_poly_row(p) for p in polys]) + "\n")
     else:
         for n, p in enumerate(polys):
-            out.write(f"{n} & {_latex_poly(p)} \\\\\n")
+            out.write(f"{n} & {format_terms(p.coeff_texts(), 'x', latex=True)} \\\\\n")
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +134,13 @@ def _cmd_expand(args, out) -> int:
     field = _pick_field(args, [ast])
     series = eval_expr(ast, args.order, field, args.lam)
     if args.format == "json":
-        out.write(json.dumps(_coeff_strs(series)) + "\n")
+        out.write(json.dumps(series.coeff_texts()) + "\n")
     elif args.format == "csv":
-        for k, c in enumerate(series.coeffs):
-            out.write(f"{k},{series.field.to_str(c)}\n")
+        for k, c in enumerate(series.coeff_texts()):
+            out.write(f"{k},{c}\n")
     else:
-        out.write(_latex_series(series) + "\n")
+        terms = format_terms(series.coeff_texts(), "t", latex=True, ascending=True)
+        out.write(f"{terms} + O(t^{{{series.trunc}}})\n")
     return 0
 
 
@@ -265,8 +202,8 @@ def _cmd_sheffer(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    if args.id is None and not args.all:
-        raise DomainError("verify needs an identity tag or --all")
+    if (args.id is None) != args.all:
+        raise DomainError("verify needs exactly one of an identity tag and --all")
     if args.n_max < 1:
         raise DomainError("--n-max must be >= 1")
     grid = default_grid()

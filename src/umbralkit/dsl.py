@@ -236,7 +236,11 @@ _LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
 
 
 def render(ast) -> str:
-    return _render(ast, 0)
+    """DSL text that parses back to ``ast``."""
+    try:
+        return _render(ast, 0)
+    except RecursionError:
+        raise DomainError("expression nested too deeply to render") from None
 
 
 def _render(ast, parent_level: int) -> str:

@@ -13,6 +13,11 @@ Q.
 
 Every series/polynomial in this package is parameterized by a field object
 (``QQ`` or ``QL``) that knows how to coerce scalars and render elements.
+
+This module also holds the coefficient-vector kernels that ``RatFunc``'s
+integer polynomials, ``Series`` and ``Poly`` share (``vec_add``,
+``vec_mul``, ``vec_horner``, ``vec_trim``) and the one term formatter,
+``format_terms``, behind every "coefficient * var^k" string, plain or LaTeX.
 """
 
 from __future__ import annotations
@@ -36,35 +41,99 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# primitive integer polynomials in L, as tuples (ascending powers)
+# coefficient-vector kernels, ascending powers; entries are int, Fraction or
+# RatFunc (or anything with + and *), and zero entries are skipped in products
 # ---------------------------------------------------------------------------
 
 
-def _ztrim(c):
+def vec_trim(c) -> tuple:
+    """``c`` without its trailing zero coefficients."""
     n = len(c)
     while n and not c[n - 1]:
         n -= 1
     return tuple(c[:n])
 
 
-def _zadd(a, b):
+def vec_add(a, b) -> list:
+    """Coefficientwise sum; as long as the longer operand."""
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, x in enumerate(b):
         out[i] += x
-    return _ztrim(out)
+    return out
 
 
-def _zmul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
+def vec_mul(a, b, zero=0, n=None) -> tuple:
+    """Product, truncated to ``n`` coefficients when ``n`` is given."""
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [zero] * n
+    for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for j, y in enumerate(b[: n - i]):
+                if y:
+                    out[i + j] += x * y
     return tuple(out)
+
+
+def vec_horner(c, x, acc):
+    """``acc * x^len(c) + sum c[k] x^k`` by Horner's rule."""
+    for v in reversed(c):
+        acc = acc * x + v
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# one term formatter for Series, Poly and Q(L) elements
+# ---------------------------------------------------------------------------
+
+
+def _latex_scalar(text: str) -> str:
+    """LaTeX for one exact scalar rendered by the field (L spelled lambda)."""
+    text = text.replace("L", r"\lambda ")
+    if "/" in text and "(" not in text:
+        num, den = text.split("/", 1)
+        sign = ""
+        if num.startswith("-"):
+            sign, num = "-", num[1:]
+        return rf"{sign}\frac{{{num}}}{{{den}}}"
+    if text.startswith("(") and ")/(" in text:
+        num, den = text[1:-1].split(")/(", 1)
+        return rf"\frac{{{num}}}{{{den}}}"
+    return text
+
+
+def format_terms(coeff_texts, var: str, latex: bool = False, ascending: bool = False) -> str:
+    """``c_k * var^k`` terms joined by signs; ``coeff_texts[k]`` renders c_k.
+
+    Zero terms are skipped, a lone leading minus becomes the term's sign, a
+    unit coefficient is dropped, and a coefficient with a space in it (a
+    genuine Q(L) element) is parenthesized whole.  No terms give "0".
+    """
+    order = range(len(coeff_texts)) if ascending else range(len(coeff_texts) - 1, -1, -1)
+    parts = []
+    for k in order:
+        cs = coeff_texts[k]
+        if cs == "0":
+            continue
+        neg = cs.startswith("-") and " " not in cs
+        mag = cs[1:] if neg else cs
+        if " " in mag:
+            body = rf"\left({_latex_scalar(cs)}\right)" if latex else f"({cs})"
+        else:
+            body = _latex_scalar(mag) if latex else mag
+        if k:
+            power = var if k == 1 else (f"{var}^{{{k}}}" if latex else f"{var}^{k}")
+            body = power if body == "1" else body + (" " if latex else "*") + power
+        sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
+        parts.append(sign + body)
+    return " ".join(parts) or "0"
+
+
+# ---------------------------------------------------------------------------
+# primitive integer polynomials in L, as tuples (ascending powers)
+# ---------------------------------------------------------------------------
 
 
 def _zscale(a, s: int):
@@ -110,14 +179,7 @@ def _zexact_div(a, b):
         if c:
             for j in range(db + 1):
                 r[i + j] -= c * b[j]
-    return _ztrim(q)
-
-
-def _zeval(a, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    return vec_trim(q)
 
 
 def _zprem_primitive(f, g):
@@ -153,29 +215,6 @@ def _zgcd(f, g):
     while g:
         f, g = g, _zprem_primitive(f, g)
     return f
-
-
-def _zpstr(coeffs_q, var: str = "L") -> str:
-    """Descending-power rendering of a Q-coefficient tuple."""
-    if not coeffs_q:
-        return "0"
-    parts = []
-    for k in range(len(coeffs_q) - 1, -1, -1):
-        c = coeffs_q[k]
-        if not c:
-            continue
-        neg = c < 0
-        mag = -c if neg else c
-        if k == 0:
-            body = str(mag)
-        else:
-            x = var if k == 1 else f"{var}^{k}"
-            body = x if mag == 1 else f"{mag}*{x}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +312,7 @@ class RatFunc:
         pb, qb = other.scale.numerator, other.scale.denominator
         da, db = self._d, other._d
         if da == db:
-            num = _zadd(_zscale(self._n, pa * qb), _zscale(other._n, pb * qa))
+            num = vec_trim(vec_add(_zscale(self._n, pa * qb), _zscale(other._n, pb * qa)))
             if not num:
                 return _RF_ZERO
             den = da
@@ -284,13 +323,13 @@ class RatFunc:
                 db_r = _zexact_div(db, g)
             else:
                 da_r, db_r = da, db
-            num = _zadd(
-                _zscale(_zmul(self._n, db_r), pa * qb),
-                _zscale(_zmul(other._n, da_r), pb * qa),
-            )
+            num = vec_trim(vec_add(
+                _zscale(vec_mul(self._n, db_r), pa * qb),
+                _zscale(vec_mul(other._n, da_r), pb * qa),
+            ))
             if not num:
                 return _RF_ZERO
-            den = _zmul(da, db_r)
+            den = vec_mul(da, db_r)
         cont, num = _zprimitive(num)
         dcont, den = _zprimitive(den)
         g2 = _zgcd(num, den)
@@ -334,7 +373,7 @@ class RatFunc:
         if len(g2) > 1:
             nb = _zexact_div(nb, g2)
             da = _zexact_div(da, g2)
-        return RatFunc._raw(self.scale * other.scale, _zmul(na, nb), _zmul(da, db))
+        return RatFunc._raw(self.scale * other.scale, vec_mul(na, nb), vec_mul(da, db))
 
     __rmul__ = __mul__
 
@@ -393,16 +432,16 @@ class RatFunc:
     def evaluate(self, lam0) -> Fraction:
         """Specialize L to a rational; raises EvalPole at denominator roots."""
         lam0 = Fraction(lam0)
-        dv = _zeval(self._d, lam0)
+        dv = vec_horner(self._d, lam0, Fraction(0))
         if not dv:
             raise EvalPole(f"pole of {self} at L = {lam0}")
-        return self.scale * _zeval(self._n, lam0) / dv
+        return self.scale * vec_horner(self._n, lam0, Fraction(0)) / dv
 
     def __str__(self) -> str:
-        num = self.num
+        num = format_terms([str(c) for c in self.num], "L")
         if self._d == (1,):
-            return _zpstr(num)
-        return f"({_zpstr(num)})/({_zpstr(self.den)})"
+            return num
+        return f"({num})/({format_terms([str(c) for c in self.den], 'L')})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
@@ -420,9 +459,7 @@ def _as_zpoly(v):
             return Fraction(1), ()
         return q, (1,)
     if isinstance(v, (tuple, list)):
-        qs = [Fraction(c) for c in v]
-        while qs and not qs[-1]:
-            qs.pop()
+        qs = vec_trim([Fraction(c) for c in v])
         if not qs:
             return Fraction(1), ()
         den = 1

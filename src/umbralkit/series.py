@@ -4,6 +4,11 @@ A :class:`Series` stores plain Taylor coefficients: ``coeffs[k]`` is the
 coefficient of ``t^k``, for ``k = 0 .. T-1`` where ``T`` is the truncation
 order.  Binary operations truncate to the shorter operand.  Everything is
 exact; there are no floats anywhere.
+
+:class:`Series` and :class:`Poly` share one base, :class:`CoeffVector`
+(field, coefficient tuple, equality, negation, subtraction).  Their add,
+product and Horner loops are the coefficient-vector kernels of
+:mod:`umbralkit.fields`, and both render through ``fields.format_terms``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import (
     TruncationTooShort,
     UnitConstantRequired,
 )
+from .fields import format_terms, vec_add, vec_horner, vec_mul, vec_trim
 
 
 def working_trunc(n_max: int) -> int:
@@ -25,20 +31,55 @@ def working_trunc(n_max: int) -> int:
     return 2 * n_max + 2
 
 
-class Series:
-    """Truncated formal power series over a coefficient field."""
+class CoeffVector:
+    """A field and a tuple of its elements: what Series and Poly share."""
 
     __slots__ = ("field", "coeffs")
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.field is other.field and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((id(self.field), self.coeffs))
+
+    def _scalar(self, v):
+        try:
+            return self.field.coerce(v)
+        except TypeError:
+            return None
+
+    def coeff_texts(self) -> list[str]:
+        """The field's text for each coefficient, ascending powers."""
+        return [self.field.to_str(c) for c in self.coeffs]
+
+    def __neg__(self):
+        return type(self)(self.field, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            s = self._scalar(other)
+            if s is None:
+                return NotImplemented
+            return self.__add__(-s)
+        return self.__add__(-other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+
+class Series(CoeffVector):
+    """Truncated formal power series over a coefficient field."""
+
+    __slots__ = ()
 
     def __init__(self, field, coeffs, trunc: int | None = None):
         coeffs = [field.coerce(c) for c in coeffs]
         if trunc is not None:
             if trunc < 1:
                 raise ValueError("truncation order must be >= 1")
-            if len(coeffs) < trunc:
-                coeffs += [field.zero] * (trunc - len(coeffs))
-            else:
-                coeffs = coeffs[:trunc]
+            coeffs = (coeffs + [field.zero] * trunc)[:trunc]
         elif not coeffs:
             raise ValueError("a series needs at least one stored coefficient")
         self.field = field
@@ -68,14 +109,6 @@ class Series:
     def is_zero(self) -> bool:
         return self.order() == self.trunc
 
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
     def agrees(self, other: "Series", upto: int | None = None) -> bool:
         """Coefficientwise equality modulo t^min(T, upto)."""
         n = min(self.trunc, other.trunc)
@@ -85,38 +118,16 @@ class Series:
 
     # ------------------------------------------------------------------- ring
 
-    def _scalar(self, v):
-        try:
-            return self.field.coerce(v)
-        except TypeError:
-            return None
-
     def __add__(self, other):
         if not isinstance(other, Series):
             s = self._scalar(other)
             if s is None:
                 return NotImplemented
-            out = list(self.coeffs)
-            out[0] = out[0] + s
-            return Series(self.field, out)
+            return Series(self.field, vec_add(self.coeffs, (s,)))
         T = min(self.trunc, other.trunc)
-        return Series(self.field, [self.coeffs[k] + other.coeffs[k] for k in range(T)])
+        return Series(self.field, vec_add(self.coeffs[:T], other.coeffs[:T]))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Series(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            s = self._scalar(other)
-            if s is None:
-                return NotImplemented
-            return self.__add__(-s)
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -125,18 +136,7 @@ class Series:
                 return NotImplemented
             return Series(self.field, [c * s for c in self.coeffs])
         T = min(self.trunc, other.trunc)
-        a, b = self.coeffs, other.coeffs
-        zero = self.field.zero
-        out = [zero] * T
-        for i in range(T):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(T - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return Series(self.field, out)
+        return Series(self.field, vec_mul(self.coeffs, other.coeffs, self.field.zero, T))
 
     __rmul__ = __mul__
 
@@ -222,11 +222,8 @@ class Series:
         if inner.order() == 0:
             raise CompositionOrder("inner series has a nonzero constant term")
         T = min(self.trunc, inner.trunc)
-        inner = inner.truncate(T)
-        acc = constant(self.field, self.coeffs[T - 1], T)
-        for k in range(T - 2, -1, -1):
-            acc = acc * inner + self.coeffs[k]
-        return acc
+        top = constant(self.field, self.coeffs[T - 1], T)
+        return vec_horner(self.coeffs[: T - 1], inner.truncate(T), top)
 
     def revert(self) -> "Series":
         """Compositional inverse of a delta series (triangular solve).
@@ -294,22 +291,10 @@ class Series:
     # ------------------------------------------------------------- rendering
 
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c and not (k == 0 and len(parts) == 0 and self.is_zero()):
-                continue
-            cs = self.field.to_str(c)
-            if k == 0:
-                parts.append(cs)
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                parts.append(f"({cs})*{mono}" if ("/" in cs or " " in cs or cs.startswith("-")) else f"{cs}*{mono}")
-        if not parts:
-            parts = ["0"]
-        return " + ".join(parts) + f" + O(t^{self.trunc})"
+        return format_terms(self.coeff_texts(), "t", ascending=True) + f" + O(t^{self.trunc})"
 
     def __repr__(self) -> str:
-        return f"Series[{self.field.name}; T={self.trunc}]({', '.join(self.field.to_str(c) for c in self.coeffs)})"
+        return f"Series[{self.field.name}; T={self.trunc}]({', '.join(self.coeff_texts())})"
 
 
 # ---------------------------------------------------------------------- named
@@ -374,18 +359,14 @@ def one_plus_t_pow(field, c, T: int) -> Series:
 # ---------------------------------------------------------------------- Poly
 
 
-class Poly:
+class Poly(CoeffVector):
     """Dense polynomial in x over a field; no trailing zero coefficients."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ()
 
     def __init__(self, field, coeffs=()):
-        coeffs = [field.coerce(c) for c in coeffs]
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
-            n -= 1
         self.field = field
-        self.coeffs = tuple(coeffs[:n])
+        self.coeffs = vec_trim([field.coerce(c) for c in coeffs])
 
     # constructors ----------------------------------------------------------
 
@@ -416,21 +397,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
     # arithmetic ---------------------------------------------------------------
-
-    def _scalar(self, v):
-        try:
-            return self.field.coerce(v)
-        except TypeError:
-            return None
 
     def __add__(self, other):
         if not isinstance(other, Poly):
@@ -438,26 +405,9 @@ class Poly:
             if s is None:
                 return NotImplemented
             other = Poly.constant(self.field, s)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return Poly(self.field, out)
+        return Poly(self.field, vec_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, Poly):
-            return self.__add__(-other)
-        return self.__add__(-self.field.coerce(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -465,15 +415,7 @@ class Poly:
             if s is None:
                 return NotImplemented
             return Poly(self.field, [c * s for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return Poly(self.field, out)
+        return Poly(self.field, vec_mul(self.coeffs, other.coeffs, self.field.zero))
 
     __rmul__ = __mul__
 
@@ -486,50 +428,22 @@ class Poly:
         return Poly(self.field, [k * c for k, c in enumerate(self.coeffs)][1:])
 
     def eval(self, at):
-        at = self.field.coerce(at)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * at + c
-        return acc
+        return vec_horner(self.coeffs, self.field.coerce(at), self.field.zero)
 
     def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
+        return vec_horner(self.coeffs, inner, Poly(self.field))
 
     def shift_arg(self, s) -> "Poly":
         """p(x + s)."""
         return self.compose(Poly(self.field, [self.field.coerce(s), self.field.one]))
 
     def to_field(self, field) -> "Poly":
-        return Poly(field, [field.coerce(c) for c in self.coeffs])
+        return Poly(field, self.coeffs)
 
     # rendering -----------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            cs = self.field.to_str(c)
-            neg = cs.startswith("-") and " " not in cs
-            mag = cs[1:] if neg else cs
-            if " " in mag:  # a genuine Q(L) coefficient: parenthesize whole
-                mag = f"({cs})"
-            if k == 0:
-                body = mag
-            else:
-                xs = "x" if k == 1 else f"x^{k}"
-                body = xs if mag == "1" else f"{mag}*{xs}"
-            if not parts:
-                parts.append(("-" if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        return " ".join(parts)
+        return format_terms(self.coeff_texts(), "x")
 
     def __repr__(self) -> str:
         return f"Poly[{self.field.name}]({self})"

@@ -241,11 +241,54 @@ class TestVerify:
         code, _ = run_cli("verify")
         assert code == 2
 
+    def test_tag_and_all_are_exclusive(self, capsys):
+        code, out = run_cli("verify", "--all", "T2")
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_n_max_zero_is_usage_error(self, capsys):
         code, out = run_cli("verify", "T2", "--n-max", "0")
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err == "error: --n-max must be >= 1\n"
+
+
+class TestLatexGolden:
+    """Exact LaTeX bytes of the renderer paths, Q(L) coefficients included."""
+
+    def test_family_frobenius_euler_rows(self):
+        code, out = run_cli("family", "frobenius_euler", "--n", "3", "--format", "latex")
+        assert code == 0
+        assert out == (
+            "0 & 1 \\\\\n"
+            "1 & x + \\left(\\frac{1}{\\lambda  - 1}\\right) \\\\\n"
+            "2 & x^{2} + \\left(\\frac{2}{\\lambda  - 1}\\right) x"
+            " + \\left(\\frac{\\lambda  + 1}{\\lambda ^2 - 2*\\lambda  + 1}\\right) \\\\\n"
+            "3 & x^{3} + \\left(\\frac{3}{\\lambda  - 1}\\right) x^{2}"
+            " + \\left(\\frac{3*\\lambda  + 3}{\\lambda ^2 - 2*\\lambda  + 1}\\right) x"
+            " + \\left(\\frac{\\lambda ^2 + 4*\\lambda  + 1}"
+            "{\\lambda ^3 - 3*\\lambda ^2 + 3*\\lambda  - 1}\\right) \\\\\n"
+        )
+
+    def test_expand_lambda_series(self):
+        code, out = run_cli(
+            "expand", "(1-L)/(exp(t)-L)", "--order", "5", "--format", "latex"
+        )
+        assert code == 0
+        assert out == (
+            "1 + \\left(\\frac{1}{\\lambda  - 1}\\right) t"
+            " + \\left(\\frac{1/2*\\lambda  + 1/2}{\\lambda ^2 - 2*\\lambda  + 1}\\right) t^{2}"
+            " + \\left(\\frac{1/6*\\lambda ^2 + 2/3*\\lambda  + 1/6}"
+            "{\\lambda ^3 - 3*\\lambda ^2 + 3*\\lambda  - 1}\\right) t^{3}"
+            " + \\left(\\frac{1/24*\\lambda ^3 + 11/24*\\lambda ^2 + 11/24*\\lambda  + 1/24}"
+            "{\\lambda ^4 - 4*\\lambda ^3 + 6*\\lambda ^2 - 4*\\lambda  + 1}\\right) t^{4}"
+            " + O(t^{5})\n"
+        )
+
+    def test_expand_zero_series(self):
+        code, out = run_cli("expand", "0*t", "--order", "3", "--format", "latex")
+        assert (code, out) == (0, "0 + O(t^{3})\n")
 
 
 def test_readme_lists_each_registry_pairs_flags():

@@ -1,16 +1,22 @@
 """The expression DSL: lexing, parsing, rendering, evaluation."""
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralkit import (
     CompositionOrder,
+    DomainError,
     NotDelta,
     NotInvertible,
     ParseError,
     QL,
     QQ,
+    UmbralError,
     UnboundSymbol,
     eval_expr,
     exp_ct,
@@ -19,7 +25,8 @@ from umbralkit import (
     render,
     t_series,
 )
-from umbralkit.dsl import Binary, Lit, LSym, PowNode, TVar, Unary
+from umbralkit.cli import main
+from umbralkit.dsl import Binary, ComposeNode, Lit, LSym, PowNode, TVar, Unary
 from umbralkit.fields import LAMBDA
 
 
@@ -86,6 +93,61 @@ class TestRender:
         ast = parse_expr(src)
         text = render(ast)
         assert parse_expr(text) == ast
+
+    def test_long_chain_is_domain_error(self):
+        with pytest.raises(DomainError):
+            render(parse_expr("+".join(["t"] * 3000)))
+
+
+def _asts():
+    """Random ASTs of the shapes the parser builds, at most four levels deep."""
+    leaves = st.one_of(
+        st.builds(Lit, st.integers(0, 3).map(F)), st.just(TVar()), st.just(LSym())
+    )
+
+    def extend(sub):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(("neg", "inv", "exp", "log1p", "rev")), sub),
+            st.builds(Binary, st.sampled_from(("add", "sub", "mul", "div")), sub, sub),
+            st.builds(PowNode, sub, st.fractions(-3, 3, max_denominator=2)),
+            st.builds(ComposeNode, sub, sub),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6).filter(lambda a: _depth(a) <= 4)
+
+
+def _depth(ast) -> int:
+    kids = [v for v in vars(ast).values() if not isinstance(v, (str, F))]
+    return 1 + max(map(_depth, kids), default=0)
+
+
+class TestFuzz:
+    @given(ast=_asts(), order=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_render_parse_eval_expand(self, ast, order):
+        text = render(ast)
+        assert parse_expr(text) == ast
+        values = []
+        for field, lam in ((QQ, None), (QQ, F(-1, 2)), (QL, None)):
+            try:
+                values.append(eval_expr(ast, order, field, lam))
+            except UmbralError:
+                values.append(None)
+        # where both succeed, Q(L) specialised at L = -1/2 is the Q answer there
+        at_lam, symbolic = values[1:]
+        if at_lam is not None and symbolic is not None:
+            try:
+                special = [c.evaluate(F(-1, 2)) for c in symbolic.coeffs]
+            except UmbralError:  # a pole at -1/2
+                special = None
+            if special is not None:
+                m = min(len(special), at_lam.trunc)
+                assert special[:m] == list(at_lam.coeffs[:m])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["expand", f"--order={order}", "--", text])
+        assert code in (0, 2)
+        assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())
 
 
 class TestEval:

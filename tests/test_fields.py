@@ -129,3 +129,8 @@ class TestFieldObjects:
         assert QQ.to_str(F(4)) == "4"
         assert QL.to_str(L) == "L"
         assert QL.to_str(1 / (1 - L)) == "(-1)/(L - 1)"
+
+    def test_render_multi_term(self):
+        assert str(RatFunc((1, -2, 0, 3), (2, 0, 5))) == "(3/5*L^3 - 2/5*L + 1/5)/(L^2 + 2/5)"
+        assert str(RatFunc((-1, 2, -1), (4,))) == "-1/4*L^2 + 1/2*L - 1/4"
+        assert str(RatFunc((0, -3), (1, 1))) == "(-3*L)/(L + 1)"

@@ -238,6 +238,14 @@ class TestPoly:
         assert Poly(QQ, [1, 2, 0, 0]).degree == 1
         assert Poly(QQ, [0, 0]).is_zero()
 
+    def test_str_rendering(self):
+        from umbralkit import frobenius_euler_poly
+
+        assert str(frobenius_euler_poly(1, 2)) == (
+            "x^2 + ((2)/(L - 1))*x + ((L + 1)/(L^2 - 2*L + 1))"
+        )
+        assert str(Poly(QL, [LAMBDA, -LAMBDA, 1])) == "x^2 - L*x + L"
+
     def test_shift_arg(self):
         p = Poly(QQ, [0, 0, 1])  # x^2
         assert p.shift_arg(1) == Poly(QQ, [1, 2, 1])
@@ -271,7 +279,7 @@ class TestFallingFactorial:
 
 def test_series_str_rendering():
     a = (exp_ct(QQ, 1, 4) - 1).shift_div(1).inverse()
-    assert str(a) == "1 + (-1/2)*t + (1/12)*t^2 + O(t^3)"
+    assert str(a) == "1 - 1/2*t + 1/12*t^2 + O(t^3)"
 
 
 def test_division_with_common_order(rng):

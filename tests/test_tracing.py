@@ -1,0 +1,44 @@
+"""The benchmark's tracing contract: every span in perfbench/tracing.py must
+still find its function, count real calls, and come off cleanly."""
+
+import sys
+from pathlib import Path
+
+import umbralkit  # noqa: F401  (loads every module the tracer patches)
+from umbralkit import QL, dsl, umbral
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+try:
+    from tracing import SPANS, Tracer
+finally:
+    sys.path.pop(0)
+
+
+def _originals():
+    out = {}
+    for mod_name, cls_name, attrs, _ in SPANS:
+        owner = sys.modules[f"umbralkit.{mod_name}"]
+        if cls_name is not None:
+            owner = getattr(owner, cls_name)
+        for attr in attrs:
+            out[owner, attr] = vars(owner)[attr]
+    return out
+
+
+def test_tracer_counts_a_lambda_pair_and_restores_originals():
+    before = _originals()
+    tracer = Tracer().install()
+    try:
+        assert all(vars(owner)[attr] is not fn for (owner, attr), fn in before.items())
+        g = dsl.eval_expr(dsl.parse_expr("(exp(t)-L)/(1-L)"), 6, QL)
+        f = dsl.eval_expr(dsl.parse_expr("t"), 6, QL)
+        pair = umbral.ShefferPair(g, f)
+        polys = umbral.sheffer_gf(pair, 2)
+        assert umbral.sheffer_transfer_all(pair, 2) == polys[1:]
+    finally:
+        tracer.remove()
+    calls = tracer.snapshot()["calls"]
+    for span in ("series.mul", "poly.add", "fields.ratfunc_add",
+                 "umbral.sheffer_gf", "umbral.sheffer_transfer_all"):
+        assert calls.get(span, 0) > 0, span
+    assert _originals() == before
