@@ -53,7 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser("expand", help="expand a DSL expression as a truncated series")
-    p_exp.add_argument("expr")
+    p_exp.add_argument(
+        "expr",
+        help="the series expression; one that starts with '-' goes after '--' "
+        "(expand --order 3 -- \"-t\")",
+    )
     p_exp.add_argument("--order", type=int, required=True, metavar="N")
     p_exp.add_argument("--field", choices=("q", "qlambda"), default=None)
     p_exp.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None, metavar="p/q")
@@ -237,6 +241,9 @@ def main(argv=None) -> int:
     except UmbralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug: one line, no traceback, its own code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,6 +11,19 @@ stays in machine/big ints and only the scale pays Fraction overhead.  The
 public ``num``/``den`` views are the canonical monic-denominator form over
 Q.
 
+Normalisation is mostly gcd work, and two shortcuts cut it down without
+changing any result.  Addition uses Henrici's identity (Knuth, TAOCP
+Vol. 2, 4.5.1): every operand is already reduced, gcd(na, da) = 1 =
+gcd(nb, db), so with g = gcd(da, db), da = g*da', db = g*db' the sum's
+numerator n = na*db' + nb*da' is prime to da' and to db', and
+gcd(n, g*da'*db') = gcd(n, g) -- a gcd with the usually much smaller g
+(which is da itself when da == db), and none at all when g is constant.
+The integer gcd first tries Euclid modulo one fixed prime p (Brown 1971):
+when p divides neither leading coefficient, reduction mod p keeps the
+degree of the true gcd, so a constant gcd mod p proves the polynomials
+coprime.  Any other outcome falls back to the primitive pseudo-remainder
+sequence, so every answer stays certain.
+
 Every series/polynomial in this package is parameterized by a field object
 (``QQ`` or ``QL``) that knows how to coerce scalars and render elements.
 
@@ -202,19 +215,67 @@ def _zprem_primitive(f, g):
     return _zprimitive(r)[1]
 
 
-def _zgcd(f, g):
-    """gcd of integer polynomials, primitive with positive leading coeff."""
-    if not f:
-        return _zprimitive(g)[1]
-    if not g:
-        return _zprimitive(f)[1]
-    if len(f) == 1 or len(g) == 1:
-        return (1,)
+# the largest prime below 2^30: residues fit in one CPython int digit
+_P = 1073741789
+
+
+def _coprime_mod_p(f, g) -> bool:
+    """True only if the nonconstant integer polynomials f, g are coprime.
+
+    Euclid on f and g reduced mod ``_P``; ``_zgcd`` says why True is
+    certain.  False means "not known".
+    """
+    p = _P
+    if not f[-1] % p or not g[-1] % p:
+        return False
+    a = [c % p for c in f]
+    b = [c % p for c in g]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        m = len(b) - 1
+        for k in range(len(a) - 1 - m, -1, -1):  # a[k:] lines up under b
+            c = a.pop() * inv % p
+            if c:
+                a[k:] = [(x - c * y) % p for x, y in zip(a[k:], b)]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _zgcd_prs(f, g):
+    """gcd of nonzero integer polynomials by the primitive PRS."""
     f = _zprimitive(f)[1]
     g = _zprimitive(g)[1]
     while g:
         f, g = g, _zprem_primitive(f, g)
     return f
+
+
+def _zgcd(f, g):
+    """gcd of integer polynomials, primitive with positive leading coeff.
+
+    Contents are ignored: a constant gcd is ``(1,)``.  Nonconstant operands
+    first go through ``_coprime_mod_p``, and its "coprime" is certain: when
+    p divides neither leading coefficient, the leading coefficient of the
+    true gcd h divides both, so h mod p keeps the degree of h and divides
+    the gcd mod p; a constant gcd mod p leaves h constant.  Every other
+    outcome (p divides a leading coefficient, or the gcd mod p is not
+    constant, as for L and L - p) is decided by the plain ``_zgcd_prs``.
+
+    ``RatFunc.__add__`` passes small operands: both summands are reduced
+    (gcd(na, da) = gcd(nb, db) = 1), so by Henrici's identity the sum's
+    gcd(num, den) is gcd(num, g) with g = gcd(da, db).
+    """
+    if not f:
+        return _zprimitive(g)[1]
+    if not g:
+        return _zprimitive(f)[1]
+    if len(f) == 1 or len(g) == 1 or _coprime_mod_p(f, g):
+        return (1,)
+    return _zgcd_prs(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -310,12 +371,13 @@ class RatFunc:
             return self
         pa, qa = self.scale.numerator, self.scale.denominator
         pb, qb = other.scale.numerator, other.scale.denominator
+        # both operands are reduced, so gcd(num, den) = gcd(num, g) (Henrici)
         da, db = self._d, other._d
         if da == db:
             num = vec_trim(vec_add(_zscale(self._n, pa * qb), _zscale(other._n, pb * qa)))
             if not num:
                 return _RF_ZERO
-            den = da
+            g = den = da
         else:
             g = _zgcd(da, db)
             if len(g) > 1:
@@ -330,13 +392,13 @@ class RatFunc:
             if not num:
                 return _RF_ZERO
             den = vec_mul(da, db_r)
+        # den is primitive with a positive lead already (Gauss's lemma)
         cont, num = _zprimitive(num)
-        dcont, den = _zprimitive(den)
-        g2 = _zgcd(num, den)
+        g2 = _zgcd(num, g)
         if len(g2) > 1:
             num = _zexact_div(num, g2)
             den = _zexact_div(den, g2)
-        return RatFunc._raw(Fraction(cont, qa * qb * dcont), num, den)
+        return RatFunc._raw(Fraction(cont, qa * qb), num, den)
 
     __radd__ = __add__
 

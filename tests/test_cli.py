@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import umbralkit.cli as cli
 from umbralkit.cli import main
 
 
@@ -65,6 +66,11 @@ class TestExpand:
     def test_parse_error_exit(self):
         code, _ = run_cli("expand", "t*)", "--order", "3")
         assert code == 2
+
+    def test_leading_minus_after_double_dash(self):
+        code, out = run_cli("expand", "--order", "3", "--", "-t")
+        assert code == 0
+        assert json.loads(out) == ["0", "-1", "0"]
 
     @pytest.mark.parametrize(
         "expr,order",
@@ -252,6 +258,16 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err == "error: --n-max must be >= 1\n"
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def boom(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_expand", boom)
+    code, out = run_cli("expand", "t", "--order", "3")
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 class TestLatexGolden:

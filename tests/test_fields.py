@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralkit import EvalPole, LAMBDA, QL, QQ, RatFunc
-from umbralkit.fields import _zgcd
+from umbralkit.fields import _P, _coprime_mod_p, _zgcd, _zgcd_prs, vec_add, vec_mul
 
 from conftest import fractions, ratfuncs
 
@@ -89,6 +90,81 @@ class TestRatFunc:
         assert a + (-a) == RatFunc(0)
         if b:
             assert (a / b) * b == a
+
+
+def _zpolys(max_size=5):
+    """Nonzero integer polynomials, small or with coefficients beyond p."""
+    coeff = st.one_of(
+        st.integers(-9, 9), st.integers(-(2**70), 2**70), st.sampled_from([_P, -_P, 2 * _P])
+    )
+    return st.lists(coeff, min_size=1, max_size=max_size).filter(lambda c: c[-1])
+
+
+def _sharing_ratfuncs():
+    """Two Q(L) elements whose denominators share a planted factor."""
+    small = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
+    nonzero = small.filter(lambda c: c[-1])
+
+    def build(t):
+        h, n1, d1, n2, d2 = t
+        return RatFunc(tuple(n1), vec_mul(h, d1)), RatFunc(tuple(n2), vec_mul(h, d2))
+
+    return st.tuples(nonzero, small, nonzero, small, nonzero).map(build)
+
+
+class TestGcdFastPath:
+    """``_zgcd`` (mod-p coprimality test, then PRS) against the plain PRS."""
+
+    @given(f=_zpolys(), g=_zpolys())
+    @settings(max_examples=100, deadline=None)
+    def test_random(self, f, g):
+        assert _zgcd(f, g) == _zgcd_prs(f, g)
+
+    @given(h=_zpolys(4), u=_zpolys(4), v=_zpolys(4))
+    @settings(max_examples=100, deadline=None)
+    def test_planted_common_factor(self, h, u, v):
+        f, g = vec_mul(h, u), vec_mul(h, v)
+        got = _zgcd(f, g)
+        assert got == _zgcd_prs(f, g)
+        assert len(got) >= len(h)
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            ((1, _P), (0, 1)),  # p divides a leading coefficient
+            ((1, 0, 1), (3, 2 * _P)),
+            ((0, 1), (-_P, 1)),  # L and L - p: coprime over Z, equal mod p
+            ((1, 0, 1), (1, _P, 1)),  # L^2 + 1 and L^2 + p*L + 1
+        ],
+    )
+    def test_unlucky_prime_falls_back(self, f, g):
+        assert not _coprime_mod_p(f, g)
+        assert _zgcd(f, g) == _zgcd_prs(f, g) == (1,)
+
+    def test_coprime_certificate(self):
+        assert _coprime_mod_p((1, 1), (2, 1))
+        assert not _coprime_mod_p((2, 3, 1), (1, 1))  # (L+1)(L+2) and L+1
+
+    @staticmethod
+    def _check_ops(a, b):
+        """a + b and a * b equal the RatFunc of their unreduced num and den."""
+        den = vec_mul(a.den, b.den)
+        for x, num in (
+            (a + b, vec_add(vec_mul(a.num, b.den), vec_mul(b.num, a.den))),
+            (a * b, vec_mul(a.num, b.num)),
+        ):
+            assert x == RatFunc(num, den)
+            assert _zgcd_prs(x._n, x._d) == (1,)
+
+    @given(a=ratfuncs(), b=ratfuncs())
+    @settings(max_examples=60, deadline=None)
+    def test_ratfunc_ops_match_unreduced(self, a, b):
+        self._check_ops(a, b)
+
+    @given(ab=_sharing_ratfuncs())
+    @settings(max_examples=60, deadline=None)
+    def test_ratfunc_ops_shared_denominator_factor(self, ab):
+        self._check_ops(*ab)
 
 
 class TestEval:
