@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import __version__
 from .dsl import eval_expr, parse_expr, uses_lambda
 from .errors import DomainError, ParseError, UmbralError, UnknownIdentity
-from .families import bespoke_pair, family_polys
+from .families import family_polys
 from .fields import QL, QQ, format_terms
 from .identities import (
     IDENTITY_TAGS,
@@ -115,7 +115,8 @@ def _emit_rows(polys, fmt, out) -> None:
         out.write(json.dumps([_poly_row(p) for p in polys]) + "\n")
     else:
         for n, p in enumerate(polys):
-            out.write(f"{n} & {format_terms(p.coeff_texts(), 'x', latex=True)} \\\\\n")
+            terms = format_terms(p.coeff_texts(latex=True), "x", latex=True)
+            out.write(f"{n} & {terms} \\\\\n")
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +125,8 @@ def _emit_rows(polys, fmt, out) -> None:
 
 
 def _pick_field(args, asts):
+    if args.field == "qlambda" and args.lam is not None:
+        raise DomainError("--field qlambda keeps L symbolic; it cannot take --lambda")
     if args.field == "q" or args.lam is not None:
         return QQ
     if args.field == "qlambda":
@@ -143,7 +146,8 @@ def _cmd_expand(args, out) -> int:
         for k, c in enumerate(series.coeff_texts()):
             out.write(f"{k},{c}\n")
     else:
-        terms = format_terms(series.coeff_texts(), "t", latex=True, ascending=True)
+        terms = format_terms(series.coeff_texts(latex=True), "t", latex=True,
+                             ascending=True)
         out.write(f"{terms} + O(t^{{{series.trunc}}})\n")
     return 0
 
@@ -168,14 +172,7 @@ def _cmd_family(args, out) -> int:
         if _FAMILY_FLAGS[dest] not in takes:
             raise DomainError(f"{_FAMILY_FLAGS[dest]} does not apply to {args.name}")
     order = given.pop("order", 1)
-    if REGISTRY[args.name].check is None:  # a named family: rows from its generating function
-        polys = family_polys(args.name, order, args.n, **given)
-    else:
-        if args.n < 1:
-            raise DomainError("registry pairs need --n >= 1")
-        pair = bespoke_pair(args.name, working_trunc(args.n), order=order, **given)
-        polys = sheffer_gf(pair, args.n)
-    _emit_rows(polys, args.format, out)
+    _emit_rows(family_polys(args.name, order, args.n, **given), args.format, out)
     return 0
 
 

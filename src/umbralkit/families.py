@@ -1,9 +1,11 @@
 """Named polynomial families, defined by series extraction from their
 generating functions, plus the Sheffer pairs they belong to.
 
-Everything here is deliberately independent of the umbral operator engine:
-polynomials are read off truncated series, so the identity registry can use
-these as one side of a genuine cross-check.
+The family functions (``bernoulli_poly`` .. ``bernoulli_2nd``) are
+deliberately independent of the umbral operator engine: polynomials are
+read off truncated series, so the identity registry can use them as one
+side of a genuine cross-check.  ``family_polys`` is not: it tabulates any
+registry name through ``sheffer_gf`` over the name's pair.
 
 Frobenius-parameter conventions: ``lam=None`` means the symbolic
 indeterminate (computation over Q(L)); a Fraction value specializes to Q.
@@ -349,49 +351,27 @@ class FamilySpec:
     order: int = 1
     params: tuple = ()
 
-    def param(self, key, default=None):
-        return dict(self.params).get(key, default)
-
     @staticmethod
     def make(name: str, order: int = 1, **params) -> "FamilySpec":
         return FamilySpec(name, order, tuple(sorted(params.items())))
 
 
-def catalog_pair(spec: FamilySpec, T: int | None = None, n_max: int = 10) -> ShefferPair:
+def catalog_pair(spec: FamilySpec, T: int | None = None) -> ShefferPair:
     """The classical (g, f) Sheffer pair of a named family (or of any
     registry name with a pair), with ``spec.order`` as its order a."""
     from .identities import build_pair  # the registry table imports this module
 
     if T is None:
-        T = working_trunc(n_max)
+        T = working_trunc(10)
     return build_pair(spec.name, T, spec.order, dict(spec.params))
 
 
-def family_polys(name: str, order: int, n_max: int, lam=None, a=None) -> list:
-    """P_0 .. P_{n_max} for a named family, straight from its generating
-    function (the Daehee family, defined only by its pair, goes through the
-    generating-function Sheffer construction)."""
-    T = n_max + 1
-    if name == "bernoulli":
-        return [bernoulli_poly(order, n) for n in range(n_max + 1)]
-    if name == "euler":
-        return [euler_poly(order, n) for n in range(n_max + 1)]
-    if name == "frobenius_euler":
-        return [frobenius_euler_poly(order, n, lam) for n in range(n_max + 1)]
-    if name == "frobenius_eulerian":
-        return [frobenius_eulerian_poly(order, n, lam) for n in range(n_max + 1)]
-    if name == "narumi":
-        base = _narumi_base(order, T)
-        return [_binomial_kernel_poly(base, n) for n in range(n_max + 1)]
-    if name == "bernoulli_2nd":
-        base = _bern2nd_base(T)
-        return [_binomial_kernel_poly(base, n) for n in range(n_max + 1)]
-    if name == "poisson_charlier":
-        pa = Fraction(a if a is not None else 1)
-        return [poisson_charlier(n, pa) for n in range(n_max + 1)]
-    if name == "daehee":
-        return sheffer_gf(catalog_pair(FamilySpec.make("daehee", order, lam=lam), T=T), n_max)
-    raise DomainError(f"unknown family {name!r}")
+def family_polys(name: str, order: int, n_max: int, **params) -> list:
+    """P_0 .. P_{n_max} of a registry name with a pair, read off its
+    generating function 1/g(fbar(t)) e^{x fbar(t)} by ``sheffer_gf``;
+    ``params`` as in ``FamilySpec.make`` (``lam``, ``a``, ``b``, ``c``, ``m``)."""
+    pair = catalog_pair(FamilySpec.make(name, order, **params), T=max(n_max + 1, 2))
+    return sheffer_gf(pair, n_max)
 
 
 def bespoke_pair(tag: str, T: int, order: int = 1, b=None, c=None, m=None, lam=None) -> ShefferPair:

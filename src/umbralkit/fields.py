@@ -1,6 +1,6 @@
 """Exact coefficient fields: arbitrary-precision rationals and Q(L).
 
-``Rat`` is the stdlib ``fractions.Fraction`` (already canonical: reduced,
+Rationals are the stdlib ``fractions.Fraction`` (already canonical: reduced,
 positive denominator).  ``RatFunc`` is the field of rational functions in
 one indeterminate ``L`` over Q, kept in canonical form (gcd-reduced, monic
 denominator) so equality is plain structural comparison.
@@ -40,10 +40,7 @@ from math import gcd as _int_gcd
 
 from .errors import DivisionByZero, EvalPole
 
-Rat = Fraction
-
 __all__ = [
-    "Rat",
     "RatFunc",
     "LAMBDA",
     "QQ",
@@ -102,23 +99,9 @@ def vec_horner(c, x, acc):
 # ---------------------------------------------------------------------------
 
 
-def _latex_scalar(text: str) -> str:
-    """LaTeX for one exact scalar rendered by the field (L spelled lambda)."""
-    text = text.replace("L", r"\lambda ")
-    if "/" in text and "(" not in text:
-        num, den = text.split("/", 1)
-        sign = ""
-        if num.startswith("-"):
-            sign, num = "-", num[1:]
-        return rf"{sign}\frac{{{num}}}{{{den}}}"
-    if text.startswith("(") and ")/(" in text:
-        num, den = text[1:-1].split(")/(", 1)
-        return rf"\frac{{{num}}}{{{den}}}"
-    return text
-
-
 def format_terms(coeff_texts, var: str, latex: bool = False, ascending: bool = False) -> str:
-    """``c_k * var^k`` terms joined by signs; ``coeff_texts[k]`` renders c_k.
+    """``c_k * var^k`` terms joined by signs; ``coeff_texts[k]`` renders c_k
+    (in LaTeX, from ``latex_scalar``, when ``latex`` is set).
 
     Zero terms are skipped, a lone leading minus becomes the term's sign, a
     unit coefficient is dropped, and a coefficient with a space in it (a
@@ -133,15 +116,29 @@ def format_terms(coeff_texts, var: str, latex: bool = False, ascending: bool = F
         neg = cs.startswith("-") and " " not in cs
         mag = cs[1:] if neg else cs
         if " " in mag:
-            body = rf"\left({_latex_scalar(cs)}\right)" if latex else f"({cs})"
+            body = rf"\left({cs}\right)" if latex else f"({cs})"
         else:
-            body = _latex_scalar(mag) if latex else mag
+            body = mag
         if k:
             power = var if k == 1 else (f"{var}^{{{k}}}" if latex else f"{var}^{k}")
             body = power if body == "1" else body + (" " if latex else "*") + power
         sign = ("- " if neg else "+ ") if parts else ("-" if neg else "")
         parts.append(sign + body)
     return " ".join(parts) or "0"
+
+
+def latex_scalar(v) -> str:
+    """LaTeX for one exact scalar: a Fraction, or a RatFunc in \\lambda whose
+    numerator and denominator go through ``format_terms``."""
+    if isinstance(v, RatFunc):
+        num = format_terms([latex_scalar(c) for c in v.num], r"\lambda", latex=True)
+        if v._d == (1,):
+            return num
+        den = format_terms([latex_scalar(c) for c in v.den], r"\lambda", latex=True)
+        return rf"\frac{{{num}}}{{{den}}}"
+    if v.denominator == 1:
+        return str(v)
+    return rf"{'-' if v < 0 else ''}\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +578,6 @@ class LambdaField:
     name = "Q(L)"
     zero = _RF_ZERO
     one = _RF_ONE
-    lam = LAMBDA
 
     def coerce(self, v):
         if isinstance(v, RatFunc):

@@ -57,7 +57,7 @@ from .families import (
     stirling1,
     stirling2,
 )
-from .series import Poly, Series, exp_ct, log1p_series, one_plus_t_pow, t_series, working_trunc
+from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series, working_trunc
 from .fields import QQ
 from .umbral import ShefferPair, sheffer_transfer_all
 
@@ -616,15 +616,7 @@ def default_grid() -> list[tuple[str, dict]]:
         grid.append(("R35", {"c": c}))
         grid.append(("T9", {"c": c}))
     grid.extend([("C5", {}), ("R42", {}), ("DAE", {"lam": None}), ("E25", {})])
-    # dedupe (T2 repeats b across c values) keeping deterministic order
-    seen = set()
-    out = []
-    for tag, params in grid:
-        k = (tag, tuple(sorted((n, str(v)) for n, v in params.items())))
-        if k not in seen:
-            seen.add(k)
-            out.append((tag, params))
-    return out
+    return grid
 
 
 def run_registry(grid, n_max: int = 6) -> list[IdentityReport]:

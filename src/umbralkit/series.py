@@ -23,7 +23,7 @@ from .errors import (
     TruncationTooShort,
     UnitConstantRequired,
 )
-from .fields import format_terms, vec_add, vec_horner, vec_mul, vec_trim
+from .fields import format_terms, latex_scalar, vec_add, vec_horner, vec_mul, vec_trim
 
 
 def working_trunc(n_max: int) -> int:
@@ -50,9 +50,10 @@ class CoeffVector:
         except TypeError:
             return None
 
-    def coeff_texts(self) -> list[str]:
-        """The field's text for each coefficient, ascending powers."""
-        return [self.field.to_str(c) for c in self.coeffs]
+    def coeff_texts(self, latex: bool = False) -> list[str]:
+        """The field's text (or LaTeX) for each coefficient, ascending powers."""
+        text = latex_scalar if latex else self.field.to_str
+        return [text(c) for c in self.coeffs]
 
     def __neg__(self):
         return type(self)(self.field, [-c for c in self.coeffs])
@@ -97,9 +98,6 @@ class Series(CoeffVector):
             if c:
                 return k
         return self.trunc
-
-    def coefficient(self, k):
-        return self.coeffs[k]
 
     def truncate(self, T: int) -> "Series":
         if T == self.trunc:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -178,6 +179,10 @@ class TestFamily:
         code, _ = run_cli("family", "bernoulli", "--n", "2", "--b", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("daehee",), ("T2", "--b", "1")], ids=["daehee", "T2"])
+    def test_n_zero_prints_s0(self, argv):
+        assert run_cli("family", *argv, "--n", "0") == (0, "0,1\n")
+
 
 class TestSheffer:
     def test_routes_agree(self):
@@ -260,6 +265,29 @@ class TestVerify:
         assert capsys.readouterr().err == "error: --n-max must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("expand", "L*t", "--order", "3"), ("sheffer", "--g", "1", "--f", "t", "--n", "2")],
+    ids=["expand", "sheffer"],
+)
+def test_field_qlambda_with_lambda_is_usage_error(argv, capsys):
+    code, out = run_cli(*argv, "--field", "qlambda", "--lambda", "2")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_python_m_umbralkit_version():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run(
+        [sys.executable, "-m", "umbralkit", "--version"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert (run.returncode, run.stdout) == (0, "umbralkit 0.1.0\n")
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(args, out):
         raise RuntimeError("boom")
@@ -278,13 +306,28 @@ class TestLatexGolden:
         assert code == 0
         assert out == (
             "0 & 1 \\\\\n"
-            "1 & x + \\left(\\frac{1}{\\lambda  - 1}\\right) \\\\\n"
-            "2 & x^{2} + \\left(\\frac{2}{\\lambda  - 1}\\right) x"
-            " + \\left(\\frac{\\lambda  + 1}{\\lambda ^2 - 2*\\lambda  + 1}\\right) \\\\\n"
-            "3 & x^{3} + \\left(\\frac{3}{\\lambda  - 1}\\right) x^{2}"
-            " + \\left(\\frac{3*\\lambda  + 3}{\\lambda ^2 - 2*\\lambda  + 1}\\right) x"
-            " + \\left(\\frac{\\lambda ^2 + 4*\\lambda  + 1}"
-            "{\\lambda ^3 - 3*\\lambda ^2 + 3*\\lambda  - 1}\\right) \\\\\n"
+            "1 & x + \\left(\\frac{1}{\\lambda - 1}\\right) \\\\\n"
+            "2 & x^{2} + \\left(\\frac{2}{\\lambda - 1}\\right) x"
+            " + \\left(\\frac{\\lambda + 1}{\\lambda^{2} - 2 \\lambda + 1}\\right) \\\\\n"
+            "3 & x^{3} + \\left(\\frac{3}{\\lambda - 1}\\right) x^{2}"
+            " + \\left(\\frac{3 \\lambda + 3}{\\lambda^{2} - 2 \\lambda + 1}\\right) x"
+            " + \\left(\\frac{\\lambda^{2} + 4 \\lambda + 1}"
+            "{\\lambda^{3} - 3 \\lambda^{2} + 3 \\lambda - 1}\\right) \\\\\n"
+        )
+
+    def test_family_frobenius_euler_degree_10(self):
+        code, out = run_cli("family", "frobenius_euler", "--n", "10", "--format", "latex")
+        assert code == 0
+        # every exponent braced, no plain-text product sign, no doubled space
+        assert "*" not in out and "  " not in out
+        assert out.count("^") == out.count("^{")
+        assert out.splitlines()[10].endswith(
+            " + \\left(\\frac{\\lambda^{9} + 1013 \\lambda^{8} + 47840 \\lambda^{7}"
+            " + 455192 \\lambda^{6} + 1310354 \\lambda^{5} + 1310354 \\lambda^{4}"
+            " + 455192 \\lambda^{3} + 47840 \\lambda^{2} + 1013 \\lambda + 1}"
+            "{\\lambda^{10} - 10 \\lambda^{9} + 45 \\lambda^{8} - 120 \\lambda^{7}"
+            " + 210 \\lambda^{6} - 252 \\lambda^{5} + 210 \\lambda^{4} - 120 \\lambda^{3}"
+            " + 45 \\lambda^{2} - 10 \\lambda + 1}\\right) \\\\"
         )
 
     def test_expand_lambda_series(self):
@@ -293,12 +336,14 @@ class TestLatexGolden:
         )
         assert code == 0
         assert out == (
-            "1 + \\left(\\frac{1}{\\lambda  - 1}\\right) t"
-            " + \\left(\\frac{1/2*\\lambda  + 1/2}{\\lambda ^2 - 2*\\lambda  + 1}\\right) t^{2}"
-            " + \\left(\\frac{1/6*\\lambda ^2 + 2/3*\\lambda  + 1/6}"
-            "{\\lambda ^3 - 3*\\lambda ^2 + 3*\\lambda  - 1}\\right) t^{3}"
-            " + \\left(\\frac{1/24*\\lambda ^3 + 11/24*\\lambda ^2 + 11/24*\\lambda  + 1/24}"
-            "{\\lambda ^4 - 4*\\lambda ^3 + 6*\\lambda ^2 - 4*\\lambda  + 1}\\right) t^{4}"
+            "1 + \\left(\\frac{1}{\\lambda - 1}\\right) t"
+            " + \\left(\\frac{\\frac{1}{2} \\lambda + \\frac{1}{2}}"
+            "{\\lambda^{2} - 2 \\lambda + 1}\\right) t^{2}"
+            " + \\left(\\frac{\\frac{1}{6} \\lambda^{2} + \\frac{2}{3} \\lambda + \\frac{1}{6}}"
+            "{\\lambda^{3} - 3 \\lambda^{2} + 3 \\lambda - 1}\\right) t^{3}"
+            " + \\left(\\frac{\\frac{1}{24} \\lambda^{3} + \\frac{11}{24} \\lambda^{2}"
+            " + \\frac{11}{24} \\lambda + \\frac{1}{24}}"
+            "{\\lambda^{4} - 4 \\lambda^{3} + 6 \\lambda^{2} - 4 \\lambda + 1}\\right) t^{4}"
             " + O(t^{5})\n"
         )
 

@@ -327,3 +327,67 @@ class TestCatalog:
         rows = family_polys("daehee", 1, 4)
         pair = catalog_pair(FamilySpec.make("daehee", 1), T=5)
         assert rows == sheffer_gf(pair, 4)
+
+
+# every named family with order and parameter sets; the family functions
+# (and, for Daehee, a direct expansion of its generating function) are the
+# engine-independent side that family_polys must reproduce
+_N = 8
+_FAMILY_CASES = [
+    ("bernoulli", 1, {}), ("bernoulli", 2, {}), ("bernoulli", -1, {}),
+    ("euler", 1, {}), ("euler", 3, {}),
+    ("frobenius_euler", 1, {"lam": None}), ("frobenius_euler", 2, {"lam": None}),
+    ("frobenius_euler", 1, {"lam": F(3)}), ("frobenius_euler", -1, {"lam": F(-1, 2)}),
+    ("frobenius_eulerian", 1, {"lam": None}), ("frobenius_eulerian", 2, {"lam": F(3)}),
+    ("narumi", 1, {}), ("narumi", -2, {}),
+    ("poisson_charlier", 1, {"a": F(2)}),
+    ("bernoulli_2nd", 1, {}),
+    ("daehee", 1, {"lam": None}), ("daehee", 1, {"lam": F(3)}),
+]
+
+
+def _direct_rows(name, order, params):
+    """P_0 .. P_N of a named family without the Sheffer engine."""
+    lam = params.get("lam")
+    rows = range(_N + 1)
+    if name == "bernoulli":
+        return [bernoulli_poly(order, n) for n in rows]
+    if name == "euler":
+        return [euler_poly(order, n) for n in rows]
+    if name == "frobenius_euler":
+        return [frobenius_euler_poly(order, n, lam) for n in rows]
+    if name == "frobenius_eulerian":
+        return [frobenius_eulerian_poly(order, n, lam) for n in rows]
+    if name == "narumi":
+        return [narumi_poly(order, n) for n in rows]
+    if name == "poisson_charlier":
+        return [poisson_charlier(n, params["a"]) for n in rows]
+    raise AssertionError(name)
+
+
+def _daehee_values(lam, x):
+    """n! [t^n] ((u - lam)/(1 - lam)) u^x for n <= N, u = (1+t)/(1-t): the
+    Daehee generating function at the integer x, as f-bar(t) = log u."""
+    fld, lam_el = (QL, LAMBDA) if lam is None else (QQ, lam)
+    T = _N + 1
+    u = Series(fld, [1, 1], trunc=T) * Series(fld, [1, -1], trunc=T).inverse()
+    gf = (u - lam_el) * (fld.one / (fld.one - lam_el)) * u.pow_int(x)
+    return [factorial(n) * gf.coeffs[n] for n in range(T)]
+
+
+@pytest.mark.parametrize(
+    "name,order,params", _FAMILY_CASES,
+    ids=[f"{n}-{o}-{p.get('lam', p.get('a', ''))}" for n, o, p in _FAMILY_CASES],
+)
+def test_family_polys_match_direct_extraction(name, order, params):
+    rows = family_polys(name, order, _N, **params)
+    assert len(rows) == _N + 1
+    if name == "bernoulli_2nd":
+        # b_n(x) is determined by its values at N + 2 points
+        for x in range(_N + 2):
+            assert [p.eval(x) for p in rows] == [bernoulli_2nd(n, x) for n in range(_N + 1)]
+    elif name == "daehee":
+        for x in range(_N + 2):
+            assert [p.eval(x) for p in rows] == _daehee_values(params["lam"], x)
+    else:
+        assert rows == _direct_rows(name, order, params)

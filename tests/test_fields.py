@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbralkit import EvalPole, LAMBDA, QL, QQ, RatFunc
-from umbralkit.fields import _P, _coprime_mod_p, _zgcd, _zgcd_prs, vec_add, vec_mul
+from umbralkit.fields import (
+    _P, _coprime_mod_p, _zgcd, _zgcd_prs, latex_scalar, vec_add, vec_mul,
+)
 
 from conftest import fractions, ratfuncs
 
@@ -210,3 +212,13 @@ class TestFieldObjects:
         assert str(RatFunc((1, -2, 0, 3), (2, 0, 5))) == "(3/5*L^3 - 2/5*L + 1/5)/(L^2 + 2/5)"
         assert str(RatFunc((-1, 2, -1), (4,))) == "-1/4*L^2 + 1/2*L - 1/4"
         assert str(RatFunc((0, -3), (1, 1))) == "(-3*L)/(L + 1)"
+
+    def test_latex(self):
+        assert latex_scalar(F(-3, 2)) == r"-\frac{3}{2}"
+        assert latex_scalar(F(4)) == "4"
+        assert latex_scalar(-L) == r"-\lambda"
+        assert latex_scalar(1 / (1 - L)) == r"\frac{-1}{\lambda - 1}"
+        assert latex_scalar(RatFunc((-1, 2, -1), (4,))) == (
+            r"-\frac{1}{4} \lambda^{2} + \frac{1}{2} \lambda - \frac{1}{4}"
+        )
+        assert latex_scalar(RatFunc((0, -3), (1, 1))) == r"\frac{-3 \lambda}{\lambda + 1}"

@@ -160,6 +160,11 @@ class TestRegistry:
         tags = {tag for tag, _ in default_grid()}
         assert tags == set(IDENTITY_TAGS)
 
+    def test_default_grid_rows_are_distinct(self):
+        grid = default_grid()
+        keys = {(tag, tuple(sorted((k, str(v)) for k, v in p.items()))) for tag, p in grid}
+        assert len(grid) == len(keys) == 76
+
     def test_deterministic(self):
         grid = [("C5", {}), ("T9", {"c": F(1)}), ("R42", {})]
         a = run_registry(grid, 5)
