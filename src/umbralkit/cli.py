@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -182,6 +183,7 @@ def _cmd_sheffer(args, out) -> int:
     g_ast = parse_expr(args.g)
     f_ast = parse_expr(args.f)
     field = _pick_field(args, [g_ast, f_ast])
+    # the transfer route's T >= 2n, with the margin DSL divisions consume
     T = working_trunc(args.n)
     pair = ShefferPair(
         eval_expr(g_ast, T, field, args.lam), eval_expr(f_ast, T, field, args.lam)
@@ -220,9 +222,26 @@ def _cmd_verify(args, out) -> int:
     return 0 if aggregate_pass(reports) else 1
 
 
+# a word that starts like a negative number; no option of the CLI does
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with a parameter flag and a negative value given as the next word
+    ("--c", "-1/3") joined into one word ("--c=-1/3").  argparse reads only
+    words like -1 and -0.5 as numbers, so it would take -1/3 for an option."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _FAMILY_FLAGS.values() and _NEGATIVE.match(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     out = sys.stdout
     try:
         if args.command == "expand":

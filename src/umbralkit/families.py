@@ -31,7 +31,7 @@ from .series import (
     t_series,
     working_trunc,
 )
-from .umbral import ShefferPair, sheffer_gf
+from .umbral import ShefferPair, answer_trunc, sheffer_gf
 
 
 def binom(n: int, k: int) -> int:
@@ -358,7 +358,9 @@ class FamilySpec:
 
 def catalog_pair(spec: FamilySpec, T: int | None = None) -> ShefferPair:
     """The classical (g, f) Sheffer pair of a named family (or of any
-    registry name with a pair), with ``spec.order`` as its order a."""
+    registry name with a pair), with ``spec.order`` as its order a.  The
+    default truncation, ``working_trunc(10)``, lets both routes answer
+    through degree 10."""
     from .identities import build_pair  # the registry table imports this module
 
     if T is None:
@@ -370,7 +372,7 @@ def family_polys(name: str, order: int, n_max: int, **params) -> list:
     """P_0 .. P_{n_max} of a registry name with a pair, read off its
     generating function 1/g(fbar(t)) e^{x fbar(t)} by ``sheffer_gf``;
     ``params`` as in ``FamilySpec.make`` (``lam``, ``a``, ``b``, ``c``, ``m``)."""
-    pair = catalog_pair(FamilySpec.make(name, order, **params), T=max(n_max + 1, 2))
+    pair = catalog_pair(FamilySpec.make(name, order, **params), T=answer_trunc(n_max))
     return sheffer_gf(pair, n_max)
 
 

@@ -57,7 +57,7 @@ from .families import (
     stirling1,
     stirling2,
 )
-from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series, working_trunc
+from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
 from .fields import QQ
 from .umbral import ShefferPair, sheffer_transfer_all
 
@@ -213,8 +213,10 @@ def _pair(tag: str, T: int, params: tuple):
 
 def _transfer_vs_sum(tag, p, n_max, rhs):
     """(indices, lhs, rhs) per coefficient: the transfer route over the
-    tag's pair against the explicit sum rhs(p, n)."""
-    lhs = sheffer_transfer_all(_pair(tag, working_trunc(n_max), tuple(p.items())), n_max)
+    tag's pair against the explicit sum rhs(p, n).  The pair is built at
+    the transfer route's precondition, 2 n_max; the route itself computes
+    at n_max + 1."""
+    lhs = sheffer_transfer_all(_pair(tag, 2 * n_max, tuple(p.items())), n_max)
     for n in range(1, n_max + 1):
         right = rhs(p, n)
         for j in range(max(lhs[n - 1].degree, right.degree) + 1):
@@ -474,7 +476,8 @@ def _run_E25(p, n_max):
 #
 # Every name with its parameter schema, Sheffer pair, check and description.
 # The named families (no check) come first; the identity tags follow in
-# registry order.  Absent parameters: see check_params and verify_identity.
+# registry order.  A parameter not given takes its Param default, here and
+# only here, for the family command and verify_identity alike.
 
 REGISTRY = {
     "bernoulli": Entry((ORDER,), _bernoulli_pair),
@@ -486,12 +489,11 @@ REGISTRY = {
     "poisson_charlier": Entry((Param("a", nonzero_rational, 1),), _poisson_charlier_pair),
     "bernoulli_2nd": Entry((), _bernoulli_2nd_pair),
     "T2": Entry(
-        (ORDER, Param("b", nonzero_rational), LAM), _t2_pair, _rhs_T2,
+        (ORDER, Param("b", nonzero_rational, 1), LAM), _t2_pair, _rhs_T2,
         "pair (((e^t-L)/(1-L))^a, t^2/(e^{bt}-1)) vs Stirling-2 / Frobenius-Euler sum",
     ),
-    # without b, the pair (the family command) takes b = 0; verify_identity takes 1
     "T3": Entry(
-        (ORDER, Param("b", rational, 0), Param("c", nonzero_rational)), _t3_pair, _rhs_T3,
+        (ORDER, Param("b", rational, 0), Param("c", nonzero_rational, 1)), _t3_pair, _rhs_T3,
         "pair (((e^t-1)/t)^a, t^2 e^{bt}/(e^{ct}-1)) vs Stirling-2 / Bernoulli double sum",
     ),
     "T4": Entry(
@@ -507,23 +509,23 @@ REGISTRY = {
         "pair (((e^t-1)/t)^a, log(1+t)) vs negative-order Narumi / Bernoulli sum",
     ),
     "T6": Entry(
-        (ORDER, Param("c", nonzero_rational), LAM), _t6_pair, _rhs_T6,
+        (ORDER, Param("c", nonzero_rational, 1), LAM), _t6_pair, _rhs_T6,
         "pair (((e^t-L)/(1-L))^a, log(1+t)/(1+t)^c) vs shifted-Bernoulli / Frobenius-Euler sum",
     ),
     "T7": Entry(
-        (Param("c", nonzero_rational),), None, _run_T7,
+        (Param("c", nonzero_rational, 1),), None, _run_T7,
         "n-fold convolution of 2nd-kind Bernoulli values vs B_l^(l-n+1)(cn+1)",
     ),
     "R35": Entry(
-        (Param("c", nonzero_rational),), None, _run_R35,
+        (Param("c", nonzero_rational, 1),), None, _run_R35,
         "N_l^(-n)(cn) vs the same n-fold convolution of 2nd-kind Bernoulli values",
     ),
     "P8": Entry(
-        (ORDER, Param("c", nonzero_rational), LAM), _p8_pair, _rhs_P8,
+        (ORDER, Param("c", nonzero_rational, 1), LAM), _p8_pair, _rhs_P8,
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t^2(1+t)^c/log(1+t)) vs shifted-Narumi / Eulerian sum",
     ),
     "T9": Entry(
-        (Param("c", nonzero_rational),), None, _run_T9,
+        (Param("c", nonzero_rational, 1),), None, _run_T9,
         "N_l^(n)(-cn) vs Stirling-1 / generalized-binomial sum",
     ),
     "R42": Entry(
@@ -531,7 +533,7 @@ REGISTRY = {
         "N_l^(n) vs Stirling-number-over-binomial form (misprint arbitration)",
     ),
     "T10": Entry(
-        (ORDER, Param("b", nonzero_rational), Param("c", nonzero_rational), LAM,
+        (ORDER, Param("b", nonzero_rational, 1), Param("c", nonzero_rational, 1), LAM,
          Param("m", nonnegative_integer)),
         _t10_pair, _rhs_T10,
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t/(e^{ct}(1+bt)^m)) vs Poisson-Charlier-value sum",
@@ -541,7 +543,7 @@ REGISTRY = {
         "transfer route for the pair ((1-L)/(e^t-L), (e^t-1)/(e^t+1)) vs its closed form",
     ),
     "E14": Entry(
-        (Param("a", nonzero_rational),), None, _run_E14,
+        (Param("a", nonzero_rational, 1),), None, _run_E14,
         "EGF of Poisson-Charlier values at integers vs e^t((t-a)/a)^n",
     ),
     "E25": Entry(
@@ -564,16 +566,15 @@ def _identity(tag: str) -> Entry:
 def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> IdentityReport:
     """Check one registry identity exactly over 1 <= n <= n_max.
 
-    A parameter not given is 1 (lambda: the symbol L).  Raises
-    UnknownIdentity for a bad tag and DomainError for parameters outside
-    the identity's stated domain.
+    A parameter not given takes its default in ``REGISTRY`` (lambda: the
+    symbol L).  Raises UnknownIdentity for a bad tag and DomainError for
+    parameters outside the identity's stated domain, or for T10's ``m``
+    when it is not given.
     """
     entry = _identity(tag)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    given = {q.name: 1 for q in entry.params if q.domain is not lambda_value}
-    given.update((k, v) for k, v in (params or {}).items() if v is not None)
-    p = check_params(tag, given)
+    p = check_params(tag, params or {})
     if entry.pair is None:
         status, ces, note = entry.check(p, n_max)
     else:

@@ -27,7 +27,14 @@ from .fields import format_terms, latex_scalar, vec_add, vec_horner, vec_mul, ve
 
 
 def working_trunc(n_max: int) -> int:
-    """Default truncation for answers of degree <= n_max: 2*n_max + 2."""
+    """Default truncation for building a pair for answers of degree <= n_max:
+    2*n_max + 2.
+
+    The Sheffer routes compute at n_max + 1 (``umbral.answer_trunc``) and
+    cut a longer pair to that.  What this truncation is still for is the
+    transfer route's precondition T >= 2*n_max, plus a margin of two for a
+    pair built with the expression DSL, where dividing by a series of order
+    k (``t^2/(exp(t)-1)``) loses k coefficients."""
     return 2 * n_max + 2
 
 

@@ -11,6 +11,16 @@ Sheffer sequence for a pair (g, f) are provided:
   (1/g(t)) x (t/f(t))^n x^{n-1}.
 
 Their exact agreement is the transfer formula, checked in the test suite.
+
+Truncation: an answer of degree n needs g and f through t^n only
+(:func:`answer_trunc`), because the t^k coefficient of a product, inverse,
+composition or reversion depends on its inputs only through t^k.
+:func:`sheffer_gf` requires a pair truncated at T >= n_max + 1,
+:func:`sheffer_transfer_all` one at T >= 2 n_max (its stated precondition,
+kept although the route reads no more than the GF route), and both, like
+:func:`orthogonality_failure`, cut a longer pair to n_max + 1 before
+computing, so a pair built at ``series.working_trunc`` costs no more than
+one built at the answer's length.
 """
 
 from __future__ import annotations
@@ -79,6 +89,22 @@ class ShefferPair:
         return min(self.g.trunc, self.f.trunc)
 
 
+def answer_trunc(n_max: int) -> int:
+    """The truncation S_0 .. S_{n_max} need: n_max + 1, and at least 2,
+    since f must be known through t^1."""
+    return max(n_max + 1, 2)
+
+
+def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
+    """The pair truncated at answer_trunc(n_max), or the pair itself when
+    it is already that short."""
+    T = answer_trunc(n_max)
+    if pair.g.trunc <= T and pair.f.trunc <= T:
+        return pair
+    return ShefferPair(pair.g.truncate(min(T, pair.g.trunc)),
+                       pair.f.truncate(min(T, pair.f.trunc)))
+
+
 def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     """S_0 .. S_{n_max} from the generating-function route.
 
@@ -87,6 +113,7 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     T = pair.trunc
     if T < n_max + 1:
         raise TruncationTooShort(f"need truncation >= {n_max + 1}, have {T}")
+    pair = _cut(pair, n_max)
     field = pair.field
     fbar = pair.f.revert()
     ginv = pair.g.compose(fbar).inverse()
@@ -119,6 +146,7 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
         raise DomainError("the transfer route is stated for n >= 1 only")
     if pair.trunc < 2 * n_max:
         raise TruncationTooShort(f"need truncation >= {2 * n_max}, have {pair.trunc}")
+    pair = _cut(pair, n_max)
     ginv = pair.g.inverse()
     t_over_f = pair.f.shift_div(1).inverse()
     out = []
@@ -133,7 +161,12 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
 
 
 def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
-    """First (n, k, value) with <g f^k | S_n> != n! delta_{n,k}, or None."""
+    """First (n, k, value) with <g f^k | S_n> != n! delta_{n,k}, or None.
+
+    <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
+    to the largest degree among polys[0 .. n_max] (n_max when that is
+    larger) and the same values are compared."""
+    pair = _cut(pair, max([n_max] + [p.degree for p in polys[: n_max + 1]]))
     field = pair.field
     fact = Fraction(1)
     facts = [Fraction(1)]

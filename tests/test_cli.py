@@ -184,6 +184,30 @@ class TestFamily:
         assert run_cli("family", *argv, "--n", "0") == (0, "0,1\n")
 
 
+class TestNegativeValues:
+    """A negative value may follow its flag as a separate word."""
+
+    @pytest.mark.parametrize("argv", [
+        ("family", "bernoulli", "--order-param", "-2", "--n", "3"),
+        ("family", "frobenius_euler", "--lambda", "-1/2", "--n", "3"),
+        ("family", "poisson_charlier", "--a", "-1/3", "--n", "3"),
+        ("family", "T2", "--b", "-1/2", "--lambda", "2", "--n", "3"),
+        ("family", "T6", "--c", "-1/3", "--n", "2"),
+        ("expand", "(1-L)/(exp(t)-L)", "--order", "3", "--lambda", "-1/2"),
+    ], ids=["order-param", "lambda", "a", "b", "c", "expand-lambda"])
+    def test_separate_word_as_joined(self, argv):
+        i = next(k for k, w in enumerate(argv) if w[0] == "-" and w[1].isdigit())
+        joined = argv[:i - 1] + (f"{argv[i - 1]}={argv[i]}",) + argv[i + 1:]
+        code, out = run_cli(*argv)
+        assert code == 0 and out
+        assert (code, out) == run_cli(*joined)
+
+    def test_negative_m_is_domain_error(self, capsys):
+        code, out = run_cli("family", "T10", "--b", "1", "--c", "1", "--m", "-1", "--n", "2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: T10: m must be a nonnegative integer\n"
+
+
 class TestSheffer:
     def test_routes_agree(self):
         code, out = run_cli(

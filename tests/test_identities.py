@@ -19,7 +19,7 @@ from umbralkit import (
     run_registry,
     verify_identity,
 )
-from umbralkit import FamilySpec, bespoke_pair, catalog_pair
+from umbralkit import FamilySpec, bespoke_pair, catalog_pair, family_polys
 from umbralkit.identities import (
     FAMILY_NAMES,
     IDENTITY_TAGS,
@@ -234,6 +234,18 @@ class TestTable:
             check_params("T10", {"a": 1, "b": 1, "c": 1})  # m has no default
 
     def test_verify_defaults(self):
-        # a parameter not given to verify_identity is 1, lambda the symbol L
-        assert dict(verify_identity("T3", {}, 2).params) == {"a": "1", "b": "1", "c": "1"}
+        # a parameter not given to verify_identity takes its table default
+        assert dict(verify_identity("T3", {}, 2).params) == {"a": "1", "b": "0", "c": "1"}
         assert dict(verify_identity("DAE", {}, 2).params) == {"lam": "L"}
+
+    def test_one_default_per_parameter(self):
+        # T3 without b: b = 0 for verify_identity as for the family command
+        report = verify_identity("T3", {"c": F(1, 2)}, 3)
+        assert report.status == "pass" and dict(report.params)["b"] == "0"
+        assert family_polys("T3", 1, 3, c=F(1, 2)) == family_polys("T3", 1, 3, b=0, c=F(1, 2))
+        for tag in IDENTITY_TAGS:
+            table = {q.name: q.default for q in REGISTRY[tag].params if q.default is not None}
+            rest = {"m": 1} if tag == "T10" else {}
+            assert verify_identity(tag, rest, 2) == verify_identity(tag, {**table, **rest}, 2)
+        with pytest.raises(DomainError):
+            verify_identity("T10", {}, 1)  # m has no default

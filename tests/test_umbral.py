@@ -5,19 +5,24 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbralkit import (
     DomainError,
     NotDelta,
     NotInvertible,
     Poly,
+    QL,
     QQ,
     Series,
     ShefferPair,
     TruncationTooShort,
+    answer_trunc,
     bernoulli_poly,
+    bespoke_pair,
     binom,
     catalog_pair,
+    eval_expr,
     exp_ct,
     functional_apply,
     monomial,
@@ -25,6 +30,7 @@ from umbralkit import (
     operator_apply,
     orthogonality_check,
     orthogonality_failure,
+    parse_expr,
     sheffer_gf,
     sheffer_transfer,
     sheffer_transfer_all,
@@ -226,6 +232,14 @@ class TestOrthogonality:
         assert (n, k) == (1, 0)
         assert value == F(1, 2)  # <g | x> for g = (e^t-1)/t
 
+    def test_degree_above_n_max(self):
+        # a wrong S_2 of degree 6 > n_max: the pair is cut no shorter than
+        # that, so the failure is reported with its value, as on the long pair
+        pair = bernoulli_pair()
+        wrong = sheffer_gf(pair, 4)
+        wrong[2] = wrong[2] + Poly.monomial(QQ, 6)
+        assert orthogonality_failure(pair, wrong, 4) == (2, 0, F(1, 7))  # 6!/7!
+
 
 class TestAppell:
     def test_derivative_property(self):
@@ -239,3 +253,88 @@ class TestAppell:
             polys = sheffer_gf(pair, 6)
             for n in range(1, 7):
                 assert polys[n].derivative() == polys[n - 1] * polys[n].field.coerce(n)
+
+
+# DSL templates for g (invertible) and f (delta) in two nonzero rationals
+# {a} and {b}; a template that mentions L makes the pair one over Q(L).
+# None divides by a series of order above 1.
+G_SOURCES = (
+    "exp({a}*t)",
+    "pow(1 + {a}*t, {b})",
+    "(exp({a}*t) - 1)/({a}*t)",
+    "(exp({a}*t) - L)/(1 - L)",
+    "1 + {a}*t + L*t*t",
+)
+F_SOURCES = (
+    "{a}*t + {b}*t*t",
+    "log1p({a}*t)",
+    "rev({a}*t + {b}*t*t)",
+    "t*t/(exp({a}*t) - 1)",
+    "t*exp({b}*t)/(1 - L*t)",
+)
+
+
+@st.composite
+def dsl_pairs(draw):
+    """(g source, f source, n) for a random DSL-built pair and degree."""
+    q = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    g = draw(st.sampled_from(G_SOURCES)).format(a=f"({draw(q)})", b=draw(q))
+    f = draw(st.sampled_from(F_SOURCES)).format(a=f"({draw(q)})", b=f"({draw(q)})")
+    return g, f, draw(st.integers(1, 8))
+
+
+def dsl_pair(g_src, f_src, T):
+    """The pair of two DSL sources, both truncated at exactly T."""
+    field = QL if "L" in g_src + f_src else QQ
+    g, f = (eval_expr(parse_expr(src), T + 1, field).truncate(T) for src in (g_src, f_src))
+    return ShefferPair(g, f)
+
+
+class TestCutToAnswer:
+    """The routes cut a pair to answer_trunc(n); a longer pair, or one that
+    differs only beyond t^n, gives exactly the same results."""
+
+    def test_answer_trunc(self):
+        assert [answer_trunc(n) for n in range(4)] == [2, 2, 3, 4]
+
+    @given(case=dsl_pairs(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_long_pair_same_results(self, case, data):
+        g_src, f_src, n = case
+        long = dsl_pair(g_src, f_src, 2 * n + 2)
+        polys = sheffer_gf(dsl_pair(g_src, f_src, n + 1), n)
+        assert sheffer_gf(long, n) == polys
+        transfer = sheffer_transfer_all(dsl_pair(g_src, f_src, 2 * n), n)
+        assert sheffer_transfer_all(long, n) == transfer == polys[1:]
+        assert orthogonality_failure(long, polys, n) is None
+        # a wrong sequence fails at the same place with the same value
+        j = data.draw(st.integers(0, n), label="j")
+        wrong = polys[:j] + [polys[j] + Poly.monomial(long.field, j, 1)] + polys[j + 1:]
+        assert orthogonality_failure(long, wrong, n) == orthogonality_failure(
+            dsl_pair(g_src, f_src, n + 1), wrong, n
+        )
+
+    @given(case=dsl_pairs(), tail=st.lists(st.integers(-5, 5), min_size=2, max_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_tail_beyond_n_ignored(self, case, tail):
+        g_src, f_src, n = case
+        T = 2 * n + 2
+        pair = dsl_pair(g_src, f_src, T)
+        field = pair.field
+        bumps = [Series(field, [0] * (n + 1) + [c] * (T - n - 1), trunc=T) for c in tail]
+        changed = ShefferPair(pair.g + bumps[0], pair.f + bumps[1])
+        polys = sheffer_gf(pair, n)
+        assert sheffer_gf(changed, n) == polys
+        assert sheffer_transfer_all(changed, n) == polys[1:]
+        assert orthogonality_failure(changed, polys, n) is None
+
+
+class TestLargerN:
+    def test_t2_symbolic_n20(self):
+        # T2[a=-1], b = 1/2, symbolic lambda: the slowest registry pair
+        n = 20
+        pair = bespoke_pair("T2", 2 * n, order=-1, b=F(1, 2), lam=None)
+        polys = sheffer_gf(pair, n)
+        assert [p.degree for p in polys] == list(range(n + 1))
+        assert sheffer_transfer_all(pair, n) == polys[1:]
+        assert orthogonality_failure(pair, polys, n) is None
