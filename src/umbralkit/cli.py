@@ -20,6 +20,7 @@ from .errors import DomainError, ParseError, UmbralError, UnknownIdentity
 from .families import family_polys
 from .fields import QL, QQ, format_terms
 from .identities import (
+    _SYMBOLIC,
     IDENTITY_TAGS,
     REGISTRY,
     aggregate_pass,
@@ -39,7 +40,7 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _lambda_arg(text: str):
-    if text in ("symbolic", "sym", "L"):
+    if text in _SYMBOLIC:
         return None
     return _fraction_arg(text)
 

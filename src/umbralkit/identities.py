@@ -13,6 +13,22 @@ cross-check.  Failures are reported with exact counterexamples; a known
 misprint is arbitrated by a brute-force oracle and reported as
 ``paper_discrepancy`` carrying both the failing as-printed form and the
 passing corrected form.
+
+Most checks take one of two forms, each built by one helper:
+
+* a basis sum (T2, T3, T4, R27, T6, P8, T10): the right route writes S_n
+  in the basis of a named family P, S_n(x) = sum_{l<n} C(n-1, l) c(n, l)
+  P_{n-l}(x) (the connection-constants theorem, Roman, *The Umbral
+  Calculus*, ch. 3), so the table row holds only P and the coefficient
+  formula c; :func:`_basis_sum` builds the polynomial, which is compared
+  with the transfer route coefficient by coefficient;
+* a triangle (C5, T7, R35, T9): two scalar formulas lhs(n, l) and
+  rhs(n, l), compared by :func:`_triangle` for 1 <= n <= n_max, 0 <= l < n.
+
+Four tags keep their own code because their shapes differ: DAE (a closed
+form in shifted arguments, not a sum over a basis), R42 (walks l <= n and
+arbitrates two printed forms), E14 (generating-function coefficients at a
+fixed truncation, n <= 4) and E25 (series coefficients l <= 8 for every n).
 """
 
 from __future__ import annotations
@@ -124,18 +140,21 @@ def nonnegative_integer(key, v):
 
 
 def nonzero_rational(key, v):
-    if v is not None and Fraction(v):
-        return Fraction(v)
+    if v is not None and (q := rational(key, v)):
+        return q
     raise DomainError(f"{key} != 0 is required")
 
 
 def rational(key, v):
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except (ValueError, ZeroDivisionError, TypeError):
+        raise DomainError(f"{key} must be an exact rational, got {v!r}") from None
 
 
 def lambda_value(key, v):
     """None for the symbol L; otherwise a rational other than 1."""
-    return None if v in _SYMBOLIC else _lam_field(v)[1]
+    return None if v in _SYMBOLIC else _lam_field(rational(key, v))[1]
 
 
 @dataclass(frozen=True)
@@ -269,111 +288,71 @@ def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the checks: right-hand sides S_n(x) of the pair tags, runners of the rest
+# the checks: two shapes, plus the four tags with their own code
 # ---------------------------------------------------------------------------
 
 
-def _rhs_T2(p, n):
-    a, b, lam = p["a"], p["b"], p["lam"]
-    out = Poly(_lam_field(lam)[0])
-    for k in range(n):
-        coef = Fraction(binom(n - 1, k), binom(k + n, n)) * stirling2(k + n, n) * b ** (k + n)
-        out = out + frobenius_euler_poly(a, n - k, lam) * coef
-    return out
+def _basis_sum(basis, coef):
+    """The right-hand side S_n(x) = sum_{l<n} C(n-1, l) coef(p, n, l)
+    basis(p, n-l)(x) of a pair tag: its sequence in the basis of a named
+    family, with closed-form connection coefficients."""
+
+    def rhs(p, n):
+        terms = [basis(p, n - l) * (binom(n - 1, l) * coef(p, n, l)) for l in range(n)]
+        return sum(terms[1:], terms[0])
+
+    return rhs
 
 
-def _rhs_T3(p, n):
-    a, b, c = p["a"], p["b"], p["c"]
-    out = Poly(QQ)
-    for l in range(n):
-        for j in range(n - l):
-            coef = (
-                Fraction(binom(n - 1, l), binom(l + n, n))
-                * binom(n - 1 - l, j)
-                * stirling2(l + n, n)
-                * c ** (n + l)
-                * (-n * b) ** j
-            )
-            out = out + bernoulli_poly(a, n - l - j) * coef
-    return out
+def _triangle(lhs, rhs):
+    """The runner comparing lhs(p, n, l) with rhs(p, n, l) over
+    1 <= n <= n_max, 0 <= l < n."""
 
-
-def _rhs_T4(p, n):
-    out = Poly(QQ)
-    for l in range(n):
-        out = out + euler_poly(p["a"], n - l) * (binom(n - 1, l) * narumi_number(n, l))
-    return out
-
-
-def _run_C5(p, n_max):
-    return _compare(
-        ((n, l), Fraction(narumi_number(n, l), n), Fraction(bernoulli_number(n + l, l), n + l))
-        for n in range(1, n_max + 1)
-        for l in range(n)
-    )
-
-
-def _rhs_R27(p, n):
-    out = Poly(QQ)
-    for l in range(n):
-        out = out + bernoulli_poly(p["a"], n - l) * (binom(n - 1, l) * narumi_number(-n, l))
-    return out
-
-
-def _rhs_T6(p, n):
-    a, c, lam = p["a"], p["c"], p["lam"]
-    out = Poly(_lam_field(lam)[0])
-    for l in range(n):
-        coef = binom(n - 1, l) * bernoulli_value(l - n + 1, l, c * n + 1)
-        out = out + frobenius_euler_poly(a, n - l, lam) * coef
-    return out
-
-
-def _run_T7(p, n_max):
-    c = p["c"]
-    return _compare(
-        ((n, l), b2_convolution(n, l, c), bernoulli_value(l - n + 1, l, c * n + 1))
-        for n in range(1, n_max + 1)
-        for l in range(n)
-    )
-
-
-def _run_R35(p, n_max):
-    c = p["c"]
-    return _compare(
-        ((n, l), narumi_value(-n, l, c * n), b2_convolution(n, l, c))
-        for n in range(1, n_max + 1)
-        for l in range(n)
-    )
-
-
-def _rhs_P8(p, n):
-    a, c, lam = p["a"], p["c"], p["lam"]
-    out = Poly(_lam_field(lam)[0])
-    for l in range(n):
-        coef = binom(n - 1, l) * narumi_value(n, l, -c * n)
-        out = out + frobenius_eulerian_poly(a, n - l, lam) * coef
-    return out
-
-
-def _run_T9(p, n_max):
-    c = p["c"]
-
-    def rhs(n, l):
-        return factorial(l) * sum(
-            (
-                Fraction(factorial(n), factorial(n + k))
-                * stirling1(k + n, n)
-                * gen_binom(-n * c, l - k)
-                for k in range(l + 1)
-            ),
-            Fraction(0),
+    def run(p, n_max):
+        return _compare(
+            ((n, l), lhs(p, n, l), rhs(p, n, l))
+            for n in range(1, n_max + 1)
+            for l in range(n)
         )
 
-    return _compare(
-        ((n, l), narumi_value(n, l, -c * n), rhs(n, l))
-        for n in range(1, n_max + 1)
-        for l in range(n)
+    return run
+
+
+# Bases and coefficient formulas name the family functions inside their
+# bodies, not as captured objects, so a wrapper or patch installed on the
+# module attribute (perfbench/tracing.py, the mutation tests) reaches them.
+
+
+def _fe_basis(p, k):
+    return frobenius_euler_poly(p["a"], k, p["lam"])
+
+
+def _fte_basis(p, k):
+    return frobenius_eulerian_poly(p["a"], k, p["lam"])
+
+
+def _bernoulli_basis(p, k):
+    return bernoulli_poly(p["a"], k)
+
+
+def _s2_over_binom(n, l):
+    return Fraction(stirling2(l + n, n), binom(l + n, n))
+
+
+def _t3_coef(p, n, k):
+    # sum_{l+j=k} C(k, l) S2(l+n, n)/C(l+n, n) c^(n+l) (-nb)^j, the double
+    # sum over (l, j) folded by C(n-1, l) C(n-1-l, j) = C(n-1, k) C(k, l)
+    b, c = p["b"], p["c"]
+    return sum(binom(k, l) * _s2_over_binom(n, l) * c ** (n + l) * (-n * b) ** (k - l)
+               for l in range(k + 1))
+
+
+def _t9_rhs(p, n, l):
+    # l! sum_k n!/(n+k)! S1(k+n, n) C(-nc, l-k)
+    return factorial(l) * sum(
+        Fraction(factorial(n), factorial(n + k)) * stirling1(k + n, n)
+        * gen_binom(-n * p["c"], l - k)
+        for k in range(l + 1)
     )
 
 
@@ -408,21 +387,6 @@ def _run_R42(p, n_max):
     if not corrected:
         return "paper_discrepancy", as_printed, _R42_NOTE
     return "fail", as_printed + corrected, "both forms fail"
-
-
-def _rhs_T10(p, n):
-    a, b, c, m, lam = p["a"], p["b"], p["c"], p["m"], p["lam"]
-    out = Poly(_lam_field(lam)[0])
-    sign = -1 if (m * n) % 2 else 1
-    for l in range(n):
-        coef = (
-            sign
-            * poisson_charlier(m * n, Fraction(-n * c, 1) / b, x_eval=l)
-            * (n * c) ** l
-            * binom(n - 1, l)
-        )
-        out = out + frobenius_eulerian_poly(a, n - l, lam) * coef
-    return out
 
 
 def _rhs_DAE(p, n):
@@ -489,43 +453,56 @@ REGISTRY = {
     "poisson_charlier": Entry((Param("a", nonzero_rational, 1),), _poisson_charlier_pair),
     "bernoulli_2nd": Entry((), _bernoulli_2nd_pair),
     "T2": Entry(
-        (ORDER, Param("b", nonzero_rational, 1), LAM), _t2_pair, _rhs_T2,
+        (ORDER, Param("b", nonzero_rational, 1), LAM), _t2_pair,
+        _basis_sum(_fe_basis, lambda p, n, l: _s2_over_binom(n, l) * p["b"] ** (n + l)),
         "pair (((e^t-L)/(1-L))^a, t^2/(e^{bt}-1)) vs Stirling-2 / Frobenius-Euler sum",
     ),
     "T3": Entry(
-        (ORDER, Param("b", rational, 0), Param("c", nonzero_rational, 1)), _t3_pair, _rhs_T3,
+        (ORDER, Param("b", rational, 0), Param("c", nonzero_rational, 1)), _t3_pair,
+        _basis_sum(_bernoulli_basis, _t3_coef),
         "pair (((e^t-1)/t)^a, t^2 e^{bt}/(e^{ct}-1)) vs Stirling-2 / Bernoulli double sum",
     ),
     "T4": Entry(
-        (ORDER,), _t4_pair, _rhs_T4,
+        (ORDER,), _t4_pair,
+        _basis_sum(lambda p, k: euler_poly(p["a"], k), lambda p, n, l: narumi_number(n, l)),
         "pair (((e^t+1)/2)^a, t^2/log(1+t)) vs Narumi-number / Euler sum",
     ),
     "C5": Entry(
-        (), None, _run_C5,
+        (), None,
+        _triangle(lambda p, n, l: Fraction(narumi_number(n, l), n),
+                  lambda p, n, l: Fraction(bernoulli_number(n + l, l), n + l)),
         "Narumi numbers vs higher-order Bernoulli numbers: N_l^(n)/n = B_l^(n+l)/(n+l)",
     ),
     "R27": Entry(
-        (ORDER,), _r27_pair, _rhs_R27,
+        (ORDER,), _r27_pair,
+        _basis_sum(_bernoulli_basis, lambda p, n, l: narumi_number(-n, l)),
         "pair (((e^t-1)/t)^a, log(1+t)) vs negative-order Narumi / Bernoulli sum",
     ),
     "T6": Entry(
-        (ORDER, Param("c", nonzero_rational, 1), LAM), _t6_pair, _rhs_T6,
+        (ORDER, Param("c", nonzero_rational, 1), LAM), _t6_pair,
+        _basis_sum(_fe_basis, lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
         "pair (((e^t-L)/(1-L))^a, log(1+t)/(1+t)^c) vs shifted-Bernoulli / Frobenius-Euler sum",
     ),
     "T7": Entry(
-        (Param("c", nonzero_rational, 1),), None, _run_T7,
+        (Param("c", nonzero_rational, 1),), None,
+        _triangle(lambda p, n, l: b2_convolution(n, l, p["c"]),
+                  lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
         "n-fold convolution of 2nd-kind Bernoulli values vs B_l^(l-n+1)(cn+1)",
     ),
     "R35": Entry(
-        (Param("c", nonzero_rational, 1),), None, _run_R35,
+        (Param("c", nonzero_rational, 1),), None,
+        _triangle(lambda p, n, l: narumi_value(-n, l, p["c"] * n),
+                  lambda p, n, l: b2_convolution(n, l, p["c"])),
         "N_l^(-n)(cn) vs the same n-fold convolution of 2nd-kind Bernoulli values",
     ),
     "P8": Entry(
-        (ORDER, Param("c", nonzero_rational, 1), LAM), _p8_pair, _rhs_P8,
+        (ORDER, Param("c", nonzero_rational, 1), LAM), _p8_pair,
+        _basis_sum(_fte_basis, lambda p, n, l: narumi_value(n, l, -p["c"] * n)),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t^2(1+t)^c/log(1+t)) vs shifted-Narumi / Eulerian sum",
     ),
     "T9": Entry(
-        (Param("c", nonzero_rational, 1),), None, _run_T9,
+        (Param("c", nonzero_rational, 1),), None,
+        _triangle(lambda p, n, l: narumi_value(n, l, -p["c"] * n), _t9_rhs),
         "N_l^(n)(-cn) vs Stirling-1 / generalized-binomial sum",
     ),
     "R42": Entry(
@@ -535,7 +512,9 @@ REGISTRY = {
     "T10": Entry(
         (ORDER, Param("b", nonzero_rational, 1), Param("c", nonzero_rational, 1), LAM,
          Param("m", nonnegative_integer)),
-        _t10_pair, _rhs_T10,
+        _t10_pair,
+        _basis_sum(_fte_basis, lambda p, n, l: (-1) ** (p["m"] * n) * (n * p["c"]) ** l
+                   * poisson_charlier(p["m"] * n, -n * p["c"] / p["b"], x_eval=l)),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t/(e^{ct}(1+bt)^m)) vs Poisson-Charlier-value sum",
     ),
     "DAE": Entry(

@@ -166,6 +166,11 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
     to the largest degree among polys[0 .. n_max] (n_max when that is
     larger) and the same values are compared."""
+    if len(polys) < n_max + 1:
+        raise DomainError(
+            f"orthogonality up to n_max = {n_max} needs {n_max + 1} polynomials "
+            f"S_0 .. S_{n_max}, got {len(polys)}"
+        )
     pair = _cut(pair, max([n_max] + [p.degree for p in polys[: n_max + 1]]))
     field = pair.field
     fact = Fraction(1)

@@ -91,6 +91,12 @@ class TestExpand:
 
 
 class TestFamily:
+    @pytest.mark.parametrize("spelling", ["symbolic", "sym", "L"])
+    def test_lambda_spellings(self, spelling):
+        code, out = run_cli("family", "T6", "--lambda", spelling, "--n", "3")
+        assert (code, out) == run_cli("family", "T6", "--n", "3")
+        assert code == 0 and out
+
     def test_documented_bernoulli_csv(self):
         code, out = run_cli(
             "family", "bernoulli", "--order-param", "2", "--n", "5", "--format", "csv"

@@ -143,6 +143,17 @@ class TestDomainHandling:
         with pytest.raises(DomainError):
             verify_identity("C5", {"c": F(1)}, 4)
 
+    @pytest.mark.parametrize(
+        "tag,params",
+        [("T2", {"b": "x"}), ("T2", {"b": "1/0"}), ("T3", {"b": [1]}), ("T6", {"lam": "zz"})],
+    )
+    def test_unparsable_value_is_domain_error(self, tag, params):
+        with pytest.raises(DomainError, match="must be an exact rational"):
+            verify_identity(tag, params, 2)
+        report = verify_identity_report_errors(tag, params, 2)
+        assert report.status == "domain_error" and not report.ok
+        assert f"{tag}: " in report.note
+
     def test_grid_entry_becomes_domain_error_report(self):
         report = verify_identity_report_errors("T6", {"a": 1, "c": F(0), "lam": None}, 4)
         assert report.status == "domain_error"
@@ -249,3 +260,64 @@ class TestTable:
             assert verify_identity(tag, rest, 2) == verify_identity(tag, {**table, **rest}, 2)
         with pytest.raises(DomainError):
             verify_identity("T10", {}, 1)  # m has no default
+
+
+def _wrong_at(fn, index):
+    """fn, but wrong when its leading arguments are ``index``: a number is
+    off by one, a polynomial doubled."""
+
+    def wrong(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        if args[: len(index)] != index:
+            return value
+        return value + 1 if isinstance(value, (int, F)) else value * 2
+
+    return wrong
+
+
+class TestMutation:
+    """A wrong value in one function the checks read makes every tag that
+    reads it fail, first at the n that reaches the wrong index."""
+
+    T2 = ("T2", {"a": 1, "b": F(1, 2), "lam": None})
+    T3 = ("T3", {"a": 1, "b": F(1, 2), "c": F(1)})
+    T4 = ("T4", {"a": 1})
+    C5 = ("C5", {})
+    R27 = ("R27", {"a": 1})
+    T6 = ("T6", {"a": 1, "c": F(1), "lam": None})
+    T7 = ("T7", {"c": F(1)})
+    R35 = ("R35", {"c": F(1)})
+    P8 = ("P8", {"a": 1, "c": F(1), "lam": None})
+    T9 = ("T9", {"c": F(1)})
+    T10 = ("T10", {"a": 1, "b": F(2), "c": F(-1), "m": 1, "lam": None})
+
+    @pytest.mark.parametrize(
+        "name,index,rows,n",
+        [
+            ("stirling2", (3, 2), [T2, T3], 2),
+            ("narumi_number", (2, 1), [T4, C5], 2),
+            ("narumi_number", (-2, 1), [R27], 2),
+            ("narumi_value", (2, 1), [P8, T9], 2),
+            ("narumi_value", (-2, 1), [R35], 2),
+            ("bernoulli_value", (0, 1), [T6, T7], 2),
+            ("b2_convolution", (2, 1), [T7, R35], 2),
+            ("bernoulli_number", (3, 1), [C5], 2),
+            ("stirling1", (3, 2), [T9], 2),
+            ("gen_binom", (-2, 1), [T9], 2),
+            ("poisson_charlier", (2,), [T10], 2),
+            ("frobenius_euler_poly", (1, 1), [T2, T6], 1),
+            ("bernoulli_poly", (1, 2), [T3, R27], 2),
+            ("euler_poly", (1, 1), [T4], 1),
+            ("frobenius_eulerian_poly", (1, 2), [P8, T10], 2),
+        ],
+    )
+    def test_wrong_value_fails(self, monkeypatch, name, index, rows, n):
+        import umbralkit.identities as identities
+
+        for tag, params in rows:
+            assert verify_identity(tag, params, 3).status == "pass"
+        monkeypatch.setattr(identities, name, _wrong_at(getattr(identities, name), index))
+        for tag, params in rows:
+            report = verify_identity(tag, params, 3)
+            assert report.status == "fail", (name, tag)
+            assert report.counterexamples[0].indices[0] == n, (name, tag)

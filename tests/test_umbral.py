@@ -240,6 +240,11 @@ class TestOrthogonality:
         wrong[2] = wrong[2] + Poly.monomial(QQ, 6)
         assert orthogonality_failure(pair, wrong, 4) == (2, 0, F(1, 7))  # 6!/7!
 
+    def test_short_polynomial_list(self):
+        pair = bernoulli_pair()
+        with pytest.raises(DomainError, match="needs 4 polynomials S_0 .. S_3, got 2"):
+            orthogonality_failure(pair, sheffer_gf(pair, 3)[:2], 3)
+
 
 class TestAppell:
     def test_derivative_property(self):
