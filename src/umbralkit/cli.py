@@ -184,7 +184,7 @@ def _cmd_sheffer(args, out) -> int:
     g_ast = parse_expr(args.g)
     f_ast = parse_expr(args.f)
     field = _pick_field(args, [g_ast, f_ast])
-    # the transfer route's T >= 2n, with the margin DSL divisions consume
+    # room for the orders that DSL divisions consume
     T = working_trunc(args.n)
     pair = ShefferPair(
         eval_expr(g_ast, T, field, args.lam), eval_expr(f_ast, T, field, args.lam)

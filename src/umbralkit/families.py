@@ -358,9 +358,9 @@ class FamilySpec:
 
 def catalog_pair(spec: FamilySpec, T: int | None = None) -> ShefferPair:
     """The classical (g, f) Sheffer pair of a named family (or of any
-    registry name with a pair), with ``spec.order`` as its order a.  The
-    default truncation, ``working_trunc(10)``, lets both routes answer
-    through degree 10."""
+    registry name with a pair), with ``spec.order`` as its order a.  At the
+    default truncation, ``working_trunc(10)`` = 22, both routes answer
+    through degree 21."""
     from .identities import build_pair  # the registry table imports this module
 
     if T is None:

@@ -75,7 +75,7 @@ from .families import (
 )
 from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
 from .fields import QQ
-from .umbral import ShefferPair, sheffer_transfer_all
+from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
 
 
 @dataclass(frozen=True)
@@ -127,14 +127,18 @@ class IdentityReport:
 _SYMBOLIC = (None, "sym", "L", "symbolic")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def integer_order(key, v):
-    if isinstance(v, int):
+    if _is_int(v):
         return v
     raise DomainError(f"{key} must be an integer")
 
 
 def nonnegative_integer(key, v):
-    if isinstance(v, int) and v >= 0:
+    if _is_int(v) and v >= 0:
         return v
     raise DomainError(f"{key} must be a nonnegative integer")
 
@@ -146,10 +150,13 @@ def nonzero_rational(key, v):
 
 
 def rational(key, v):
-    try:
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise DomainError(f"{key} must be an exact rational, got {v!r}") from None
+    """An exact rational: a float (a binary approximation) or a bool is not."""
+    if not isinstance(v, (float, bool)):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError, TypeError):
+            pass
+    raise DomainError(f"{key} must be an exact rational, got {v!r}")
 
 
 def lambda_value(key, v):
@@ -169,8 +176,8 @@ class Param:
 
 @dataclass(frozen=True)
 class Entry:
-    """One row of the registry table.  ``pair`` builds (g, f) from the
-    working truncation and the parameters; ``check`` is the right-hand side
+    """One row of the registry table.  ``pair`` builds (g, f) from a
+    truncation and the parameters; ``check`` is the right-hand side
     S_n(x) for a tag with a pair (compared with the transfer route) and
     otherwise a runner returning (status, counterexamples, note)."""
 
@@ -224,18 +231,12 @@ def _render_param(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pair(tag: str, T: int, params: tuple):
-    p = dict(params)
-    return build_pair(tag, T, p.get("a", 1), p)
-
-
 def _transfer_vs_sum(tag, p, n_max, rhs):
     """(indices, lhs, rhs) per coefficient: the transfer route over the
-    tag's pair against the explicit sum rhs(p, n).  The pair is built at
-    the transfer route's precondition, 2 n_max; the route itself computes
-    at n_max + 1."""
-    lhs = sheffer_transfer_all(_pair(tag, 2 * n_max, tuple(p.items())), n_max)
+    tag's pair, built at the answer's truncation, against the explicit sum
+    rhs(p, n)."""
+    pair = build_pair(tag, answer_trunc(n_max), p.get("a", 1), p)
+    lhs = sheffer_transfer_all(pair, n_max)
     for n in range(1, n_max + 1):
         right = rhs(p, n)
         for j in range(max(lhs[n - 1].degree, right.degree) + 1):

@@ -30,11 +30,10 @@ def working_trunc(n_max: int) -> int:
     """Default truncation for building a pair for answers of degree <= n_max:
     2*n_max + 2.
 
-    The Sheffer routes compute at n_max + 1 (``umbral.answer_trunc``) and
-    cut a longer pair to that.  What this truncation is still for is the
-    transfer route's precondition T >= 2*n_max, plus a margin of two for a
-    pair built with the expression DSL, where dividing by a series of order
-    k (``t^2/(exp(t)-1)``) loses k coefficients."""
+    The Sheffer routes need only n_max + 1 (``umbral.answer_trunc``) and cut
+    a longer pair to that.  The rest is room for a pair built with the
+    expression DSL, where dividing by a series of order k
+    (``t^2/(exp(t)-1)``) loses k coefficients."""
     return 2 * n_max + 2
 
 
@@ -86,10 +85,10 @@ class Series(CoeffVector):
         coeffs = [field.coerce(c) for c in coeffs]
         if trunc is not None:
             if trunc < 1:
-                raise ValueError("truncation order must be >= 1")
+                raise TruncationTooShort("truncation order must be >= 1")
             coeffs = (coeffs + [field.zero] * trunc)[:trunc]
         elif not coeffs:
-            raise ValueError("a series needs at least one stored coefficient")
+            raise TruncationTooShort("a series needs at least one stored coefficient")
         self.field = field
         self.coeffs = tuple(coeffs)
 

@@ -12,15 +12,11 @@ Sheffer sequence for a pair (g, f) are provided:
 
 Their exact agreement is the transfer formula, checked in the test suite.
 
-Truncation: an answer of degree n needs g and f through t^n only
-(:func:`answer_trunc`), because the t^k coefficient of a product, inverse,
-composition or reversion depends on its inputs only through t^k.
-:func:`sheffer_gf` requires a pair truncated at T >= n_max + 1,
-:func:`sheffer_transfer_all` one at T >= 2 n_max (its stated precondition,
-kept although the route reads no more than the GF route), and both, like
-:func:`orthogonality_failure`, cut a longer pair to n_max + 1 before
-computing, so a pair built at ``series.working_trunc`` costs no more than
-one built at the answer's length.
+Truncation: an answer of degree n needs g and f through t^n only, because
+the t^k coefficient of a product, inverse, composition or reversion depends
+on its inputs only through t^k.  So every route takes a pair truncated at
+T >= n + 1 and cuts a longer one to n + 1 (:func:`answer_trunc`) before
+computing; ``_cut`` is that one rule.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ class ShefferPair:
 
     def __post_init__(self):
         if self.g.field is not self.f.field:
-            raise ValueError("g and f must share a coefficient field")
+            raise DomainError("g and f must share a coefficient field")
         if self.g.order() != 0:
             raise NotInvertible("g must be an invertible series (order 0)")
         if self.f.trunc < 2:
@@ -96,8 +92,14 @@ def answer_trunc(n_max: int) -> int:
 
 
 def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
-    """The pair truncated at answer_trunc(n_max), or the pair itself when
-    it is already that short."""
+    """The one truncation gate of the routes: DomainError for n_max < 0,
+    TruncationTooShort for a pair not known through t^n_max, and otherwise
+    the pair truncated at answer_trunc(n_max), or the pair itself when it
+    is already that short."""
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    if pair.trunc < n_max + 1:
+        raise TruncationTooShort(f"need truncation >= {n_max + 1}, have {pair.trunc}")
     T = answer_trunc(n_max)
     if pair.g.trunc <= T and pair.f.trunc <= T:
         return pair
@@ -110,9 +112,6 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
 
     The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)).
     """
-    T = pair.trunc
-    if T < n_max + 1:
-        raise TruncationTooShort(f"need truncation >= {n_max + 1}, have {T}")
     pair = _cut(pair, n_max)
     field = pair.field
     fbar = pair.f.revert()
@@ -144,8 +143,6 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     """[S_1 .. S_{n_max}] by the operator route, sharing the inversions."""
     if n_max < 1:
         raise DomainError("the transfer route is stated for n >= 1 only")
-    if pair.trunc < 2 * n_max:
-        raise TruncationTooShort(f"need truncation >= {2 * n_max}, have {pair.trunc}")
     pair = _cut(pair, n_max)
     ginv = pair.g.inverse()
     t_over_f = pair.f.shift_div(1).inverse()

@@ -323,6 +323,10 @@ class TestCatalog:
         with pytest.raises(EvalPole):
             catalog_pair(FamilySpec.make("daehee", 1, lam=F(1)), T=8)
 
+    def test_family_polys_negative_n_rejected(self):
+        with pytest.raises(DomainError):
+            family_polys("bernoulli", 1, -1)
+
     def test_family_polys_daehee_matches_pair(self):
         rows = family_polys("daehee", 1, 4)
         pair = catalog_pair(FamilySpec.make("daehee", 1), T=5)

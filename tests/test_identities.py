@@ -154,6 +154,17 @@ class TestDomainHandling:
         assert report.status == "domain_error" and not report.ok
         assert f"{tag}: " in report.note
 
+    @pytest.mark.parametrize(
+        "tag,params",
+        [("T2", {"b": 0.1}), ("T2", {"a": True}), ("T10", {"m": False}), ("T6", {"lam": 0.5})],
+    )
+    def test_float_and_bool_are_domain_errors(self, tag, params):
+        # a float is a binary approximation and a bool is not a number of
+        # the schema, so neither is taken as an exact parameter
+        with pytest.raises(DomainError):
+            verify_identity(tag, params, 2)
+        assert verify_identity_report_errors(tag, params, 2).status == "domain_error"
+
     def test_grid_entry_becomes_domain_error_report(self):
         report = verify_identity_report_errors("T6", {"a": 1, "c": F(0), "lam": None}, 4)
         assert report.status == "domain_error"

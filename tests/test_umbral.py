@@ -17,6 +17,7 @@ from umbralkit import (
     Series,
     ShefferPair,
     TruncationTooShort,
+    UmbralError,
     answer_trunc,
     bernoulli_poly,
     bespoke_pair,
@@ -186,7 +187,7 @@ class TestTransferRoute:
 
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooShort):
-            sheffer_transfer(bernoulli_pair(T=6), 4)
+            sheffer_transfer(bernoulli_pair(T=4), 4)
 
     def test_transfer_all_matches_single(self):
         pair = catalog_pair(FamilySpec.make("poisson_charlier", 1, a=F(2)), T=T)
@@ -309,7 +310,7 @@ class TestCutToAnswer:
         long = dsl_pair(g_src, f_src, 2 * n + 2)
         polys = sheffer_gf(dsl_pair(g_src, f_src, n + 1), n)
         assert sheffer_gf(long, n) == polys
-        transfer = sheffer_transfer_all(dsl_pair(g_src, f_src, 2 * n), n)
+        transfer = sheffer_transfer_all(dsl_pair(g_src, f_src, n + 1), n)
         assert sheffer_transfer_all(long, n) == transfer == polys[1:]
         assert orthogonality_failure(long, polys, n) is None
         # a wrong sequence fails at the same place with the same value
@@ -332,6 +333,41 @@ class TestCutToAnswer:
         assert sheffer_gf(changed, n) == polys
         assert sheffer_transfer_all(changed, n) == polys[1:]
         assert orthogonality_failure(changed, polys, n) is None
+
+
+class TestTypedErrors:
+    def test_mismatched_fields_and_empty_series(self):
+        for make in (
+            lambda: ShefferPair(one(QQ, T), t_series(QL, T)),
+            lambda: Series(QQ, [1], trunc=0),
+            lambda: Series(QQ, []),
+            lambda: eval_expr(parse_expr("t"), 0),
+        ):
+            with pytest.raises(UmbralError):
+                make()
+
+
+def _orthogonality_of_monomials(pair, n):
+    # the monomials are not the sequence of either pair, so the result is
+    # a failure with a value, not None
+    return orthogonality_failure(pair, [Poly.monomial(pair.field, k) for k in range(n + 1)], n)
+
+
+class TestTruncationGate:
+    """Every route accepts a pair truncated at n + 1 and no shorter."""
+
+    ROUTES = [sheffer_gf, sheffer_transfer_all, _orthogonality_of_monomials]
+    SPECS = [FamilySpec.make("bernoulli", 2), FamilySpec.make("frobenius_euler", 1)]
+
+    @pytest.mark.parametrize("route", ROUTES, ids=["gf", "transfer", "orthogonality"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["Q", "QL"])
+    def test_boundary(self, route, spec):
+        n = 4
+        assert route(catalog_pair(spec, T=n + 1), n) == route(catalog_pair(spec, T=2 * n + 2), n)
+        with pytest.raises(TruncationTooShort, match=f"need truncation >= {n + 1}, have {n}"):
+            route(catalog_pair(spec, T=n), n)
+        with pytest.raises(DomainError):
+            route(catalog_pair(spec, T=2 * n + 2), -1)
 
 
 class TestLargerN:
