@@ -31,7 +31,7 @@ from .series import (
     t_series,
     working_trunc,
 )
-from .umbral import ShefferPair, answer_trunc, sheffer_gf
+from .umbral import ShefferPair, _check_n_max, answer_trunc, sheffer_gf
 
 
 def binom(n: int, k: int) -> int:
@@ -241,13 +241,20 @@ def poisson_charlier(n: int, a, x_eval=None):
     a = Fraction(a)
     if not a:
         raise DivisionByZero("Poisson-Charlier parameter a must be nonzero")
+    if x_eval is not None:
+        # the same sum at x, with (x)_k as a running product
+        x = Fraction(x_eval)
+        value = Fraction(0)
+        falling = Fraction(1)
+        for k in range(n + 1):
+            value += binom(n, k) * (-1) ** (n - k) * a ** (-k) * falling
+            falling *= x - k
+        return value
     out = Poly(QQ)
     for k in range(n + 1):
         c = Fraction(binom(n, k)) * (-1) ** (n - k) * a ** (-k)
         out = out + falling_factorial(QQ, k) * c
-    if x_eval is None:
-        return out
-    return out.eval(Fraction(x_eval))
+    return out
 
 
 def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
@@ -372,6 +379,7 @@ def family_polys(name: str, order: int, n_max: int, **params) -> list:
     """P_0 .. P_{n_max} of a registry name with a pair, read off its
     generating function 1/g(fbar(t)) e^{x fbar(t)} by ``sheffer_gf``;
     ``params`` as in ``FamilySpec.make`` (``lam``, ``a``, ``b``, ``c``, ``m``)."""
+    _check_n_max(n_max)
     pair = catalog_pair(FamilySpec.make(name, order, **params), T=answer_trunc(n_max))
     return sheffer_gf(pair, n_max)
 

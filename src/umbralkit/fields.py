@@ -24,18 +24,35 @@ degree of the true gcd, so a constant gcd mod p proves the polynomials
 coprime.  Any other outcome falls back to the primitive pseudo-remainder
 sequence, so every answer stays certain.
 
+A sum of products over Q(L) -- a coefficient of a series product, an
+inverse or a reversion, and the umbral applies -- is normalised once, by
+``vec_dot``, not once per ``+=``.  Each product a_i*b_i is left unreduced
+(numerators, denominators and rational scales multiplied); the numerators
+are summed over a running lcm of the denominators and a running lcm of the
+scales' integer denominators; one content extraction and one
+``_zgcd(num, den)`` at the end give the canonical form, so the value, and
+every printed byte, is what the ``+=`` loop gives.  Each lcm step first
+tries exact division both ways with ``_zquo``, whose "no" is certain: the
+denominators are primitive, and by Gauss's lemma a quotient in Q[L] of a
+polynomial by a primitive one is integral, so an integer long division
+that meets an indivisible leading coefficient or leaves a remainder proves
+non-divisibility.  ``_zgcd`` runs only when neither denominator divides
+the other.
+
 Every series/polynomial in this package is parameterized by a field object
 (``QQ`` or ``QL``) that knows how to coerce scalars and render elements.
 
 This module also holds the coefficient-vector kernels that ``RatFunc``'s
 integer polynomials, ``Series`` and ``Poly`` share (``vec_add``,
-``vec_mul``, ``vec_horner``, ``vec_trim``) and the one term formatter,
-``format_terms``, behind every "coefficient * var^k" string, plain or LaTeX.
+``vec_mul``, ``vec_dot``, ``vec_horner``, ``vec_trim``) and the one term
+formatter, ``format_terms``, behind every "coefficient * var^k" string,
+plain or LaTeX.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZero, EvalPole
@@ -75,9 +92,18 @@ def vec_add(a, b) -> list:
 
 
 def vec_mul(a, b, zero=0, n=None) -> tuple:
-    """Product, truncated to ``n`` coefficients when ``n`` is given."""
+    """Product, truncated to ``n`` coefficients when ``n`` is given.
+
+    Over Q(L) (a RatFunc ``zero``) coefficient k is one ``vec_dot``."""
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
+    if isinstance(zero, RatFunc):
+        # a[i] pairs with b[k - i], which is rb[len(b) - 1 - k + i]
+        rb = b[::-1]
+        return tuple(
+            vec_dot(a[max(0, k - len(b) + 1) : k + 1], rb[max(0, len(b) - 1 - k) :], zero)
+            for k in range(n)
+        )
     out = [zero] * n
     for i, x in enumerate(a[:n]):
         if x:
@@ -85,6 +111,27 @@ def vec_mul(a, b, zero=0, n=None) -> tuple:
                 if y:
                     out[i + j] += x * y
     return tuple(out)
+
+
+def vec_dot(a, b, zero=0, w=None):
+    """``sum w[i] * a[i] * b[i]`` over the shorter of ``a`` and ``b``; ``w``
+    holds integer weights, all 1 when it is None.
+
+    Over Q(L) (a RatFunc ``zero``; int and Fraction entries are taken as
+    constants) the sum is normalised once, by ``_ratfunc_dot``; otherwise it
+    is the plain ``acc += x * y`` loop."""
+    if isinstance(zero, RatFunc):
+        return _ratfunc_dot(a, b, w)
+    acc = zero
+    if w is None:
+        for x, y in zip(a, b):
+            if x and y:
+                acc += x * y
+    else:
+        for x, y, k in zip(a, b, w):
+            if x and y:
+                acc += k * x * y
+    return acc
 
 
 def vec_horner(c, x, acc):
@@ -152,6 +199,15 @@ def _zscale(a, s: int):
     return tuple(x * s for x in a)
 
 
+def _zmul(a, b):
+    """Product of integer polynomials; a factor (1,) costs nothing."""
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
+    return vec_mul(a, b)
+
+
 def _zcontent(a) -> int:
     g = 0
     for v in a:
@@ -190,6 +246,37 @@ def _zexact_div(a, b):
             for j in range(db + 1):
                 r[i + j] -= c * b[j]
     return vec_trim(q)
+
+
+def _zquo(a, b):
+    """a / b when b divides a in Z[L], else None; certain either way.
+
+    Long division over Z: a leading coefficient that lb does not divide, or
+    a nonzero remainder, proves there is no quotient in Z[L].  For a
+    primitive b that also proves b does not divide a in Q[L]: by Gauss's
+    lemma a quotient over Q of a by a primitive b is integral.
+    """
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    if not a:
+        return ()
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    lb = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[i + db], lb)
+        if m:
+            return None
+        q[i] = c
+        if c:
+            for j in range(db + 1):
+                r[i + j] -= c * b[j]
+    if any(r[:db]):
+        return None
+    return tuple(q)
 
 
 def _zprem_primitive(f, g):
@@ -504,6 +591,59 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def _ratfunc_dot(a, b, w=None) -> "RatFunc":
+    """``sum w[i] * a[i] * b[i]`` over Q(L) with one normalisation.
+
+    Each product is left unreduced: scale pa*pb / (qa*qb) times
+    (na*nb) / (da*db).  The sum is kept as num / (q * den), with q the lcm
+    of the scales' denominators and den a running lcm of the product
+    denominators (all primitive, positive leads).  Each lcm step tries
+    exact division both ways (``_zquo``) and runs ``_zgcd`` only when
+    neither denominator divides the other.  One content extraction and one
+    ``_zgcd(num, den)`` at the end give RatFunc's canonical form.
+    """
+    q, den, num = 1, (1,), []
+    for x, y, k in zip(a, b, repeat(1) if w is None else w):
+        if not x or not y:
+            continue
+        x, y = _coerce(x), _coerce(y)
+        sx, sy = x.scale, y.scale
+        qi = sx.denominator * sy.denominator
+        n = _zmul(x._n, y._n)
+        d = _zmul(x._d, y._d)
+        # bring num / (q * den) and the term onto lcm(q, qi) * lcm(den, d)
+        g = _int_gcd(q, qi)
+        if g != qi:
+            num = [c * (qi // g) for c in num]
+            q = q // g * qi
+        if d != den:
+            m = _zquo(den, d)
+            if m is not None:
+                n = _zmul(n, m)
+            else:
+                m = _zquo(d, den)
+                if m is None:
+                    h = _zgcd(den, d)
+                    m = _zexact_div(d, h)
+                    n = _zmul(n, _zexact_div(den, h))
+                num = list(_zmul(num, m))
+                den = _zmul(den, m)
+        f = k * sx.numerator * sy.numerator * (q // qi)
+        if len(num) < len(n):
+            num += [0] * (len(n) - len(num))
+        for i, c in enumerate(n):
+            num[i] += c * f
+    num = vec_trim(num)
+    if not num:
+        return _RF_ZERO
+    cont, num = _zprimitive(num)
+    h = _zgcd(num, den)
+    if len(h) > 1:
+        num = _zexact_div(num, h)
+        den = _zexact_div(den, h)
+    return RatFunc._raw(Fraction(cont, q), num, den)
 
 
 def _as_zpoly(v):

@@ -75,7 +75,7 @@ from .families import (
 )
 from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
 from .fields import QQ
-from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
+from .umbral import ShefferPair, _check_n_max, answer_trunc, sheffer_transfer_all
 
 
 @dataclass(frozen=True)
@@ -552,6 +552,7 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
     when it is not given.
     """
     entry = _identity(tag)
+    _check_n_max(n_max)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     p = check_params(tag, params or {})

@@ -23,7 +23,9 @@ from .errors import (
     TruncationTooShort,
     UnitConstantRequired,
 )
-from .fields import format_terms, latex_scalar, vec_add, vec_horner, vec_mul, vec_trim
+from .fields import (
+    format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
+)
 
 
 def working_trunc(n_max: int) -> int:
@@ -179,13 +181,9 @@ class Series(CoeffVector):
             raise NotInvertible("series has zero constant term")
         T = self.trunc
         inv0 = self.field.one / a[0]
-        out = [inv0] + [self.field.zero] * (T - 1)
+        out = [inv0]
         for k in range(1, T):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                if a[j]:
-                    acc += a[j] * out[k - j]
-            out[k] = -inv0 * acc
+            out.append(-inv0 * vec_dot(a[1 : k + 1], out[::-1], self.field.zero))
         return Series(self.field, out)
 
     def shift_div(self, k: int) -> "Series":
@@ -247,9 +245,7 @@ class Series(CoeffVector):
         c = [zero] * T
         for m in range(1, T):
             acc = one_ if m == 1 else zero
-            for k in range(1, m):
-                if c[k]:
-                    acc -= c[k] * powers[k].coeffs[m]
+            acc -= vec_dot(c[1:m], [powers[k].coeffs[m] for k in range(1, m)], zero)
             c[m] = acc / powers[m].coeffs[m]
         out = Series(self.field, c)
         if not self.compose(out).agrees(t_series(self.field, T)):
@@ -262,14 +258,10 @@ class Series(CoeffVector):
             raise CompositionOrder("exp needs a zero constant term")
         T = self.trunc
         # E' = f' E, solved degree by degree
-        out = [self.field.one] + [self.field.zero] * (T - 1)
+        out = [self.field.one]
         for k in range(1, T):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if cj:
-                    acc += j * cj * out[k - j]
-            out[k] = acc / k
+            js = range(1, k + 1)
+            out.append(vec_dot(self.coeffs[1 : k + 1], out[::-1], self.field.zero, js) / k)
         return Series(self.field, out)
 
     def log(self) -> "Series":

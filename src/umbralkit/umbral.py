@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotDelta, NotInvertible, TruncationTooShort
+from .fields import vec_dot
 from .series import Poly, Series
 
 
@@ -34,29 +35,26 @@ def functional_apply(f: Series, p: Poly):
         raise TruncationTooShort(
             f"functional truncated at {f.trunc} applied to degree {p.degree}"
         )
-    acc = f.field.zero
-    fact = 1
-    for n, pn in enumerate(p.coeffs):
-        if n:
-            fact *= n
-        if pn:
-            acc += f.field.coerce(Fraction(fact)) * f.coeffs[n] * pn
-    return acc
+    facts = [1]
+    for n in range(1, len(p.coeffs)):
+        facts.append(facts[-1] * n)
+    return vec_dot(f.coeffs, p.coeffs, f.field.zero, facts)
+
 
 def operator_apply(f: Series, p: Poly) -> Poly:
-    """f(t) p(x) = sum_k f[k] p^(k)(x); t^k acts as d^k/dx^k."""
+    """f(t) p(x) = sum_k f[k] p^(k)(x); t^k acts as d^k/dx^k, so the x^j
+    coefficient is sum_k f[k] (j+k)!/j! p[j+k]."""
     if p.degree >= f.trunc:
         raise TruncationTooShort(
             f"operator truncated at {f.trunc} applied to degree {p.degree}"
         )
-    out = Poly(p.field)
-    deriv = p
-    for k in range(0, p.degree + 1):
-        ck = f.coeffs[k]
-        if ck:
-            out = out + deriv * ck
-        deriv = deriv.derivative()
-    return out
+    out = []
+    for j in range(len(p.coeffs)):
+        falling = [1]  # (j+k)!/j!
+        for k in range(1, len(p.coeffs) - j):
+            falling.append(falling[-1] * (j + k))
+        out.append(vec_dot(f.coeffs, p.coeffs[j:], f.field.zero, falling))
+    return Poly(p.field, out)
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,18 @@ def answer_trunc(n_max: int) -> int:
     return max(n_max + 1, 2)
 
 
+def _check_n_max(n_max) -> None:
+    """DomainError unless n_max is an int (a bool is not taken for one)."""
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise DomainError(f"n_max must be an int, got {n_max!r}")
+
+
 def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
-    """The one truncation gate of the routes: DomainError for n_max < 0,
-    TruncationTooShort for a pair not known through t^n_max, and otherwise
-    the pair truncated at answer_trunc(n_max), or the pair itself when it
-    is already that short."""
+    """The one truncation gate of the routes: DomainError for an n_max that
+    is not an int or is < 0, TruncationTooShort for a pair not known through
+    t^n_max, and otherwise the pair truncated at answer_trunc(n_max), or the
+    pair itself when it is already that short."""
+    _check_n_max(n_max)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     if pair.trunc < n_max + 1:
@@ -141,6 +146,7 @@ def sheffer_transfer(pair: ShefferPair, n: int) -> Poly:
 
 def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     """[S_1 .. S_{n_max}] by the operator route, sharing the inversions."""
+    _check_n_max(n_max)
     if n_max < 1:
         raise DomainError("the transfer route is stated for n >= 1 only")
     pair = _cut(pair, n_max)
@@ -163,6 +169,7 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
     to the largest degree among polys[0 .. n_max] (n_max when that is
     larger) and the same values are compared."""
+    _check_n_max(n_max)
     if len(polys) < n_max + 1:
         raise DomainError(
             f"orthogonality up to n_max = {n_max} needs {n_max + 1} polynomials "

@@ -217,6 +217,14 @@ class TestPoissonCharlier:
     def test_eval_variant(self):
         assert poisson_charlier(2, F(2), x_eval=3) == poisson_charlier(2, F(2)).eval(3)
 
+    @pytest.mark.parametrize("a", [F(2), F(-1, 3), F(5, 2), 1])
+    def test_value_matches_polynomial(self, a):
+        # the running-product value against the polynomial evaluated at x
+        for n in range(9):
+            p = poisson_charlier(n, a)
+            for x in range(-2, 7):
+                assert poisson_charlier(n, a, x_eval=x) == p.eval(x)
+
     def test_zero_parameter_rejected(self):
         with pytest.raises(DivisionByZero):
             poisson_charlier(2, 0)

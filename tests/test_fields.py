@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from umbralkit import EvalPole, LAMBDA, QL, QQ, RatFunc
 from umbralkit.fields import (
-    _P, _coprime_mod_p, _zgcd, _zgcd_prs, latex_scalar, vec_add, vec_mul,
+    _P, _coprime_mod_p, _zexact_div, _zgcd, _zgcd_prs, _zquo, latex_scalar, vec_add,
+    vec_dot, vec_mul,
 )
 
 from conftest import fractions, ratfuncs
@@ -167,6 +168,143 @@ class TestGcdFastPath:
     @settings(max_examples=60, deadline=None)
     def test_ratfunc_ops_shared_denominator_factor(self, ab):
         self._check_ops(*ab)
+
+
+def _planted_terms():
+    """Lists of Q(L) elements with planted factors (1-L)^k and (L+2)^j in
+    numerators and denominators, so that products and sums share and
+    cancel factors; with zeros and int and Fraction constants."""
+    small = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
+    planted = st.tuples(st.integers(0, 3), st.integers(0, 2)).map(
+        lambda kj: vec_mul(_pow((1, -1), kj[0]), _pow((2, 1), kj[1]))
+    )
+
+    def build(t):
+        num, pn, rest, pd = t
+        return RatFunc(vec_mul(tuple(num), pn), vec_mul(rest, pd))
+
+    element = st.tuples(
+        small, planted, st.sampled_from([(1,), (1, 1), (3, 0, 1)]), planted
+    ).map(build)
+    entry = st.one_of(element, element, st.just(RatFunc(0)), st.integers(-3, 3), fractions())
+    return st.lists(entry, max_size=6)
+
+
+def _pow(base, k):
+    out = (1,)
+    for _ in range(k):
+        out = vec_mul(out, base)
+    return out
+
+
+def _plain_dot(a, b, w=None):
+    acc = QL.zero
+    for i, (x, y) in enumerate(zip(a, b)):
+        acc += (1 if w is None else w[i]) * x * y
+    return acc
+
+
+def _same_form(x, y):
+    """Structural equality of canonical forms: scale, numerator, denominator."""
+    return (x.scale, x._n, x._d) == (y.scale, y._n, y._d)
+
+
+class TestVecDot:
+    """``vec_dot`` over Q(L), one normalisation, against the ``+=`` loop."""
+
+    @given(a=_planted_terms(), b=_planted_terms())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_plain_loop(self, a, b):
+        assert _same_form(vec_dot(a, b, QL.zero), _plain_dot(a, b))
+
+    @given(a=_planted_terms(), b=_planted_terms(), w=st.lists(st.integers(-30, 30), min_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_matches_plain_loop(self, a, b, w):
+        assert _same_form(vec_dot(a, b, QL.zero, w), _plain_dot(a, b, w))
+
+    @given(a=_planted_terms(), b=_planted_terms())
+    @settings(max_examples=60, deadline=None)
+    def test_cancelling_terms(self, a, b):
+        # a.b + a.(-b) sums to zero
+        a = a[: len(b)]
+        b = b[: len(a)]
+        got = vec_dot(a + a, b + [-QL.coerce(y) for y in b], QL.zero)
+        assert _same_form(got, QL.zero)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([L, RatFunc(1)], [1 / (1 - L), -1 / (1 - L)]),  # (L - 1)/(1 - L) = -1
+            ([1 / (1 - L) ** 2, 1 / (1 - L)], [L, 1]),  # 1/(1-L)^2 after one gcd
+            ([L + 2, L], [1 / ((L + 2) * (1 - L)), 1 / (L + 2)]),
+            ([F(1, 2), F(2, 3), 3], [F(1, 3), L, 1 / (L + 2)]),
+            ([], []),
+            ([RatFunc(0), L], [L, RatFunc(0)]),
+        ],
+    )
+    def test_examples(self, a, b):
+        assert _same_form(vec_dot(a, b, QL.zero), _plain_dot(a, b))
+
+    def test_over_q_is_the_plain_loop(self):
+        assert vec_dot([F(1, 2), 0, 3], [F(2, 3), 5, F(1, 6)], F(0)) == F(5, 6)
+        assert vec_dot([F(1, 2), 0, 3], [F(2, 3), 5, F(1, 6)], F(0), [3, 7, -2]) == F(0)
+        assert vec_dot([], [], F(0)) == F(0)
+
+    @given(a=st.lists(ratfuncs(), max_size=4), b=st.lists(ratfuncs(), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_series_product(self, a, b):
+        # vec_mul over Q(L) routes each coefficient through vec_dot
+        got = vec_mul(a, b, QL.zero)
+        want = [QL.zero] * (len(a) + len(b) - 1 if a and b else 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                want[i + j] += x * y
+        assert len(got) == len(want)
+        assert all(_same_form(x, y) for x, y in zip(got, want))
+
+
+class TestZquo:
+    """``_zquo``: the Z[L] quotient or None, certain either way."""
+
+    @given(q=_zpolys(4), b=_zpolys(4))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_quotient(self, q, b):
+        a = vec_mul(q, b)
+        assert _zquo(a, b) == _zexact_div(a, b) == tuple(q)
+
+    @given(a=_zpolys(5), b=_zpolys(4))
+    @settings(max_examples=100, deadline=None)
+    def test_none_only_without_quotient(self, a, b):
+        q = _zquo(a, b)
+        if q is not None:
+            assert vec_mul(q, b) == tuple(a)
+            return
+        # no quotient over Z[L]: long division over Q leaves a remainder
+        # or a non-integral quotient
+        r = [F(c) for c in a]
+        quo = []
+        while len(r) >= len(b):
+            c = r[-1] / b[-1]
+            quo.append(c)
+            for j, bc in enumerate(b):
+                r[len(r) - len(b) + j] -= c * bc
+            r.pop()
+        assert any(r) or any(c.denominator != 1 for c in quo)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ((1, 0, 1), (1, 2)),  # L^2 + 1 by 2L + 1: lead not divisible
+            ((1, 0, 1), (1, 1)),  # L^2 + 1 by L + 1: remainder 2
+            ((2, 1), (1, 0, 1)),  # shorter than the divisor
+            ((3, 3), (2,)),  # divisible over Q, not over Z
+        ],
+    )
+    def test_not_divisible(self, a, b):
+        assert _zquo(a, b) is None
+
+    def test_zero_dividend(self):
+        assert _zquo((), (1, 1)) == _zexact_div((), (1, 1)) == ()
 
 
 class TestEval:

@@ -8,6 +8,7 @@ import pytest
 from umbralkit import (
     DomainError,
     IdentityReport,
+    UmbralError,
     UnknownIdentity,
     aggregate_pass,
     b2_convolution,
@@ -19,7 +20,10 @@ from umbralkit import (
     run_registry,
     verify_identity,
 )
-from umbralkit import FamilySpec, bespoke_pair, catalog_pair, family_polys
+from umbralkit import (
+    FamilySpec, bespoke_pair, catalog_pair, family_polys, orthogonality_failure, sheffer_gf,
+    sheffer_transfer_all,
+)
 from umbralkit.identities import (
     FAMILY_NAMES,
     IDENTITY_TAGS,
@@ -164,6 +168,26 @@ class TestDomainHandling:
         with pytest.raises(DomainError):
             verify_identity(tag, params, 2)
         assert verify_identity_report_errors(tag, params, 2).status == "domain_error"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: sheffer_gf(catalog_pair(FamilySpec.make("bernoulli", 1), T=4), 2.0),
+            lambda: sheffer_transfer_all(catalog_pair(FamilySpec.make("bernoulli", 1), T=4), 2.0),
+            lambda: orthogonality_failure(catalog_pair(FamilySpec.make("bernoulli", 1), T=4), [], 2.0),
+            lambda: verify_identity("T2", {}, 2.0),
+            lambda: family_polys("bernoulli", 1, 2.5),
+            lambda: verify_identity("C5", {}, True),
+        ],
+        ids=["sheffer_gf", "sheffer_transfer_all", "orthogonality_failure", "T2", "family_polys", "C5"],
+    )
+    def test_non_int_n_max_is_typed_error(self, call):
+        with pytest.raises(UmbralError, match="n_max must be an int"):
+            call()
+
+    @pytest.mark.parametrize("tag,n_max", [("T2", 2.0), ("C5", True)])
+    def test_non_int_n_max_report(self, tag, n_max):
+        assert verify_identity_report_errors(tag, {}, n_max).status == "domain_error"
 
     def test_grid_entry_becomes_domain_error_report(self):
         report = verify_identity_report_errors("T6", {"a": 1, "c": F(0), "lam": None}, 4)

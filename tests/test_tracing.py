@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import umbralkit  # noqa: F401  (loads every module the tracer patches)
-from umbralkit import QL, dsl, umbral
+from umbralkit import LAMBDA as L, Poly, QL, dsl, umbral
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 try:
@@ -35,6 +35,9 @@ def test_tracer_counts_a_lambda_pair_and_restores_originals():
         pair = umbral.ShefferPair(g, f)
         polys = umbral.sheffer_gf(pair, 2)
         assert umbral.sheffer_transfer_all(pair, 2) == polys[1:]
+        # the routes build their polynomials without Poly additions, so one
+        # explicit sum shows that the poly.add span counts real calls
+        assert polys[1] + polys[2] == Poly(QL, [2 * L / (L - 1) ** 2, (L + 1) / (L - 1), 1])
     finally:
         tracer.remove()
     calls = tracer.snapshot()["calls"]

@@ -39,7 +39,7 @@ from umbralkit import (
     FamilySpec,
 )
 
-from conftest import qq_polys, qq_series
+from conftest import qq_polys, qq_series, ratfuncs
 
 T = 12
 
@@ -114,6 +114,32 @@ class TestOperator:
         p = Poly(QQ, [2, -1, 0, 3])
         a = F(5, 2)
         assert operator_apply(exp_ct(QQ, a, T), p) == p.shift_arg(a)
+
+    @staticmethod
+    def _by_derivatives(f, p):
+        """The definition f(t) p(x) = sum_k f[k] p^(k)(x), as a chain of
+        Poly derivatives and sums."""
+        out = Poly(p.field)
+        deriv = p
+        for k in range(p.degree + 1):
+            out = out + deriv * f.coeffs[k]
+            deriv = deriv.derivative()
+        return out
+
+    @given(f=qq_series(9), p=qq_polys(max_degree=8))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_derivative_chain_q(self, f, p):
+        assert operator_apply(f, p) == self._by_derivatives(f, p)
+
+    @given(
+        fc=st.lists(ratfuncs(), min_size=5, max_size=5),
+        pc=st.lists(ratfuncs(), min_size=0, max_size=5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_matches_derivative_chain_ql(self, fc, pc):
+        # RatFunc equality compares canonical forms structurally
+        f, p = Series(QL, fc), Poly(QL, pc)
+        assert operator_apply(f, p) == self._by_derivatives(f, p)
 
 
 class TestShefferPair:
@@ -375,6 +401,22 @@ class TestLargerN:
         # T2[a=-1], b = 1/2, symbolic lambda: the slowest registry pair
         n = 20
         pair = bespoke_pair("T2", 2 * n, order=-1, b=F(1, 2), lam=None)
+        polys = sheffer_gf(pair, n)
+        assert [p.degree for p in polys] == list(range(n + 1))
+        assert sheffer_transfer_all(pair, n) == polys[1:]
+        assert orthogonality_failure(pair, polys, n) is None
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pytest.param(lambda n: bespoke_pair("T6", 2 * n, order=-1, c=F(1, 2), lam=None), id="T6"),
+            pytest.param(lambda n: catalog_pair(FamilySpec.make("daehee", 1), T=2 * n), id="daehee"),
+        ],
+    )
+    def test_symbolic_n20(self, pair):
+        # T6[a=-1] with c = 1/2 and the Daehee family, symbolic lambda
+        n = 20
+        pair = pair(n)
         polys = sheffer_gf(pair, n)
         assert [p.degree for p in polys] == list(range(n + 1))
         assert sheffer_transfer_all(pair, n) == polys[1:]
