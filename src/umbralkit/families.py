@@ -160,6 +160,7 @@ def _binomial_kernel_poly(factor: Series, n: int) -> Poly:
 
 def bernoulli_poly(a: int, n: int) -> Poly:
     """Bernoulli polynomial of (any integer) order a, degree n, over Q."""
+    _check_n_max(n)
     T = n + 1
     return _appell_poly(_bern_base(-a, T), n)
 
@@ -171,27 +172,32 @@ def bernoulli_value(a: int, n: int, at) -> Fraction:
 
 def bernoulli_number(a: int, n: int) -> Fraction:
     """B_n^(a) = B_n^(a)(0) = n! [t^n] (t/(e^t-1))^a."""
+    _check_n_max(n)
     return factorial(n) * _bern_base(-a, n + 1).coeffs[n]
 
 
 def euler_poly(alpha: int, n: int) -> Poly:
     """Euler polynomial of order alpha, degree n, over Q."""
+    _check_n_max(n)
     return _appell_poly(_euler_base(-alpha, n + 1), n)
 
 
 def frobenius_euler_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-Euler H_n^(a)(x|lam); symbolic over Q(L) when lam is None."""
+    _check_n_max(n)
     return _appell_poly(_fe_g(-a, lam, n + 1), n)
 
 
 def frobenius_eulerian_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-type Eulerian A_n^(a)(x|lam)."""
+    _check_n_max(n)
     return _appell_poly(_fte_g(-a, lam, n + 1), n)
 
 
 def narumi_poly(a: int, n: int) -> Poly:
     """Narumi polynomial N_n^(a)(x) over Q (note the GF carries n!, not 1/n!...
     precisely: (log(1+t)/t)^a (1+t)^x = sum_n N_n^(a)(x) t^n / n!)."""
+    _check_n_max(n)
     return _binomial_kernel_poly(_narumi_base(a, n + 1), n)
 
 
@@ -200,6 +206,7 @@ def narumi_value(a: int, n: int, shift=0):
 
     ``shift`` may be any field element; rational shifts stay in Q.
     """
+    _check_n_max(n)
     T = n + 1
     base = _narumi_base(a, T)
     if isinstance(shift, RatFunc) and not shift.is_constant():
@@ -219,6 +226,7 @@ def narumi_number(a: int, n: int) -> Fraction:
 
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling numbers of the second kind, from (e^t - 1)^k."""
+    _check_n_max(n)
     if k < 0 or k > n:
         return Fraction(0)
     T = n + 1
@@ -228,6 +236,7 @@ def stirling2(n: int, k: int) -> Fraction:
 
 def stirling1(n: int, k: int) -> Fraction:
     """Signed Stirling numbers of the first kind: [x^k] (x)_n."""
+    _check_n_max(n)
     if k < 0 or k > n:
         return Fraction(0)
     return falling_factorial(QQ, n).coefficient(k)
@@ -238,6 +247,7 @@ def poisson_charlier(n: int, a, x_eval=None):
 
     Returns the polynomial, or its value when ``x_eval`` is given.
     """
+    _check_n_max(n)
     a = Fraction(a)
     if not a:
         raise DivisionByZero("Poisson-Charlier parameter a must be nonzero")
@@ -259,6 +269,7 @@ def poisson_charlier(n: int, a, x_eval=None):
 
 def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
     """Bernoulli polynomial of the second kind value b_n(x_shift)."""
+    _check_n_max(n)
     T = n + 1
     base = _bern2nd_base(T)
     shift = Fraction(x_shift)

@@ -259,8 +259,15 @@ def _b2_powers(c, n_max: int, T: int):
     return tuple(out)
 
 
+def _check_b2(n, l) -> None:
+    """DomainError unless the convolution is stated: n >= 1 factors, l >= 0."""
+    if n < 1 or l < 0:
+        raise DomainError(f"the convolution needs n >= 1 and l >= 0, got n = {n}, l = {l}")
+
+
 def b2_convolution(n: int, l: int, c) -> Fraction:
     """l! [t^l] (t(1+t)^c / log(1+t))^n — the n-fold convolution route."""
+    _check_b2(n, l)
     c = Fraction(c)
     series_n = _b2_powers(c, n, l + 1)[n - 1]
     return factorial(l) * series_n.coeffs[l]
@@ -268,6 +275,7 @@ def b2_convolution(n: int, l: int, c) -> Fraction:
 
 def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
     """Literal composition enumeration of the same convolution (slow oracle)."""
+    _check_b2(n, l)
     c = Fraction(c)
     values = [bernoulli_2nd(i, c) for i in range(l + 1)]
 

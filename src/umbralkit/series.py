@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .errors import (
     CompositionOrder,
+    DomainError,
     NotDelta,
     NotInvertible,
     OrderTooLow,
@@ -188,6 +189,8 @@ class Series(CoeffVector):
 
     def shift_div(self, k: int) -> "Series":
         """Exact division by t^k; truncation drops by k."""
+        if k < 0:
+            raise DomainError(f"shift must be >= 0, got {k}")
         if k == 0:
             return self
         if self.order() < k:
@@ -198,6 +201,8 @@ class Series(CoeffVector):
 
     def mul_t(self, k: int = 1) -> "Series":
         """Multiply by t^k, keeping the truncation order."""
+        if k < 0:
+            raise DomainError(f"shift must be >= 0, got {k}")
         if k >= self.trunc:
             return zero(self.field, self.trunc)
         return Series(self.field, (self.field.zero,) * k + self.coeffs[: self.trunc - k])
@@ -313,6 +318,8 @@ def t_series(field, T: int) -> Series:
 
 
 def monomial(field, k: int, T: int) -> Series:
+    if k < 0:
+        raise DomainError(f"degree must be >= 0, got {k}")
     out = [field.zero] * T
     if k < T:
         out[k] = field.one
@@ -329,7 +336,7 @@ def exp_ct(field, c, T: int) -> Series:
         acc = acc * c
         fact *= k
         out.append(acc * field.coerce(Fraction(1, 1) / fact))
-    return Series(field, out)
+    return Series(field, out, trunc=T)
 
 
 def log1p_series(field, T: int) -> Series:
@@ -338,7 +345,7 @@ def log1p_series(field, T: int) -> Series:
     for k in range(1, T):
         q = Fraction(1, k) if k % 2 else Fraction(-1, k)
         out.append(field.coerce(q))
-    return Series(field, out)
+    return Series(field, out, trunc=T)
 
 
 def one_plus_t_pow(field, c, T: int) -> Series:
@@ -349,7 +356,7 @@ def one_plus_t_pow(field, c, T: int) -> Series:
     for k in range(1, T):
         acc = acc * (c - (k - 1)) * field.coerce(Fraction(1, k))
         out.append(acc)
-    return Series(field, out)
+    return Series(field, out, trunc=T)
 
 
 # ---------------------------------------------------------------------- Poly
@@ -372,6 +379,8 @@ class Poly(CoeffVector):
 
     @classmethod
     def monomial(cls, field, n: int, c=1) -> "Poly":
+        if n < 0:
+            raise DomainError(f"degree must be >= 0, got {n}")
         return cls(field, [field.zero] * n + [field.coerce(c)])
 
     @classmethod
@@ -447,6 +456,8 @@ class Poly(CoeffVector):
 
 def falling_factorial(field, n: int) -> Poly:
     """(x)_n = x (x-1) ... (x-n+1); (x)_0 = 1."""
+    if n < 0:
+        raise DomainError(f"degree must be >= 0, got {n}")
     out = Poly.constant(field, field.one)
     x = Poly.x(field)
     for i in range(n):

@@ -90,9 +90,12 @@ def answer_trunc(n_max: int) -> int:
 
 
 def _check_n_max(n_max) -> None:
-    """DomainError unless n_max is an int (a bool is not taken for one)."""
+    """DomainError unless n_max is an int >= 0 (a bool is not taken for
+    one); the one check of a degree, here and in the families."""
     if isinstance(n_max, bool) or not isinstance(n_max, int):
         raise DomainError(f"n_max must be an int, got {n_max!r}")
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
 
 
 def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
@@ -101,8 +104,6 @@ def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
     t^n_max, and otherwise the pair truncated at answer_trunc(n_max), or the
     pair itself when it is already that short."""
     _check_n_max(n_max)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
     if pair.trunc < n_max + 1:
         raise TruncationTooShort(f"need truncation >= {n_max + 1}, have {pair.trunc}")
     T = answer_trunc(n_max)

@@ -277,6 +277,32 @@ class TestHelpers:
         assert multinomial((0, 4)) == 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bernoulli_poly(1, -1),
+        lambda: bernoulli_number(1, -1),
+        lambda: euler_poly(1, -2),
+        lambda: frobenius_euler_poly(1, -1),
+        lambda: frobenius_eulerian_poly(1, -1),
+        lambda: narumi_poly(1, -1),
+        lambda: narumi_number(1, -1),
+        lambda: stirling1(-1, 0),
+        lambda: stirling2(2.0, 1),
+        lambda: poisson_charlier(-1, 2),
+        lambda: bernoulli_2nd(-1),
+        lambda: bernoulli_number(1, 2.0),
+        lambda: euler_poly(1, True),
+    ],
+    ids=["bernoulli_poly", "bernoulli_number", "euler_poly", "frobenius_euler_poly",
+         "frobenius_eulerian_poly", "narumi_poly", "narumi_number", "stirling1", "stirling2",
+         "poisson_charlier", "bernoulli_2nd", "float", "bool"],
+)
+def test_bad_degree_is_domain_error(call):
+    with pytest.raises(DomainError, match="n_max must be"):
+        call()
+
+
 class TestCatalog:
     def test_bernoulli_pair_series(self):
         pair = catalog_pair(FamilySpec.make("bernoulli", 1), T=8)

@@ -115,6 +115,20 @@ class TestConvolutionOracles:
         c = F(1)
         assert b2_convolution(1, 1, c) == bernoulli_value(1, 1, c + 1) == F(3, 2)
 
+    @pytest.mark.parametrize(
+        "convolution,n,l",
+        [
+            (b2_convolution, 0, 1),
+            (b2_convolution, -1, 1),
+            (b2_convolution, 1, -1),
+            (b2_convolution_enumerated, 0, 1),
+            (b2_convolution_enumerated, 1, -1),
+        ],
+    )
+    def test_outside_domain(self, convolution, n, l):
+        with pytest.raises(DomainError, match="needs n >= 1 and l >= 0"):
+            convolution(n, l, 1)
+
     def test_matches_narumi_route(self):
         c = F(1)
         assert narumi_value(-1, 1, c) == F(3, 2)

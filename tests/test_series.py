@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from umbralkit import (
     CompositionOrder,
+    DomainError,
     NotDelta,
     NotInvertible,
     OrderTooLow,
@@ -15,12 +16,14 @@ from umbralkit import (
     QL,
     QQ,
     Series,
+    TruncationTooShort,
     UnitConstantRequired,
     exp_ct,
     falling_factorial,
     log1p_series,
     monomial,
     one,
+    one_plus_t_pow,
     t_series,
     stirling1,
 )
@@ -205,6 +208,21 @@ class TestShift:
         back = f.shift_div(2).mul_t(2)
         assert back.trunc == 4 and back.coeffs == f.coeffs[:4]
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: monomial(QQ, -1, 3),
+            lambda: Poly.monomial(QQ, -1),
+            lambda: t_series(QQ, 4).mul_t(-1),
+            lambda: t_series(QQ, 4).shift_div(-1),
+            lambda: falling_factorial(QQ, -1),
+        ],
+        ids=["monomial", "Poly.monomial", "mul_t", "shift_div", "falling_factorial"],
+    )
+    def test_negative_shift_or_degree(self, call):
+        with pytest.raises(DomainError, match="must be >= 0, got -1"):
+            call()
+
 
 class TestNamedSeries:
     def test_exp_ct(self):
@@ -212,6 +230,20 @@ class TestNamedSeries:
 
     def test_log1p(self):
         assert log1p_series(QQ, 4) == S(0, 1, F(-1, 2), F(1, 3))
+
+    @pytest.mark.parametrize("T", [0, -1])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda T: exp_ct(QQ, 1, T),
+            lambda T: log1p_series(QQ, T),
+            lambda T: one_plus_t_pow(QQ, F(1, 2), T),
+        ],
+        ids=["exp_ct", "log1p_series", "one_plus_t_pow"],
+    )
+    def test_truncation_below_one(self, make, T):
+        with pytest.raises(TruncationTooShort):
+            make(T)
 
     def test_exp_lambda(self):
         got = exp_ct(QL, LAMBDA - 1, 3)
