@@ -16,18 +16,12 @@ from fractions import Fraction
 
 from . import __version__
 from .dsl import eval_expr, parse_expr, uses_lambda
-from .errors import DomainError, ParseError, UmbralError, UnknownIdentity
+from .errors import (
+    _SYMBOLIC, DomainError, ParseError, UmbralError, UnknownIdentity, integer_order,
+)
 from .families import family_polys
 from .fields import QL, QQ, format_terms
-from .identities import (
-    _SYMBOLIC,
-    IDENTITY_TAGS,
-    REGISTRY,
-    aggregate_pass,
-    default_grid,
-    integer_order,
-    run_registry,
-)
+from .identities import IDENTITY_TAGS, REGISTRY, aggregate_pass, default_grid, run_registry
 from .series import Poly, working_trunc
 from .umbral import ShefferPair, sheffer_gf, sheffer_transfer_all
 

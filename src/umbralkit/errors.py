@@ -1,4 +1,7 @@
-"""Exception types shared across the kernel."""
+"""Exception types shared across the kernel, and the argument domains that
+raise them."""
+
+from fractions import Fraction
 
 
 class UmbralError(Exception):
@@ -67,3 +70,55 @@ class ParseError(UmbralError):
 
 class UnboundSymbol(UmbralError):
     """The symbol L used without a Q(L) field or a bound rational value."""
+
+
+# ---------------------------------------------------------------------------
+# argument domains
+# ---------------------------------------------------------------------------
+#
+# A domain takes (parameter name, value) and returns the value in canonical
+# form, or raises DomainError; None stands for a value not given.  They are
+# the registry's parameter schema and the one check of the integer and
+# rational arguments of the series, the routes and the families.
+
+_SYMBOLIC = (None, "sym", "L", "symbolic")
+
+
+def integer_order(key, v):
+    """An int; a bool is not taken for one."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise DomainError(f"{key} must be an int, got {v!r}")
+
+
+def nonnegative_integer(key, v, least=0):
+    """An int >= least (0 unless the operation is stated from 1 on)."""
+    if integer_order(key, v) >= least:
+        return v
+    raise DomainError(f"{key} must be >= {least}, got {v}")
+
+
+def rational(key, v):
+    """An exact rational: a float (a binary approximation) or a bool is not."""
+    if not isinstance(v, (float, bool)):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError, TypeError):
+            pass
+    raise DomainError(f"{key} must be an exact rational, got {v!r}")
+
+
+def nonzero_rational(key, v):
+    if v is not None and (q := rational(key, v)):
+        return q
+    raise DomainError(f"{key} != 0 is required")
+
+
+def lambda_value(key, v):
+    """None for the symbol L; otherwise a rational other than 1, which is a
+    pole of every Frobenius denominator (EvalPole)."""
+    if v in _SYMBOLIC:
+        return None
+    if (q := rational(key, v)) == 1:
+        raise EvalPole("lambda = 1 is excluded for Frobenius families")
+    return q

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import DivisionByZero, DomainError, EvalPole
+from .errors import DivisionByZero, integer_order, lambda_value, nonnegative_integer, rational
 from .fields import QL, QQ, LAMBDA, RatFunc
 from .series import (
     Poly,
@@ -31,7 +31,7 @@ from .series import (
     t_series,
     working_trunc,
 )
-from .umbral import ShefferPair, _check_n_max, answer_trunc, sheffer_gf
+from .umbral import ShefferPair, answer_trunc, sheffer_gf
 
 
 def binom(n: int, k: int) -> int:
@@ -42,8 +42,7 @@ def binom(n: int, k: int) -> int:
 
 def gen_binom(c, m: int):
     """Generalized binomial coefficient C(c, m) = c(c-1)...(c-m+1)/m!."""
-    if m < 0:
-        raise DomainError("generalized binomial needs m >= 0")
+    c, m = rational("c", c), nonnegative_integer("m", m)
     acc = Fraction(1)
     for i in range(m):
         acc = acc * (c - i)
@@ -67,12 +66,8 @@ def multinomial(parts) -> int:
 
 def _lam_field(lam):
     """(field, lambda element) for symbolic (None) or rational lambda."""
-    if lam is None:
-        return QL, LAMBDA
-    lam = Fraction(lam)
-    if lam == 1:
-        raise EvalPole("lambda = 1 is excluded for Frobenius families")
-    return QQ, lam
+    lam = lambda_value("lam", lam)
+    return (QL, LAMBDA) if lam is None else (QQ, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -160,45 +155,46 @@ def _binomial_kernel_poly(factor: Series, n: int) -> Poly:
 
 def bernoulli_poly(a: int, n: int) -> Poly:
     """Bernoulli polynomial of (any integer) order a, degree n, over Q."""
-    _check_n_max(n)
-    T = n + 1
-    return _appell_poly(_bern_base(-a, T), n)
+    n = nonnegative_integer("n_max", n)
+    return _appell_poly(_bern_base(-integer_order("a", a), n + 1), n)
 
 
 def bernoulli_value(a: int, n: int, at) -> Fraction:
     """B_n^(a) evaluated at a rational point."""
-    return bernoulli_poly(a, n).eval(Fraction(at))
+    return bernoulli_poly(a, n).eval(rational("at", at))
 
 
 def bernoulli_number(a: int, n: int) -> Fraction:
     """B_n^(a) = B_n^(a)(0) = n! [t^n] (t/(e^t-1))^a."""
-    _check_n_max(n)
-    return factorial(n) * _bern_base(-a, n + 1).coeffs[n]
+    n = nonnegative_integer("n_max", n)
+    return factorial(n) * _bern_base(-integer_order("a", a), n + 1).coeffs[n]
 
 
 def euler_poly(alpha: int, n: int) -> Poly:
     """Euler polynomial of order alpha, degree n, over Q."""
-    _check_n_max(n)
-    return _appell_poly(_euler_base(-alpha, n + 1), n)
+    n = nonnegative_integer("n_max", n)
+    return _appell_poly(_euler_base(-integer_order("alpha", alpha), n + 1), n)
 
 
 def frobenius_euler_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-Euler H_n^(a)(x|lam); symbolic over Q(L) when lam is None."""
-    _check_n_max(n)
-    return _appell_poly(_fe_g(-a, lam, n + 1), n)
+    n = nonnegative_integer("n_max", n)
+    lam = lambda_value("lam", lam)
+    return _appell_poly(_fe_g(-integer_order("a", a), lam, n + 1), n)
 
 
 def frobenius_eulerian_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-type Eulerian A_n^(a)(x|lam)."""
-    _check_n_max(n)
-    return _appell_poly(_fte_g(-a, lam, n + 1), n)
+    n = nonnegative_integer("n_max", n)
+    lam = lambda_value("lam", lam)
+    return _appell_poly(_fte_g(-integer_order("a", a), lam, n + 1), n)
 
 
 def narumi_poly(a: int, n: int) -> Poly:
     """Narumi polynomial N_n^(a)(x) over Q (note the GF carries n!, not 1/n!...
     precisely: (log(1+t)/t)^a (1+t)^x = sum_n N_n^(a)(x) t^n / n!)."""
-    _check_n_max(n)
-    return _binomial_kernel_poly(_narumi_base(a, n + 1), n)
+    n = nonnegative_integer("n_max", n)
+    return _binomial_kernel_poly(_narumi_base(integer_order("a", a), n + 1), n)
 
 
 def narumi_value(a: int, n: int, shift=0):
@@ -206,14 +202,13 @@ def narumi_value(a: int, n: int, shift=0):
 
     ``shift`` may be any field element; rational shifts stay in Q.
     """
-    _check_n_max(n)
-    T = n + 1
-    base = _narumi_base(a, T)
+    T = nonnegative_integer("n_max", n) + 1
+    base = _narumi_base(integer_order("a", a), T)
     if isinstance(shift, RatFunc) and not shift.is_constant():
         base = Series(QL, base.coeffs)
         kernel = one_plus_t_pow(QL, shift, T)
     else:
-        shift = Fraction(shift) if not isinstance(shift, RatFunc) else shift.as_rat()
+        shift = rational("shift", shift.as_rat() if isinstance(shift, RatFunc) else shift)
         if not shift:
             return factorial(n) * base.coeffs[n]
         kernel = one_plus_t_pow(QQ, shift, T)
@@ -226,8 +221,8 @@ def narumi_number(a: int, n: int) -> Fraction:
 
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling numbers of the second kind, from (e^t - 1)^k."""
-    _check_n_max(n)
-    if k < 0 or k > n:
+    n = nonnegative_integer("n_max", n)
+    if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
     T = n + 1
     s = (exp_ct(QQ, 1, T) - 1).pow_int(k)
@@ -236,8 +231,8 @@ def stirling2(n: int, k: int) -> Fraction:
 
 def stirling1(n: int, k: int) -> Fraction:
     """Signed Stirling numbers of the first kind: [x^k] (x)_n."""
-    _check_n_max(n)
-    if k < 0 or k > n:
+    n = nonnegative_integer("n_max", n)
+    if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
     return falling_factorial(QQ, n).coefficient(k)
 
@@ -247,13 +242,12 @@ def poisson_charlier(n: int, a, x_eval=None):
 
     Returns the polynomial, or its value when ``x_eval`` is given.
     """
-    _check_n_max(n)
-    a = Fraction(a)
+    n, a = nonnegative_integer("n_max", n), rational("a", a)
     if not a:
         raise DivisionByZero("Poisson-Charlier parameter a must be nonzero")
     if x_eval is not None:
         # the same sum at x, with (x)_k as a running product
-        x = Fraction(x_eval)
+        x = rational("x_eval", x_eval)
         value = Fraction(0)
         falling = Fraction(1)
         for k in range(n + 1):
@@ -269,10 +263,9 @@ def poisson_charlier(n: int, a, x_eval=None):
 
 def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
     """Bernoulli polynomial of the second kind value b_n(x_shift)."""
-    _check_n_max(n)
-    T = n + 1
+    T = nonnegative_integer("n_max", n) + 1
     base = _bern2nd_base(T)
-    shift = Fraction(x_shift)
+    shift = rational("x_shift", x_shift)
     if shift:
         base = base * one_plus_t_pow(QQ, shift, T)
     return factorial(n) * base.coeffs[n]
@@ -361,8 +354,10 @@ def _t10_pair(T, a, b, c, lam, m):
 class FamilySpec:
     """A named family plus its order and parameters.
 
-    ``params`` keys: ``lam`` (None for symbolic, Fraction otherwise) for the
-    Frobenius and Daehee families, ``a`` for Poisson-Charlier.
+    ``params`` keys are the registry parameters of the name other than its
+    order: ``lam`` (None for symbolic, a rational otherwise) for the
+    Frobenius and Daehee families and the lambda tags, ``a`` for
+    Poisson-Charlier, and ``b``, ``c`` and ``m`` for the tags that take them.
     """
 
     name: str
@@ -390,7 +385,7 @@ def family_polys(name: str, order: int, n_max: int, **params) -> list:
     """P_0 .. P_{n_max} of a registry name with a pair, read off its
     generating function 1/g(fbar(t)) e^{x fbar(t)} by ``sheffer_gf``;
     ``params`` as in ``FamilySpec.make`` (``lam``, ``a``, ``b``, ``c``, ``m``)."""
-    _check_n_max(n_max)
+    nonnegative_integer("n_max", n_max)
     pair = catalog_pair(FamilySpec.make(name, order, **params), T=answer_trunc(n_max))
     return sheffer_gf(pair, n_max)
 

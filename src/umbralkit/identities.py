@@ -39,7 +39,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import DomainError, UnknownIdentity
+from .errors import (
+    _SYMBOLIC, DomainError, UnknownIdentity, integer_order, lambda_value, nonnegative_integer,
+    nonzero_rational, rational,
+)
 from .families import (
     _bernoulli_2nd_pair,
     _bernoulli_pair,
@@ -75,7 +78,7 @@ from .families import (
 )
 from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
 from .fields import QQ
-from .umbral import ShefferPair, _check_n_max, answer_trunc, sheffer_transfer_all
+from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
 
 
 @dataclass(frozen=True)
@@ -120,48 +123,6 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 # parameter schema
 # ---------------------------------------------------------------------------
-#
-# A domain takes (parameter name, value) and returns the value in canonical
-# form, or raises DomainError; None stands for a value not given.
-
-_SYMBOLIC = (None, "sym", "L", "symbolic")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def integer_order(key, v):
-    if _is_int(v):
-        return v
-    raise DomainError(f"{key} must be an integer")
-
-
-def nonnegative_integer(key, v):
-    if _is_int(v) and v >= 0:
-        return v
-    raise DomainError(f"{key} must be a nonnegative integer")
-
-
-def nonzero_rational(key, v):
-    if v is not None and (q := rational(key, v)):
-        return q
-    raise DomainError(f"{key} != 0 is required")
-
-
-def rational(key, v):
-    """An exact rational: a float (a binary approximation) or a bool is not."""
-    if not isinstance(v, (float, bool)):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError, TypeError):
-            pass
-    raise DomainError(f"{key} must be an exact rational, got {v!r}")
-
-
-def lambda_value(key, v):
-    """None for the symbol L; otherwise a rational other than 1."""
-    return None if v in _SYMBOLIC else _lam_field(rational(key, v))[1]
 
 
 @dataclass(frozen=True)
@@ -215,6 +176,7 @@ def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
     entry = REGISTRY.get(name)
     if entry is None or entry.pair is None:
         raise DomainError(f"no Sheffer pair named {name!r}")
+    integer_order("T", T)
     given = {q.name: order if q.domain is integer_order else params.get(q.name)
              for q in entry.params}
     # built with a margin so both members come out truncated at exactly T
@@ -259,24 +221,19 @@ def _b2_powers(c, n_max: int, T: int):
     return tuple(out)
 
 
-def _check_b2(n, l) -> None:
-    """DomainError unless the convolution is stated: n >= 1 factors, l >= 0."""
-    if n < 1 or l < 0:
-        raise DomainError(f"the convolution needs n >= 1 and l >= 0, got n = {n}, l = {l}")
-
-
 def b2_convolution(n: int, l: int, c) -> Fraction:
-    """l! [t^l] (t(1+t)^c / log(1+t))^n — the n-fold convolution route."""
-    _check_b2(n, l)
-    c = Fraction(c)
+    """l! [t^l] (t(1+t)^c / log(1+t))^n — the n-fold convolution route,
+    stated for n >= 1 factors and l >= 0."""
+    n, l = nonnegative_integer("n", n, 1), nonnegative_integer("l", l)
+    c = rational("c", c)
     series_n = _b2_powers(c, n, l + 1)[n - 1]
     return factorial(l) * series_n.coeffs[l]
 
 
 def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
     """Literal composition enumeration of the same convolution (slow oracle)."""
-    _check_b2(n, l)
-    c = Fraction(c)
+    n, l = nonnegative_integer("n", n, 1), nonnegative_integer("l", l)
+    c = rational("c", c)
     values = [bernoulli_2nd(i, c) for i in range(l + 1)]
 
     def rec(slots: int, remaining: int):
@@ -560,9 +517,7 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
     when it is not given.
     """
     entry = _identity(tag)
-    _check_n_max(n_max)
-    if n_max < 1:
-        raise DomainError("n_max must be >= 1")
+    nonnegative_integer("n_max", n_max, 1)
     p = check_params(tag, params or {})
     if entry.pair is None:
         status, ces, note = entry.check(p, n_max)

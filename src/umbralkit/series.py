@@ -17,12 +17,13 @@ from fractions import Fraction
 
 from .errors import (
     CompositionOrder,
-    DomainError,
     NotDelta,
     NotInvertible,
     OrderTooLow,
     TruncationTooShort,
     UnitConstantRequired,
+    integer_order,
+    nonnegative_integer,
 )
 from .fields import (
     format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
@@ -87,7 +88,7 @@ class Series(CoeffVector):
     def __init__(self, field, coeffs, trunc: int | None = None):
         coeffs = [field.coerce(c) for c in coeffs]
         if trunc is not None:
-            if trunc < 1:
+            if integer_order("trunc", trunc) < 1:
                 raise TruncationTooShort("truncation order must be >= 1")
             coeffs = (coeffs + [field.zero] * trunc)[:trunc]
         elif not coeffs:
@@ -189,9 +190,7 @@ class Series(CoeffVector):
 
     def shift_div(self, k: int) -> "Series":
         """Exact division by t^k; truncation drops by k."""
-        if k < 0:
-            raise DomainError(f"shift must be >= 0, got {k}")
-        if k == 0:
+        if nonnegative_integer("shift", k) == 0:
             return self
         if self.order() < k:
             raise OrderTooLow(f"order {self.order()} < shift {k}")
@@ -201,15 +200,13 @@ class Series(CoeffVector):
 
     def mul_t(self, k: int = 1) -> "Series":
         """Multiply by t^k, keeping the truncation order."""
-        if k < 0:
-            raise DomainError(f"shift must be >= 0, got {k}")
-        if k >= self.trunc:
+        if nonnegative_integer("shift", k) >= self.trunc:
             return zero(self.field, self.trunc)
         return Series(self.field, (self.field.zero,) * k + self.coeffs[: self.trunc - k])
 
     def pow_int(self, n: int) -> "Series":
         """Integer power; negative n needs an invertible base."""
-        if n == 0:
+        if integer_order("n", n) == 0:
             return one(self.field, self.trunc)
         base = self
         if n < 0:
@@ -318,12 +315,7 @@ def t_series(field, T: int) -> Series:
 
 
 def monomial(field, k: int, T: int) -> Series:
-    if k < 0:
-        raise DomainError(f"degree must be >= 0, got {k}")
-    out = [field.zero] * T
-    if k < T:
-        out[k] = field.one
-    return Series(field, out)
+    return Series(field, [field.zero] * nonnegative_integer("degree", k) + [field.one], trunc=T)
 
 
 def exp_ct(field, c, T: int) -> Series:
@@ -379,9 +371,7 @@ class Poly(CoeffVector):
 
     @classmethod
     def monomial(cls, field, n: int, c=1) -> "Poly":
-        if n < 0:
-            raise DomainError(f"degree must be >= 0, got {n}")
-        return cls(field, [field.zero] * n + [field.coerce(c)])
+        return cls(field, [field.zero] * nonnegative_integer("degree", n) + [field.coerce(c)])
 
     @classmethod
     def constant(cls, field, c) -> "Poly":
@@ -456,10 +446,8 @@ class Poly(CoeffVector):
 
 def falling_factorial(field, n: int) -> Poly:
     """(x)_n = x (x-1) ... (x-n+1); (x)_0 = 1."""
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
     out = Poly.constant(field, field.one)
     x = Poly.x(field)
-    for i in range(n):
+    for i in range(nonnegative_integer("degree", n)):
         out = out * (x - field.coerce(i))
     return out

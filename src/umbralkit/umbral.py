@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotDelta, NotInvertible, TruncationTooShort
+from .errors import (
+    DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
+)
 from .fields import vec_dot
 from .series import Poly, Series
 
@@ -89,22 +91,12 @@ def answer_trunc(n_max: int) -> int:
     return max(n_max + 1, 2)
 
 
-def _check_n_max(n_max) -> None:
-    """DomainError unless n_max is an int >= 0 (a bool is not taken for
-    one); the one check of a degree, here and in the families."""
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise DomainError(f"n_max must be an int, got {n_max!r}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-
-
 def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
     """The one truncation gate of the routes: DomainError for an n_max that
     is not an int or is < 0, TruncationTooShort for a pair not known through
     t^n_max, and otherwise the pair truncated at answer_trunc(n_max), or the
     pair itself when it is already that short."""
-    _check_n_max(n_max)
-    if pair.trunc < n_max + 1:
+    if pair.trunc < nonnegative_integer("n_max", n_max) + 1:
         raise TruncationTooShort(f"need truncation >= {n_max + 1}, have {pair.trunc}")
     T = answer_trunc(n_max)
     if pair.g.trunc <= T and pair.f.trunc <= T:
@@ -147,10 +139,7 @@ def sheffer_transfer(pair: ShefferPair, n: int) -> Poly:
 
 def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     """[S_1 .. S_{n_max}] by the operator route, sharing the inversions."""
-    _check_n_max(n_max)
-    if n_max < 1:
-        raise DomainError("the transfer route is stated for n >= 1 only")
-    pair = _cut(pair, n_max)
+    pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
     ginv = pair.g.inverse()
     t_over_f = pair.f.shift_div(1).inverse()
     out = []
@@ -170,8 +159,7 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
     to the largest degree among polys[0 .. n_max] (n_max when that is
     larger) and the same values are compared."""
-    _check_n_max(n_max)
-    if len(polys) < n_max + 1:
+    if len(polys) < nonnegative_integer("n_max", n_max) + 1:
         raise DomainError(
             f"orthogonality up to n_max = {n_max} needs {n_max + 1} polynomials "
             f"S_0 .. S_{n_max}, got {len(polys)}"

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -239,7 +240,8 @@ def test_criterion_6_series_kernel_properties(catalog_gf):
 
 
 def test_criterion_7_cli_contract():
-    """Documented commands byte-stable across runs; verify --all exits 0."""
+    """Documented commands byte-stable across runs; verify --all exits 0 and
+    prints the bytes of tests/data/verify_all.json."""
     failures = []
     documented = [
         ["expand", "t/(exp(t)-1)", "--order", "6", "--format", "json"],
@@ -262,4 +264,8 @@ def test_criterion_7_cli_contract():
     )
     if all_run.returncode != 0:
         failures.append(("verify --all", "exit", all_run.returncode))
+    # the registry's output is pinned byte for byte: a change to any report
+    # shows here, and CI compares the same file under every Python version
+    if all_run.stdout != (Path(__file__).parent / "data" / "verify_all.json").read_bytes():
+        failures.append(("verify --all", "bytes differ from tests/data/verify_all.json"))
     _report("7 (CLI contract)", failures)

@@ -211,7 +211,7 @@ class TestNegativeValues:
     def test_negative_m_is_domain_error(self, capsys):
         code, out = run_cli("family", "T10", "--b", "1", "--c", "1", "--m", "-1", "--n", "2")
         assert (code, out) == (2, "")
-        assert capsys.readouterr().err == "error: T10: m must be a nonnegative integer\n"
+        assert capsys.readouterr().err == "error: T10: m must be >= 0, got -1\n"
 
 
 class TestSheffer:

@@ -14,14 +14,17 @@ from umbralkit import (
     QL,
     QQ,
     Series,
+    b2_convolution,
     bernoulli_2nd,
     bernoulli_number,
     bernoulli_poly,
+    bernoulli_value,
     bespoke_pair,
     binom,
     catalog_pair,
     euler_poly,
     exp_ct,
+    falling_factorial,
     family_polys,
     frobenius_euler_poly,
     frobenius_eulerian_poly,
@@ -300,6 +303,48 @@ class TestHelpers:
 )
 def test_bad_degree_is_domain_error(call):
     with pytest.raises(DomainError, match="n_max must be"):
+        call()
+
+
+# Every public argument passes through one of the domains in umbralkit.errors:
+# a float is a binary approximation and a bool is not a number, so neither is
+# taken for an exact integer or rational, and text must parse as a rational.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: frobenius_euler_poly(1, 1, 0.1),
+        lambda: narumi_value(1, 1, 0.1),
+        lambda: poisson_charlier(2, 0.5),
+        lambda: bernoulli_2nd(2, 0.5),
+        lambda: bernoulli_value(1, 2, 0.5),
+        lambda: bernoulli_number(True, 2),
+        lambda: bernoulli_poly(1.5, 2),
+        lambda: stirling2(3, 1.5),
+        lambda: stirling1(3, 1.5),
+        lambda: gen_binom(1, 1.5),
+        lambda: b2_convolution(1.5, 1, 1),
+        lambda: monomial(QQ, 1.5, 3),
+        lambda: t_series(QQ, 4).mul_t(1.5),
+        lambda: falling_factorial(QQ, 2.0),
+        lambda: narumi_value(1, 2, "x"),
+        lambda: poisson_charlier(2, "a"),
+        lambda: Series(QQ, [1], trunc=2.5),
+        lambda: Series(QQ, [1], trunc=True),
+        lambda: Series(QQ, [1, 2, 3]).truncate(2.5),
+        lambda: catalog_pair(FamilySpec.make("bernoulli", 1), T=6.0),
+        lambda: bespoke_pair("T2", 6.0),
+        lambda: exp_ct(QQ, 1, 4).pow_int(1.5),
+        lambda: exp_ct(QQ, 1, 4).pow_int(True),
+    ],
+    ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
+         "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
+         "stirling1_k", "gen_binom_m", "b2_convolution_n", "monomial_degree", "mul_t_shift",
+         "falling_factorial_degree", "narumi_value_text", "poisson_charlier_text", "series_trunc",
+         "series_trunc_bool", "truncate", "catalog_pair_T", "bespoke_pair_T", "pow_int",
+         "pow_int_bool"],
+)
+def test_bad_argument_is_domain_error(call):
+    with pytest.raises(DomainError):
         call()
 
 
