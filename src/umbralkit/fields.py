@@ -18,9 +18,9 @@ proves the polynomials coprime.  Any other outcome falls back to the
 primitive pseudo-remainder sequence, so every answer stays certain.
 
 Every sum over Q(L) is normalised in one place, ``_ratfunc_dot``: a
-coefficient of a series product, an inverse or a reversion, the umbral
-applies (all through ``vec_dot``), and ``a + b`` itself, the sum
-1*a + 1*b.  Each product a_i*b_i is left unreduced (numerators,
+coefficient of a series product, an inverse, a composition or a reversion,
+the umbral applies (all through ``vec_dot``), and ``a + b`` itself, the
+sum 1*a + 1*b.  Each product a_i*b_i is left unreduced (numerators,
 denominators and rational scales multiplied); the numerators are summed
 over a running lcm of the denominators and a running lcm of the scales'
 integer denominators; one content extraction and one ``_lowest_terms`` at
@@ -57,7 +57,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd as _int_gcd
 
-from .errors import DivisionByZero, EvalPole
+from .errors import DivisionByZero, EvalPole, rational
 
 __all__ = [
     "RatFunc",
@@ -640,8 +640,8 @@ class RationalField:
     def coerce(self, v):
         if isinstance(v, Fraction):
             return v
-        if isinstance(v, int):
-            return Fraction(v)
+        if isinstance(v, (int, float)):
+            return rational("coefficient", v)
         if isinstance(v, RatFunc) and v.is_constant():
             return v.as_rat()
         raise TypeError(f"cannot coerce {v!r} into Q")
@@ -663,8 +663,8 @@ class LambdaField:
     def coerce(self, v):
         if isinstance(v, RatFunc):
             return v
-        if isinstance(v, (int, Fraction)):
-            return RatFunc.from_rat(v)
+        if isinstance(v, (int, float, Fraction)):
+            return RatFunc.from_rat(rational("coefficient", v))
         raise TypeError(f"cannot coerce {v!r} into Q(L)")
 
     def to_str(self, v) -> str:

@@ -213,12 +213,9 @@ def _compare(triples):
 
 @lru_cache(maxsize=None)
 def _b2_powers(c, n_max: int, T: int):
-    """(t(1+t)^c / log(1+t))^n for n = 1..n_max, all truncated at T."""
+    """(t(1+t)^c / log(1+t))^n for n = 0..n_max, all truncated at T."""
     u = log1p_series(QQ, T + 1).shift_div(1).inverse() * one_plus_t_pow(QQ, c, T)
-    out = [u]
-    for _ in range(n_max - 1):
-        out.append(out[-1] * u)
-    return tuple(out)
+    return tuple(u.powers(n_max))
 
 
 def b2_convolution(n: int, l: int, c) -> Fraction:
@@ -226,7 +223,7 @@ def b2_convolution(n: int, l: int, c) -> Fraction:
     stated for n >= 1 factors and l >= 0."""
     n, l = nonnegative_integer("n", n, 1), nonnegative_integer("l", l)
     c = rational("c", c)
-    series_n = _b2_powers(c, n, l + 1)[n - 1]
+    series_n = _b2_powers(c, n, l + 1)[n]
     return factorial(l) * series_n.coeffs[l]
 
 
@@ -390,12 +387,10 @@ def _run_E25(p, n_max):
     base = log1p_series(QQ, l_max + 2).shift_div(1)
 
     def gen():
-        acc = None
-        for n in range(1, n_max + 1):
-            acc = base if acc is None else acc * base
+        for n, power in enumerate(base.powers(n_max)[1:], 1):
             for l in range(l_max + 1):
                 rhs = Fraction(n, n + l) * bernoulli_number(n + l, l) / factorial(l)
-                yield (n, l), acc.coeffs[l], rhs
+                yield (n, l), power.coeffs[l], rhs
 
     return _compare(gen())
 

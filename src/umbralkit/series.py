@@ -6,8 +6,9 @@ order.  Binary operations truncate to the shorter operand.  Everything is
 exact; there are no floats anywhere.
 
 :class:`Series` and :class:`Poly` share one base, :class:`CoeffVector`
-(field, coefficient tuple, equality, negation, subtraction).  Their add,
-product and Horner loops are the coefficient-vector kernels of
+(field, coefficient tuple, equality, negation, subtraction).  Their sums,
+products, series coefficients (``vec_dot``; a composition over one table
+of powers) and Poly's Horner loops are the coefficient-vector kernels of
 :mod:`umbralkit.fields`, and both render through ``fields.format_terms``.
 """
 
@@ -221,16 +222,30 @@ class Series(CoeffVector):
                 base = base * base
         return out
 
+    def powers(self, n: int) -> list["Series"]:
+        """[1, s, s^2, .., s^n], each at this series' truncation; each power
+        from n = 2 on is one product with the power before it."""
+        out = [one(self.field, self.trunc), self][: nonnegative_integer("n", n) + 1]
+        while len(out) <= n:
+            out.append(out[-1] * self)
+        return out
+
     def compose(self, inner: "Series") -> "Series":
-        """outer(inner(t)); inner must have order >= 1."""
+        """outer(inner(t)); inner must have order >= 1.
+
+        [t^m] outer(inner) = sum_{k <= m} outer[k] [t^m] inner^k, one
+        ``vec_dot`` per coefficient over the table ``inner.powers(T - 1)``."""
         if inner.order() == 0:
             raise CompositionOrder("inner series has a nonzero constant term")
         T = min(self.trunc, inner.trunc)
-        top = constant(self.field, self.coeffs[T - 1], T)
-        return vec_horner(self.coeffs[: T - 1], inner.truncate(T), top)
+        P, a = inner.truncate(T).powers(T - 1), self.coeffs
+        return Series(self.field, [vec_dot(a[: m + 1], [p.coeffs[m] for p in P[: m + 1]],
+                                           self.field.zero) for m in range(T)])
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series (triangular solve).
+        """Compositional inverse of a delta series: with P = self.powers(T - 1),
+        coefficient m solves [t^m] sum_k c_k P[k] = [m == 1], triangular since
+        P[k] has order k; one ``vec_dot`` each.
 
         The compose round-trip is checked before returning.
         """
@@ -240,10 +255,7 @@ class Series(CoeffVector):
         if self.order() != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
         zero, one_ = self.field.zero, self.field.one
-        # powers[k] = self^k truncated at T
-        powers = [one(self.field, T), self]
-        for k in range(2, T):
-            powers.append(powers[-1] * self)
+        powers = self.powers(T - 1)
         c = [zero] * T
         for m in range(1, T):
             acc = one_ if m == 1 else zero
@@ -324,7 +336,7 @@ def exp_ct(field, c, T: int) -> Series:
     out = [field.one]
     fact = Fraction(1)
     acc = field.one
-    for k in range(1, T):
+    for k in range(1, integer_order("T", T)):
         acc = acc * c
         fact *= k
         out.append(acc * field.coerce(Fraction(1, 1) / fact))
@@ -334,7 +346,7 @@ def exp_ct(field, c, T: int) -> Series:
 def log1p_series(field, T: int) -> Series:
     """log(1+t): coefficient of t^k is (-1)^(k+1)/k for k >= 1."""
     out = [field.zero]
-    for k in range(1, T):
+    for k in range(1, integer_order("T", T)):
         q = Fraction(1, k) if k % 2 else Fraction(-1, k)
         out.append(field.coerce(q))
     return Series(field, out, trunc=T)
@@ -345,7 +357,7 @@ def one_plus_t_pow(field, c, T: int) -> Series:
     c = field.coerce(c)
     out = [field.one]
     acc = field.one
-    for k in range(1, T):
+    for k in range(1, integer_order("T", T)):
         acc = acc * (c - (k - 1)) * field.coerce(Fraction(1, k))
         out.append(acc)
     return Series(field, out, trunc=T)

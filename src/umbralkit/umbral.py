@@ -114,12 +114,7 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     field = pair.field
     fbar = pair.f.revert()
     ginv = pair.g.compose(fbar).inverse()
-    # cols[j] = fbar^j / g(fbar)
-    acc = ginv
-    cols = [acc]
-    for _ in range(n_max):
-        acc = acc * fbar
-        cols.append(acc)
+    cols = [ginv] + [ginv * p for p in fbar.powers(n_max)[1:]]  # fbar^j / g(fbar)
     fact = [Fraction(1)] * (n_max + 1)
     for k in range(1, n_max + 1):
         fact[k] = fact[k - 1] * k
@@ -143,13 +138,10 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     ginv = pair.g.inverse()
     t_over_f = pair.f.shift_div(1).inverse()
     out = []
-    q = t_over_f
-    for n in range(1, n_max + 1):
+    for n, q in enumerate(t_over_f.powers(n_max)[1:], 1):
         # (1/g) x q x^{n-1} for q = (t/f)^n, evaluated right to left
         p = operator_apply(q, Poly.monomial(ginv.field, n - 1)).mul_by_x()
         out.append(operator_apply(ginv, p))
-        if n < n_max:
-            q = q * t_over_f
     return out
 
 

@@ -240,15 +240,20 @@ def test_criterion_6_series_kernel_properties(catalog_gf):
 
 
 def test_criterion_7_cli_contract():
-    """Documented commands byte-stable across runs; verify --all exits 0 and
-    prints the bytes of tests/data/verify_all.json."""
+    """Documented commands byte-stable across runs, the Q(L) composition
+    command printing the bytes of tests/data/sheffer_qlambda.csv; verify --all
+    exits 0 and prints the bytes of tests/data/verify_all.json."""
     failures = []
+    data = Path(__file__).parent / "data"
     documented = [
-        ["expand", "t/(exp(t)-1)", "--order", "6", "--format", "json"],
-        ["family", "bernoulli", "--order-param", "2", "--n", "5", "--format", "csv"],
-        ["verify", "C5", "--n-max", "12", "--format", "json"],
+        (["expand", "t/(exp(t)-1)", "--order", "6", "--format", "json"], None),
+        (["family", "bernoulli", "--order-param", "2", "--n", "5", "--format", "csv"], None),
+        (["verify", "C5", "--n-max", "12", "--format", "json"], None),
+        # rev, compose and a fractional pow over Q(L)
+        (["sheffer", "--g", "(exp(t)-L)/(1-L)", "--f", "log1p(t)*pow(1+t, -1/2)",
+          "--n", "12", "--format", "csv"], "sheffer_qlambda.csv"),
     ]
-    for argv in documented:
+    for argv, pinned in documented:
         cmd = [sys.executable, "-m", "umbralkit.cli", *argv]
         first = subprocess.run(cmd, capture_output=True, timeout=600)
         second = subprocess.run(cmd, capture_output=True, timeout=600)
@@ -256,6 +261,8 @@ def test_criterion_7_cli_contract():
             failures.append((argv[0], "exit", first.returncode, second.returncode))
         if first.stdout != second.stdout:
             failures.append((argv[0], "bytes differ"))
+        if pinned and first.stdout != (data / pinned).read_bytes():
+            failures.append((argv[0], f"bytes differ from tests/data/{pinned}"))
 
     all_run = subprocess.run(
         [sys.executable, "-m", "umbralkit.cli", "verify", "--all"],
@@ -266,6 +273,6 @@ def test_criterion_7_cli_contract():
         failures.append(("verify --all", "exit", all_run.returncode))
     # the registry's output is pinned byte for byte: a change to any report
     # shows here, and CI compares the same file under every Python version
-    if all_run.stdout != (Path(__file__).parent / "data" / "verify_all.json").read_bytes():
+    if all_run.stdout != (data / "verify_all.json").read_bytes():
         failures.append(("verify --all", "bytes differ from tests/data/verify_all.json"))
     _report("7 (CLI contract)", failures)

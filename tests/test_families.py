@@ -35,6 +35,7 @@ from umbralkit import (
     narumi_number,
     narumi_poly,
     narumi_value,
+    one_plus_t_pow,
     poisson_charlier,
     sheffer_gf,
     stirling1,
@@ -335,17 +336,39 @@ def test_bad_degree_is_domain_error(call):
         lambda: bespoke_pair("T2", 6.0),
         lambda: exp_ct(QQ, 1, 4).pow_int(1.5),
         lambda: exp_ct(QQ, 1, 4).pow_int(True),
+        lambda: exp_ct(QQ, 1, 4).powers(1.5),
+        lambda: exp_ct(QQ, 1, 4).powers(True),
+        lambda: exp_ct(QQ, 1, 4).powers(-1),
+        lambda: exp_ct(QQ, 1, 4.0),
+        lambda: log1p_series(QQ, 4.0),
+        lambda: one_plus_t_pow(QQ, 1, 4.0),
+        lambda: Series(QQ, [0.5]),
+        lambda: Series(QQ, [True]),
+        lambda: Series(QL, [0.5]),
+        lambda: exp_ct(QQ, 0.5, 3),
+        lambda: one_plus_t_pow(QQ, 0.5, 3),
+        lambda: Series(QQ, [1]) * 0.5,
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
          "stirling1_k", "gen_binom_m", "b2_convolution_n", "monomial_degree", "mul_t_shift",
          "falling_factorial_degree", "narumi_value_text", "poisson_charlier_text", "series_trunc",
          "series_trunc_bool", "truncate", "catalog_pair_T", "bespoke_pair_T", "pow_int",
-         "pow_int_bool"],
+         "pow_int_bool", "powers", "powers_bool", "powers_negative", "exp_ct_T",
+         "log1p_series_T", "one_plus_t_pow_T", "coefficient_float", "coefficient_bool",
+         "coefficient_float_qlambda", "exp_ct_float", "one_plus_t_pow_float",
+         "scalar_float"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_scalar_of_another_type_is_type_error():
+    # coerce keeps TypeError for what is not a number, so the operators
+    # return NotImplemented and Python raises its own TypeError
+    with pytest.raises(TypeError):
+        Series(QQ, [1]) * "x"
 
 
 class TestCatalog:

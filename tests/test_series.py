@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from umbralkit import (
     CompositionOrder,
@@ -27,9 +27,9 @@ from umbralkit import (
     t_series,
     stirling1,
 )
-from umbralkit.fields import LAMBDA
+from umbralkit.fields import LAMBDA, vec_horner
 
-from conftest import qq_polys, qq_series, rand_series
+from conftest import fractions, qq_polys, qq_series, rand_series, ratfuncs
 
 
 def S(*coeffs, T=None):
@@ -97,6 +97,20 @@ class TestInverse:
         assert (f * f.inverse()) == one(QQ, 8)
 
 
+@st.composite
+def compose_operands(draw):
+    """(outer, inner) over Q or Q(L), truncations 1 .. 8 each; over Q(L) the
+    inner series is free of L or not, and the outer one may hold L."""
+    field = draw(st.sampled_from([QQ, QL]))
+    outer_el = ratfuncs() if field is QL else fractions()
+    inner_el = draw(st.sampled_from([fractions(), ratfuncs()])) if field is QL else fractions()
+    T_outer, T_inner = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    outer = Series(field, draw(st.lists(outer_el, min_size=T_outer, max_size=T_outer)))
+    inner = Series(field, [0] + draw(st.lists(inner_el, min_size=T_inner - 1,
+                                              max_size=T_inner - 1)))
+    return outer, inner
+
+
 class TestCompose:
     def test_identity_inner(self):
         f = S(3, 1, 4, 1)
@@ -121,6 +135,38 @@ class TestCompose:
         lhs = a.compose(b).compose(c)
         rhs = a.compose(b.compose(c))
         assert lhs == rhs
+
+    @given(case=compose_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_horner(self, case):
+        # oracle: the Horner rule acc = acc * inner + c, kept here as a
+        # reference for the power-table composition
+        outer, inner = case
+        T = min(outer.trunc, inner.trunc)
+        top = Series(outer.field, [outer.coeffs[T - 1]], trunc=T)
+        assert outer.compose(inner) == vec_horner(outer.coeffs[: T - 1], inner.truncate(T), top)
+
+
+class TestPowers:
+    @given(s=qq_series(6))
+    @settings(max_examples=30)
+    def test_entry_k_is_pow_int(self, s):
+        table = s.powers(8)
+        assert len(table) == 9
+        assert all(p == s.pow_int(k) for k, p in enumerate(table))
+
+    def test_over_q_lambda(self):
+        s = Series(QL, [1, LAMBDA, 0, F(1, 3)])
+        assert s.powers(5) == [s.pow_int(k) for k in range(6)]
+
+    def test_zeroth_only(self):
+        assert exp_ct(QQ, 1, 4).powers(0) == [one(QQ, 4)]
+
+    def test_n_above_truncation(self):
+        s = S(0, 1, 2)
+        table = s.powers(5)
+        assert [p.trunc for p in table] == [3] * 6
+        assert table[3:] == [Series(QQ, [], trunc=3)] * 3
 
 
 class TestRevert:
