@@ -17,11 +17,11 @@ signed literal.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompositionOrder, DomainError, ParseError, UnboundSymbol
 from .fields import QL, QQ, LAMBDA
+from .record import Record
 from .series import Series, constant, t_series
 
 
@@ -30,42 +30,35 @@ from .series import Series, constant, t_series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class TVar:
+class TVar(Record):
     pass
 
 
-@dataclass(frozen=True)
-class LSym:
+class LSym(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(Record):
     op: str  # neg | inv | exp | log1p | rev
     arg: object
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(Record):
     op: str  # add | sub | mul | div
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class PowNode:
+class PowNode(Record):
     base: object
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class ComposeNode:
+class ComposeNode(Record):
     outer: object
     inner: object
 

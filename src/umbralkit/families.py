@@ -14,13 +14,13 @@ indeterminate (computation over Q(L)); a Fraction value specializes to Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DivisionByZero, integer_order, lambda_value, nonnegative_integer, rational
 from .fields import QL, QQ, LAMBDA, RatFunc
+from .record import Record
 from .series import (
     Poly,
     Series,
@@ -350,8 +350,7 @@ def _t10_pair(T, a, b, c, lam, m):
     return _fte_g(a, lam, T), (exp_ct(fld, -c, T) * lin.pow_int(-m)).mul_t(1)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A named family plus its order and parameters.
 
     ``params`` keys are the registry parameters of the name other than its

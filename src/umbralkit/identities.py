@@ -34,7 +34,6 @@ fixed truncation, n <= 4) and E25 (series coefficients l <= 8 for every n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -78,18 +77,17 @@ from .families import (
 )
 from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
 from .fields import QQ
+from .record import Record
 from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(Record):
     indices: tuple[int, ...]
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     id: str
     params: tuple[tuple[str, str], ...]
     n_max: int
@@ -125,8 +123,7 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
     """One parameter: its name, its domain, and the value taken when it is
     not given (None: the domain decides)."""
 
@@ -135,8 +132,7 @@ class Param:
     default: object = None
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Record):
     """One row of the registry table.  ``pair`` builds (g, f) from a
     truncation and the parameters; ``check`` is the right-hand side
     S_n(x) for a tag with a pair (compared with the transfer route) and

@@ -21,13 +21,13 @@ computing; ``_cut`` is that one rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
 )
 from .fields import vec_dot
+from .record import Record
 from .series import Poly, Series
 
 
@@ -59,14 +59,14 @@ def operator_apply(f: Series, p: Poly) -> Poly:
     return Poly(p.field, out)
 
 
-@dataclass(frozen=True)
-class ShefferPair:
+class ShefferPair(Record):
     """An invertible series g and a delta series f over one field."""
 
     g: Series
     f: Series
 
-    def __post_init__(self):
+    def __init__(self, g: Series, f: Series):
+        super().__init__(g, f)
         if self.g.field is not self.f.field:
             raise DomainError("g and f must share a coefficient field")
         if self.g.order() != 0:

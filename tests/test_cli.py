@@ -318,6 +318,17 @@ def test_python_m_umbralkit_version():
     assert (run.returncode, run.stdout) == (0, "umbralkit 0.1.0\n")
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # each CLI call is a fresh interpreter; these two cost most of its import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, umbralkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stdout) == (0, "[]\n")
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(args, out):
         raise RuntimeError("boom")

@@ -67,6 +67,19 @@ class TestParse:
 
     def test_lambda_symbol(self):
         assert parse_expr("L") == LSym()
+        assert parse_expr("L") != TVar() and TVar() != LSym()
+
+    def test_nodes_are_immutable_records(self):
+        assert Lit(F(1)) == Lit(F(1)) and hash(Lit(F(1))) == hash(Lit(F(1)))
+        assert Lit(F(1)) != (F(1),) and Lit(F(1)) != Lit(F(2))
+        assert Unary(op="neg", arg=TVar()) == Unary("neg", TVar())
+        assert "Lit(" in repr(Lit(F(1))) and "value=" in repr(Lit(F(1)))
+        with pytest.raises(AttributeError):
+            Lit(F(1)).value = F(2)
+        with pytest.raises(AttributeError):
+            Binary("add", TVar(), LSym()).left = LSym()
+        with pytest.raises(TypeError):
+            PowNode(TVar())
 
 
 class TestRender:

@@ -256,6 +256,10 @@ class TestRegistry:
         undocumented = IdentityReport("C5", (), 4, "paper_discrepancy")
         assert not fake_fail.ok
         assert not undocumented.ok  # discrepancy without a note is not ok
+        assert fake_fail.note == "" and fake_fail.counterexamples == ()
+        assert fake_fail == IdentityReport("C5", (), 4, "fail", (), "")
+        with pytest.raises(AttributeError):
+            fake_fail.status = "pass"
 
 
 class TestTable:

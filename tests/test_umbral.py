@@ -146,6 +146,8 @@ class TestShefferPair:
     def test_validation(self):
         with pytest.raises(NotInvertible):
             ShefferPair(t_series(QQ, 6), t_series(QQ, 6))
+        with pytest.raises(NotInvertible):
+            ShefferPair(g=t_series(QQ, 6), f=t_series(QQ, 6))
         with pytest.raises(NotDelta):
             ShefferPair(one(QQ, 6), one(QQ, 6))
         with pytest.raises(NotDelta):
@@ -154,6 +156,16 @@ class TestShefferPair:
     def test_trunc(self):
         pair = ShefferPair(one(QQ, 6), t_series(QQ, 8))
         assert pair.trunc == 6
+        assert pair == ShefferPair(g=one(QQ, 6), f=t_series(QQ, 8))
+        with pytest.raises(AttributeError):
+            pair.g = t_series(QQ, 6)
+
+    def test_family_spec_is_a_value(self):
+        spec = FamilySpec.make("bernoulli")
+        assert spec == FamilySpec("bernoulli", 1, ()) == FamilySpec("bernoulli")
+        assert {spec: 1}[FamilySpec("bernoulli", 1, ())] == 1
+        with pytest.raises(AttributeError):
+            spec.order = 2
 
 
 class TestGFRoute:
