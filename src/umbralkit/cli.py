@@ -2,14 +2,16 @@
 and the identity-verification runner.
 
 Exit codes: 0 success / all checks pass; 1 a verification failed;
-2 usage, parse, or domain errors.  Exact values are always emitted as
-strings ("-3/2"), never floats, in every output format.
+2 usage, parse, or domain errors; 141 (128 + SIGPIPE) stdout was closed
+before all the output was written, as by ``| head``; 3 a bug.  Exact values
+are always emitted as strings ("-3/2"), never floats, in every output format.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -238,14 +240,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     out = sys.stdout
+    commands = {"expand": _cmd_expand, "family": _cmd_family, "sheffer": _cmd_sheffer,
+                "verify": _cmd_verify}
     try:
-        if args.command == "expand":
-            return _cmd_expand(args, out)
-        if args.command == "family":
-            return _cmd_family(args, out)
-        if args.command == "sheffer":
-            return _cmd_sheffer(args, out)
-        return _cmd_verify(args, out)
+        code = commands[args.command](args, out)
+        out.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``): not a bug.  What is still
+        # buffered goes to os.devnull, so nothing more is printed at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -70,6 +70,12 @@ def _lam_field(lam):
     return (QL, LAMBDA) if lam is None else (QQ, lam)
 
 
+def _lifted(f: Series, lam) -> Series:
+    """The L-free series f, built over Q, in the field of lam: lifted into
+    Q(L) once when lam is symbolic."""
+    return Series(_lam_field(lam)[0], f.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # generating-series building blocks (all cached; Series is immutable)
 # ---------------------------------------------------------------------------
@@ -277,7 +283,8 @@ def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
 #
 # One function per pair, keyed to a name by the registry table in the
 # identities module.  It takes the working truncation and the validated
-# parameters and returns (g, f), each truncated at or above it.
+# parameters and returns (g, f), each truncated at or above it.  Only g
+# carries lambda: f is built over Q and lifted into Q(L) once (``_lifted``).
 
 
 def _bernoulli_pair(T, a):
@@ -306,8 +313,8 @@ def _bernoulli_2nd_pair(T):
 
 def _daehee_pair(T, lam):
     """((1-L)/(e^t-L), (e^t-1)/(e^t+1)): the Daehee family and the DAE identity."""
-    e = exp_ct(_lam_field(lam)[0], 1, T)
-    return _fe_g(-1, lam, T), (e - 1) / (e + 1)
+    e = exp_ct(QQ, 1, T)
+    return _fe_g(-1, lam, T), _lifted((e - 1) / (e + 1), lam)
 
 
 def _poisson_charlier_pair(T, a):
@@ -316,8 +323,7 @@ def _poisson_charlier_pair(T, a):
 
 
 def _t2_pair(T, a, b, lam):
-    fld = _lam_field(lam)[0]
-    return _fe_g(a, lam, T), (exp_ct(fld, b, T) - 1).shift_div(1).inverse().mul_t(1)
+    return _fe_g(a, lam, T), _lifted((exp_ct(QQ, b, T) - 1).shift_div(1).inverse().mul_t(1), lam)
 
 
 def _t3_pair(T, a, b, c):
@@ -334,20 +340,17 @@ def _r27_pair(T, a):
 
 
 def _t6_pair(T, a, c, lam):
-    fld = _lam_field(lam)[0]
-    return _fe_g(a, lam, T), log1p_series(fld, T) * one_plus_t_pow(fld, -c, T)
+    return _fe_g(a, lam, T), _lifted(log1p_series(QQ, T) * one_plus_t_pow(QQ, -c, T), lam)
 
 
 def _p8_pair(T, a, c, lam):
-    fld = _lam_field(lam)[0]
-    base = log1p_series(fld, T).shift_div(1).inverse()
-    return _fte_g(a, lam, T), (base * one_plus_t_pow(fld, c, T - 1)).mul_t(1)
+    base = log1p_series(QQ, T).shift_div(1).inverse()
+    return _fte_g(a, lam, T), _lifted((base * one_plus_t_pow(QQ, c, T - 1)).mul_t(1), lam)
 
 
 def _t10_pair(T, a, b, c, lam, m):
-    fld = _lam_field(lam)[0]
-    lin = Series(fld, [fld.one, b], trunc=T)
-    return _fte_g(a, lam, T), (exp_ct(fld, -c, T) * lin.pow_int(-m)).mul_t(1)
+    lin = Series(QQ, [1, b], trunc=T)
+    return _fte_g(a, lam, T), _lifted((exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1), lam)
 
 
 class FamilySpec(Record):

@@ -17,6 +17,13 @@ reduction mod p keeps the degree of the true gcd, so a constant gcd mod p
 proves the polynomials coprime.  Any other outcome falls back to the
 primitive pseudo-remainder sequence, so every answer stays certain.
 
+Sums over Q follow FLINT's ``fmpq_poly`` layout: integer numerators over
+one common denominator.  ``vec_mul`` brings each operand to integers over
+the lcm of its denominators and runs the integer convolution; ``vec_dot``
+sums integer numerators over a running lcm of the products' denominators.
+Either way each output is one ``Fraction``, so the gcd that normalises a
+rational runs once per output instead of at every ``+=``.
+
 Every sum over Q(L) is normalised in one place, ``_ratfunc_dot``: a
 coefficient of a series product, an inverse, a composition or a reversion,
 the umbral applies (all through ``vec_dot``), and ``a + b`` itself, the
@@ -34,6 +41,15 @@ non-divisibility.  ``_zgcd`` runs only when neither denominator divides
 the other.  ``_lowest_terms`` is also the tail of ``RatFunc.__init__``, so
 canonical form is made in one function.
 
+Q(L) arithmetic is paid only where L is.  An int or Fraction operand of
+``_ratfunc_dot`` is a constant read as it is, with no ``RatFunc`` built for
+it, and the products of two constants are summed apart as over Q and join
+the Q(L) sum once at the end; so a series over Q(L) against one over Q (a
+coefficient of g(fbar) with fbar over Q) pays Q(L) work only for its terms
+in L.  A Q(L) ``vec_mul`` starts each output coefficient at the operands'
+first nonzero entries, so a power f^k of a delta series (order k) costs no
+zero terms.
+
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
 have a constant factor, for which both cross gcds are free, while a gcd of
@@ -43,6 +59,10 @@ about 11% slower.
 
 Every series/polynomial in this package is parameterized by a field object
 (``QQ`` or ``QL``) that knows how to coerce scalars and render elements.
+Q is a subfield of Q(L): ``common_field`` gives Q(L) as the field of an
+operation on one operand over each.  The coefficients given to
+``RatFunc(num, den)`` and the point of ``RatFunc.evaluate`` pass through
+``errors.rational``, so a float or a bool is a ``DomainError``.
 
 This module also holds the coefficient-vector kernels that ``RatFunc``'s
 integer polynomials, ``Series`` and ``Poly`` share (``vec_add``,
@@ -96,16 +116,29 @@ def vec_add(a, b) -> list:
 def vec_mul(a, b, zero=0, n=None) -> tuple:
     """Product, truncated to ``n`` coefficients when ``n`` is given.
 
-    Over Q(L) (a RatFunc ``zero``) coefficient k is one ``vec_dot``."""
+    Over Q (a Fraction ``zero``) each operand is brought to integers over
+    one common denominator, the integer convolution runs, and each output
+    is one ``Fraction``.  Over Q(L) (a RatFunc ``zero``) coefficient k is
+    one ``vec_dot`` that starts at the operands' first nonzero entries.
+    Any other ``zero`` (integer polynomials) runs the plain loop."""
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
     if isinstance(zero, RatFunc):
-        # a[i] pairs with b[k - i], which is rb[len(b) - 1 - k + i]
-        rb = b[::-1]
-        return tuple(
-            vec_dot(a[max(0, k - len(b) + 1) : k + 1], rb[max(0, len(b) - 1 - k) :], zero)
-            for k in range(n)
-        )
+        oa, ob = _first_nonzero(a), _first_nonzero(b)
+        # a[i] pairs with b[k - i], which is rb[len(b) - 1 - k + i]; a[i] and
+        # b[k - i] are zero unless oa <= i <= k - ob
+        rb, last = b[::-1], len(b) - 1
+        out = []
+        for k in range(n):
+            lo = max(oa, k - last)
+            out.append(vec_dot(a[lo : k - ob + 1], rb[last - k + lo :], zero)
+                       if lo <= k - ob else zero)
+        return tuple(out)
+    if isinstance(zero, Fraction):
+        da, a = _common_den(a[:n])
+        db, b = _common_den(b[:n])
+        d = da * db
+        return tuple(Fraction(c, d) for c in vec_mul(a, b, 0, n))
     out = [zero] * n
     for i, x in enumerate(a[:n]):
         if x:
@@ -120,20 +153,39 @@ def vec_dot(a, b, zero=0, w=None):
     holds integer weights, all 1 when it is None.
 
     Over Q(L) (a RatFunc ``zero``; int and Fraction entries are taken as
-    constants) the sum is normalised once, by ``_ratfunc_dot``; otherwise it
-    is the plain ``acc += x * y`` loop."""
+    constants) the sum is normalised once, by ``_ratfunc_dot``.  Otherwise
+    the entries are ints and Fractions, whose products are summed as integer
+    numerators over a running lcm of their denominators into one Fraction."""
     if isinstance(zero, RatFunc):
         return _ratfunc_dot(a, b, w)
-    acc = zero
-    if w is None:
-        for x, y in zip(a, b):
-            if x and y:
-                acc += x * y
-    else:
-        for x, y, k in zip(a, b, w):
-            if x and y:
-                acc += k * x * y
-    return acc
+    q, s = 1, 0  # the sum is s / q
+    for x, y, k in zip(a, b, repeat(1) if w is None else w):
+        if x and y:
+            d = x.denominator * y.denominator
+            if q % d:
+                g = _int_gcd(q, d)
+                s *= d // g
+                q = q // g * d
+            s += k * x.numerator * y.numerator * (q // d)
+    return Fraction(s, q)
+
+
+def _first_nonzero(c) -> int:
+    """Index of the first nonzero entry of c; len(c) when there is none."""
+    for i, x in enumerate(c):
+        if x:
+            return i
+    return len(c)
+
+
+def _common_den(c):
+    """(d, integers) with c[i] = integers[i] / d and d the lcm of the
+    denominators of the ints and Fractions in c."""
+    d = 1
+    for x in c:
+        if d % x.denominator:
+            d = d // _int_gcd(d, x.denominator) * x.denominator
+    return d, [x.numerator * (d // x.denominator) for x in c]
 
 
 def vec_horner(c, x, acc):
@@ -513,7 +565,7 @@ class RatFunc:
 
     def evaluate(self, lam0) -> Fraction:
         """Specialize L to a rational; raises EvalPole at denominator roots."""
-        lam0 = Fraction(lam0)
+        lam0 = rational("lam0", lam0)
         dv = vec_horner(self._d, lam0, Fraction(0))
         if not dv:
             raise EvalPole(f"pole of {self} at L = {lam0}")
@@ -530,25 +582,42 @@ class RatFunc:
 
 
 def _ratfunc_dot(a, b, w=None) -> "RatFunc":
-    """``sum w[i] * a[i] * b[i]`` over Q(L) with one normalisation.
+    """``sum w[i] * a[i] * b[i]`` over Q(L) with one normalisation; int and
+    Fraction entries are constants, read as they are.
 
     Each product is left unreduced: scale pa*pb / (qa*qb) times
     (na*nb) / (da*db).  The sum is kept as num / (q * den), with q the lcm
     of the scales' denominators and den a running lcm of the product
     denominators (all primitive, positive leads).  Each lcm step tries
     exact division both ways (``_zquo``) and runs ``_zgcd`` only when
-    neither denominator divides the other.  One content extraction and
-    ``_lowest_terms`` at the end give RatFunc's canonical form.
+    neither denominator divides the other.  A product of two constants is
+    summed apart, as an integer over a running lcm (as in ``vec_dot`` over
+    Q), and joins num once.  One content extraction and ``_lowest_terms`` at
+    the end give RatFunc's canonical form.
     """
-    q, den, num = 1, (1,), []
+    q, den, num = 1, _Z_ONE, []
+    cq, cs = 1, 0  # the constant products sum to cs / cq
     for x, y, k in zip(a, b, repeat(1) if w is None else w):
         if not x or not y:
             continue
-        x, y = _coerce(x), _coerce(y)
-        sx, sy = x.scale, y.scale
+        if isinstance(x, RatFunc):
+            sx, nx, dx = x.scale, x._n, x._d
+        else:
+            sx, nx, dx = x, _Z_ONE, _Z_ONE
+        if isinstance(y, RatFunc):
+            sy, ny, dy = y.scale, y._n, y._d
+        else:
+            sy, ny, dy = y, _Z_ONE, _Z_ONE
         qi = sx.denominator * sy.denominator
-        n = _zmul(x._n, y._n)
-        d = _zmul(x._d, y._d)
+        if nx == dx == ny == dy == _Z_ONE:  # two constants
+            if cq % qi:
+                g = _int_gcd(cq, qi)
+                cs *= qi // g
+                cq = cq // g * qi
+            cs += k * sx.numerator * sy.numerator * (cq // qi)
+            continue
+        n = _zmul(nx, ny)
+        d = _zmul(dx, dy)
         # bring num / (q * den) and the term onto lcm(q, qi) * lcm(den, d)
         g = _int_gcd(q, qi)
         if g != qi:
@@ -571,6 +640,16 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
             num += [0] * (len(n) - len(num))
         for i, c in enumerate(n):
             num[i] += c * f
+    if cs:  # the constants' sum, cs / cq = cs * den / (cq * den)
+        g = _int_gcd(q, cq)
+        if g != cq:
+            num = [c * (cq // g) for c in num]
+            q = q // g * cq
+        f = cs * (q // cq)
+        if len(num) < len(den):
+            num += [0] * (len(den) - len(num))
+        for i, c in enumerate(den):
+            num[i] += c * f
     num = vec_trim(num)
     if not num:  # a third of the sums in the Q(L) routes are zero
         return _RF_ZERO
@@ -588,27 +667,20 @@ def _lowest_terms(num, den):
 
 
 def _as_zpoly(v):
-    """(rational scale, primitive int tuple) from assorted inputs."""
+    """(rational scale, primitive int tuple) from a RatFunc with a constant
+    denominator, an exact rational, or a tuple or list of them (ascending
+    powers); a float or a bool is a DomainError (``errors.rational``)."""
     if isinstance(v, RatFunc):
         if len(v._d) != 1:
             raise ValueError("nested RatFunc with non-unit denominator")
         return v.scale / v._d[0], v._n
-    if isinstance(v, (int, Fraction)):
-        q = Fraction(v)
-        if not q:
-            return Fraction(1), ()
-        return q, (1,)
-    if isinstance(v, (tuple, list)):
-        qs = vec_trim([Fraction(c) for c in v])
-        if not qs:
-            return Fraction(1), ()
-        den = 1
-        for c in qs:
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        ints = [int(c * den) for c in qs]
-        cont, prim = _zprimitive(ints)
-        return Fraction(cont, den), prim
-    raise TypeError(f"cannot build polynomial from {type(v).__name__}")
+    qs = vec_trim([rational("coefficient", c)
+                   for c in (v if isinstance(v, (tuple, list)) else (v,))])
+    if not qs:
+        return Fraction(1), ()
+    den, ints = _common_den(qs)
+    cont, prim = _zprimitive(ints)
+    return Fraction(cont, den), prim
 
 
 def _coerce(v):
@@ -619,6 +691,7 @@ def _coerce(v):
     return NotImplemented
 
 
+_Z_ONE = (1,)
 _RF_ZERO = RatFunc._raw(Fraction(0), (), (1,))
 _RF_ONE = RatFunc._raw(Fraction(1), (1,), (1,))
 
@@ -676,3 +749,9 @@ class LambdaField:
 
 QQ = RationalField()
 QL = LambdaField()
+
+
+def common_field(a, b):
+    """The field of a binary operation on a series or polynomial over ``a``
+    and one over ``b``: Q is a subfield of Q(L), so Q(L) unless both are Q."""
+    return a if a is b else QL

@@ -10,6 +10,13 @@ exact; there are no floats anywhere.
 products, series coefficients (``vec_dot``; a composition over one table
 of powers) and Poly's Horner loops are the coefficient-vector kernels of
 :mod:`umbralkit.fields`, and both render through ``fields.format_terms``.
+
+Q is a subfield of Q(L), so a sum, difference, product or composition of
+one operand over Q and one over Q(L) is over Q(L), in either order
+(``fields.common_field``); the kernels read the Q operand's Fractions as
+constants.  ``_over_q`` goes the other way: it takes a Q(L) series whose
+coefficients are all constants down to Q, the one helper by which the
+Sheffer routes run their L-free half on the Q kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from .errors import (
     nonnegative_integer,
 )
 from .fields import (
-    format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
+    QL, QQ, common_field, format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul,
+    vec_trim,
 )
 
 
@@ -134,7 +142,8 @@ class Series(CoeffVector):
                 return NotImplemented
             return Series(self.field, vec_add(self.coeffs, (s,)))
         T = min(self.trunc, other.trunc)
-        return Series(self.field, vec_add(self.coeffs[:T], other.coeffs[:T]))
+        field = common_field(self.field, other.field)
+        return Series(field, vec_add(self.coeffs[:T], other.coeffs[:T]))
 
     __radd__ = __add__
 
@@ -145,7 +154,8 @@ class Series(CoeffVector):
                 return NotImplemented
             return Series(self.field, [c * s for c in self.coeffs])
         T = min(self.trunc, other.trunc)
-        return Series(self.field, vec_mul(self.coeffs, other.coeffs, self.field.zero, T))
+        field = common_field(self.field, other.field)
+        return Series(field, vec_mul(self.coeffs, other.coeffs, field.zero, T))
 
     __rmul__ = __mul__
 
@@ -239,8 +249,9 @@ class Series(CoeffVector):
             raise CompositionOrder("inner series has a nonzero constant term")
         T = min(self.trunc, inner.trunc)
         P, a = inner.truncate(T).powers(T - 1), self.coeffs
-        return Series(self.field, [vec_dot(a[: m + 1], [p.coeffs[m] for p in P[: m + 1]],
-                                           self.field.zero) for m in range(T)])
+        field = common_field(self.field, inner.field)
+        return Series(field, [vec_dot(a[: m + 1], [p.coeffs[m] for p in P[: m + 1]], field.zero)
+                              for m in range(T)])
 
     def revert(self) -> "Series":
         """Compositional inverse of a delta series: with P = self.powers(T - 1),
@@ -305,6 +316,18 @@ class Series(CoeffVector):
 
     def __repr__(self) -> str:
         return f"Series[{self.field.name}; T={self.trunc}]({', '.join(self.coeff_texts())})"
+
+
+def _over_q(s: Series) -> Series:
+    """s over Q when every coefficient is a rational constant, else s.
+
+    The delta series f of every registry pair is free of L even when its
+    pair is over Q(L); the routes bring it down to Q here, so its reversion,
+    power tables and inverse run on the Q kernel and only the products with
+    the L-dependent g meet Q(L) arithmetic."""
+    if s.field is QL and all(c.is_constant() for c in s.coeffs):
+        return Series(QQ, [c.as_rat() for c in s.coeffs])
+    return s
 
 
 # ---------------------------------------------------------------------- named
@@ -412,7 +435,7 @@ class Poly(CoeffVector):
             if s is None:
                 return NotImplemented
             other = Poly.constant(self.field, s)
-        return Poly(self.field, vec_add(self.coeffs, other.coeffs))
+        return Poly(common_field(self.field, other.field), vec_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -422,7 +445,8 @@ class Poly(CoeffVector):
             if s is None:
                 return NotImplemented
             return Poly(self.field, [c * s for c in self.coeffs])
-        return Poly(self.field, vec_mul(self.coeffs, other.coeffs, self.field.zero))
+        field = common_field(self.field, other.field)
+        return Poly(field, vec_mul(self.coeffs, other.coeffs, field.zero))
 
     __rmul__ = __mul__
 

@@ -11,6 +11,18 @@ Sheffer sequence for a pair (g, f) are provided:
   (1/g(t)) x (t/f(t))^n x^{n-1}.
 
 Their exact agreement is the transfer formula, checked in the test suite.
+:func:`orthogonality_failure` is the third check: <g f^k | S_n> = n! delta,
+read through the adjoint rule <g(t) h(t) | p(x)> = <h(t) | g(t) p(x)>
+(Roman, *The Umbral Calculus*, ch. 2) as <f^k | g(t) S_n(x)>, so g acts
+once on each S_n and f^k is a power table of f alone.
+
+Only g carries L in the registry's pairs over Q(L); f is free of it.  Each
+route takes f down to Q first (``series._over_q``), so the reversion fbar,
+the power tables of fbar, t/f and f, the inverse t/f and the operator
+(t/f)^n x^{n-1} run on the Q kernel, and Q(L) arithmetic is left to the
+terms that meet g: g(fbar) and its inverse, the y^j coefficients of S_n
+(one sum each, of fbar^j against 1/g(fbar)), 1/g applied to a polynomial
+over Q, and g(t) S_n(x).  An f that carries L stays over Q(L).
 
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
@@ -22,13 +34,14 @@ computing; ``_cut`` is that one rule.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
 )
-from .fields import vec_dot
+from .fields import common_field, vec_dot
 from .record import Record
-from .series import Poly, Series
+from .series import Poly, Series, _over_q
 
 
 def functional_apply(f: Series, p: Poly):
@@ -40,7 +53,7 @@ def functional_apply(f: Series, p: Poly):
     facts = [1]
     for n in range(1, len(p.coeffs)):
         facts.append(facts[-1] * n)
-    return vec_dot(f.coeffs, p.coeffs, f.field.zero, facts)
+    return vec_dot(f.coeffs, p.coeffs, common_field(f.field, p.field).zero, facts)
 
 
 def operator_apply(f: Series, p: Poly) -> Poly:
@@ -50,13 +63,14 @@ def operator_apply(f: Series, p: Poly) -> Poly:
         raise TruncationTooShort(
             f"operator truncated at {f.trunc} applied to degree {p.degree}"
         )
+    field = common_field(f.field, p.field)
     out = []
     for j in range(len(p.coeffs)):
         falling = [1]  # (j+k)!/j!
         for k in range(1, len(p.coeffs) - j):
             falling.append(falling[-1] * (j + k))
-        out.append(vec_dot(f.coeffs, p.coeffs[j:], f.field.zero, falling))
-    return Poly(p.field, out)
+        out.append(vec_dot(f.coeffs, p.coeffs[j:], field.zero, falling))
+    return Poly(field, out)
 
 
 class ShefferPair(Record):
@@ -108,21 +122,24 @@ def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
 def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     """S_0 .. S_{n_max} from the generating-function route.
 
-    The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)).
+    The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)), one
+    ``vec_dot`` of the table fbar^j (order j) against 1/g(fbar) with the
+    integer weight n!/j!.
     """
     pair = _cut(pair, n_max)
     field = pair.field
-    fbar = pair.f.revert()
+    fbar = _over_q(pair.f).revert()
+    powers = fbar.powers(n_max)
     ginv = pair.g.compose(fbar).inverse()
-    cols = [ginv] + [ginv * p for p in fbar.powers(n_max)[1:]]  # fbar^j / g(fbar)
-    fact = [Fraction(1)] * (n_max + 1)
+    fact = [1] * (n_max + 1)
     for k in range(1, n_max + 1):
         fact[k] = fact[k - 1] * k
     polys = []
     for n in range(n_max + 1):
-        coeffs = [
-            field.coerce(fact[n] / fact[j]) * cols[j].coeffs[n] for j in range(n + 1)
-        ]
+        head = ginv.coeffs[n::-1]  # head[i] = ginv[n - i]
+        coeffs = [vec_dot(powers[j].coeffs[j : n + 1], head[j:], field.zero,
+                          repeat(fact[n] // fact[j]))
+                  for j in range(n + 1)]
         polys.append(Poly(field, coeffs))
     return polys
 
@@ -136,11 +153,11 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     """[S_1 .. S_{n_max}] by the operator route, sharing the inversions."""
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
     ginv = pair.g.inverse()
-    t_over_f = pair.f.shift_div(1).inverse()
+    t_over_f = _over_q(pair.f).shift_div(1).inverse()
     out = []
     for n, q in enumerate(t_over_f.powers(n_max)[1:], 1):
         # (1/g) x q x^{n-1} for q = (t/f)^n, evaluated right to left
-        p = operator_apply(q, Poly.monomial(ginv.field, n - 1)).mul_by_x()
+        p = operator_apply(q, Poly.monomial(q.field, n - 1)).mul_by_x()
         out.append(operator_apply(ginv, p))
     return out
 
@@ -150,7 +167,10 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
 
     <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
     to the largest degree among polys[0 .. n_max] (n_max when that is
-    larger) and the same values are compared."""
+    larger) and the same values are compared.  Each value is read as
+    <f^k | g(t) S_n(x)> (the adjoint rule <g h | p> = <h | g p>), so f^k
+    is a power table of f, over Q when f is free of L, and g acts once on
+    each S_n."""
     if len(polys) < nonnegative_integer("n_max", n_max) + 1:
         raise DomainError(
             f"orthogonality up to n_max = {n_max} needs {n_max + 1} polynomials "
@@ -163,14 +183,13 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     for n in range(1, n_max + 1):
         fact *= n
         facts.append(fact)
-    acc = pair.g
-    for k in range(n_max + 1):
+    g_polys = [operator_apply(pair.g, p) for p in polys[: n_max + 1]]
+    for k, f_k in enumerate(_over_q(pair.f).powers(n_max)):
         for n in range(n_max + 1):
-            value = functional_apply(acc, polys[n])
+            value = functional_apply(f_k, g_polys[n])
             want = field.coerce(facts[n]) if n == k else field.zero
             if value != want:
                 return (n, k, value)
-        acc = acc * pair.f
     return None
 
 

@@ -329,6 +329,25 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert (run.returncode, run.stdout) == (0, "[]\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("family", "bernoulli", "--n", "2"),  # the output waits in the buffer until exit
+    ("family", "frobenius_euler", "--lambda", "symbolic", "--n", "30"),  # fills the pipe
+], ids=["short", "long"])
+def test_closed_stdout_exits_141_silently(argv):
+    # stdout is a pipe whose read end is already closed, as after `| head -1`
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "umbralkit.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, timeout=300, env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, b"")
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     def boom(args, out):
         raise RuntimeError("boom")

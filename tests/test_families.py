@@ -42,7 +42,7 @@ from umbralkit import (
     stirling2,
     t_series,
 )
-from umbralkit.fields import LAMBDA
+from umbralkit.fields import LAMBDA, RatFunc
 
 
 class TestBernoulli:
@@ -348,6 +348,12 @@ def test_bad_degree_is_domain_error(call):
         lambda: exp_ct(QQ, 0.5, 3),
         lambda: one_plus_t_pow(QQ, 0.5, 3),
         lambda: Series(QQ, [1]) * 0.5,
+        lambda: RatFunc((0.1, 1)),
+        lambda: RatFunc((1,), (0.5, 1)),
+        lambda: RatFunc(0.5),
+        lambda: RatFunc(True),
+        lambda: (LAMBDA / (1 - LAMBDA)).evaluate(0.1),
+        lambda: (LAMBDA + 1).evaluate(True),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -357,7 +363,8 @@ def test_bad_degree_is_domain_error(call):
          "pow_int_bool", "powers", "powers_bool", "powers_negative", "exp_ct_T",
          "log1p_series_T", "one_plus_t_pow_T", "coefficient_float", "coefficient_bool",
          "coefficient_float_qlambda", "exp_ct_float", "one_plus_t_pow_float",
-         "scalar_float"],
+         "scalar_float", "ratfunc_num_float", "ratfunc_den_float", "ratfunc_float",
+         "ratfunc_bool", "evaluate_float", "evaluate_bool"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):

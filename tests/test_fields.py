@@ -324,6 +324,135 @@ class TestVecDot:
         assert all(_same_form(x, y) for x, y in zip(got, want))
 
 
+def _q_entries(max_size=8):
+    """Lists of ints and Fractions over a few planted denominators, so that
+    products share factors and sums need a common denominator, with zeros."""
+    dens = st.sampled_from([1, 2, 3, 6, 12, 35, 2**20, 3**12])
+    entry = st.one_of(
+        st.just(0), st.just(F(0)), st.integers(-9, 9),
+        st.builds(F, st.integers(-50, 50), dens),
+    )
+    return st.lists(entry, max_size=max_size)
+
+
+def _plain_q_dot(a, b, w=None):
+    acc = F(0)
+    for i, (x, y) in enumerate(zip(a, b)):
+        acc += (1 if w is None else w[i]) * x * y
+    return acc
+
+
+def _plain_q_mul(a, b, n=None):
+    if n is None:
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [F(0)] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+class TestQKernel:
+    """``vec_dot`` and ``vec_mul`` over Q (integer numerators over one
+    common denominator, one Fraction per output) against ``acc += x*y``."""
+
+    @given(a=_q_entries(), b=_q_entries())
+    @settings(max_examples=150, deadline=None)
+    def test_dot_matches_plain_loop(self, a, b):
+        got = vec_dot(a, b, QQ.zero)
+        assert type(got) is F and got == _plain_q_dot(a, b)
+
+    @given(a=_q_entries(), b=_q_entries(), w=st.lists(st.integers(-30, 30), min_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_weighted_dot_matches_plain_loop(self, a, b, w):
+        assert vec_dot(a, b, QQ.zero, w) == _plain_q_dot(a, b, w)
+
+    @given(a=_q_entries(), b=_q_entries())
+    @settings(max_examples=60, deadline=None)
+    def test_dot_cancelling_terms(self, a, b):
+        a, b = a[: len(b)], b[: len(a)]
+        assert vec_dot(a + a, b + [-y for y in b], QQ.zero) == 0
+
+    @given(a=_q_entries(), b=_q_entries(), n=st.none() | st.integers(0, 20))
+    @settings(max_examples=150, deadline=None)
+    def test_mul_matches_plain_loop(self, a, b, n):
+        # n both shorter and longer than the product
+        got = vec_mul(a, b, QQ.zero, n)
+        assert all(type(c) is F for c in got)
+        assert got == _plain_q_mul(a, b, n)
+
+    @given(a=_q_entries())
+    @settings(max_examples=60, deadline=None)
+    def test_mul_cancelling_terms(self, a):
+        # p(x) p(-x) has only even powers: every odd coefficient sums to 0
+        got = vec_mul(a, [(-1) ** i * x for i, x in enumerate(a)], QQ.zero)
+        assert got == _plain_q_mul(a, [(-1) ** i * x for i, x in enumerate(a)])
+        assert not any(got[1::2])
+
+
+def _as_ratfuncs(v):
+    return [x if isinstance(x, RatFunc) else RatFunc.from_rat(x) for x in v]
+
+
+def _agrees_at_points(got, a, b, w=None):
+    """got equals sum w[i] a[i] b[i] at a few rational L, each side evaluated
+    by Horner's rule without any sum over Q(L); poles are skipped."""
+    def at(v, x):
+        return v.evaluate(x) if isinstance(v, RatFunc) else F(v)
+
+    for x in (F(1, 7), F(-5, 3), F(11)):
+        try:
+            want = sum(((1 if w is None else w[i]) * at(u, x) * at(v, x)
+                        for i, (u, v) in enumerate(zip(a, b))), F(0))
+            if got.evaluate(x) != want:
+                return False
+        except EvalPole:
+            pass
+    return True
+
+
+class TestQLambdaKernel:
+    """The Q(L) kernel's fast paths against the same sums without them."""
+
+    @given(a=_planted_terms(), b=st.one_of(_planted_terms(), _q_entries()),
+           w=st.none() | st.lists(st.integers(-30, 30), min_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_constants_read_as_they_are(self, a, b, w):
+        # int and Fraction operands against the same values as RatFuncs
+        got = vec_dot(a, b, QL.zero, w)
+        assert _same_form(got, vec_dot(_as_ratfuncs(a), _as_ratfuncs(b), QL.zero, w))
+        assert _same_form(got, _plain_dot(a, b, w))
+        assert _agrees_at_points(got, a, b, w)
+
+    @pytest.mark.parametrize("a,b", [
+        ([L, 1], [F(1, 2), F(1, 3)]),  # a scale denominator the constants lack
+        ([F(1, 4), 1 / (1 - L), F(2, 3)], [F(1, 5), F(1, 7), 6]),
+        ([3, F(1, 2)], [F(-1, 3), F(2, 3)]),  # constants only, cancelling
+        ([L, -L], [F(1, 2), F(1, 2)]),  # L-dependent terms cancelling
+    ])
+    def test_constants_examples(self, a, b):
+        got = vec_dot(a, b, QL.zero)
+        assert _same_form(got, vec_dot(_as_ratfuncs(a), _as_ratfuncs(b), QL.zero))
+        assert _agrees_at_points(got, a, b)
+
+    @given(a=st.lists(ratfuncs(), max_size=4), b=st.lists(ratfuncs(), max_size=4),
+           za=st.integers(0, 3), zb=st.integers(0, 3), n=st.none() | st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_mul_zero_prefixes(self, a, b, za, zb, n):
+        a, b = [QL.zero] * za + a, [F(0)] * zb + b
+        got = vec_mul(a, b, QL.zero, n)
+        if n is None:
+            n = len(a) + len(b) - 1 if a and b else 0
+        # the unskipped dots: every a[i] b[k - i] in range
+        want = []
+        for k in range(n):
+            idx = [i for i in range(k + 1) if i < len(a) and k - i < len(b)]
+            want.append(vec_dot([a[i] for i in idx], [b[k - i] for i in idx], QL.zero))
+        assert len(got) == n
+        assert all(_same_form(x, y) for x, y in zip(got, want))
+
+
 class TestZquo:
     """``_zquo``: the Z[L] quotient or None, certain either way."""
 

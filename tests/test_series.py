@@ -20,14 +20,17 @@ from umbralkit import (
     UnitConstantRequired,
     exp_ct,
     falling_factorial,
+    functional_apply,
     log1p_series,
     monomial,
     one,
     one_plus_t_pow,
+    operator_apply,
     t_series,
     stirling1,
 )
 from umbralkit.fields import LAMBDA, vec_horner
+from umbralkit.series import _over_q
 
 from conftest import fractions, qq_polys, qq_series, rand_series, ratfuncs
 
@@ -366,3 +369,72 @@ def test_division_with_common_order(rng):
         g = rand_series(rng, 8, delta=True)
         q = f / g
         assert (q * g).agrees(f, upto=q.trunc - 1)
+
+
+def _lift(v):
+    """A Series or Poly over Q as the same values over Q(L)."""
+    return type(v)(QL, v.coeffs)
+
+
+class TestMixedFields:
+    """Q is a subfield of Q(L): an operation on one operand over each field
+    runs over Q(L) and gives the same result in either order."""
+
+    Q_SERIES = S(1, 2, F(1, 3), -4)
+    L_SERIES = Series(QL, [LAMBDA, 1, 0, 1 / (1 - LAMBDA)])
+    Q_POLY = Poly(QQ, [F(1, 2), 0, 3])
+    L_POLY = Poly(QL, [1, LAMBDA, LAMBDA**2 - 1])
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+    ], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("q,l", [(Q_SERIES, L_SERIES), (Q_POLY, L_POLY)],
+                             ids=["series", "poly"])
+    def test_both_orders(self, op, q, l):
+        for got, want in ((op(q, l), op(_lift(q), l)), (op(l, q), op(l, _lift(q)))):
+            assert got.field is QL
+            assert got == want
+
+    def test_compose_both_orders(self):
+        q_delta = S(0, 1, F(-1, 2), 3)
+        l_delta = Series(QL, [0, 1, LAMBDA, F(1, 5)])
+        assert self.Q_SERIES.compose(l_delta) == _lift(self.Q_SERIES).compose(l_delta)
+        assert self.L_SERIES.compose(q_delta) == self.L_SERIES.compose(_lift(q_delta))
+        assert self.Q_SERIES.compose(l_delta).field is QL
+
+    @given(outer=qq_series(5), inner=st.lists(ratfuncs(), min_size=4, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_compose_matches_lifted(self, outer, inner):
+        inner = Series(QL, [0] + inner)
+        assert outer.compose(inner) == _lift(outer).compose(inner)
+
+    def test_umbral_applies_both_orders(self):
+        for f, p in ((self.Q_SERIES, self.L_POLY), (self.L_SERIES, self.Q_POLY)):
+            lf = _lift(f) if f.field is QQ else f
+            lp = _lift(p) if p.field is QQ else p
+            assert functional_apply(f, p) == functional_apply(lf, lp)
+            got = operator_apply(f, p)
+            assert got.field is QL and got == operator_apply(lf, lp)
+
+
+class TestQKernelLifted:
+    """The routes' L-free half over Q, lifted to Q(L), against the same
+    calls over Q(L), where every coefficient is a constant RatFunc."""
+
+    @given(f=qq_series(7, min_order=1))
+    @settings(max_examples=40, deadline=None)
+    def test_revert_powers_inverse(self, f):
+        if not f.coeffs[1]:
+            f = f + t_series(QQ, 7)
+        lf = _lift(f)
+        assert _lift(f.revert()) == lf.revert()
+        assert [_lift(p) for p in f.powers(6)] == lf.powers(6)
+        u = f + 1
+        assert _lift(u.inverse()) == _lift(u).inverse()
+
+    def test_over_q_only_when_free_of_lambda(self):
+        f = S(0, 1, F(-1, 2), 3)
+        assert _over_q(_lift(f)) == f
+        assert _over_q(f) is f
+        l_delta = Series(QL, [0, 1, LAMBDA])
+        assert _over_q(l_delta) is l_delta

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from umbralkit import (
     DomainError,
+    LAMBDA,
     NotDelta,
     NotInvertible,
     Poly,
@@ -433,3 +434,70 @@ class TestLargerN:
         assert [p.degree for p in polys] == list(range(n + 1))
         assert sheffer_transfer_all(pair, n) == polys[1:]
         assert orthogonality_failure(pair, polys, n) is None
+
+
+def _direct_orthogonality(pair, polys, n_max):
+    """The first (n, k, <g f^k | S_n>) off n! delta_{n,k}, from the chain of
+    products g f^k over the pair's field."""
+    acc = pair.g
+    for k in range(n_max + 1):
+        for n in range(n_max + 1):
+            value = functional_apply(acc, polys[n])
+            if value != (pair.field.coerce(factorial(n)) if n == k else pair.field.zero):
+                return (n, k, value)
+        acc = acc * pair.f
+    return None
+
+
+ORTHOGONALITY_PAIRS = [
+    lambda T: catalog_pair(FamilySpec.make("bernoulli", 2), T=T),
+    lambda T: catalog_pair(FamilySpec.make("frobenius_euler", 1), T=T),
+    lambda T: catalog_pair(FamilySpec.make("daehee", 1), T=T),
+    lambda T: bespoke_pair("T2", T, order=-1, b=F(1, 2), lam=None),
+    lambda T: bespoke_pair("T6", T, order=2, c=F(1, 3), lam=None),
+    lambda T: ShefferPair(exp_ct(QL, LAMBDA, T), exp_ct(QL, LAMBDA, T).mul_t(1)),
+]
+
+
+class TestOrthogonalityAdjoint:
+    """``orthogonality_failure`` reads <f^k | g(t) S_n(x)> over a power table
+    of f; the direct <g f^k | S_n> loop gives the same triple."""
+
+    @given(which=st.integers(0, len(ORTHOGONALITY_PAIRS) - 1), n_max=st.integers(1, 5),
+           mutate=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                        st.fractions(-3, 3, max_denominator=4)))
+    @settings(max_examples=40, deadline=None)
+    def test_same_triple(self, which, n_max, mutate):
+        pair = ORTHOGONALITY_PAIRS[which](n_max + 1)
+        polys = sheffer_gf(pair, n_max)
+        if mutate is not None:
+            n, j, delta = mutate
+            n, j = n % (n_max + 1), j % (n_max + 1)
+            polys[n] = polys[n] + Poly.monomial(pair.field, j, delta)
+        got = orthogonality_failure(pair, polys, n_max)
+        assert got == _direct_orthogonality(pair, polys, n_max)
+        if got is not None:
+            assert type(got[2]) is type(pair.field.zero)
+
+
+class TestLambdaDependentF:
+    """g = e^{Lt}, f = t e^{Lt}: f carries L, so the routes keep the Q(L)
+    path for f itself."""
+
+    N = 8
+
+    @staticmethod
+    def pair(field, lam):
+        T = TestLambdaDependentF.N + 1
+        return ShefferPair(exp_ct(field, lam, T), exp_ct(field, lam, T).mul_t(1))
+
+    def test_routes_agree_and_specialise(self):
+        n = self.N
+        pair = self.pair(QL, LAMBDA)
+        polys = sheffer_gf(pair, n)
+        assert [p.degree for p in polys] == list(range(n + 1))
+        assert sheffer_transfer_all(pair, n) == polys[1:]
+        assert orthogonality_failure(pair, polys, n) is None
+        for lam0 in (F(2), F(-1, 3)):
+            at = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in polys]
+            assert at == sheffer_gf(self.pair(QQ, lam0), n)
