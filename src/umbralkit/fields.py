@@ -24,19 +24,20 @@ sums integer numerators over a running lcm of the products' denominators.
 Either way each output is one ``Fraction``, so the gcd that normalises a
 rational runs once per output instead of at every ``+=``.
 
-Every sum over Q(L) is normalised in one place, ``_ratfunc_dot``: a
-coefficient of a series product, an inverse, a composition or a reversion,
-the umbral applies (all through ``vec_dot``), and ``a + b`` itself, the
-sum 1*a + 1*b.  Each product a_i*b_i is left unreduced (numerators,
-denominators and rational scales multiplied); the numerators are summed
-over a running lcm of the denominators and a running lcm of the scales'
-integer denominators; one content extraction and one ``_lowest_terms`` at
-the end give the canonical form, which is unique, so the value and every
-printed byte do not depend on how a sum is grouped.  Each lcm step first
-tries exact division both ways with ``_zquo``, whose "no" is certain: the
-denominators are primitive, and by Gauss's lemma a quotient in Q[L] of a
-polynomial by a primitive one is integral, so an integer long division
-that meets an indivisible leading coefficient or leaves a remainder proves
+Every sum over Q(L) but the umbral applies' is normalised in one place,
+``_ratfunc_dot``: a coefficient of a series product, an inverse, a
+composition or a reversion, a functional (all through ``vec_dot``), and
+``a + b`` itself, the sum 1*a + 1*b.  Each product a_i*b_i is left
+unreduced (numerators, denominators and rational scales multiplied); the
+numerators are summed over a running lcm of the denominators and a
+running lcm of the scales' integer denominators; one content extraction
+and one ``_lowest_terms`` at the end give the canonical form, which is
+unique, so the value and every printed byte do not depend on how a sum is
+grouped.  Each lcm step (``_lcm_cofactors``) first tries exact division
+both ways with ``_zquo``, whose "no" is certain: the denominators are
+primitive, and by Gauss's lemma a quotient in Q[L] of a polynomial by a
+primitive one is integral, so an integer long division that meets an
+indivisible leading coefficient or leaves a remainder proves
 non-divisibility.  ``_zgcd`` runs only when neither denominator divides
 the other.  ``_lowest_terms`` is also the tail of ``RatFunc.__init__``, so
 canonical form is made in one function.
@@ -49,6 +50,28 @@ coefficient of g(fbar) with fbar over Q) pays Q(L) work only for its terms
 in L.  A Q(L) ``vec_mul`` starts each output coefficient at the operands'
 first nonzero entries, so a power f^k of a delta series (order k) costs no
 zero terms.
+
+The umbral applies lay a whole Q or Q(L) vector out over one common
+denominator, FLINT's ``fmpq_poly`` layout one level up, over Z[L]: entry i
+is num[i] / (q * den) with q a positive integer, den in Z[L] primitive with
+positive lead, and num[i] in Z[L] (``_lay_out``, whose running lcm takes
+the same ``_lcm_cofactors`` step as ``_ratfunc_dot``).  The layout also
+keeps the lcm of the denominators up to each entry, so a sum that uses
+only some entries can be divided by the cofactor of the ones it skips.  A
+numerator is packed into one Python int by Kronecker substitution, as its
+value at L = 2^s, so a sum of products of numerators is a few C-speed
+big-int operations (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  The
+slot width s comes from a bound on the sum's coefficients: for
+sum_i a_i b_i with at most t terms, coefficients of a_i at most A and of
+b_i at most B, and lengths at most l, every coefficient is at most
+t * l * A * B, and ``_slot_width`` gives s with that bound below 2^(s-1)
+(the bits of both factors, the term count, the length, and a sign bit;
+integer weights are folded into the numerators first).  Two integer
+polynomials whose coefficients lie in (-2^(s-1), 2^(s-1)) have equal
+values at 2^s only if they are equal, since those values are their
+balanced base-2^s digits.  So ``_unpack`` recovers a packed sum exactly,
+and two packed integers are equal exactly when their polynomials are.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -74,7 +97,7 @@ plain or LaTeX.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZero, EvalPole, rational
@@ -616,25 +639,15 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
                 cq = cq // g * qi
             cs += k * sx.numerator * sy.numerator * (cq // qi)
             continue
-        n = _zmul(nx, ny)
-        d = _zmul(dx, dy)
         # bring num / (q * den) and the term onto lcm(q, qi) * lcm(den, d)
         g = _int_gcd(q, qi)
         if g != qi:
             num = [c * (qi // g) for c in num]
             q = q // g * qi
-        if d != den:
-            m = _zquo(den, d)
-            if m is not None:
-                n = _zmul(n, m)
-            else:
-                m = _zquo(d, den)
-                if m is None:
-                    h = _zgcd(den, d)
-                    m = _zquo(d, h)
-                    n = _zmul(n, _zquo(den, h))
-                num = list(_zmul(num, m))
-                den = _zmul(den, m)
+        den, m, mt = _lcm_cofactors(den, _zmul(dx, dy))
+        if m != _Z_ONE:
+            num = list(_zmul(num, m))
+        n = _zmul(_zmul(nx, ny), mt)
         f = k * sx.numerator * sy.numerator * (q // qi)
         if len(num) < len(n):
             num += [0] * (len(n) - len(num))
@@ -650,11 +663,28 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
             num += [0] * (len(den) - len(num))
         for i, c in enumerate(den):
             num[i] += c * f
-    num = vec_trim(num)
-    if not num:  # a third of the sums in the Q(L) routes are zero
-        return _RF_ZERO
-    cont, num = _zprimitive(num)
-    return RatFunc._raw(Fraction(cont, q), *_lowest_terms(num, den))
+    return _element(QL, vec_trim(num), q, den)
+
+
+def _lcm_cofactors(den, d):
+    """(l, m, md) with l = lcm(den, d) = den * m = d * md, for primitive
+    integer polynomials with positive leads: exact division both ways
+    (``_zquo``) first, ``_zgcd`` only when neither divides the other."""
+    if d == den:
+        return den, _Z_ONE, _Z_ONE
+    if d == _Z_ONE:
+        return den, _Z_ONE, den
+    if den == _Z_ONE:
+        return d, d, _Z_ONE
+    md = _zquo(den, d)
+    if md is not None:
+        return den, _Z_ONE, md
+    m = _zquo(d, den)
+    if m is not None:
+        return d, m, _Z_ONE
+    h = _zgcd(den, d)
+    m = _zquo(d, h)
+    return _zmul(den, m), m, _zquo(den, h)
 
 
 def _lowest_terms(num, den):
@@ -696,6 +726,118 @@ _RF_ZERO = RatFunc._raw(Fraction(0), (), (1,))
 _RF_ONE = RatFunc._raw(Fraction(1), (1,), (1,))
 
 LAMBDA = RatFunc._raw(Fraction(1), (0, 1), (1,))
+
+
+# ---------------------------------------------------------------------------
+# common-denominator layout of a Q or Q(L) vector, numerators packed by
+# Kronecker substitution
+# ---------------------------------------------------------------------------
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per packed slot that hold every integer of absolute value at
+    most ``bound``, of either sign: |c| <= bound < 2^(s - 1)."""
+    return bound.bit_length() + 1
+
+
+def _pack(t, s: int) -> int:
+    """The integer polynomial ``t`` evaluated at 2^s."""
+    v = 0
+    for c in reversed(t):
+        v = (v << s) + c
+    return v
+
+
+def _unpack(v: int, s: int) -> tuple:
+    """The integer polynomial t with _pack(t, s) == v whose coefficients lie
+    in [-2^(s-1), 2^(s-1)); no trailing zeros."""
+    out = []
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= mask + 1
+        out.append(c)
+        v = (v - c) >> s
+    return tuple(out)
+
+
+class _Layout:
+    """A vector over Q or Q(L) as entries num[i] / (q * den).
+
+    q is a positive integer, den an integer polynomial (primitive, positive
+    lead) and num[i] an integer polynomial.  ``_lay_out`` also records, for
+    each entry i, the lcm dens[i] of the denominators of the entries up to
+    i (from i to the end, for a tail layout) and cofactors[i] =
+    den / dens[i], which divides the numerators of all those entries.
+    ``height`` bounds the numerators' coefficients and ``length`` their
+    lengths; ``packed(s)`` is num at 2^s."""
+
+    __slots__ = ("num", "q", "den", "dens", "cofactors", "height", "length", "_packed")
+
+    def __init__(self, num, q=1, den=_Z_ONE, dens=(), cofactors=()):
+        self.num, self.q, self.den, self.dens, self.cofactors = num, q, den, dens, cofactors
+        self.height = max(map(abs, chain.from_iterable(num)), default=0)
+        self.length = max(map(len, num), default=0)
+        self._packed = (None, None)
+
+    def packed(self, s: int) -> list:
+        """[num[i] at 2^s], kept for the last s asked; a constant packs to
+        itself at every width."""
+        if self.length <= 1:
+            s = 0
+        if self._packed[0] != s:
+            self._packed = (s, [t[0] if t else 0 for t in self.num] if s == 0
+                            else [_pack(t, s) for t in self.num])
+        return self._packed[1]
+
+
+def _lay_out(c, w=None, tail=False) -> _Layout:
+    """The layout of the entries w[i] * c[i] (w integer weights, all 1 when
+    None; int and Fraction entries are constants), with the running lcms
+    taken from the end when ``tail`` is set."""
+    parts = [(x.scale, x._n, x._d) if isinstance(x, RatFunc)
+             else (x, _Z_ONE if x else (), _Z_ONE) for x in c]
+    q = 1
+    for scale, _, _ in parts:
+        if q % scale.denominator:
+            q = q // _int_gcd(q, scale.denominator) * scale.denominator
+    ks = [scale.numerator * (q // scale.denominator) * k
+          for (scale, _, _), k in zip(parts, repeat(1) if w is None else w)]
+    if all(d == _Z_ONE for _, _, d in parts):  # no denominator in L
+        ones = [_Z_ONE] * len(c)
+        return _Layout([tuple(k * a for a in n) for k, (_, n, _) in zip(ks, parts)],
+                       q, _Z_ONE, ones, ones)
+    order = range(len(c) - 1, -1, -1) if tail else range(len(c))
+    den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
+    for i in order:
+        den, steps[i], md = _lcm_cofactors(den, parts[i][2])
+        dens[i], own[i] = den, _zmul(parts[i][1], md)
+    # entry i is own[i] / dens[i]; the lcm steps after it bring it onto den
+    num, cofactors, cof = [()] * len(c), [_Z_ONE] * len(c), _Z_ONE
+    for i in reversed(order):
+        cofactors[i] = cof
+        if own[i]:
+            num[i] = tuple(ks[i] * a for a in _zmul(own[i], cof))
+        cof = _zmul(cof, steps[i])
+    return _Layout(num, q, den, dens, cofactors)
+
+
+def _dot_bound(a: _Layout, b: _Layout) -> int:
+    """A bound on the coefficients of sum_i a.num[i] * b.num[i + j], any j."""
+    return a.height * b.height * min(len(a.num), len(b.num)) * min(a.length, b.length)
+
+
+def _element(field, num, q: int, den):
+    """num / (q * den) in ``field``'s canonical form, for an integer
+    polynomial num (over Q, a constant) and den primitive with positive
+    lead (over Q, (1,))."""
+    if not num:  # a third of the sums in the Q(L) routes are zero
+        return field.zero
+    if field is QQ:
+        return Fraction(num[0], q)
+    cont, num = _zprimitive(num)
+    return RatFunc._raw(Fraction(cont, q), *_lowest_terms(num, den))
 
 
 # ---------------------------------------------------------------------------

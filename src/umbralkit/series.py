@@ -14,9 +14,11 @@ of powers) and Poly's Horner loops are the coefficient-vector kernels of
 Q is a subfield of Q(L), so a sum, difference, product or composition of
 one operand over Q and one over Q(L) is over Q(L), in either order
 (``fields.common_field``); the kernels read the Q operand's Fractions as
-constants.  ``_over_q`` goes the other way: it takes a Q(L) series whose
-coefficients are all constants down to Q, the one helper by which the
-Sheffer routes run their L-free half on the Q kernel.
+constants.  A ``RatFunc`` scalar is an element of Q(L) the same way: it
+lifts a series or polynomial over Q in ``+ - * /``, ``Poly.eval`` and
+``Poly.shift_arg``.  ``_over_q`` goes the other way: it takes a Q(L)
+series whose coefficients are all constants down to Q, the one helper by
+which the Sheffer routes run their L-free half on the Q kernel.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .errors import (
     nonnegative_integer,
 )
 from .fields import (
-    QL, QQ, common_field, format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul,
-    vec_trim,
+    QL, QQ, RatFunc, common_field, format_terms, latex_scalar, vec_add, vec_dot, vec_horner,
+    vec_mul, vec_trim,
 )
 
 
@@ -48,6 +50,12 @@ def working_trunc(n_max: int) -> int:
     expression DSL, where dividing by a series of order k
     (``t^2/(exp(t)-1)``) loses k coefficients."""
     return 2 * n_max + 2
+
+
+def _field_with(field, v):
+    """The field of an operation on a vector over ``field`` and the scalar
+    v: a RatFunc is an element of Q(L) (``common_field``)."""
+    return common_field(field, QL) if isinstance(v, RatFunc) else field
 
 
 class CoeffVector:
@@ -64,10 +72,13 @@ class CoeffVector:
         return hash((id(self.field), self.coeffs))
 
     def _scalar(self, v):
+        """(field, v coerced into it) for a scalar operand v, over the field
+        of this vector and v together; (None, None) when v is not a scalar."""
+        field = _field_with(self.field, v)
         try:
-            return self.field.coerce(v)
+            return field, field.coerce(v)
         except TypeError:
-            return None
+            return None, None
 
     def coeff_texts(self, latex: bool = False) -> list[str]:
         """The field's text (or LaTeX) for each coefficient, ascending powers."""
@@ -79,10 +90,10 @@ class CoeffVector:
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
-            s = self._scalar(other)
-            if s is None:
+            field, c = self._scalar(other)
+            if field is None:
                 return NotImplemented
-            return self.__add__(-s)
+            return self.__add__(-c)
         return self.__add__(-other)
 
     def __rsub__(self, other):
@@ -137,10 +148,10 @@ class Series(CoeffVector):
 
     def __add__(self, other):
         if not isinstance(other, Series):
-            s = self._scalar(other)
-            if s is None:
+            field, c = self._scalar(other)
+            if field is None:
                 return NotImplemented
-            return Series(self.field, vec_add(self.coeffs, (s,)))
+            return Series(field, vec_add(self.coeffs, (c,)))
         T = min(self.trunc, other.trunc)
         field = common_field(self.field, other.field)
         return Series(field, vec_add(self.coeffs[:T], other.coeffs[:T]))
@@ -149,10 +160,10 @@ class Series(CoeffVector):
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            s = self._scalar(other)
-            if s is None:
+            field, c = self._scalar(other)
+            if field is None:
                 return NotImplemented
-            return Series(self.field, [c * s for c in self.coeffs])
+            return Series(field, [a * c for a in self.coeffs])
         T = min(self.trunc, other.trunc)
         field = common_field(self.field, other.field)
         return Series(field, vec_mul(self.coeffs, other.coeffs, field.zero, T))
@@ -162,12 +173,12 @@ class Series(CoeffVector):
     def __truediv__(self, other):
         """Division that tolerates a common zero of order k at t = 0."""
         if not isinstance(other, Series):
-            s = self._scalar(other)
-            if s is None:
+            field, c = self._scalar(other)
+            if field is None:
                 return NotImplemented
-            if not s:
+            if not c:
                 raise NotInvertible("division by zero scalar")
-            return self.__mul__(self.field.one / s)
+            return self.__mul__(field.one / c)
         k = other.order()
         if k == other.trunc:
             raise NotInvertible("division by the zero series")
@@ -180,10 +191,10 @@ class Series(CoeffVector):
         return self.shift_div(k) * other.shift_div(k).inverse()
 
     def __rtruediv__(self, other):
-        s = self._scalar(other)
-        if s is None:
+        field, c = self._scalar(other)
+        if field is None:
             return NotImplemented
-        return self.inverse() * s
+        return self.inverse() * c
 
     # ------------------------------------------------------------- operations
 
@@ -431,20 +442,20 @@ class Poly(CoeffVector):
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            s = self._scalar(other)
-            if s is None:
+            field, c = self._scalar(other)
+            if field is None:
                 return NotImplemented
-            other = Poly.constant(self.field, s)
+            other = Poly.constant(field, c)
         return Poly(common_field(self.field, other.field), vec_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            s = self._scalar(other)
-            if s is None:
+            field, c = self._scalar(other)
+            if field is None:
                 return NotImplemented
-            return Poly(self.field, [c * s for c in self.coeffs])
+            return Poly(field, [a * c for a in self.coeffs])
         field = common_field(self.field, other.field)
         return Poly(field, vec_mul(self.coeffs, other.coeffs, field.zero))
 
@@ -459,14 +470,16 @@ class Poly(CoeffVector):
         return Poly(self.field, [k * c for k, c in enumerate(self.coeffs)][1:])
 
     def eval(self, at):
-        return vec_horner(self.coeffs, self.field.coerce(at), self.field.zero)
+        field = _field_with(self.field, at)
+        return vec_horner(self.coeffs, field.coerce(at), field.zero)
 
     def compose(self, inner: "Poly") -> "Poly":
         return vec_horner(self.coeffs, inner, Poly(self.field))
 
     def shift_arg(self, s) -> "Poly":
         """p(x + s)."""
-        return self.compose(Poly(self.field, [self.field.coerce(s), self.field.one]))
+        field = _field_with(self.field, s)
+        return self.compose(Poly(field, [field.coerce(s), field.one]))
 
     def to_field(self, field) -> "Poly":
         return Poly(field, self.coeffs)

@@ -16,6 +16,15 @@ read through the adjoint rule <g(t) h(t) | p(x)> = <h(t) | g(t) p(x)>
 (Roman, *The Umbral Calculus*, ch. 2) as <f^k | g(t) S_n(x)>, so g acts
 once on each S_n and f^k is a power table of f alone.
 
+The applies work on the common-denominator layouts of ``fields``: g (or
+1/g) is laid out once per call, each polynomial once, and every sum of
+products is a sum of Kronecker-packed integer polynomials.
+:func:`operator_apply` divides each output by the cofactor of the
+denominators it did not use and normalises it once.  The orthogonality
+check makes no gcd: it compares <f^k | g S_n> with n! delta as two packed
+integers over a common denominator, and builds a field element only for
+the failure it returns.
+
 Only g carries L in the registry's pairs over Q(L); f is free of it.  Each
 route takes f down to Q first (``series._over_q``), so the reversion fbar,
 the power tables of fbar, t/f and f, the inverse t/f and the operator
@@ -33,13 +42,17 @@ computing; ``_cut`` is that one rule.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
+from math import comb, isqrt
+from operator import mul
 
 from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
 )
-from .fields import common_field, vec_dot
+from .fields import (
+    _Z_ONE, _dot_bound, _element, _lay_out, _Layout, _pack, _slot_width, _unpack, _zmul,
+    common_field, vec_dot,
+)
 from .record import Record
 from .series import Poly, Series, _over_q
 
@@ -50,10 +63,8 @@ def functional_apply(f: Series, p: Poly):
         raise TruncationTooShort(
             f"functional truncated at {f.trunc} applied to degree {p.degree}"
         )
-    facts = [1]
-    for n in range(1, len(p.coeffs)):
-        facts.append(facts[-1] * n)
-    return vec_dot(f.coeffs, p.coeffs, common_field(f.field, p.field).zero, facts)
+    return vec_dot(f.coeffs, p.coeffs, common_field(f.field, p.field).zero,
+                   _factorials(len(p.coeffs)))
 
 
 def operator_apply(f: Series, p: Poly) -> Poly:
@@ -63,13 +74,54 @@ def operator_apply(f: Series, p: Poly) -> Poly:
         raise TruncationTooShort(
             f"operator truncated at {f.trunc} applied to degree {p.degree}"
         )
-    field = common_field(f.field, p.field)
+    return _apply(_lay_out(f.coeffs), p, common_field(f.field, p.field))
+
+
+def _factorials(n: int) -> list:
+    """[0!, 1!, .., (n-1)!]."""
+    out = [1] * n
+    for k in range(1, n):
+        out[k] = out[k - 1] * k
+    return out
+
+
+def _packed_sums(fl: _Layout, pl: _Layout, bound: int = 0):
+    """(s, [sum_k F_k P_{j+k} at 2^s for each j]) for the numerators F of fl
+    and P of pl, with s holding ``bound`` and every coefficient of the sums."""
+    s = _slot_width(max(bound, _dot_bound(fl, pl)))
+    F, P = fl.packed(s), pl.packed(s)
+    return s, [sum(map(mul, F, P[j:])) for j in range(len(P))]
+
+
+def _apply(fl: _Layout, p: Poly, field) -> Poly:
+    """f(t) p(x) over ``field`` for the layout fl of f.
+
+    With m! p[m] = P_m / (qp * dp) (p laid out from its tail) and
+    f[k] = F_k / (qf * df), j! times the x^j coefficient is
+    sum_k F_k P_{j+k} / (qf qp df dp).  The numerators of the f[k] it uses
+    (k <= n - 1 - j) are divisible by fl.cofactors[n - 1 - j], those of the
+    p[m] (m >= j) by pl.cofactors[j]; the packed sum is divided by both
+    exactly, leaving the denominator dens[n - 1 - j] * dens[j], and one
+    ``_lowest_terms`` makes the canonical form.  Unpacking the quotient is
+    exact: a factor Q of an integer polynomial P with d + 1 coefficients has
+    |Q_i| <= C(d, d // 2) ||P||_2 (Mignotte 1974), so the slot holds that
+    bound too whenever a cofactor is not 1."""
+    n = len(p.coeffs)
+    fact = _factorials(n)
+    pl = _lay_out(p.coeffs, fact, tail=True)
+    bound = 0
+    if any(a != _Z_ONE or b != _Z_ONE for a, b in zip(fl.cofactors[n - 1 :: -1], pl.cofactors)):
+        d = max(fl.length + pl.length - 2, 0)
+        bound = comb(d, d // 2) * (isqrt(d) + 1) * _dot_bound(fl, pl)
+    s, sums = _packed_sums(fl, pl, bound)
     out = []
-    for j in range(len(p.coeffs)):
-        falling = [1]  # (j+k)!/j!
-        for k in range(1, len(p.coeffs) - j):
-            falling.append(falling[-1] * (j + k))
-        out.append(vec_dot(f.coeffs, p.coeffs[j:], field.zero, falling))
+    for j, v in enumerate(sums):
+        m = n - 1 - j
+        a, b = fl.cofactors[m], pl.cofactors[j]
+        if v and (a != _Z_ONE or b != _Z_ONE):
+            v //= _pack(_zmul(a, b), s)
+        out.append(_element(field, _unpack(v, s), fact[j] * fl.q * pl.q,
+                            _zmul(fl.dens[m], pl.dens[j])))
     return Poly(field, out)
 
 
@@ -131,9 +183,7 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     fbar = _over_q(pair.f).revert()
     powers = fbar.powers(n_max)
     ginv = pair.g.compose(fbar).inverse()
-    fact = [1] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        fact[k] = fact[k - 1] * k
+    fact = _factorials(n_max + 1)
     polys = []
     for n in range(n_max + 1):
         head = ginv.coeffs[n::-1]  # head[i] = ginv[n - i]
@@ -150,15 +200,19 @@ def sheffer_transfer(pair: ShefferPair, n: int) -> Poly:
 
 
 def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
-    """[S_1 .. S_{n_max}] by the operator route, sharing the inversions."""
+    """[S_1 .. S_{n_max}] by the operator route, sharing the inversions and
+    one layout of 1/g."""
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
-    ginv = pair.g.inverse()
+    ginv = _lay_out(pair.g.inverse().coeffs)
     t_over_f = _over_q(pair.f).shift_div(1).inverse()
+    fact = _factorials(n_max)
     out = []
     for n, q in enumerate(t_over_f.powers(n_max)[1:], 1):
-        # (1/g) x q x^{n-1} for q = (t/f)^n, evaluated right to left
-        p = operator_apply(q, Poly.monomial(q.field, n - 1)).mul_by_x()
-        out.append(operator_apply(ginv, p))
+        # (1/g) x q x^{n-1} for q = (t/f)^n, evaluated right to left; t^k
+        # takes x^{n-1} to (n-1)!/j! x^j with j = n-1-k
+        p = Poly(q.field, [q.field.zero] + [q.coeffs[n - 1 - j] * (fact[n - 1] // fact[j])
+                                            for j in range(n)])
+        out.append(_apply(ginv, p, common_field(pair.field, p.field)))
     return out
 
 
@@ -170,27 +224,50 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     larger) and the same values are compared.  Each value is read as
     <f^k | g(t) S_n(x)> (the adjoint rule <g h | p> = <h | g p>), so f^k
     is a power table of f, over Q when f is free of L, and g acts once on
-    each S_n."""
+    each S_n.
+
+    No sum is normalised and no ``RatFunc`` is built unless a value fails
+    (a layout's lcm step runs a gcd only for two denominators neither of
+    which divides the other, which no registry pair in the benchmark has).
+    With g, S_n (weighted by m!) and f^k laid out over common denominators,
+    j! (g S_n)_j = G_{n,j} / (q_n D_n) and f^k_j = A_{k,j} / (q_k D_k), so
+    <f^k | g S_n> = sum_j A_{k,j} G_{n,j} / (q_k q_n D_k D_n): it is
+    n! delta_{n,k} exactly when the integer polynomials sum_j A_{k,j} G_{n,j}
+    and n! delta_{n,k} q_k q_n D_k D_n are equal, which their packed
+    integers decide at a slot that holds both.  The G_{n,j} are unpacked
+    and packed again at one slot per S_n for all k, so the slot of the sums
+    in g S_n need not hold the weights A_{k,j}.  The S_n are taken one at a
+    time, each against the f^k before the first failure found so far."""
     if len(polys) < nonnegative_integer("n_max", n_max) + 1:
         raise DomainError(
             f"orthogonality up to n_max = {n_max} needs {n_max + 1} polynomials "
             f"S_0 .. S_{n_max}, got {len(polys)}"
         )
     pair = _cut(pair, max([n_max] + [p.degree for p in polys[: n_max + 1]]))
-    field = pair.field
-    fact = Fraction(1)
-    facts = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        fact *= n
-        facts.append(fact)
-    g_polys = [operator_apply(pair.g, p) for p in polys[: n_max + 1]]
-    for k, f_k in enumerate(_over_q(pair.f).powers(n_max)):
-        for n in range(n_max + 1):
-            value = functional_apply(f_k, g_polys[n])
-            want = field.coerce(facts[n]) if n == k else field.zero
-            if value != want:
-                return (n, k, value)
-    return None
+    fact = _factorials(n_max + 1)
+    gl = _lay_out(pair.g.coeffs)
+    fls = [_lay_out(f_k.coeffs) for f_k in _over_q(pair.f).powers(n_max)]
+    # numerators that bound those of every f^k, for one slot per S_n
+    f_all = _Layout([(max(fl.height for fl in fls),) * max(fl.length for fl in fls)]
+                    * len(fls[0].num))
+    failure = None  # the first in (k, n) order; a later S_n needs only smaller k
+    for n, p in enumerate(polys[: n_max + 1]):
+        pl = _lay_out(p.coeffs, _factorials(len(p.coeffs)))
+        s, sums = _packed_sums(gl, pl)
+        gs = _Layout([_unpack(v, s) for v in sums], gl.q * pl.q, _zmul(gl.den, pl.den))
+        want = [fact[n] * fls[n].q * gs.q * c for c in _zmul(fls[n].den, gs.den)]
+        s = _slot_width(max([_dot_bound(f_all, gs)] + [abs(c) for c in want]))
+        G, want = gs.packed(s), _pack(want, s)
+        for k, fl in enumerate(fls[: None if failure is None else failure[0]]):
+            v = sum(map(mul, fl.packed(s), G))
+            if v != (want if n == k else 0):
+                failure = (k, n, common_field(pair.field, p.field), _unpack(v, s), fl.q * gs.q,
+                           _zmul(fl.den, gs.den))
+                break
+    if failure is None:
+        return None
+    k, n, field, num, q, den = failure
+    return (n, k, _element(field, num, q, den))
 
 
 def orthogonality_check(pair: ShefferPair, polys: list[Poly], n_max: int) -> bool:

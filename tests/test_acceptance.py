@@ -241,9 +241,9 @@ def test_criterion_6_series_kernel_properties(catalog_gf):
 
 def test_criterion_7_cli_contract():
     """Documented commands byte-stable across runs, the Q(L) composition
-    commands printing the bytes of tests/data/sheffer_qlambda.csv and
-    tests/data/sheffer_lambda_f.csv; verify --all exits 0 and prints the
-    bytes of tests/data/verify_all.json."""
+    commands printing the bytes of tests/data/sheffer_qlambda.csv,
+    tests/data/sheffer_lambda_f.csv and tests/data/sheffer_two_dens.csv;
+    verify --all exits 0 and prints the bytes of tests/data/verify_all.json."""
     failures = []
     data = Path(__file__).parent / "data"
     documented = [
@@ -256,6 +256,11 @@ def test_criterion_7_cli_contract():
         # a delta series f that carries L, so f itself stays over Q(L)
         (["sheffer", "--g", "exp(L*t)", "--f", "t*exp(L*t)", "--n", "8", "--format", "csv"],
          "sheffer_lambda_f.csv"),
+        # g with two unrelated denominator factors, 1 - L and 1 + L, so the
+        # common denominators of the packed applies are not nested powers
+        (["sheffer", "--g", "(exp(t)-L)/(1-L)*(exp(2*t)+L)/(1+L)",
+          "--f", "log1p(t)*pow(1+t, -1/2)", "--n", "10", "--format", "csv"],
+         "sheffer_two_dens.csv"),
     ]
     for argv, pinned in documented:
         cmd = [sys.executable, "-m", "umbralkit.cli", *argv]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from umbralkit import EvalPole, LAMBDA, QL, QQ, RatFunc
 from umbralkit.fields import (
-    _P, _coprime_mod_p, _zgcd, _zgcd_prs, _zquo, latex_scalar, vec_add,
-    vec_dot, vec_mul,
+    _P, _coprime_mod_p, _lay_out, _lcm_cofactors, _pack, _slot_width, _unpack, _zgcd,
+    _zgcd_prs, _zquo, latex_scalar, vec_add, vec_dot, vec_mul, vec_trim,
 )
 
 from conftest import fractions, ratfuncs
@@ -451,6 +451,55 @@ class TestQLambdaKernel:
             want.append(vec_dot([a[i] for i in idx], [b[k - i] for i in idx], QL.zero))
         assert len(got) == n
         assert all(_same_form(x, y) for x, y in zip(got, want))
+
+
+def _as_element(num, q, den):
+    """num / (q * den) for integer polynomials num and den, as a RatFunc."""
+    return RatFunc(num, den) * F(1, q) if num else QL.zero
+
+
+class TestPackedLayout:
+    """The common-denominator layout and its Kronecker packing."""
+
+    @given(t=st.lists(st.integers(-(2**80), 2**80), max_size=6), extra=st.integers(0, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_pack_round_trip(self, t, extra):
+        t = vec_trim(t)
+        s = _slot_width(max(map(abs, t), default=0)) + extra
+        assert _unpack(_pack(t, s), s) == t
+
+    @pytest.mark.parametrize("s", [2, 8, 31, 64, 200])
+    def test_slot_boundary(self, s):
+        edge = 2 ** (s - 1) - 1
+        assert _slot_width(edge) == s
+        for t in [(edge, -edge, edge), (-edge, 0, -edge), (-(edge + 1), edge, 1)]:
+            assert _unpack(_pack(t, s), s) == t
+        # one past the bound is another polynomial at this width
+        assert _unpack(_pack((edge + 1, 1), s), s) != (edge + 1, 1)
+
+    @given(c=_planted_terms(), w=st.lists(st.integers(-20, 20), min_size=6, max_size=6),
+           tail=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_layout_reconstructs(self, c, w, tail):
+        lay = _lay_out(c, w, tail)
+        for i, x in enumerate(c):
+            assert _as_element(lay.num[i], lay.q, lay.den) == w[i] * x
+            assert lay.height >= max(map(abs, lay.num[i]), default=0)
+            assert lay.length >= len(lay.num[i])
+            assert vec_mul(lay.cofactors[i], lay.dens[i]) == lay.den
+            # the numerators of the entries up to i (from i, for a tail
+            # layout) are divisible by cofactors[i]
+            for k in (range(i, len(c)) if tail else range(i + 1)):
+                if lay.num[k]:
+                    assert _zquo(lay.num[k], lay.cofactors[i]) is not None
+
+    @given(ab=_sharing_ratfuncs())
+    @settings(max_examples=80, deadline=None)
+    def test_lcm_cofactors(self, ab):
+        a, b = ab[0]._d, ab[1]._d
+        lcm, m, mb = _lcm_cofactors(a, b)
+        assert vec_mul(a, m) == vec_mul(b, mb) == lcm
+        assert len(lcm) - 1 == len(a) + len(b) - len(_zgcd(a, b)) - 1
 
 
 class TestZquo:

@@ -417,6 +417,55 @@ class TestMixedFields:
             assert got.field is QL and got == operator_apply(lf, lp)
 
 
+class TestRatFuncScalarLift:
+    """A RatFunc scalar is an element of Q(L): with a series or polynomial
+    over Q, in either order, it gives the result of the lifted vector."""
+
+    Q_SERIES = S(1, 2, 3)
+    Q_POLY = Poly(QQ, [1, 2])
+    SCALARS = [LAMBDA, (LAMBDA + 1) / (1 - LAMBDA), LAMBDA / LAMBDA]
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b,
+    ], ids=["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("c", SCALARS, ids=["L", "ratio", "one"])
+    def test_series_both_orders(self, op, c):
+        q = self.Q_SERIES
+        for got, want in ((op(q, c), op(_lift(q), c)), (op(c, q), op(c, _lift(q)))):
+            assert got.field is QL
+            assert got == want
+
+    def test_rtruediv_inverts(self):
+        got = LAMBDA / self.Q_SERIES
+        assert got.field is QL
+        assert got == self.Q_SERIES.inverse() * LAMBDA
+        assert got * self.Q_SERIES == Series(QL, [LAMBDA], trunc=3)
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+    ], ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("c", SCALARS, ids=["L", "ratio", "one"])
+    def test_poly_both_orders(self, op, c):
+        q = self.Q_POLY
+        for got, want in ((op(q, c), op(_lift(q), c)), (op(c, q), op(c, _lift(q)))):
+            assert got.field is QL
+            assert got == want
+
+    def test_eval_and_shift_arg(self):
+        p = self.Q_POLY  # 2x + 1
+        assert p.eval(LAMBDA) == 2 * LAMBDA + 1 == _lift(p).eval(LAMBDA)
+        shifted = p.shift_arg(LAMBDA)
+        assert shifted.field is QL
+        assert shifted == _lift(p).shift_arg(LAMBDA) == Poly(QL, [2 * LAMBDA + 1, 2])
+
+    def test_rationals_keep_q(self):
+        for got in (self.Q_SERIES * F(1, 2), F(1, 2) - self.Q_SERIES, self.Q_SERIES / 3,
+                    self.Q_POLY + 1):
+            assert got.field is QQ
+        with pytest.raises(TypeError):
+            self.Q_SERIES * "x"
+
+
 class TestQKernelLifted:
     """The routes' L-free half over Q, lifted to Q(L), against the same
     calls over Q(L), where every coefficient is a constant RatFunc."""

@@ -40,6 +40,9 @@ from umbralkit import (
     FamilySpec,
 )
 
+from umbralkit import umbral
+from umbralkit.fields import RatFunc, common_field, vec_dot, vec_mul
+
 from conftest import qq_polys, qq_series, ratfuncs
 
 T = 12
@@ -501,3 +504,169 @@ class TestLambdaDependentF:
         for lam0 in (F(2), F(-1, 3)):
             at = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in polys]
             assert at == sheffer_gf(self.pair(QQ, lam0), n)
+
+
+# ---------------------------------------------------------------------------
+# the packed applies against the plain per-coefficient loops
+# ---------------------------------------------------------------------------
+
+
+def _plain_apply(f, p):
+    """f(t) p(x) by one ``vec_dot`` per coefficient: the x^j coefficient is
+    sum_k f[k] (j+k)!/j! p[j+k]."""
+    field = common_field(f.field, p.field)
+    out = []
+    for j in range(len(p.coeffs)):
+        falling = [1]  # (j+k)!/j!
+        for k in range(1, len(p.coeffs) - j):
+            falling.append(falling[-1] * (j + k))
+        out.append(vec_dot(f.coeffs, p.coeffs[j:], field.zero, falling))
+    return Poly(field, out)
+
+
+def _form(c):
+    """A RatFunc's canonical form, scale included; any other value as it is."""
+    return (c.scale, c._n, c._d) if isinstance(c, RatFunc) else c
+
+
+def _same_poly(got, want):
+    """Same field and the same canonical coefficients."""
+    return got.field is want.field and [_form(c) for c in got.coeffs] == [
+        _form(c) for c in want.coeffs]
+
+
+def _planted_ratfuncs():
+    """Q(L) elements with planted denominator factors (1 - L)^i (L + 2)^j,
+    nested or not, and zeros, ints and Fractions among them."""
+    small = st.lists(st.integers(-6, 6), min_size=1, max_size=3)
+
+    def power(base, k):
+        out = (1,)
+        for _ in range(k):
+            out = tuple(vec_mul(out, base))
+        return out
+
+    def build(t):
+        num, i, j, lead = t
+        return RatFunc(tuple(num), vec_mul(power((1, -1), i), power((2, 1), j))) * lead
+
+    element = st.tuples(small, st.integers(0, 3), st.integers(0, 2),
+                        st.fractions(-5, 5, max_denominator=6).filter(bool)).map(build)
+    return st.one_of(element, element, element, st.just(QL.zero), st.integers(-3, 3),
+                     st.fractions(-4, 4, max_denominator=5))
+
+
+class TestPackedApply:
+    """``operator_apply`` sums packed numerators over common denominators
+    and divides each output by its cofactor; the plain ``vec_dot`` loop
+    gives the same canonical coefficients."""
+
+    @given(f=qq_series(7), p=qq_polys(max_degree=6))
+    @settings(max_examples=40, deadline=None)
+    def test_q(self, f, p):
+        assert _same_poly(operator_apply(f, p), _plain_apply(f, p))
+
+    @given(fc=st.lists(_planted_ratfuncs(), min_size=6, max_size=6),
+           pc=st.lists(_planted_ratfuncs(), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_q_lambda(self, fc, pc):
+        f, p = Series(QL, fc), Poly(QL, pc)
+        assert _same_poly(operator_apply(f, p), _plain_apply(f, p))
+
+    @given(fc=st.lists(_planted_ratfuncs(), min_size=6, max_size=6), q=qq_series(6),
+           p=qq_polys(max_degree=5), pc=st.lists(_planted_ratfuncs(), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed(self, fc, q, p, pc):
+        f, lp = Series(QL, fc), Poly(QL, pc)
+        assert _same_poly(operator_apply(f, p), _plain_apply(f, p))
+        assert _same_poly(operator_apply(q, lp), _plain_apply(q, lp))
+
+    def test_transfer_route_applies(self):
+        # 1/g of T2[a=-1] on a polynomial over Q: denominators (1 - L)^k,
+        # nested, so every output but the last divides by a cofactor
+        pair = bespoke_pair("T2", 9, order=-1, b=F(1, 2), lam=None)
+        ginv = pair.g.inverse()
+        p = Poly(QQ, [F(k + 1, 3) * (-1) ** k for k in range(8)])
+        assert _same_poly(operator_apply(ginv, p), _plain_apply(ginv, p))
+
+    def test_cofactor_quotient_beyond_sum_bound(self):
+        # over D = L - 1 the numerator of f[0] = 1 + 2L + 2L^2 + L^3 is
+        # -(1 + L - L^3 - L^4), of height 1; the output divides it by the
+        # cofactor L - 1 back to height 2, so the slot must hold the factor
+        # bound as well as the sum's
+        f = Series(QL, [RatFunc((1, 2, 2, 1)), RatFunc(1, (1, -1))])
+        p = Poly(QQ, [1])
+        got = operator_apply(f, p)
+        assert _same_poly(got, _plain_apply(f, p))
+        assert got.coeffs == (RatFunc((1, 2, 2, 1)),)
+
+    @staticmethod
+    def _boundary_case(a, sign):
+        """One product whose coefficients are sign (2^a - 1) twice: with the
+        slot width s = a + 1 of the bound they are +-(2^(s-1) - 1)."""
+        f = Series(QL, [RatFunc((2**a - 1, 2**a - 1))])  # (2^a - 1)(1 + L)
+        return f, Poly(QQ, [sign])
+
+    @pytest.mark.parametrize("a", [1, 7, 30, 64])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_boundary(self, a, sign):
+        f, p = self._boundary_case(a, sign)
+        got = operator_apply(f, p)
+        assert _same_poly(got, _plain_apply(f, p))
+        assert got.coeffs[0] == sign * (2**a - 1) * (1 + LAMBDA)
+
+    def test_one_bit_narrower_slot_fails(self, monkeypatch):
+        # the mutation the boundary test exists for: one bit less than the
+        # bound unpacks a different polynomial
+        monkeypatch.setattr(umbral, "_slot_width", lambda bound: bound.bit_length())
+        for a in (7, 30):
+            for sign in (1, -1):
+                f, p = self._boundary_case(a, sign)
+                assert not _same_poly(operator_apply(f, p), _plain_apply(f, p))
+
+
+# an f that carries L, with g = e^{Lt}; g with two unrelated denominator
+# factors (1 - L) and (1 + L); a DSL pair over Q
+PACKED_ORTHOGONALITY_PAIRS = ORTHOGONALITY_PAIRS + [
+    lambda T: ShefferPair(exp_ct(QL, LAMBDA, T), exp_ct(QL, LAMBDA * LAMBDA, T).mul_t(1)),
+    lambda T: dsl_pair("(exp(t)-L)/(1-L)*(exp(2*t)+L)/(1+L)", "log1p(t)*pow(1+t, -1/2)", T),
+    lambda T: dsl_pair("exp(2*t)", "t*exp(t)", T),
+]
+
+
+class TestPackedOrthogonality:
+    """``orthogonality_failure`` decides each <f^k | g S_n> by comparing two
+    packed integers; the direct <g f^k | S_n> loop gives the same triple
+    and the same value type."""
+
+    @given(which=st.integers(0, len(PACKED_ORTHOGONALITY_PAIRS) - 1), n_max=st.integers(0, 5),
+           mutation=st.sampled_from(["none", "monomial", "zero", "cancel", "scale"]),
+           n=st.integers(0, 5), j=st.integers(0, 5), c=st.fractions(-3, 3, max_denominator=4))
+    @settings(max_examples=80, deadline=None)
+    def test_same_triple(self, which, n_max, mutation, n, j, c):
+        pair = PACKED_ORTHOGONALITY_PAIRS[which](answer_trunc(n_max))
+        polys = sheffer_gf(pair, n_max)
+        n, j = n % (n_max + 1), j % (n_max + 1)
+        if mutation == "monomial":
+            polys[n] = polys[n] + Poly.monomial(pair.field, j, c)
+        elif mutation == "zero":
+            polys[n] = Poly(pair.field)
+        elif mutation == "cancel":
+            # S_n + c S_j: every <g f^k | .> but k = j still cancels exactly
+            polys[n] = polys[n] + polys[j] * c
+        elif mutation == "scale":
+            polys[n] = polys[n] * c
+        got = orthogonality_failure(pair, polys, n_max)
+        want = _direct_orthogonality(pair, polys, n_max)
+        assert got == want
+        if got is not None:
+            assert type(got[2]) is type(want[2]) is type(pair.field.zero)
+            assert _form(got[2]) == _form(want[2])
+
+    def test_polys_over_q_with_pair_over_q_lambda(self):
+        # the value of a failure is over the common field of pair and S_n
+        pair = ORTHOGONALITY_PAIRS[1](4)
+        polys = [Poly(QQ, [1] * (k + 1)) for k in range(4)]
+        got = orthogonality_failure(pair, polys, 3)
+        assert got == _direct_orthogonality(pair, polys, 3)
+        assert isinstance(got[2], RatFunc)
