@@ -24,20 +24,20 @@ sums integer numerators over a running lcm of the products' denominators.
 Either way each output is one ``Fraction``, so the gcd that normalises a
 rational runs once per output instead of at every ``+=``.
 
-Every sum over Q(L) but the umbral applies' is normalised in one place,
+Every sum over Q(L) but the packed ones below is normalised in one place,
 ``_ratfunc_dot``: a coefficient of a series product, an inverse, a
-composition or a reversion, a functional (all through ``vec_dot``), and
-``a + b`` itself, the sum 1*a + 1*b.  Each product a_i*b_i is left
-unreduced (numerators, denominators and rational scales multiplied); the
-numerators are summed over a running lcm of the denominators and a
-running lcm of the scales' integer denominators; one content extraction
-and one ``_lowest_terms`` at the end give the canonical form, which is
-unique, so the value and every printed byte do not depend on how a sum is
-grouped.  Each lcm step (``_lcm_cofactors``) first tries exact division
-both ways with ``_zquo``, whose "no" is certain: the denominators are
-primitive, and by Gauss's lemma a quotient in Q[L] of a polynomial by a
-primitive one is integral, so an integer long division that meets an
-indivisible leading coefficient or leaves a remainder proves
+composition with an inner series over Q(L), a reversion, a functional (all
+through ``vec_dot``), and ``a + b`` itself, the sum 1*a + 1*b.  Each
+product a_i*b_i is left unreduced (numerators, denominators and rational
+scales multiplied); the numerators are summed over a running lcm of the
+denominators and a running lcm of the scales' integer denominators; one
+content extraction and one ``_lowest_terms`` at the end give the canonical
+form, which is unique, so the value and every printed byte do not depend
+on how a sum is grouped.  Each lcm step (``_lcm_cofactors``) first tries
+exact division both ways with ``_zquo``, whose "no" is certain: the
+denominators are primitive, and by Gauss's lemma a quotient in Q[L] of a
+polynomial by a primitive one is integral, so an integer long division
+that meets an indivisible leading coefficient or leaves a remainder proves
 non-divisibility.  ``_zgcd`` runs only when neither denominator divides
 the other.  ``_lowest_terms`` is also the tail of ``RatFunc.__init__``, so
 canonical form is made in one function.
@@ -45,33 +45,48 @@ canonical form is made in one function.
 Q(L) arithmetic is paid only where L is.  An int or Fraction operand of
 ``_ratfunc_dot`` is a constant read as it is, with no ``RatFunc`` built for
 it, and the products of two constants are summed apart as over Q and join
-the Q(L) sum once at the end; so a series over Q(L) against one over Q (a
-coefficient of g(fbar) with fbar over Q) pays Q(L) work only for its terms
-in L.  A Q(L) ``vec_mul`` starts each output coefficient at the operands'
-first nonzero entries, so a power f^k of a delta series (order k) costs no
-zero terms.
+the Q(L) sum once at the end; so a series over Q(L) times one over Q pays
+Q(L) work only for its terms in L.  A Q(L) ``vec_mul`` starts each output
+coefficient at the operands' first nonzero entries, so a power f^k of a
+delta series (order k) costs no zero terms.
 
-The umbral applies lay a whole Q or Q(L) vector out over one common
-denominator, FLINT's ``fmpq_poly`` layout one level up, over Z[L]: entry i
-is num[i] / (q * den) with q a positive integer, den in Z[L] primitive with
-positive lead, and num[i] in Z[L] (``_lay_out``, whose running lcm takes
-the same ``_lcm_cofactors`` step as ``_ratfunc_dot``).  The layout also
-keeps the lcm of the denominators up to each entry, so a sum that uses
-only some entries can be divided by the cofactor of the ones it skips.  A
-numerator is packed into one Python int by Kronecker substitution, as its
-value at L = 2^s, so a sum of products of numerators is a few C-speed
-big-int operations (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  The
-slot width s comes from a bound on the sum's coefficients: for
-sum_i a_i b_i with at most t terms, coefficients of a_i at most A and of
-b_i at most B, and lengths at most l, every coefficient is at most
+The umbral applies and the Q(L) x Q sums lay a whole Q or Q(L) vector out
+over one common denominator, FLINT's ``fmpq_poly`` layout one level up,
+over Z[L]: entry i is num[i] / (q * den) with q a positive integer, den in
+Z[L] primitive with positive lead, and num[i] in Z[L] (``_lay_out``, whose
+running lcm takes the same ``_lcm_cofactors`` step as ``_ratfunc_dot``).
+The layout also keeps the lcm of the denominators up to each entry, so a
+sum that uses only some entries can be divided by the cofactor of the ones
+it skips.  A numerator is packed into one Python int by Kronecker
+substitution, as its value at L = 2^s, so a sum of products of numerators
+is a few C-speed big-int operations (Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symbolic Comput.
+44, 2009).  The slot width s comes from a bound on the sum's coefficients:
+for sum_i a_i b_i with at most t terms, coefficients of a_i at most A and
+of b_i at most B, and lengths at most l, every coefficient is at most
 t * l * A * B, and ``_slot_width`` gives s with that bound below 2^(s-1)
 (the bits of both factors, the term count, the length, and a sign bit;
 integer weights are folded into the numerators first).  Two integer
 polynomials whose coefficients lie in (-2^(s-1), 2^(s-1)) have equal
 values at 2^s only if they are equal, since those values are their
 balanced base-2^s digits.  So ``_unpack`` recovers a packed sum exactly,
-and two packed integers are equal exactly when their polynomials are.
+and two packed integers are equal exactly when their polynomials are.  A
+slot is at least 2 bits wide: at width 1 the balanced digits are only -1
+and 0, and ``_unpack`` of 1 would not return.
+
+A sum that uses only some entries of a layout is an integer polynomial
+divisible by the cofactor of the entries it skips; ``_quotients`` divides
+each packed sum by its packed cofactor as one integer, with Mignotte's
+factor bound added to the slot so the quotient unpacks exactly.  It serves
+the applies and ``_prefix_sums``, which sums integer columns against the
+leading entries of one Q or Q(L) vector: the coefficients of g(fbar) for a
+g over Q(L) and fbar over Q, and the y^j coefficients of the GF route,
+fbar^j against 1/g(fbar).  Their integer columns are rows of the power
+table ``Series._power_rows`` over Q (s^k as integers over d^k, one
+Kronecker-packed product per power, with the bound and the exact mask its
+docstring states); the transfer chain reads (t/f)^n and the orthogonality
+check f^k off the same rows into their layouts, and ``Series.revert``
+solves over them.  No consumer builds a ``Fraction`` per table entry.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -98,7 +113,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import gcd as _int_gcd
+from math import comb, gcd as _int_gcd, isqrt
+from operator import mul
 
 from .errors import DivisionByZero, EvalPole, rational
 
@@ -736,8 +752,9 @@ LAMBDA = RatFunc._raw(Fraction(1), (0, 1), (1,))
 
 def _slot_width(bound: int) -> int:
     """Bits per packed slot that hold every integer of absolute value at
-    most ``bound``, of either sign: |c| <= bound < 2^(s - 1)."""
-    return bound.bit_length() + 1
+    most ``bound``, of either sign: |c| <= bound < 2^(s - 1), and s >= 2,
+    since the balanced digits at width 1 are only -1 and 0."""
+    return max(bound.bit_length() + 1, 2)
 
 
 def _pack(t, s: int) -> int:
@@ -792,10 +809,10 @@ class _Layout:
         return self._packed[1]
 
 
-def _lay_out(c, w=None, tail=False) -> _Layout:
-    """The layout of the entries w[i] * c[i] (w integer weights, all 1 when
-    None; int and Fraction entries are constants), with the running lcms
-    taken from the end when ``tail`` is set."""
+def _lay_out(c, w=None, tail=False, over: int = 1) -> _Layout:
+    """The layout of the entries w[i] * c[i] / over (w integer weights, all
+    1 when None; int and Fraction entries are constants; ``over`` a positive
+    integer), with the running lcms taken from the end when ``tail`` is set."""
     parts = [(x.scale, x._n, x._d) if isinstance(x, RatFunc)
              else (x, _Z_ONE if x else (), _Z_ONE) for x in c]
     q = 1
@@ -806,8 +823,8 @@ def _lay_out(c, w=None, tail=False) -> _Layout:
           for (scale, _, _), k in zip(parts, repeat(1) if w is None else w)]
     if all(d == _Z_ONE for _, _, d in parts):  # no denominator in L
         ones = [_Z_ONE] * len(c)
-        return _Layout([tuple(k * a for a in n) for k, (_, n, _) in zip(ks, parts)],
-                       q, _Z_ONE, ones, ones)
+        return _Layout([(k,) if n == _Z_ONE else tuple([k * a for a in n])
+                        for k, (_, n, _) in zip(ks, parts)], q * over, _Z_ONE, ones, ones)
     order = range(len(c) - 1, -1, -1) if tail else range(len(c))
     den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
     for i in order:
@@ -820,12 +837,56 @@ def _lay_out(c, w=None, tail=False) -> _Layout:
         if own[i]:
             num[i] = tuple(ks[i] * a for a in _zmul(own[i], cof))
         cof = _zmul(cof, steps[i])
-    return _Layout(num, q, den, dens, cofactors)
+    return _Layout(num, q * over, den, dens, cofactors)
 
 
 def _dot_bound(a: _Layout, b: _Layout) -> int:
     """A bound on the coefficients of sum_i a.num[i] * b.num[i + j], any j."""
     return a.height * b.height * min(len(a.num), len(b.num)) * min(a.length, b.length)
+
+
+def _quotients(sums_at, bound: int, length: int, cofactors) -> list:
+    """[sums[i] / cofactors[i]] as integer polynomials, for integer
+    polynomial sums with coefficients at most ``bound`` and at most
+    ``length`` of them, each divisible by its cofactor; ``sums_at(s)`` gives
+    the sums packed at 2^s.
+
+    A packed sum is divided by its packed cofactor as one integer.  That
+    quotient unpacks exactly: a factor Q of an integer polynomial P with
+    d + 1 coefficients has |Q_i| <= C(d, d // 2) ||P||_2 (Mignotte 1974),
+    so the slot holds that bound too whenever a cofactor is not 1."""
+    if any(c != _Z_ONE for c in cofactors):
+        d = max(length - 1, 0)
+        bound *= comb(d, d // 2) * (isqrt(d) + 1)
+    s = _slot_width(bound)
+    out = []
+    for v, c in zip(sums_at(s), cofactors):
+        if v and c != _Z_ONE:
+            v //= _pack(c, s)
+        out.append(_unpack(v, s))
+    return out
+
+
+def _prefix_sums(a, cols, dens, field) -> list:
+    """[sum_k a[k] * c[k] / e for c, e in zip(cols, dens)] over ``field``:
+    column c pairs with the first len(c) >= 1 entries of a, and e is a
+    positive integer.  The entries of one column are all ints (a power
+    table over Q) or all RatFuncs (a table over Q(L), every e then 1).
+
+    RatFunc columns take one ``vec_dot`` each.  Integer columns are packed
+    sums over the prefix layout of a: the numerators A_k of a[0 .. len(c) - 1]
+    are divisible by cofactors[len(c) - 1], so sum_k c[k] A_k is divided by
+    it exactly (``_quotients``), which leaves the denominator
+    q * e * dens[len(c) - 1], and ``_element`` makes the canonical form.
+    A coefficient of the sum is at most height(a) * sum_k |c[k]|."""
+    if cols and isinstance(cols[0][0], RatFunc):
+        return [vec_dot(a, c, field.zero) for c in cols]
+    al = _lay_out(a)
+    bound = al.height * max(sum(map(abs, c)) for c in cols) if cols else 0
+    nums = _quotients(lambda s: [sum(map(mul, c, al.packed(s))) for c in cols], bound,
+                      al.length, [al.cofactors[len(c) - 1] for c in cols])
+    return [_element(field, t, al.q * e, al.dens[len(c) - 1])
+            for t, c, e in zip(nums, cols, dens)]
 
 
 def _element(field, num, q: int, den):

@@ -7,9 +7,19 @@ exact; there are no floats anywhere.
 
 :class:`Series` and :class:`Poly` share one base, :class:`CoeffVector`
 (field, coefficient tuple, equality, negation, subtraction).  Their sums,
-products, series coefficients (``vec_dot``; a composition over one table
-of powers) and Poly's Horner loops are the coefficient-vector kernels of
-:mod:`umbralkit.fields`, and both render through ``fields.format_terms``.
+products, series coefficients (``vec_dot``) and Poly's Horner loops are the
+coefficient-vector kernels of :mod:`umbralkit.fields`, and both render
+through ``fields.format_terms``.
+
+Every table of powers [1, s, .., s^n] comes from ``Series._power_rows``.
+Over Q it is one Kronecker-packed integer table: s = A / d, and row k is
+A^k mod t^T as integers over d^k, each power one big-int product masked to
+its low slots at one slot width, from the bound h^n T^(n-1) on every
+coefficient (h the height of A).  The public ``powers`` makes canonical
+Fractions of the rows; ``compose`` (a prefix sum of the outer series per
+coefficient, packed over the outer's layout when the inner series is over
+Q), ``revert`` and the Sheffer routes of :mod:`umbralkit.umbral` read the
+integer rows themselves.  Over Q(L) the rows are the plain products, d = 1.
 
 Q is a subfield of Q(L), so a sum, difference, product or composition of
 one operand over Q and one over Q(L) is over Q(L), in either order
@@ -36,8 +46,8 @@ from .errors import (
     nonnegative_integer,
 )
 from .fields import (
-    QL, QQ, RatFunc, common_field, format_terms, latex_scalar, vec_add, vec_dot, vec_horner,
-    vec_mul, vec_trim,
+    QL, QQ, RatFunc, _common_den, _pack, _prefix_sums, _slot_width, _unpack, common_field,
+    format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
 )
 
 
@@ -243,31 +253,82 @@ class Series(CoeffVector):
                 base = base * base
         return out
 
+    def _power_rows(self, n: int):
+        """(d, rows) with s^k = rows[k] / d^k for k = 0 .. n, each row a
+        tuple of this series' T coefficients.
+
+        Over Q, s = A / d with A integers over the lcm d of the
+        denominators, and rows[k] = A^k mod t^T comes from one
+        Kronecker-packed table.  With A = t^o B (o the order of s),
+        A^k = t^(ko) B^k, so row k needs only the low T - ko coefficients of
+        B^k: each is the one before it times packed B, one big-int multiply
+        masked to those T - ko slots, all at one slot width w.  No
+        coefficient of a row exceeds h^n T^(n-1) (h the height of A:
+        [t^m] A^k is a sum of at most T^(k-1) products of k coefficients of
+        A, one for each choice of the first k - 1 exponents below T), and
+        ``_slot_width`` makes w hold that bound.  The mask is exact: the
+        slots from the cut up add a multiple of 2^(w c) for c slots, so the
+        masked product is the truncated power mod 2^(w c), and the truncated
+        power is the one representative of it in [-2^(w c - 1), 2^(w c - 1)),
+        since its balanced digits lie in [-2^(w-1), 2^(w-1)).
+
+        Over Q(L), d = 1 and each row is one product with the row before
+        it, its entries RatFuncs."""
+        T, a = self.trunc, self.coeffs
+        if self.field is not QQ:
+            zero = self.field.zero
+            rows = [(self.field.one,) + (zero,) * (T - 1)]
+            while len(rows) <= n:
+                rows.append(vec_mul(rows[-1], a, zero, T))
+            return 1, rows
+        d, A = _common_den(a)
+        rows = [(1,) + (0,) * (T - 1), tuple(A)]
+        if n >= 2:
+            o = self.order()
+            w = _slot_width(max(map(abs, A)) ** n * T ** (n - 1))
+            v = b = _pack(A[o:], w)
+            for k in range(2, n + 1):
+                slots, row = T - k * o, ()
+                if slots > 0:
+                    mask = (1 << (w * slots)) - 1
+                    v = v * (b & mask) & mask
+                    row = (0,) * (k * o) + _unpack(v - mask - 1 if v >> (w * slots - 1) else v, w)
+                rows.append(row + (0,) * (T - len(row)))
+        return d, rows[: n + 1]
+
     def powers(self, n: int) -> list["Series"]:
-        """[1, s, s^2, .., s^n], each at this series' truncation; each power
-        from n = 2 on is one product with the power before it."""
-        out = [one(self.field, self.trunc), self][: nonnegative_integer("n", n) + 1]
-        while len(out) <= n:
-            out.append(out[-1] * self)
-        return out
+        """[1, s, s^2, .., s^n], each at this series' truncation: the rows of
+        ``_power_rows``, over Q one canonical Fraction per coefficient."""
+        d, rows = self._power_rows(nonnegative_integer("n", n))
+        if self.field is not QQ:
+            return [Series(self.field, row) for row in rows]
+        return [Series(QQ, [Fraction(c, e) for c in row])
+                for e, row in zip(_powers_of(d, len(rows)), rows)]
 
     def compose(self, inner: "Series") -> "Series":
         """outer(inner(t)); inner must have order >= 1.
 
-        [t^m] outer(inner) = sum_{k <= m} outer[k] [t^m] inner^k, one
-        ``vec_dot`` per coefficient over the table ``inner.powers(T - 1)``."""
+        With inner^k = rows[k] / d^k (``_power_rows``),
+        [t^m] outer(inner) = sum_{k <= m} outer[k] rows[k][m] d^(m-k) / d^m,
+        one prefix sum of outer per coefficient (``fields._prefix_sums``):
+        packed over the layout of outer for an inner series over Q."""
         if inner.order() == 0:
             raise CompositionOrder("inner series has a nonzero constant term")
         T = min(self.trunc, inner.trunc)
-        P, a = inner.truncate(T).powers(T - 1), self.coeffs
+        d, rows = inner.truncate(T)._power_rows(T - 1)
+        dp = _powers_of(d, T)
+        cols = [[rows[k][m] for k in range(m + 1)] for m in range(T)]
+        if d != 1:
+            cols = [[x * dp[m - k] for k, x in enumerate(col)] for m, col in enumerate(cols)]
         field = common_field(self.field, inner.field)
-        return Series(field, [vec_dot(a[: m + 1], [p.coeffs[m] for p in P[: m + 1]], field.zero)
-                              for m in range(T)])
+        return Series(field, _prefix_sums(self.coeffs[:T], cols, dp, field))
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series: with P = self.powers(T - 1),
-        coefficient m solves [t^m] sum_k c_k P[k] = [m == 1], triangular since
-        P[k] has order k; one ``vec_dot`` each.
+        """Compositional inverse of a delta series: with s^k = rows[k] / d^k
+        (``_power_rows``), coefficient m solves
+        sum_k c_k rows[k][m] d^(m-k) = [m == 1] d^m, triangular since
+        rows[k] has order k; one ``vec_dot`` with integer weights d^(m-k)
+        each, over the integer rows.
 
         The compose round-trip is checked before returning.
         """
@@ -276,13 +337,13 @@ class Series(CoeffVector):
             raise TruncationTooShort("compositional inverse needs truncation >= 2")
         if self.order() != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
-        zero, one_ = self.field.zero, self.field.one
-        powers = self.powers(T - 1)
+        zero = self.field.zero
+        d, rows = self._power_rows(T - 1)
+        dp = _powers_of(d, T)
         c = [zero] * T
         for m in range(1, T):
-            acc = one_ if m == 1 else zero
-            acc -= vec_dot(c[1:m], [powers[k].coeffs[m] for k in range(1, m)], zero)
-            c[m] = acc / powers[m].coeffs[m]
+            acc = vec_dot(c[1:m], [rows[k][m] for k in range(1, m)], zero, dp[m - 1 : 0 : -1])
+            c[m] = ((self.field.coerce(d) if m == 1 else zero) - acc) / rows[m][m]
         out = Series(self.field, c)
         if not self.compose(out).agrees(t_series(self.field, T)):
             raise NotDelta("reversion failed its round-trip check")
@@ -327,6 +388,14 @@ class Series(CoeffVector):
 
     def __repr__(self) -> str:
         return f"Series[{self.field.name}; T={self.trunc}]({', '.join(self.coeff_texts())})"
+
+
+def _powers_of(d: int, n: int) -> list:
+    """[1, d, d^2, .., d^(n-1)]."""
+    out = [1] * n
+    for k in range(1, n):
+        out[k] = out[k - 1] * d
+    return out
 
 
 def _over_q(s: Series) -> Series:

@@ -33,6 +33,13 @@ terms that meet g: g(fbar) and its inverse, the y^j coefficients of S_n
 (one sum each, of fbar^j against 1/g(fbar)), 1/g applied to a polynomial
 over Q, and g(t) S_n(x).  An f that carries L stays over Q(L).
 
+The power tables over Q are read as integer rows (``Series._power_rows``:
+s^k = rows[k] / d^k), never as Fractions: the y^j coefficients are packed
+integer sums of those rows against the prefix layout of 1/g(fbar)
+(``fields._prefix_sums``, as g(fbar) is inside ``compose``), the transfer
+chain lays each (t/f)^n out as the polynomial x (t/f)^n x^{n-1} directly,
+and the orthogonality check lays each f^k out from its row.
+
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
 on its inputs only through t^k.  So every route takes a pair truncated at
@@ -42,19 +49,17 @@ computing; ``_cut`` is that one rule.
 
 from __future__ import annotations
 
-from itertools import repeat
-from math import comb, isqrt
 from operator import mul
 
 from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
 )
 from .fields import (
-    _Z_ONE, _dot_bound, _element, _lay_out, _Layout, _pack, _slot_width, _unpack, _zmul,
-    common_field, vec_dot,
+    _Z_ONE, _dot_bound, _element, _lay_out, _Layout, _pack, _prefix_sums, _quotients,
+    _slot_width, _unpack, _zmul, common_field, vec_dot,
 )
 from .record import Record
-from .series import Poly, Series, _over_q
+from .series import Poly, Series, _over_q, _powers_of
 
 
 def functional_apply(f: Series, p: Poly):
@@ -74,7 +79,8 @@ def operator_apply(f: Series, p: Poly) -> Poly:
         raise TruncationTooShort(
             f"operator truncated at {f.trunc} applied to degree {p.degree}"
         )
-    return _apply(_lay_out(f.coeffs), p, common_field(f.field, p.field))
+    return _apply(_lay_out(f.coeffs), _lay_out(p.coeffs, _factorials(len(p.coeffs)), tail=True),
+                  common_field(f.field, p.field))
 
 
 def _factorials(n: int) -> list:
@@ -85,44 +91,32 @@ def _factorials(n: int) -> list:
     return out
 
 
-def _packed_sums(fl: _Layout, pl: _Layout, bound: int = 0):
-    """(s, [sum_k F_k P_{j+k} at 2^s for each j]) for the numerators F of fl
-    and P of pl, with s holding ``bound`` and every coefficient of the sums."""
-    s = _slot_width(max(bound, _dot_bound(fl, pl)))
+def _packed_sums(fl: _Layout, pl: _Layout, s: int) -> list:
+    """[sum_k F_k P_{j+k} at 2^s for each j] for the numerators F of fl and
+    P of pl."""
     F, P = fl.packed(s), pl.packed(s)
-    return s, [sum(map(mul, F, P[j:])) for j in range(len(P))]
+    return [sum(map(mul, F, P[j:])) for j in range(len(P))]
 
 
-def _apply(fl: _Layout, p: Poly, field) -> Poly:
-    """f(t) p(x) over ``field`` for the layout fl of f.
+def _apply(fl: _Layout, pl: _Layout, field) -> Poly:
+    """f(t) p(x) over ``field`` for the layout fl of f and the tail layout
+    pl of p with weights m!.
 
-    With m! p[m] = P_m / (qp * dp) (p laid out from its tail) and
-    f[k] = F_k / (qf * df), j! times the x^j coefficient is
-    sum_k F_k P_{j+k} / (qf qp df dp).  The numerators of the f[k] it uses
-    (k <= n - 1 - j) are divisible by fl.cofactors[n - 1 - j], those of the
-    p[m] (m >= j) by pl.cofactors[j]; the packed sum is divided by both
-    exactly, leaving the denominator dens[n - 1 - j] * dens[j], and one
-    ``_lowest_terms`` makes the canonical form.  Unpacking the quotient is
-    exact: a factor Q of an integer polynomial P with d + 1 coefficients has
-    |Q_i| <= C(d, d // 2) ||P||_2 (Mignotte 1974), so the slot holds that
-    bound too whenever a cofactor is not 1."""
-    n = len(p.coeffs)
+    With m! p[m] = P_m / (qp * dp) and f[k] = F_k / (qf * df), j! times the
+    x^j coefficient is sum_k F_k P_{j+k} / (qf qp df dp).  The numerators
+    of the f[k] it uses (k <= n - 1 - j) are divisible by
+    fl.cofactors[n - 1 - j], those of the p[m] (m >= j) by pl.cofactors[j];
+    the packed sum is divided by both exactly (``_quotients``), leaving the
+    denominator dens[n - 1 - j] * dens[j], and one ``_lowest_terms`` makes
+    the canonical form."""
+    n = len(pl.num)
     fact = _factorials(n)
-    pl = _lay_out(p.coeffs, fact, tail=True)
-    bound = 0
-    if any(a != _Z_ONE or b != _Z_ONE for a, b in zip(fl.cofactors[n - 1 :: -1], pl.cofactors)):
-        d = max(fl.length + pl.length - 2, 0)
-        bound = comb(d, d // 2) * (isqrt(d) + 1) * _dot_bound(fl, pl)
-    s, sums = _packed_sums(fl, pl, bound)
-    out = []
-    for j, v in enumerate(sums):
-        m = n - 1 - j
-        a, b = fl.cofactors[m], pl.cofactors[j]
-        if v and (a != _Z_ONE or b != _Z_ONE):
-            v //= _pack(_zmul(a, b), s)
-        out.append(_element(field, _unpack(v, s), fact[j] * fl.q * pl.q,
-                            _zmul(fl.dens[m], pl.dens[j])))
-    return Poly(field, out)
+    nums = _quotients(lambda s: _packed_sums(fl, pl, s), _dot_bound(fl, pl),
+                      fl.length + pl.length - 1,
+                      [_zmul(fl.cofactors[n - 1 - j], pl.cofactors[j]) for j in range(n)])
+    return Poly(field, [_element(field, t, fact[j] * fl.q * pl.q,
+                                 _zmul(fl.dens[n - 1 - j], pl.dens[j]))
+                        for j, t in enumerate(nums)])
 
 
 class ShefferPair(Record):
@@ -174,24 +168,26 @@ def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
 def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     """S_0 .. S_{n_max} from the generating-function route.
 
-    The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)), one
-    ``vec_dot`` of the table fbar^j (order j) against 1/g(fbar) with the
-    integer weight n!/j!.
+    The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)):
+    with fbar^j = rows[j] / d^j, the sum over i <= n - j of
+    (n!/j!) rows[j][n - i] * ginv[i] / d^j, one prefix sum of 1/g(fbar)
+    (``fields._prefix_sums``), packed when fbar is over Q.
     """
     pair = _cut(pair, n_max)
-    field = pair.field
     fbar = _over_q(pair.f).revert()
-    powers = fbar.powers(n_max)
-    ginv = pair.g.compose(fbar).inverse()
+    d, rows = fbar._power_rows(n_max)
+    ginv = pair.g.compose(fbar).inverse().coeffs
     fact = _factorials(n_max + 1)
-    polys = []
+    dp = _powers_of(d, n_max + 1)
+    cols, dens = [], []
     for n in range(n_max + 1):
-        head = ginv.coeffs[n::-1]  # head[i] = ginv[n - i]
-        coeffs = [vec_dot(powers[j].coeffs[j : n + 1], head[j:], field.zero,
-                          repeat(fact[n] // fact[j]))
-                  for j in range(n + 1)]
-        polys.append(Poly(field, coeffs))
-    return polys
+        for j in range(n + 1):
+            # pairs ginv[i] with fbar^j[n - i] = rows[j][n - i] / d^j
+            cols.append([fact[n] // fact[j] * rows[j][n - i] for i in range(n - j + 1)])
+            dens.append(dp[j])
+    values = _prefix_sums(ginv, cols, dens, pair.field)
+    return [Poly(pair.field, values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2])
+            for n in range(n_max + 1)]
 
 
 def sheffer_transfer(pair: ShefferPair, n: int) -> Poly:
@@ -205,14 +201,16 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
     ginv = _lay_out(pair.g.inverse().coeffs)
     t_over_f = _over_q(pair.f).shift_div(1).inverse()
+    d, rows = t_over_f._power_rows(n_max)
     fact = _factorials(n_max)
     out = []
-    for n, q in enumerate(t_over_f.powers(n_max)[1:], 1):
-        # (1/g) x q x^{n-1} for q = (t/f)^n, evaluated right to left; t^k
-        # takes x^{n-1} to (n-1)!/j! x^j with j = n-1-k
-        p = Poly(q.field, [q.field.zero] + [q.coeffs[n - 1 - j] * (fact[n - 1] // fact[j])
-                                            for j in range(n)])
-        out.append(_apply(ginv, p, common_field(pair.field, p.field)))
+    for n in range(1, n_max + 1):
+        # p = x (t/f)^n x^{n-1}, evaluated right to left: t^k takes x^{n-1}
+        # to (n-1)!/j! x^j with j = n-1-k, so m! p[m] = m (n-1)! [t^(n-m)]
+        # (t/f)^n, and [t^i] (t/f)^n = rows[n][i] / d^n
+        p = [0] + [rows[n][n - m] for m in range(1, n + 1)]
+        w = [0] + [m * fact[n - 1] for m in range(1, n + 1)]
+        out.append(_apply(ginv, _lay_out(p, w, tail=True, over=d**n), pair.field))
     return out
 
 
@@ -246,15 +244,17 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     pair = _cut(pair, max([n_max] + [p.degree for p in polys[: n_max + 1]]))
     fact = _factorials(n_max + 1)
     gl = _lay_out(pair.g.coeffs)
-    fls = [_lay_out(f_k.coeffs) for f_k in _over_q(pair.f).powers(n_max)]
+    d, rows = _over_q(pair.f)._power_rows(n_max)
+    fls = [_lay_out(row, over=e) for e, row in zip(_powers_of(d, n_max + 1), rows)]
     # numerators that bound those of every f^k, for one slot per S_n
     f_all = _Layout([(max(fl.height for fl in fls),) * max(fl.length for fl in fls)]
                     * len(fls[0].num))
     failure = None  # the first in (k, n) order; a later S_n needs only smaller k
     for n, p in enumerate(polys[: n_max + 1]):
         pl = _lay_out(p.coeffs, _factorials(len(p.coeffs)))
-        s, sums = _packed_sums(gl, pl)
-        gs = _Layout([_unpack(v, s) for v in sums], gl.q * pl.q, _zmul(gl.den, pl.den))
+        s = _slot_width(_dot_bound(gl, pl))
+        gs = _Layout([_unpack(v, s) for v in _packed_sums(gl, pl, s)], gl.q * pl.q,
+                     _zmul(gl.den, pl.den))
         want = [fact[n] * fls[n].q * gs.q * c for c in _zmul(fls[n].den, gs.den)]
         s = _slot_width(max([_dot_bound(f_all, gs)] + [abs(c) for c in want]))
         G, want = gs.packed(s), _pack(want, s)

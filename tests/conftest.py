@@ -41,6 +41,15 @@ def ratfuncs():
     return st.tuples(polys, polys.filter(lambda c: any(c))).map(build)
 
 
+def plain_powers(s, n):
+    """[1, s, .., s^n] by the plain product loop ``out[-1] * s``, the
+    reference for the packed power table."""
+    out = [Series(s.field, [s.field.one], trunc=s.trunc), s][: n + 1]
+    while len(out) <= n:
+        out.append(out[-1] * s)
+    return out
+
+
 def qq_polys(max_degree=6):
     return st.lists(fractions(), min_size=0, max_size=max_degree + 1).map(
         lambda cs: Poly(QQ, cs)

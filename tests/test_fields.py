@@ -477,6 +477,15 @@ class TestPackedLayout:
         # one past the bound is another polynomial at this width
         assert _unpack(_pack((edge + 1, 1), s), s) != (edge + 1, 1)
 
+    def test_slot_width_at_least_two(self):
+        # at width 1 the balanced digits are only -1 and 0, so _unpack(1, 1)
+        # would never return; every width _slot_width gives is at least 2
+        s = _slot_width(0)
+        assert s >= 2
+        assert all(_slot_width(b) >= 2 for b in range(8))
+        for t in [(1,), (-1,)]:
+            assert _unpack(_pack(t, s), s) == t
+
     @given(c=_planted_terms(), w=st.lists(st.integers(-20, 20), min_size=6, max_size=6),
            tail=st.booleans())
     @settings(max_examples=80, deadline=None)

@@ -30,9 +30,10 @@ from umbralkit import (
     stirling1,
 )
 from umbralkit.fields import LAMBDA, vec_horner
+from umbralkit import series
 from umbralkit.series import _over_q
 
-from conftest import fractions, qq_polys, qq_series, rand_series, ratfuncs
+from conftest import fractions, plain_powers, qq_polys, qq_series, rand_series, ratfuncs
 
 
 def S(*coeffs, T=None):
@@ -170,6 +171,68 @@ class TestPowers:
         table = s.powers(5)
         assert [p.trunc for p in table] == [3] * 6
         assert table[3:] == [Series(QQ, [], trunc=3)] * 3
+
+
+@st.composite
+def table_cases(draw):
+    """(s, n): s over Q of order 0, a delta series, the zero series or of
+    any order, with negative coefficients among them; n in {0, 1, 2, T - 1}
+    or above T - 1."""
+    T = draw(st.integers(1, 7))
+    coeffs = draw(st.lists(fractions(), min_size=T, max_size=T))
+    kind = draw(st.sampled_from(["order0", "delta", "zero", "any"]))
+    if kind == "order0":
+        coeffs[0] = draw(fractions().filter(bool))
+    elif kind == "delta" and T >= 2:
+        coeffs[:2] = [0, draw(fractions().filter(bool))]
+    elif kind == "zero":
+        coeffs = [0] * T
+    n = draw(st.sampled_from([0, 1, 2, T - 1, T, T + 2]))
+    return Series(QQ, coeffs), n
+
+
+class TestPowerRows:
+    """``Series._power_rows`` over Q is one Kronecker-packed integer table;
+    the plain ``out[-1] * s`` loop gives the same powers."""
+
+    @given(case=table_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_plain_loop(self, case):
+        s, n = case
+        want = plain_powers(s, n)
+        d, rows = s._power_rows(n)
+        assert len(rows) == n + 1 and all(len(row) == s.trunc for row in rows)
+        assert all(type(c) is int for row in rows for c in row)
+        assert [[F(c, d**k) for c in row] for k, row in enumerate(rows)] == [
+            list(p.coeffs) for p in want]
+        got = s.powers(n)
+        assert got == want
+        assert all(type(c) is F for p in got for c in p.coeffs)
+
+    def test_over_q_lambda_rows_are_products(self):
+        s = Series(QL, [0, 1 + LAMBDA, F(1, 2), LAMBDA / 3])
+        d, rows = s._power_rows(5)
+        assert d == 1
+        assert [Series(QL, row) for row in rows] == plain_powers(s, 5)
+
+    @staticmethod
+    def _at_bound(h=3, T=5):
+        """h (1 + t + .. + t^(T-1)): [t^(T-1)] of its square is h^2 T, the
+        table's bound h^n T^(n-1) at n = 2."""
+        return Series(QQ, [h] * T), h**2 * T
+
+    def test_last_row_reaches_the_bound(self):
+        s, bound = self._at_bound()
+        d, rows = s._power_rows(2)
+        assert d == 1 and rows[2][-1] == bound
+        assert [Series(QQ, row) for row in rows] == plain_powers(s, 2)
+
+    def test_one_bit_narrower_slot_fails(self, monkeypatch):
+        # the mutation the bound case exists for: one bit less than the bound
+        # reads a different table
+        s, bound = self._at_bound()
+        monkeypatch.setattr(series, "_slot_width", lambda b: b.bit_length())
+        assert s._power_rows(2)[1][2] != plain_powers(s, 2)[2].coeffs
 
 
 class TestRevert:

@@ -40,10 +40,11 @@ from umbralkit import (
     FamilySpec,
 )
 
-from umbralkit import umbral
+from umbralkit import fields, umbral
 from umbralkit.fields import RatFunc, common_field, vec_dot, vec_mul
+from umbralkit.series import _over_q
 
-from conftest import qq_polys, qq_series, ratfuncs
+from conftest import plain_powers, qq_polys, qq_series, ratfuncs
 
 T = 12
 
@@ -617,8 +618,9 @@ class TestPackedApply:
 
     def test_one_bit_narrower_slot_fails(self, monkeypatch):
         # the mutation the boundary test exists for: one bit less than the
-        # bound unpacks a different polynomial
-        monkeypatch.setattr(umbral, "_slot_width", lambda bound: bound.bit_length())
+        # bound unpacks a different polynomial; the apply takes its width
+        # from fields._quotients
+        monkeypatch.setattr(fields, "_slot_width", lambda bound: bound.bit_length())
         for a in (7, 30):
             for sign in (1, -1):
                 f, p = self._boundary_case(a, sign)
@@ -670,3 +672,94 @@ class TestPackedOrthogonality:
         got = orthogonality_failure(pair, polys, 3)
         assert got == _direct_orthogonality(pair, polys, 3)
         assert isinstance(got[2], RatFunc)
+
+
+# ---------------------------------------------------------------------------
+# the packed Q(L) x Q sums against the plain per-coefficient loops
+# ---------------------------------------------------------------------------
+
+
+def _plain_compose(outer, inner):
+    """outer(inner) by one ``vec_dot`` per coefficient over the plain table."""
+    T = min(outer.trunc, inner.trunc)
+    P = plain_powers(inner.truncate(T), T - 1)
+    field = common_field(outer.field, inner.field)
+    return Series(field, [vec_dot(outer.coeffs[: m + 1], [p.coeffs[m] for p in P[: m + 1]],
+                                  field.zero) for m in range(T)])
+
+
+def _plain_gf(pair, n_max):
+    """S_0 .. S_n_max with the y^j coefficient of S_n one ``vec_dot`` of
+    fbar^j from the plain table against 1/g(fbar), weight n!/j!."""
+    pair = umbral._cut(pair, n_max)
+    fbar = _over_q(pair.f).revert()
+    P = plain_powers(fbar, n_max)
+    ginv = _plain_compose(pair.g, fbar).inverse()
+    polys = []
+    for n in range(n_max + 1):
+        head = ginv.coeffs[n::-1]
+        polys.append(Poly(pair.field, [
+            vec_dot(P[j].coeffs[j : n + 1], head[j:], pair.field.zero,
+                    [factorial(n) // factorial(j)] * (n + 1))
+            for j in range(n + 1)]))
+    return polys
+
+
+def _specialise(s, lam0):
+    """A series over Q(L) with L set to lam0, over Q."""
+    return Series(QQ, [c.evaluate(lam0) for c in s.coeffs])
+
+
+class TestPackedMixedSums:
+    """g(fbar) with g over Q(L) and fbar over Q, and the y^j columns of the
+    GF route, are packed integer sums over the prefix layout of the Q(L)
+    operand; the plain ``vec_dot`` loops give the same canonical values."""
+
+    @given(which=st.integers(0, len(PACKED_ORTHOGONALITY_PAIRS) - 1), n_max=st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_g_of_fbar_and_gf_columns(self, which, n_max):
+        pair = PACKED_ORTHOGONALITY_PAIRS[which](answer_trunc(n_max))
+        fbar = _over_q(pair.f).revert()
+        got, want = pair.g.compose(fbar), _plain_compose(pair.g, fbar)
+        assert got.field is want.field
+        assert [_form(c) for c in got.coeffs] == [_form(c) for c in want.coeffs]
+        for p, q in zip(sheffer_gf(pair, n_max), _plain_gf(pair, n_max), strict=True):
+            assert _same_poly(p, q)
+
+    @given(al=st.lists(_planted_ratfuncs(), min_size=1, max_size=7),
+           aq=st.lists(st.fractions(-5, 5, max_denominator=6), min_size=1, max_size=7),
+           cols=st.lists(st.lists(st.integers(-40, 40) | st.just(0), min_size=1, max_size=7),
+                         max_size=6),
+           dens=st.lists(st.integers(1, 30), min_size=6, max_size=6),
+           over_q=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_sums_with_zeros(self, al, aq, cols, dens, over_q):
+        # zero entries of a and zero weights inside a prefix, ints and
+        # Fractions among the Q(L) entries, or a over Q altogether
+        a, field = (aq, QQ) if over_q else (al, QL)
+        cols = [c[: len(a)] for c in cols]
+        got = fields._prefix_sums(a, cols, dens, field)
+        want = [vec_dot(a[: len(c)], c, field.zero) / e for c, e in zip(cols, dens)]
+        assert [_form(x) for x in got] == [_form(field.coerce(x)) for x in want]
+        assert all(type(x) is type(field.zero) for x in got)
+
+    def test_zero_entry_inside_a_prefix(self):
+        # g over Q(L) with zero coefficients between denominators (1 - L)
+        # and (1 + L): each prefix divides by its own cofactor
+        g = Series(QL, [1, 0, RatFunc(1, (1, -1)), 0, RatFunc((2, 1), (1, 1)), 0])
+        fbar = (exp_ct(QQ, 1, 6) - 1).revert()
+        got, want = g.compose(fbar), _plain_compose(g, fbar)
+        assert [_form(c) for c in got.coeffs] == [_form(c) for c in want.coeffs]
+
+    @pytest.mark.parametrize("lam0", [F(2), F(-1, 3)])
+    def test_gf_specialises(self, lam0):
+        # sheffer_gf over Q(L) at L = lam0 equals sheffer_gf over Q of the
+        # pair at lam0, for every pair over Q(L) among the packed pairs
+        n = 6
+        pairs = [make(answer_trunc(n)) for make in PACKED_ORTHOGONALITY_PAIRS]
+        pairs = [pair for pair in pairs if pair.field is QL]
+        assert len(pairs) == 7
+        for pair in pairs:
+            at = ShefferPair(_specialise(pair.g, lam0), _specialise(pair.f, lam0))
+            got = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in sheffer_gf(pair, n)]
+            assert got == sheffer_gf(at, n)
