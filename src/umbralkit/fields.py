@@ -50,7 +50,7 @@ Q(L) work only for its terms in L.  A Q(L) ``vec_mul`` starts each output
 coefficient at the operands' first nonzero entries, so a power f^k of a
 delta series (order k) costs no zero terms.
 
-The umbral applies and the Q(L) x Q sums lay a whole Q or Q(L) vector out
+The packed sums and the orthogonality check lay a whole Q or Q(L) vector out
 over one common denominator, FLINT's ``fmpq_poly`` layout one level up,
 over Z[L]: entry i is num[i] / (q * den) with q a positive integer, den in
 Z[L] primitive with positive lead, and num[i] in Z[L] (``_lay_out``, whose
@@ -74,19 +74,21 @@ and two packed integers are equal exactly when their polynomials are.  A
 slot is at least 2 bits wide: at width 1 the balanced digits are only -1
 and 0, and ``_unpack`` of 1 would not return.
 
-A sum that uses only some entries of a layout is an integer polynomial
-divisible by the cofactor of the entries it skips; ``_quotients`` divides
-each packed sum by its packed cofactor as one integer, with Mignotte's
-factor bound added to the slot so the quotient unpacks exactly.  It serves
-the applies and ``_prefix_sums``, which sums integer columns against the
-leading entries of one Q or Q(L) vector: the coefficients of g(fbar) for a
-g over Q(L) and fbar over Q, and the y^j coefficients of the GF route,
-fbar^j against 1/g(fbar).  Their integer columns are rows of the power
-table ``Series._power_rows`` over Q (s^k as integers over d^k, one
+``_prefix_sums`` is the one packed kernel for a sum against a power table:
+it sums integer columns against the leading entries of one Q or Q(L)
+vector.  A sum that uses only the first entries of a layout is an integer
+polynomial divisible by the cofactor of the entries it skips, so each
+packed sum is divided by its packed cofactor as one integer, with
+Mignotte's factor bound added to the slot so the quotient unpacks exactly.
+It serves the coefficients of g(fbar) for a g over Q(L) and fbar over Q
+(``Series.compose``), the y^j coefficients of the GF route (fbar^j against
+1/g(fbar)), the x^j coefficients of the transfer route ((t/f)^n against
+1/g) and ``umbral.operator_apply``.  The integer columns are rows of the
+power table ``Series._power_rows`` over Q (s^k as integers over d^k, one
 Kronecker-packed product per power, with the bound and the exact mask its
-docstring states); the transfer chain reads (t/f)^n and the orthogonality
-check f^k off the same rows into their layouts, and ``Series.revert``
-solves over them.  No consumer builds a ``Fraction`` per table entry.
+docstring states); the orthogonality check lays f^k out off the same rows,
+and ``Series.revert`` solves over them.  No consumer builds a ``Fraction``
+per table entry.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -785,10 +787,9 @@ class _Layout:
     q is a positive integer, den an integer polynomial (primitive, positive
     lead) and num[i] an integer polynomial.  ``_lay_out`` also records, for
     each entry i, the lcm dens[i] of the denominators of the entries up to
-    i (from i to the end, for a tail layout) and cofactors[i] =
-    den / dens[i], which divides the numerators of all those entries.
-    ``height`` bounds the numerators' coefficients and ``length`` their
-    lengths; ``packed(s)`` is num at 2^s."""
+    i and cofactors[i] = den / dens[i], which divides the numerators of all
+    those entries.  ``height`` bounds the numerators' coefficients and
+    ``length`` their lengths; ``packed(s)`` is num at 2^s."""
 
     __slots__ = ("num", "q", "den", "dens", "cofactors", "height", "length", "_packed")
 
@@ -809,30 +810,26 @@ class _Layout:
         return self._packed[1]
 
 
-def _lay_out(c, w=None, tail=False, over: int = 1) -> _Layout:
+def _lay_out(c, w=None, over: int = 1) -> _Layout:
     """The layout of the entries w[i] * c[i] / over (w integer weights, all
     1 when None; int and Fraction entries are constants; ``over`` a positive
-    integer), with the running lcms taken from the end when ``tail`` is set."""
+    integer)."""
     parts = [(x.scale, x._n, x._d) if isinstance(x, RatFunc)
              else (x, _Z_ONE if x else (), _Z_ONE) for x in c]
-    q = 1
-    for scale, _, _ in parts:
-        if q % scale.denominator:
-            q = q // _int_gcd(q, scale.denominator) * scale.denominator
-    ks = [scale.numerator * (q // scale.denominator) * k
-          for (scale, _, _), k in zip(parts, repeat(1) if w is None else w)]
+    q, ks = _common_den([scale for scale, _, _ in parts])
+    if w is not None:
+        ks = [k * x for k, x in zip(ks, w)]
     if all(d == _Z_ONE for _, _, d in parts):  # no denominator in L
         ones = [_Z_ONE] * len(c)
         return _Layout([(k,) if n == _Z_ONE else tuple([k * a for a in n])
                         for k, (_, n, _) in zip(ks, parts)], q * over, _Z_ONE, ones, ones)
-    order = range(len(c) - 1, -1, -1) if tail else range(len(c))
     den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
-    for i in order:
-        den, steps[i], md = _lcm_cofactors(den, parts[i][2])
-        dens[i], own[i] = den, _zmul(parts[i][1], md)
+    for i, (_, n, d) in enumerate(parts):
+        den, steps[i], md = _lcm_cofactors(den, d)
+        dens[i], own[i] = den, _zmul(n, md)
     # entry i is own[i] / dens[i]; the lcm steps after it bring it onto den
     num, cofactors, cof = [()] * len(c), [_Z_ONE] * len(c), _Z_ONE
-    for i in reversed(order):
+    for i in range(len(c) - 1, -1, -1):
         cofactors[i] = cof
         if own[i]:
             num[i] = tuple(ks[i] * a for a in _zmul(own[i], cof))
@@ -845,48 +842,40 @@ def _dot_bound(a: _Layout, b: _Layout) -> int:
     return a.height * b.height * min(len(a.num), len(b.num)) * min(a.length, b.length)
 
 
-def _quotients(sums_at, bound: int, length: int, cofactors) -> list:
-    """[sums[i] / cofactors[i]] as integer polynomials, for integer
-    polynomial sums with coefficients at most ``bound`` and at most
-    ``length`` of them, each divisible by its cofactor; ``sums_at(s)`` gives
-    the sums packed at 2^s.
-
-    A packed sum is divided by its packed cofactor as one integer.  That
-    quotient unpacks exactly: a factor Q of an integer polynomial P with
-    d + 1 coefficients has |Q_i| <= C(d, d // 2) ||P||_2 (Mignotte 1974),
-    so the slot holds that bound too whenever a cofactor is not 1."""
-    if any(c != _Z_ONE for c in cofactors):
-        d = max(length - 1, 0)
-        bound *= comb(d, d // 2) * (isqrt(d) + 1)
-    s = _slot_width(bound)
-    out = []
-    for v, c in zip(sums_at(s), cofactors):
-        if v and c != _Z_ONE:
-            v //= _pack(c, s)
-        out.append(_unpack(v, s))
-    return out
-
-
 def _prefix_sums(a, cols, dens, field) -> list:
     """[sum_k a[k] * c[k] / e for c, e in zip(cols, dens)] over ``field``:
     column c pairs with the first len(c) >= 1 entries of a, and e is a
     positive integer.  The entries of one column are all ints (a power
-    table over Q) or all RatFuncs (a table over Q(L), every e then 1).
+    table over Q) or all RatFuncs (a table over Q(L)).
 
-    RatFunc columns take one ``vec_dot`` each.  Integer columns are packed
-    sums over the prefix layout of a: the numerators A_k of a[0 .. len(c) - 1]
-    are divisible by cofactors[len(c) - 1], so sum_k c[k] A_k is divided by
-    it exactly (``_quotients``), which leaves the denominator
-    q * e * dens[len(c) - 1], and ``_element`` makes the canonical form.
-    A coefficient of the sum is at most height(a) * sum_k |c[k]|."""
+    RatFunc columns take one ``vec_dot`` each, divided by e.  Integer
+    columns are packed sums over the prefix layout of a: the numerators A_k
+    of a[0 .. len(c) - 1] are divisible by cofactors[len(c) - 1], so the
+    packed sum_k c[k] A_k is divided by the packed cofactor exactly, as one
+    integer, which leaves the denominator q * e * dens[len(c) - 1], and
+    ``_element`` makes the canonical form.  A coefficient of the sum is at
+    most height(a) * sum_k |c[k]|.  The quotient unpacks exactly: a factor Q
+    of an integer polynomial P with d + 1 coefficients has
+    |Q_i| <= C(d, d // 2) ||P||_2 (Mignotte 1974), so the slot holds that
+    bound too whenever a cofactor is not 1."""
     if cols and isinstance(cols[0][0], RatFunc):
-        return [vec_dot(a, c, field.zero) for c in cols]
+        sums = [vec_dot(a, c, field.zero) for c in cols]
+        return [v if e == 1 else v / e for v, e in zip(sums, dens)]
     al = _lay_out(a)
+    cofactors = [al.cofactors[len(c) - 1] for c in cols]
     bound = al.height * max(sum(map(abs, c)) for c in cols) if cols else 0
-    nums = _quotients(lambda s: [sum(map(mul, c, al.packed(s))) for c in cols], bound,
-                      al.length, [al.cofactors[len(c) - 1] for c in cols])
-    return [_element(field, t, al.q * e, al.dens[len(c) - 1])
-            for t, c, e in zip(nums, cols, dens)]
+    if any(c != _Z_ONE for c in cofactors):
+        d = max(al.length - 1, 0)
+        bound *= comb(d, d // 2) * (isqrt(d) + 1)
+    s = _slot_width(bound)
+    A = al.packed(s)
+    out = []
+    for c, e, cof in zip(cols, dens, cofactors):
+        v = sum(map(mul, c, A))
+        if v and cof != _Z_ONE:
+            v //= _pack(cof, s)
+        out.append(_element(field, _unpack(v, s), al.q * e, al.dens[len(c) - 1]))
+    return out
 
 
 def _element(field, num, q: int, den):

@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from .errors import (
     CompositionOrder,
+    DomainError,
     NotDelta,
     NotInvertible,
     OrderTooLow,
@@ -148,10 +149,11 @@ class Series(CoeffVector):
         return self.order() == self.trunc
 
     def agrees(self, other: "Series", upto: int | None = None) -> bool:
-        """Coefficientwise equality modulo t^min(T, upto)."""
+        """Coefficientwise equality modulo t^min(T, upto); upto is an
+        int >= 0 when given."""
         n = min(self.trunc, other.trunc)
         if upto is not None:
-            n = min(n, upto)
+            n = min(n, nonnegative_integer("upto", upto))
         return self.coeffs[:n] == other.coeffs[:n]
 
     # ------------------------------------------------------------------- ring
@@ -375,11 +377,14 @@ class Series(CoeffVector):
         return Series(self.field, out)
 
     def pow_field(self, c) -> "Series":
-        """u^c for a field-element exponent; u must have constant term 1."""
+        """u^c for a field-element exponent; u must have constant term 1.  A
+        RatFunc exponent lifts a series over Q to Q(L), as in ``*``."""
         if self.coeffs[0] != self.field.one:
             raise UnitConstantRequired("field-exponent power needs constant term 1")
-        c = self.field.coerce(c)
-        return (self.log() * c).exp()
+        field, e = self._scalar(c)
+        if field is None:
+            raise DomainError(f"exponent must be an element of Q or Q(L), got {c!r}")
+        return (self.log() * e).exp()
 
     # ------------------------------------------------------------- rendering
 
@@ -500,7 +505,8 @@ class Poly(CoeffVector):
         return len(self.coeffs) - 1
 
     def coefficient(self, k):
-        if k < len(self.coeffs):
+        """The x^k coefficient, for an int k >= 0; zero above the degree."""
+        if nonnegative_integer("k", k) < len(self.coeffs):
             return self.coeffs[k]
         return self.field.zero
 

@@ -16,29 +16,31 @@ read through the adjoint rule <g(t) h(t) | p(x)> = <h(t) | g(t) p(x)>
 (Roman, *The Umbral Calculus*, ch. 2) as <f^k | g(t) S_n(x)>, so g acts
 once on each S_n and f^k is a power table of f alone.
 
-The applies work on the common-denominator layouts of ``fields``: g (or
-1/g) is laid out once per call, each polynomial once, and every sum of
-products is a sum of Kronecker-packed integer polynomials.
-:func:`operator_apply` divides each output by the cofactor of the
-denominators it did not use and normalises it once.  The orthogonality
-check makes no gcd: it compares <f^k | g S_n> with n! delta as two packed
+Every sum against a power table is one prefix sum (``fields._prefix_sums``):
+the y^j coefficients of the GF route, the x^j coefficients of the transfer
+route and of :func:`operator_apply`.  Its Q or Q(L) operand (1/g(fbar),
+1/g or the series applied) is laid out over one common denominator and
+packed once per call; each output is divided by the cofactor of the
+denominators it did not use and normalised once.  The orthogonality check
+keeps its own packed correlation, so that it stays an independent oracle,
+and makes no gcd: it compares <f^k | g S_n> with n! delta as two packed
 integers over a common denominator, and builds a field element only for
 the failure it returns.
 
 Only g carries L in the registry's pairs over Q(L); f is free of it.  Each
 route takes f down to Q first (``series._over_q``), so the reversion fbar,
-the power tables of fbar, t/f and f, the inverse t/f and the operator
-(t/f)^n x^{n-1} run on the Q kernel, and Q(L) arithmetic is left to the
-terms that meet g: g(fbar) and its inverse, the y^j coefficients of S_n
-(one sum each, of fbar^j against 1/g(fbar)), 1/g applied to a polynomial
-over Q, and g(t) S_n(x).  An f that carries L stays over Q(L).
+the power tables of fbar, t/f and f, and the inverse t/f run on the Q
+kernel, and Q(L) arithmetic is left to the terms that meet g: g(fbar) and
+its inverse, the y^j coefficients of S_n (one sum each, of fbar^j against
+1/g(fbar)), the x^j coefficients of (1/g) x (t/f)^n x^{n-1} (one sum each,
+of (t/f)^n against 1/g), and g(t) S_n(x).  An f that carries L stays over
+Q(L).
 
 The power tables over Q are read as integer rows (``Series._power_rows``:
-s^k = rows[k] / d^k), never as Fractions: the y^j coefficients are packed
-integer sums of those rows against the prefix layout of 1/g(fbar)
-(``fields._prefix_sums``, as g(fbar) is inside ``compose``), the transfer
-chain lays each (t/f)^n out as the polynomial x (t/f)^n x^{n-1} directly,
-and the orthogonality check lays each f^k out from its row.
+s^k = rows[k] / d^k), never as Fractions: the columns of both routes are
+integers made from those rows, packed against the prefix layout of
+1/g(fbar) or 1/g (as g(fbar) is inside ``compose``), and the orthogonality
+check lays each f^k out from its row.
 
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
@@ -55,7 +57,7 @@ from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
 )
 from .fields import (
-    _Z_ONE, _dot_bound, _element, _lay_out, _Layout, _pack, _prefix_sums, _quotients,
+    QQ, _common_den, _dot_bound, _element, _lay_out, _Layout, _pack, _prefix_sums,
     _slot_width, _unpack, _zmul, common_field, vec_dot,
 )
 from .record import Record
@@ -74,13 +76,25 @@ def functional_apply(f: Series, p: Poly):
 
 def operator_apply(f: Series, p: Poly) -> Poly:
     """f(t) p(x) = sum_k f[k] p^(k)(x); t^k acts as d^k/dx^k, so the x^j
-    coefficient is sum_k f[k] (j+k)!/j! p[j+k]."""
+    coefficient is sum_k f[k] (j+k)!/j! p[j+k], one prefix sum of f
+    (``fields._prefix_sums``).  Over Q, m! p[m] = P[m] / d with integers P,
+    and the sum is of P[j:] over j! d, packed; over Q(L) it is of RatFuncs
+    weighted (j+k)!/j!."""
     if p.degree >= f.trunc:
         raise TruncationTooShort(
             f"operator truncated at {f.trunc} applied to degree {p.degree}"
         )
-    return _apply(_lay_out(f.coeffs), _lay_out(p.coeffs, _factorials(len(p.coeffs)), tail=True),
-                  common_field(f.field, p.field))
+    field, n = common_field(f.field, p.field), len(p.coeffs)
+    fact = _factorials(n)
+    if p.field is QQ:
+        d, P = _common_den(p.coeffs)
+        P = list(map(mul, fact, P))
+        cols, dens = [P[j:] for j in range(n)], [e * d for e in fact]
+    else:
+        cols = [[x * (fact[j + k] // fact[j]) for k, x in enumerate(p.coeffs[j:])]
+                for j in range(n)]
+        dens = [1] * n
+    return Poly(field, _prefix_sums(f.coeffs[:n], cols, dens, field))
 
 
 def _factorials(n: int) -> list:
@@ -89,34 +103,6 @@ def _factorials(n: int) -> list:
     for k in range(1, n):
         out[k] = out[k - 1] * k
     return out
-
-
-def _packed_sums(fl: _Layout, pl: _Layout, s: int) -> list:
-    """[sum_k F_k P_{j+k} at 2^s for each j] for the numerators F of fl and
-    P of pl."""
-    F, P = fl.packed(s), pl.packed(s)
-    return [sum(map(mul, F, P[j:])) for j in range(len(P))]
-
-
-def _apply(fl: _Layout, pl: _Layout, field) -> Poly:
-    """f(t) p(x) over ``field`` for the layout fl of f and the tail layout
-    pl of p with weights m!.
-
-    With m! p[m] = P_m / (qp * dp) and f[k] = F_k / (qf * df), j! times the
-    x^j coefficient is sum_k F_k P_{j+k} / (qf qp df dp).  The numerators
-    of the f[k] it uses (k <= n - 1 - j) are divisible by
-    fl.cofactors[n - 1 - j], those of the p[m] (m >= j) by pl.cofactors[j];
-    the packed sum is divided by both exactly (``_quotients``), leaving the
-    denominator dens[n - 1 - j] * dens[j], and one ``_lowest_terms`` makes
-    the canonical form."""
-    n = len(pl.num)
-    fact = _factorials(n)
-    nums = _quotients(lambda s: _packed_sums(fl, pl, s), _dot_bound(fl, pl),
-                      fl.length + pl.length - 1,
-                      [_zmul(fl.cofactors[n - 1 - j], pl.cofactors[j]) for j in range(n)])
-    return Poly(field, [_element(field, t, fact[j] * fl.q * pl.q,
-                                 _zmul(fl.dens[n - 1 - j], pl.dens[j]))
-                        for j, t in enumerate(nums)])
 
 
 class ShefferPair(Record):
@@ -197,21 +183,29 @@ def sheffer_transfer(pair: ShefferPair, n: int) -> Poly:
 
 def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     """[S_1 .. S_{n_max}] by the operator route, sharing the inversions and
-    one layout of 1/g."""
+    one layout of 1/g: every x^j coefficient of every S_n is a prefix sum of
+    1/g against integers from the rows of (t/f)^n (``fields._prefix_sums``,
+    one call for all of them)."""
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
-    ginv = _lay_out(pair.g.inverse().coeffs)
+    ginv = pair.g.inverse().coeffs
     t_over_f = _over_q(pair.f).shift_div(1).inverse()
     d, rows = t_over_f._power_rows(n_max)
-    fact = _factorials(n_max)
-    out = []
+    zero = 0 if t_over_f.field is QQ else t_over_f.field.zero  # the table's zero
+    fact = _factorials(n_max + 1)
+    dp = _powers_of(d, n_max + 1)
+    cols, dens = [], []
     for n in range(1, n_max + 1):
         # p = x (t/f)^n x^{n-1}, evaluated right to left: t^k takes x^{n-1}
-        # to (n-1)!/j! x^j with j = n-1-k, so m! p[m] = m (n-1)! [t^(n-m)]
-        # (t/f)^n, and [t^i] (t/f)^n = rows[n][i] / d^n
-        p = [0] + [rows[n][n - m] for m in range(1, n + 1)]
-        w = [0] + [m * fact[n - 1] for m in range(1, n + 1)]
-        out.append(_apply(ginv, _lay_out(p, w, tail=True, over=d**n), pair.field))
-    return out
+        # to (n-1)!/j! x^j with j = n-1-k, so m! p[m] = P[m] / d^n below,
+        # and the x^j coefficient of (1/g) p is sum_k ginv[k] P[j+k] / (j! d^n)
+        P = [zero] + [m * fact[n - 1] * rows[n][n - m] for m in range(1, n + 1)]
+        for j in range(n + 1):
+            cols.append(P[j:])
+            dens.append(fact[j] * dp[n])
+    values = _prefix_sums(ginv, cols, dens, pair.field)
+    # S_n takes the n + 1 values after the 2 + 3 + .. + n of S_1 .. S_{n-1}
+    return [Poly(pair.field, values[n * (n + 1) // 2 - 1 : (n + 1) * (n + 2) // 2 - 1])
+            for n in range(1, n_max + 1)]
 
 
 def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
@@ -253,8 +247,9 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     for n, p in enumerate(polys[: n_max + 1]):
         pl = _lay_out(p.coeffs, _factorials(len(p.coeffs)))
         s = _slot_width(_dot_bound(gl, pl))
-        gs = _Layout([_unpack(v, s) for v in _packed_sums(gl, pl, s)], gl.q * pl.q,
-                     _zmul(gl.den, pl.den))
+        G, P = gl.packed(s), pl.packed(s)
+        gs = _Layout([_unpack(sum(map(mul, G, P[j:])), s) for j in range(len(P))],
+                     gl.q * pl.q, _zmul(gl.den, pl.den))
         want = [fact[n] * fls[n].q * gs.q * c for c in _zmul(fls[n].den, gs.den)]
         s = _slot_width(max([_dot_bound(f_all, gs)] + [abs(c) for c in want]))
         G, want = gs.packed(s), _pack(want, s)

@@ -294,6 +294,11 @@ class TestPow:
         with pytest.raises(UnitConstantRequired):
             S(2, 1, 1).pow_field(F(1, 2))
 
+    @pytest.mark.parametrize("c", ["x", None, 0.5])
+    def test_exponent_not_a_field_element(self, c):
+        with pytest.raises(DomainError):
+            S(1, 1, 0).pow_field(c)
+
     @given(u=qq_series(6))
     @settings(max_examples=40)
     def test_int_field_consistency(self, u):
@@ -328,8 +333,11 @@ class TestShift:
             lambda: t_series(QQ, 4).mul_t(-1),
             lambda: t_series(QQ, 4).shift_div(-1),
             lambda: falling_factorial(QQ, -1),
+            lambda: Poly(QQ, [1, 2]).coefficient(-1),
+            lambda: t_series(QQ, 4).agrees(t_series(QQ, 4), upto=-1),
         ],
-        ids=["monomial", "Poly.monomial", "mul_t", "shift_div", "falling_factorial"],
+        ids=["monomial", "Poly.monomial", "mul_t", "shift_div", "falling_factorial",
+             "coefficient", "agrees"],
     )
     def test_negative_shift_or_degree(self, call):
         with pytest.raises(DomainError, match="must be >= 0, got -1"):
@@ -381,6 +389,13 @@ class TestPoly:
     def test_degree_and_trailing_zeros(self):
         assert Poly(QQ, [1, 2, 0, 0]).degree == 1
         assert Poly(QQ, [0, 0]).is_zero()
+
+    def test_coefficient_index(self):
+        p = Poly(QQ, [1, 2])
+        assert [p.coefficient(k) for k in range(4)] == [1, 2, 0, 0]
+        for k in (1.0, F(1), True, "1"):
+            with pytest.raises(DomainError, match="must be an int"):
+                p.coefficient(k)
 
     def test_str_rendering(self):
         from umbralkit import frobenius_euler_poly
@@ -513,6 +528,14 @@ class TestRatFuncScalarLift:
         for got, want in ((op(q, c), op(_lift(q), c)), (op(c, q), op(c, _lift(q)))):
             assert got.field is QL
             assert got == want
+
+    @pytest.mark.parametrize("c", SCALARS, ids=["L", "ratio", "one"])
+    def test_pow_field(self, c):
+        # log(e^t) = t, so (e^t)^c = e^{ct}, over Q(L) for every RatFunc c
+        u = exp_ct(QQ, 1, 4)
+        got = u.pow_field(c)
+        assert got.field is QL
+        assert got == _lift(u).pow_field(c) == exp_ct(QL, c, 4)
 
     def test_eval_and_shift_arg(self):
         p = self.Q_POLY  # 2x + 1

@@ -558,9 +558,11 @@ def _planted_ratfuncs():
 
 
 class TestPackedApply:
-    """``operator_apply`` sums packed numerators over common denominators
-    and divides each output by its cofactor; the plain ``vec_dot`` loop
-    gives the same canonical coefficients."""
+    """``operator_apply`` is one prefix sum of f per coefficient
+    (``fields._prefix_sums``): packed numerators over the layout of f, each
+    output divided by its cofactor, when p is over Q; one ``vec_dot`` per
+    coefficient when p is over Q(L).  The plain ``vec_dot`` loop gives the
+    same canonical coefficients."""
 
     @given(f=qq_series(7), p=qq_polys(max_degree=6))
     @settings(max_examples=40, deadline=None)
@@ -619,7 +621,7 @@ class TestPackedApply:
     def test_one_bit_narrower_slot_fails(self, monkeypatch):
         # the mutation the boundary test exists for: one bit less than the
         # bound unpacks a different polynomial; the apply takes its width
-        # from fields._quotients
+        # from fields._prefix_sums
         monkeypatch.setattr(fields, "_slot_width", lambda bound: bound.bit_length())
         for a in (7, 30):
             for sign in (1, -1):
@@ -705,15 +707,31 @@ def _plain_gf(pair, n_max):
     return polys
 
 
+def _plain_transfer(pair, n_max):
+    """S_1 .. S_n_max as 1/g applied to p = x (t/f)^n x^{n-1} by
+    ``_plain_apply``, with p built from (t/f)^n of the plain table."""
+    pair = umbral._cut(pair, n_max)
+    ginv = pair.g.inverse()
+    P = plain_powers(_over_q(pair.f).shift_div(1).inverse(), n_max)
+    polys = []
+    for n in range(1, n_max + 1):
+        # t^k takes x^{n-1} to (n-1)!/j! x^j with j = n-1-k; then times x
+        p = Poly(P[n].field, [0] + [P[n].coeffs[n - 1 - j] * F(factorial(n - 1), factorial(j))
+                                    for j in range(n)])
+        polys.append(_plain_apply(ginv, p))
+    return polys
+
+
 def _specialise(s, lam0):
     """A series over Q(L) with L set to lam0, over Q."""
     return Series(QQ, [c.evaluate(lam0) for c in s.coeffs])
 
 
 class TestPackedMixedSums:
-    """g(fbar) with g over Q(L) and fbar over Q, and the y^j columns of the
-    GF route, are packed integer sums over the prefix layout of the Q(L)
-    operand; the plain ``vec_dot`` loops give the same canonical values."""
+    """g(fbar) with g over Q(L) and fbar over Q, the y^j columns of the GF
+    route and the x^j columns of the transfer route are packed integer sums
+    over the prefix layout of the Q(L) operand; the plain ``vec_dot`` loops
+    give the same canonical values."""
 
     @given(which=st.integers(0, len(PACKED_ORTHOGONALITY_PAIRS) - 1), n_max=st.integers(0, 6))
     @settings(max_examples=40, deadline=None)
@@ -725,18 +743,27 @@ class TestPackedMixedSums:
         assert [_form(c) for c in got.coeffs] == [_form(c) for c in want.coeffs]
         for p, q in zip(sheffer_gf(pair, n_max), _plain_gf(pair, n_max), strict=True):
             assert _same_poly(p, q)
+        if n_max >= 1:
+            for p, q in zip(sheffer_transfer_all(pair, n_max), _plain_transfer(pair, n_max),
+                            strict=True):
+                assert _same_poly(p, q)
 
     @given(al=st.lists(_planted_ratfuncs(), min_size=1, max_size=7),
            aq=st.lists(st.fractions(-5, 5, max_denominator=6), min_size=1, max_size=7),
            cols=st.lists(st.lists(st.integers(-40, 40) | st.just(0), min_size=1, max_size=7),
                          max_size=6),
+           lcols=st.lists(st.lists(_planted_ratfuncs().map(QL.coerce), min_size=1, max_size=7),
+                          max_size=6),
            dens=st.lists(st.integers(1, 30), min_size=6, max_size=6),
-           over_q=st.booleans())
+           over_q=st.booleans(), ratfunc_cols=st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_prefix_sums_with_zeros(self, al, aq, cols, dens, over_q):
+    def test_prefix_sums_with_zeros(self, al, aq, cols, lcols, dens, over_q, ratfunc_cols):
         # zero entries of a and zero weights inside a prefix, ints and
-        # Fractions among the Q(L) entries, or a over Q altogether
+        # Fractions among the Q(L) entries, or a over Q altogether; or
+        # columns of RatFuncs (a table over Q(L)), each over its e
         a, field = (aq, QQ) if over_q else (al, QL)
+        if ratfunc_cols:
+            cols, field = lcols, QL
         cols = [c[: len(a)] for c in cols]
         got = fields._prefix_sums(a, cols, dens, field)
         want = [vec_dot(a[: len(c)], c, field.zero) / e for c, e in zip(cols, dens)]
@@ -751,9 +778,12 @@ class TestPackedMixedSums:
         got, want = g.compose(fbar), _plain_compose(g, fbar)
         assert [_form(c) for c in got.coeffs] == [_form(c) for c in want.coeffs]
 
-    @pytest.mark.parametrize("lam0", [F(2), F(-1, 3)])
-    def test_gf_specialises(self, lam0):
-        # sheffer_gf over Q(L) at L = lam0 equals sheffer_gf over Q of the
+    @pytest.mark.parametrize("route, lam0", [
+        (sheffer_gf, F(2)), (sheffer_gf, F(-1, 3)),
+        (sheffer_transfer_all, F(2)), (sheffer_transfer_all, F(-1, 3)),
+    ], ids=["lam00", "lam01", "transfer-lam00", "transfer-lam01"])
+    def test_gf_specialises(self, route, lam0):
+        # a route over Q(L) at L = lam0 equals the same route over Q of the
         # pair at lam0, for every pair over Q(L) among the packed pairs
         n = 6
         pairs = [make(answer_trunc(n)) for make in PACKED_ORTHOGONALITY_PAIRS]
@@ -761,5 +791,5 @@ class TestPackedMixedSums:
         assert len(pairs) == 7
         for pair in pairs:
             at = ShefferPair(_specialise(pair.g, lam0), _specialise(pair.f, lam0))
-            got = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in sheffer_gf(pair, n)]
-            assert got == sheffer_gf(at, n)
+            got = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in route(pair, n)]
+            assert got == route(at, n)
