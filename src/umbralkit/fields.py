@@ -16,6 +16,14 @@ fixed prime p (Brown 1971): when p divides neither leading coefficient,
 reduction mod p keeps the degree of the true gcd, so a constant gcd mod p
 proves the polynomials coprime.  Any other outcome falls back to the
 primitive pseudo-remainder sequence, so every answer stays certain.
+Canonical form needs no Euclid at all when the denominator is a power P^e
+of a primitive linear P = aL + b, which is irreducible in Z[L]: the gcd
+is P^v, v the order of num's root -b/a, found by exact integer evaluation
+(``_lowest_terms``).  In the paper's Frobenius-Euler-type pairs L enters
+only through (1 - L)/(e^t - L) and e^((L - 1)t), so every denominator of
+those routes is a power of L - 1; each distinct P^e is recognised once
+(the 60 operations the ``sheffer_q_lambda`` benchmark draws from meet 23
+of them in about 4 000 normalisations).
 
 Sums over Q follow FLINT's ``fmpq_poly`` layout: integer numerators over
 one common denominator.  ``vec_mul`` brings each operand to integers over
@@ -102,7 +110,8 @@ Every series/polynomial in this package is parameterized by a field object
 Q is a subfield of Q(L): ``common_field`` gives Q(L) as the field of an
 operation on one operand over each.  The coefficients given to
 ``RatFunc(num, den)`` and the point of ``RatFunc.evaluate`` pass through
-``errors.rational``, so a float or a bool is a ``DomainError``.
+``errors.rational``, so a float or a bool is a ``DomainError``, as is
+anything a field's ``coerce`` cannot take as one of its elements.
 
 This module also holds the coefficient-vector kernels that ``RatFunc``'s
 integer polynomials, ``Series`` and ``Poly`` share (``vec_add``,
@@ -114,11 +123,12 @@ plain or LaTeX.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from math import comb, gcd as _int_gcd, isqrt
 from operator import mul
 
-from .errors import DivisionByZero, EvalPole, rational
+from .errors import DivisionByZero, DomainError, EvalPole, rational
 
 __all__ = [
     "RatFunc",
@@ -161,7 +171,7 @@ def vec_mul(a, b, zero=0, n=None) -> tuple:
     one common denominator, the integer convolution runs, and each output
     is one ``Fraction``.  Over Q(L) (a RatFunc ``zero``) coefficient k is
     one ``vec_dot`` that starts at the operands' first nonzero entries.
-    Any other ``zero`` (integer polynomials) runs the plain loop."""
+    Any other ``zero`` (integer polynomials) is ``_zmul``'s convolution."""
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
     if isinstance(zero, RatFunc):
@@ -179,14 +189,8 @@ def vec_mul(a, b, zero=0, n=None) -> tuple:
         da, a = _common_den(a[:n])
         db, b = _common_den(b[:n])
         d = da * db
-        return tuple(Fraction(c, d) for c in vec_mul(a, b, 0, n))
-    out = [zero] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i]):
-                if y:
-                    out[i + j] += x * y
-    return tuple(out)
+        return tuple(Fraction(c, d) for c in _zmul(a, b, n))
+    return _zmul(a, b, n)
 
 
 def vec_dot(a, b, zero=0, w=None):
@@ -288,13 +292,28 @@ def latex_scalar(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _zmul(a, b):
-    """Product of integer polynomials; a factor (1,) costs nothing."""
-    if a == (1,):
-        return b
-    if b == (1,):
-        return a
-    return vec_mul(a, b)
+def _zmul(a, b, n=None):
+    """Product of integer polynomials, truncated to (and padded to) ``n``
+    coefficients when ``n`` is given; untruncated, a factor (1,) costs
+    nothing.
+
+    This is the one integer convolution: ``vec_mul`` over Q runs it on the
+    numerators, and ``RatFunc.__mul__`` calls it directly, so a product in
+    Z[L] pays no dispatch on the type of a zero (``isinstance`` of an int
+    against ``Fraction`` goes through ``ABCMeta.__instancecheck__``)."""
+    if n is None:
+        if a == _Z_ONE:
+            return b
+        if b == _Z_ONE:
+            return a
+        n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                if y:
+                    out[i + j] += x * y
+    return tuple(out)
 
 
 def _zcontent(a) -> int:
@@ -548,7 +567,7 @@ class RatFunc:
         if len(g2) > 1:
             nb = _zquo(nb, g2)
             da = _zquo(da, g2)
-        return RatFunc._raw(self.scale * other.scale, vec_mul(na, nb), vec_mul(da, db))
+        return RatFunc._raw(self.scale * other.scale, _zmul(na, nb), _zmul(da, db))
 
     __rmul__ = __mul__
 
@@ -684,10 +703,13 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
     return _element(QL, vec_trim(num), q, den)
 
 
+@lru_cache(maxsize=1024)
 def _lcm_cofactors(den, d):
     """(l, m, md) with l = lcm(den, d) = den * m = d * md, for primitive
-    integer polynomials with positive leads: exact division both ways
-    (``_zquo``) first, ``_zgcd`` only when neither divides the other."""
+    integer polynomials (tuples) with positive leads: exact division both
+    ways (``_zquo``) first, ``_zgcd`` only when neither divides the other.
+    Memoised: the Q(L) routes meet few distinct pairs (313 in about 10 400
+    calls over the 60 operations ``sheffer_q_lambda`` draws from)."""
     if d == den:
         return den, _Z_ONE, _Z_ONE
     if d == _Z_ONE:
@@ -707,11 +729,60 @@ def _lcm_cofactors(den, d):
 
 def _lowest_terms(num, den):
     """num and den with their gcd divided out: nonzero integer polynomials,
-    primitive with positive leads, as RatFunc's canonical form holds them."""
+    primitive with positive leads, as RatFunc's canonical form holds them.
+
+    A den that is a power P^e of a linear P = aL + b (``_linear_power``)
+    takes an exact path with no Euclid.  P is primitive of degree 1, so it
+    is irreducible in Z[L], and gcd(num, P^e) = P^v with v the smaller of e
+    and the order of num's root -b/a.  Each P that divides num is found by
+    ``_vanishes_at``, one integer evaluation, and divided out by ``_zquo``;
+    what is left of den is P^(e - v).  Any other den goes through
+    ``_zgcd``."""
+    if len(num) > 1 and len(den) > 1 and (power := _linear_power(den)):
+        b, a, e = power
+        v = 0
+        while v < e and _vanishes_at(num, b, a):
+            num = _zquo(num, (b, a))
+            v += 1
+        return num, (_zlinear_pow(b, a, e - v) if v else den)
     h = _zgcd(num, den)
     if len(h) > 1:
         return _zquo(num, h), _zquo(den, h)
     return num, den
+
+
+@lru_cache(maxsize=1024)
+def _linear_power(den):
+    """(b, a, e) when the primitive den (positive lead, degree e >= 1) is
+    (aL + b)^e with a > 0 and gcd(a, b) = 1; else None.
+
+    The two leading coefficients of (aL + b)^e are a^e and e a^(e-1) b, so
+    (b, a) is the primitive part of (den[-2], e den[-1]); the binomial
+    expansion then checks den exactly.  Memoised: a pass meets few distinct
+    denominators."""
+    e = len(den) - 1
+    s, t = den[-2], e * den[-1]
+    g = _int_gcd(s, t)
+    b, a = s // g, t // g
+    return (b, a, e) if _zlinear_pow(b, a, e) == den else None
+
+
+@lru_cache(maxsize=1024)
+def _zlinear_pow(b, a, e):
+    """(aL + b)^e as an integer polynomial, ascending powers."""
+    return tuple(comb(e, i) * a**i * b ** (e - i) for i in range(e + 1))
+
+
+def _vanishes_at(num, b, a) -> bool:
+    """True when num(-b/a) = 0, that is when aL + b divides the integer
+    polynomial num (a > 0, gcd(a, b) = 1): the cleared value
+    a^deg num(-b/a) = sum c_i (-b)^i a^(deg - i), by Horner's rule.  For
+    L - 1 it is the sum of the coefficients."""
+    acc, ap = 0, 1
+    for c in reversed(num):
+        acc = acc * -b + c * ap
+        ap *= a
+    return not acc
 
 
 def _as_zpoly(v):
@@ -909,7 +980,7 @@ class RationalField:
             return rational("coefficient", v)
         if isinstance(v, RatFunc) and v.is_constant():
             return v.as_rat()
-        raise TypeError(f"cannot coerce {v!r} into Q")
+        raise DomainError(f"cannot coerce {v!r} into Q")
 
     def to_str(self, v) -> str:
         return str(v)
@@ -930,7 +1001,7 @@ class LambdaField:
             return v
         if isinstance(v, (int, float, Fraction)):
             return RatFunc.from_rat(rational("coefficient", v))
-        raise TypeError(f"cannot coerce {v!r} into Q(L)")
+        raise DomainError(f"cannot coerce {v!r} into Q(L)")
 
     def to_str(self, v) -> str:
         return str(v)

@@ -84,12 +84,13 @@ class CoeffVector:
 
     def _scalar(self, v):
         """(field, v coerced into it) for a scalar operand v, over the field
-        of this vector and v together; (None, None) when v is not a scalar."""
-        field = _field_with(self.field, v)
-        try:
-            return field, field.coerce(v)
-        except TypeError:
+        of this vector and v together; (None, None) when v is not a number,
+        so an operator can return NotImplemented.  A float or a bool is a
+        number but not an exact one: ``coerce`` raises a DomainError."""
+        if not isinstance(v, (int, RatFunc, Fraction, float)):
             return None, None
+        field = _field_with(self.field, v)
+        return field, field.coerce(v)
 
     def coeff_texts(self, latex: bool = False) -> list[str]:
         """The field's text (or LaTeX) for each coefficient, ascending powers."""
@@ -151,6 +152,8 @@ class Series(CoeffVector):
     def agrees(self, other: "Series", upto: int | None = None) -> bool:
         """Coefficientwise equality modulo t^min(T, upto); upto is an
         int >= 0 when given."""
+        if not isinstance(other, Series):
+            raise DomainError(f"agrees compares with a Series, got {other!r}")
         n = min(self.trunc, other.trunc)
         if upto is not None:
             n = min(n, nonnegative_integer("upto", upto))

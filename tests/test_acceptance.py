@@ -242,8 +242,9 @@ def test_criterion_6_series_kernel_properties(catalog_gf):
 def test_criterion_7_cli_contract():
     """Documented commands byte-stable across runs, the Q(L) composition
     commands printing the bytes of tests/data/sheffer_qlambda.csv,
-    tests/data/sheffer_lambda_f.csv and tests/data/sheffer_two_dens.csv,
-    the Q one those of tests/data/sheffer_q.csv; verify --all exits 0 and
+    tests/data/sheffer_lambda_f.csv, tests/data/sheffer_two_dens.csv and
+    tests/data/sheffer_linear_power.csv, the Q one those of
+    tests/data/sheffer_q.csv; verify --all exits 0 and
     prints the bytes of tests/data/verify_all.json."""
     failures = []
     data = Path(__file__).parent / "data"
@@ -262,6 +263,10 @@ def test_criterion_7_cli_contract():
         (["sheffer", "--g", "(exp(t)-L)/(1-L)*(exp(2*t)+L)/(1+L)",
           "--f", "log1p(t)*pow(1+t, -1/2)", "--n", "10", "--format", "csv"],
          "sheffer_two_dens.csv"),
+        # denominators that are powers of 2L - 1: the exact normalisation
+        # against a linear power P = aL + b with a != 1
+        (["sheffer", "--g", "(exp(t)-2*L)/(1-2*L)", "--f", "log1p(t)", "--n", "10",
+          "--format", "csv"], "sheffer_linear_power.csv"),
         # a pair over Q: the Q branch of the power tables and prefix sums
         (["sheffer", "--g", "pow(1+t, 1/3)*exp(t/2)", "--f", "log1p(t)*pow(1+t, -1/2)",
           "--n", "12", "--format", "csv"], "sheffer_q.csv"),

@@ -354,6 +354,14 @@ def test_bad_degree_is_domain_error(call):
         lambda: RatFunc(True),
         lambda: (LAMBDA / (1 - LAMBDA)).evaluate(0.1),
         lambda: (LAMBDA + 1).evaluate(True),
+        lambda: Series(QQ, ["x"]),
+        lambda: Series(QL, ["x"]),
+        lambda: Poly(QQ, ["x"]),
+        lambda: Poly(QQ, [1, 2]).eval("x"),
+        lambda: Poly(QQ, [1, 2]).shift_arg("x"),
+        lambda: Poly(QL, [LAMBDA]).to_field(QQ),
+        lambda: exp_ct(QQ, 1, 4).agrees(3),
+        lambda: exp_ct(QQ, 1, 4).agrees(Poly(QQ, [1])),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -364,7 +372,9 @@ def test_bad_degree_is_domain_error(call):
          "log1p_series_T", "one_plus_t_pow_T", "coefficient_float", "coefficient_bool",
          "coefficient_float_qlambda", "exp_ct_float", "one_plus_t_pow_float",
          "scalar_float", "ratfunc_num_float", "ratfunc_den_float", "ratfunc_float",
-         "ratfunc_bool", "evaluate_float", "evaluate_bool"],
+         "ratfunc_bool", "evaluate_float", "evaluate_bool", "series_text", "series_text_qlambda",
+         "poly_text", "eval_text", "shift_arg_text", "to_field_lambda", "agrees_int",
+         "agrees_poly"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):

@@ -1,15 +1,20 @@
 """Exact field arithmetic: Q and Q(L)."""
 
+import inspect
+import textwrap
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbralkit import EvalPole, LAMBDA, QL, QQ, RatFunc
+from umbralkit import DomainError, EvalPole, LAMBDA, QL, QQ, RatFunc
+from umbralkit import fields
 from umbralkit.fields import (
-    _P, _coprime_mod_p, _lay_out, _lcm_cofactors, _pack, _slot_width, _unpack, _zgcd,
-    _zgcd_prs, _zquo, latex_scalar, vec_add, vec_dot, vec_mul, vec_trim,
+    _P, _coprime_mod_p, _lay_out, _lcm_cofactors, _linear_power, _lowest_terms, _pack,
+    _slot_width, _unpack, _zgcd, _zgcd_prs, _zprimitive, _zquo, latex_scalar, vec_add,
+    vec_dot, vec_mul, vec_trim,
 )
 
 from conftest import fractions, ratfuncs
@@ -168,6 +173,82 @@ class TestGcdFastPath:
     @settings(max_examples=60, deadline=None)
     def test_ratfunc_ops_shared_denominator_factor(self, ab):
         self._check_ops(*ab)
+
+
+def _plain_lowest_terms(num, den):
+    """num / den reduced through the plain PRS gcd."""
+    h = _zgcd_prs(num, den)
+    return _zquo(num, h), _zquo(den, h)
+
+
+@st.composite
+def _linear_power_fractions(draw):
+    """((b, a, e), num, den): den = P^e for P = aL + b primitive with a > 0
+    (b = 0 only as P = L), and num the primitive part of r P^k with k from
+    0 to e + 2, so num and den share P^min(k, e) or more (r may hold P)."""
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(-6, 6).filter(lambda b: gcd(a, b) == 1))
+    e = draw(st.integers(1, 8))
+    k = draw(st.integers(0, e + 2))
+    r = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda c: c[-1]))
+    num = _zprimitive(vec_mul(tuple(r), _pow((b, a), k)))[1]
+    return (b, a, e), num, _pow((b, a), e)
+
+
+class TestLinearPowerDenominator:
+    """``_lowest_terms`` for a denominator P^e of a linear P = aL + b (the
+    exact path, no Euclid) against a reduction through ``_zgcd_prs``."""
+
+    @given(case=_linear_power_fractions())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_prs_reduction(self, case):
+        power, num, den = case
+        assert _linear_power(den) == power
+        assert _lowest_terms(num, den) == _plain_lowest_terms(num, den)
+
+    def test_runs_no_gcd(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fields, "_zgcd", lambda f, g: calls.append(1) or _zgcd(f, g))
+        for b, a in ((-1, 1), (-1, 2), (0, 1), (-2, 3)):
+            for e in (1, 2, 5):
+                den = _pow((b, a), e)
+                for k in range(e + 2):
+                    num = vec_mul((1, 1, 1), _pow((b, a), k))
+                    assert _lowest_terms(num, den) == _plain_lowest_terms(num, den)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "den",
+        [(-1, 0, 1), (2, -3, 0, 1), (1, 0, 1), (-1, 0, 2)],
+        ids=["(L-1)(L+1)", "(L-1)^2(L+2)", "L^2+1", "2L^2-1"],
+    )
+    def test_other_denominators_take_the_gcd_path(self, den, monkeypatch):
+        assert _linear_power(den) is None
+        calls = []
+        monkeypatch.setattr(fields, "_zgcd", lambda f, g: calls.append(1) or _zgcd(f, g))
+        nums = [(1, 2, 3), vec_mul(den, (2, 1)), (-1, 1), (1, 1), vec_mul((1, 0, 1), (1, 1))]
+        for num in nums:
+            assert _lowest_terms(num, den) == _plain_lowest_terms(num, den)
+        assert len(calls) == len(nums)
+
+    def test_stopping_one_factor_early_fails(self):
+        # the mutation the k >= e cases exist for: a root-order loop that
+        # stops one factor early leaves P in both num and den
+        source = textwrap.dedent(inspect.getsource(fields._lowest_terms))
+        assert "while v < e and" in source
+        scope = dict(vars(fields))
+        exec(source.replace("while v < e and", "while v < e - 1 and"), scope)
+        mutant = scope["_lowest_terms"]
+        wrong = 0
+        for b, a in ((-1, 1), (-1, 2), (0, 1), (5, 6)):
+            for e in (1, 3, 8):
+                den = _pow((b, a), e)
+                for k in range(e + 3):
+                    num = vec_mul((2, 1), _pow((b, a), k))
+                    want = _plain_lowest_terms(num, den)
+                    assert _lowest_terms(num, den) == want
+                    wrong += mutant(num, den) != want
+        assert wrong
 
 
 def _planted_terms():
@@ -584,8 +665,10 @@ class TestFieldObjects:
         assert QQ.coerce(3) == F(3)
         assert QL.coerce(F(1, 2)) == RatFunc(F(1, 2))
         assert QQ.coerce(RatFunc(F(2, 3))) == F(2, 3)
-        with pytest.raises(TypeError):
+        with pytest.raises(DomainError):
             QQ.coerce(L)
+        with pytest.raises(DomainError):
+            QL.coerce("x")
 
     def test_render(self):
         assert QQ.to_str(F(-3, 2)) == "-3/2"

@@ -378,6 +378,46 @@ class TestCutToAnswer:
         assert orthogonality_failure(changed, polys, n) is None
 
 
+class TestLinearPowerNormalisation:
+    """In a Frobenius-Euler pair L enters only through 1 - L, so every
+    denominator the routes normalise is a power of L - 1, which
+    ``fields._lowest_terms`` reduces with no Euclid.  Counted by test-local
+    wrappers, so the guard does not depend on time."""
+
+    def test_frobenius_euler_runs_no_euclid_in_lowest_terms(self, monkeypatch):
+        inside, counts = [0], {"_lowest_terms": 0, "_coprime_mod_p": 0, "_zgcd_prs": 0}
+
+        def lowest_terms(num, den, real=fields._lowest_terms):
+            counts["_lowest_terms"] += len(den) > 1
+            inside[0] += 1
+            try:
+                return real(num, den)
+            finally:
+                inside[0] -= 1
+
+        def counted(name):
+            real = getattr(fields, name)
+
+            def call(f, g):
+                counts[name] += inside[0] > 0
+                return real(f, g)
+            return call
+
+        monkeypatch.setattr(fields, "_lowest_terms", lowest_terms)
+        for name in ("_coprime_mod_p", "_zgcd_prs"):
+            monkeypatch.setattr(fields, name, counted(name))
+        pair = catalog_pair(FamilySpec.make("frobenius_euler", 2, lam=None), T=22)
+        polys = sheffer_gf(pair, 10)
+        transfer = sheffer_transfer_all(pair, 10)
+        assert all(transfer[n - 1] == polys[n] for n in range(1, 11))
+        assert orthogonality_failure(pair, polys, 10) is None
+        assert counts["_lowest_terms"] > 100
+        assert counts["_coprime_mod_p"] == counts["_zgcd_prs"] == 0
+        # the wrappers count: (L + 1)(L + 2) / ((L + 1)(L + 3)) runs both
+        assert RatFunc((2, 3, 1), (3, 4, 1)) == RatFunc((2, 1), (3, 1))
+        assert counts["_coprime_mod_p"] > 0 and counts["_zgcd_prs"] > 0
+
+
 class TestTypedErrors:
     def test_mismatched_fields_and_empty_series(self):
         for make in (
