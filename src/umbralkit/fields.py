@@ -92,11 +92,10 @@ It serves the coefficients of g(fbar) for a g over Q(L) and fbar over Q
 (``Series.compose``), the y^j coefficients of the GF route (fbar^j against
 1/g(fbar)), the x^j coefficients of the transfer route ((t/f)^n against
 1/g) and ``umbral.operator_apply``.  The integer columns are rows of the
-power table ``Series._power_rows`` over Q (s^k as integers over d^k, one
-Kronecker-packed product per power, with the bound and the exact mask its
-docstring states); the orthogonality check lays f^k out off the same rows,
-and ``Series.revert`` solves over them.  No consumer builds a ``Fraction``
-per table entry.
+power table ``Series._power_rows`` over Q (s^k as an integer row over its
+own reduced denominator, one ``_zmul`` per power); the orthogonality check
+lays f^k out off the same rows, and ``Series.revert`` solves over them.  No
+consumer builds a ``Fraction`` per table entry.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -297,8 +296,9 @@ def _zmul(a, b, n=None):
     coefficients when ``n`` is given; untruncated, a factor (1,) costs
     nothing.
 
-    This is the one integer convolution: ``vec_mul`` over Q runs it on the
-    numerators, and ``RatFunc.__mul__`` calls it directly, so a product in
+    This is the one integer convolution: ``vec_mul`` over Q and the power
+    table ``Series._power_rows`` run it on numerators, and
+    ``RatFunc.__mul__`` calls it directly, so a product in
     Z[L] pays no dispatch on the type of a zero (``isinstance`` of an int
     against ``Fraction`` goes through ``ABCMeta.__instancecheck__``)."""
     if n is None:
@@ -464,14 +464,16 @@ class RatFunc:
     __slots__ = ("scale", "_n", "_d")
 
     def __init__(self, num=0, den=1):
-        sn, n = _as_zpoly(num)
-        sd, d = _as_zpoly(den)
+        sn, n, dn = _as_zfrac(num)
+        sd, d, dd = _as_zfrac(den)
         if not d:
             raise DivisionByZero("zero denominator in Q(L)")
         if not n:
             self._become(Fraction(0), (), (1,))
             return
-        self._become(sn / sd, *_lowest_terms(n, d))
+        # (sn n / dn) / (sd d / dd); products of primitive polynomials with
+        # positive leads are primitive with positive leads (Gauss's lemma)
+        self._become(sn / sd, *_lowest_terms(_zmul(n, dd), _zmul(d, dn)))
 
     def _become(self, scale, n, d):
         object.__setattr__(self, "scale", scale)
@@ -521,7 +523,7 @@ class RatFunc:
         if not self._n:
             return Fraction(0)
         if not self.is_constant():
-            raise ValueError(f"{self} is not a rational constant")
+            raise DomainError(f"{self} is not a rational constant")
         return self.scale * self._n[0] / self._d[0]
 
     # arithmetic ----------------------------------------------------------------
@@ -590,6 +592,8 @@ class RatFunc:
         return other.__mul__(self.reciprocal())
 
     def __pow__(self, n: int):
+        if isinstance(n, bool):
+            raise DomainError(f"exponent must be an int, got {n!r}")
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
@@ -785,21 +789,20 @@ def _vanishes_at(num, b, a) -> bool:
     return not acc
 
 
-def _as_zpoly(v):
-    """(rational scale, primitive int tuple) from a RatFunc with a constant
-    denominator, an exact rational, or a tuple or list of them (ascending
-    powers); a float or a bool is a DomainError (``errors.rational``)."""
+def _as_zfrac(v):
+    """(rational scale, primitive numerator, primitive denominator), integer
+    tuples with positive leads, from a RatFunc, an exact rational, or a
+    tuple or list of exact rationals (ascending powers); a float or a bool
+    is a DomainError (``errors.rational``)."""
     if isinstance(v, RatFunc):
-        if len(v._d) != 1:
-            raise ValueError("nested RatFunc with non-unit denominator")
-        return v.scale / v._d[0], v._n
+        return v.scale, v._n, v._d
     qs = vec_trim([rational("coefficient", c)
                    for c in (v if isinstance(v, (tuple, list)) else (v,))])
     if not qs:
-        return Fraction(1), ()
+        return Fraction(1), (), _Z_ONE
     den, ints = _common_den(qs)
     cont, prim = _zprimitive(ints)
-    return Fraction(cont, den), prim
+    return Fraction(cont, den), prim, _Z_ONE
 
 
 def _coerce(v):

@@ -12,14 +12,15 @@ coefficient-vector kernels of :mod:`umbralkit.fields`, and both render
 through ``fields.format_terms``.
 
 Every table of powers [1, s, .., s^n] comes from ``Series._power_rows``.
-Over Q it is one Kronecker-packed integer table: s = A / d, and row k is
-A^k mod t^T as integers over d^k, each power one big-int product masked to
-its low slots at one slot width, from the bound h^n T^(n-1) on every
-coefficient (h the height of A).  The public ``powers`` makes canonical
+Over Q, s^k is an integer row over its own denominator dens[k]: the row
+before it times the integer numerators of s (``fields._zmul``), reduced by
+the gcd of the row and its denominator, so the integers stay the size of
+s^k's coefficients in lowest terms.  The public ``powers`` makes canonical
 Fractions of the rows; ``compose`` (a prefix sum of the outer series per
 coefficient, packed over the outer's layout when the inner series is over
 Q), ``revert`` and the Sheffer routes of :mod:`umbralkit.umbral` read the
-integer rows themselves.  Over Q(L) the rows are the plain products, d = 1.
+integer rows themselves.  Over Q(L) the rows are the plain products and
+every dens[k] is 1.
 
 Q is a subfield of Q(L), so a sum, difference, product or composition of
 one operand over Q and one over Q(L) is over Q(L), in either order
@@ -34,6 +35,8 @@ which the Sheffer routes run their L-free half on the Q kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 
 from .errors import (
     CompositionOrder,
@@ -47,8 +50,8 @@ from .errors import (
     nonnegative_integer,
 )
 from .fields import (
-    QL, QQ, RatFunc, _common_den, _pack, _prefix_sums, _slot_width, _unpack, common_field,
-    format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
+    QL, QQ, RatFunc, _common_den, _prefix_sums, _zmul, common_field, format_terms,
+    latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
 )
 
 
@@ -142,6 +145,12 @@ class Series(CoeffVector):
         return self.trunc
 
     def truncate(self, T: int) -> "Series":
+        """This series mod t^T, for 1 <= T <= its truncation; a larger T
+        would claim coefficients the series does not know."""
+        if integer_order("T", T) > self.trunc:
+            raise TruncationTooShort(
+                f"cannot extend a series known mod t^{self.trunc} to truncation {T}"
+            )
         if T == self.trunc:
             return self
         return Series(self.field, self.coeffs, trunc=T)
@@ -259,81 +268,67 @@ class Series(CoeffVector):
         return out
 
     def _power_rows(self, n: int):
-        """(d, rows) with s^k = rows[k] / d^k for k = 0 .. n, each row a
-        tuple of this series' T coefficients.
+        """(dens, rows) with s^k = rows[k] / dens[k] for k = 0 .. n, each row
+        a tuple of this series' T coefficients.
 
         Over Q, s = A / d with A integers over the lcm d of the
-        denominators, and rows[k] = A^k mod t^T comes from one
-        Kronecker-packed table.  With A = t^o B (o the order of s),
-        A^k = t^(ko) B^k, so row k needs only the low T - ko coefficients of
-        B^k: each is the one before it times packed B, one big-int multiply
-        masked to those T - ko slots, all at one slot width w.  No
-        coefficient of a row exceeds h^n T^(n-1) (h the height of A:
-        [t^m] A^k is a sum of at most T^(k-1) products of k coefficients of
-        A, one for each choice of the first k - 1 exponents below T), and
-        ``_slot_width`` makes w hold that bound.  The mask is exact: the
-        slots from the cut up add a multiple of 2^(w c) for c slots, so the
-        masked product is the truncated power mod 2^(w c), and the truncated
-        power is the one representative of it in [-2^(w c - 1), 2^(w c - 1)),
-        since its balanced digits lie in [-2^(w-1), 2^(w-1)).
-
-        Over Q(L), d = 1 and each row is one product with the row before
-        it, its entries RatFuncs."""
+        denominators, and row k is ``_zmul(rows[k - 1], A, T)`` over
+        dens[k - 1] * d, with the gcd of that denominator and the row's
+        entries divided out: each row is reduced, so its integers are the
+        size of s^k's own coefficients, not of d^k.  Over Q(L) each row is
+        the product with the row before it, its entries RatFuncs, and every
+        dens[k] is 1."""
         T, a = self.trunc, self.coeffs
         if self.field is not QQ:
             zero = self.field.zero
             rows = [(self.field.one,) + (zero,) * (T - 1)]
             while len(rows) <= n:
                 rows.append(vec_mul(rows[-1], a, zero, T))
-            return 1, rows
+            return [1] * (n + 1), rows
         d, A = _common_den(a)
-        rows = [(1,) + (0,) * (T - 1), tuple(A)]
-        if n >= 2:
-            o = self.order()
-            w = _slot_width(max(map(abs, A)) ** n * T ** (n - 1))
-            v = b = _pack(A[o:], w)
-            for k in range(2, n + 1):
-                slots, row = T - k * o, ()
-                if slots > 0:
-                    mask = (1 << (w * slots)) - 1
-                    v = v * (b & mask) & mask
-                    row = (0,) * (k * o) + _unpack(v - mask - 1 if v >> (w * slots - 1) else v, w)
-                rows.append(row + (0,) * (T - len(row)))
-        return d, rows[: n + 1]
+        dens, rows = [1], [(1,) + (0,) * (T - 1)]
+        while len(rows) <= n:
+            row, e = _zmul(rows[-1], A, T), dens[-1] * d
+            g = gcd(e, *row)
+            dens.append(e // g)
+            rows.append(tuple([c // g for c in row]))
+        return dens, rows
 
     def powers(self, n: int) -> list["Series"]:
         """[1, s, s^2, .., s^n], each at this series' truncation: the rows of
-        ``_power_rows``, over Q one canonical Fraction per coefficient."""
-        d, rows = self._power_rows(nonnegative_integer("n", n))
+        ``_power_rows``, over Q the canonical Fraction rows[k][m] / dens[k]
+        per coefficient."""
+        dens, rows = self._power_rows(nonnegative_integer("n", n))
         if self.field is not QQ:
             return [Series(self.field, row) for row in rows]
-        return [Series(QQ, [Fraction(c, e) for c in row])
-                for e, row in zip(_powers_of(d, len(rows)), rows)]
+        return [Series(QQ, [Fraction(c, e) for c in row]) for e, row in zip(dens, rows)]
 
     def compose(self, inner: "Series") -> "Series":
         """outer(inner(t)); inner must have order >= 1.
 
-        With inner^k = rows[k] / d^k (``_power_rows``),
-        [t^m] outer(inner) = sum_{k <= m} outer[k] rows[k][m] d^(m-k) / d^m,
-        one prefix sum of outer per coefficient (``fields._prefix_sums``):
-        packed over the layout of outer for an inner series over Q."""
+        With inner^k = rows[k] / dens[k] (``_power_rows``) and E_m the lcm
+        of dens[0 .. m], [t^m] outer(inner) =
+        sum_{k <= m} outer[k] rows[k][m] (E_m / dens[k]) / E_m, one prefix
+        sum of outer per coefficient (``fields._prefix_sums``): packed over
+        the layout of outer for an inner series over Q."""
         if inner.order() == 0:
             raise CompositionOrder("inner series has a nonzero constant term")
         T = min(self.trunc, inner.trunc)
-        d, rows = inner.truncate(T)._power_rows(T - 1)
-        dp = _powers_of(d, T)
+        dens, rows = inner.truncate(T)._power_rows(T - 1)
+        E = list(accumulate(dens, lcm))
         cols = [[rows[k][m] for k in range(m + 1)] for m in range(T)]
-        if d != 1:
-            cols = [[x * dp[m - k] for k, x in enumerate(col)] for m, col in enumerate(cols)]
+        if E[-1] != 1:
+            cols = [[x * (E[m] // dens[k]) for k, x in enumerate(col)]
+                    for m, col in enumerate(cols)]
         field = common_field(self.field, inner.field)
-        return Series(field, _prefix_sums(self.coeffs[:T], cols, dp, field))
+        return Series(field, _prefix_sums(self.coeffs[:T], cols, E, field))
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series: with s^k = rows[k] / d^k
-        (``_power_rows``), coefficient m solves
-        sum_k c_k rows[k][m] d^(m-k) = [m == 1] d^m, triangular since
-        rows[k] has order k; one ``vec_dot`` with integer weights d^(m-k)
-        each, over the integer rows.
+        """Compositional inverse of a delta series: with s^k = rows[k] / dens[k]
+        (``_power_rows``) and E_m the lcm of dens[0 .. m], coefficient m
+        solves sum_k c_k rows[k][m] (E_m / dens[k]) = [m == 1] E_m,
+        triangular since rows[k] has order k; one ``vec_dot`` with those
+        integer weights, over the integer rows.
 
         The compose round-trip is checked before returning.
         """
@@ -343,12 +338,13 @@ class Series(CoeffVector):
         if self.order() != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
         zero = self.field.zero
-        d, rows = self._power_rows(T - 1)
-        dp = _powers_of(d, T)
+        dens, rows = self._power_rows(T - 1)
+        E = list(accumulate(dens, lcm))
         c = [zero] * T
         for m in range(1, T):
-            acc = vec_dot(c[1:m], [rows[k][m] for k in range(1, m)], zero, dp[m - 1 : 0 : -1])
-            c[m] = ((self.field.coerce(d) if m == 1 else zero) - acc) / rows[m][m]
+            w = [E[m] // e for e in dens[1 : m + 1]]
+            acc = vec_dot(c[1:m], [rows[k][m] for k in range(1, m)], zero, w)
+            c[m] = ((self.field.coerce(E[m]) if m == 1 else zero) - acc) / (w[-1] * rows[m][m])
         out = Series(self.field, c)
         if not self.compose(out).agrees(t_series(self.field, T)):
             raise NotDelta("reversion failed its round-trip check")
@@ -396,14 +392,6 @@ class Series(CoeffVector):
 
     def __repr__(self) -> str:
         return f"Series[{self.field.name}; T={self.trunc}]({', '.join(self.coeff_texts())})"
-
-
-def _powers_of(d: int, n: int) -> list:
-    """[1, d, d^2, .., d^(n-1)]."""
-    out = [1] * n
-    for k in range(1, n):
-        out[k] = out[k - 1] * d
-    return out
 
 
 def _over_q(s: Series) -> Series:

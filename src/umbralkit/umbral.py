@@ -36,11 +36,12 @@ its inverse, the y^j coefficients of S_n (one sum each, of fbar^j against
 of (t/f)^n against 1/g), and g(t) S_n(x).  An f that carries L stays over
 Q(L).
 
-The power tables over Q are read as integer rows (``Series._power_rows``:
-s^k = rows[k] / d^k), never as Fractions: the columns of both routes are
-integers made from those rows, packed against the prefix layout of
+The power tables over Q are read as integer rows, each over its own
+reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
+never as Fractions: the columns of both routes are integers made from those
+rows, over dens[k] times a factorial, packed against the prefix layout of
 1/g(fbar) or 1/g (as g(fbar) is inside ``compose``), and the orthogonality
-check lays each f^k out from its row.
+check lays each f^k out from its row over dens[k].
 
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
@@ -61,7 +62,7 @@ from .fields import (
     _slot_width, _unpack, _zmul, common_field, vec_dot,
 )
 from .record import Record
-from .series import Poly, Series, _over_q, _powers_of
+from .series import Poly, Series, _over_q
 
 
 def functional_apply(f: Series, p: Poly):
@@ -155,22 +156,21 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     """S_0 .. S_{n_max} from the generating-function route.
 
     The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)):
-    with fbar^j = rows[j] / d^j, the sum over i <= n - j of
-    (n!/j!) rows[j][n - i] * ginv[i] / d^j, one prefix sum of 1/g(fbar)
+    with fbar^j = rows[j] / dens[j], the sum over i <= n - j of
+    (n!/j!) rows[j][n - i] * ginv[i] / dens[j], one prefix sum of 1/g(fbar)
     (``fields._prefix_sums``), packed when fbar is over Q.
     """
     pair = _cut(pair, n_max)
     fbar = _over_q(pair.f).revert()
-    d, rows = fbar._power_rows(n_max)
+    row_dens, rows = fbar._power_rows(n_max)
     ginv = pair.g.compose(fbar).inverse().coeffs
     fact = _factorials(n_max + 1)
-    dp = _powers_of(d, n_max + 1)
     cols, dens = [], []
     for n in range(n_max + 1):
         for j in range(n + 1):
-            # pairs ginv[i] with fbar^j[n - i] = rows[j][n - i] / d^j
+            # pairs ginv[i] with fbar^j[n - i] = rows[j][n - i] / row_dens[j]
             cols.append([fact[n] // fact[j] * rows[j][n - i] for i in range(n - j + 1)])
-            dens.append(dp[j])
+            dens.append(row_dens[j])
     values = _prefix_sums(ginv, cols, dens, pair.field)
     return [Poly(pair.field, values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2])
             for n in range(n_max + 1)]
@@ -189,19 +189,19 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
     ginv = pair.g.inverse().coeffs
     t_over_f = _over_q(pair.f).shift_div(1).inverse()
-    d, rows = t_over_f._power_rows(n_max)
+    row_dens, rows = t_over_f._power_rows(n_max)
     zero = 0 if t_over_f.field is QQ else t_over_f.field.zero  # the table's zero
     fact = _factorials(n_max + 1)
-    dp = _powers_of(d, n_max + 1)
     cols, dens = [], []
     for n in range(1, n_max + 1):
         # p = x (t/f)^n x^{n-1}, evaluated right to left: t^k takes x^{n-1}
-        # to (n-1)!/j! x^j with j = n-1-k, so m! p[m] = P[m] / d^n below,
-        # and the x^j coefficient of (1/g) p is sum_k ginv[k] P[j+k] / (j! d^n)
+        # to (n-1)!/j! x^j with j = n-1-k, so m! p[m] = P[m] / row_dens[n]
+        # below, and the x^j coefficient of (1/g) p is
+        # sum_k ginv[k] P[j+k] / (j! row_dens[n])
         P = [zero] + [m * fact[n - 1] * rows[n][n - m] for m in range(1, n + 1)]
         for j in range(n + 1):
             cols.append(P[j:])
-            dens.append(fact[j] * dp[n])
+            dens.append(fact[j] * row_dens[n])
     values = _prefix_sums(ginv, cols, dens, pair.field)
     # S_n takes the n + 1 values after the 2 + 3 + .. + n of S_1 .. S_{n-1}
     return [Poly(pair.field, values[n * (n + 1) // 2 - 1 : (n + 1) * (n + 2) // 2 - 1])
@@ -238,8 +238,8 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     pair = _cut(pair, max([n_max] + [p.degree for p in polys[: n_max + 1]]))
     fact = _factorials(n_max + 1)
     gl = _lay_out(pair.g.coeffs)
-    d, rows = _over_q(pair.f)._power_rows(n_max)
-    fls = [_lay_out(row, over=e) for e, row in zip(_powers_of(d, n_max + 1), rows)]
+    row_dens, rows = _over_q(pair.f)._power_rows(n_max)
+    fls = [_lay_out(row, over=e) for e, row in zip(row_dens, rows)]
     # numerators that bound those of every f^k, for one slot per S_n
     f_all = _Layout([(max(fl.height for fl in fls),) * max(fl.length for fl in fls)]
                     * len(fls[0].num))

@@ -362,6 +362,9 @@ def test_bad_degree_is_domain_error(call):
         lambda: Poly(QL, [LAMBDA]).to_field(QQ),
         lambda: exp_ct(QQ, 1, 4).agrees(3),
         lambda: exp_ct(QQ, 1, 4).agrees(Poly(QQ, [1])),
+        lambda: LAMBDA.as_rat(),
+        lambda: LAMBDA ** True,
+        lambda: (1 + LAMBDA) ** False,
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -374,7 +377,7 @@ def test_bad_degree_is_domain_error(call):
          "scalar_float", "ratfunc_num_float", "ratfunc_den_float", "ratfunc_float",
          "ratfunc_bool", "evaluate_float", "evaluate_bool", "series_text", "series_text_qlambda",
          "poly_text", "eval_text", "shift_arg_text", "to_field_lambda", "agrees_int",
-         "agrees_poly"],
+         "agrees_poly", "as_rat_lambda", "ratfunc_pow_true", "ratfunc_pow_false"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):

@@ -87,6 +87,15 @@ class TestRatFunc:
         assert v ** 0 == RatFunc(1)
         assert v ** -1 == 1 / v
 
+    def test_nested_ratfunc_is_num_over_den(self):
+        v = 1 / (1 + L)
+        assert RatFunc(v) == v
+        assert RatFunc(1, v) == 1 + L
+        assert RatFunc((2, 1), v) == (2 + L) * (1 + L)
+        assert RatFunc(L / (1 - L), (1 + L) / (1 - L)) == L / (1 + L)
+        with pytest.raises(ZeroDivisionError):
+            RatFunc(v, RatFunc(0))
+
     @given(a=ratfuncs(), b=ratfuncs(), c=ratfuncs())
     @settings(max_examples=60)
     def test_field_axioms(self, a, b, c):

@@ -1,7 +1,8 @@
 """Truncated power series and polynomial kernel."""
 
 from fractions import Fraction as F
-from math import factorial
+from itertools import chain
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from umbralkit import (
     Series,
     TruncationTooShort,
     UnitConstantRequired,
+    bespoke_pair,
     exp_ct,
     falling_factorial,
     functional_apply,
@@ -26,6 +28,9 @@ from umbralkit import (
     one,
     one_plus_t_pow,
     operator_apply,
+    orthogonality_failure,
+    sheffer_gf,
+    sheffer_transfer_all,
     t_series,
     stirling1,
 )
@@ -191,48 +196,89 @@ def table_cases(draw):
     return Series(QQ, coeffs), n
 
 
+def _t2_fbar(n=40):
+    """fbar of the T2[a=-1] pair (b = 1/2) over Q, truncated for degree n."""
+    pair = bespoke_pair("T2", n + 1, order=-1, b=F(1, 2))
+    return _over_q(pair.f).revert()
+
+
+def _table_bits(table):
+    """(largest bit length of the table's integers, rows and dens alike;
+    largest bit length of a numerator or denominator of its entries in
+    lowest terms)."""
+    dens, rows = table
+    stored = max(abs(x).bit_length() for x in chain(dens, *rows))
+    reduced = max(max(abs(q.numerator).bit_length(), q.denominator.bit_length())
+                  for e, row in zip(dens, rows) for q in (F(c, e) for c in row))
+    return stored, reduced
+
+
 class TestPowerRows:
-    """``Series._power_rows`` over Q is one Kronecker-packed integer table;
-    the plain ``out[-1] * s`` loop gives the same powers."""
+    """``Series._power_rows`` over Q gives s^k as an integer row over its own
+    reduced denominator; the plain ``out[-1] * s`` loop gives the same
+    powers."""
 
     @given(case=table_cases())
     @settings(max_examples=120, deadline=None)
     def test_matches_plain_loop(self, case):
         s, n = case
         want = plain_powers(s, n)
-        d, rows = s._power_rows(n)
-        assert len(rows) == n + 1 and all(len(row) == s.trunc for row in rows)
+        dens, rows = s._power_rows(n)
+        assert len(dens) == len(rows) == n + 1 and all(len(row) == s.trunc for row in rows)
         assert all(type(c) is int for row in rows for c in row)
-        assert [[F(c, d**k) for c in row] for k, row in enumerate(rows)] == [
+        assert all(type(e) is int and e >= 1 for e in dens)
+        assert [[F(c, e) for c in row] for e, row in zip(dens, rows)] == [
             list(p.coeffs) for p in want]
         got = s.powers(n)
         assert got == want
         assert all(type(c) is F for p in got for c in p.coeffs)
 
+    @given(case=table_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_is_reduced(self, case):
+        s, n = case
+        dens, rows = s._power_rows(n)
+        assert all(gcd(e, *row) == 1 for e, row in zip(dens, rows))
+
     def test_over_q_lambda_rows_are_products(self):
         s = Series(QL, [0, 1 + LAMBDA, F(1, 2), LAMBDA / 3])
-        d, rows = s._power_rows(5)
-        assert d == 1
+        dens, rows = s._power_rows(5)
+        assert dens == [1] * 6
         assert [Series(QL, row) for row in rows] == plain_powers(s, 5)
 
-    @staticmethod
-    def _at_bound(h=3, T=5):
-        """h (1 + t + .. + t^(T-1)): [t^(T-1)] of its square is h^2 T, the
-        table's bound h^n T^(n-1) at n = 2."""
-        return Series(QQ, [h] * T), h**2 * T
-
     def test_last_row_reaches_the_bound(self):
-        s, bound = self._at_bound()
-        d, rows = s._power_rows(2)
-        assert d == 1 and rows[2][-1] == bound
-        assert [Series(QQ, row) for row in rows] == plain_powers(s, 2)
+        # h (1 + t + .. + t^(T-1)): [t^(T-1)] of its square is h^2 T, the
+        # largest a coefficient of a square of T entries of height h can be
+        h, T = 3, 5
+        s = Series(QQ, [h] * T)
+        dens, rows = s._power_rows(2)
+        assert dens == [1, 1, 1] and rows[2][-1] == h**2 * T
+        assert [Series(QQ, [F(c, e) for c in row]) for e, row in zip(dens, rows)] == (
+            plain_powers(s, 2))
 
-    def test_one_bit_narrower_slot_fails(self, monkeypatch):
-        # the mutation the bound case exists for: one bit less than the bound
-        # reads a different table
-        s, bound = self._at_bound()
-        monkeypatch.setattr(series, "_slot_width", lambda b: b.bit_length())
-        assert s._power_rows(2)[1][2] != plain_powers(s, 2)[2].coeffs
+    def test_rows_stay_the_size_of_the_reduced_entries(self):
+        # time-independent size guard: a table over one d^k has entries of
+        # 9 376 bits here, where the entries in lowest terms need 231
+        stored, reduced = _table_bits(_t2_fbar()._power_rows(40))
+        assert stored <= 2 * reduced
+
+    def test_unreduced_rows_fail_the_size_guard(self, monkeypatch):
+        # mutation: without the per-row gcd the values are the same, but the
+        # rows grow like d^k and the guard above sees it
+        fbar = _t2_fbar()
+        monkeypatch.setattr(series, "gcd", lambda *args: 1)
+        table = fbar._power_rows(40)
+        dens, rows = table
+        assert [[F(c, e) for c in row] for e, row in zip(dens, rows)] == [
+            list(p.coeffs) for p in plain_powers(fbar, 40)]
+        stored, reduced = _table_bits(table)
+        assert stored > 2 * reduced
+
+    def test_routes_agree_at_n_40(self):
+        pair = bespoke_pair("T2", 41, order=-1, b=F(1, 2))
+        polys = sheffer_gf(pair, 40)
+        assert sheffer_transfer_all(pair, 40) == polys[1:]
+        assert orthogonality_failure(pair, polys, 40) is None
 
 
 class TestRevert:
@@ -319,6 +365,12 @@ class TestShift:
     def test_order_too_low(self):
         with pytest.raises(OrderTooLow):
             S(1, 1).shift_div(1)
+
+    def test_truncate_never_extends(self):
+        s = exp_ct(QQ, 1, 3)
+        assert s.truncate(3) is s and s.truncate(2) == S(1, 1)
+        with pytest.raises(TruncationTooShort):
+            s.truncate(5)
 
     def test_round_trip_with_mul_t(self):
         f = S(0, 0, 3, 5, T=6)
