@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(expand --order 3 -- \"-t\")",
     )
     p_exp.add_argument("--order", type=int, required=True, metavar="N")
-    p_exp.add_argument("--field", choices=("q", "qlambda"), default=None)
     p_exp.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None, metavar="p/q")
     p_exp.add_argument("--format", choices=("csv", "json", "latex"), default="json")
 
@@ -83,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sh.add_argument("--g", required=True, metavar="EXPR")
     p_sh.add_argument("--f", required=True, metavar="EXPR")
     p_sh.add_argument("--n", type=int, required=True, metavar="N")
-    p_sh.add_argument("--field", choices=("q", "qlambda"), default=None)
     p_sh.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None, metavar="p/q")
     p_sh.add_argument("--format", choices=("csv", "json", "latex"), default="json")
 
@@ -122,21 +120,11 @@ def _emit_rows(polys, fmt, out) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pick_field(args, asts):
-    if args.field == "qlambda" and args.lam is not None:
-        raise DomainError("--field qlambda keeps L symbolic; it cannot take --lambda")
-    if args.field == "q" or args.lam is not None:
-        return QQ
-    if args.field == "qlambda":
-        return QL
-    return QL if any(uses_lambda(a) for a in asts) else QQ
-
-
 def _cmd_expand(args, out) -> int:
     if args.order < 1:
         raise DomainError("--order must be >= 1")
     ast = parse_expr(args.expr)
-    field = _pick_field(args, [ast])
+    field = QL if args.lam is None and uses_lambda(ast) else QQ
     series = eval_expr(ast, args.order, field, args.lam)
     if args.format == "json":
         out.write(json.dumps(series.coeff_texts()) + "\n")
@@ -177,14 +165,12 @@ def _cmd_family(args, out) -> int:
 def _cmd_sheffer(args, out) -> int:
     if args.n < 1:
         raise DomainError("--n must be >= 1")
-    g_ast = parse_expr(args.g)
-    f_ast = parse_expr(args.f)
-    field = _pick_field(args, [g_ast, f_ast])
+    asts = [parse_expr(args.g), parse_expr(args.f)]
     # room for the orders that DSL divisions consume
     T = working_trunc(args.n)
-    pair = ShefferPair(
-        eval_expr(g_ast, T, field, args.lam), eval_expr(f_ast, T, field, args.lam)
-    )
+    # g and f each pick their own field, as in expand
+    pair = ShefferPair(*[eval_expr(a, T, QL if args.lam is None and uses_lambda(a) else QQ,
+                                   args.lam) for a in asts])
     polys = sheffer_gf(pair, args.n)
     transfer = sheffer_transfer_all(pair, args.n)
     agree = all(transfer[n - 1] == polys[n] for n in range(1, args.n + 1))

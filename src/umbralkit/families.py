@@ -35,6 +35,8 @@ from .umbral import ShefferPair, answer_trunc, sheffer_gf
 
 
 def binom(n: int, k: int) -> int:
+    """C(n, k) for ints n and k, and 0 unless 0 <= k <= n."""
+    n, k = integer_order("n", n), integer_order("k", k)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -54,7 +56,7 @@ def multinomial(parts) -> int:
     total = 0
     acc = 1
     for p in parts:
-        total += p
+        total += nonnegative_integer("part", p)
         acc *= comb(total, p)
     return acc
 
@@ -68,12 +70,6 @@ def _lam_field(lam):
     """(field, lambda element) for symbolic (None) or rational lambda."""
     lam = lambda_value("lam", lam)
     return (QL, LAMBDA) if lam is None else (QQ, lam)
-
-
-def _lifted(f: Series, lam) -> Series:
-    """The L-free series f, built over Q, in the field of lam: lifted into
-    Q(L) once when lam is symbolic."""
-    return Series(_lam_field(lam)[0], f.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +207,6 @@ def narumi_value(a: int, n: int, shift=0):
     T = nonnegative_integer("n_max", n) + 1
     base = _narumi_base(integer_order("a", a), T)
     if isinstance(shift, RatFunc) and not shift.is_constant():
-        base = Series(QL, base.coeffs)
         kernel = one_plus_t_pow(QL, shift, T)
     else:
         shift = rational("shift", shift.as_rat() if isinstance(shift, RatFunc) else shift)
@@ -284,7 +279,7 @@ def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
 # One function per pair, keyed to a name by the registry table in the
 # identities module.  It takes the working truncation and the validated
 # parameters and returns (g, f), each truncated at or above it.  Only g
-# carries lambda: f is built over Q and lifted into Q(L) once (``_lifted``).
+# carries lambda: f is built over Q, and the pair keeps it there.
 
 
 def _bernoulli_pair(T, a):
@@ -296,11 +291,11 @@ def _euler_pair(T, a):
 
 
 def _frobenius_euler_pair(T, a, lam):
-    return _fe_g(a, lam, T), t_series(_lam_field(lam)[0], T)
+    return _fe_g(a, lam, T), t_series(QQ, T)
 
 
 def _frobenius_eulerian_pair(T, a, lam):
-    return _fte_g(a, lam, T), t_series(_lam_field(lam)[0], T)
+    return _fte_g(a, lam, T), t_series(QQ, T)
 
 
 def _narumi_pair(T, a):
@@ -314,7 +309,7 @@ def _bernoulli_2nd_pair(T):
 def _daehee_pair(T, lam):
     """((1-L)/(e^t-L), (e^t-1)/(e^t+1)): the Daehee family and the DAE identity."""
     e = exp_ct(QQ, 1, T)
-    return _fe_g(-1, lam, T), _lifted((e - 1) / (e + 1), lam)
+    return _fe_g(-1, lam, T), (e - 1) / (e + 1)
 
 
 def _poisson_charlier_pair(T, a):
@@ -323,7 +318,7 @@ def _poisson_charlier_pair(T, a):
 
 
 def _t2_pair(T, a, b, lam):
-    return _fe_g(a, lam, T), _lifted((exp_ct(QQ, b, T) - 1).shift_div(1).inverse().mul_t(1), lam)
+    return _fe_g(a, lam, T), (exp_ct(QQ, b, T) - 1).shift_div(1).inverse().mul_t(1)
 
 
 def _t3_pair(T, a, b, c):
@@ -340,17 +335,17 @@ def _r27_pair(T, a):
 
 
 def _t6_pair(T, a, c, lam):
-    return _fe_g(a, lam, T), _lifted(log1p_series(QQ, T) * one_plus_t_pow(QQ, -c, T), lam)
+    return _fe_g(a, lam, T), log1p_series(QQ, T) * one_plus_t_pow(QQ, -c, T)
 
 
 def _p8_pair(T, a, c, lam):
     base = log1p_series(QQ, T).shift_div(1).inverse()
-    return _fte_g(a, lam, T), _lifted((base * one_plus_t_pow(QQ, c, T - 1)).mul_t(1), lam)
+    return _fte_g(a, lam, T), (base * one_plus_t_pow(QQ, c, T - 1)).mul_t(1)
 
 
 def _t10_pair(T, a, b, c, lam, m):
     lin = Series(QQ, [1, b], trunc=T)
-    return _fte_g(a, lam, T), _lifted((exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1), lam)
+    return _fte_g(a, lam, T), (exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1)
 
 
 class FamilySpec(Record):
@@ -395,6 +390,8 @@ def family_polys(name: str, order: int, n_max: int, **params) -> list:
 def bespoke_pair(tag: str, T: int, order: int = 1, b=None, c=None, m=None, lam=None) -> ShefferPair:
     """The parameterized pairs behind the registry identities (tags as in
     the identities module); parameters a tag does not take are ignored."""
-    from .identities import build_pair  # the registry table imports this module
+    from .identities import REGISTRY, build_pair  # the registry table imports this module
 
-    return build_pair(tag, T, order, {"b": b, "c": c, "m": m, "lam": lam})
+    takes = {q.name for q in REGISTRY[tag].params} if tag in REGISTRY else ()
+    given = {"b": b, "c": c, "m": m, "lam": lam}
+    return build_pair(tag, T, order, {k: v for k, v in given.items() if k in takes})

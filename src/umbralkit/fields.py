@@ -127,7 +127,7 @@ from itertools import chain, repeat
 from math import comb, gcd as _int_gcd, isqrt
 from operator import mul
 
-from .errors import DivisionByZero, DomainError, EvalPole, rational
+from .errors import DivisionByZero, DomainError, EvalPole, integer_order, rational
 
 __all__ = [
     "RatFunc",
@@ -592,11 +592,7 @@ class RatFunc:
         return other.__mul__(self.reciprocal())
 
     def __pow__(self, n: int):
-        if isinstance(n, bool):
-            raise DomainError(f"exponent must be an int, got {n!r}")
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
+        if integer_order("exponent", n) < 0:
             base = self.reciprocal()
             n = -n
         else:

@@ -167,14 +167,13 @@ def check_params(name: str, params: dict) -> dict:
 
 def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
     """The Sheffer pair of a registry name truncated at T.  ``order`` fills
-    the integer-order parameter if the name takes one; entries of ``params``
-    that the name does not take are ignored."""
+    the integer-order parameter if the name takes one; a name in ``params``
+    that the name does not take is a DomainError (``check_params``)."""
     entry = REGISTRY.get(name)
     if entry is None or entry.pair is None:
         raise DomainError(f"no Sheffer pair named {name!r}")
     integer_order("T", T)
-    given = {q.name: order if q.domain is integer_order else params.get(q.name)
-             for q in entry.params}
+    given = {**params, **{q.name: order for q in entry.params if q.domain is integer_order}}
     # built with a margin so both members come out truncated at exactly T
     g, f = entry.pair(T + 2, **check_params(name, given))
     return ShefferPair(g.truncate(T), f.truncate(T))
@@ -352,7 +351,7 @@ def _rhs_DAE(p, n):
     fld, lam_el = _lam_field(p["lam"])
     x = Poly.x(fld)
     x_plus_1 = x + fld.one
-    base = bernoulli_poly(n, n - 1).to_field(fld)
+    base = bernoulli_poly(n, n - 1)
     out = Poly(fld)
     for l in range(n + 1):
         up = base.shift_arg(fld.coerce(l + 1))

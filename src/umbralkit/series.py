@@ -28,8 +28,9 @@ one operand over Q and one over Q(L) is over Q(L), in either order
 constants.  A ``RatFunc`` scalar is an element of Q(L) the same way: it
 lifts a series or polynomial over Q in ``+ - * /``, ``Poly.eval`` and
 ``Poly.shift_arg``.  ``_over_q`` goes the other way: it takes a Q(L)
-series whose coefficients are all constants down to Q, the one helper by
-which the Sheffer routes run their L-free half on the Q kernel.
+series whose coefficients are all constants down to Q; a Sheffer pair
+keeps an L-free f over Q by it, so the routes run their L-free half on the
+Q kernel.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def working_trunc(n_max: int) -> int:
     a longer pair to that.  The rest is room for a pair built with the
     expression DSL, where dividing by a series of order k
     (``t^2/(exp(t)-1)``) loses k coefficients."""
-    return 2 * n_max + 2
+    return 2 * nonnegative_integer("n_max", n_max) + 2
 
 
 def _field_with(field, v):
@@ -398,9 +399,9 @@ def _over_q(s: Series) -> Series:
     """s over Q when every coefficient is a rational constant, else s.
 
     The delta series f of every registry pair is free of L even when its
-    pair is over Q(L); the routes bring it down to Q here, so its reversion,
-    power tables and inverse run on the Q kernel and only the products with
-    the L-dependent g meet Q(L) arithmetic."""
+    pair is over Q(L); ``umbral.ShefferPair`` brings it down to Q here, so
+    its reversion, power tables and inverse run on the Q kernel and only
+    the products with the L-dependent g meet Q(L) arithmetic."""
     if s.field is QL and all(c.is_constant() for c in s.coeffs):
         return Series(QQ, [c.as_rat() for c in s.coeffs])
     return s
@@ -546,9 +547,6 @@ class Poly(CoeffVector):
         """p(x + s)."""
         field = _field_with(self.field, s)
         return self.compose(Poly(field, [field.coerce(s), field.one]))
-
-    def to_field(self, field) -> "Poly":
-        return Poly(field, self.coeffs)
 
     # rendering -----------------------------------------------------------------
 

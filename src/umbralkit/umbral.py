@@ -27,14 +27,14 @@ and makes no gcd: it compares <f^k | g S_n> with n! delta as two packed
 integers over a common denominator, and builds a field element only for
 the failure it returns.
 
-Only g carries L in the registry's pairs over Q(L); f is free of it.  Each
-route takes f down to Q first (``series._over_q``), so the reversion fbar,
-the power tables of fbar, t/f and f, and the inverse t/f run on the Q
-kernel, and Q(L) arithmetic is left to the terms that meet g: g(fbar) and
-its inverse, the y^j coefficients of S_n (one sum each, of fbar^j against
-1/g(fbar)), the x^j coefficients of (1/g) x (t/f)^n x^{n-1} (one sum each,
-of (t/f)^n against 1/g), and g(t) S_n(x).  An f that carries L stays over
-Q(L).
+Only g carries L in the registry's pairs over Q(L); f is free of it.  A
+:class:`ShefferPair` keeps an L-free f over Q (``series._over_q``), so the
+reversion fbar, the power tables of fbar, t/f and f, and the inverse t/f
+run on the Q kernel, and Q(L) arithmetic is left to the terms that meet g:
+g(fbar) and its inverse, the y^j coefficients of S_n (one sum each, of
+fbar^j against 1/g(fbar)), the x^j coefficients of (1/g) x (t/f)^n x^{n-1}
+(one sum each, of (t/f)^n against 1/g), and g(t) S_n(x).  An f that
+carries L stays over Q(L), with g over Q or Q(L).
 
 The power tables over Q are read as integer rows, each over its own
 reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
@@ -107,15 +107,21 @@ def _factorials(n: int) -> list:
 
 
 class ShefferPair(Record):
-    """An invertible series g and a delta series f over one field."""
+    """An invertible series g and a delta series f, each over Q or Q(L).
+
+    An f free of L is kept over Q (``series._over_q``), whatever the field
+    of g; the pair's field is that of g and f together, Q(L) unless both
+    are over Q (``fields.common_field``)."""
 
     g: Series
     f: Series
 
     def __init__(self, g: Series, f: Series):
-        super().__init__(g, f)
-        if self.g.field is not self.f.field:
-            raise DomainError("g and f must share a coefficient field")
+        if not (isinstance(g, Series) and isinstance(f, Series)):
+            raise DomainError(
+                f"g and f must be Series, got {type(g).__name__} and {type(f).__name__}"
+            )
+        super().__init__(g, _over_q(f))
         if self.g.order() != 0:
             raise NotInvertible("g must be an invertible series (order 0)")
         if self.f.trunc < 2:
@@ -125,7 +131,7 @@ class ShefferPair(Record):
 
     @property
     def field(self):
-        return self.g.field
+        return common_field(self.g.field, self.f.field)
 
     @property
     def trunc(self) -> int:
@@ -135,14 +141,17 @@ class ShefferPair(Record):
 def answer_trunc(n_max: int) -> int:
     """The truncation S_0 .. S_{n_max} need: n_max + 1, and at least 2,
     since f must be known through t^1."""
-    return max(n_max + 1, 2)
+    return max(nonnegative_integer("n_max", n_max) + 1, 2)
 
 
 def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
-    """The one truncation gate of the routes: DomainError for an n_max that
-    is not an int or is < 0, TruncationTooShort for a pair not known through
-    t^n_max, and otherwise the pair truncated at answer_trunc(n_max), or the
-    pair itself when it is already that short."""
+    """The one truncation gate of the routes: DomainError for a pair that is
+    not a ShefferPair or an n_max that is not an int or is < 0,
+    TruncationTooShort for a pair not known through t^n_max, and otherwise
+    the pair truncated at answer_trunc(n_max), or the pair itself when it
+    is already that short."""
+    if not isinstance(pair, ShefferPair):
+        raise DomainError(f"a ShefferPair is required, got {type(pair).__name__}")
     if pair.trunc < nonnegative_integer("n_max", n_max) + 1:
         raise TruncationTooShort(f"need truncation >= {n_max + 1}, have {pair.trunc}")
     T = answer_trunc(n_max)
@@ -161,7 +170,7 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     (``fields._prefix_sums``), packed when fbar is over Q.
     """
     pair = _cut(pair, n_max)
-    fbar = _over_q(pair.f).revert()
+    fbar = pair.f.revert()
     row_dens, rows = fbar._power_rows(n_max)
     ginv = pair.g.compose(fbar).inverse().coeffs
     fact = _factorials(n_max + 1)
@@ -188,7 +197,7 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     one call for all of them)."""
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
     ginv = pair.g.inverse().coeffs
-    t_over_f = _over_q(pair.f).shift_div(1).inverse()
+    t_over_f = pair.f.shift_div(1).inverse()
     row_dens, rows = t_over_f._power_rows(n_max)
     zero = 0 if t_over_f.field is QQ else t_over_f.field.zero  # the table's zero
     fact = _factorials(n_max + 1)
@@ -238,7 +247,7 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     pair = _cut(pair, max([n_max] + [p.degree for p in polys[: n_max + 1]]))
     fact = _factorials(n_max + 1)
     gl = _lay_out(pair.g.coeffs)
-    row_dens, rows = _over_q(pair.f)._power_rows(n_max)
+    row_dens, rows = pair.f._power_rows(n_max)
     fls = [_lay_out(row, over=e) for e, row in zip(row_dens, rows)]
     # numerators that bound those of every f^k, for one slot per S_n
     f_all = _Layout([(max(fl.height for fl in fls),) * max(fl.length for fl in fls)]

@@ -245,7 +245,8 @@ def test_criterion_7_cli_contract():
     commands printing the bytes of tests/data/sheffer_qlambda.csv,
     tests/data/sheffer_lambda_f.csv, tests/data/sheffer_two_dens.csv and
     tests/data/sheffer_linear_power.csv, the Q one those of
-    tests/data/sheffer_q.csv, the n = 30 Q(L) one the SHA-256 digest in
+    tests/data/sheffer_q.csv, the one with g over Q and f over Q(L) those
+    of tests/data/sheffer_mixed_fields.csv, the n = 30 Q(L) one the SHA-256 digest in
     tests/data/sheffer_qlambda_n30.sha256; verify --all exits 0 and
     prints the bytes of tests/data/verify_all.json."""
     failures = []
@@ -272,6 +273,9 @@ def test_criterion_7_cli_contract():
         # a pair over Q: the Q branch of the power tables and prefix sums
         (["sheffer", "--g", "pow(1+t, 1/3)*exp(t/2)", "--f", "log1p(t)*pow(1+t, -1/2)",
           "--n", "12", "--format", "csv"], "sheffer_q.csv"),
+        # g free of L over Q, f carrying L over Q(L): each keeps its own field
+        (["sheffer", "--g", "exp(t/2)", "--f", "t*exp(L*t)", "--n", "8", "--format", "csv"],
+         "sheffer_mixed_fields.csv"),
         # the first command at n = 30, where power tables over one d^k
         # took seconds; pinned by the digest of its 239 726 bytes
         (["sheffer", "--g", "(exp(t)-L)/(1-L)", "--f", "log1p(t)*pow(1+t, -1/2)",

@@ -60,9 +60,11 @@ class TestExpand:
         assert code == 0
         assert json.loads(out) == ["1", "-1/2", "0"]
 
-    def test_unbound_lambda_is_usage_error(self):
-        code, _ = run_cli("expand", "L*t", "--order", "3", "--field", "q")
-        assert code == 2
+    def test_l_is_symbolic_unless_bound(self):
+        # over Q(L) exactly when the expression uses L and --lambda is not
+        # given: L stays the symbol, or --lambda binds it over Q
+        assert run_cli("expand", "L*t", "--order", "3") == (0, '["0", "L", "0"]\n')
+        assert run_cli("expand", "L*t", "--order", "3", "--lambda", "2") == (0, '["0", "2", "0"]\n')
 
     def test_parse_error_exit(self):
         code, _ = run_cli("expand", "t*)", "--order", "3")
@@ -300,11 +302,12 @@ class TestVerify:
     [("expand", "L*t", "--order", "3"), ("sheffer", "--g", "1", "--f", "t", "--n", "2")],
     ids=["expand", "sheffer"],
 )
-def test_field_qlambda_with_lambda_is_usage_error(argv, capsys):
-    code, out = run_cli(*argv, "--field", "qlambda", "--lambda", "2")
-    assert (code, out) == (2, "")
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+def test_field_is_unknown_option(argv, capsys):
+    # each expression picks its own field, so there is no --field to give
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--field", "qlambda")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --field qlambda" in capsys.readouterr().err
 
 
 def test_python_m_umbralkit_version():

@@ -14,6 +14,8 @@ from umbralkit import (
     QL,
     QQ,
     Series,
+    ShefferPair,
+    answer_trunc,
     b2_convolution,
     bernoulli_2nd,
     bernoulli_number,
@@ -41,6 +43,7 @@ from umbralkit import (
     stirling1,
     stirling2,
     t_series,
+    working_trunc,
 )
 from umbralkit.fields import LAMBDA, RatFunc
 
@@ -359,12 +362,19 @@ def test_bad_degree_is_domain_error(call):
         lambda: Poly(QQ, ["x"]),
         lambda: Poly(QQ, [1, 2]).eval("x"),
         lambda: Poly(QQ, [1, 2]).shift_arg("x"),
-        lambda: Poly(QL, [LAMBDA]).to_field(QQ),
         lambda: exp_ct(QQ, 1, 4).agrees(3),
         lambda: exp_ct(QQ, 1, 4).agrees(Poly(QQ, [1])),
         lambda: LAMBDA.as_rat(),
         lambda: LAMBDA ** True,
         lambda: (1 + LAMBDA) ** False,
+        lambda: ShefferPair(1, 2),
+        lambda: sheffer_gf(None, 2),
+        lambda: binom(1.5, 1),
+        lambda: multinomial([1.5]),
+        lambda: working_trunc(1.5),
+        lambda: answer_trunc("x"),
+        lambda: LAMBDA ** 1.5,
+        lambda: LAMBDA ** F(1, 2),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -376,12 +386,34 @@ def test_bad_degree_is_domain_error(call):
          "coefficient_float_qlambda", "exp_ct_float", "one_plus_t_pow_float",
          "scalar_float", "ratfunc_num_float", "ratfunc_den_float", "ratfunc_float",
          "ratfunc_bool", "evaluate_float", "evaluate_bool", "series_text", "series_text_qlambda",
-         "poly_text", "eval_text", "shift_arg_text", "to_field_lambda", "agrees_int",
-         "agrees_poly", "as_rat_lambda", "ratfunc_pow_true", "ratfunc_pow_false"],
+         "poly_text", "eval_text", "shift_arg_text", "agrees_int", "agrees_poly",
+         "as_rat_lambda", "ratfunc_pow_true", "ratfunc_pow_false", "sheffer_pair_not_series",
+         "route_pair_none", "binom_float", "multinomial_float", "working_trunc_float",
+         "answer_trunc_text", "ratfunc_pow_float", "ratfunc_pow_fraction"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: family_polys("frobenius_euler", 1, 3, lamda=2),
+         "frobenius_euler does not take parameter(s) ['lamda']"),
+        (lambda: catalog_pair(FamilySpec.make("T2", 1, bb=5)),
+         "T2 does not take parameter(s) ['bb']"),
+    ],
+    ids=["family_polys", "catalog_pair"],
+)
+def test_misspelt_parameter_is_domain_error(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_bespoke_pair_ignores_parameters_a_tag_does_not_take():
+    assert bespoke_pair("T3", 6, b=1, c=2, m=3, lam=2) == bespoke_pair("T3", 6, b=1, c=2)
 
 
 def test_scalar_of_another_type_is_type_error():

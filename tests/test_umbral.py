@@ -41,6 +41,8 @@ from umbralkit import (
 )
 
 from umbralkit import fields, umbral
+from umbralkit.identities import REGISTRY
+from umbralkit.record import Record
 from umbralkit.fields import RatFunc, common_field, vec_dot, vec_mul
 from umbralkit.series import _over_q
 
@@ -216,7 +218,7 @@ class TestTransferRoute:
         x = Poly.x(QL)
         scale = QL.one / (QL.one - LAMBDA)
         for n in range(1, 5):
-            base = bernoulli_poly(n, n - 1).to_field(QL)
+            base = bernoulli_poly(n, n - 1)
             rhs = Poly(QL)
             for l in range(n + 1):
                 term = (x + 1) * base.shift_arg(l + 1) - (x * base.shift_arg(l)) * LAMBDA
@@ -421,7 +423,7 @@ class TestLinearPowerNormalisation:
 class TestTypedErrors:
     def test_mismatched_fields_and_empty_series(self):
         for make in (
-            lambda: ShefferPair(one(QQ, T), t_series(QL, T)),
+            lambda: ShefferPair(one(QQ, T), Poly(QQ, [0, 1])),
             lambda: Series(QQ, [1], trunc=0),
             lambda: Series(QQ, []),
             lambda: eval_expr(parse_expr("t"), 0),
@@ -545,6 +547,75 @@ class TestLambdaDependentF:
         for lam0 in (F(2), F(-1, 3)):
             at = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in polys]
             assert at == sheffer_gf(self.pair(QQ, lam0), n)
+
+
+def _with_f_lifted(pair):
+    """The pair with f lifted into Q(L), built past ``ShefferPair.__init__``
+    so that f stays there and the routes run f's half over Q(L)."""
+    lifted = object.__new__(ShefferPair)
+    Record.__init__(lifted, pair.g, Series(QL, pair.f.coeffs))
+    return lifted
+
+
+def _routes(pair, n):
+    """(GF polys, transfer polys, orthogonality failure) of a pair."""
+    polys = sheffer_gf(pair, n)
+    return polys, sheffer_transfer_all(pair, n), orthogonality_failure(pair, polys, n)
+
+
+def _lifted_polys(polys):
+    return [Poly(QL, p.coeffs) for p in polys]
+
+
+REGISTRY_PAIR_SPECS = [
+    FamilySpec.make(name, 1, **({"lam": lam} if "lam" in takes else {}),
+                    **({"m": 1} if "m" in takes else {}))
+    for name, takes in ((name, {q.name for q in entry.params})
+                        for name, entry in REGISTRY.items() if entry.pair)
+    for lam in ((None, 2) if "lam" in takes else (None,))
+]
+
+
+class TestFieldRule:
+    """A pair keeps an L-free f over Q, whatever the field of g, and an f
+    that carries L over Q(L); the pair's field is that of g and f together."""
+
+    N = 5
+
+    @pytest.mark.parametrize(
+        "spec", REGISTRY_PAIR_SPECS,
+        ids=lambda s: "-".join([s.name] + [f"{k}={'L' if v is None else v}" for k, v in s.params]),
+    )
+    def test_registry_f_over_q_same_as_lifted(self, spec):
+        pair = catalog_pair(spec, T=answer_trunc(self.N))
+        assert pair.f.field is QQ
+        assert pair.field is pair.g.field
+        lifted = _with_f_lifted(pair)
+        assert lifted.f.field is QL
+        polys, transfer, failure = _routes(pair, self.N)
+        assert failure is None and transfer == polys[1:]
+        want, want_transfer, want_failure = _routes(lifted, self.N)
+        assert want_failure is None
+        assert _lifted_polys(polys) == want
+        assert _lifted_polys(transfer) == want_transfer
+
+    def test_g_over_q_with_f_over_q_lambda(self):
+        # g = e^{t/2}, f = t e^{Lt}, n = 8: the pair is over Q(L) with g over Q
+        n = 8
+        g, f = exp_ct(QQ, F(1, 2), n + 1), exp_ct(QL, LAMBDA, n + 1).mul_t(1)
+        pair = ShefferPair(g, f)
+        assert (pair.g.field, pair.f.field, pair.field) == (QQ, QL, QL)
+        polys, transfer, failure = _routes(pair, n)
+        assert transfer == polys[1:]
+        assert failure is None
+        assert polys == sheffer_gf(ShefferPair(Series(QL, g.coeffs), f), n)
+        assert [p.degree for p in polys] == list(range(n + 1))
+
+    def test_lambda_free_f_over_q_lambda_goes_down_to_q(self):
+        f = t_series(QL, 6)
+        pair = ShefferPair(exp_ct(QL, LAMBDA, 6), f)
+        assert pair.f == t_series(QQ, 6) and pair.field is QL
+        assert ShefferPair(one(QQ, 6), f).field is QQ
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +746,8 @@ PACKED_ORTHOGONALITY_PAIRS = ORTHOGONALITY_PAIRS + [
     lambda T: ShefferPair(exp_ct(QL, LAMBDA, T), exp_ct(QL, LAMBDA * LAMBDA, T).mul_t(1)),
     lambda T: dsl_pair("(exp(t)-L)/(1-L)*(exp(2*t)+L)/(1+L)", "log1p(t)*pow(1+t, -1/2)", T),
     lambda T: dsl_pair("exp(2*t)", "t*exp(t)", T),
+    # g over Q, f over Q(L): a pair over Q(L) whose g is free of L
+    lambda T: ShefferPair(exp_ct(QQ, F(1, 2), T), exp_ct(QL, LAMBDA, T).mul_t(1)),
 ]
 
 
@@ -763,7 +836,9 @@ def _plain_transfer(pair, n_max):
 
 
 def _specialise(s, lam0):
-    """A series over Q(L) with L set to lam0, over Q."""
+    """A series over Q(L) with L set to lam0, over Q; a series over Q as it is."""
+    if s.field is QQ:
+        return s
     return Series(QQ, [c.evaluate(lam0) for c in s.coeffs])
 
 
@@ -828,7 +903,7 @@ class TestPackedMixedSums:
         n = 6
         pairs = [make(answer_trunc(n)) for make in PACKED_ORTHOGONALITY_PAIRS]
         pairs = [pair for pair in pairs if pair.field is QL]
-        assert len(pairs) == 7
+        assert len(pairs) == 8
         for pair in pairs:
             at = ShefferPair(_specialise(pair.g, lam0), _specialise(pair.f, lam0))
             got = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in route(pair, n)]
