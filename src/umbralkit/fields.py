@@ -93,9 +93,10 @@ It serves the coefficients of g(fbar) for a g over Q(L) and fbar over Q
 1/g(fbar)), the x^j coefficients of the transfer route ((t/f)^n against
 1/g) and ``umbral.operator_apply``.  The integer columns are rows of the
 power table ``Series._power_rows`` over Q (s^k as an integer row over its
-own reduced denominator, one ``_zmul`` per power); the orthogonality check
-lays f^k out off the same rows, and ``Series.revert`` solves over them.  No
-consumer builds a ``Fraction`` per table entry.
+own reduced denominator, one ``_zmul`` per power), and ``Series.revert``
+solves over the same rows.  No consumer builds a ``Fraction`` per table
+entry.  The orthogonality check reads no power table: it lays out g, f
+and each S_n once and packs the sums of Sheffer's two conditions.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -863,7 +864,7 @@ class _Layout:
 
     __slots__ = ("num", "q", "den", "dens", "cofactors", "height", "length", "_packed")
 
-    def __init__(self, num, q=1, den=_Z_ONE, dens=(), cofactors=()):
+    def __init__(self, num, q, den, dens, cofactors):
         self.num, self.q, self.den, self.dens, self.cofactors = num, q, den, dens, cofactors
         self.height = max(map(abs, chain.from_iterable(num)), default=0)
         self.length = max(map(len, num), default=0)
@@ -880,10 +881,9 @@ class _Layout:
         return self._packed[1]
 
 
-def _lay_out(c, w=None, over: int = 1) -> _Layout:
-    """The layout of the entries w[i] * c[i] / over (w integer weights, all
-    1 when None; int and Fraction entries are constants; ``over`` a positive
-    integer)."""
+def _lay_out(c, w=None) -> _Layout:
+    """The layout of the entries w[i] * c[i] (w integer weights, all 1 when
+    None; int and Fraction entries are constants)."""
     parts = [(x.scale, x._n, x._d) if isinstance(x, RatFunc)
              else (x, _Z_ONE if x else (), _Z_ONE) for x in c]
     q, ks = _common_den([scale for scale, _, _ in parts])
@@ -892,7 +892,7 @@ def _lay_out(c, w=None, over: int = 1) -> _Layout:
     if all(d == _Z_ONE for _, _, d in parts):  # no denominator in L
         ones = [_Z_ONE] * len(c)
         return _Layout([(k,) if n == _Z_ONE else tuple([k * a for a in n])
-                        for k, (_, n, _) in zip(ks, parts)], q * over, _Z_ONE, ones, ones)
+                        for k, (_, n, _) in zip(ks, parts)], q, _Z_ONE, ones, ones)
     den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
     for i, (_, n, d) in enumerate(parts):
         den, steps[i], md = _lcm_cofactors(den, d)
@@ -904,7 +904,7 @@ def _lay_out(c, w=None, over: int = 1) -> _Layout:
         if own[i]:
             num[i] = tuple(ks[i] * a for a in _zmul(own[i], cof))
         cof = _zmul(cof, steps[i])
-    return _Layout(num, q * over, den, dens, cofactors)
+    return _Layout(num, q, den, dens, cofactors)
 
 
 def _dot_bound(a: _Layout, b: _Layout) -> int:

@@ -167,15 +167,22 @@ def check_params(name: str, params: dict) -> dict:
 
 def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
     """The Sheffer pair of a registry name truncated at T.  ``order`` fills
-    the integer-order parameter if the name takes one; a name in ``params``
-    that the name does not take is a DomainError (``check_params``)."""
+    the integer-order parameter ``a`` if the name takes one.  A DomainError
+    for an ``a`` in ``params`` that disagrees with ``order``, for an order
+    other than 1 given to a name that takes none, and for a name in
+    ``params`` that the name does not take (``check_params``)."""
     entry = REGISTRY.get(name)
     if entry is None or entry.pair is None:
         raise DomainError(f"no Sheffer pair named {name!r}")
     integer_order("T", T)
-    given = {**params, **{q.name: order for q in entry.params if q.domain is integer_order}}
+    if ORDER in entry.params:
+        if params.get("a", order) != order:
+            raise DomainError(f"{name}: a = {params['a']} disagrees with order {order}")
+        params = {**params, "a": order}
+    elif integer_order("order", order) != 1:
+        raise DomainError(f"{name} takes no order, got {order}")
     # built with a margin so both members come out truncated at exactly T
-    g, f = entry.pair(T + 2, **check_params(name, given))
+    g, f = entry.pair(T + 2, **check_params(name, params))
     return ShefferPair(g.truncate(T), f.truncate(T))
 
 

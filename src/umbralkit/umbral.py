@@ -12,9 +12,12 @@ Sheffer sequence for a pair (g, f) are provided:
 
 Their exact agreement is the transfer formula, checked in the test suite.
 :func:`orthogonality_failure` is the third check: <g f^k | S_n> = n! delta,
-read through the adjoint rule <g(t) h(t) | p(x)> = <h(t) | g(t) p(x)>
-(Roman, *The Umbral Calculus*, ch. 2) as <f^k | g(t) S_n(x)>, so g acts
-once on each S_n and f^k is a power table of f alone.
+decided by Sheffer's two conditions <g | S_n> = delta_{n,0} and
+f(t) S_n = n S_{n-1} (Roman, *The Umbral Calculus*, 1984, section 2.3),
+which imply it for every k through the adjoint rule
+<h(t) f(t) | p(x)> = <h(t) | f(t) p(x)>.  The check reads only g, f and
+the S_n, so it shares no power table, and no fbar, 1/g or (t/f)^n, with
+either route.
 
 Every sum against a power table is one prefix sum (``fields._prefix_sums``):
 the y^j coefficients of the GF route, the x^j coefficients of the transfer
@@ -22,26 +25,25 @@ route and of :func:`operator_apply`.  Its Q or Q(L) operand (1/g(fbar),
 1/g or the series applied) is laid out over one common denominator and
 packed once per call; each output is divided by the cofactor of the
 denominators it did not use and normalised once.  The orthogonality check
-keeps its own packed correlation, so that it stays an independent oracle,
-and makes no gcd: it compares <f^k | g S_n> with n! delta as two packed
-integers over a common denominator, and builds a field element only for
-the failure it returns.
+keeps its own packed sums, so that it stays an independent oracle, and
+normalises none: it compares the two sides of each condition as packed
+integers over common denominators, and only a list that fails a condition
+is read by the plain functionals <g f^k | S_n>.
 
 Only g carries L in the registry's pairs over Q(L); f is free of it.  A
 :class:`ShefferPair` keeps an L-free f over Q (``series._over_q``), so the
-reversion fbar, the power tables of fbar, t/f and f, and the inverse t/f
-run on the Q kernel, and Q(L) arithmetic is left to the terms that meet g:
+reversion fbar, the power tables of fbar and t/f, and the inverse t/f run
+on the Q kernel, and Q(L) arithmetic is left to the terms that meet g:
 g(fbar) and its inverse, the y^j coefficients of S_n (one sum each, of
-fbar^j against 1/g(fbar)), the x^j coefficients of (1/g) x (t/f)^n x^{n-1}
-(one sum each, of (t/f)^n against 1/g), and g(t) S_n(x).  An f that
+fbar^j against 1/g(fbar)), and the x^j coefficients of
+(1/g) x (t/f)^n x^{n-1} (one sum each, of (t/f)^n against 1/g).  An f that
 carries L stays over Q(L), with g over Q or Q(L).
 
 The power tables over Q are read as integer rows, each over its own
 reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
 never as Fractions: the columns of both routes are integers made from those
 rows, over dens[k] times a factorial, packed against the prefix layout of
-1/g(fbar) or 1/g (as g(fbar) is inside ``compose``), and the orthogonality
-check lays each f^k out from its row over dens[k].
+1/g(fbar) or 1/g (as g(fbar) is inside ``compose``).
 
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
@@ -52,14 +54,16 @@ computing; ``_cut`` is that one rule.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from math import factorial
 from operator import mul
 
 from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
 )
 from .fields import (
-    QQ, _common_den, _dot_bound, _element, _lay_out, _Layout, _pack, _prefix_sums,
-    _slot_width, _unpack, _zmul, common_field, vec_dot,
+    QQ, _common_den, _dot_bound, _lay_out, _pack, _prefix_sums, _slot_width, _zmul,
+    common_field, vec_dot,
 )
 from .record import Record
 from .series import Poly, Series, _over_q
@@ -67,10 +71,7 @@ from .series import Poly, Series, _over_q
 
 def functional_apply(f: Series, p: Poly):
     """<f(t) | p(x)> = sum_n n! f[n] p_n."""
-    if p.degree >= f.trunc:
-        raise TruncationTooShort(
-            f"functional truncated at {f.trunc} applied to degree {p.degree}"
-        )
+    _check_apply("functional", f, p)
     return vec_dot(f.coeffs, p.coeffs, common_field(f.field, p.field).zero,
                    _factorials(len(p.coeffs)))
 
@@ -81,10 +82,7 @@ def operator_apply(f: Series, p: Poly) -> Poly:
     (``fields._prefix_sums``).  Over Q, m! p[m] = P[m] / d with integers P,
     and the sum is of P[j:] over j! d, packed; over Q(L) it is of RatFuncs
     weighted (j+k)!/j!."""
-    if p.degree >= f.trunc:
-        raise TruncationTooShort(
-            f"operator truncated at {f.trunc} applied to degree {p.degree}"
-        )
+    _check_apply("operator", f, p)
     field, n = common_field(f.field, p.field), len(p.coeffs)
     fact = _factorials(n)
     if p.field is QQ:
@@ -96,6 +94,16 @@ def operator_apply(f: Series, p: Poly) -> Poly:
                 for j in range(n)]
         dens = [1] * n
     return Poly(field, _prefix_sums(f.coeffs[:n], cols, dens, field))
+
+
+def _check_apply(what: str, f, p) -> None:
+    """DomainError unless f is a Series and p a Poly; TruncationTooShort
+    unless f is known through t^deg p."""
+    if not (isinstance(f, Series) and isinstance(p, Poly)):
+        raise DomainError(f"{what} needs a Series and a Poly, "
+                          f"got {type(f).__name__} and {type(p).__name__}")
+    if p.degree >= f.trunc:
+        raise TruncationTooShort(f"{what} truncated at {f.trunc} applied to degree {p.degree}")
 
 
 def _factorials(n: int) -> list:
@@ -218,60 +226,66 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
 
 
 def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
-    """First (n, k, value) with <g f^k | S_n> != n! delta_{n,k}, or None.
+    """First (n, k, value) with <g f^k | S_n> != n! delta_{n,k} for n, k <=
+    n_max, the first in (k, n) order, or None.
 
     <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
     to the largest degree among polys[0 .. n_max] (n_max when that is
-    larger) and the same values are compared.  Each value is read as
-    <f^k | g(t) S_n(x)> (the adjoint rule <g h | p> = <h | g p>), so f^k
-    is a power table of f, over Q when f is free of L, and g acts once on
-    each S_n.
+    larger) and the same values are compared.
 
-    No sum is normalised and no ``RatFunc`` is built unless a value fails
-    (a layout's lcm step runs a gcd only for two denominators neither of
-    which divides the other, which no registry pair in the benchmark has).
-    With g, S_n (weighted by m!) and f^k laid out over common denominators,
-    j! (g S_n)_j = G_{n,j} / (q_n D_n) and f^k_j = A_{k,j} / (q_k D_k), so
-    <f^k | g S_n> = sum_j A_{k,j} G_{n,j} / (q_k q_n D_k D_n): it is
-    n! delta_{n,k} exactly when the integer polynomials sum_j A_{k,j} G_{n,j}
-    and n! delta_{n,k} q_k q_n D_k D_n are equal, which their packed
-    integers decide at a slot that holds both.  The G_{n,j} are unpacked
-    and packed again at one slot per S_n for all k, so the slot of the sums
-    in g S_n need not hold the weights A_{k,j}.  The S_n are taken one at a
-    time, each against the f^k before the first failure found so far."""
+    Sheffer's two conditions decide first: when <g | S_n> = delta_{n,0}
+    and f(t) S_n = n S_{n-1} for every n <= n_max, then by the adjoint rule
+    <g f^k | S_n> = <g f^{k-1} | f(t) S_n> = n <g f^{k-1} | S_{n-1}>, and by
+    induction on k it is n! delta_{n,k} for every k, so the answer is None.
+    With g, f and S_n (weighted by m!) laid out over common denominators,
+    g_m = G_m / (q_g D_g), f_k = F_k / (q_f D_f) and m! S_n[m] =
+    P_m / (q_n D_n), and S_{n-1} is P'_m / (q' D'): <g | S_n> is
+    sum_m G_m P_m / (q_g q_n D_g D_n), and the x^j coefficients of f(t) S_n
+    and n S_{n-1} are sum_k F_k P_{j+k} / (j! q_f q_n D_f D_n) and
+    n P'_j / (j! q' D').  Each condition is then an equality of integer
+    polynomials, each side multiplied by the other side's q D, which their
+    packed integers decide at one slot per n that holds both sides; no sum
+    is normalised.
+
+    A list that fails a condition is read by the definition: the chain of
+    products g f^k, each applied to S_0 .. S_{n_max} in turn, each value
+    over the common field of the pair and S_n.  A list with a degree above
+    n_max can fail a condition and still have no failure, since k stops at
+    n_max."""
     if len(polys) < nonnegative_integer("n_max", n_max) + 1:
         raise DomainError(
             f"orthogonality up to n_max = {n_max} needs {n_max + 1} polynomials "
             f"S_0 .. S_{n_max}, got {len(polys)}"
         )
-    pair = _cut(pair, max([n_max] + [p.degree for p in polys[: n_max + 1]]))
-    fact = _factorials(n_max + 1)
-    gl = _lay_out(pair.g.coeffs)
-    row_dens, rows = pair.f._power_rows(n_max)
-    fls = [_lay_out(row, over=e) for e, row in zip(row_dens, rows)]
-    # numerators that bound those of every f^k, for one slot per S_n
-    f_all = _Layout([(max(fl.height for fl in fls),) * max(fl.length for fl in fls)]
-                    * len(fls[0].num))
-    failure = None  # the first in (k, n) order; a later S_n needs only smaller k
-    for n, p in enumerate(polys[: n_max + 1]):
+    polys = polys[: n_max + 1]
+    for n, p in enumerate(polys):
+        if not isinstance(p, Poly):
+            raise DomainError(f"S_{n} must be a Poly, got {type(p).__name__}")
+    pair = _cut(pair, max([n_max] + [p.degree for p in polys]))
+    gl, fl, prev = _lay_out(pair.g.coeffs), _lay_out(pair.f.coeffs), _lay_out(())
+    for n, p in enumerate(polys):
         pl = _lay_out(p.coeffs, _factorials(len(p.coeffs)))
-        s = _slot_width(_dot_bound(gl, pl))
-        G, P = gl.packed(s), pl.packed(s)
-        gs = _Layout([_unpack(sum(map(mul, G, P[j:])), s) for j in range(len(P))],
-                     gl.q * pl.q, _zmul(gl.den, pl.den))
-        want = [fact[n] * fls[n].q * gs.q * c for c in _zmul(fls[n].den, gs.den)]
-        s = _slot_width(max([_dot_bound(f_all, gs)] + [abs(c) for c in want]))
-        G, want = gs.packed(s), _pack(want, s)
-        for k, fl in enumerate(fls[: None if failure is None else failure[0]]):
-            v = sum(map(mul, fl.packed(s), G))
-            if v != (want if n == k else 0):
-                failure = (k, n, common_field(pair.field, p.field), _unpack(v, s), fl.q * gs.q,
-                           _zmul(fl.den, gs.den))
-                break
-    if failure is None:
+        unit = [gl.q * pl.q * c for c in _zmul(gl.den, pl.den)] if n == 0 else []
+        left = [prev.q * c for c in prev.den]
+        right = [n * fl.q * pl.q * c for c in _zmul(fl.den, pl.den)]
+        s = _slot_width(max([_dot_bound(gl, pl), _dot_bound(fl, pl) * sum(map(abs, left)),
+                             prev.height * sum(map(abs, right))] + list(map(abs, unit))))
+        F, P, left, right = fl.packed(s), pl.packed(s), _pack(left, s), _pack(right, s)
+        fs = (sum(map(mul, F, P[j:])) for j in range(len(P)))  # packed x^j of f(t) S_n
+        if sum(map(mul, gl.packed(s), P)) != _pack(unit, s) or any(
+                a * left != right * b for a, b in zip_longest(fs, prev.packed(s), fillvalue=0)):
+            break
+        prev = pl
+    else:
         return None
-    k, n, field, num, q, den = failure
-    return (n, k, _element(field, num, q, den))
+    acc = pair.g
+    for k in range(n_max + 1):
+        for n, p in enumerate(polys):
+            value = common_field(pair.field, p.field).coerce(functional_apply(acc, p))
+            if value != (factorial(n) if n == k else 0):
+                return (n, k, value)
+        acc = acc * pair.f
+    return None
 
 
 def orthogonality_check(pair: ShefferPair, polys: list[Poly], n_max: int) -> bool:

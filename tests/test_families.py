@@ -30,6 +30,7 @@ from umbralkit import (
     family_polys,
     frobenius_euler_poly,
     frobenius_eulerian_poly,
+    functional_apply,
     gen_binom,
     log1p_series,
     monomial,
@@ -38,6 +39,8 @@ from umbralkit import (
     narumi_poly,
     narumi_value,
     one_plus_t_pow,
+    operator_apply,
+    orthogonality_failure,
     poisson_charlier,
     sheffer_gf,
     stirling1,
@@ -375,6 +378,12 @@ def test_bad_degree_is_domain_error(call):
         lambda: answer_trunc("x"),
         lambda: LAMBDA ** 1.5,
         lambda: LAMBDA ** F(1, 2),
+        lambda: functional_apply(1, Poly(QQ, [1])),
+        lambda: functional_apply(exp_ct(QQ, 1, 4), 1),
+        lambda: operator_apply(1, Poly(QQ, [1])),
+        lambda: operator_apply(exp_ct(QQ, 1, 4), [1]),
+        lambda: orthogonality_failure(catalog_pair(FamilySpec.make("bernoulli", 1), T=4),
+                                      [Poly(QQ, [1]), 1, Poly(QQ, [0, 0, 1])], 2),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -389,7 +398,9 @@ def test_bad_degree_is_domain_error(call):
          "poly_text", "eval_text", "shift_arg_text", "agrees_int", "agrees_poly",
          "as_rat_lambda", "ratfunc_pow_true", "ratfunc_pow_false", "sheffer_pair_not_series",
          "route_pair_none", "binom_float", "multinomial_float", "working_trunc_float",
-         "answer_trunc_text", "ratfunc_pow_float", "ratfunc_pow_fraction"],
+         "answer_trunc_text", "ratfunc_pow_float", "ratfunc_pow_fraction",
+         "functional_apply_not_series", "functional_apply_not_poly",
+         "operator_apply_not_series", "operator_apply_not_poly", "orthogonality_not_poly"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):
@@ -403,8 +414,11 @@ def test_bad_argument_is_domain_error(call):
          "frobenius_euler does not take parameter(s) ['lamda']"),
         (lambda: catalog_pair(FamilySpec.make("T2", 1, bb=5)),
          "T2 does not take parameter(s) ['bb']"),
+        (lambda: catalog_pair(FamilySpec.make("bernoulli", 2, a=3), T=6),
+         "bernoulli: a = 3 disagrees with order 2"),
+        (lambda: family_polys("daehee", 7, 2), "daehee takes no order, got 7"),
     ],
-    ids=["family_polys", "catalog_pair"],
+    ids=["family_polys", "catalog_pair", "order_and_a_disagree", "order_for_a_name_without"],
 )
 def test_misspelt_parameter_is_domain_error(call, message):
     with pytest.raises(DomainError) as exc:

@@ -506,8 +506,9 @@ ORTHOGONALITY_PAIRS = [
 
 
 class TestOrthogonalityAdjoint:
-    """``orthogonality_failure`` reads <f^k | g(t) S_n(x)> over a power table
-    of f; the direct <g f^k | S_n> loop gives the same triple."""
+    """``orthogonality_failure`` decides Sheffer's two conditions and reads a
+    failing list by the definition; the direct <g f^k | S_n> loop gives the
+    same triple."""
 
     @given(which=st.integers(0, len(ORTHOGONALITY_PAIRS) - 1), n_max=st.integers(1, 5),
            mutate=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5),
@@ -752,12 +753,12 @@ PACKED_ORTHOGONALITY_PAIRS = ORTHOGONALITY_PAIRS + [
 
 
 class TestPackedOrthogonality:
-    """``orthogonality_failure`` decides each <f^k | g S_n> by comparing two
-    packed integers; the direct <g f^k | S_n> loop gives the same triple
-    and the same value type."""
+    """``orthogonality_failure`` decides <g | S_n> = delta_{n,0} and
+    f(t) S_n = n S_{n-1} by comparing packed integers; the direct
+    <g f^k | S_n> loop gives the same triple and the same value type."""
 
     @given(which=st.integers(0, len(PACKED_ORTHOGONALITY_PAIRS) - 1), n_max=st.integers(0, 5),
-           mutation=st.sampled_from(["none", "monomial", "zero", "cancel", "scale"]),
+           mutation=st.sampled_from(["none", "monomial", "zero", "cancel", "scale", "beyond"]),
            n=st.integers(0, 5), j=st.integers(0, 5), c=st.fractions(-3, 3, max_denominator=4))
     @settings(max_examples=80, deadline=None)
     def test_same_triple(self, which, n_max, mutation, n, j, c):
@@ -773,12 +774,54 @@ class TestPackedOrthogonality:
             polys[n] = polys[n] + polys[j] * c
         elif mutation == "scale":
             polys[n] = polys[n] * c
+        elif mutation == "beyond":
+            # s_{n_max+1} of a longer pair: S_n + c s_{n_max+1} fails
+            # f(t) S_n = n S_{n-1}, yet no <g f^k | .> with k <= n_max changes
+            pair = PACKED_ORTHOGONALITY_PAIRS[which](answer_trunc(n_max + 1))
+            polys[n] = polys[n] + sheffer_gf(pair, n_max + 1)[-1] * c
         got = orthogonality_failure(pair, polys, n_max)
         want = _direct_orthogonality(pair, polys, n_max)
         assert got == want
         if got is not None:
             assert type(got[2]) is type(want[2]) is type(pair.field.zero)
             assert _form(got[2]) == _form(want[2])
+
+    def test_degree_above_n_max_passes_or_fails_by_the_definition(self):
+        # s_5 is orthogonal to every g f^k with k <= 4, though S_2 + s_5 fails
+        # f(t) S_2 = 2 S_1; s_4 adds 4! at k = 4
+        pair = bernoulli_pair()
+        s = sheffer_gf(pair, 5)
+        assert orthogonality_failure(pair, s[:2] + [s[2] + s[5]] + s[3:5], 4) is None
+        got = orthogonality_failure(pair, s[:2] + [s[2] + s[4]] + s[3:5], 4)
+        assert got == (2, 4, 24) and type(got[2]) is F
+
+    def test_reads_no_power_table(self, monkeypatch):
+        # the third oracle reads only g, f and the S_n, so it shares no power
+        # table with either route
+        pair = bespoke_pair("T2", answer_trunc(10), order=-1, b=F(1, 2), lam=None)
+        polys = sheffer_gf(pair, 10)
+
+        def no_table(self, n):
+            raise AssertionError("orthogonality_failure read a power table")
+
+        monkeypatch.setattr(Series, "_power_rows", no_table)
+        assert orthogonality_failure(pair, polys, 10) is None
+
+    def test_a_sequence_passes_by_the_two_conditions(self, monkeypatch):
+        # a Sheffer sequence that the packed conditions rejected by mistake
+        # would still get None from the definition, only slower, so the
+        # definition is barred here
+        cases = [(make(answer_trunc(n)), n) for make in ORTHOGONALITY_PAIRS
+                 + PACKED_ORTHOGONALITY_PAIRS for n in range(6)]
+        cases.append((bespoke_pair("T2", 11, order=-1, b=F(1, 2), lam=None), 10))
+        polys = [sheffer_gf(pair, n) for pair, n in cases]
+
+        def no_definition(f, p):
+            raise AssertionError("a Sheffer sequence failed the two conditions")
+
+        monkeypatch.setattr(umbral, "functional_apply", no_definition)
+        for (pair, n), ps in zip(cases, polys):
+            assert orthogonality_failure(pair, ps, n) is None
 
     def test_polys_over_q_with_pair_over_q_lambda(self):
         # the value of a failure is over the common field of pair and S_n
