@@ -14,31 +14,15 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .dsl import eval_expr, parse_expr, uses_lambda
-from .errors import (
-    _SYMBOLIC, DomainError, ParseError, UmbralError, UnknownIdentity, integer_order,
-)
+from .dsl import eval_expr, parse_expr
+from .errors import DomainError, ParseError, UmbralError, UnknownIdentity, integer_order
 from .families import family_polys
-from .fields import QL, QQ, format_terms
+from .fields import format_terms
 from .identities import IDENTITY_TAGS, REGISTRY, aggregate_pass, default_grid, run_registry
 from .series import Poly, working_trunc
 from .umbral import ShefferPair, sheffer_gf, sheffer_transfer_all
-
-
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
-
-
-def _lambda_arg(text: str):
-    if text in _SYMBOLIC:
-        return None
-    return _fraction_arg(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(expand --order 3 -- \"-t\")",
     )
     p_exp.add_argument("--order", type=int, required=True, metavar="N")
-    p_exp.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None, metavar="p/q")
+    p_exp.add_argument("--lambda", dest="lam", metavar="p/q")
     p_exp.add_argument("--format", choices=("csv", "json", "latex"), default="json")
 
     # a parameter flag not given leaves no attribute, so _cmd_family sees
@@ -69,11 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fam.add_argument("name", choices=[n for n, e in REGISTRY.items() if e.pair])
     p_fam.add_argument("--order-param", dest="order", type=int, metavar="k")
-    p_fam.add_argument("--lambda", dest="lam", type=_lambda_arg, metavar="p/q|symbolic")
-    p_fam.add_argument("--a", type=_fraction_arg, metavar="p/q",
-                       help="Poisson-Charlier parameter (nonzero)")
-    p_fam.add_argument("--b", type=_fraction_arg, metavar="p/q")
-    p_fam.add_argument("--c", type=_fraction_arg, metavar="p/q")
+    p_fam.add_argument("--lambda", dest="lam", metavar="p/q|symbolic")
+    p_fam.add_argument("--a", metavar="p/q", help="Poisson-Charlier parameter (nonzero)")
+    p_fam.add_argument("--b", metavar="p/q")
+    p_fam.add_argument("--c", metavar="p/q")
     p_fam.add_argument("--m", type=int, metavar="k")
     p_fam.add_argument("--n", type=int, required=True, metavar="N")
     p_fam.add_argument("--format", choices=("csv", "json", "latex"), default="csv")
@@ -82,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sh.add_argument("--g", required=True, metavar="EXPR")
     p_sh.add_argument("--f", required=True, metavar="EXPR")
     p_sh.add_argument("--n", type=int, required=True, metavar="N")
-    p_sh.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None, metavar="p/q")
+    p_sh.add_argument("--lambda", dest="lam", metavar="p/q")
     p_sh.add_argument("--format", choices=("csv", "json", "latex"), default="json")
 
     p_ver = sub.add_parser("verify", help="run identity checks in exact arithmetic")
@@ -123,9 +106,7 @@ def _emit_rows(polys, fmt, out) -> None:
 def _cmd_expand(args, out) -> int:
     if args.order < 1:
         raise DomainError("--order must be >= 1")
-    ast = parse_expr(args.expr)
-    field = QL if args.lam is None and uses_lambda(ast) else QQ
-    series = eval_expr(ast, args.order, field, args.lam)
+    series = eval_expr(parse_expr(args.expr), args.order, lam=args.lam)
     if args.format == "json":
         out.write(json.dumps(series.coeff_texts()) + "\n")
     elif args.format == "csv":
@@ -168,9 +149,7 @@ def _cmd_sheffer(args, out) -> int:
     asts = [parse_expr(args.g), parse_expr(args.f)]
     # room for the orders that DSL divisions consume
     T = working_trunc(args.n)
-    # g and f each pick their own field, as in expand
-    pair = ShefferPair(*[eval_expr(a, T, QL if args.lam is None and uses_lambda(a) else QQ,
-                                   args.lam) for a in asts])
+    pair = ShefferPair(*[eval_expr(a, T, lam=args.lam) for a in asts])
     polys = sheffer_gf(pair, args.n)
     transfer = sheffer_transfer_all(pair, args.n)
     agree = all(transfer[n - 1] == polys[n] for n in range(1, args.n + 1))

@@ -12,17 +12,26 @@ Grammar (left associative, parentheses override):
 ``L`` is the ASCII spelling of the lambda indeterminate.  Rational values
 arise from division (``1/2``) except in pow's exponent, which is lexed as a
 signed literal.
+
+``eval_expr`` evaluates each leaf as its own element: ``L`` is the
+indeterminate over Q(L), or the rational ``lam`` over Q when one is given,
+and every other leaf is over Q.  The field of the result follows from the
+operands by ``fields.common_field``, so it is Q(L) exactly when the
+expression has an ``L`` leaf and no ``lam`` is given; nothing picks it in
+advance.  Input that is not text (``parse_expr``) or not an AST of known
+operators (``eval_expr``, ``render``) is a ``DomainError``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
-from .errors import CompositionOrder, DomainError, ParseError, UnboundSymbol
-from .fields import QL, QQ, LAMBDA
+from .errors import CompositionOrder, DomainError, ParseError, rational
+from .fields import QQ, LAMBDA
 from .record import Record
-from .series import Series, constant, t_series
+from .series import Series, constant, one, t_series
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +120,8 @@ class _Tokens:
 
 def parse_expr(src: str):
     """Parse a DSL expression into an AST; ParseError carries the offset."""
+    if not isinstance(src, str):
+        raise DomainError(f"an expression must be a str, got {type(src).__name__}")
     toks = _Tokens(src)
     try:
         ast = _parse_sum(toks)
@@ -203,24 +214,6 @@ def _parse_rational(toks) -> Fraction:
     return value
 
 
-def uses_lambda(ast) -> bool:
-    """True iff the symbol L occurs in the AST (iterative, so any depth)."""
-    stack = [ast]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, LSym):
-            return True
-        if isinstance(node, Unary):
-            stack.append(node.arg)
-        elif isinstance(node, Binary):
-            stack += (node.left, node.right)
-        elif isinstance(node, PowNode):
-            stack.append(node.base)
-        elif isinstance(node, ComposeNode):
-            stack += (node.outer, node.inner)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # rendering (render . parse == identity on the AST)
 # ---------------------------------------------------------------------------
@@ -268,7 +261,7 @@ def _render(ast, parent_level: int) -> str:
     elif isinstance(ast, ComposeNode):
         text, level = f"compose({_render(ast.outer, 0)}, {_render(ast.inner, 0)})", _LEVEL_ATOM
     else:
-        raise TypeError(f"not an AST node: {ast!r}")
+        raise DomainError(f"not an AST node: {ast!r}")
     if level < parent_level:
         return f"({text})"
     return text
@@ -279,63 +272,47 @@ def _render(ast, parent_level: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def eval_expr(ast, T: int, field=QQ, lam: Fraction | None = None) -> Series:
+def eval_expr(ast, T: int, *, lam=None) -> Series:
     """Evaluate an AST to a truncated series by structural recursion.
 
-    ``lam`` binds the symbol L to a rational when the field is Q; with the
-    Q(L) field, L evaluates to the indeterminate.
+    Each leaf is its own element: ``L`` is the indeterminate over Q(L)
+    when ``lam`` is None and the rational ``lam`` over Q otherwise, every
+    other leaf is over Q, and an operation with an operand over Q(L) is over
+    Q(L).  ``lam`` must be an exact rational (or None), whether or not the
+    expression uses L.
     """
+    L = LAMBDA if lam is None else rational("lam", lam)
     try:
-        return _eval(ast, T, field, lam)
+        return _eval(ast, T, L)
     except RecursionError:
         raise DomainError("expression nested too deeply to evaluate") from None
 
 
-def _eval(ast, T, field, lam) -> Series:
+def _log1p(arg: Series) -> Series:
+    if arg.order() == 0:
+        raise CompositionOrder("log1p needs an argument with zero constant term")
+    return (arg + 1).log()
+
+
+_UNARY = {"neg": Series.__neg__, "inv": Series.inverse, "exp": Series.exp,
+          "log1p": _log1p, "rev": Series.revert}
+_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
+
+
+def _eval(ast, T, L) -> Series:
     if isinstance(ast, Lit):
-        return constant(field, ast.value, T)
+        return constant(QQ, ast.value, T)
     if isinstance(ast, TVar):
-        return t_series(field, T)
+        return t_series(QQ, T)
     if isinstance(ast, LSym):
-        if field is QL:
-            return constant(field, LAMBDA, T)
-        if lam is not None:
-            return constant(field, lam, T)
-        raise UnboundSymbol("the symbol L needs the Q(L) field or a bound value")
-    if isinstance(ast, Unary):
-        if ast.op == "neg":
-            return -_eval(ast.arg, T, field, lam)
-        arg = _eval(ast.arg, T, field, lam)
-        if ast.op == "inv":
-            return arg.inverse()
-        if ast.op == "exp":
-            return arg.exp()
-        if ast.op == "log1p":
-            if arg.order() == 0:
-                raise CompositionOrder("log1p needs an argument with zero constant term")
-            return (arg + field.one).log()
-        if ast.op == "rev":
-            return arg.revert()
-        raise ValueError(f"unknown unary op {ast.op!r}")
-    if isinstance(ast, Binary):
-        left = _eval(ast.left, T, field, lam)
-        right = _eval(ast.right, T, field, lam)
-        if ast.op == "add":
-            return left + right
-        if ast.op == "sub":
-            return left - right
-        if ast.op == "mul":
-            return left * right
-        if ast.op == "div":
-            return left / right
-        raise ValueError(f"unknown binary op {ast.op!r}")
+        return one(QQ, T) * L
+    if isinstance(ast, Unary) and ast.op in _UNARY:
+        return _UNARY[ast.op](_eval(ast.arg, T, L))
+    if isinstance(ast, Binary) and ast.op in _BINARY:
+        return _BINARY[ast.op](_eval(ast.left, T, L), _eval(ast.right, T, L))
     if isinstance(ast, PowNode):
-        base = _eval(ast.base, T, field, lam)
-        if ast.exponent.denominator == 1:
-            return base.pow_int(int(ast.exponent))
-        return base.pow_field(ast.exponent)
+        base, e = _eval(ast.base, T, L), rational("exponent", ast.exponent)
+        return base.pow_int(int(e)) if e.denominator == 1 else base.pow_field(e)
     if isinstance(ast, ComposeNode):
-        outer = _eval(ast.outer, T, field, lam)
-        inner = _eval(ast.inner, T, field, lam)
-        return outer.compose(inner)
-    raise TypeError(f"not an AST node: {ast!r}")
+        return _eval(ast.outer, T, L).compose(_eval(ast.inner, T, L))
+    raise DomainError(f"not an AST node: {ast!r}")

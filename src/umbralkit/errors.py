@@ -68,10 +68,6 @@ class ParseError(UmbralError):
         return f"{base} at offset {self.offset}"
 
 
-class UnboundSymbol(UmbralError):
-    """The symbol L used without a Q(L) field or a bound rational value."""
-
-
 # ---------------------------------------------------------------------------
 # argument domains
 # ---------------------------------------------------------------------------

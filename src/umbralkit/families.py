@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DivisionByZero, integer_order, lambda_value, nonnegative_integer, rational
-from .fields import QL, QQ, LAMBDA, RatFunc
+from .fields import QQ, LAMBDA, RatFunc
 from .record import Record
 from .series import (
     Poly,
@@ -61,15 +61,10 @@ def multinomial(parts) -> int:
     return acc
 
 
-# ---------------------------------------------------------------------------
-# field / lambda plumbing
-# ---------------------------------------------------------------------------
-
-
-def _lam_field(lam):
-    """(field, lambda element) for symbolic (None) or rational lambda."""
+def _lam_element(lam):
+    """The indeterminate L for symbolic lambda (None), else the rational."""
     lam = lambda_value("lam", lam)
-    return (QL, LAMBDA) if lam is None else (QQ, lam)
+    return LAMBDA if lam is None else lam
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +89,15 @@ def _euler_base(alpha: int, T: int) -> Series:
 @lru_cache(maxsize=None)
 def _fe_g(a: int, lam, T: int) -> Series:
     """((e^t - lam)/(1 - lam))^a over Q(L) (lam None) or Q."""
-    fld, lam_el = _lam_field(lam)
-    base = (exp_ct(fld, 1, T) - lam_el) * (fld.one / (fld.one - lam_el))
-    return base.pow_int(a)
+    lam_el = _lam_element(lam)
+    return ((exp_ct(QQ, 1, T) - lam_el) * (1 / (1 - lam_el))).pow_int(a)
 
 
 @lru_cache(maxsize=None)
 def _fte_g(a: int, lam, T: int) -> Series:
     """((e^{(lam-1)t} - lam)/(1 - lam))^a over Q(L) or Q."""
-    fld, lam_el = _lam_field(lam)
-    base = (exp_ct(fld, lam_el - fld.one, T) - lam_el) * (fld.one / (fld.one - lam_el))
-    return base.pow_int(a)
+    lam_el = _lam_element(lam)
+    return ((exp_ct(QQ, lam_el - 1, T) - lam_el) * (1 / (1 - lam_el))).pow_int(a)
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +200,7 @@ def narumi_value(a: int, n: int, shift=0):
     T = nonnegative_integer("n_max", n) + 1
     base = _narumi_base(integer_order("a", a), T)
     if isinstance(shift, RatFunc) and not shift.is_constant():
-        kernel = one_plus_t_pow(QL, shift, T)
+        kernel = one_plus_t_pow(QQ, shift, T)
     else:
         shift = rational("shift", shift.as_rat() if isinstance(shift, RatFunc) else shift)
         if not shift:

@@ -49,7 +49,7 @@ from .families import (
     _euler_pair,
     _frobenius_euler_pair,
     _frobenius_eulerian_pair,
-    _lam_field,
+    _lam_element,
     _narumi_pair,
     _p8_pair,
     _poisson_charlier_pair,
@@ -355,17 +355,14 @@ def _run_R42(p, n_max):
 
 
 def _rhs_DAE(p, n):
-    fld, lam_el = _lam_field(p["lam"])
-    x = Poly.x(fld)
-    x_plus_1 = x + fld.one
+    lam_el = _lam_element(p["lam"])
+    x = Poly.x(QQ)
     base = bernoulli_poly(n, n - 1)
-    out = Poly(fld)
+    out = Poly(QQ)
     for l in range(n + 1):
-        up = base.shift_arg(fld.coerce(l + 1))
-        down = base.shift_arg(fld.coerce(l))
-        term = x_plus_1 * up - (x * down) * lam_el
+        term = (x + 1) * base.shift_arg(l + 1) - (x * base.shift_arg(l)) * lam_el
         out = out + term * binom(n, l)
-    return out * (fld.one / (fld.one - lam_el))
+    return out * (1 / (1 - lam_el))
 
 
 def _run_E14(p, n_max):

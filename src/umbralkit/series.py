@@ -3,7 +3,8 @@
 A :class:`Series` stores plain Taylor coefficients: ``coeffs[k]`` is the
 coefficient of ``t^k``, for ``k = 0 .. T-1`` where ``T`` is the truncation
 order.  Binary operations truncate to the shorter operand.  Everything is
-exact; there are no floats anywhere.
+exact; there are no floats anywhere.  A truncation is an int from 1 to
+``sys.maxsize``; a larger one could not index a coefficient list.
 
 :class:`Series` and :class:`Poly` share one base, :class:`CoeffVector`
 (field, coefficient tuple, equality, negation, subtraction).  Their sums,
@@ -26,15 +27,17 @@ Q is a subfield of Q(L), so a sum, difference, product or composition of
 one operand over Q and one over Q(L) is over Q(L), in either order
 (``fields.common_field``); the kernels read the Q operand's Fractions as
 constants.  A ``RatFunc`` scalar is an element of Q(L) the same way: it
-lifts a series or polynomial over Q in ``+ - * /``, ``Poly.eval`` and
-``Poly.shift_arg``.  ``_over_q`` goes the other way: it takes a Q(L)
-series whose coefficients are all constants down to Q; a Sheffer pair
-keeps an L-free f over Q by it, so the routes run their L-free half on the
-Q kernel.
+lifts a series or polynomial over Q in ``+ - * /``, ``pow_field``,
+``Poly.eval`` and ``Poly.shift_arg``, and the field Q of ``exp_ct`` and
+``one_plus_t_pow`` when it is their c.  ``_over_q`` goes the other way:
+it takes a Q(L) series whose coefficients are all constants down to Q; a
+Sheffer pair keeps an L-free f over Q by it, so the routes run their
+L-free half on the Q kernel.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -126,6 +129,8 @@ class Series(CoeffVector):
         if trunc is not None:
             if integer_order("trunc", trunc) < 1:
                 raise TruncationTooShort("truncation order must be >= 1")
+            if trunc > sys.maxsize:
+                raise DomainError(f"trunc must be <= {sys.maxsize}, got {trunc}")
             coeffs = (coeffs + [field.zero] * trunc)[:trunc]
         elif not coeffs:
             raise TruncationTooShort("a series needs at least one stored coefficient")
@@ -431,7 +436,9 @@ def monomial(field, k: int, T: int) -> Series:
 
 
 def exp_ct(field, c, T: int) -> Series:
-    """e^{c t}: coefficient of t^k is c^k / k!."""
+    """e^{c t}: coefficient of t^k is c^k / k!.  A RatFunc rate c lifts a
+    field Q to Q(L), as in ``*``."""
+    field = _field_with(field, c)
     c = field.coerce(c)
     out = [field.one]
     fact = Fraction(1)
@@ -453,7 +460,9 @@ def log1p_series(field, T: int) -> Series:
 
 
 def one_plus_t_pow(field, c, T: int) -> Series:
-    """(1+t)^c with generalized binomial coefficients C(c, k)."""
+    """(1+t)^c with generalized binomial coefficients C(c, k); a RatFunc c
+    lifts Q to Q(L), as in ``exp_ct``."""
+    field = _field_with(field, c)
     c = field.coerce(c)
     out = [field.one]
     acc = field.one

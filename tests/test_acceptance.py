@@ -240,6 +240,19 @@ def test_criterion_6_series_kernel_properties(catalog_gf):
     _report("6 (series kernel property suite)", failures)
 
 
+# expand with L symbolic and bound, over Q(L) from an operand over Q in a
+# difference, a product, a composition and a fractional power; the CI step
+# "Runtime is stdlib-only" runs the same commands
+EXPAND_FIELDS = [
+    ("(1-L)/(exp(t)-L)", "--order", "6", "--format", "csv"),
+    ("(1-L)/(exp(t)-L)", "--order", "6", "--lambda", "-1/2", "--format", "csv"),
+    ("(1-L)/(exp(t)-L)", "--order", "6", "--format", "latex"),
+    ("exp(L*t)", "--order", "6", "--format", "latex"),
+    ("compose(exp(t), L*t)", "--order", "6", "--format", "csv"),
+    ("pow(1+L*t, 1/2)", "--order", "6", "--format", "latex"),
+]
+
+
 def test_criterion_7_cli_contract():
     """Documented commands byte-stable across runs, the Q(L) composition
     commands printing the bytes of tests/data/sheffer_qlambda.csv,
@@ -247,8 +260,10 @@ def test_criterion_7_cli_contract():
     tests/data/sheffer_linear_power.csv, the Q one those of
     tests/data/sheffer_q.csv, the one with g over Q and f over Q(L) those
     of tests/data/sheffer_mixed_fields.csv, the n = 30 Q(L) one the SHA-256 digest in
-    tests/data/sheffer_qlambda_n30.sha256; verify --all exits 0 and
-    prints the bytes of tests/data/verify_all.json."""
+    tests/data/sheffer_qlambda_n30.sha256; the expand commands of
+    EXPAND_FIELDS print, one after another, the bytes of
+    tests/data/expand_fields.txt; verify --all exits 0 and prints the bytes
+    of tests/data/verify_all.json."""
     failures = []
     data = Path(__file__).parent / "data"
     documented = [
@@ -294,6 +309,13 @@ def test_criterion_7_cli_contract():
                 failures.append((argv[0], f"digest differs from tests/data/{pinned}"))
         elif pinned and first.stdout != (data / pinned).read_bytes():
             failures.append((argv[0], f"bytes differ from tests/data/{pinned}"))
+
+    runs = [subprocess.run([sys.executable, "-m", "umbralkit.cli", "expand", *argv],
+                           capture_output=True, timeout=600) for argv in EXPAND_FIELDS]
+    if any(run.returncode for run in runs):
+        failures.append(("expand", "exit", [run.returncode for run in runs]))
+    if b"".join(run.stdout for run in runs) != (data / "expand_fields.txt").read_bytes():
+        failures.append(("expand", "bytes differ from tests/data/expand_fields.txt"))
 
     all_run = subprocess.run(
         [sys.executable, "-m", "umbralkit.cli", "verify", "--all"],

@@ -91,6 +91,15 @@ class TestExpand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "error: " in err[0]
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "t", "--order", "100000000000000000000000"),
+        ("sheffer", "--g", "1", "--f", "t", "--n", "100000000000000000000"),
+    ], ids=["expand", "sheffer"])
+    def test_truncation_too_large_is_domain_error(self, argv, capsys):
+        # a truncation above sys.maxsize, not an OverflowError (exit 3)
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err.startswith("error: trunc must be <= ")
+
 
 class TestFamily:
     @pytest.mark.parametrize("spelling", ["symbolic", "sym", "L"])
@@ -209,6 +218,20 @@ class TestNegativeValues:
         code, out = run_cli(*argv)
         assert code == 0 and out
         assert (code, out) == run_cli(*joined)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("family", "T2", "--b", "x", "--n", "2"), "T2: b must be an exact rational, got 'x'"),
+        (("family", "poisson_charlier", "--a", "1/0", "--n", "2"),
+         "poisson_charlier: a must be an exact rational, got '1/0'"),
+        (("family", "T6", "--c", "1", "--lambda", "y", "--n", "2"),
+         "T6: lam must be an exact rational, got 'y'"),
+        (("expand", "t", "--order", "3", "--lambda", "y"), "lam must be an exact rational, got 'y'"),
+        (("sheffer", "--g", "1", "--f", "t", "--n", "2", "--lambda", "symbolic"),
+         "lam must be an exact rational, got 'symbolic'"),
+    ], ids=["b", "a", "lambda", "expand-lambda", "sheffer-lambda"])
+    def test_malformed_value_is_one_error_line(self, argv, message, capsys):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_negative_m_is_domain_error(self, capsys):
         code, out = run_cli("family", "T10", "--b", "1", "--c", "1", "--m", "-1", "--n", "2")

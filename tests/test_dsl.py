@@ -17,7 +17,6 @@ from umbralkit import (
     QL,
     QQ,
     UmbralError,
-    UnboundSymbol,
     eval_expr,
     exp_ct,
     log1p_series,
@@ -141,16 +140,21 @@ class TestFuzz:
         text = render(ast)
         assert parse_expr(text) == ast
         values = []
-        for field, lam in ((QQ, None), (QQ, F(-1, 2)), (QL, None)):
+        for lam in (F(-1, 2), None):
             try:
-                values.append(eval_expr(ast, order, field, lam))
+                values.append(eval_expr(ast, order, lam=lam))
             except UmbralError:
                 values.append(None)
+        # over Q(L) exactly when the AST has an L leaf and no lambda is given
+        at_lam, symbolic = values
+        if at_lam is not None:
+            assert at_lam.field is QQ
+        if symbolic is not None:
+            assert symbolic.field is (QL if "L" in text else QQ)
         # where both succeed, Q(L) specialised at L = -1/2 is the Q answer there
-        at_lam, symbolic = values[1:]
         if at_lam is not None and symbolic is not None:
             try:
-                special = [c.evaluate(F(-1, 2)) for c in symbolic.coeffs]
+                special = [QL.coerce(c).evaluate(F(-1, 2)) for c in symbolic.coeffs]
             except UmbralError:  # a pole at -1/2
                 special = None
             if special is not None:
@@ -165,59 +169,71 @@ class TestFuzz:
 
 class TestEval:
     def test_bernoulli_series(self):
-        got = eval_expr(parse_expr("t/(exp(t)-1)"), 4, QQ)
+        got = eval_expr(parse_expr("t/(exp(t)-1)"), 4)
         assert got.coeffs == (F(1), F(-1, 2), F(1, 12))
 
     def test_reversion(self):
-        got = eval_expr(parse_expr("rev(exp(t)-1)"), 4, QQ)
+        got = eval_expr(parse_expr("rev(exp(t)-1)"), 4)
         assert got == log1p_series(QQ, 4)
 
     def test_not_invertible(self):
         with pytest.raises(NotInvertible):
-            eval_expr(parse_expr("inv(t)"), 5, QQ)
+            eval_expr(parse_expr("inv(t)"), 5)
 
     def test_not_delta(self):
         with pytest.raises(NotDelta):
-            eval_expr(parse_expr("rev(1+t)"), 5, QQ)
+            eval_expr(parse_expr("rev(1+t)"), 5)
 
     def test_exp_requires_zero_constant(self):
         with pytest.raises(CompositionOrder):
-            eval_expr(parse_expr("exp(1+t)"), 5, QQ)
+            eval_expr(parse_expr("exp(1+t)"), 5)
 
     def test_exp_of_scaled_t(self):
-        assert eval_expr(parse_expr("exp(2*t)"), 4, QQ) == exp_ct(QQ, 2, 4)
+        assert eval_expr(parse_expr("exp(2*t)"), 4) == exp_ct(QQ, 2, 4)
 
     def test_log1p_needs_delta_argument(self):
         with pytest.raises(CompositionOrder):
-            eval_expr(parse_expr("log1p(1+t)"), 5, QQ)
+            eval_expr(parse_expr("log1p(1+t)"), 5)
 
     def test_log1p_of_t(self):
-        assert eval_expr(parse_expr("log1p(t)"), 5, QQ) == log1p_series(QQ, 5)
+        assert eval_expr(parse_expr("log1p(t)"), 5) == log1p_series(QQ, 5)
 
     def test_compose_order_guard(self):
         with pytest.raises(CompositionOrder):
-            eval_expr(parse_expr("compose(exp(t), 1+t)"), 5, QQ)
-
-    def test_unbound_lambda(self):
-        with pytest.raises(UnboundSymbol):
-            eval_expr(parse_expr("L*t"), 4, QQ)
+            eval_expr(parse_expr("compose(exp(t), 1+t)"), 5)
 
     def test_lambda_symbolic(self):
-        got = eval_expr(parse_expr("L*t"), 3, QL)
+        got = eval_expr(parse_expr("L*t"), 3)
         assert got.coeffs == (QL.zero, LAMBDA, QL.zero)
 
     def test_lambda_bound(self):
-        got = eval_expr(parse_expr("(1-L)/(exp(t)-L)"), 3, QQ, lam=F(-1))
+        got = eval_expr(parse_expr("(1-L)/(exp(t)-L)"), 3, lam=F(-1))
         direct = 2 / (exp_ct(QQ, 1, 3) + 1)
         assert got == direct
 
     def test_pow_integer_and_field(self):
-        assert eval_expr(parse_expr("pow(1+t, 2)"), 3, QQ).coeffs == (1, 2, 1)
-        got = eval_expr(parse_expr("pow(1+t, 1/2)"), 3, QQ)
+        assert eval_expr(parse_expr("pow(1+t, 2)"), 3).coeffs == (1, 2, 1)
+        got = eval_expr(parse_expr("pow(1+t, 1/2)"), 3)
         assert (got * got).coeffs == (1, 1, 0)
 
     def test_rev_compose_round_trip(self):
         for src in ("exp(t)-1", "t/(1-t)", "log1p(t)", "2*t+t*t"):
-            f = eval_expr(parse_expr(src), 8, QQ)
-            fbar = eval_expr(parse_expr(f"rev({src})"), 8, QQ)
+            f = eval_expr(parse_expr(src), 8)
+            fbar = eval_expr(parse_expr(f"rev({src})"), 8)
             assert f.compose(fbar) == t_series(QQ, 8)
+
+    @pytest.mark.parametrize("call", [
+        lambda: parse_expr(5),
+        lambda: parse_expr(None),
+        lambda: eval_expr("t", 3),
+        lambda: eval_expr(Unary("foo", TVar()), 3),
+        lambda: eval_expr(Binary("pow", TVar(), TVar()), 3),
+        lambda: eval_expr(PowNode(TVar(), 0.5), 3),
+        lambda: eval_expr(parse_expr("t"), 3, lam="x"),
+        lambda: eval_expr(parse_expr("t"), 3, lam=0.5),
+        lambda: render(5),
+    ], ids=["parse-int", "parse-none", "eval-str", "eval-unary-op", "eval-binary-op",
+            "eval-float-exponent", "eval-text-lambda-without-L", "eval-float-lambda", "render-int"])
+    def test_bad_input_is_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()

@@ -1,5 +1,6 @@
 """Truncated power series and polynomial kernel."""
 
+import sys
 from fractions import Fraction as F
 from itertools import chain
 from math import factorial, gcd
@@ -417,6 +418,11 @@ class TestNamedSeries:
         with pytest.raises(TruncationTooShort):
             make(T)
 
+    def test_truncation_too_large_to_index(self):
+        # one above sys.maxsize: [0] * trunc would raise OverflowError
+        with pytest.raises(DomainError, match="trunc must be <= "):
+            Series(QQ, [1], trunc=sys.maxsize + 1)
+
     def test_exp_lambda(self):
         got = exp_ct(QL, LAMBDA - 1, 3)
         lm1 = LAMBDA - 1
@@ -588,6 +594,13 @@ class TestRatFuncScalarLift:
         got = u.pow_field(c)
         assert got.field is QL
         assert got == _lift(u).pow_field(c) == exp_ct(QL, c, 4)
+
+    @pytest.mark.parametrize("make", [exp_ct, one_plus_t_pow], ids=["exp_ct", "one_plus_t_pow"])
+    @pytest.mark.parametrize("c", SCALARS, ids=["L", "ratio", "one"])
+    def test_named_series_rate(self, make, c):
+        got = make(QQ, c, 4)
+        assert got.field is QL
+        assert got == make(QL, c, 4)
 
     def test_eval_and_shift_arg(self):
         p = self.Q_POLY  # 2x + 1

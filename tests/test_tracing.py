@@ -30,8 +30,8 @@ def test_tracer_counts_a_lambda_pair_and_restores_originals():
     tracer = Tracer().install()
     try:
         assert all(vars(owner)[attr] is not fn for (owner, attr), fn in before.items())
-        g = dsl.eval_expr(dsl.parse_expr("(exp(t)-L)/(1-L)"), 6, QL)
-        f = dsl.eval_expr(dsl.parse_expr("t"), 6, QL)
+        g = dsl.eval_expr(dsl.parse_expr("(exp(t)-L)/(1-L)"), 6)
+        f = dsl.eval_expr(dsl.parse_expr("t"), 6)
         pair = umbral.ShefferPair(g, f)
         polys = umbral.sheffer_gf(pair, 2)
         assert umbral.sheffer_transfer_all(pair, 2) == polys[1:]

@@ -1,6 +1,7 @@
 """Functionals, operators, and the two Sheffer constructions."""
 
 from fractions import Fraction as F
+from functools import reduce
 from math import factorial
 
 import pytest
@@ -43,7 +44,9 @@ from umbralkit import (
 from umbralkit import fields, umbral
 from umbralkit.identities import REGISTRY
 from umbralkit.record import Record
-from umbralkit.fields import RatFunc, common_field, vec_dot, vec_mul
+from umbralkit.fields import (
+    RatFunc, _lay_out, _zmul, common_field, vec_add, vec_dot, vec_mul,
+)
 from umbralkit.series import _over_q
 
 from conftest import plain_powers, qq_polys, qq_series, ratfuncs
@@ -336,8 +339,7 @@ def dsl_pairs(draw):
 
 def dsl_pair(g_src, f_src, T):
     """The pair of two DSL sources, both truncated at exactly T."""
-    field = QL if "L" in g_src + f_src else QQ
-    g, f = (eval_expr(parse_expr(src), T + 1, field).truncate(T) for src in (g_src, f_src))
+    g, f = (eval_expr(parse_expr(src), T + 1).truncate(T) for src in (g_src, f_src))
     return ShefferPair(g, f)
 
 
@@ -822,6 +824,55 @@ class TestPackedOrthogonality:
         monkeypatch.setattr(umbral, "functional_apply", no_definition)
         for (pair, n), ps in zip(cases, polys):
             assert orthogonality_failure(pair, ps, n) is None
+
+    @staticmethod
+    def _true_heights(pair, polys, n_max):
+        """Per n, the largest coefficient of either side of either condition,
+        as orthogonality_failure lays them out, multiplied out unpacked."""
+        pair = umbral._cut(pair, max([n_max] + [p.degree for p in polys]))
+        gl, fl, prev = _lay_out(pair.g.coeffs), _lay_out(pair.f.coeffs), _lay_out(())
+        out = []
+        for n, p in enumerate(polys):
+            pl = _lay_out(p.coeffs, umbral._factorials(len(p.coeffs)))
+            left = [prev.q * c for c in prev.den]
+            right = [n * fl.q * pl.q * c for c in _zmul(fl.den, pl.den)]
+            sides = [reduce(vec_add, map(_zmul, gl.num, pl.num), ())]
+            if n == 0:
+                sides.append([gl.q * pl.q * c for c in _zmul(gl.den, pl.den)])
+            for j in range(len(pl.num)):
+                fs = reduce(vec_add, map(_zmul, fl.num, pl.num[j:]), ())
+                sides.append(_zmul(fs, left))
+            sides += [_zmul(right, b) for b in prev.num]
+            out.append(max(abs(c) for side in sides for c in side))
+            prev = pl
+        return out
+
+    @pytest.mark.parametrize("make", [
+        lambda T: ShefferPair(one(QQ, T), t_series(QQ, T) * 2**10),
+        lambda T: bespoke_pair("T2", T, order=-1, b=F(1, 2), lam=None),
+    ], ids=["q", "q_lambda"])
+    @pytest.mark.parametrize("scale", [F(2**60), F(1, 2**60)], ids=["up", "down"])
+    def test_slot_holds_both_sides(self, make, scale, monkeypatch):
+        # S_2 times 2^60 makes f(t) S_2 the large side, S_2 over 2^60 makes
+        # 2 S_1 times S_2's denominator the large one: each side's term of
+        # the slot bound is then its largest part.  A slot too narrow for a
+        # side could let a wrong list pass, so each n's width must hold the
+        # true coefficients of both sides of both conditions.
+        pair = make(answer_trunc(3))
+        polys = sheffer_gf(pair, 3)
+        polys[2] = polys[2] * scale
+        widths = []
+
+        def recorded(bound):
+            widths.append(fields._slot_width(bound))
+            return widths[-1]
+
+        monkeypatch.setattr(umbral, "_slot_width", recorded)
+        assert orthogonality_failure(pair, polys, 3) == _direct_orthogonality(pair, polys, 3)
+        heights = self._true_heights(pair, polys, 3)
+        assert len(widths) == 3
+        for n, s in enumerate(widths):
+            assert heights[n] < 2 ** (s - 1), n
 
     def test_polys_over_q_with_pair_over_q_lambda(self):
         # the value of a failure is over the common field of pair and S_n
