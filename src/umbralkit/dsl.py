@@ -231,23 +231,24 @@ def render(ast) -> str:
 
 def _render(ast, parent_level: int) -> str:
     if isinstance(ast, Lit):
-        if ast.value.denominator == 1 and ast.value >= 0:
-            text, level = str(ast.value), _LEVEL_ATOM
-        elif ast.value < 0:
-            return _render(Unary("neg", Lit(-ast.value)), parent_level)
+        value = rational("literal", ast.value)
+        if value.denominator == 1 and value >= 0:
+            text, level = str(value), _LEVEL_ATOM
+        elif value < 0:
+            return _render(Unary("neg", Lit(-value)), parent_level)
         else:
-            text = f"{ast.value.numerator}/{ast.value.denominator}"
+            text = f"{value.numerator}/{value.denominator}"
             level = _LEVEL_TERM
     elif isinstance(ast, TVar):
         text, level = "t", _LEVEL_ATOM
     elif isinstance(ast, LSym):
         text, level = "L", _LEVEL_ATOM
-    elif isinstance(ast, Unary):
+    elif isinstance(ast, Unary) and ast.op in _UNARY:
         if ast.op == "neg":
             text, level = "-" + _render(ast.arg, _LEVEL_UNARY), _LEVEL_UNARY
         else:
             text, level = f"{ast.op}({_render(ast.arg, 0)})", _LEVEL_ATOM
-    elif isinstance(ast, Binary):
+    elif isinstance(ast, Binary) and ast.op in _BINARY:
         sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[ast.op]
         mine = _LEVEL_SUM if ast.op in ("add", "sub") else _LEVEL_TERM
         left = _render(ast.left, mine)
@@ -255,7 +256,7 @@ def _render(ast, parent_level: int) -> str:
         right = _render(ast.right, mine + 1)
         text, level = left + sym + right, mine
     elif isinstance(ast, PowNode):
-        expo = ast.exponent
+        expo = rational("exponent", ast.exponent)
         es = str(expo) if expo.denominator == 1 else f"{expo.numerator}/{expo.denominator}"
         text, level = f"pow({_render(ast.base, 0)}, {es})", _LEVEL_ATOM
     elif isinstance(ast, ComposeNode):

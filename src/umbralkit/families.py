@@ -1,11 +1,23 @@
-"""Named polynomial families, defined by series extraction from their
-generating functions, plus the Sheffer pairs they belong to.
+"""Named polynomial and number families, plus the Sheffer pairs they
+belong to.
+
+The Stirling numbers are integer definitions: ``stirling1(n, k)`` is a
+coefficient of the integer row of (x)_n (``series._falling_rows``, one
+product by a linear factor per row), the row ``falling_factorial`` also
+returns, and
+``stirling2(n, k)`` is the inclusion-exclusion sum
+sum_j (-1)^(k-j) C(k, j) j^n / k!.  The polynomial families are still read
+off their generating functions as truncated series: an Appell family from
+the coefficients of factor(t) e^{xt}, and ``narumi_poly`` and the
+Poisson-Charlier polynomials as sums sum_m c_m (x)_m over the same rows
+(``_falling_sum``).  ``narumi_value``, ``bernoulli_number`` and
+``bernoulli_2nd`` (Narumi's order -1) are series coefficients too.
 
 The family functions (``bernoulli_poly`` .. ``bernoulli_2nd``) are
-deliberately independent of the umbral operator engine: polynomials are
-read off truncated series, so the identity registry can use them as one
-side of a genuine cross-check.  ``family_polys`` is not: it tabulates any
-registry name through ``sheffer_gf`` over the name's pair.
+deliberately independent of the umbral operator engine, so the identity
+registry can use them as one side of a genuine cross-check.
+``family_polys`` is not: it tabulates any registry name through
+``sheffer_gf`` over the name's pair.
 
 Frobenius-parameter conventions: ``lam=None`` means the symbolic
 indeterminate (computation over Q(L)); a Fraction value specializes to Q.
@@ -19,13 +31,13 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import DivisionByZero, integer_order, lambda_value, nonnegative_integer, rational
-from .fields import QQ, LAMBDA, RatFunc
+from .fields import QQ, LAMBDA, RatFunc, vec_dot
 from .record import Record
 from .series import (
     Poly,
     Series,
+    _falling_rows,
     exp_ct,
-    falling_factorial,
     log1p_series,
     one_plus_t_pow,
     t_series,
@@ -107,12 +119,6 @@ def _narumi_base(a: int, T: int) -> Series:
     return base.pow_int(a).truncate(T)
 
 
-@lru_cache(maxsize=None)
-def _bern2nd_base(T: int) -> Series:
-    """t/log(1+t) over Q."""
-    return log1p_series(QQ, T + 1).shift_div(1).inverse().truncate(T)
-
-
 # ---------------------------------------------------------------------------
 # extraction helpers
 # ---------------------------------------------------------------------------
@@ -129,18 +135,11 @@ def _appell_poly(factor: Series, n: int) -> Poly:
     return Poly(fld, coeffs)
 
 
-def _binomial_kernel_poly(factor: Series, n: int) -> Poly:
-    """P_n(x) = n! sum_m factor[n-m] (x)_m / m! for GF factor(t) (1+t)^x."""
-    fld = factor.field
-    out = Poly(fld)
-    nfact = factorial(n)
-    for m in range(n + 1):
-        c = factor.coeffs[n - m]
-        if c:
-            out = out + falling_factorial(fld, m) * (
-                c * fld.coerce(Fraction(nfact, factorial(m)))
-            )
-    return out
+def _falling_sum(c) -> Poly:
+    """sum_m c[m] (x)_m over Q: the x^k coefficient is one dot product of
+    c[k:] with the x^k coefficients of the falling-factorial rows."""
+    rows = _falling_rows(len(c) - 1)
+    return Poly(QQ, [vec_dot(c[k:], [r[k] for r in rows[k:]]) for k in range(len(c))])
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +185,12 @@ def frobenius_eulerian_poly(a: int, n: int, lam=None) -> Poly:
 
 
 def narumi_poly(a: int, n: int) -> Poly:
-    """Narumi polynomial N_n^(a)(x) over Q (note the GF carries n!, not 1/n!...
-    precisely: (log(1+t)/t)^a (1+t)^x = sum_n N_n^(a)(x) t^n / n!)."""
+    """Narumi polynomial N_n^(a)(x) over Q, from the generating function
+    (log(1+t)/t)^a (1+t)^x = sum_n N_n^(a)(x) t^n / n!: with (1+t)^x =
+    sum_m (x)_m t^m / m!, N_n^(a)(x) = sum_m n!/m! [t^(n-m)] (log(1+t)/t)^a (x)_m."""
     n = nonnegative_integer("n_max", n)
-    return _binomial_kernel_poly(_narumi_base(integer_order("a", a), n + 1), n)
+    base = _narumi_base(integer_order("a", a), n + 1).coeffs
+    return _falling_sum([base[n - m] * Fraction(factorial(n), factorial(m)) for m in range(n + 1)])
 
 
 def narumi_value(a: int, n: int, shift=0):
@@ -199,14 +200,9 @@ def narumi_value(a: int, n: int, shift=0):
     """
     T = nonnegative_integer("n_max", n) + 1
     base = _narumi_base(integer_order("a", a), T)
-    if isinstance(shift, RatFunc) and not shift.is_constant():
-        kernel = one_plus_t_pow(QQ, shift, T)
-    else:
+    if not isinstance(shift, RatFunc) or shift.is_constant():
         shift = rational("shift", shift.as_rat() if isinstance(shift, RatFunc) else shift)
-        if not shift:
-            return factorial(n) * base.coeffs[n]
-        kernel = one_plus_t_pow(QQ, shift, T)
-    return factorial(n) * (base * kernel).coeffs[n]
+    return factorial(n) * (base * one_plus_t_pow(QQ, shift, T)).coeffs[n]
 
 
 def narumi_number(a: int, n: int) -> Fraction:
@@ -214,13 +210,12 @@ def narumi_number(a: int, n: int) -> Fraction:
 
 
 def stirling2(n: int, k: int) -> Fraction:
-    """Stirling numbers of the second kind, from (e^t - 1)^k."""
+    """Stirling numbers of the second kind, by inclusion-exclusion:
+    S2(n, k) = sum_j (-1)^(k-j) C(k, j) j^n / k!."""
     n = nonnegative_integer("n_max", n)
     if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
-    T = n + 1
-    s = (exp_ct(QQ, 1, T) - 1).pow_int(k)
-    return Fraction(factorial(n), factorial(k)) * s.coeffs[n]
+    return Fraction(sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)), factorial(k))
 
 
 def stirling1(n: int, k: int) -> Fraction:
@@ -228,7 +223,7 @@ def stirling1(n: int, k: int) -> Fraction:
     n = nonnegative_integer("n_max", n)
     if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
-    return falling_factorial(QQ, n).coefficient(k)
+    return Fraction(_falling_rows(n)[n][k])
 
 
 def poisson_charlier(n: int, a, x_eval=None):
@@ -239,30 +234,23 @@ def poisson_charlier(n: int, a, x_eval=None):
     n, a = nonnegative_integer("n_max", n), rational("a", a)
     if not a:
         raise DivisionByZero("Poisson-Charlier parameter a must be nonzero")
-    if x_eval is not None:
-        # the same sum at x, with (x)_k as a running product
-        x = rational("x_eval", x_eval)
-        value = Fraction(0)
-        falling = Fraction(1)
-        for k in range(n + 1):
-            value += binom(n, k) * (-1) ** (n - k) * a ** (-k) * falling
-            falling *= x - k
-        return value
-    out = Poly(QQ)
-    for k in range(n + 1):
-        c = Fraction(binom(n, k)) * (-1) ** (n - k) * a ** (-k)
-        out = out + falling_factorial(QQ, k) * c
-    return out
+    c = [comb(n, k) * (-1) ** (n - k) * a ** (-k) for k in range(n + 1)]
+    if x_eval is None:
+        return _falling_sum(c)
+    # the same sum at x, with (x)_k as a running product
+    x = rational("x_eval", x_eval)
+    value = Fraction(0)
+    falling = Fraction(1)
+    for k, ck in enumerate(c):
+        value += ck * falling
+        falling *= x - k
+    return value
 
 
 def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
-    """Bernoulli polynomial of the second kind value b_n(x_shift)."""
-    T = nonnegative_integer("n_max", n) + 1
-    base = _bern2nd_base(T)
-    shift = rational("x_shift", x_shift)
-    if shift:
-        base = base * one_plus_t_pow(QQ, shift, T)
-    return factorial(n) * base.coeffs[n]
+    """Bernoulli polynomial of the second kind value b_n(x_shift): its
+    generating function t/log(1+t) (1+t)^x is Narumi's of order -1."""
+    return narumi_value(-1, nonnegative_integer("n_max", n), rational("x_shift", x_shift))
 
 
 # ---------------------------------------------------------------------------

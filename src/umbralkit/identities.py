@@ -8,11 +8,15 @@ compared in exact arithmetic:
   series-level identities);
 * the right route evaluates an explicit finite sum over family values.
 
-The two routes share only the series primitives, so agreement is a genuine
-cross-check.  Failures are reported with exact counterexamples; a known
-misprint is arbitrated by a brute-force oracle and reported as
-``paper_discrepancy`` carrying both the failing as-printed form and the
-passing corrected form.
+The right route never calls the umbral engine.  Its Stirling numbers and
+falling factorials are integer definitions that read no series; its
+Bernoulli, Euler, Frobenius-type and Narumi values are coefficients of
+truncated series, so those checks share the series primitives (products,
+``pow_int``, ``inverse``) with the left route and nothing else.  Agreement
+is a genuine cross-check.  Failures are reported with exact
+counterexamples; a known misprint is arbitrated by a brute-force oracle and
+reported as ``paper_discrepancy`` carrying both the failing as-printed form
+and the passing corrected form.
 
 Most checks take one of two forms, each built by one helper:
 

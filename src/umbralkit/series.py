@@ -566,10 +566,15 @@ class Poly(CoeffVector):
         return f"Poly[{self.field.name}]({self})"
 
 
+def _falling_rows(n: int) -> list:
+    """The integer coefficients of (x)_0 .. (x)_n, ascending powers of x:
+    (x)_m is (x)_{m-1} times x - m + 1."""
+    rows = [(1,)]
+    for m in range(n):
+        rows.append(_zmul(rows[-1], (-m, 1)))
+    return rows
+
+
 def falling_factorial(field, n: int) -> Poly:
     """(x)_n = x (x-1) ... (x-n+1); (x)_0 = 1."""
-    out = Poly.constant(field, field.one)
-    x = Poly.x(field)
-    for i in range(nonnegative_integer("degree", n)):
-        out = out * (x - field.coerce(i))
-    return out
+    return Poly(field, _falling_rows(nonnegative_integer("degree", n))[-1])

@@ -110,6 +110,19 @@ class TestRender:
         with pytest.raises(DomainError):
             render(parse_expr("+".join(["t"] * 3000)))
 
+    # render checks literal values and exponents as exact rationals, and op
+    # names against the operator tables of the evaluator
+    @pytest.mark.parametrize("ast", [
+        Lit(0.5),
+        Lit("x"),
+        PowNode(TVar(), 0.5),
+        Binary("pow", TVar(), TVar()),
+        Unary("foo", TVar()),
+    ], ids=["float-literal", "text-literal", "float-exponent", "binary-op", "unary-op"])
+    def test_bad_node_is_domain_error(self, ast):
+        with pytest.raises(DomainError):
+            render(ast)
+
 
 def _asts():
     """Random ASTs of the shapes the parser builds, at most four levels deep."""

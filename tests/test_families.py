@@ -269,6 +269,62 @@ class TestBernoulliSecondKind:
                 assert polys[n].eval(c) == bernoulli_2nd(n, c)
 
 
+class TestSeriesAndProductOracles:
+    """The number families are integer definitions; their earlier series and
+    Poly-product definitions stay here as oracles, for n <= 30."""
+
+    N = 30
+
+    def test_stirling2_from_exp_powers(self):
+        # S2(n, k) = n!/k! [t^n] (e^t - 1)^k, from one table of powers
+        powers = (exp_ct(QQ, 1, self.N + 1) - 1).powers(self.N)
+        for n in range(self.N + 1):
+            for k in range(self.N + 1):
+                assert stirling2(n, k) == F(factorial(n), factorial(k)) * powers[k].coeffs[n]
+
+    def test_stirling1_and_falling_factorial_from_products(self):
+        # (x)_n as the product of the Polys x - i, i < n
+        x = Poly.x(QQ)
+        product = Poly.constant(QQ, 1)
+        for n in range(self.N + 1):
+            assert falling_factorial(QQ, n) == product
+            for k in range(n + 2):
+                assert stirling1(n, k) == product.coefficient(k)
+            product = product * (x - n)
+
+    def test_falling_factorial_over_qlambda(self):
+        x = Poly.x(QL)
+        product = Poly.constant(QL, 1)
+        for n in range(8):
+            assert falling_factorial(QL, n) == product
+            product = product * (x - n)
+
+    @pytest.mark.parametrize("a", [F(2), F(-1, 3), 1])
+    def test_poisson_charlier_from_term_sums(self, a):
+        a = F(a)
+        for n in range(self.N + 1):
+            terms = [falling_factorial(QQ, k) * (binom(n, k) * (-1) ** (n - k) * a ** (-k))
+                     for k in range(n + 1)]
+            assert poisson_charlier(n, a) == sum(terms[1:], terms[0])
+
+    @pytest.mark.parametrize("a", [2, 1, -1, -3])
+    def test_narumi_poly_from_term_sums(self, a):
+        # N_n^(a)(x) = sum_m n!/m! [t^(n-m)] (log(1+t)/t)^a (x)_m
+        base = log1p_series(QQ, self.N + 2).shift_div(1).pow_int(a)
+        for n in range(self.N + 1):
+            terms = [falling_factorial(QQ, m) * (base.coeffs[n - m] * F(factorial(n), factorial(m)))
+                     for m in range(n + 1)]
+            assert narumi_poly(a, n) == sum(terms[1:], terms[0])
+
+    @pytest.mark.parametrize("x", [0, 1, F(-1, 2), F(7, 3)])
+    def test_bernoulli_2nd_from_series(self, x):
+        # b_n(x) = n! [t^n] t/log(1+t) (1+t)^x
+        gf = (log1p_series(QQ, self.N + 2).shift_div(1).inverse()
+              * one_plus_t_pow(QQ, x, self.N + 1))
+        for n in range(self.N + 1):
+            assert bernoulli_2nd(n, x) == factorial(n) * gf.coeffs[n]
+
+
 class TestHelpers:
     def test_binom(self):
         assert binom(5, 2) == 10

@@ -231,6 +231,15 @@ class TestRegistry:
         b = run_registry(list(reversed(grid)), 5)
         assert a == b  # sorted output order, identical reports
 
+    def test_first_row_of_every_tag_at_n_max_20(self):
+        # the registry at the routes' n, one default grid row per tag
+        first = {}
+        for tag, params in default_grid():
+            first.setdefault(tag, params)
+        reports = run_registry(list(first.items()), 20)
+        assert sorted(r.id for r in reports) == sorted(IDENTITY_TAGS)
+        assert [r.id for r in reports if not r.ok] == []
+
     def test_empty_grid(self):
         assert run_registry([], 4) == []
         assert aggregate_pass([])
