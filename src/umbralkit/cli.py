@@ -18,9 +18,9 @@ import sys
 from . import __version__
 from .dsl import eval_expr, parse_expr
 from .errors import DomainError, ParseError, UmbralError, UnknownIdentity, integer_order
-from .families import family_polys
+from .families import SCHEMAS, family_polys
 from .fields import format_terms
-from .identities import IDENTITY_TAGS, REGISTRY, aggregate_pass, default_grid, run_registry
+from .identities import IDENTITY_TAGS, aggregate_pass, default_grid, run_registry
 from .series import Poly, working_trunc
 from .umbral import ShefferPair, sheffer_gf, sheffer_transfer_all
 
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tabulate a named polynomial family or a registry pair's sequence",
         argument_default=argparse.SUPPRESS,
     )
-    p_fam.add_argument("name", choices=[n for n, e in REGISTRY.items() if e.pair])
+    p_fam.add_argument("name", choices=[n for n, s in SCHEMAS.items() if s.pair])
     p_fam.add_argument("--order-param", dest="order", type=int, metavar="k")
     p_fam.add_argument("--lambda", dest="lam", metavar="p/q|symbolic")
     p_fam.add_argument("--a", metavar="p/q", help="Poisson-Charlier parameter (nonzero)")
@@ -126,8 +126,8 @@ _FAMILY_FLAGS = {"order": "--order-param", "lam": "--lambda", "a": "--a", "b": "
 
 def family_flags(name: str) -> list[str]:
     """The flags of the family command that a registry name takes."""
-    entry = REGISTRY[name]
-    return [_FAMILY_FLAGS["order" if q.domain is integer_order else q.name] for q in entry.params]
+    return [_FAMILY_FLAGS["order" if q.domain is integer_order else q.name]
+            for q in SCHEMAS[name].params]
 
 
 def _cmd_family(args, out) -> int:

@@ -19,6 +19,13 @@ registry can use them as one side of a genuine cross-check.
 ``family_polys`` is not: it tabulates any registry name through
 ``sheffer_gf`` over the name's pair.
 
+This module holds the half of the registry that builds pairs: the
+parameter table ``SCHEMAS`` maps every registry name to its parameters
+and, where it has one, its pair builder, and ``build_pair`` is the one
+place a pair is built from a name; ``catalog_pair``, ``bespoke_pair`` and
+``family_polys`` call it.  The checks and their descriptions live in the
+identities module, which imports this one.
+
 Frobenius-parameter conventions: ``lam=None`` means the symbolic
 indeterminate (computation over Q(L)); a Fraction value specializes to Q.
 ``lam = 1`` is a pole of every Frobenius denominator and is rejected.
@@ -30,7 +37,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import DivisionByZero, integer_order, lambda_value, nonnegative_integer, rational
+from .errors import (
+    DivisionByZero, DomainError, integer_order, lambda_value, nonnegative_integer,
+    nonzero_rational, rational,
+)
 from .fields import QQ, LAMBDA, RatFunc, vec_dot
 from .record import Record
 from .series import (
@@ -257,10 +267,10 @@ def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
 # Sheffer pairs
 # ---------------------------------------------------------------------------
 #
-# One function per pair, keyed to a name by the registry table in the
-# identities module.  It takes the working truncation and the validated
-# parameters and returns (g, f), each truncated at or above it.  Only g
-# carries lambda: f is built over Q, and the pair keeps it there.
+# One function per pair, keyed to a name by the parameter table below.  It
+# takes the working truncation and the validated parameters and returns
+# (g, f), each truncated at or above it.  Only g carries lambda: f is built
+# over Q, and the pair keeps it there.
 
 
 def _bernoulli_pair(T, a):
@@ -329,12 +339,107 @@ def _t10_pair(T, a, b, c, lam, m):
     return _fte_g(a, lam, T), (exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1)
 
 
+# ---------------------------------------------------------------------------
+# the parameter table
+# ---------------------------------------------------------------------------
+
+
+class Param(Record):
+    """One parameter: its name, its domain, and the value taken when it is
+    not given (None: the domain decides)."""
+
+    name: str
+    domain: object
+    default: object = None
+
+
+class Schema(Record):
+    """One row of the parameter table: the parameters of a registry name
+    and, where it has one, its pair builder ``pair(T, **params)``."""
+
+    params: tuple[Param, ...]
+    pair: object = None
+
+
+# the integer order a of g, and the Frobenius parameter lambda
+ORDER = Param("a", integer_order, 1)
+LAM = Param("lam", lambda_value)
+_B, _C = Param("b", nonzero_rational, 1), Param("c", nonzero_rational, 1)
+
+# Every registry name with its parameters and pair builder: the named
+# families first, then the identity tags in registry order (the check-only
+# tags with no pair).  A parameter not given takes its Param default, here
+# and only here, for the family command and verify_identity alike.
+SCHEMAS = {
+    "bernoulli": Schema((ORDER,), _bernoulli_pair),
+    "euler": Schema((ORDER,), _euler_pair),
+    "frobenius_euler": Schema((ORDER, LAM), _frobenius_euler_pair),
+    "frobenius_eulerian": Schema((ORDER, LAM), _frobenius_eulerian_pair),
+    "narumi": Schema((ORDER,), _narumi_pair),
+    "daehee": Schema((LAM,), _daehee_pair),
+    "poisson_charlier": Schema((Param("a", nonzero_rational, 1),), _poisson_charlier_pair),
+    "bernoulli_2nd": Schema((), _bernoulli_2nd_pair),
+    "T2": Schema((ORDER, _B, LAM), _t2_pair),
+    "T3": Schema((ORDER, Param("b", rational, 0), _C), _t3_pair),
+    "T4": Schema((ORDER,), _t4_pair),
+    "C5": Schema(()),
+    "R27": Schema((ORDER,), _r27_pair),
+    "T6": Schema((ORDER, _C, LAM), _t6_pair),
+    "T7": Schema((_C,)),
+    "R35": Schema((_C,)),
+    "P8": Schema((ORDER, _C, LAM), _p8_pair),
+    "T9": Schema((_C,)),
+    "R42": Schema(()),
+    "T10": Schema((ORDER, _B, _C, LAM, Param("m", nonnegative_integer)), _t10_pair),
+    "DAE": Schema((LAM,), _daehee_pair),
+    "E14": Schema((Param("a", nonzero_rational, 1),)),
+    "E25": Schema(()),
+}
+
+
+def check_params(name: str, params: dict) -> dict:
+    """The parameters of a registry name in canonical form, schema order."""
+    schema = SCHEMAS[name]
+    unknown = set(params) - {q.name for q in schema.params}
+    if unknown:
+        raise DomainError(f"{name} does not take parameter(s) {sorted(unknown)}")
+    out = {}
+    for q in schema.params:
+        v = params.get(q.name)
+        try:
+            out[q.name] = q.domain(q.name, q.default if v is None else v)
+        except DomainError as exc:
+            raise type(exc)(f"{name}: {exc}") from None
+    return out
+
+
+def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
+    """The Sheffer pair of a registry name truncated at T.  ``order`` fills
+    the integer-order parameter ``a`` if the name takes one.  A DomainError
+    for an ``a`` in ``params`` that disagrees with ``order``, for an order
+    other than 1 given to a name that takes none, and for a name in
+    ``params`` that the name does not take (``check_params``)."""
+    schema = SCHEMAS.get(name)
+    if schema is None or schema.pair is None:
+        raise DomainError(f"no Sheffer pair named {name!r}")
+    integer_order("T", T)
+    if ORDER in schema.params:
+        if params.get("a", order) != order:
+            raise DomainError(f"{name}: a = {params['a']} disagrees with order {order}")
+        params = {**params, "a": order}
+    elif integer_order("order", order) != 1:
+        raise DomainError(f"{name} takes no order, got {order}")
+    # built with a margin so both members come out truncated at exactly T
+    g, f = schema.pair(T + 2, **check_params(name, params))
+    return ShefferPair(g.truncate(T), f.truncate(T))
+
+
 class FamilySpec(Record):
     """A named family plus its order and parameters.
 
-    ``params`` keys are the registry parameters of the name other than its
-    order: ``lam`` (None for symbolic, a rational otherwise) for the
-    Frobenius and Daehee families and the lambda tags, ``a`` for
+    ``params`` keys are the parameters of the name in ``SCHEMAS`` other
+    than its order: ``lam`` (None for symbolic, a rational otherwise) for
+    the Frobenius and Daehee families and the lambda tags, ``a`` for
     Poisson-Charlier, and ``b``, ``c`` and ``m`` for the tags that take them.
     """
 
@@ -352,8 +457,6 @@ def catalog_pair(spec: FamilySpec, T: int | None = None) -> ShefferPair:
     registry name with a pair), with ``spec.order`` as its order a.  At the
     default truncation, ``working_trunc(10)`` = 22, both routes answer
     through degree 21."""
-    from .identities import build_pair  # the registry table imports this module
-
     if T is None:
         T = working_trunc(10)
     return build_pair(spec.name, T, spec.order, dict(spec.params))
@@ -370,9 +473,7 @@ def family_polys(name: str, order: int, n_max: int, **params) -> list:
 
 def bespoke_pair(tag: str, T: int, order: int = 1, b=None, c=None, m=None, lam=None) -> ShefferPair:
     """The parameterized pairs behind the registry identities (tags as in
-    the identities module); parameters a tag does not take are ignored."""
-    from .identities import REGISTRY, build_pair  # the registry table imports this module
-
-    takes = {q.name for q in REGISTRY[tag].params} if tag in REGISTRY else ()
+    ``SCHEMAS``); the keywords a tag does not take are ignored."""
+    takes = {q.name for q in SCHEMAS[tag].params} if tag in SCHEMAS else ()
     given = {"b": b, "c": c, "m": m, "lam": lam}
     return build_pair(tag, T, order, {k: v for k, v in given.items() if k in takes})

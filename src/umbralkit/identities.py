@@ -24,8 +24,9 @@ Most checks take one of two forms, each built by one helper:
   in the basis of a named family P, S_n(x) = sum_{l<n} C(n-1, l) c(n, l)
   P_{n-l}(x) (the connection-constants theorem, Roman, *The Umbral
   Calculus*, ch. 3), so the table row holds only P and the coefficient
-  formula c; :func:`_basis_sum` builds the polynomial, which is compared
-  with the transfer route coefficient by coefficient;
+  formula c; :func:`_basis_sum` builds S_1 .. S_{n_max} from one list of
+  basis polynomials, each compared with the transfer route coefficient by
+  coefficient;
 * a triangle (C5, T7, R35, T9): two scalar formulas lhs(n, l) and
   rhs(n, l), compared by :func:`_triangle` for 1 <= n <= n_max, 0 <= l < n.
 
@@ -33,6 +34,11 @@ Four tags keep their own code because their shapes differ: DAE (a closed
 form in shifted arguments, not a sum over a basis), R42 (walks l <= n and
 arbitrates two printed forms), E14 (generating-function coefficients at a
 fixed truncation, n <= 4) and E25 (series coefficients l <= 8 for every n).
+
+This module holds the checking half of the registry, ``CHECKS`` (tag ->
+check, description).  The other half, every name's parameters and pair
+builder, is ``families.SCHEMAS``, beside the builders; a tag is checked
+with the parameters and pair declared there.
 """
 
 from __future__ import annotations
@@ -42,32 +48,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import (
-    _SYMBOLIC, DomainError, UnknownIdentity, integer_order, lambda_value, nonnegative_integer,
-    nonzero_rational, rational,
-)
+from .errors import _SYMBOLIC, DomainError, UnknownIdentity, nonnegative_integer, rational
 from .families import (
-    _bernoulli_2nd_pair,
-    _bernoulli_pair,
-    _daehee_pair,
-    _euler_pair,
-    _frobenius_euler_pair,
-    _frobenius_eulerian_pair,
+    SCHEMAS,
     _lam_element,
-    _narumi_pair,
-    _p8_pair,
-    _poisson_charlier_pair,
-    _r27_pair,
-    _t10_pair,
-    _t2_pair,
-    _t3_pair,
-    _t4_pair,
-    _t6_pair,
     bernoulli_2nd,
     bernoulli_number,
     bernoulli_poly,
     bernoulli_value,
     binom,
+    build_pair,
+    check_params,
     euler_poly,
     frobenius_euler_poly,
     frobenius_eulerian_poly,
@@ -82,7 +73,7 @@ from .families import (
 from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
 from .fields import QQ
 from .record import Record
-from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
+from .umbral import answer_trunc, sheffer_transfer_all
 
 
 class Counterexample(Record):
@@ -122,74 +113,6 @@ class IdentityReport(Record):
         )
 
 
-# ---------------------------------------------------------------------------
-# parameter schema
-# ---------------------------------------------------------------------------
-
-
-class Param(Record):
-    """One parameter: its name, its domain, and the value taken when it is
-    not given (None: the domain decides)."""
-
-    name: str
-    domain: object
-    default: object = None
-
-
-class Entry(Record):
-    """One row of the registry table.  ``pair`` builds (g, f) from a
-    truncation and the parameters; ``check`` is the right-hand side
-    S_n(x) for a tag with a pair (compared with the transfer route) and
-    otherwise a runner returning (status, counterexamples, note)."""
-
-    params: tuple[Param, ...]
-    pair: object = None
-    check: object = None
-    description: str = ""
-
-
-# the integer order a of g, and the Frobenius parameter lambda
-ORDER = Param("a", integer_order, 1)
-LAM = Param("lam", lambda_value)
-
-
-def check_params(name: str, params: dict) -> dict:
-    """The parameters of a registry name in canonical form, schema order."""
-    entry = REGISTRY[name]
-    unknown = set(params) - {q.name for q in entry.params}
-    if unknown:
-        raise DomainError(f"{name} does not take parameter(s) {sorted(unknown)}")
-    out = {}
-    for q in entry.params:
-        v = params.get(q.name)
-        try:
-            out[q.name] = q.domain(q.name, q.default if v is None else v)
-        except DomainError as exc:
-            raise type(exc)(f"{name}: {exc}") from None
-    return out
-
-
-def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
-    """The Sheffer pair of a registry name truncated at T.  ``order`` fills
-    the integer-order parameter ``a`` if the name takes one.  A DomainError
-    for an ``a`` in ``params`` that disagrees with ``order``, for an order
-    other than 1 given to a name that takes none, and for a name in
-    ``params`` that the name does not take (``check_params``)."""
-    entry = REGISTRY.get(name)
-    if entry is None or entry.pair is None:
-        raise DomainError(f"no Sheffer pair named {name!r}")
-    integer_order("T", T)
-    if ORDER in entry.params:
-        if params.get("a", order) != order:
-            raise DomainError(f"{name}: a = {params['a']} disagrees with order {order}")
-        params = {**params, "a": order}
-    elif integer_order("order", order) != 1:
-        raise DomainError(f"{name} takes no order, got {order}")
-    # built with a margin so both members come out truncated at exactly T
-    g, f = entry.pair(T + 2, **check_params(name, params))
-    return ShefferPair(g.truncate(T), f.truncate(T))
-
-
 def _render_param(v) -> str:
     return "L" if v is None else str(v)
 
@@ -201,14 +124,13 @@ def _render_param(v) -> str:
 
 def _transfer_vs_sum(tag, p, n_max, rhs):
     """(indices, lhs, rhs) per coefficient: the transfer route over the
-    tag's pair, built at the answer's truncation, against the explicit sum
-    rhs(p, n)."""
+    tag's pair, built at the answer's truncation, against the explicit sums
+    rhs(p, n_max) = [S_1 .. S_{n_max}]."""
     pair = build_pair(tag, answer_trunc(n_max), p.get("a", 1), p)
     lhs = sheffer_transfer_all(pair, n_max)
-    for n in range(1, n_max + 1):
-        right = rhs(p, n)
-        for j in range(max(lhs[n - 1].degree, right.degree) + 1):
-            yield (n, j), lhs[n - 1].coefficient(j), right.coefficient(j)
+    for n, left, right in zip(range(1, n_max + 1), lhs, rhs(p, n_max)):
+        for j in range(max(left.degree, right.degree) + 1):
+            yield (n, j), left.coefficient(j), right.coefficient(j)
 
 
 def _compare(triples):
@@ -263,12 +185,17 @@ def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
 
 def _basis_sum(basis, coef):
     """The right-hand side S_n(x) = sum_{l<n} C(n-1, l) coef(p, n, l)
-    basis(p, n-l)(x) of a pair tag: its sequence in the basis of a named
-    family, with closed-form connection coefficients."""
+    basis(p, n-l)(x) of a pair tag for n = 1 .. n_max: its sequence in the
+    basis of a named family, with closed-form connection coefficients.
+    Each basis polynomial is built once."""
 
-    def rhs(p, n):
-        terms = [basis(p, n - l) * (binom(n - 1, l) * coef(p, n, l)) for l in range(n)]
-        return sum(terms[1:], terms[0])
+    def rhs(p, n_max):
+        P = [None] + [basis(p, k) for k in range(1, n_max + 1)]
+        out = []
+        for n in range(1, n_max + 1):
+            terms = [P[n - l] * (binom(n - 1, l) * coef(p, n, l)) for l in range(n)]
+            out.append(sum(terms[1:], terms[0]))
+        return out
 
     return rhs
 
@@ -358,15 +285,18 @@ def _run_R42(p, n_max):
     return "fail", as_printed + corrected, "both forms fail"
 
 
-def _rhs_DAE(p, n):
+def _rhs_DAE(p, n_max):
     lam_el = _lam_element(p["lam"])
     x = Poly.x(QQ)
-    base = bernoulli_poly(n, n - 1)
-    out = Poly(QQ)
-    for l in range(n + 1):
-        term = (x + 1) * base.shift_arg(l + 1) - (x * base.shift_arg(l)) * lam_el
-        out = out + term * binom(n, l)
-    return out * (1 / (1 - lam_el))
+    rows = []
+    for n in range(1, n_max + 1):
+        base = bernoulli_poly(n, n - 1)
+        out = Poly(QQ)
+        for l in range(n + 1):
+            term = (x + 1) * base.shift_arg(l + 1) - (x * base.shift_arg(l)) * lam_el
+            out = out + term * binom(n, l)
+        rows.append(out * (1 / (1 - lam_el)))
+    return rows
 
 
 def _run_E14(p, n_max):
@@ -399,128 +329,100 @@ def _run_E25(p, n_max):
 
 
 # ---------------------------------------------------------------------------
-# the registry table
+# the check table
 # ---------------------------------------------------------------------------
 #
-# Every name with its parameter schema, Sheffer pair, check and description.
-# The named families (no check) come first; the identity tags follow in
-# registry order.  A parameter not given takes its Param default, here and
-# only here, for the family command and verify_identity alike.
+# Every identity tag, in registry order, with its check and description.  A
+# tag's parameters and, where it has one, its Sheffer pair are its row of
+# ``families.SCHEMAS``.  The check of a tag with a pair is its right-hand
+# side rhs(p, n_max) = [S_1 .. S_{n_max}], compared with the transfer
+# route; the check of a tag without one is a runner returning (status,
+# counterexamples, note).
 
-REGISTRY = {
-    "bernoulli": Entry((ORDER,), _bernoulli_pair),
-    "euler": Entry((ORDER,), _euler_pair),
-    "frobenius_euler": Entry((ORDER, LAM), _frobenius_euler_pair),
-    "frobenius_eulerian": Entry((ORDER, LAM), _frobenius_eulerian_pair),
-    "narumi": Entry((ORDER,), _narumi_pair),
-    "daehee": Entry((LAM,), _daehee_pair),
-    "poisson_charlier": Entry((Param("a", nonzero_rational, 1),), _poisson_charlier_pair),
-    "bernoulli_2nd": Entry((), _bernoulli_2nd_pair),
-    "T2": Entry(
-        (ORDER, Param("b", nonzero_rational, 1), LAM), _t2_pair,
+CHECKS = {
+    "T2": (
         _basis_sum(_fe_basis, lambda p, n, l: _s2_over_binom(n, l) * p["b"] ** (n + l)),
         "pair (((e^t-L)/(1-L))^a, t^2/(e^{bt}-1)) vs Stirling-2 / Frobenius-Euler sum",
     ),
-    "T3": Entry(
-        (ORDER, Param("b", rational, 0), Param("c", nonzero_rational, 1)), _t3_pair,
+    "T3": (
         _basis_sum(_bernoulli_basis, _t3_coef),
         "pair (((e^t-1)/t)^a, t^2 e^{bt}/(e^{ct}-1)) vs Stirling-2 / Bernoulli double sum",
     ),
-    "T4": Entry(
-        (ORDER,), _t4_pair,
+    "T4": (
         _basis_sum(lambda p, k: euler_poly(p["a"], k), lambda p, n, l: narumi_number(n, l)),
         "pair (((e^t+1)/2)^a, t^2/log(1+t)) vs Narumi-number / Euler sum",
     ),
-    "C5": Entry(
-        (), None,
+    "C5": (
         _triangle(lambda p, n, l: Fraction(narumi_number(n, l), n),
                   lambda p, n, l: Fraction(bernoulli_number(n + l, l), n + l)),
         "Narumi numbers vs higher-order Bernoulli numbers: N_l^(n)/n = B_l^(n+l)/(n+l)",
     ),
-    "R27": Entry(
-        (ORDER,), _r27_pair,
+    "R27": (
         _basis_sum(_bernoulli_basis, lambda p, n, l: narumi_number(-n, l)),
         "pair (((e^t-1)/t)^a, log(1+t)) vs negative-order Narumi / Bernoulli sum",
     ),
-    "T6": Entry(
-        (ORDER, Param("c", nonzero_rational, 1), LAM), _t6_pair,
+    "T6": (
         _basis_sum(_fe_basis, lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
         "pair (((e^t-L)/(1-L))^a, log(1+t)/(1+t)^c) vs shifted-Bernoulli / Frobenius-Euler sum",
     ),
-    "T7": Entry(
-        (Param("c", nonzero_rational, 1),), None,
+    "T7": (
         _triangle(lambda p, n, l: b2_convolution(n, l, p["c"]),
                   lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
         "n-fold convolution of 2nd-kind Bernoulli values vs B_l^(l-n+1)(cn+1)",
     ),
-    "R35": Entry(
-        (Param("c", nonzero_rational, 1),), None,
+    "R35": (
         _triangle(lambda p, n, l: narumi_value(-n, l, p["c"] * n),
                   lambda p, n, l: b2_convolution(n, l, p["c"])),
         "N_l^(-n)(cn) vs the same n-fold convolution of 2nd-kind Bernoulli values",
     ),
-    "P8": Entry(
-        (ORDER, Param("c", nonzero_rational, 1), LAM), _p8_pair,
+    "P8": (
         _basis_sum(_fte_basis, lambda p, n, l: narumi_value(n, l, -p["c"] * n)),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t^2(1+t)^c/log(1+t)) vs shifted-Narumi / Eulerian sum",
     ),
-    "T9": Entry(
-        (Param("c", nonzero_rational, 1),), None,
+    "T9": (
         _triangle(lambda p, n, l: narumi_value(n, l, -p["c"] * n), _t9_rhs),
         "N_l^(n)(-cn) vs Stirling-1 / generalized-binomial sum",
     ),
-    "R42": Entry(
-        (), None, _run_R42,
-        "N_l^(n) vs Stirling-number-over-binomial form (misprint arbitration)",
-    ),
-    "T10": Entry(
-        (ORDER, Param("b", nonzero_rational, 1), Param("c", nonzero_rational, 1), LAM,
-         Param("m", nonnegative_integer)),
-        _t10_pair,
+    "R42": (_run_R42, "N_l^(n) vs Stirling-number-over-binomial form (misprint arbitration)"),
+    "T10": (
         _basis_sum(_fte_basis, lambda p, n, l: (-1) ** (p["m"] * n) * (n * p["c"]) ** l
                    * poisson_charlier(p["m"] * n, -n * p["c"] / p["b"], x_eval=l)),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t/(e^{ct}(1+bt)^m)) vs Poisson-Charlier-value sum",
     ),
-    "DAE": Entry(
-        (LAM,), _daehee_pair, _rhs_DAE,
+    "DAE": (
+        _rhs_DAE,
         "transfer route for the pair ((1-L)/(e^t-L), (e^t-1)/(e^t+1)) vs its closed form",
     ),
-    "E14": Entry(
-        (Param("a", nonzero_rational, 1),), None, _run_E14,
-        "EGF of Poisson-Charlier values at integers vs e^t((t-a)/a)^n",
-    ),
-    "E25": Entry(
-        (), None, _run_E25,
-        "(log(1+t)/t)^n coefficients vs n B_l^(n+l)/((n+l) l!)",
-    ),
+    "E14": (_run_E14, "EGF of Poisson-Charlier values at integers vs e^t((t-a)/a)^n"),
+    "E25": (_run_E25, "(log(1+t)/t)^n coefficients vs n B_l^(n+l)/((n+l) l!)"),
 }
 
-FAMILY_NAMES = tuple(name for name, entry in REGISTRY.items() if entry.check is None)
-IDENTITY_TAGS = tuple(name for name, entry in REGISTRY.items() if entry.check is not None)
+IDENTITY_TAGS = tuple(CHECKS)
+FAMILY_NAMES = tuple(name for name in SCHEMAS if name not in CHECKS)
 
 
-def _identity(tag: str) -> Entry:
-    entry = REGISTRY.get(tag)
-    if entry is None or entry.check is None:
+def _identity(tag: str):
+    """The (check, description) of an identity tag."""
+    if tag not in CHECKS:
         raise UnknownIdentity(f"unknown identity tag {tag!r}")
-    return entry
+    return CHECKS[tag]
 
 
 def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> IdentityReport:
     """Check one registry identity exactly over 1 <= n <= n_max.
 
-    A parameter not given takes its default in ``REGISTRY`` (lambda: the
-    symbol L).  Raises UnknownIdentity for a bad tag and DomainError for
-    parameters outside the identity's stated domain, or for T10's ``m``
-    when it is not given.
+    A parameter not given takes its default in ``families.SCHEMAS``
+    (lambda: the symbol L).  Raises UnknownIdentity for a bad tag and
+    DomainError for parameters outside the identity's stated domain, or for
+    T10's ``m`` when it is not given.
     """
-    entry = _identity(tag)
+    check, _ = _identity(tag)
     nonnegative_integer("n_max", n_max, 1)
     p = check_params(tag, params or {})
-    if entry.pair is None:
-        status, ces, note = entry.check(p, n_max)
+    if SCHEMAS[tag].pair is None:
+        status, ces, note = check(p, n_max)
     else:
-        status, ces, note = _compare(_transfer_vs_sum(tag, p, n_max, entry.check))
+        status, ces, note = _compare(_transfer_vs_sum(tag, p, n_max, check))
     key = tuple((k, _render_param(v)) for k, v in p.items())
     return IdentityReport(tag, key, n_max, status, tuple(ces), note)
 
@@ -575,4 +477,4 @@ def aggregate_pass(reports) -> bool:
 
 
 def describe(tag: str) -> str:
-    return _identity(tag).description
+    return _identity(tag)[1]

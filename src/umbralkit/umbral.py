@@ -247,9 +247,11 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     packed integers decide at one slot per n that holds both sides; no sum
     is normalised.
 
-    A list that fails a condition is read by the definition: the chain of
-    products g f^k, each applied to S_0 .. S_{n_max} in turn, each value
-    over the common field of the pair and S_n.  A list with a degree above
+    A list that first fails a condition at S_N is read by the definition:
+    the chain of products g f^k, each applied to S_N .. S_{n_max} in turn,
+    each value over the common field of the pair and S_n.  S_m for m < N is
+    not read: both conditions hold below N, so the same induction gives
+    <g f^k | S_m> = m! delta_{m,k} for every k.  A list with a degree above
     n_max can fail a condition and still have no failure, since k stops at
     n_max."""
     if len(polys) < nonnegative_integer("n_max", n_max) + 1:
@@ -278,9 +280,9 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
         prev = pl
     else:
         return None
-    acc = pair.g
+    acc, first = pair.g, n
     for k in range(n_max + 1):
-        for n, p in enumerate(polys):
+        for n, p in enumerate(polys[first:], first):
             value = common_field(pair.field, p.field).coerce(functional_apply(acc, p))
             if value != (factorial(n) if n == k else 0):
                 return (n, k, value)

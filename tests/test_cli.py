@@ -440,11 +440,12 @@ class TestLatexGolden:
 
 def test_readme_lists_each_registry_pairs_flags():
     from umbralkit.cli import family_flags
-    from umbralkit.identities import REGISTRY
+    from umbralkit.families import SCHEMAS
+    from umbralkit.identities import CHECKS
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    for name, entry in REGISTRY.items():
-        if entry.pair and entry.check:
+    for name, schema in SCHEMAS.items():
+        if schema.pair and name in CHECKS:
             flags = ", ".join(f"`{flag}`" for flag in family_flags(name)) or "none"
             assert f"| `{name}` | {flags} |" in readme
 

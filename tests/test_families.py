@@ -1,7 +1,9 @@
 """Named polynomial families and their Sheffer pairs."""
 
+import ast
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -484,6 +486,19 @@ def test_misspelt_parameter_is_domain_error(call, message):
 
 def test_bespoke_pair_ignores_parameters_a_tag_does_not_take():
     assert bespoke_pair("T3", 6, b=1, c=2, m=3, lam=2) == bespoke_pair("T3", 6, b=1, c=2)
+
+
+def test_no_import_inside_a_function():
+    # the pair builders, their parameter table and build_pair share one
+    # module, so no module works round an import cycle from a function body
+    src = Path(__file__).resolve().parents[1] / "src" / "umbralkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
 
 
 def test_scalar_of_another_type_is_type_error():

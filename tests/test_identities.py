@@ -24,12 +24,11 @@ from umbralkit import (
     FamilySpec, bespoke_pair, catalog_pair, family_polys, orthogonality_failure, sheffer_gf,
     sheffer_transfer_all,
 )
+from umbralkit.families import SCHEMAS, Param, check_params
 from umbralkit.identities import (
+    CHECKS,
     FAMILY_NAMES,
     IDENTITY_TAGS,
-    REGISTRY,
-    Param,
-    check_params,
     verify_identity_report_errors,
 )
 
@@ -275,24 +274,25 @@ class TestTable:
     def test_every_tag_has_schema_check_and_description(self):
         grid_tags = {tag for tag, _ in default_grid()}
         for tag in IDENTITY_TAGS:
-            entry = REGISTRY[tag]
-            assert all(isinstance(q, Param) and callable(q.domain) for q in entry.params)
-            assert callable(entry.check)
-            assert entry.description and describe(tag) == entry.description
+            assert all(isinstance(q, Param) and callable(q.domain) for q in SCHEMAS[tag].params)
+            check, description = CHECKS[tag]
+            assert callable(check)
+            assert description and describe(tag) == description
             assert tag in grid_tags
 
     def test_names_partition_the_table(self):
-        assert set(FAMILY_NAMES) | set(IDENTITY_TAGS) == set(REGISTRY)
+        assert set(FAMILY_NAMES) | set(IDENTITY_TAGS) == set(SCHEMAS)
         assert not set(FAMILY_NAMES) & set(IDENTITY_TAGS)
-        assert all(REGISTRY[name].pair for name in FAMILY_NAMES)
+        assert IDENTITY_TAGS == tuple(CHECKS)
+        assert all(SCHEMAS[name].pair for name in FAMILY_NAMES)
 
     def test_parameter_names_unique_per_row(self):
-        for entry in REGISTRY.values():
-            names = [q.name for q in entry.params]
+        for schema in SCHEMAS.values():
+            names = [q.name for q in schema.params]
             assert len(names) == len(set(names))
 
     def test_daehee_pair_built_once(self):
-        assert REGISTRY["daehee"].pair is REGISTRY["DAE"].pair
+        assert SCHEMAS["daehee"].pair is SCHEMAS["DAE"].pair
         for lam in (None, F(2)):
             assert catalog_pair(FamilySpec.make("daehee", 1, lam=lam), T=9) == bespoke_pair(
                 "DAE", 9, lam=lam
@@ -317,7 +317,7 @@ class TestTable:
         assert report.status == "pass" and dict(report.params)["b"] == "0"
         assert family_polys("T3", 1, 3, c=F(1, 2)) == family_polys("T3", 1, 3, b=0, c=F(1, 2))
         for tag in IDENTITY_TAGS:
-            table = {q.name: q.default for q in REGISTRY[tag].params if q.default is not None}
+            table = {q.name: q.default for q in SCHEMAS[tag].params if q.default is not None}
             rest = {"m": 1} if tag == "T10" else {}
             assert verify_identity(tag, rest, 2) == verify_identity(tag, {**table, **rest}, 2)
         with pytest.raises(DomainError):

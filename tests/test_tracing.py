@@ -45,3 +45,16 @@ def test_tracer_counts_a_lambda_pair_and_restores_originals():
                  "umbral.sheffer_gf", "umbral.sheffer_transfer_all"):
         assert calls.get(span, 0) > 0, span
     assert _originals() == before
+
+
+def test_pair_builders_keep_their_span_names():
+    # the benchmark calls these through the package, as here
+    tracer = Tracer().install()
+    try:
+        umbralkit.catalog_pair(umbralkit.FamilySpec.make("bernoulli", 2), T=6)
+        umbralkit.bespoke_pair("T2", 6, b=1, lam=None)
+        assert tracer.snapshot()["calls"].get("families.pair_build") == 2
+        umbralkit.family_polys("euler", 1, 3)
+    finally:
+        tracer.remove()
+    assert tracer.snapshot()["calls"].get("families.polys", 0) >= 1

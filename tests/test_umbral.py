@@ -42,7 +42,7 @@ from umbralkit import (
 )
 
 from umbralkit import fields, umbral
-from umbralkit.identities import REGISTRY
+from umbralkit.families import SCHEMAS
 from umbralkit.record import Record
 from umbralkit.fields import (
     RatFunc, _lay_out, _zmul, common_field, vec_add, vec_dot, vec_mul,
@@ -573,8 +573,8 @@ def _lifted_polys(polys):
 REGISTRY_PAIR_SPECS = [
     FamilySpec.make(name, 1, **({"lam": lam} if "lam" in takes else {}),
                     **({"m": 1} if "m" in takes else {}))
-    for name, takes in ((name, {q.name for q in entry.params})
-                        for name, entry in REGISTRY.items() if entry.pair)
+    for name, takes in ((name, {q.name for q in schema.params})
+                        for name, schema in SCHEMAS.items() if schema.pair)
     for lam in ((None, 2) if "lam" in takes else (None,))
 ]
 
@@ -824,6 +824,18 @@ class TestPackedOrthogonality:
         monkeypatch.setattr(umbral, "functional_apply", no_definition)
         for (pair, n), ps in zip(cases, polys):
             assert orthogonality_failure(pair, ps, n) is None
+
+    def test_definition_reads_from_the_first_failing_n(self, monkeypatch):
+        # S_0 .. S_3 meet both conditions, so <g f^k | S_m> = m! delta for
+        # every k and m < 4: the definition starts at S_4
+        pair = bespoke_pair("T2", answer_trunc(6), order=-1, b=F(1, 2), lam=None)
+        polys = sheffer_gf(pair, 6)
+        polys[4] = polys[4] * 2
+        read = []
+        apply = umbral.functional_apply
+        monkeypatch.setattr(umbral, "functional_apply", lambda f, p: read.append(p) or apply(f, p))
+        assert orthogonality_failure(pair, polys, 6) == (4, 4, 48)
+        assert read and not [m for m in range(4) if any(p is polys[m] for p in read)]
 
     @staticmethod
     def _true_heights(pair, polys, n_max):
