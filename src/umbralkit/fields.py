@@ -50,13 +50,10 @@ non-divisibility.  ``_zgcd`` runs only when neither denominator divides
 the other.  ``_lowest_terms`` is also the tail of ``RatFunc.__init__``, so
 canonical form is made in one function.
 
-Q(L) arithmetic is paid only where L is.  An int or Fraction operand of
-``_ratfunc_dot`` is a constant read as it is, with no ``RatFunc`` built for
-it, and the products of two constants are summed apart as over Q and join
-the Q(L) sum once at the end; so a series over Q(L) times one over Q pays
-Q(L) work only for its terms in L.  A Q(L) ``vec_mul`` starts each output
-coefficient at the operands' first nonzero entries, so a power f^k of a
-delta series (order k) costs no zero terms.
+An int or Fraction operand of ``_ratfunc_dot`` is a constant read as it
+is, with no ``RatFunc`` built for it: its numerator and denominator are the
+polynomial 1, so its products take the same running-lcm step as any other,
+and a zero product is skipped.
 
 The packed sums and the orthogonality check lay a whole Q or Q(L) vector out
 over one common denominator, FLINT's ``fmpq_poly`` layout one level up,
@@ -170,20 +167,17 @@ def vec_mul(a, b, zero=0, n=None) -> tuple:
     Over Q (a Fraction ``zero``) each operand is brought to integers over
     one common denominator, the integer convolution runs, and each output
     is one ``Fraction``.  Over Q(L) (a RatFunc ``zero``) coefficient k is
-    one ``vec_dot`` that starts at the operands' first nonzero entries.
+    one ``vec_dot`` over the range where a[i] and b[k - i] both exist.
     Any other ``zero`` (integer polynomials) is ``_zmul``'s convolution."""
     if n is None:
         n = len(a) + len(b) - 1 if a and b else 0
     if isinstance(zero, RatFunc):
-        oa, ob = _first_nonzero(a), _first_nonzero(b)
-        # a[i] pairs with b[k - i], which is rb[len(b) - 1 - k + i]; a[i] and
-        # b[k - i] are zero unless oa <= i <= k - ob
+        # a[i] pairs with b[k - i], which is rb[last - k + i]
         rb, last = b[::-1], len(b) - 1
         out = []
         for k in range(n):
-            lo = max(oa, k - last)
-            out.append(vec_dot(a[lo : k - ob + 1], rb[last - k + lo :], zero)
-                       if lo <= k - ob else zero)
+            lo = max(0, k - last)
+            out.append(vec_dot(a[lo : k + 1], rb[last - k + lo :], zero))
         return tuple(out)
     if isinstance(zero, Fraction):
         da, a = _common_den(a[:n])
@@ -213,14 +207,6 @@ def vec_dot(a, b, zero=0, w=None):
                 q = q // g * d
             s += k * x.numerator * y.numerator * (q // d)
     return Fraction(s, q)
-
-
-def _first_nonzero(c) -> int:
-    """Index of the first nonzero entry of c; len(c) when there is none."""
-    for i, x in enumerate(c):
-        if x:
-            return i
-    return len(c)
 
 
 def _common_den(c):
@@ -651,13 +637,10 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
     of the scales' denominators and den a running lcm of the product
     denominators (all primitive, positive leads).  Each lcm step tries
     exact division both ways (``_zquo``) and runs ``_zgcd`` only when
-    neither denominator divides the other.  A product of two constants is
-    summed apart, as an integer over a running lcm (as in ``vec_dot`` over
-    Q), and joins num once.  One content extraction and ``_lowest_terms`` at
-    the end give RatFunc's canonical form.
+    neither denominator divides the other.  One content extraction and
+    ``_lowest_terms`` at the end give RatFunc's canonical form.
     """
     q, den, num = 1, _Z_ONE, []
-    cq, cs = 1, 0  # the constant products sum to cs / cq
     for x, y, k in zip(a, b, repeat(1) if w is None else w):
         if not x or not y:
             continue
@@ -670,13 +653,6 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
         else:
             sy, ny, dy = y, _Z_ONE, _Z_ONE
         qi = sx.denominator * sy.denominator
-        if nx == dx == ny == dy == _Z_ONE:  # two constants
-            if cq % qi:
-                g = _int_gcd(cq, qi)
-                cs *= qi // g
-                cq = cq // g * qi
-            cs += k * sx.numerator * sy.numerator * (cq // qi)
-            continue
         # bring num / (q * den) and the term onto lcm(q, qi) * lcm(den, d)
         g = _int_gcd(q, qi)
         if g != qi:
@@ -690,16 +666,6 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
         if len(num) < len(n):
             num += [0] * (len(n) - len(num))
         for i, c in enumerate(n):
-            num[i] += c * f
-    if cs:  # the constants' sum, cs / cq = cs * den / (cq * den)
-        g = _int_gcd(q, cq)
-        if g != cq:
-            num = [c * (cq // g) for c in num]
-            q = q // g * cq
-        f = cs * (q // cq)
-        if len(num) < len(den):
-            num += [0] * (len(den) - len(num))
-        for i, c in enumerate(den):
             num[i] += c * f
     return _element(QL, vec_trim(num), q, den)
 
@@ -768,7 +734,6 @@ def _linear_power(den):
     return (b, a, e) if _zlinear_pow(b, a, e) == den else None
 
 
-@lru_cache(maxsize=1024)
 def _zlinear_pow(b, a, e):
     """(aL + b)^e as an integer polynomial, ascending powers."""
     return tuple(comb(e, i) * a**i * b ** (e - i) for i in range(e + 1))
@@ -862,23 +827,16 @@ class _Layout:
     those entries.  ``height`` bounds the numerators' coefficients and
     ``length`` their lengths; ``packed(s)`` is num at 2^s."""
 
-    __slots__ = ("num", "q", "den", "dens", "cofactors", "height", "length", "_packed")
+    __slots__ = ("num", "q", "den", "dens", "cofactors", "height", "length")
 
     def __init__(self, num, q, den, dens, cofactors):
         self.num, self.q, self.den, self.dens, self.cofactors = num, q, den, dens, cofactors
         self.height = max(map(abs, chain.from_iterable(num)), default=0)
         self.length = max(map(len, num), default=0)
-        self._packed = (None, None)
 
     def packed(self, s: int) -> list:
-        """[num[i] at 2^s], kept for the last s asked; a constant packs to
-        itself at every width."""
-        if self.length <= 1:
-            s = 0
-        if self._packed[0] != s:
-            self._packed = (s, [t[0] if t else 0 for t in self.num] if s == 0
-                            else [_pack(t, s) for t in self.num])
-        return self._packed[1]
+        """[num[i] at 2^s], packed afresh at each call."""
+        return [_pack(t, s) for t in self.num]
 
 
 def _lay_out(c, w=None) -> _Layout:
@@ -889,10 +847,6 @@ def _lay_out(c, w=None) -> _Layout:
     q, ks = _common_den([scale for scale, _, _ in parts])
     if w is not None:
         ks = [k * x for k, x in zip(ks, w)]
-    if all(d == _Z_ONE for _, _, d in parts):  # no denominator in L
-        ones = [_Z_ONE] * len(c)
-        return _Layout([(k,) if n == _Z_ONE else tuple([k * a for a in n])
-                        for k, (_, n, _) in zip(ks, parts)], q, _Z_ONE, ones, ones)
     den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
     for i, (_, n, d) in enumerate(parts):
         den, steps[i], md = _lcm_cofactors(den, d)

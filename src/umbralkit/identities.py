@@ -71,7 +71,7 @@ from .families import (
     stirling2,
 )
 from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
-from .fields import QQ
+from .fields import QQ, vec_dot
 from .record import Record
 from .umbral import answer_trunc, sheffer_transfer_all
 
@@ -187,14 +187,21 @@ def _basis_sum(basis, coef):
     """The right-hand side S_n(x) = sum_{l<n} C(n-1, l) coef(p, n, l)
     basis(p, n-l)(x) of a pair tag for n = 1 .. n_max: its sequence in the
     basis of a named family, with closed-form connection coefficients.
-    Each basis polynomial is built once."""
+    Each basis polynomial is built once, and each x^j coefficient of S_n is
+    one ``vec_dot`` of the P_{n-l}[j] column against the weights, over the
+    field of the basis polynomials (the family's parameters pick one field
+    for all of them)."""
 
     def rhs(p, n_max):
         P = [None] + [basis(p, k) for k in range(1, n_max + 1)]
+        field = P[1].field
         out = []
         for n in range(1, n_max + 1):
-            terms = [P[n - l] * (binom(n - 1, l) * coef(p, n, l)) for l in range(n)]
-            out.append(sum(terms[1:], terms[0]))
+            terms = P[n:0:-1]  # P_{n-l} for l = 0 .. n-1
+            w = [binom(n - 1, l) * coef(p, n, l) for l in range(n)]
+            width = max(len(t.coeffs) for t in terms)
+            out.append(Poly(field, [vec_dot([t.coefficient(j) for t in terms], w, field.zero)
+                                    for j in range(width)]))
         return out
 
     return rhs

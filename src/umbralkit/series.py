@@ -322,10 +322,7 @@ class Series(CoeffVector):
         T = min(self.trunc, inner.trunc)
         dens, rows = inner.truncate(T)._power_rows(T - 1)
         E = list(accumulate(dens, lcm))
-        cols = [[rows[k][m] for k in range(m + 1)] for m in range(T)]
-        if E[-1] != 1:
-            cols = [[x * (E[m] // dens[k]) for k, x in enumerate(col)]
-                    for m, col in enumerate(cols)]
+        cols = [[rows[k][m] * (E[m] // dens[k]) for k in range(m + 1)] for m in range(T)]
         field = common_field(self.field, inner.field)
         return Series(field, _prefix_sums(self.coeffs[:T], cols, E, field))
 

@@ -503,7 +503,9 @@ def _agrees_at_points(got, a, b, w=None):
 
 
 class TestQLambdaKernel:
-    """The Q(L) kernel's fast paths against the same sums without them."""
+    """``vec_dot`` and ``vec_mul`` over Q(L) on int and Fraction operands and
+    on zero entries, which take the same path as any other: against the same
+    sums with every operand a RatFunc, and against the ``+=`` loop."""
 
     @given(a=_planted_terms(), b=st.one_of(_planted_terms(), _q_entries()),
            w=st.none() | st.lists(st.integers(-30, 30), min_size=8))
@@ -526,6 +528,15 @@ class TestQLambdaKernel:
         assert _same_form(got, vec_dot(_as_ratfuncs(a), _as_ratfuncs(b), QL.zero))
         assert _agrees_at_points(got, a, b)
 
+    @given(a=st.one_of(_q_entries(), _q_entries().map(_as_ratfuncs)), b=_q_entries(),
+           w=st.none() | st.lists(st.integers(-30, 30), min_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_constants_only(self, a, b, w):
+        # no operand has L: the running lcm of the denominators stays 1
+        got = vec_dot(a, b, QL.zero, w)
+        assert _same_form(got, _plain_dot(a, b, w))
+        assert got.is_constant()
+
     @given(a=st.lists(ratfuncs(), max_size=4), b=st.lists(ratfuncs(), max_size=4),
            za=st.integers(0, 3), zb=st.integers(0, 3), n=st.none() | st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
@@ -534,7 +545,7 @@ class TestQLambdaKernel:
         got = vec_mul(a, b, QL.zero, n)
         if n is None:
             n = len(a) + len(b) - 1 if a and b else 0
-        # the unskipped dots: every a[i] b[k - i] in range
+        # one dot per coefficient over every a[i] b[k - i] in range, zeros too
         want = []
         for k in range(n):
             idx = [i for i in range(k + 1) if i < len(a) and k - i < len(b)]
@@ -590,6 +601,22 @@ class TestPackedLayout:
             for k in range(i + 1):
                 if lay.num[k]:
                     assert _zquo(lay.num[k], lay.cofactors[i]) is not None
+
+    @given(c=st.one_of(_q_entries(), _q_entries().map(_as_ratfuncs)),
+           w=st.none() | st.lists(st.integers(-20, 20), min_size=8, max_size=8),
+           s=st.integers(2, 80))
+    @settings(max_examples=80, deadline=None)
+    def test_layout_of_constants(self, c, w, s):
+        # no entry has L: the lcm steps leave every denominator 1, and each
+        # numerator is one integer, which packs to itself at every width
+        lay = _lay_out(c, w)
+        w = [1] * len(c) if w is None else w[: len(c)]
+        values = [k * (x.as_rat() if isinstance(x, RatFunc) else F(x)) for k, x in zip(w, c)]
+        assert lay.den == (1,)
+        assert lay.dens == lay.cofactors == [(1,)] * len(c)
+        for i, v in enumerate(values):
+            assert _as_element(lay.num[i], lay.q, lay.den) == v
+        assert lay.packed(s) == [v * lay.q for v in values]
 
     @given(ab=_sharing_ratfuncs())
     @settings(max_examples=80, deadline=None)
