@@ -3,15 +3,15 @@ belong to.
 
 The Stirling numbers are integer definitions: ``stirling1(n, k)`` is a
 coefficient of the integer row of (x)_n (``series._falling_rows``, one
-product by a linear factor per row), the row ``falling_factorial`` also
-returns, and
-``stirling2(n, k)`` is the inclusion-exclusion sum
-sum_j (-1)^(k-j) C(k, j) j^n / k!.  The polynomial families are still read
-off their generating functions as truncated series: an Appell family from
-the coefficients of factor(t) e^{xt}, and ``narumi_poly`` and the
-Poisson-Charlier polynomials as sums sum_m c_m (x)_m over the same rows
-(``_falling_sum``).  ``narumi_value``, ``bernoulli_number`` and
-``bernoulli_2nd`` (Narumi's order -1) are series coefficients too.
+product by a linear factor per row, the row kept per n), the row
+``falling_factorial`` also returns, and ``stirling2(n, k)`` is the
+inclusion-exclusion sum sum_j (-1)^(k-j) C(k, j) j^n / k!.  The polynomial
+families are still read off their generating functions as truncated
+series: an Appell family from the coefficients of factor(t) e^{xt}, and
+``narumi_poly`` and the Poisson-Charlier polynomials as sums
+sum_m c_m (x)_m over the same rows (``_falling_sum``).  ``narumi_value``,
+``bernoulli_number`` and ``bernoulli_2nd`` (Narumi's order -1) are series
+coefficients too.
 
 The family functions (``bernoulli_poly`` .. ``bernoulli_2nd``) are
 deliberately independent of the umbral operator engine, so the identity
@@ -90,7 +90,8 @@ def _lam_element(lam):
 
 
 # ---------------------------------------------------------------------------
-# generating-series building blocks (all cached; Series is immutable)
+# generating-series building blocks (cached where a cache hits; Series is
+# immutable)
 # ---------------------------------------------------------------------------
 
 
@@ -101,7 +102,6 @@ def _bern_base(a: int, T: int) -> Series:
     return base.pow_int(a).truncate(T)
 
 
-@lru_cache(maxsize=None)
 def _euler_base(alpha: int, T: int) -> Series:
     """((e^t + 1)/2)^alpha over Q."""
     base = (exp_ct(QQ, 1, T) + 1) * Fraction(1, 2)
@@ -228,12 +228,19 @@ def stirling2(n: int, k: int) -> Fraction:
     return Fraction(sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)), factorial(k))
 
 
+@lru_cache(maxsize=256)
+def _falling_row(n: int) -> tuple:
+    """The integer coefficients of (x)_n alone: the row is kept, not the
+    table (x)_0 .. (x)_n that builds it."""
+    return _falling_rows(n)[n]
+
+
 def stirling1(n: int, k: int) -> Fraction:
     """Signed Stirling numbers of the first kind: [x^k] (x)_n."""
     n = nonnegative_integer("n_max", n)
     if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
-    return Fraction(_falling_rows(n)[n][k])
+    return Fraction(_falling_row(n)[k])
 
 
 def poisson_charlier(n: int, a, x_eval=None):

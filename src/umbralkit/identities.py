@@ -20,13 +20,17 @@ and the passing corrected form.
 
 Most checks take one of two forms, each built by one helper:
 
-* a basis sum (T2, T3, T4, R27, T6, P8, T10): the right route writes S_n
-  in the basis of a named family P, S_n(x) = sum_{l<n} C(n-1, l) c(n, l)
-  P_{n-l}(x) (the connection-constants theorem, Roman, *The Umbral
-  Calculus*, ch. 3), so the table row holds only P and the coefficient
-  formula c; :func:`_basis_sum` builds S_1 .. S_{n_max} from one list of
-  basis polynomials, each compared with the transfer route coefficient by
-  coefficient;
+* a connection (T2, T3, T4, R27, T6, P8, T10): the paper writes
+  S_n ~ (g, f) in the basis of a named Appell family P_k ~ (g, t) with the
+  same g, S_n(x) = sum_{l<n} C(n-1, l) c(n, l) P_{n-l}(x), so the table row
+  holds only P and the coefficient formula c.  By the connection-constants
+  theorem (Roman, *The Umbral Calculus*, ch. 3) those coefficients are the
+  coefficients of the associated sequence s_n ~ (1, f), and the identity
+  holds exactly when two checks do, both made by :func:`_connection`:
+  each P_k against the transfer route of (g, t), a failure indexed (k, j),
+  and the x^m coefficient of s_n by the transfer route against
+  C(n-1, n-m) c(n, n-m), over Q since f is free of L, a failure indexed
+  (n, m); j and m are powers of x;
 * a triangle (C5, T7, R35, T9): two scalar formulas lhs(n, l) and
   rhs(n, l), compared by :func:`_triangle` for 1 <= n <= n_max, 0 <= l < n.
 
@@ -70,10 +74,10 @@ from .families import (
     stirling1,
     stirling2,
 )
-from .series import Poly, exp_ct, log1p_series, one_plus_t_pow, t_series
-from .fields import QQ, vec_dot
+from .series import Poly, exp_ct, log1p_series, one, one_plus_t_pow, t_series
+from .fields import QQ
 from .record import Record
-from .umbral import answer_trunc, sheffer_transfer_all
+from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
 
 
 class Counterexample(Record):
@@ -122,13 +126,12 @@ def _render_param(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _transfer_vs_sum(tag, p, n_max, rhs):
-    """(indices, lhs, rhs) per coefficient: the transfer route over the
-    tag's pair, built at the answer's truncation, against the explicit sums
-    rhs(p, n_max) = [S_1 .. S_{n_max}]."""
-    pair = build_pair(tag, answer_trunc(n_max), p.get("a", 1), p)
+def _route_vs(pair, n_max, polys):
+    """(indices, lhs, rhs) per coefficient: the transfer route over ``pair``
+    against the polynomials [S_1 .. S_{n_max}], indexed (n, j) for the x^j
+    coefficient of S_n."""
     lhs = sheffer_transfer_all(pair, n_max)
-    for n, left, right in zip(range(1, n_max + 1), lhs, rhs(p, n_max)):
+    for n, left, right in zip(range(1, n_max + 1), lhs, polys):
         for j in range(max(left.degree, right.degree) + 1):
             yield (n, j), left.coefficient(j), right.coefficient(j)
 
@@ -183,28 +186,31 @@ def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _basis_sum(basis, coef):
-    """The right-hand side S_n(x) = sum_{l<n} C(n-1, l) coef(p, n, l)
-    basis(p, n-l)(x) of a pair tag for n = 1 .. n_max: its sequence in the
-    basis of a named family, with closed-form connection coefficients.
-    Each basis polynomial is built once, and each x^j coefficient of S_n is
-    one ``vec_dot`` of the P_{n-l}[j] column against the weights, over the
-    field of the basis polynomials (the family's parameters pick one field
-    for all of them)."""
+def _connection(basis, coef):
+    """The check of a pair tag whose sequence is written in the basis of a
+    named Appell family P with the tag's own g, S_n = sum_{l<n} C(n-1, l)
+    coef(p, n, l) P_{n-l}.  By the connection-constants theorem that holds
+    exactly when both halves do:
 
-    def rhs(p, n_max):
-        P = [None] + [basis(p, k) for k in range(1, n_max + 1)]
-        field = P[1].field
-        out = []
-        for n in range(1, n_max + 1):
-            terms = P[n:0:-1]  # P_{n-l} for l = 0 .. n-1
-            w = [binom(n - 1, l) * coef(p, n, l) for l in range(n)]
-            width = max(len(t.coeffs) for t in terms)
-            out.append(Poly(field, [vec_dot([t.coefficient(j) for t in terms], w, field.zero)
-                                    for j in range(width)]))
-        return out
+    * the basis: basis(p, k) for k = 1 .. n_max against the transfer route
+      of (g, t), indexed (k, j);
+    * the scalars: the x^(n-l) coefficient of s_n ~ (1, f), the associated
+      sequence of f, against C(n-1, l) coef(p, n, l), indexed (n, n - l)
+      and compared over Q.
 
-    return rhs
+    The triples come n by n, P_n's before s_n's."""
+
+    def check(pair, p, n_max):
+        T = pair.g.trunc
+        P = _route_vs(ShefferPair(pair.g, t_series(QQ, T)), n_max,
+                      [basis(p, k) for k in range(1, n_max + 1)])
+        # s_n's coefficients for l = n-1 .. 0 are those of x^1 .. x^n
+        s = _route_vs(ShefferPair(one(QQ, T), pair.f), n_max, [
+            Poly(QQ, [0, *[binom(n - 1, l) * coef(p, n, l) for l in range(n)][::-1]])
+            for n in range(1, n_max + 1)])
+        return sorted([*P, *s], key=lambda triple: triple[0][0])
+
+    return check
 
 
 def _triangle(lhs, rhs):
@@ -292,7 +298,7 @@ def _run_R42(p, n_max):
     return "fail", as_printed + corrected, "both forms fail"
 
 
-def _rhs_DAE(p, n_max):
+def _check_DAE(pair, p, n_max):
     lam_el = _lam_element(p["lam"])
     x = Poly.x(QQ)
     rows = []
@@ -303,7 +309,7 @@ def _rhs_DAE(p, n_max):
             term = (x + 1) * base.shift_arg(l + 1) - (x * base.shift_arg(l)) * lam_el
             out = out + term * binom(n, l)
         rows.append(out * (1 / (1 - lam_el)))
-    return rows
+    return _route_vs(pair, n_max, rows)
 
 
 def _run_E14(p, n_max):
@@ -341,22 +347,22 @@ def _run_E25(p, n_max):
 #
 # Every identity tag, in registry order, with its check and description.  A
 # tag's parameters and, where it has one, its Sheffer pair are its row of
-# ``families.SCHEMAS``.  The check of a tag with a pair is its right-hand
-# side rhs(p, n_max) = [S_1 .. S_{n_max}], compared with the transfer
-# route; the check of a tag without one is a runner returning (status,
-# counterexamples, note).
+# ``families.SCHEMAS``.  The check of a tag with a pair takes the pair, built
+# at the answer's truncation, and yields (indices, lhs, rhs) triples; the
+# check of a tag without one is a runner returning (status, counterexamples,
+# note).
 
 CHECKS = {
     "T2": (
-        _basis_sum(_fe_basis, lambda p, n, l: _s2_over_binom(n, l) * p["b"] ** (n + l)),
+        _connection(_fe_basis, lambda p, n, l: _s2_over_binom(n, l) * p["b"] ** (n + l)),
         "pair (((e^t-L)/(1-L))^a, t^2/(e^{bt}-1)) vs Stirling-2 / Frobenius-Euler sum",
     ),
     "T3": (
-        _basis_sum(_bernoulli_basis, _t3_coef),
+        _connection(_bernoulli_basis, _t3_coef),
         "pair (((e^t-1)/t)^a, t^2 e^{bt}/(e^{ct}-1)) vs Stirling-2 / Bernoulli double sum",
     ),
     "T4": (
-        _basis_sum(lambda p, k: euler_poly(p["a"], k), lambda p, n, l: narumi_number(n, l)),
+        _connection(lambda p, k: euler_poly(p["a"], k), lambda p, n, l: narumi_number(n, l)),
         "pair (((e^t+1)/2)^a, t^2/log(1+t)) vs Narumi-number / Euler sum",
     ),
     "C5": (
@@ -365,11 +371,11 @@ CHECKS = {
         "Narumi numbers vs higher-order Bernoulli numbers: N_l^(n)/n = B_l^(n+l)/(n+l)",
     ),
     "R27": (
-        _basis_sum(_bernoulli_basis, lambda p, n, l: narumi_number(-n, l)),
+        _connection(_bernoulli_basis, lambda p, n, l: narumi_number(-n, l)),
         "pair (((e^t-1)/t)^a, log(1+t)) vs negative-order Narumi / Bernoulli sum",
     ),
     "T6": (
-        _basis_sum(_fe_basis, lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
+        _connection(_fe_basis, lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
         "pair (((e^t-L)/(1-L))^a, log(1+t)/(1+t)^c) vs shifted-Bernoulli / Frobenius-Euler sum",
     ),
     "T7": (
@@ -383,7 +389,7 @@ CHECKS = {
         "N_l^(-n)(cn) vs the same n-fold convolution of 2nd-kind Bernoulli values",
     ),
     "P8": (
-        _basis_sum(_fte_basis, lambda p, n, l: narumi_value(n, l, -p["c"] * n)),
+        _connection(_fte_basis, lambda p, n, l: narumi_value(n, l, -p["c"] * n)),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t^2(1+t)^c/log(1+t)) vs shifted-Narumi / Eulerian sum",
     ),
     "T9": (
@@ -392,12 +398,12 @@ CHECKS = {
     ),
     "R42": (_run_R42, "N_l^(n) vs Stirling-number-over-binomial form (misprint arbitration)"),
     "T10": (
-        _basis_sum(_fte_basis, lambda p, n, l: (-1) ** (p["m"] * n) * (n * p["c"]) ** l
-                   * poisson_charlier(p["m"] * n, -n * p["c"] / p["b"], x_eval=l)),
+        _connection(_fte_basis, lambda p, n, l: (-1) ** (p["m"] * n) * (n * p["c"]) ** l
+                    * poisson_charlier(p["m"] * n, -n * p["c"] / p["b"], x_eval=l)),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t/(e^{ct}(1+bt)^m)) vs Poisson-Charlier-value sum",
     ),
     "DAE": (
-        _rhs_DAE,
+        _check_DAE,
         "transfer route for the pair ((1-L)/(e^t-L), (e^t-1)/(e^t+1)) vs its closed form",
     ),
     "E14": (_run_E14, "EGF of Poisson-Charlier values at integers vs e^t((t-a)/a)^n"),
@@ -429,7 +435,8 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
     if SCHEMAS[tag].pair is None:
         status, ces, note = check(p, n_max)
     else:
-        status, ces, note = _compare(_transfer_vs_sum(tag, p, n_max, check))
+        pair = build_pair(tag, answer_trunc(n_max), p.get("a", 1), p)
+        status, ces, note = _compare(check(pair, p, n_max))
     key = tuple((k, _render_param(v)) for k, v in p.items())
     return IdentityReport(tag, key, n_max, status, tuple(ces), note)
 

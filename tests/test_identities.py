@@ -24,7 +24,11 @@ from umbralkit import (
     FamilySpec, bespoke_pair, catalog_pair, family_polys, orthogonality_failure, sheffer_gf,
     sheffer_transfer_all,
 )
-from umbralkit.families import SCHEMAS, Param, check_params
+from umbralkit import (
+    QQ, Poly, Series, answer_trunc, bernoulli_poly, binom, euler_poly, frobenius_euler_poly,
+    frobenius_eulerian_poly, narumi_number, poisson_charlier, stirling2,
+)
+from umbralkit.families import SCHEMAS, Param, Schema, build_pair, check_params
 from umbralkit.identities import (
     CHECKS,
     FAMILY_NAMES,
@@ -239,6 +243,43 @@ class TestRegistry:
         assert sorted(r.id for r in reports) == sorted(IDENTITY_TAGS)
         assert [r.id for r in reports if not r.ok] == []
 
+    # (basis P_k, coefficient c(n, l)) of each pair tag, from the paper
+    BASIS_SUMS = {
+        "T2": (lambda p, k: frobenius_euler_poly(p["a"], k, p["lam"]),
+               lambda p, n, l: F(stirling2(l + n, n), binom(l + n, n)) * p["b"] ** (n + l)),
+        "T3": (lambda p, k: bernoulli_poly(p["a"], k),
+               lambda p, n, k: sum(binom(k, l) * F(stirling2(l + n, n), binom(l + n, n))
+                                   * p["c"] ** (n + l) * (-n * p["b"]) ** (k - l)
+                                   for l in range(k + 1))),
+        "T4": (lambda p, k: euler_poly(p["a"], k), lambda p, n, l: narumi_number(n, l)),
+        "R27": (lambda p, k: bernoulli_poly(p["a"], k), lambda p, n, l: narumi_number(-n, l)),
+        "T6": (lambda p, k: frobenius_euler_poly(p["a"], k, p["lam"]),
+               lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
+        "P8": (lambda p, k: frobenius_eulerian_poly(p["a"], k, p["lam"]),
+               lambda p, n, l: narumi_value(n, l, -p["c"] * n)),
+        "T10": (lambda p, k: frobenius_eulerian_poly(p["a"], k, p["lam"]),
+                lambda p, n, l: (-1) ** (p["m"] * n) * (n * p["c"]) ** l
+                * poisson_charlier(p["m"] * n, -n * p["c"] / p["b"], x_eval=l)),
+    }
+
+    def test_basis_sum_equals_transfer_route(self):
+        # the identity as one polynomial per n, the form the registry checks
+        # in two halves: S_n = sum_{l<n} C(n-1, l) c(n, l) P_{n-l} against
+        # the transfer route of the tag's pair, over Q(L) where lam is L
+        first = {}
+        for tag, params in default_grid():
+            first.setdefault(tag, params)
+        n_max = 10
+        for tag, (basis, coef) in self.BASIS_SUMS.items():
+            p = check_params(tag, first[tag])
+            P = [None] + [basis(p, k) for k in range(1, n_max + 1)]
+            sums = [sum((P[n - l] * (binom(n - 1, l) * coef(p, n, l)) for l in range(n)),
+                        Poly(P[1].field))
+                    for n in range(1, n_max + 1)]
+            pair = build_pair(tag, answer_trunc(n_max), p["a"], p)
+            assert sums == sheffer_transfer_all(pair, n_max), tag
+        assert set(self.BASIS_SUMS) == {t for t in IDENTITY_TAGS if SCHEMAS[t].pair} - {"DAE"}
+
     def test_empty_grid(self):
         assert run_registry([], 4) == []
         assert aggregate_pass([])
@@ -383,3 +424,21 @@ class TestMutation:
             report = verify_identity(tag, params, 3)
             assert report.status == "fail", (name, tag)
             assert report.counterexamples[0].indices[0] == n, (name, tag)
+
+    @pytest.mark.parametrize("tag,params", [T2, T3, T4, R27, T6, P8, T10])
+    @pytest.mark.parametrize("member,bump,n", [("g", [1, 1], 1), ("f", [1, 0, 1], 3)])
+    def test_wrong_pair_fails(self, monkeypatch, tag, params, member, bump, n):
+        # a pair builder whose g is g(1+t) fails the tag's basis at n = 1; one
+        # whose f is f(1+t^2) changes [t^3] f and fails its scalars at n = 3
+        build = SCHEMAS[tag].pair
+
+        def wrong(T, **kw):
+            g, f = build(T, **kw)
+            factor = Series(QQ, bump, trunc=T)
+            return (g * factor, f) if member == "g" else (g, f * factor)
+
+        assert verify_identity(tag, params, 3).status == "pass"
+        monkeypatch.setitem(SCHEMAS, tag, Schema(SCHEMAS[tag].params, wrong))
+        report = verify_identity(tag, params, 3)
+        assert report.status == "fail", (member, tag)
+        assert report.counterexamples[0].indices[0] == n, (member, tag)
