@@ -29,6 +29,19 @@ identities module, which imports this one.
 Frobenius-parameter conventions: ``lam=None`` means the symbolic
 indeterminate (computation over Q(L)); a Fraction value specializes to Q.
 ``lam = 1`` is a pole of every Frobenius denominator and is rejected.
+
+lambda enters every Frobenius pair through g, and g has an exact Stirling
+expansion (Roman, *The Umbral Calculus*, 1984):
+((e^t - lam)/(1 - lam))^a = sum_k C(a, k) (e^t - 1)^k (1 - lam)^(-k), so
+its coefficient g_m = (1/m!) sum_{k <= m} (a)_k S2(m, k) (1 - lam)^(-k),
+the sum stopping at k = a when a >= 0; the Frobenius type
+((e^{(lam-1)t} - lam)/(1 - lam))^a is the same series at (lam - 1)t, with
+coefficient (lam - 1)^m g_m, a polynomial in lam.  ``_fe_g`` and
+``_fte_g`` evaluate that sum over the integer rows k! S2(m, k) with
+integer arithmetic and make one canonical element per coefficient
+(``_frobenius_g``): no series product, inverse or power.  The rows come
+from their own recurrence, not from ``stirling2``, so pair building does
+not depend on the family function the registry checks it against.
 """
 
 from __future__ import annotations
@@ -41,7 +54,9 @@ from .errors import (
     DivisionByZero, DomainError, integer_order, lambda_value, nonnegative_integer,
     nonzero_rational, rational,
 )
-from .fields import QQ, LAMBDA, RatFunc, vec_dot
+from .fields import (
+    LAMBDA, QL, QQ, RatFunc, _element, _slot_width, _unpack, _zlinear_pow, vec_dot,
+)
 from .record import Record
 from .series import (
     Poly,
@@ -109,17 +124,74 @@ def _euler_base(alpha: int, T: int) -> Series:
 
 
 @lru_cache(maxsize=None)
+def _surjections(T: int) -> tuple:
+    """The integer rows k! S2(m, k), k = 0 .. m, for m < T: the number of
+    maps from an m-set onto a k-set, by the recurrence
+    k! S2(m, k) = k ((k-1)! S2(m-1, k-1) + k! S2(m-1, k))."""
+    rows = [(1,)]
+    for m in range(1, T):
+        prev = rows[-1] + (0,)
+        rows.append((0,) + tuple(k * (prev[k - 1] + prev[k]) for k in range(1, m + 1)))
+    return tuple(rows)
+
+
+def _frobenius_g(a: int, lam, T: int, rate: bool) -> Series:
+    """G(t) = ((e^t - lam)/(1 - lam))^a, or G((lam - 1)t) when ``rate``,
+    mod t^T, one canonical element per coefficient.
+
+    With u = lam - 1 and e^t - lam = -u (1 - (e^t - 1)/u), the binomial
+    series gives g_m = (1/m!) sum_{k <= K} c_k u^(-k), where
+    c_k = (-1)^k C(a, k) k! S2(m, k) is an integer and K = min(m, a) for
+    a >= 0 (C(a, k) = 0 above a), else m; G((lam - 1)t) has u^m g_m.  For
+    u = p/q the homogeneous sum H = sum_k c_k q^k p^(K - k) is one integer
+    Horner loop, and g_m = H / (m! p^K), u^m g_m = H p^(m - K) / (m! q^m).
+    Over Q(L) (lam None) the same loop runs at p = 2^s - 1, q = 1, the value
+    of L - 1 at L = 2^s: the balanced base-2^s digits of the result are the
+    integer coefficients in L (``fields._unpack``), for s above every
+    coefficient's size, at most sum_k |c_k| 2^(m - k).  That numerator is
+    put over m! (L - 1)^K (or m!) and normalised once (``fields._element``).
+    No Q(L) product, inverse or power is taken."""
+    lam = lambda_value("lam", lam)
+    K = T - 1 if a < 0 else min(a, T - 1)
+    signed_binoms = [1]  # (-1)^k C(a, k)
+    for k in range(1, K + 1):
+        signed_binoms.append(-signed_binoms[-1] * (a - k + 1) // k)
+    if lam is not None:
+        p, q = (lam - 1).numerator, (lam - 1).denominator
+    coeffs, fact = [], 1
+    for m, row in enumerate(_surjections(T)):
+        km, fact = min(m, K), fact * max(m, 1)
+        c = [b * r for b, r in zip(signed_binoms, row)]
+        if lam is None:
+            s = _slot_width(sum(abs(v) << (m - k) for k, v in enumerate(c)))
+            p, q = (1 << s) - 1, 1
+        h, qk = 0, 1
+        for v in c:
+            h, qk = h * p + v * qk, qk * q
+        if rate:
+            h *= p ** (m - km)
+        if lam is None:
+            den = (1,) if rate else _zlinear_pow(-1, 1, km)
+            coeffs.append(_element(QL, _unpack(h, s), fact, den))
+        else:
+            coeffs.append(Fraction(h, fact * (q**m if rate else p**km)))
+    return Series(QL if lam is None else QQ, coeffs)
+
+
+@lru_cache(maxsize=None)
 def _fe_g(a: int, lam, T: int) -> Series:
-    """((e^t - lam)/(1 - lam))^a over Q(L) (lam None) or Q."""
-    lam_el = _lam_element(lam)
-    return ((exp_ct(QQ, 1, T) - lam_el) * (1 / (1 - lam_el))).pow_int(a)
+    """((e^t - lam)/(1 - lam))^a over Q(L) (lam None) or Q: coefficient m is
+    g_m = (1/m!) sum_{k <= m} (a)_k S2(m, k) (1 - lam)^(-k)
+    (``_frobenius_g``)."""
+    return _frobenius_g(a, lam, T, False)
 
 
 @lru_cache(maxsize=None)
 def _fte_g(a: int, lam, T: int) -> Series:
-    """((e^{(lam-1)t} - lam)/(1 - lam))^a over Q(L) or Q."""
-    lam_el = _lam_element(lam)
-    return ((exp_ct(QQ, lam_el - 1, T) - lam_el) * (1 / (1 - lam_el))).pow_int(a)
+    """((e^{(lam-1)t} - lam)/(1 - lam))^a over Q(L) or Q: the series of
+    ``_fe_g`` at (lam - 1)t, so coefficient m is (lam - 1)^m g_m, a
+    polynomial in lam (``_frobenius_g``)."""
+    return _frobenius_g(a, lam, T, True)
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +323,21 @@ def poisson_charlier(n: int, a, x_eval=None):
     n, a = nonnegative_integer("n_max", n), rational("a", a)
     if not a:
         raise DivisionByZero("Poisson-Charlier parameter a must be nonzero")
-    c = [comb(n, k) * (-1) ** (n - k) * a ** (-k) for k in range(n + 1)]
+
+    def c(k):
+        return comb(n, k) * (-1) ** (n - k) * a ** (-k)
+
     if x_eval is None:
-        return _falling_sum(c)
-    # the same sum at x, with (x)_k as a running product
+        return _falling_sum([c(k) for k in range(n + 1)])
+    # the same sum at x, with (x)_k as a running product: once it is 0 (x a
+    # nonnegative integer below n), so is every later term
     x = rational("x_eval", x_eval)
     value = Fraction(0)
     falling = Fraction(1)
-    for k, ck in enumerate(c):
-        value += ck * falling
+    for k in range(n + 1):
+        if not falling:
+            break
+        value += c(k) * falling
         falling *= x - k
     return value
 

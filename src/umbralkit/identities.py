@@ -251,9 +251,14 @@ def _s2_over_binom(n, l):
 def _t3_coef(p, n, k):
     # sum_{l+j=k} C(k, l) S2(l+n, n)/C(l+n, n) c^(n+l) (-nb)^j, the double
     # sum over (l, j) folded by C(n-1, l) C(n-1-l, j) = C(n-1, k) C(k, l)
+    # l runs down, so both powers are running products: c is nonzero, b may be 0
     b, c = p["b"], p["c"]
-    return sum(binom(k, l) * _s2_over_binom(n, l) * c ** (n + l) * (-n * b) ** (k - l)
-               for l in range(k + 1))
+    total, c_pow, nb_pow = Fraction(0), c ** (n + k), Fraction(1)
+    for l in range(k, -1, -1):
+        total += binom(k, l) * _s2_over_binom(n, l) * c_pow * nb_pow
+        c_pow /= c
+        nb_pow *= -n * b
+    return total
 
 
 def _t9_rhs(p, n, l):

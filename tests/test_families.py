@@ -50,6 +50,7 @@ from umbralkit import (
     t_series,
     working_trunc,
 )
+from umbralkit.families import _fe_g, _fte_g
 from umbralkit.fields import LAMBDA, RatFunc
 
 
@@ -325,6 +326,39 @@ class TestSeriesAndProductOracles:
               * one_plus_t_pow(QQ, x, self.N + 1))
         for n in range(self.N + 1):
             assert bernoulli_2nd(n, x) == factorial(n) * gf.coeffs[n]
+
+
+class TestFrobeniusBuilders:
+    """The Frobenius g's are built from integer Stirling rows; the series
+    arithmetic they were built by before is the oracle here."""
+
+    ORDERS = range(-2, 3)
+    TRUNCS = (1, 2, 13, 24)
+    LAMS = (F(-1), F(0), F(1, 2), F(3))
+
+    @staticmethod
+    def _by_series(a, lam, T, rate):
+        # ((e^{ct} - lam)/(1 - lam))^a with c = 1, or c = lam - 1 when rate
+        lam_el = LAMBDA if lam is None else lam
+        e = exp_ct(QQ, lam_el - 1 if rate else 1, T)
+        return ((e - lam_el) * (1 / (1 - lam_el))).pow_int(a)
+
+    @pytest.mark.parametrize("lam", (None,) + LAMS, ids=["L", "-1", "0", "1/2", "3"])
+    @pytest.mark.parametrize("builder,rate", [(_fe_g, False), (_fte_g, True)],
+                             ids=["frobenius_euler", "frobenius_eulerian"])
+    def test_matches_series_arithmetic(self, builder, rate, lam):
+        for a in self.ORDERS:
+            for T in self.TRUNCS:
+                assert builder(a, lam, T) == self._by_series(a, lam, T, rate), (a, T)
+
+    @pytest.mark.parametrize("builder", [_fe_g, _fte_g], ids=["frobenius_euler", "frobenius_eulerian"])
+    def test_symbolic_specialises_to_rational(self, builder):
+        for a in self.ORDERS:
+            for T in self.TRUNCS:
+                sym = builder(a, None, T)
+                for lam0 in self.LAMS:
+                    spec = builder(a, lam0, T)
+                    assert [c.evaluate(lam0) for c in sym.coeffs] == list(spec.coeffs), (a, T, lam0)
 
 
 class TestHelpers:
