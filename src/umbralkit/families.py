@@ -13,6 +13,14 @@ sum_m c_m (x)_m over the same rows (``_falling_sum``).  ``narumi_value``,
 ``bernoulli_number`` and ``bernoulli_2nd`` (Narumi's order -1) are series
 coefficients too.
 
+Each generating series is built in one place and read under every name it
+has (Roman, *The Umbral Calculus*, 1984).  The Euler polynomials of order a
+are the Frobenius-Euler polynomials at lam = -1, E_n^(a)(x) = H_n^(a)(x|-1),
+so ``euler_poly`` and the Euler and T4 pairs read ``_fe_g`` at lam = -1.
+t/log(1+t) is Narumi's base at order -1, ``_narumi_base(-1, T)``: the
+second-kind Bernoulli values, the T4 and P8 pairs and the identities'
+b2 convolution read it there.
+
 The family functions (``bernoulli_poly`` .. ``bernoulli_2nd``) are
 deliberately independent of the umbral operator engine, so the identity
 registry can use them as one side of a genuine cross-check.
@@ -115,12 +123,6 @@ def _bern_base(a: int, T: int) -> Series:
     """((e^t - 1)/t)^a over Q."""
     base = (exp_ct(QQ, 1, T + 1) - 1).shift_div(1)
     return base.pow_int(a).truncate(T)
-
-
-def _euler_base(alpha: int, T: int) -> Series:
-    """((e^t + 1)/2)^alpha over Q."""
-    base = (exp_ct(QQ, 1, T) + 1) * Fraction(1, 2)
-    return base.pow_int(alpha)
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +251,7 @@ def bernoulli_number(a: int, n: int) -> Fraction:
 def euler_poly(alpha: int, n: int) -> Poly:
     """Euler polynomial of order alpha, degree n, over Q."""
     n = nonnegative_integer("n_max", n)
-    return _appell_poly(_euler_base(-integer_order("alpha", alpha), n + 1), n)
+    return _appell_poly(_fe_g(-integer_order("alpha", alpha), Fraction(-1), n + 1), n)
 
 
 def frobenius_euler_poly(a: int, n: int, lam=None) -> Poly:
@@ -363,7 +365,7 @@ def _bernoulli_pair(T, a):
 
 
 def _euler_pair(T, a):
-    return _euler_base(a, T), t_series(QQ, T)
+    return _fe_g(a, Fraction(-1), T), t_series(QQ, T)
 
 
 def _frobenius_euler_pair(T, a, lam):
@@ -403,7 +405,7 @@ def _t3_pair(T, a, b, c):
 
 
 def _t4_pair(T, a):
-    return _euler_base(a, T), log1p_series(QQ, T).shift_div(1).inverse().mul_t(1)
+    return _fe_g(a, Fraction(-1), T), _narumi_base(-1, T - 1).mul_t(1)
 
 
 def _r27_pair(T, a):
@@ -415,8 +417,7 @@ def _t6_pair(T, a, c, lam):
 
 
 def _p8_pair(T, a, c, lam):
-    base = log1p_series(QQ, T).shift_div(1).inverse()
-    return _fte_g(a, lam, T), (base * one_plus_t_pow(QQ, c, T - 1)).mul_t(1)
+    return _fte_g(a, lam, T), (_narumi_base(-1, T - 1) * one_plus_t_pow(QQ, c, T - 1)).mul_t(1)
 
 
 def _t10_pair(T, a, b, c, lam, m):
@@ -431,7 +432,8 @@ def _t10_pair(T, a, b, c, lam, m):
 
 class Param(Record):
     """One parameter: its name, its domain, and the value taken when it is
-    not given (None: the domain decides)."""
+    not given (None: it must be given, except lambda, where None is the
+    symbol L)."""
 
     name: str
     domain: object
@@ -490,9 +492,11 @@ def check_params(name: str, params: dict) -> dict:
         raise DomainError(f"{name} does not take parameter(s) {sorted(unknown)}")
     out = {}
     for q in schema.params:
-        v = params.get(q.name)
+        v = q.default if params.get(q.name) is None else params[q.name]
         try:
-            out[q.name] = q.domain(q.name, q.default if v is None else v)
+            if v is None and q is not LAM:
+                raise DomainError(f"{q.name} must be given")
+            out[q.name] = q.domain(q.name, v)
         except DomainError as exc:
             raise type(exc)(f"{name}: {exc}") from None
     return out

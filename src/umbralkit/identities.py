@@ -9,14 +9,15 @@ compared in exact arithmetic:
 * the right route evaluates an explicit finite sum over family values.
 
 The right route never calls the umbral engine.  Its Stirling numbers and
-falling factorials are integer definitions that read no series; its
-Bernoulli, Euler, Frobenius-type and Narumi values are coefficients of
-truncated series, so those checks share the series primitives (products,
-``pow_int``, ``inverse``) with the left route and nothing else.  Agreement
-is a genuine cross-check.  Failures are reported with exact
-counterexamples; a known misprint is arbitrated by a brute-force oracle and
-reported as ``paper_discrepancy`` carrying both the failing as-printed form
-and the passing corrected form.
+falling factorials are integer definitions that read no series; its Euler
+and Frobenius-type values come from integer Stirling rows
+(``families._frobenius_g``); its Bernoulli and Narumi values are
+coefficients of truncated series, so those checks share the series
+primitives (products, ``pow_int``, ``inverse``) with the left route and
+nothing else.  Agreement is a genuine cross-check.  Failures are reported
+with exact counterexamples; a known misprint is arbitrated by a brute-force
+oracle and reported as ``paper_discrepancy`` carrying both the failing
+as-printed form and the passing corrected form.
 
 Most checks take one of two forms, each built by one helper:
 
@@ -49,13 +50,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .errors import _SYMBOLIC, DomainError, UnknownIdentity, nonnegative_integer, rational
 from .families import (
     SCHEMAS,
     _lam_element,
+    _narumi_base,
     bernoulli_2nd,
     bernoulli_number,
     bernoulli_poly,
@@ -142,20 +143,12 @@ def _compare(triples):
     return ("fail" if ces else "pass"), ces, ""
 
 
-@lru_cache(maxsize=None)
-def _b2_powers(c, n_max: int, T: int):
-    """(t(1+t)^c / log(1+t))^n for n = 0..n_max, all truncated at T."""
-    u = log1p_series(QQ, T + 1).shift_div(1).inverse() * one_plus_t_pow(QQ, c, T)
-    return tuple(u.powers(n_max))
-
-
 def b2_convolution(n: int, l: int, c) -> Fraction:
     """l! [t^l] (t(1+t)^c / log(1+t))^n — the n-fold convolution route,
     stated for n >= 1 factors and l >= 0."""
-    n, l = nonnegative_integer("n", n, 1), nonnegative_integer("l", l)
-    c = rational("c", c)
-    series_n = _b2_powers(c, n, l + 1)[n]
-    return factorial(l) * series_n.coeffs[l]
+    n, l, c = nonnegative_integer("n", n, 1), nonnegative_integer("l", l), rational("c", c)
+    u = _narumi_base(-1, l + 1) * one_plus_t_pow(QQ, c, l + 1)
+    return factorial(l) * u.pow_int(n).coeffs[l]
 
 
 def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:

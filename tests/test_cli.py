@@ -188,9 +188,10 @@ class TestFamily:
         rows = json.loads(out)
         assert rows[1] == ["(1)/(L - 1)", "1"]  # S_1 = H_1(x|L)
 
-    def test_registry_pair_requires_params(self):
+    def test_registry_pair_requires_params(self, capsys):
         code, _ = run_cli("family", "T10", "--n", "2")
         assert code == 2
+        assert capsys.readouterr().err == "error: T10: m must be given\n"
 
     def test_pair_flags_rejected_for_plain_families(self):
         code, _ = run_cli("family", "bernoulli", "--n", "2", "--b", "1")

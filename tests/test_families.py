@@ -98,6 +98,17 @@ class TestFrobeniusEuler:
         for n in range(6):
             assert frobenius_euler_poly(2, n, F(-1)) == euler_poly(2, n)
 
+    @pytest.mark.parametrize("a", [-2, -1, 0, 1, 2, 3])
+    def test_euler_against_its_generating_function(self, a):
+        # euler_poly reads the Frobenius-Euler g at lam = -1, so the oracle is
+        # n! [t^n] ((e^t + 1)/2)^(-a) e^(xt), built here: its x^j coefficient
+        # is n!/j! [t^(n-j)] ((e^t + 1)/2)^(-a)
+        n_max = 12
+        factor = ((exp_ct(QQ, 1, n_max + 1) + 1) * F(1, 2)).pow_int(-a)
+        for n in range(n_max + 1):
+            expected = [F(factorial(n), factorial(j)) * factor.coeffs[n - j] for j in range(n + 1)]
+            assert euler_poly(a, n) == Poly(QQ, expected)
+
     def test_rational_matches_symbolic(self):
         # evaluation is a homomorphism: specialize the symbolic answer
         for lam0 in (F(-1), F(2), F(1, 2)):

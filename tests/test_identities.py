@@ -114,6 +114,17 @@ class TestConvolutionOracles:
                         n, l, c
                     )
 
+    def test_series_builds_no_power_table(self, monkeypatch):
+        # one power of one series per (n, l): a table of powers is not needed
+        def no_table(self, n):
+            raise AssertionError("b2_convolution built a power table")
+
+        monkeypatch.setattr(Series, "_power_rows", no_table)
+        for c in (F(1), F(-2), F(1, 2), F(0)):
+            for n in range(1, 6):
+                for l in range(6):
+                    assert b2_convolution(n, l, c) == b2_convolution_enumerated(n, l, c)
+
     def test_matches_bernoulli_route(self):
         c = F(1)
         assert b2_convolution(1, 1, c) == bernoulli_value(1, 1, c + 1) == F(3, 2)
@@ -346,6 +357,16 @@ class TestTable:
         assert check_params("T3", {"a": 1, "c": 1})["b"] == 0  # the pair's default
         with pytest.raises(DomainError):
             check_params("T10", {"a": 1, "b": 1, "c": 1})  # m has no default
+
+    def test_missing_parameter_is_named(self):
+        # a parameter with no default that is not given is named as missing;
+        # lam not given is the symbol L
+        for params in ({"b": 1, "c": 1}, {"b": 1, "c": 1, "m": None}):
+            with pytest.raises(DomainError, match=r"^T10: m must be given$"):
+                verify_identity("T10", params)
+        with pytest.raises(DomainError, match=r"^T10: m must be given$"):
+            check_params("T10", {})
+        assert check_params("T10", {"m": 1})["lam"] is None
 
     def test_verify_defaults(self):
         # a parameter not given to verify_identity takes its table default
