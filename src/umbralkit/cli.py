@@ -18,7 +18,7 @@ import sys
 from . import __version__
 from .dsl import eval_expr, parse_expr
 from .errors import DomainError, ParseError, UmbralError, UnknownIdentity, integer_order
-from .families import SCHEMAS, family_polys
+from .families import MAX_PAIR_TRUNC, SCHEMAS, family_polys
 from .fields import format_terms
 from .identities import IDENTITY_TAGS, aggregate_pass, default_grid, run_registry
 from .series import Poly, working_trunc
@@ -103,9 +103,18 @@ def _emit_rows(polys, fmt, out) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_size(flag: str, value: int, least: int, most: int) -> None:
+    """A DomainError that names the flag unless least <= value <= most.
+    ``most`` is the largest value whose truncations the command can build,
+    so a larger one is refused before anything is allocated."""
+    if value < least:
+        raise DomainError(f"{flag} must be >= {least}")
+    if value > most:
+        raise DomainError(f"{flag} must be <= {most}, got {value}")
+
+
 def _cmd_expand(args, out) -> int:
-    if args.order < 1:
-        raise DomainError("--order must be >= 1")
+    _check_size("--order", args.order, 1, sys.maxsize)  # the truncation itself
     series = eval_expr(parse_expr(args.expr), args.order, lam=args.lam)
     if args.format == "json":
         out.write(json.dumps(series.coeff_texts()) + "\n")
@@ -131,8 +140,7 @@ def family_flags(name: str) -> list[str]:
 
 
 def _cmd_family(args, out) -> int:
-    if args.n < 0:
-        raise DomainError("--n must be >= 0")
+    _check_size("--n", args.n, 0, MAX_PAIR_TRUNC - 1)  # the pair's T is n + 1
     given = {dest: v for dest, v in vars(args).items() if dest in _FAMILY_FLAGS}
     takes = family_flags(args.name)
     for dest in given:
@@ -144,8 +152,7 @@ def _cmd_family(args, out) -> int:
 
 
 def _cmd_sheffer(args, out) -> int:
-    if args.n < 1:
-        raise DomainError("--n must be >= 1")
+    _check_size("--n", args.n, 1, (sys.maxsize - 2) // 2)  # working_trunc(n) = 2n + 2
     asts = [parse_expr(args.g), parse_expr(args.f)]
     # room for the orders that DSL divisions consume
     T = working_trunc(args.n)
@@ -169,8 +176,7 @@ def _cmd_sheffer(args, out) -> int:
 def _cmd_verify(args, out) -> int:
     if (args.id is None) != args.all:
         raise DomainError("verify needs exactly one of an identity tag and --all")
-    if args.n_max < 1:
-        raise DomainError("--n-max must be >= 1")
+    _check_size("--n-max", args.n_max, 1, MAX_PAIR_TRUNC - 1)  # a pair's T is n_max + 1
     grid = default_grid()
     if args.id is not None:
         if args.id not in IDENTITY_TAGS:

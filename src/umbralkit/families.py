@@ -54,6 +54,7 @@ not depend on the family function the registry checks it against.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -502,16 +503,23 @@ def check_params(name: str, params: dict) -> dict:
     return out
 
 
+# the largest T build_pair takes: its builders run at T + 2, and a
+# truncation is at most sys.maxsize (``Series``)
+MAX_PAIR_TRUNC = sys.maxsize - 2
+
+
 def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
     """The Sheffer pair of a registry name truncated at T.  ``order`` fills
     the integer-order parameter ``a`` if the name takes one.  A DomainError
-    for an ``a`` in ``params`` that disagrees with ``order``, for an order
-    other than 1 given to a name that takes none, and for a name in
-    ``params`` that the name does not take (``check_params``)."""
+    for a T above ``MAX_PAIR_TRUNC``, before any coefficient is made, for an
+    ``a`` in ``params`` that disagrees with ``order``, for an order other
+    than 1 given to a name that takes none, and for a name in ``params``
+    that the name does not take (``check_params``)."""
     schema = SCHEMAS.get(name)
     if schema is None or schema.pair is None:
         raise DomainError(f"no Sheffer pair named {name!r}")
-    integer_order("T", T)
+    if integer_order("T", T) > MAX_PAIR_TRUNC:
+        raise DomainError(f"T must be <= {MAX_PAIR_TRUNC}, got {T}")
     if ORDER in schema.params:
         if params.get("a", order) != order:
             raise DomainError(f"{name}: a = {params['a']} disagrees with order {order}")

@@ -86,14 +86,15 @@ polynomial divisible by the cofactor of the entries it skips, so each
 packed sum is divided by its packed cofactor as one integer, with
 Mignotte's factor bound added to the slot so the quotient unpacks exactly.
 It serves the coefficients of g(fbar) for a g over Q(L) and fbar over Q
-(``Series.compose``), the y^j coefficients of the GF route (fbar^j against
-1/g(fbar)), the x^j coefficients of the transfer route ((t/f)^n against
-1/g) and ``umbral.operator_apply``.  The integer columns are rows of the
+(``Series._compose_rows``), the y^j coefficients of the GF route (fbar^j
+against 1/g(fbar)), the x^j coefficients of the transfer route ((t/f)^n
+against 1/g) and ``umbral.operator_apply``.  The integer columns are rows of the
 power table ``Series._power_rows`` over Q (s^k as an integer row over its
 own reduced denominator, one ``_zmul`` per power), and ``Series.revert``
 solves over the same rows.  No consumer builds a ``Fraction`` per table
 entry.  The orthogonality check reads no power table: it lays out g, f
-and each S_n once and packs the sums of Sheffer's two conditions.
+and each S_n once and packs the sums of Sheffer's two conditions, each
+from the entries of g and f that its S_n reaches.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -303,24 +304,15 @@ def _zmul(a, b, n=None):
     return tuple(out)
 
 
-def _zcontent(a) -> int:
-    g = 0
-    for v in a:
-        g = _int_gcd(g, v if v >= 0 else -v)
-        if g == 1:
-            break
-    return g
-
-
 def _zprimitive(a):
     """(content, primitive part with positive leading coefficient)."""
     if not a:
         return 0, ()
-    g = _zcontent(a)
+    g = _int_gcd(*a)
     if a[-1] < 0:
         g = -g
     if g != 1:
-        return g, tuple(v // g for v in a)
+        return g, tuple([v // g for v in a])
     return g, tuple(a)
 
 
@@ -825,7 +817,7 @@ class _Layout:
     each entry i, the lcm dens[i] of the denominators of the entries up to
     i and cofactors[i] = den / dens[i], which divides the numerators of all
     those entries.  ``height`` bounds the numerators' coefficients and
-    ``length`` their lengths; ``packed(s)`` is num at 2^s."""
+    ``length`` their lengths; ``packed(s, k)`` is num[:k] at 2^s."""
 
     __slots__ = ("num", "q", "den", "dens", "cofactors", "height", "length")
 
@@ -834,9 +826,10 @@ class _Layout:
         self.height = max(map(abs, chain.from_iterable(num)), default=0)
         self.length = max(map(len, num), default=0)
 
-    def packed(self, s: int) -> list:
-        """[num[i] at 2^s], packed afresh at each call."""
-        return [_pack(t, s) for t in self.num]
+    def packed(self, s: int, k: int | None = None) -> list:
+        """[num[i] at 2^s for i < k], every i when k is None, packed afresh
+        at each call."""
+        return [_pack(t, s) for t in self.num[:k]]
 
 
 def _lay_out(c, w=None) -> _Layout:
@@ -848,16 +841,19 @@ def _lay_out(c, w=None) -> _Layout:
     if w is not None:
         ks = [k * x for k, x in zip(ks, w)]
     den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
+    # a unit cofactor, as most are, skips its product
     for i, (_, n, d) in enumerate(parts):
         den, steps[i], md = _lcm_cofactors(den, d)
-        dens[i], own[i] = den, _zmul(n, md)
+        dens[i], own[i] = den, n if md == _Z_ONE else _zmul(n, md)
     # entry i is own[i] / dens[i]; the lcm steps after it bring it onto den
     num, cofactors, cof = [()] * len(c), [_Z_ONE] * len(c), _Z_ONE
     for i in range(len(c) - 1, -1, -1):
         cofactors[i] = cof
         if own[i]:
-            num[i] = tuple(ks[i] * a for a in _zmul(own[i], cof))
-        cof = _zmul(cof, steps[i])
+            t = own[i] if cof == _Z_ONE else _zmul(own[i], cof)
+            num[i] = tuple([ks[i] * a for a in t])
+        if steps[i] != _Z_ONE:
+            cof = _zmul(cof, steps[i])
     return _Layout(num, q, den, dens, cofactors)
 
 

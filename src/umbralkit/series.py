@@ -17,11 +17,21 @@ Over Q, s^k is an integer row over its own denominator dens[k]: the row
 before it times the integer numerators of s (``fields._zmul``), reduced by
 the gcd of the row and its denominator, so the integers stay the size of
 s^k's coefficients in lowest terms.  The public ``powers`` makes canonical
-Fractions of the rows; ``compose`` (a prefix sum of the outer series per
-coefficient, packed over the outer's layout when the inner series is over
-Q), ``revert`` and the Sheffer routes of :mod:`umbralkit.umbral` read the
-integer rows themselves.  Over Q(L) the rows are the plain products and
-every dens[k] is 1.
+Fractions of the rows; the rest read the integer rows themselves.  Each
+table is built once per operation and passed down, never cached:
+``compose`` and the reversion's round trip share one body,
+``_compose_rows`` (a prefix sum of the outer series per coefficient, packed
+over the outer's layout when the inner series is over Q), which reads the
+table its caller gives it.  ``_revert_rows`` solves for fbar over the rows
+of s, builds fbar's table, checks the round trip s(fbar) = t over it and
+returns it with fbar; ``revert`` is that body, and the GF route of
+:mod:`umbralkit.umbral` reads the same checked table for g(fbar) and its
+columns.  Over Q(L) the rows are the plain products and every dens[k] is 1.
+
+The kernels' outputs (products, inverses, compositions, reversions,
+shifts, exp, log, and the S_n of the Sheffer routes) are made in their
+field already, so ``CoeffVector._raw`` stores them without the
+per-coefficient ``coerce`` of the public constructors.
 
 Q is a subfield of Q(L), so a sum, difference, product or composition of
 one operand over Q and one over Q(L) is over Q(L), in either order
@@ -80,6 +90,16 @@ class CoeffVector:
     """A field and a tuple of its elements: what Series and Poly share."""
 
     __slots__ = ("field", "coeffs")
+
+    @classmethod
+    def _raw(cls, field, coeffs: tuple):
+        """A vector from a tuple of elements of ``field``, taken as it is
+        (nonempty for a Series, no trailing zero for a Poly): for the
+        kernels' outputs, whose entries are made in their field, in the
+        idiom of ``RatFunc._raw``."""
+        obj = object.__new__(cls)
+        obj.field, obj.coeffs = field, coeffs
+        return obj
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -196,7 +216,7 @@ class Series(CoeffVector):
             return Series(field, [a * c for a in self.coeffs])
         T = min(self.trunc, other.trunc)
         field = common_field(self.field, other.field)
-        return Series(field, vec_mul(self.coeffs, other.coeffs, field.zero, T))
+        return Series._raw(field, vec_mul(self.coeffs, other.coeffs, field.zero, T))
 
     __rmul__ = __mul__
 
@@ -229,16 +249,21 @@ class Series(CoeffVector):
     # ------------------------------------------------------------- operations
 
     def inverse(self) -> "Series":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        a = self.coeffs
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Coefficient k is -(1/a_0) sum_{i=1..k} a_i out[k - i], one
+        ``vec_dot``; for a_0 = 1, as for every pair's g and for g(fbar), the
+        sum is only negated."""
+        a, zero = self.coeffs, self.field.zero
         if not a[0]:
             raise NotInvertible("series has zero constant term")
-        T = self.trunc
         inv0 = self.field.one / a[0]
+        unit = inv0 == self.field.one
         out = [inv0]
-        for k in range(1, T):
-            out.append(-inv0 * vec_dot(a[1 : k + 1], out[::-1], self.field.zero))
-        return Series(self.field, out)
+        for k in range(1, self.trunc):
+            dot = vec_dot(a[1 : k + 1], out[::-1], zero)
+            out.append(-dot if unit else -inv0 * dot)
+        return Series._raw(self.field, tuple(out))
 
     def shift_div(self, k: int) -> "Series":
         """Exact division by t^k; truncation drops by k."""
@@ -248,7 +273,7 @@ class Series(CoeffVector):
             raise OrderTooLow(f"order {self.order()} < shift {k}")
         if self.trunc <= k:
             raise OrderTooLow("truncation too short for the requested shift")
-        return Series(self.field, self.coeffs[k:])
+        return Series._raw(self.field, self.coeffs[k:])
 
     def mul_t(self, k: int = 1) -> "Series":
         """Multiply by t^k, keeping the truncation order."""
@@ -310,30 +335,51 @@ class Series(CoeffVector):
         return [Series(QQ, [Fraction(c, e) for c in row]) for e, row in zip(dens, rows)]
 
     def compose(self, inner: "Series") -> "Series":
-        """outer(inner(t)); inner must have order >= 1.
-
-        With inner^k = rows[k] / dens[k] (``_power_rows``) and E_m the lcm
-        of dens[0 .. m], [t^m] outer(inner) =
-        sum_{k <= m} outer[k] rows[k][m] (E_m / dens[k]) / E_m, one prefix
-        sum of outer per coefficient (``fields._prefix_sums``): packed over
-        the layout of outer for an inner series over Q."""
+        """outer(inner(t)); inner must have order >= 1: ``_compose_rows``
+        over the power table of inner cut to the shorter truncation."""
         if inner.order() == 0:
             raise CompositionOrder("inner series has a nonzero constant term")
         T = min(self.trunc, inner.trunc)
-        dens, rows = inner.truncate(T)._power_rows(T - 1)
-        E = list(accumulate(dens, lcm))
+        return self._compose_rows(inner, inner.truncate(T)._power_rows(T - 1))
+
+    def _compose_rows(self, inner: "Series", table) -> "Series":
+        """outer(inner(t)) from inner's power table ``(dens, rows)``
+        (``_power_rows``), which holds inner^k for every k < T, T the
+        shorter truncation.
+
+        With inner^k = rows[k] / dens[k] and E_m the lcm of dens[0 .. m],
+        [t^m] outer(inner) = sum_{k <= m} outer[k] rows[k][m] (E_m / dens[k])
+        / E_m, one prefix sum of outer per coefficient
+        (``fields._prefix_sums``): packed over the layout of outer for an
+        inner series over Q.  The table is read as given, unchecked: the
+        round trip of ``_revert_rows`` is what checks fbar's."""
+        T = min(self.trunc, inner.trunc)
+        dens, rows = table
+        E = list(accumulate(dens[:T], lcm))
         cols = [[rows[k][m] * (E[m] // dens[k]) for k in range(m + 1)] for m in range(T)]
         field = common_field(self.field, inner.field)
-        return Series(field, _prefix_sums(self.coeffs[:T], cols, E, field))
+        return Series._raw(field, tuple(_prefix_sums(self.coeffs[:T], cols, E, field)))
 
     def revert(self) -> "Series":
-        """Compositional inverse of a delta series: with s^k = rows[k] / dens[k]
-        (``_power_rows``) and E_m the lcm of dens[0 .. m], coefficient m
-        solves sum_k c_k rows[k][m] (E_m / dens[k]) = [m == 1] E_m,
-        triangular since rows[k] has order k; one ``vec_dot`` with those
-        integer weights, over the integer rows.
+        """Compositional inverse of a delta series, checked by its round trip
+        (``_revert_rows``)."""
+        return self._revert_rows()[0]
 
-        The compose round-trip is checked before returning.
+    def _revert_rows(self):
+        """(fbar, fbar's power table ``_power_rows(T - 1)``) for the
+        compositional inverse fbar of this delta series, T its truncation.
+
+        With s^k = rows[k] / dens[k] (this series' table) and E_m the lcm of
+        dens[0 .. m], coefficient m of fbar solves
+        sum_k c_k rows[k][m] (E_m / dens[k]) = [m == 1] E_m, triangular
+        since rows[k] has order k; one ``vec_dot`` with those integer
+        weights, over the integer rows.
+
+        Before returning, the round trip s(fbar) = t is checked over fbar's
+        table (``_compose_rows``), and that same table is returned: the
+        Sheffer GF route (``umbral.sheffer_gf``) reads it for g(fbar) and its
+        columns, so it builds no other table of fbar and reads none that
+        the round trip did not check.
         """
         T = self.trunc
         if T < 2:
@@ -348,10 +394,11 @@ class Series(CoeffVector):
             w = [E[m] // e for e in dens[1 : m + 1]]
             acc = vec_dot(c[1:m], [rows[k][m] for k in range(1, m)], zero, w)
             c[m] = ((self.field.coerce(E[m]) if m == 1 else zero) - acc) / (w[-1] * rows[m][m])
-        out = Series(self.field, c)
-        if not self.compose(out).agrees(t_series(self.field, T)):
+        out = Series._raw(self.field, tuple(c))
+        table = out._power_rows(T - 1)
+        if not self._compose_rows(out, table).agrees(t_series(self.field, T)):
             raise NotDelta("reversion failed its round-trip check")
-        return out
+        return out, table
 
     def exp(self) -> "Series":
         """exp(f) for f of order >= 1 (or the zero series)."""
@@ -363,7 +410,7 @@ class Series(CoeffVector):
         for k in range(1, T):
             js = range(1, k + 1)
             out.append(vec_dot(self.coeffs[1 : k + 1], out[::-1], self.field.zero, js) / k)
-        return Series(self.field, out)
+        return Series._raw(self.field, tuple(out))
 
     def log(self) -> "Series":
         """log(f) for f with constant term exactly 1."""
@@ -376,7 +423,7 @@ class Series(CoeffVector):
         out = [self.field.zero] * T
         for k in range(1, T):
             out[k] = quot.coeffs[k - 1] / k
-        return Series(self.field, out)
+        return Series._raw(self.field, tuple(out))
 
     def pow_field(self, c) -> "Series":
         """u^c for a field-element exponent; u must have constant term 1.  A

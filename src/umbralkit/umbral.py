@@ -43,7 +43,9 @@ The power tables over Q are read as integer rows, each over its own
 reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
 never as Fractions: the columns of both routes are integers made from those
 rows, over dens[k] times a factorial, packed against the prefix layout of
-1/g(fbar) or 1/g (as g(fbar) is inside ``compose``).
+1/g(fbar) or 1/g (as g(fbar) is inside ``Series._compose_rows``).  The GF
+route builds one table of fbar, the one the reversion's round trip checks,
+and the transfer route one of t/f.
 
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
@@ -63,7 +65,7 @@ from .errors import (
 )
 from .fields import (
     QQ, _common_den, _dot_bound, _lay_out, _pack, _prefix_sums, _slot_width, _zmul,
-    common_field, vec_dot,
+    common_field, vec_dot, vec_trim,
 )
 from .record import Record
 from .series import Poly, Series, _over_q
@@ -176,11 +178,15 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     with fbar^j = rows[j] / dens[j], the sum over i <= n - j of
     (n!/j!) rows[j][n - i] * ginv[i] / dens[j], one prefix sum of 1/g(fbar)
     (``fields._prefix_sums``), packed when fbar is over Q.
+
+    The power table of fbar is built once, by the reversion
+    (``Series._revert_rows``), whose round trip f(fbar) = t checks it; the
+    same table gives g(fbar) (``Series._compose_rows``) and the columns.
     """
     pair = _cut(pair, n_max)
-    fbar = pair.f.revert()
-    row_dens, rows = fbar._power_rows(n_max)
-    ginv = pair.g.compose(fbar).inverse().coeffs
+    fbar, table = pair.f._revert_rows()
+    ginv = pair.g._compose_rows(fbar, table).inverse().coeffs
+    row_dens, rows = table
     fact = _factorials(n_max + 1)
     cols, dens = [], []
     for n in range(n_max + 1):
@@ -189,7 +195,7 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
             cols.append([fact[n] // fact[j] * rows[j][n - i] for i in range(n - j + 1)])
             dens.append(row_dens[j])
     values = _prefix_sums(ginv, cols, dens, pair.field)
-    return [Poly(pair.field, values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2])
+    return [Poly._raw(pair.field, vec_trim(values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]))
             for n in range(n_max + 1)]
 
 
@@ -221,7 +227,8 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
             dens.append(fact[j] * row_dens[n])
     values = _prefix_sums(ginv, cols, dens, pair.field)
     # S_n takes the n + 1 values after the 2 + 3 + .. + n of S_1 .. S_{n-1}
-    return [Poly(pair.field, values[n * (n + 1) // 2 - 1 : (n + 1) * (n + 2) // 2 - 1])
+    return [Poly._raw(pair.field,
+                      vec_trim(values[n * (n + 1) // 2 - 1 : (n + 1) * (n + 2) // 2 - 1]))
             for n in range(1, n_max + 1)]
 
 
@@ -245,7 +252,9 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     n P'_j / (j! q' D').  Each condition is then an equality of integer
     polynomials, each side multiplied by the other side's q D, which their
     packed integers decide at one slot per n that holds both sides; no sum
-    is normalised.
+    is normalised.  Condition n reads g and f only through t^(deg S_n), so
+    only their first deg S_n + 1 entries are packed at that slot; the slot
+    width still bounds the products over the whole layouts of g and f.
 
     A list that first fails a condition at S_N is read by the definition:
     the chain of products g f^k, each applied to S_N .. S_{n_max} in turn,
@@ -272,9 +281,11 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
         right = [n * fl.q * pl.q * c for c in _zmul(fl.den, pl.den)]
         s = _slot_width(max([_dot_bound(gl, pl), _dot_bound(fl, pl) * sum(map(abs, left)),
                              prev.height * sum(map(abs, right))] + list(map(abs, unit))))
-        F, P, left, right = fl.packed(s), pl.packed(s), _pack(left, s), _pack(right, s)
-        fs = (sum(map(mul, F, P[j:])) for j in range(len(P)))  # packed x^j of f(t) S_n
-        if sum(map(mul, gl.packed(s), P)) != _pack(unit, s) or any(
+        # both conditions read g and f only through t^(deg S_n)
+        m = len(pl.num)
+        F, P, left, right = fl.packed(s, m), pl.packed(s), _pack(left, s), _pack(right, s)
+        fs = (sum(map(mul, F, P[j:])) for j in range(m))  # packed x^j of f(t) S_n
+        if sum(map(mul, gl.packed(s, m), P)) != _pack(unit, s) or any(
                 a * left != right * b for a, b in zip_longest(fs, prev.packed(s), fillvalue=0)):
             break
         prev = pl

@@ -96,9 +96,10 @@ class TestExpand:
         ("sheffer", "--g", "1", "--f", "t", "--n", "100000000000000000000"),
     ], ids=["expand", "sheffer"])
     def test_truncation_too_large_is_domain_error(self, argv, capsys):
-        # a truncation above sys.maxsize, not an OverflowError (exit 3)
+        # a truncation above sys.maxsize, not an OverflowError (exit 3); the
+        # error names the flag the user gave
         assert run_cli(*argv) == (2, "")
-        assert capsys.readouterr().err.startswith("error: trunc must be <= ")
+        assert capsys.readouterr().err.startswith(f"error: {argv[-2]} must be <= ")
 
 
 class TestFamily:
@@ -373,6 +374,28 @@ def test_closed_stdout_exits_141_silently(argv):
     finally:
         os.close(write_end)
     assert (run.returncode, run.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv, most", [
+    (("family", "bernoulli", "--n", "99999999999999999999"), sys.maxsize - 3),
+    (("verify", "T2", "--n-max", "99999999999999999999"), sys.maxsize - 3),
+    (("sheffer", "--g", "1", "--f", "t", "--n", "99999999999999999999"), (sys.maxsize - 2) // 2),
+    (("expand", "t", "--order", "99999999999999999999"), sys.maxsize),
+], ids=["family", "verify", "sheffer", "expand"])
+def test_size_too_large_is_refused_before_allocating(argv, most):
+    # under a 256 MiB address-space cap, so that a command that builds
+    # before its bound check ends in a MemoryError (exit 3) instead of
+    # taking the host's memory
+    resource = pytest.importorskip("resource")
+    cap = 256 * 2**20
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run(
+        [sys.executable, "-m", "umbralkit.cli", *argv], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"error: {argv[-2]} must be <= {most}, got {argv[-1]}\n"
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

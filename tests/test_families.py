@@ -1,6 +1,7 @@
 """Named polynomial families and their Sheffer pairs."""
 
 import ast
+import sys
 from fractions import Fraction as F
 from math import factorial
 from pathlib import Path
@@ -50,7 +51,7 @@ from umbralkit import (
     t_series,
     working_trunc,
 )
-from umbralkit.families import _fe_g, _fte_g
+from umbralkit.families import MAX_PAIR_TRUNC, SCHEMAS, Schema, _fe_g, _fte_g, build_pair
 from umbralkit.fields import LAMBDA, RatFunc
 
 
@@ -527,6 +528,26 @@ def test_misspelt_parameter_is_domain_error(call, message):
     with pytest.raises(DomainError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: family_polys("bernoulli", 1, 10**20),
+    lambda: bespoke_pair("bernoulli", MAX_PAIR_TRUNC + 1),
+    lambda: catalog_pair(FamilySpec.make("bernoulli", 1), T=sys.maxsize),
+], ids=["family_polys", "bespoke_pair", "catalog_pair"])
+def test_truncation_too_large_is_refused_before_building(call, monkeypatch):
+    # the builders run at T + 2, so a T above sys.maxsize - 2 is refused
+    # before one runs; one that ran would allocate until memory ran out
+    def builder(T, **params):
+        raise AssertionError(f"the builder ran at T = {T}")
+
+    monkeypatch.setitem(SCHEMAS, "bernoulli", Schema(SCHEMAS["bernoulli"].params, builder))
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value).startswith(f"T must be <= {sys.maxsize - 2}, got ")
+    # the largest T passes the bound, and its builder runs at sys.maxsize
+    with pytest.raises(AssertionError, match=f"T = {sys.maxsize}$"):
+        build_pair("bernoulli", MAX_PAIR_TRUNC, 1, {})
 
 
 def test_bespoke_pair_ignores_parameters_a_tag_does_not_take():

@@ -106,6 +106,44 @@ class TestInverse:
             f = f + 1
         assert (f * f.inverse()) == one(QQ, 8)
 
+    @pytest.mark.parametrize("field, a0", [
+        (QQ, "one"), (QQ, "rational"), (QL, "one"), (QL, "rational"), (QL, "in L"),
+    ], ids=["q-one", "q-rational", "ql-one", "ql-rational", "ql-in-L"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_against_the_recurrence(self, field, a0, data):
+        # a_0 = 1 takes the negated sum, any other a_0 the product with
+        # -1/a_0: both equal the recurrence with the product at every k
+        head = {
+            "one": st.just(1),
+            "rational": fractions().filter(lambda q: q not in (0, 1)),
+            "in L": ratfuncs().filter(lambda r: not r.is_constant()),
+        }[a0]
+        T = data.draw(st.integers(1, 8))
+        rest = data.draw(st.lists(ratfuncs() if field is QL else fractions(),
+                                  min_size=T - 1, max_size=T - 1))
+        s = Series(field, [data.draw(head)] + rest)
+        inv = s.inverse()
+        assert s * inv == one(field, T)
+        assert inv.coeffs == _recurrence_inverse(s)
+        assert all(type(c) is type(field.zero) for c in inv.coeffs)
+
+    def test_one_plus_lambda_head(self):
+        s = Series(QL, [1 + LAMBDA, F(1, 2), LAMBDA, 3])
+        assert s * s.inverse() == one(QL, 4)
+        assert s.inverse().coeffs == _recurrence_inverse(s)
+
+
+def _recurrence_inverse(s) -> tuple:
+    """1/s by out[k] = -(1/a_0) sum_{i=1..k} a_i out[k - i], the product
+    with -1/a_0 taken at every k, whatever a_0 is."""
+    a, field = s.coeffs, s.field
+    inv0 = field.one / a[0]
+    out = [inv0]
+    for k in range(1, s.trunc):
+        out.append(-inv0 * sum((a[i] * out[k - i] for i in range(1, k + 1)), field.zero))
+    return tuple(out)
+
 
 @st.composite
 def compose_operands(draw):

@@ -889,6 +889,25 @@ class TestPackedOrthogonality:
         for n, s in enumerate(widths):
             assert heights[n] < 2 ** (s - 1), n
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_top_coefficient_is_read(self, n, monkeypatch):
+        # condition n packs only the entries of g and f that S_n's n + 1
+        # coefficients pair with; the last of them, g[n] and f[n], meet S_n's
+        # top coefficient, so doubling that coefficient alone must fail the
+        # conditions at n, and not before: the definition starts at S_n
+        pair = bespoke_pair("T2", answer_trunc(10), order=-1, b=F(1, 2), lam=None)
+        polys = sheffer_gf(pair, 10)
+        top = list(polys[n].coeffs)
+        top[n] *= 2
+        polys[n] = Poly(pair.field, top)
+        read = []
+        apply = umbral.functional_apply
+        monkeypatch.setattr(umbral, "functional_apply", lambda f, p: read.append(p) or apply(f, p))
+        got = orthogonality_failure(pair, polys, 10)
+        assert got is not None and got[0] == n
+        assert read[0] is polys[n]
+        assert got == _direct_orthogonality(pair, polys, 10)
+
     def test_polys_over_q_with_pair_over_q_lambda(self):
         # the value of a failure is over the common field of pair and S_n
         pair = ORTHOGONALITY_PAIRS[1](4)
@@ -1017,3 +1036,70 @@ class TestPackedMixedSums:
             at = ShefferPair(_specialise(pair.g, lam0), _specialise(pair.f, lam0))
             got = [Poly(QQ, [c.evaluate(lam0) for c in p.coeffs]) for p in route(pair, n)]
             assert got == route(at, n)
+
+
+# ---------------------------------------------------------------------------
+# the GF route's one table of fbar against the public series operations
+# ---------------------------------------------------------------------------
+
+
+def _sheffer_q_lambda_pairs():
+    """Every pair the ``sheffer_q_lambda`` benchmark draws from: lambda the
+    symbol L, T = 22."""
+    T = 22
+    bs = (F(1), F(2), F(-1), F(1, 2), F(-1, 2))
+    cs = (F(1), F(-1), F(2), F(1, 2), F(1, 3))
+    bcs = ((F(1), F(1)), (F(2), F(-1)), (F(1, 2), F(1, 3)), (F(-1), F(2)), (F(-1, 2), F(1, 2)))
+    pairs = [bespoke_pair("T2", T, order=a, b=b) for a in (1, 2, -1) for b in bs]
+    for a in (1, 2):
+        pairs += [bespoke_pair(tag, T, order=a, c=c) for tag in ("T6", "P8") for c in cs]
+        pairs += [bespoke_pair("T10", T, order=a, b=b, c=c, m=m) for b, c in bcs for m in (1, 2)]
+        pairs += [catalog_pair(FamilySpec.make(name, a, lam=None), T=T)
+                  for name in ("frobenius_euler", "frobenius_eulerian")]
+    pairs.append(catalog_pair(FamilySpec.make("daehee", 1, lam=None), T=T))
+    return pairs
+
+
+def _public_gf(pair, n_max):
+    """S_0 .. S_n_max from the public ``revert``, ``compose``, ``powers`` and
+    ``inverse``, each building its own table: the y^j coefficient of S_n is
+    (n!/j!) [t^n] fbar^j / g(fbar)."""
+    pair = umbral._cut(pair, n_max)
+    fbar = pair.f.revert()
+    ginv = pair.g.compose(fbar).inverse()
+    products = [p * ginv for p in fbar.powers(n_max)]
+    return [Poly(pair.field, [products[j].coeffs[n] * F(factorial(n), factorial(j))
+                              for j in range(n + 1)])
+            for n in range(n_max + 1)]
+
+
+class TestSharedFbarTable:
+    """``sheffer_gf`` builds one power table of fbar, checked by the
+    reversion's round trip, and reads it for g(fbar) and its columns."""
+
+    def test_universe_matches_the_public_path(self):
+        pairs = _sheffer_q_lambda_pairs()
+        assert len(pairs) == 60
+        for pair in pairs:
+            assert sheffer_gf(pair, 10) == _public_gf(pair, 10)
+
+    def test_returns_the_table_of_fbar(self):
+        f = bespoke_pair("T2", 11, order=-1, b=F(1, 2), lam=None).f
+        fbar, table = f._revert_rows()
+        assert fbar == f.revert()
+        assert table == fbar._power_rows(10)
+
+    def test_round_trip_reads_the_returned_table(self, monkeypatch):
+        # mutation: the reversion's table is swapped for the table of another
+        # series; its round trip reads that table and fails, so the route
+        # never reads a table the round trip did not check
+        pair = bespoke_pair("T2", 11, order=-1, b=F(1, 2), lam=None)
+        fbar = pair.f.revert()
+        other = fbar + monomial(fbar.field, 2, fbar.trunc)
+        rows = Series._power_rows
+        monkeypatch.setattr(Series, "_power_rows",
+                            lambda s, n: rows(other if s == fbar else s, n))
+        with pytest.raises(NotDelta, match="round-trip"):
+            pair.f._revert_rows()
+        with pytest.raises(NotDelta, match="round-trip"):
+            sheffer_gf(pair, 10)
