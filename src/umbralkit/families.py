@@ -1,25 +1,25 @@
 """Named polynomial and number families, plus the Sheffer pairs they
 belong to.
 
-The Stirling numbers are integer definitions: ``stirling1(n, k)`` is a
-coefficient of the integer row of (x)_n (``series._falling_rows``, one
-product by a linear factor per row, the row kept per n), the row
-``falling_factorial`` also returns, and ``stirling2(n, k)`` is the
-inclusion-exclusion sum sum_j (-1)^(k-j) C(k, j) j^n / k!.  The polynomial
-families are still read off their generating functions as truncated
-series: an Appell family from the coefficients of factor(t) e^{xt}, and
-``narumi_poly`` and the Poisson-Charlier polynomials as sums
-sum_m c_m (x)_m over the same rows (``_falling_sum``).  ``narumi_value``,
-``bernoulli_number`` and ``bernoulli_2nd`` (Narumi's order -1) are series
-coefficients too.
+The Stirling numbers are integer definitions, one integer table per kind,
+each row kept per n: ``stirling1(n, k)`` is a coefficient of the integer
+row of (x)_n (``series._falling_rows``, one product by a linear factor per
+row), the row ``falling_factorial`` also returns, and ``stirling2(n, k)``
+is k! S2(n, k) / k! from the surjection row of n (``_surjections``), the
+rows every Frobenius g is built from.  The polynomial families are still
+read off their generating functions as truncated series: an Appell family
+from the coefficients of factor(t) e^{xt}, and ``narumi_poly`` and the
+Poisson-Charlier polynomials as sums sum_m c_m (x)_m over the falling
+rows (``_falling_sum``).  ``narumi_value``, ``bernoulli_number`` and
+``bernoulli_2nd`` (Narumi's order -1) are series coefficients too.
 
 Each generating series is built in one place and read under every name it
 has (Roman, *The Umbral Calculus*, 1984).  The Euler polynomials of order a
 are the Frobenius-Euler polynomials at lam = -1, E_n^(a)(x) = H_n^(a)(x|-1),
-so ``euler_poly`` and the Euler and T4 pairs read ``_fe_g`` at lam = -1.
-t/log(1+t) is Narumi's base at order -1, ``_narumi_base(-1, T)``: the
-second-kind Bernoulli values, the T4 and P8 pairs and the identities'
-b2 convolution read it there.
+so ``euler_poly`` and the Euler and T4 pairs read ``_frobenius_g`` at
+lam = -1.  t/log(1+t) is Narumi's base at order -1, ``_narumi_base(-1,
+T)``: the second-kind Bernoulli values, the T4 and P8 pairs and the
+identities' b2 convolution read it there.
 
 The family functions (``bernoulli_poly`` .. ``bernoulli_2nd``) are
 deliberately independent of the umbral operator engine, so the identity
@@ -44,12 +44,14 @@ expansion (Roman, *The Umbral Calculus*, 1984):
 its coefficient g_m = (1/m!) sum_{k <= m} (a)_k S2(m, k) (1 - lam)^(-k),
 the sum stopping at k = a when a >= 0; the Frobenius type
 ((e^{(lam-1)t} - lam)/(1 - lam))^a is the same series at (lam - 1)t, with
-coefficient (lam - 1)^m g_m, a polynomial in lam.  ``_fe_g`` and
-``_fte_g`` evaluate that sum over the integer rows k! S2(m, k) with
-integer arithmetic and make one canonical element per coefficient
-(``_frobenius_g``): no series product, inverse or power.  The rows come
-from their own recurrence, not from ``stirling2``, so pair building does
-not depend on the family function the registry checks it against.
+coefficient (lam - 1)^m g_m, a polynomial in lam.  ``_frobenius_g``
+evaluates that sum, of either type, over the integer rows k! S2(m, k)
+with integer arithmetic and makes one canonical element per coefficient:
+no series product, inverse or power.  ``stirling2`` reads the same rows,
+but pair building never calls ``stirling2``, and the identities module
+reads it through its module attribute: a wrong row is seen twice, by the
+Stirling-2 sums of the checks' scalar halves and by g in their basis
+halves.
 """
 
 from __future__ import annotations
@@ -126,11 +128,11 @@ def _bern_base(a: int, T: int) -> Series:
     return base.pow_int(a).truncate(T)
 
 
-@lru_cache(maxsize=None)
 def _surjections(T: int) -> tuple:
     """The integer rows k! S2(m, k), k = 0 .. m, for m < T: the number of
     maps from an m-set onto a k-set, by the recurrence
-    k! S2(m, k) = k ((k-1)! S2(m-1, k-1) + k! S2(m-1, k))."""
+    k! S2(m, k) = k ((k-1)! S2(m-1, k-1) + k! S2(m-1, k)).  Uncached: its
+    callers, ``_frobenius_g`` and ``_surjection_row``, are cached."""
     rows = [(1,)]
     for m in range(1, T):
         prev = rows[-1] + (0,)
@@ -138,9 +140,19 @@ def _surjections(T: int) -> tuple:
     return tuple(rows)
 
 
+@lru_cache(maxsize=256)
+def _surjection_row(n: int) -> tuple:
+    """The integer row k! S2(n, k), k = 0 .. n, alone: the row is kept, not
+    the table that builds it."""
+    return _surjections(n + 1)[n]
+
+
+@lru_cache(maxsize=None)
 def _frobenius_g(a: int, lam, T: int, rate: bool) -> Series:
-    """G(t) = ((e^t - lam)/(1 - lam))^a, or G((lam - 1)t) when ``rate``,
-    mod t^T, one canonical element per coefficient.
+    """The Frobenius-Euler g, G(t) = ((e^t - lam)/(1 - lam))^a, or, when
+    ``rate``, the Frobenius-type Eulerian g G((lam - 1)t), mod t^T over Q(L)
+    (lam None) or Q, one canonical element per coefficient; the one builder
+    and the one cache of both.
 
     With u = lam - 1 and e^t - lam = -u (1 - (e^t - 1)/u), the binomial
     series gives g_m = (1/m!) sum_{k <= K} c_k u^(-k), where
@@ -182,22 +194,6 @@ def _frobenius_g(a: int, lam, T: int, rate: bool) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _fe_g(a: int, lam, T: int) -> Series:
-    """((e^t - lam)/(1 - lam))^a over Q(L) (lam None) or Q: coefficient m is
-    g_m = (1/m!) sum_{k <= m} (a)_k S2(m, k) (1 - lam)^(-k)
-    (``_frobenius_g``)."""
-    return _frobenius_g(a, lam, T, False)
-
-
-@lru_cache(maxsize=None)
-def _fte_g(a: int, lam, T: int) -> Series:
-    """((e^{(lam-1)t} - lam)/(1 - lam))^a over Q(L) or Q: the series of
-    ``_fe_g`` at (lam - 1)t, so coefficient m is (lam - 1)^m g_m, a
-    polynomial in lam (``_frobenius_g``)."""
-    return _frobenius_g(a, lam, T, True)
-
-
-@lru_cache(maxsize=None)
 def _narumi_base(a: int, T: int) -> Series:
     """(log(1+t)/t)^a over Q."""
     base = log1p_series(QQ, T + 1).shift_div(1)
@@ -211,13 +207,9 @@ def _narumi_base(a: int, T: int) -> Series:
 
 def _appell_poly(factor: Series, n: int) -> Poly:
     """P_n(x) = n! sum_j factor[n-j] x^j / j! for GF factor(t) e^{xt}."""
-    fld = factor.field
     nfact = factorial(n)
-    coeffs = [
-        factor.coeffs[n - j] * fld.coerce(Fraction(nfact, factorial(j)))
-        for j in range(n + 1)
-    ]
-    return Poly(fld, coeffs)
+    return Poly(factor.field,
+                [factor.coeffs[n - j] * (nfact // factorial(j)) for j in range(n + 1)])
 
 
 def _falling_sum(c) -> Poly:
@@ -252,21 +244,21 @@ def bernoulli_number(a: int, n: int) -> Fraction:
 def euler_poly(alpha: int, n: int) -> Poly:
     """Euler polynomial of order alpha, degree n, over Q."""
     n = nonnegative_integer("n_max", n)
-    return _appell_poly(_fe_g(-integer_order("alpha", alpha), Fraction(-1), n + 1), n)
+    return _appell_poly(_frobenius_g(-integer_order("alpha", alpha), Fraction(-1), n + 1, False), n)
 
 
 def frobenius_euler_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-Euler H_n^(a)(x|lam); symbolic over Q(L) when lam is None."""
     n = nonnegative_integer("n_max", n)
     lam = lambda_value("lam", lam)
-    return _appell_poly(_fe_g(-integer_order("a", a), lam, n + 1), n)
+    return _appell_poly(_frobenius_g(-integer_order("a", a), lam, n + 1, False), n)
 
 
 def frobenius_eulerian_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-type Eulerian A_n^(a)(x|lam)."""
     n = nonnegative_integer("n_max", n)
     lam = lambda_value("lam", lam)
-    return _appell_poly(_fte_g(-integer_order("a", a), lam, n + 1), n)
+    return _appell_poly(_frobenius_g(-integer_order("a", a), lam, n + 1, True), n)
 
 
 def narumi_poly(a: int, n: int) -> Poly:
@@ -275,7 +267,8 @@ def narumi_poly(a: int, n: int) -> Poly:
     sum_m (x)_m t^m / m!, N_n^(a)(x) = sum_m n!/m! [t^(n-m)] (log(1+t)/t)^a (x)_m."""
     n = nonnegative_integer("n_max", n)
     base = _narumi_base(integer_order("a", a), n + 1).coeffs
-    return _falling_sum([base[n - m] * Fraction(factorial(n), factorial(m)) for m in range(n + 1)])
+    nfact = factorial(n)
+    return _falling_sum([base[n - m] * (nfact // factorial(m)) for m in range(n + 1)])
 
 
 def narumi_value(a: int, n: int, shift=0):
@@ -295,12 +288,12 @@ def narumi_number(a: int, n: int) -> Fraction:
 
 
 def stirling2(n: int, k: int) -> Fraction:
-    """Stirling numbers of the second kind, by inclusion-exclusion:
-    S2(n, k) = sum_j (-1)^(k-j) C(k, j) j^n / k!."""
+    """Stirling numbers of the second kind: k! S2(n, k) from the surjection
+    row of n (``_surjection_row``), over k!."""
     n = nonnegative_integer("n_max", n)
     if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
-    return Fraction(sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)), factorial(k))
+    return Fraction(_surjection_row(n)[k], factorial(k))
 
 
 @lru_cache(maxsize=256)
@@ -366,15 +359,15 @@ def _bernoulli_pair(T, a):
 
 
 def _euler_pair(T, a):
-    return _fe_g(a, Fraction(-1), T), t_series(QQ, T)
+    return _frobenius_g(a, Fraction(-1), T, False), t_series(QQ, T)
 
 
 def _frobenius_euler_pair(T, a, lam):
-    return _fe_g(a, lam, T), t_series(QQ, T)
+    return _frobenius_g(a, lam, T, False), t_series(QQ, T)
 
 
 def _frobenius_eulerian_pair(T, a, lam):
-    return _fte_g(a, lam, T), t_series(QQ, T)
+    return _frobenius_g(a, lam, T, True), t_series(QQ, T)
 
 
 def _narumi_pair(T, a):
@@ -388,7 +381,7 @@ def _bernoulli_2nd_pair(T):
 def _daehee_pair(T, lam):
     """((1-L)/(e^t-L), (e^t-1)/(e^t+1)): the Daehee family and the DAE identity."""
     e = exp_ct(QQ, 1, T)
-    return _fe_g(-1, lam, T), (e - 1) / (e + 1)
+    return _frobenius_g(-1, lam, T, False), (e - 1) / (e + 1)
 
 
 def _poisson_charlier_pair(T, a):
@@ -397,7 +390,7 @@ def _poisson_charlier_pair(T, a):
 
 
 def _t2_pair(T, a, b, lam):
-    return _fe_g(a, lam, T), (exp_ct(QQ, b, T) - 1).shift_div(1).inverse().mul_t(1)
+    return _frobenius_g(a, lam, T, False), (exp_ct(QQ, b, T) - 1).shift_div(1).inverse().mul_t(1)
 
 
 def _t3_pair(T, a, b, c):
@@ -406,7 +399,7 @@ def _t3_pair(T, a, b, c):
 
 
 def _t4_pair(T, a):
-    return _fe_g(a, Fraction(-1), T), _narumi_base(-1, T - 1).mul_t(1)
+    return _frobenius_g(a, Fraction(-1), T, False), _narumi_base(-1, T - 1).mul_t(1)
 
 
 def _r27_pair(T, a):
@@ -414,16 +407,17 @@ def _r27_pair(T, a):
 
 
 def _t6_pair(T, a, c, lam):
-    return _fe_g(a, lam, T), log1p_series(QQ, T) * one_plus_t_pow(QQ, -c, T)
+    return _frobenius_g(a, lam, T, False), log1p_series(QQ, T) * one_plus_t_pow(QQ, -c, T)
 
 
 def _p8_pair(T, a, c, lam):
-    return _fte_g(a, lam, T), (_narumi_base(-1, T - 1) * one_plus_t_pow(QQ, c, T - 1)).mul_t(1)
+    f = _narumi_base(-1, T - 1) * one_plus_t_pow(QQ, c, T - 1)
+    return _frobenius_g(a, lam, T, True), f.mul_t(1)
 
 
 def _t10_pair(T, a, b, c, lam, m):
     lin = Series(QQ, [1, b], trunc=T)
-    return _fte_g(a, lam, T), (exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1)
+    return _frobenius_g(a, lam, T, True), (exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,7 @@ from math import factorial
 
 from .errors import _SYMBOLIC, DomainError, UnknownIdentity, nonnegative_integer, rational
 from .families import (
+    MAX_PAIR_TRUNC,
     SCHEMAS,
     _lam_element,
     _narumi_base,
@@ -424,11 +425,14 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
 
     A parameter not given takes its default in ``families.SCHEMAS``
     (lambda: the symbol L).  Raises UnknownIdentity for a bad tag and
-    DomainError for parameters outside the identity's stated domain, or for
-    T10's ``m`` when it is not given.
+    DomainError for an n_max above ``MAX_PAIR_TRUNC - 1`` (the CLI's
+    ``--n-max`` bound, checked for every tag before any work), for
+    parameters outside the identity's stated domain, or for T10's ``m``
+    when it is not given.
     """
     check, _ = _identity(tag)
-    nonnegative_integer("n_max", n_max, 1)
+    if nonnegative_integer("n_max", n_max, 1) > MAX_PAIR_TRUNC - 1:
+        raise DomainError(f"n_max must be <= {MAX_PAIR_TRUNC - 1}, got {n_max}")
     p = check_params(tag, params or {})
     if SCHEMAS[tag].pair is None:
         status, ces, note = check(p, n_max)

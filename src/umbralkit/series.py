@@ -480,17 +480,14 @@ def monomial(field, k: int, T: int) -> Series:
 
 
 def exp_ct(field, c, T: int) -> Series:
-    """e^{c t}: coefficient of t^k is c^k / k!.  A RatFunc rate c lifts a
-    field Q to Q(L), as in ``*``."""
+    """e^{c t}: coefficient of t^k is c^k / k!, each one step from the last,
+    c_k = c_{k-1} c / k.  A RatFunc rate c lifts a field Q to Q(L), as in
+    ``*``."""
     field = _field_with(field, c)
     c = field.coerce(c)
     out = [field.one]
-    fact = Fraction(1)
-    acc = field.one
     for k in range(1, integer_order("T", T)):
-        acc = acc * c
-        fact *= k
-        out.append(acc * field.coerce(Fraction(1, 1) / fact))
+        out.append(out[-1] * c / k)
     return Series(field, out, trunc=T)
 
 
@@ -504,15 +501,14 @@ def log1p_series(field, T: int) -> Series:
 
 
 def one_plus_t_pow(field, c, T: int) -> Series:
-    """(1+t)^c with generalized binomial coefficients C(c, k); a RatFunc c
-    lifts Q to Q(L), as in ``exp_ct``."""
+    """(1+t)^c with generalized binomial coefficients C(c, k), each one step
+    from the last, C(c, k) = C(c, k-1) (c - k + 1) / k; a RatFunc c lifts Q
+    to Q(L), as in ``exp_ct``."""
     field = _field_with(field, c)
     c = field.coerce(c)
     out = [field.one]
-    acc = field.one
     for k in range(1, integer_order("T", T)):
-        acc = acc * (c - (k - 1)) * field.coerce(Fraction(1, k))
-        out.append(acc)
+        out.append(out[-1] * (c - (k - 1)) / k)
     return Series(field, out, trunc=T)
 
 

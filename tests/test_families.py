@@ -51,7 +51,10 @@ from umbralkit import (
     t_series,
     working_trunc,
 )
-from umbralkit.families import MAX_PAIR_TRUNC, SCHEMAS, Schema, _fe_g, _fte_g, build_pair
+from umbralkit.families import (
+    MAX_PAIR_TRUNC, SCHEMAS, Schema, _appell_poly, _bern_base, _falling_sum, _frobenius_g,
+    _narumi_base, build_pair,
+)
 from umbralkit.fields import LAMBDA, RatFunc
 
 
@@ -285,8 +288,9 @@ class TestBernoulliSecondKind:
 
 
 class TestSeriesAndProductOracles:
-    """The number families are integer definitions; their earlier series and
-    Poly-product definitions stay here as oracles, for n <= 30."""
+    """The number families are integer definitions; their earlier series,
+    Poly-product, inclusion-exclusion and Fraction-weight definitions stay
+    here as oracles, for n <= 30 (n <= 40 for the Stirling sum)."""
 
     N = 30
 
@@ -339,6 +343,43 @@ class TestSeriesAndProductOracles:
         for n in range(self.N + 1):
             assert bernoulli_2nd(n, x) == factorial(n) * gf.coeffs[n]
 
+    def test_stirling2_by_inclusion_exclusion(self):
+        # S2(n, k) = sum_j (-1)^(k-j) C(k, j) j^n / k!, and 0 for k > n
+        for n in range(41):
+            for k in range(n + 2):
+                total = sum((-1) ** (k - j) * binom(k, j) * j**n for j in range(k + 1))
+                assert stirling2(n, k) == F(total, factorial(k)), (n, k)
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            lambda T: _bern_base(1, T),
+            lambda T: _bern_base(-2, T),
+            lambda T: _frobenius_g(-1, None, T, False),
+            lambda T: _frobenius_g(2, None, T, True),
+            lambda T: _frobenius_g(-2, F(1, 2), T, True),
+        ],
+        ids=["bernoulli", "bernoulli_order-2", "frobenius_euler_L", "frobenius_eulerian_L",
+             "frobenius_eulerian_1/2"],
+    )
+    def test_appell_poly_by_fraction_weights(self, factor):
+        # n! factor[n-j] / j!, the weight a Fraction coerced into the field
+        for n in range(16 if factor(2).field is QL else self.N + 1):
+            g = factor(n + 1)
+            want = Poly(g.field, [g.coeffs[n - j] * g.field.coerce(F(factorial(n), factorial(j)))
+                                  for j in range(n + 1)])
+            got = _appell_poly(g, n)
+            assert got.field is want.field and got.coeffs == want.coeffs, n
+            assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs], n
+
+    @pytest.mark.parametrize("a", [2, 1, -1, -3])
+    def test_narumi_poly_by_fraction_weights(self, a):
+        # sum_m n!/m! [t^(n-m)] (log(1+t)/t)^a (x)_m, each weight a Fraction
+        for n in range(self.N + 1):
+            base = _narumi_base(a, n + 1).coeffs
+            want = _falling_sum([base[n - m] * F(factorial(n), factorial(m)) for m in range(n + 1)])
+            assert narumi_poly(a, n) == want, n
+
 
 class TestFrobeniusBuilders:
     """The Frobenius g's are built from integer Stirling rows; the series
@@ -356,20 +397,19 @@ class TestFrobeniusBuilders:
         return ((e - lam_el) * (1 / (1 - lam_el))).pow_int(a)
 
     @pytest.mark.parametrize("lam", (None,) + LAMS, ids=["L", "-1", "0", "1/2", "3"])
-    @pytest.mark.parametrize("builder,rate", [(_fe_g, False), (_fte_g, True)],
-                             ids=["frobenius_euler", "frobenius_eulerian"])
-    def test_matches_series_arithmetic(self, builder, rate, lam):
+    @pytest.mark.parametrize("rate", [False, True], ids=["frobenius_euler", "frobenius_eulerian"])
+    def test_matches_series_arithmetic(self, rate, lam):
         for a in self.ORDERS:
             for T in self.TRUNCS:
-                assert builder(a, lam, T) == self._by_series(a, lam, T, rate), (a, T)
+                assert _frobenius_g(a, lam, T, rate) == self._by_series(a, lam, T, rate), (a, T)
 
-    @pytest.mark.parametrize("builder", [_fe_g, _fte_g], ids=["frobenius_euler", "frobenius_eulerian"])
-    def test_symbolic_specialises_to_rational(self, builder):
+    @pytest.mark.parametrize("rate", [False, True], ids=["frobenius_euler", "frobenius_eulerian"])
+    def test_symbolic_specialises_to_rational(self, rate):
         for a in self.ORDERS:
             for T in self.TRUNCS:
-                sym = builder(a, None, T)
+                sym = _frobenius_g(a, None, T, rate)
                 for lam0 in self.LAMS:
-                    spec = builder(a, lam0, T)
+                    spec = _frobenius_g(a, lam0, T, rate)
                     assert [c.evaluate(lam0) for c in sym.coeffs] == list(spec.coeffs), (a, T, lam0)
 
 

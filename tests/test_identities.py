@@ -1,7 +1,11 @@
 """The identity registry: statuses, counterexamples, grids, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +32,7 @@ from umbralkit import (
     QQ, Poly, Series, answer_trunc, bernoulli_poly, binom, euler_poly, frobenius_euler_poly,
     frobenius_eulerian_poly, narumi_number, poisson_charlier, stirling2,
 )
-from umbralkit.families import SCHEMAS, Param, Schema, build_pair, check_params
+from umbralkit.families import MAX_PAIR_TRUNC, SCHEMAS, Param, Schema, build_pair, check_params
 from umbralkit.identities import (
     CHECKS,
     FAMILY_NAMES,
@@ -216,6 +220,39 @@ class TestDomainHandling:
     @pytest.mark.parametrize("tag,n_max", [("T2", 2.0), ("C5", True)])
     def test_non_int_n_max_report(self, tag, n_max):
         assert verify_identity_report_errors(tag, {}, n_max).status == "domain_error"
+
+    def test_n_max_too_large_is_refused_before_any_work(self):
+        # every tag, in a child under a 256 MiB address-space cap and a
+        # timeout, so that a check which starts work before the bound ends
+        # in a MemoryError or a timeout instead of taking the host's memory
+        resource = pytest.importorskip("resource")
+        cap = 256 * 2**20
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = (
+            "import json\n"
+            "from umbralkit import DomainError, verify_identity\n"
+            "from umbralkit.identities import IDENTITY_TAGS, verify_identity_report_errors\n"
+            "out = {}\n"
+            "for tag in IDENTITY_TAGS:\n"
+            "    try:\n"
+            "        verify_identity(tag, None, 10**20)\n"
+            "        raised = None\n"
+            "    except DomainError as exc:\n"
+            "        raised = str(exc)\n"
+            "    report = verify_identity_report_errors(tag, None, 10**20)\n"
+            "    out[tag] = [raised, report.status, report.note]\n"
+            "print(json.dumps(out))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        message = f"n_max must be <= {MAX_PAIR_TRUNC - 1}, got {10**20}"
+        assert json.loads(run.stdout) == {
+            tag: [message, "domain_error", message] for tag in IDENTITY_TAGS
+        }
 
     def test_grid_entry_becomes_domain_error_report(self):
         report = verify_identity_report_errors("T6", {"a": 1, "c": F(0), "lam": None}, 4)
@@ -445,6 +482,40 @@ class TestMutation:
             report = verify_identity(tag, params, 3)
             assert report.status == "fail", (name, tag)
             assert report.counterexamples[0].indices[0] == n, (name, tag)
+
+    @pytest.mark.parametrize(
+        "tag,params,n",
+        [(*T2, 2), (*T3, 2), (*T4, 3), (*T6, 3), (*P8, 3), (*T10, 3), ("DAE", {"lam": None}, 3)],
+    )
+    def test_wrong_surjection_row_fails(self, monkeypatch, tag, params, n):
+        # k! S2(3, 2) = 6 made 7 in the one table of Stirling-2 rows: T2 and
+        # T3 read it through stirling2 in their scalar halves and fail at
+        # n = 2; the tags whose g is a Frobenius g read it as that g's t^3
+        # coefficient in their basis halves and fail at n = 3
+        import umbralkit.families as families
+
+        caches = (families._frobenius_g, families._surjection_row)
+        surjections = families._surjections
+
+        def wrong(T):
+            rows = surjections(T)
+            if T <= 3:
+                return rows
+            return rows[:3] + ((0, 1, 7, 6),) + rows[4:]
+
+        assert surjections(4)[3] == (0, 1, 6, 6)
+        assert verify_identity(tag, params, 3).status == "pass"
+        monkeypatch.setattr(families, "_surjections", wrong)
+        try:
+            for cache in caches:
+                cache.cache_clear()
+            report = verify_identity(tag, params, 3)
+        finally:
+            monkeypatch.undo()
+            for cache in caches:
+                cache.cache_clear()
+        assert report.status == "fail", tag
+        assert report.counterexamples[0].indices[0] == n, tag
 
     @pytest.mark.parametrize("tag,params", [T2, T3, T4, R27, T6, P8, T10])
     @pytest.mark.parametrize("member,bump,n", [("g", [1, 1], 1), ("f", [1, 0, 1], 3)])

@@ -6,7 +6,7 @@ from itertools import chain
 from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from umbralkit import (
     CompositionOrder,
@@ -35,7 +35,7 @@ from umbralkit import (
     t_series,
     stirling1,
 )
-from umbralkit.fields import LAMBDA, vec_horner
+from umbralkit.fields import LAMBDA, RatFunc, vec_horner
 from umbralkit import series
 from umbralkit.series import _over_q
 
@@ -465,6 +465,47 @@ class TestNamedSeries:
         got = exp_ct(QL, LAMBDA - 1, 3)
         lm1 = LAMBDA - 1
         assert got.coeffs == (QL.one, lm1, lm1 * lm1 / 2)
+
+    # exp_ct and one_plus_t_pow take one exact step per coefficient; the
+    # running-power, running-factorial forms they replaced are the reference
+    @staticmethod
+    def _exp_ct_by_accumulators(field, c, T):
+        field = QL if isinstance(c, RatFunc) else field
+        c = field.coerce(c)
+        out, acc, fact = [field.one], field.one, F(1)
+        for k in range(1, T):
+            acc = acc * c
+            fact *= k
+            out.append(acc * field.coerce(F(1) / fact))
+        return Series(field, out, trunc=T)
+
+    @staticmethod
+    def _one_plus_t_pow_by_accumulators(field, c, T):
+        field = QL if isinstance(c, RatFunc) else field
+        c = field.coerce(c)
+        out, acc = [field.one], field.one
+        for k in range(1, T):
+            acc = acc * (c - (k - 1)) * field.coerce(F(1, k))
+            out.append(acc)
+        return Series(field, out, trunc=T)
+
+    @given(field=st.sampled_from([QQ, QL]),
+           c=st.one_of(fractions(), st.integers(-6, -1), ratfuncs()),
+           T=st.integers(1, 9))
+    @example(field=QQ, c=0, T=5)
+    @example(field=QL, c=0, T=5)
+    @example(field=QQ, c=-3, T=1)
+    @example(field=QL, c=F(-5, 2), T=2)
+    @example(field=QQ, c=RatFunc((1, 2), (3, 0, 1)), T=2)
+    @settings(max_examples=60)
+    def test_exp_ct_and_one_plus_t_pow_by_accumulators(self, field, c, T):
+        for got, want in [
+            (exp_ct(field, c, T), self._exp_ct_by_accumulators(field, c, T)),
+            (one_plus_t_pow(field, c, T), self._one_plus_t_pow_by_accumulators(field, c, T)),
+        ]:
+            assert got.field is want.field and got.trunc == want.trunc == T
+            assert got.coeffs == want.coeffs
+            assert [type(v) for v in got.coeffs] == [type(v) for v in want.coeffs]
 
     def test_order(self):
         assert S(0, 0, 1, 0).order() == 2
