@@ -77,7 +77,6 @@ from .series import (
     log1p_series,
     one_plus_t_pow,
     t_series,
-    working_trunc,
 )
 from .umbral import ShefferPair, answer_trunc, sheffer_gf
 
@@ -97,16 +96,6 @@ def gen_binom(c, m: int):
     for i in range(m):
         acc = acc * (c - i)
     return acc / factorial(m)
-
-
-def multinomial(parts) -> int:
-    """Multinomial coefficient (sum parts)! / prod parts_i!."""
-    total = 0
-    acc = 1
-    for p in parts:
-        total += nonnegative_integer("part", p)
-        acc *= comb(total, p)
-    return acc
 
 
 def _lam_element(lam):
@@ -543,13 +532,10 @@ class FamilySpec(Record):
         return FamilySpec(name, order, tuple(sorted(params.items())))
 
 
-def catalog_pair(spec: FamilySpec, T: int | None = None) -> ShefferPair:
+def catalog_pair(spec: FamilySpec, T: int) -> ShefferPair:
     """The classical (g, f) Sheffer pair of a named family (or of any
-    registry name with a pair), with ``spec.order`` as its order a.  At the
-    default truncation, ``working_trunc(10)`` = 22, both routes answer
-    through degree 21."""
-    if T is None:
-        T = working_trunc(10)
+    registry name with a pair), with ``spec.order`` as its order a,
+    truncated at T; parameters as in ``build_pair``."""
     return build_pair(spec.name, T, spec.order, dict(spec.params))
 
 
@@ -562,9 +548,8 @@ def family_polys(name: str, order: int, n_max: int, **params) -> list:
     return sheffer_gf(pair, n_max)
 
 
-def bespoke_pair(tag: str, T: int, order: int = 1, b=None, c=None, m=None, lam=None) -> ShefferPair:
-    """The parameterized pairs behind the registry identities (tags as in
-    ``SCHEMAS``); the keywords a tag does not take are ignored."""
-    takes = {q.name for q in SCHEMAS[tag].params} if tag in SCHEMAS else ()
-    given = {"b": b, "c": c, "m": m, "lam": lam}
-    return build_pair(tag, T, order, {k: v for k, v in given.items() if k in takes})
+def bespoke_pair(tag: str, T: int, order: int = 1, **params) -> ShefferPair:
+    """The parameterized pair of a registry tag (or of any registry name
+    with a pair) truncated at T; a keyword the tag does not take is a
+    DomainError, as in ``build_pair``."""
+    return build_pair(tag, T, order, params)

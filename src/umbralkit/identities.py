@@ -48,7 +48,6 @@ with the parameters and pair declared there.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 
@@ -58,7 +57,6 @@ from .families import (
     SCHEMAS,
     _lam_element,
     _narumi_base,
-    bernoulli_2nd,
     bernoulli_number,
     bernoulli_poly,
     bernoulli_value,
@@ -69,7 +67,6 @@ from .families import (
     frobenius_euler_poly,
     frobenius_eulerian_poly,
     gen_binom,
-    multinomial,
     narumi_number,
     narumi_value,
     poisson_charlier,
@@ -109,9 +106,6 @@ class IdentityReport(Record):
             "note": self.note,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @property
     def ok(self) -> bool:
         return self.status == "pass" or (
@@ -150,29 +144,6 @@ def b2_convolution(n: int, l: int, c) -> Fraction:
     n, l, c = nonnegative_integer("n", n, 1), nonnegative_integer("l", l), rational("c", c)
     u = _narumi_base(-1, l + 1) * one_plus_t_pow(QQ, c, l + 1)
     return factorial(l) * u.pow_int(n).coeffs[l]
-
-
-def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
-    """Literal composition enumeration of the same convolution (slow oracle)."""
-    n, l = nonnegative_integer("n", n, 1), nonnegative_integer("l", l)
-    c = rational("c", c)
-    values = [bernoulli_2nd(i, c) for i in range(l + 1)]
-
-    def rec(slots: int, remaining: int):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(slots - 1, remaining - first):
-                yield (first,) + rest
-
-    total = Fraction(0)
-    for parts in rec(n, l):
-        prod = Fraction(multinomial(parts))
-        for p in parts:
-            prod *= values[p]
-        total += prod
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +273,12 @@ def _check_DAE(pair, p, n_max):
     x = Poly.x(QQ)
     rows = []
     for n in range(1, n_max + 1):
+        # with u(x) = sum_l C(n, l) B(x + l), B = B_{n-1}^{(n)}, the closed
+        # form sum_l C(n, l) ((x + 1) B(x + l + 1) - L x B(x + l)) / (1 - L)
+        # is ((x + 1) u(x + 1) - L x u(x)) / (1 - L)
         base = bernoulli_poly(n, n - 1)
-        out = Poly(QQ)
-        for l in range(n + 1):
-            term = (x + 1) * base.shift_arg(l + 1) - (x * base.shift_arg(l)) * lam_el
-            out = out + term * binom(n, l)
-        rows.append(out * (1 / (1 - lam_el)))
+        u = sum((base.shift_arg(l) * binom(n, l) for l in range(n + 1)), Poly(QQ))
+        rows.append(((x + 1) * u.shift_arg(1) - x * u * lam_el) * (1 / (1 - lam_el)))
     return _route_vs(pair, n_max, rows)
 
 
@@ -410,7 +381,6 @@ CHECKS = {
 }
 
 IDENTITY_TAGS = tuple(CHECKS)
-FAMILY_NAMES = tuple(name for name in SCHEMAS if name not in CHECKS)
 
 
 def _identity(tag: str):

@@ -577,11 +577,6 @@ class Poly(CoeffVector):
 
     __rmul__ = __mul__
 
-    def mul_by_x(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) + self.coeffs)
-
     def derivative(self) -> "Poly":
         return Poly(self.field, [k * c for k, c in enumerate(self.coeffs)][1:])
 

@@ -7,8 +7,8 @@ Sheffer sequence for a pair (g, f) are provided:
 
 * :func:`sheffer_gf` expands 1/g(fbar(t)) * e^{y fbar(t)} and reads the
   polynomials off the t-coefficients;
-* :func:`sheffer_transfer` evaluates the operator chain
-  (1/g(t)) x (t/f(t))^n x^{n-1}.
+* :func:`sheffer_transfer_all` evaluates the operator chain
+  (1/g(t)) x (t/f(t))^n x^{n-1} for every n up to n_max.
 
 Their exact agreement is the transfer formula, checked in the test suite.
 :func:`orthogonality_failure` is the third check: <g f^k | S_n> = n! delta,
@@ -199,11 +199,6 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
             for n in range(n_max + 1)]
 
 
-def sheffer_transfer(pair: ShefferPair, n: int) -> Poly:
-    """S_n(x) by the operator route (1/g) x (t/f)^n x^{n-1}; n >= 1 only."""
-    return sheffer_transfer_all(pair, n)[-1]
-
-
 def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     """[S_1 .. S_{n_max}] by the operator route, sharing the inversions and
     one layout of 1/g: every x^j coefficient of every S_n is a prefix sum of
@@ -299,8 +294,3 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
                 return (n, k, value)
         acc = acc * pair.f
     return None
-
-
-def orthogonality_check(pair: ShefferPair, polys: list[Poly], n_max: int) -> bool:
-    """True iff polys is the Sheffer sequence of the pair up to n_max."""
-    return orthogonality_failure(pair, polys, n_max) is None

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import strategies as st
 
-from umbralkit import Poly, QQ, RatFunc, Series
+from umbralkit import Poly, QQ, RatFunc, Series, bernoulli_2nd
+from umbralkit.errors import nonnegative_integer, rational
 
 
 def fractions(max_num=9, max_den=6):
@@ -48,6 +50,41 @@ def plain_powers(s, n):
     while len(out) <= n:
         out.append(out[-1] * s)
     return out
+
+
+def multinomial(parts) -> int:
+    """Multinomial coefficient (sum parts)! / prod parts_i!."""
+    total = 0
+    acc = 1
+    for p in parts:
+        total += nonnegative_integer("part", p)
+        acc *= comb(total, p)
+    return acc
+
+
+def b2_convolution_enumerated(n: int, l: int, c) -> Fraction:
+    """The convolution of ``b2_convolution`` by literal enumeration of the
+    compositions of l into n parts, sum over them of multinomial(parts)
+    prod_i b_{parts_i}(c) (slow oracle)."""
+    n, l = nonnegative_integer("n", n, 1), nonnegative_integer("l", l)
+    c = rational("c", c)
+    values = [bernoulli_2nd(i, c) for i in range(l + 1)]
+
+    def rec(slots: int, remaining: int):
+        if slots == 1:
+            yield (remaining,)
+            return
+        for first in range(remaining + 1):
+            for rest in rec(slots - 1, remaining - first):
+                yield (first,) + rest
+
+    total = Fraction(0)
+    for parts in rec(n, l):
+        prod = Fraction(multinomial(parts))
+        for p in parts:
+            prod *= values[p]
+        total += prod
+    return total
 
 
 def qq_polys(max_degree=6):

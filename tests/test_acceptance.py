@@ -21,7 +21,6 @@ from umbralkit import (
     bernoulli_value,
     bespoke_pair,
     b2_convolution,
-    b2_convolution_enumerated,
     catalog_pair,
     default_grid,
     orthogonality_failure,
@@ -34,6 +33,8 @@ from umbralkit import (
     verify_identity,
     working_trunc,
 )
+
+from conftest import b2_convolution_enumerated
 
 N_MAX = 10
 T = working_trunc(N_MAX)
@@ -78,20 +79,7 @@ def catalog():
         label = tag + "".join(
             f"[{k}={v if v is not None else 'L'}]" for k, v in sorted(params.items())
         )
-        pairs.append(
-            (
-                label,
-                bespoke_pair(
-                    tag,
-                    T,
-                    order=params.get("a", 1),
-                    b=params.get("b"),
-                    c=params.get("c"),
-                    m=params.get("m"),
-                    lam=params.get("lam"),
-                ),
-            )
-        )
+        pairs.append((label, bespoke_pair(tag, T, order=params.get("a", 1), **params)))
     return pairs
 
 

@@ -37,7 +37,6 @@ from umbralkit import (
     gen_binom,
     log1p_series,
     monomial,
-    multinomial,
     narumi_number,
     narumi_poly,
     narumi_value,
@@ -56,6 +55,8 @@ from umbralkit.families import (
     _narumi_base, build_pair,
 )
 from umbralkit.fields import LAMBDA, RatFunc
+
+from conftest import multinomial
 
 
 class TestBernoulli:
@@ -556,7 +557,7 @@ def test_bad_argument_is_domain_error(call):
     [
         (lambda: family_polys("frobenius_euler", 1, 3, lamda=2),
          "frobenius_euler does not take parameter(s) ['lamda']"),
-        (lambda: catalog_pair(FamilySpec.make("T2", 1, bb=5)),
+        (lambda: catalog_pair(FamilySpec.make("T2", 1, bb=5), T=6),
          "T2 does not take parameter(s) ['bb']"),
         (lambda: catalog_pair(FamilySpec.make("bernoulli", 2, a=3), T=6),
          "bernoulli: a = 3 disagrees with order 2"),
@@ -590,8 +591,20 @@ def test_truncation_too_large_is_refused_before_building(call, monkeypatch):
         build_pair("bernoulli", MAX_PAIR_TRUNC, 1, {})
 
 
-def test_bespoke_pair_ignores_parameters_a_tag_does_not_take():
-    assert bespoke_pair("T3", 6, b=1, c=2, m=3, lam=2) == bespoke_pair("T3", 6, b=1, c=2)
+def test_bespoke_pair_refuses_parameters_a_tag_does_not_take():
+    # one parameter rule for every pair entry: bespoke_pair, like
+    # catalog_pair and family_polys, hands its keywords to build_pair
+    for kwargs, message in [
+        ({"b": 1, "c": 2, "m": 3}, "T3 does not take parameter(s) ['m']"),
+        ({"b": 1, "c": 2, "m": 3, "lam": 2}, "T3 does not take parameter(s) ['lam', 'm']"),
+        ({"bb": 5}, "T3 does not take parameter(s) ['bb']"),
+    ]:
+        with pytest.raises(DomainError) as exc:
+            bespoke_pair("T3", 6, **kwargs)
+        assert str(exc.value) == message
+    with pytest.raises(DomainError, match=r"^T4 does not take parameter\(s\) \['b'\]$"):
+        bespoke_pair("T4", 6, b=None)
+    assert bespoke_pair("T3", 6, b=1, c=2) == catalog_pair(FamilySpec.make("T3", b=1, c=2), T=6)
 
 
 def test_no_import_inside_a_function():
@@ -628,7 +641,7 @@ class TestCatalog:
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
-            catalog_pair(FamilySpec.make("hermite", 1))
+            catalog_pair(FamilySpec.make("hermite", 1), T=6)
 
     def test_poisson_charlier_pair(self):
         pair = catalog_pair(FamilySpec.make("poisson_charlier", 1, a=F(2)), T=10)

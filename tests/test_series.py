@@ -518,7 +518,7 @@ class TestPoly:
         assert Poly.monomial(QQ, 3).derivative() == Poly(QQ, [0, 0, 3])
 
     def test_mul_by_x(self):
-        assert Poly(QQ, [-1, 0, 1]).mul_by_x() == Poly(QQ, [0, -1, 0, 1])
+        assert Poly.x(QQ) * Poly(QQ, [-1, 0, 1]) == Poly(QQ, [0, -1, 0, 1])
 
     def test_eval(self):
         assert Poly(QQ, [F(1, 2), 0, 1]).eval(F(1, 2)) == F(3, 4)
@@ -557,7 +557,8 @@ class TestPoly:
     @settings(max_examples=30)
     def test_mul_by_x_derivative_interplay(self, p):
         # d/dx (x p) = p + x p'
-        assert p.mul_by_x().derivative() == p + p.derivative().mul_by_x()
+        x = Poly.x(QQ)
+        assert (x * p).derivative() == p + x * p.derivative()
 
 
 class TestFallingFactorial:
