@@ -47,7 +47,11 @@ the sum stopping at k = a when a >= 0; the Frobenius type
 coefficient (lam - 1)^m g_m, a polynomial in lam.  ``_frobenius_g``
 evaluates that sum, of either type, over the integer rows k! S2(m, k)
 with integer arithmetic and makes one canonical element per coefficient:
-no series product, inverse or power.  ``stirling2`` reads the same rows,
+no series product, inverse or power.  1/g is the same sum at order -a, so
+every pair with a Frobenius g carries its reciprocal ``ginv`` from the same
+builder (``_frobenius_pair``), and the Sheffer routes take it for 1/g once
+they have proven g * ginv = 1 (``umbral._proven_ginv``) instead of running
+a Q(L) inverse.  ``stirling2`` reads the same rows,
 but pair building never calls ``stirling2``, and the identities module
 reads it through its module attribute: a wrong row is seen twice, by the
 Stirling-2 sums of the checks' scalar halves and by g in their basis
@@ -308,23 +312,21 @@ def poisson_charlier(n: int, a, x_eval=None):
     n, a = nonnegative_integer("n_max", n), rational("a", a)
     if not a:
         raise DivisionByZero("Poisson-Charlier parameter a must be nonzero")
-
-    def c(k):
-        return comb(n, k) * (-1) ** (n - k) * a ** (-k)
-
     if x_eval is None:
-        return _falling_sum([c(k) for k in range(n + 1)])
-    # the same sum at x, with (x)_k as a running product: once it is 0 (x a
-    # nonnegative integer below n), so is every later term
+        return _falling_sum([comb(n, k) * (-1) ** (n - k) * a ** (-k) for k in range(n + 1)])
+    # the same sum at x as one integer sum: with a = p/q and x = u/v, term k
+    # is C(n, k) (-1)^(n-k) q^k prod_{j<k} (u - jv) / (pv)^k, so the terms
+    # up to K, in Horner form, are one integer over (pv)^K.  When x is a
+    # nonnegative integer below n the product is 0 for every k > x, and K
+    # stops at x
     x = rational("x_eval", x_eval)
-    value = Fraction(0)
-    falling = Fraction(1)
-    for k in range(n + 1):
-        if not falling:
-            break
-        value += c(k) * falling
-        falling *= x - k
-    return value
+    pv, q, u, v = a.numerator * x.denominator, a.denominator, x.numerator, x.denominator
+    total, prod, K = 0, 1, -1  # prod = q^k prod_{j<k} (u - jv)
+    while prod and K < n:
+        K += 1
+        total = total * pv + comb(n, K) * (-1) ** (n - K) * prod
+        prod *= q * (u - K * v)
+    return Fraction(total, pv**K)
 
 
 def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
@@ -339,8 +341,16 @@ def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
 #
 # One function per pair, keyed to a name by the parameter table below.  It
 # takes the working truncation and the validated parameters and returns
-# (g, f), each truncated at or above it.  Only g carries lambda: f is built
-# over Q, and the pair keeps it there.
+# (g, f), each truncated at or above it, and a Frobenius g's pair also its
+# reciprocal, (g, f, 1/g) (``_frobenius_pair``).  Only g carries lambda: f
+# is built over Q, and the pair keeps it there.
+
+
+def _frobenius_pair(a, lam, T, rate, f):
+    """(g, f, 1/g) for the Frobenius g of order a (``_frobenius_g``): 1/g
+    is the same sum at order -a, which a route still proves before use
+    (``umbral._proven_ginv``)."""
+    return _frobenius_g(a, lam, T, rate), f, _frobenius_g(-a, lam, T, rate)
 
 
 def _bernoulli_pair(T, a):
@@ -348,15 +358,15 @@ def _bernoulli_pair(T, a):
 
 
 def _euler_pair(T, a):
-    return _frobenius_g(a, Fraction(-1), T, False), t_series(QQ, T)
+    return _frobenius_pair(a, Fraction(-1), T, False, t_series(QQ, T))
 
 
 def _frobenius_euler_pair(T, a, lam):
-    return _frobenius_g(a, lam, T, False), t_series(QQ, T)
+    return _frobenius_pair(a, lam, T, False, t_series(QQ, T))
 
 
 def _frobenius_eulerian_pair(T, a, lam):
-    return _frobenius_g(a, lam, T, True), t_series(QQ, T)
+    return _frobenius_pair(a, lam, T, True, t_series(QQ, T))
 
 
 def _narumi_pair(T, a):
@@ -370,7 +380,7 @@ def _bernoulli_2nd_pair(T):
 def _daehee_pair(T, lam):
     """((1-L)/(e^t-L), (e^t-1)/(e^t+1)): the Daehee family and the DAE identity."""
     e = exp_ct(QQ, 1, T)
-    return _frobenius_g(-1, lam, T, False), (e - 1) / (e + 1)
+    return _frobenius_pair(-1, lam, T, False, (e - 1) / (e + 1))
 
 
 def _poisson_charlier_pair(T, a):
@@ -379,7 +389,8 @@ def _poisson_charlier_pair(T, a):
 
 
 def _t2_pair(T, a, b, lam):
-    return _frobenius_g(a, lam, T, False), (exp_ct(QQ, b, T) - 1).shift_div(1).inverse().mul_t(1)
+    f = (exp_ct(QQ, b, T) - 1).shift_div(1).inverse().mul_t(1)
+    return _frobenius_pair(a, lam, T, False, f)
 
 
 def _t3_pair(T, a, b, c):
@@ -388,7 +399,7 @@ def _t3_pair(T, a, b, c):
 
 
 def _t4_pair(T, a):
-    return _frobenius_g(a, Fraction(-1), T, False), _narumi_base(-1, T - 1).mul_t(1)
+    return _frobenius_pair(a, Fraction(-1), T, False, _narumi_base(-1, T - 1).mul_t(1))
 
 
 def _r27_pair(T, a):
@@ -396,17 +407,17 @@ def _r27_pair(T, a):
 
 
 def _t6_pair(T, a, c, lam):
-    return _frobenius_g(a, lam, T, False), log1p_series(QQ, T) * one_plus_t_pow(QQ, -c, T)
+    return _frobenius_pair(a, lam, T, False, log1p_series(QQ, T) * one_plus_t_pow(QQ, -c, T))
 
 
 def _p8_pair(T, a, c, lam):
     f = _narumi_base(-1, T - 1) * one_plus_t_pow(QQ, c, T - 1)
-    return _frobenius_g(a, lam, T, True), f.mul_t(1)
+    return _frobenius_pair(a, lam, T, True, f.mul_t(1))
 
 
 def _t10_pair(T, a, b, c, lam, m):
     lin = Series(QQ, [1, b], trunc=T)
-    return _frobenius_g(a, lam, T, True), (exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1)
+    return _frobenius_pair(a, lam, T, True, (exp_ct(QQ, -c, T) * lin.pow_int(-m)).mul_t(1))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +520,9 @@ def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
         params = {**params, "a": order}
     elif integer_order("order", order) != 1:
         raise DomainError(f"{name} takes no order, got {order}")
-    # built with a margin so both members come out truncated at exactly T
-    g, f = schema.pair(T + 2, **check_params(name, params))
-    return ShefferPair(g.truncate(T), f.truncate(T))
+    # built with a margin so every member comes out truncated at exactly T
+    members = schema.pair(T + 2, **check_params(name, params))
+    return ShefferPair(*[s.truncate(T) for s in members])
 
 
 class FamilySpec(Record):

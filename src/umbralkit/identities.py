@@ -158,7 +158,7 @@ def _connection(basis, coef):
     exactly when both halves do:
 
     * the basis: basis(p, k) for k = 1 .. n_max against the transfer route
-      of (g, t), indexed (k, j);
+      of (g, t), which keeps the pair's ginv, indexed (k, j);
     * the scalars: the x^(n-l) coefficient of s_n ~ (1, f), the associated
       sequence of f, against C(n-1, l) coef(p, n, l), indexed (n, n - l)
       and compared over Q.
@@ -167,7 +167,7 @@ def _connection(basis, coef):
 
     def check(pair, p, n_max):
         T = pair.g.trunc
-        P = _route_vs(ShefferPair(pair.g, t_series(QQ, T)), n_max,
+        P = _route_vs(ShefferPair(pair.g, t_series(QQ, T), pair.ginv), n_max,
                       [basis(p, k) for k in range(1, n_max + 1)])
         # s_n's coefficients for l = n-1 .. 0 are those of x^1 .. x^n
         s = _route_vs(ShefferPair(one(QQ, T), pair.f), n_max, [

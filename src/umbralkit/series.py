@@ -179,7 +179,9 @@ class Series(CoeffVector):
             )
         if T == self.trunc:
             return self
-        return Series(self.field, self.coeffs, trunc=T)
+        if T < 1:
+            raise TruncationTooShort("truncation order must be >= 1")
+        return Series._raw(self.field, self.coeffs[:T])
 
     def is_zero(self) -> bool:
         return self.order() == self.trunc

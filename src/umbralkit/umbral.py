@@ -34,10 +34,23 @@ Only g carries L in the registry's pairs over Q(L); f is free of it.  A
 :class:`ShefferPair` keeps an L-free f over Q (``series._over_q``), so the
 reversion fbar, the power tables of fbar and t/f, and the inverse t/f run
 on the Q kernel, and Q(L) arithmetic is left to the terms that meet g:
-g(fbar) and its inverse, the y^j coefficients of S_n (one sum each, of
-fbar^j against 1/g(fbar)), and the x^j coefficients of
-(1/g) x (t/f)^n x^{n-1} (one sum each, of (t/f)^n against 1/g).  An f that
-carries L stays over Q(L), with g over Q or Q(L).
+1/g(fbar), the y^j coefficients of S_n (one sum each, of fbar^j against
+1/g(fbar)), and the x^j coefficients of (1/g) x (t/f)^n x^{n-1} (one sum
+each, of (t/f)^n against 1/g).  An f that carries L stays over Q(L), with g
+over Q or Q(L).
+
+1/g comes in one of two ways.  A registry pair with a Frobenius g carries
+its reciprocal ``ginv``, built by the same integer sum as g
+(``families._frobenius_g`` at order -a).  Each route first proves
+g * ginv = 1 mod t^T at the answer's truncation, as one product of two
+packed integers (``_proven_ginv``), and then takes ginv for 1/g and
+ginv(fbar) for 1/g(fbar), packed sums over Q(L) with no Q(L) inverse.  A
+pair with no ginv, as every DSL pair, or with a ginv the proof rejects,
+takes the two Q(L) inversions, 1/g in the transfer route and 1/g(fbar) of
+g(fbar) in the GF route, and those routes share no 1/g.  With a proven ginv
+both routes read the same 1/g, and the proof, not a second inversion, is
+what makes it 1/g; a ginv is never read unproven, since a wrong one read by
+both routes would pass their cross-check.
 
 The power tables over Q are read as integer rows, each over its own
 reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
@@ -58,7 +71,7 @@ from __future__ import annotations
 
 from itertools import zip_longest
 from math import factorial
-from operator import mul
+from operator import add, is_, mul
 
 from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
@@ -117,21 +130,32 @@ def _factorials(n: int) -> list:
 
 
 class ShefferPair(Record):
-    """An invertible series g and a delta series f, each over Q or Q(L).
+    """An invertible series g and a delta series f, each over Q or Q(L),
+    and optionally ``ginv``, a claimed reciprocal of g.
 
     An f free of L is kept over Q (``series._over_q``), whatever the field
     of g; the pair's field is that of g and f together, Q(L) unless both
-    are over Q (``fields.common_field``)."""
+    are over Q (``fields.common_field``).
+
+    ``ginv`` is a claim, never trusted: a route reads it only after
+    ``_proven_ginv`` proves g * ginv = 1 mod t^T at the answer's
+    truncation T, and takes g's own inverse otherwise, so every result is
+    the Sheffer sequence of (g, f) whether ginv is right, wrong or absent.
+    The Frobenius-g pair builders (``families``) supply it: 1/g is the
+    same integer sum at order -a.  A DSL pair has none."""
 
     g: Series
     f: Series
+    ginv: Series | None = None
 
-    def __init__(self, g: Series, f: Series):
+    def __init__(self, g: Series, f: Series, ginv: Series | None = None):
         if not (isinstance(g, Series) and isinstance(f, Series)):
             raise DomainError(
                 f"g and f must be Series, got {type(g).__name__} and {type(f).__name__}"
             )
-        super().__init__(g, _over_q(f))
+        if not (ginv is None or isinstance(ginv, Series)):
+            raise DomainError(f"ginv must be a Series or None, got {type(ginv).__name__}")
+        super().__init__(g, _over_q(f), ginv)
         if self.g.order() != 0:
             raise NotInvertible("g must be an invertible series (order 0)")
         if self.f.trunc < 2:
@@ -165,10 +189,46 @@ def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
     if pair.trunc < nonnegative_integer("n_max", n_max) + 1:
         raise TruncationTooShort(f"need truncation >= {n_max + 1}, have {pair.trunc}")
     T = answer_trunc(n_max)
-    if pair.g.trunc <= T and pair.f.trunc <= T:
+    members = (pair.g, pair.f, pair.ginv)
+    cut = [s if s is None else s.truncate(min(T, s.trunc)) for s in members]
+    if all(map(is_, cut, members)):
         return pair
-    return ShefferPair(pair.g.truncate(min(T, pair.g.trunc)),
-                       pair.f.truncate(min(T, pair.f.trunc)))
+    return ShefferPair(*cut)
+
+
+def _proven_ginv(pair: ShefferPair):
+    """pair.ginv cut to g's truncation T when g * ginv = 1 mod t^T, else
+    None: for no ginv, for one known through less than t^(T - 1), and for a
+    wrong one.
+
+    With g_m = G_m / (q D) and ginv_m = H_m / (q' D') over common
+    denominators (``fields._lay_out``), the claim is the equality of integer
+    polynomials in L sum_{i <= k} G_i H_{k-i} = delta_{k,0} q q' D D' for
+    every k < T.  Each side is packed in two levels: a polynomial in L at
+    2^s, and the coefficient of t^k at 2^(kw), w = s times the longest
+    polynomial either side can have at a k < T: at most the length of G_i
+    plus that of H_{k-i}, less 1.  (A Frobenius-type g and its reciprocal
+    have L-degree about m at t^m, so this is about half the longest G_i plus
+    the longest H_j.)  So all T sums are the low T slots of one
+    product of two integers, and the claim holds exactly when the low T w
+    bits of that product minus the packed unit are zero.  The slot width s
+    holds either side, as in ``orthogonality_failure`` (``_dot_bound``
+    bounds a sum of products G_i H_j as it bounds a dot product), so each
+    coefficient of their difference is below 2^s in size, and the lowest
+    nonzero one would leave a nonzero residue; the slots of t^k for k >= T
+    are multiples of 2^(Tw) and do not reach the low bits."""
+    g, h = pair.g, pair.ginv
+    T = g.trunc
+    if h is None or h.trunc < T:
+        return None
+    h = h.truncate(T)
+    gl, hl = _lay_out(g.coeffs), _lay_out(h.coeffs)
+    unit = [gl.q * hl.q * c for c in _zmul(gl.den, hl.den)]
+    s = _slot_width(max([_dot_bound(gl, hl)] + list(map(abs, unit))))
+    lg, lh = [len(t) for t in gl.num], [len(t) for t in hl.num]
+    w = s * max(len(unit), *(max(map(add, lg[: k + 1], lh[k::-1])) - 1 for k in range(T)))
+    low = _pack(gl.packed(s), w) * _pack(hl.packed(s), w) - _pack(unit, s)
+    return None if low & ((1 << T * w) - 1) else h
 
 
 def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
@@ -181,11 +241,15 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
 
     The power table of fbar is built once, by the reversion
     (``Series._revert_rows``), whose round trip f(fbar) = t checks it; the
-    same table gives g(fbar) (``Series._compose_rows``) and the columns.
+    same table gives the columns and 1/g(fbar) (``Series._compose_rows``):
+    ginv(fbar) for a ginv that ``_proven_ginv`` proves, else the inverse of
+    g(fbar).
     """
     pair = _cut(pair, n_max)
     fbar, table = pair.f._revert_rows()
-    ginv = pair.g._compose_rows(fbar, table).inverse().coeffs
+    h = _proven_ginv(pair)
+    ginv = (pair.g._compose_rows(fbar, table).inverse() if h is None
+            else h._compose_rows(fbar, table)).coeffs
     row_dens, rows = table
     fact = _factorials(n_max + 1)
     cols, dens = [], []
@@ -200,12 +264,14 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
 
 
 def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
-    """[S_1 .. S_{n_max}] by the operator route, sharing the inversions and
-    one layout of 1/g: every x^j coefficient of every S_n is a prefix sum of
-    1/g against integers from the rows of (t/f)^n (``fields._prefix_sums``,
-    one call for all of them)."""
+    """[S_1 .. S_{n_max}] by the operator route, sharing 1/g, the inverse
+    t/f and one layout of 1/g: every x^j coefficient of every S_n is a
+    prefix sum of 1/g against integers from the rows of (t/f)^n
+    (``fields._prefix_sums``, one call for all of them).  1/g is the pair's
+    ginv when ``_proven_ginv`` proves it, else the inverse of g."""
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
-    ginv = pair.g.inverse().coeffs
+    h = _proven_ginv(pair)
+    ginv = (pair.g.inverse() if h is None else h).coeffs
     t_over_f = pair.f.shift_div(1).inverse()
     row_dens, rows = t_over_f._power_rows(n_max)
     zero = 0 if t_over_f.field is QQ else t_over_f.field.zero  # the table's zero

@@ -7,6 +7,8 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from umbralkit import (
     DivisionByZero,
@@ -254,6 +256,28 @@ class TestPoissonCharlier:
             for x in range(-2, 7):
                 assert poisson_charlier(n, a, x_eval=x) == p.eval(x)
 
+    @staticmethod
+    def _value_by_fractions(n, a, x):
+        """C_n(x; a) with a Fraction per term and (x)_k as a running
+        product, stopped once it is 0: the reference for the one integer
+        sum of ``poisson_charlier(n, a, x_eval=x)``."""
+        value, falling = F(0), F(1)
+        for k in range(n + 1):
+            if not falling:
+                break
+            value += binom(n, k) * (-1) ** (n - k) * F(a) ** (-k) * falling
+            falling *= x - k
+        return value
+
+    @given(n=st.integers(0, 16),
+           a=st.fractions(-9, 9, max_denominator=7).filter(bool),
+           x=st.integers(-3, 18) | st.fractions(-9, 9, max_denominator=7))
+    @settings(max_examples=150, deadline=None)
+    def test_value_is_the_fraction_sum(self, n, a, x):
+        got = poisson_charlier(n, a, x_eval=x)
+        assert type(got) is F
+        assert got == self._value_by_fractions(n, a, x)
+
     def test_zero_parameter_rejected(self):
         with pytest.raises(DivisionByZero):
             poisson_charlier(2, 0)
@@ -389,6 +413,8 @@ class TestFrobeniusBuilders:
     ORDERS = range(-2, 3)
     TRUNCS = (1, 2, 13, 24)
     LAMS = (F(-1), F(0), F(1, 2), F(3))
+    # the rational lambdas of the benchmark's cli workload
+    LAM_SET = (F(-1), F(2), F(1, 2), F(3), F(-1, 2), F(1, 3))
 
     @staticmethod
     def _by_series(a, lam, T, rate):
@@ -403,6 +429,15 @@ class TestFrobeniusBuilders:
         for a in self.ORDERS:
             for T in self.TRUNCS:
                 assert _frobenius_g(a, lam, T, rate) == self._by_series(a, lam, T, rate), (a, T)
+
+    @given(a=st.integers(-4, 4), lam=st.sampled_from((None,) + LAM_SET),
+           T=st.integers(1, 30), rate=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example(a=4, lam=None, T=30, rate=False)
+    @example(a=-4, lam=None, T=30, rate=True)
+    def test_reciprocal_is_the_order_negated(self, a, lam, T, rate):
+        # the reciprocal a Frobenius pair carries: 1/g is the same sum at -a
+        assert _frobenius_g(-a, lam, T, rate) == _frobenius_g(a, lam, T, rate).inverse()
 
     @pytest.mark.parametrize("rate", [False, True], ids=["frobenius_euler", "frobenius_eulerian"])
     def test_symbolic_specialises_to_rational(self, rate):

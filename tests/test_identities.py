@@ -554,16 +554,37 @@ class TestMutation:
     @pytest.mark.parametrize("member,bump,n", [("g", [1, 1], 1), ("f", [1, 0, 1], 3)])
     def test_wrong_pair_fails(self, monkeypatch, tag, params, member, bump, n):
         # a pair builder whose g is g(1+t) fails the tag's basis at n = 1; one
-        # whose f is f(1+t^2) changes [t^3] f and fails its scalars at n = 3
+        # whose f is f(1+t^2) changes [t^3] f and fails its scalars at n = 3.
+        # A Frobenius g's builder also returns 1/g, kept as built: for the
+        # wrong g it fails its proof, and the routes invert g instead
         build = SCHEMAS[tag].pair
 
         def wrong(T, **kw):
-            g, f = build(T, **kw)
+            g, f, *ginv = build(T, **kw)
             factor = Series(QQ, bump, trunc=T)
-            return (g * factor, f) if member == "g" else (g, f * factor)
+            return (g * factor, f, *ginv) if member == "g" else (g, f * factor, *ginv)
 
         assert verify_identity(tag, params, 3).status == "pass"
         monkeypatch.setitem(SCHEMAS, tag, Schema(SCHEMAS[tag].params, wrong))
         report = verify_identity(tag, params, 3)
         assert report.status == "fail", (member, tag)
         assert report.counterexamples[0].indices[0] == n, (member, tag)
+
+
+@pytest.mark.parametrize("tag,params", [
+    ("T2", {"a": -1, "b": F(1, 2), "lam": None}), ("T6", {"a": 2, "c": F(1, 2), "lam": None}),
+    ("P8", {"a": 1, "c": F(1, 3), "lam": None}),
+    ("T10", {"a": 2, "b": F(1, 2), "c": F(1, 3), "m": 2, "lam": None}), ("DAE", {"lam": None}),
+])
+def test_checks_over_q_lambda_take_the_pairs_reciprocal(tag, params, monkeypatch):
+    # the basis half rebuilds the pair as (g, t) and keeps its ginv, so with
+    # Series.inverse refused over Q(L) every lambda tag still passes
+    inverse = Series.inverse
+
+    def refused(s):
+        if s.field is not QQ:
+            raise AssertionError("Series.inverse over Q(L)")
+        return inverse(s)
+
+    monkeypatch.setattr(Series, "inverse", refused)
+    assert verify_identity(tag, params, 8).status == "pass"

@@ -408,8 +408,9 @@ class TestShift:
     def test_truncate_never_extends(self):
         s = exp_ct(QQ, 1, 3)
         assert s.truncate(3) is s and s.truncate(2) == S(1, 1)
-        with pytest.raises(TruncationTooShort):
-            s.truncate(5)
+        for T in (5, 0, -1):
+            with pytest.raises(TruncationTooShort):
+                s.truncate(T)
 
     def test_round_trip_with_mul_t(self):
         f = S(0, 0, 3, 5, T=6)

@@ -1100,3 +1100,145 @@ class TestSharedFbarTable:
             pair.f._revert_rows()
         with pytest.raises(NotDelta, match="round-trip"):
             sheffer_gf(pair, 10)
+
+
+# ---------------------------------------------------------------------------
+# the pair's reciprocal ginv: proven before either route reads it
+# ---------------------------------------------------------------------------
+
+
+# the registry names whose g is a Frobenius g, each with a pair builder
+# that returns 1/g as well
+FROBENIUS_G_PAIRS = [
+    ("euler", 2, {}), ("frobenius_euler", -1, {"lam": None}),
+    ("frobenius_eulerian", 2, {"lam": F(1, 2)}), ("daehee", 1, {"lam": None}),
+    ("T2", -1, {"b": F(1, 2), "lam": None}), ("T4", 1, {}), ("T6", 2, {"c": F(1, 2), "lam": None}),
+    ("P8", 1, {"c": F(1, 3), "lam": None}),
+    ("T10", 2, {"b": F(1, 2), "c": F(1, 3), "m": 2, "lam": F(-1, 2)}),
+]
+
+
+def _without_ginv(pair):
+    return ShefferPair(pair.g, pair.f)
+
+
+def _texts(polys):
+    return [p.coeff_texts() for p in polys]
+
+
+@st.composite
+def _ginv_claims(draw, field, coeffs):
+    """(g, ginv) over ``field``: an invertible g and its true inverse, or
+    that inverse with one coefficient moved by a drawn amount (maybe 0)."""
+    T = draw(st.integers(1, 6))
+    g = Series(field, [draw(coeffs.filter(bool))] + [draw(coeffs) for _ in range(T - 1)])
+    ginv = list(g.inverse().coeffs)
+    m = draw(st.integers(0, T - 1))
+    ginv[m] = ginv[m] + draw(coeffs | st.just(0))
+    return g, Series(field, ginv)
+
+
+class TestProvenGinv:
+    """A Frobenius pair carries ``ginv`` = 1/g from its builder; a route
+    reads it only after ``umbral._proven_ginv`` proves g * ginv = 1 at the
+    answer's truncation, and every route answer is the same with a right,
+    a wrong or no ginv."""
+
+    @pytest.mark.parametrize("name,order,params", FROBENIUS_G_PAIRS, ids=[r[0] for r in FROBENIUS_G_PAIRS])
+    def test_frobenius_pairs_carry_a_proven_reciprocal(self, name, order, params):
+        pair = bespoke_pair(name, 12, order=order, **params)
+        assert pair.ginv is not None and pair.ginv.trunc == 12
+        assert (pair.g * pair.ginv).coeffs == one(pair.g.field, 12).coeffs
+        cut = umbral._cut(pair, 7)
+        assert cut.ginv == pair.ginv.truncate(8)
+        assert umbral._proven_ginv(cut) is cut.ginv
+
+    @pytest.mark.parametrize("name,order,params", [
+        ("bernoulli", 2, {}), ("narumi", 1, {}), ("poisson_charlier", 1, {"a": F(2)}),
+        ("T3", 1, {"b": F(1, 2), "c": F(1)}), ("R27", 1, {}),
+    ])
+    def test_other_pairs_carry_none(self, name, order, params):
+        pair = bespoke_pair(name, 8, order=order, **params)
+        assert pair.ginv is None and umbral._proven_ginv(pair) is None
+
+    def test_ginv_must_be_a_series(self):
+        with pytest.raises(DomainError, match="ginv"):
+            ShefferPair(one(QQ, 4), t_series(QQ, 4), [1, 0, 0, 0])
+
+    def test_short_ginv_is_not_read(self):
+        pair = bespoke_pair("T2", 8, order=1, b=F(1, 2), lam=None)
+        short = ShefferPair(pair.g, pair.f, pair.ginv.truncate(6))
+        assert umbral._proven_ginv(short) is None
+        assert umbral._proven_ginv(umbral._cut(short, 5)) is not None
+
+    @given(claim=_ginv_claims(QL, ratfuncs()) | _ginv_claims(QQ, st.fractions(-40, 40, max_denominator=12)))
+    @settings(max_examples=120, deadline=None)
+    @example(claim=(Series(QL, [1, LAMBDA]), Series(QL, [1, -LAMBDA])))
+    @example(claim=(Series(QL, [1, LAMBDA]), Series(QL, [1, LAMBDA])))
+    def test_proof_is_the_product(self, claim):
+        # the packed proof says yes exactly when g * ginv = 1 mod t^T
+        g, ginv = claim
+        pair = ShefferPair(g, t_series(QQ, 2), ginv)
+        want = (g * ginv).coeffs == one(g.field, g.trunc).coeffs
+        assert (umbral._proven_ginv(pair) is not None) is want
+
+    @pytest.mark.parametrize("name,order,params", FROBENIUS_G_PAIRS, ids=[r[0] for r in FROBENIUS_G_PAIRS])
+    @pytest.mark.parametrize("m", [0, 1, 6])
+    def test_wrong_ginv_takes_the_plain_path(self, name, order, params, m):
+        # one coefficient of ginv bumped by 1 fails the proof, and both
+        # routes then give the very S_n of the pair without ginv
+        n_max = 6
+        pair = bespoke_pair(name, answer_trunc(n_max), order=order, **params)
+        wrong = list(pair.ginv.coeffs)
+        wrong[m] = wrong[m] + 1
+        bumped = ShefferPair(pair.g, pair.f, Series(pair.ginv.field, wrong))
+        assert umbral._proven_ginv(bumped) is None
+        for route in (sheffer_gf, sheffer_transfer_all):
+            want = route(_without_ginv(pair), n_max)
+            assert _texts(route(bumped, n_max)) == _texts(want)
+            assert _texts(route(pair, n_max)) == _texts(want)
+
+    @pytest.mark.parametrize("s", [2, 3, 8, 40])
+    def test_one_bit_narrower_slot_accepts_a_false_reciprocal(self, s, monkeypatch):
+        # the slot width holds either side of the claim and no more.  Here
+        # g = 1 and the claimed ginv = -1/3 + t / (3 * 2^(s-2)) lay out as
+        # G = (1, 0) and H = (-2^(s-2), 1) over q' = 3 * 2^(s-2), so the
+        # t^0 slot compares -2^(s-2) with 3 * 2^(s-2) and the t^1 slot 1 with
+        # 0.  The true width s + 1 tells them apart; at width s their
+        # difference -2^s + 2^s is 0, and the false claim would be proven
+        pair = ShefferPair(Series(QQ, [1, 0]), t_series(QQ, 2),
+                           Series(QQ, [F(-1, 3), F(1, 3 * 2 ** (s - 2))]))
+        assert umbral._proven_ginv(pair) is None
+        widths = []
+
+        def narrower(bound):
+            widths.append(fields._slot_width(bound) - 1)
+            return widths[-1]
+
+        monkeypatch.setattr(umbral, "_slot_width", narrower)
+        assert umbral._proven_ginv(pair) is pair.ginv
+        assert widths == [s]
+        assert sheffer_gf(pair, 1) != sheffer_gf(_without_ginv(pair), 1)
+
+    def test_routes_run_no_q_lambda_inverse(self, monkeypatch):
+        # with Series.inverse refused over Q(L), every pair the
+        # sheffer_q_lambda benchmark draws still runs both routes, so each
+        # takes its proven ginv; a DSL pair over Q(L) has none and is refused
+        pairs = _sheffer_q_lambda_pairs()
+        want = [sheffer_gf(pair, 10) for pair in pairs]
+        dsl = dsl_pair("(exp(t)-L)/(1-L)", "log1p(t)", 8)
+        inverse = Series.inverse
+
+        def refused(s):
+            if s.field is QL:
+                raise AssertionError("Series.inverse over Q(L)")
+            return inverse(s)
+
+        monkeypatch.setattr(Series, "inverse", refused)
+        assert len(pairs) == 60
+        for pair, polys in zip(pairs, want):
+            assert sheffer_gf(pair, 10) == polys
+            assert sheffer_transfer_all(pair, 10) == polys[1:]
+        for route in (sheffer_gf, sheffer_transfer_all):
+            with pytest.raises(AssertionError, match="Q\\(L\\)"):
+                route(dsl, 4)
