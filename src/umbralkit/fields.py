@@ -86,15 +86,17 @@ polynomial divisible by the cofactor of the entries it skips, so each
 packed sum is divided by its packed cofactor as one integer, with
 Mignotte's factor bound added to the slot so the quotient unpacks exactly.
 It serves the coefficients of g(fbar) for a g over Q(L) and fbar over Q
-(``Series._compose_rows``), the y^j coefficients of the GF route (fbar^j
-against 1/g(fbar)), the x^j coefficients of the transfer route ((t/f)^n
-against 1/g) and ``umbral.operator_apply``.  The integer columns are rows of the
-power table ``Series._power_rows`` over Q (s^k as an integer row over its
-own reduced denominator, one ``_zmul`` per power), and ``Series.revert``
-solves over the same rows.  No consumer builds a ``Fraction`` per table
-entry.  The orthogonality check reads no power table: it lays out g, f
-and each S_n once and packs the sums of Sheffer's two conditions, each
-from the entries of g and f that its S_n reaches.
+(``Series._compose_rows``), the y^j coefficients of the GF route (the
+table of fbar against a proven ginv, else fbar^j against 1/g(fbar)), the
+x^j coefficients of the transfer route ((t/f)^n against 1/g) and
+``umbral.operator_apply``.  A caller that has the operand's layout already,
+as a route has its ginv's from the proof, passes it in.  The integer
+columns are rows of the power table ``Series._power_rows`` over Q (s^k as
+an integer row over its own reduced denominator, one ``_zmul`` per power),
+and ``Series.revert`` solves over the same rows.  No consumer builds a
+``Fraction`` per table entry.  The orthogonality check reads no power
+table: it lays out g, f and each S_n once and packs the sums of Sheffer's
+two conditions, each from the entries of g and f that its S_n reaches.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -862,11 +864,13 @@ def _dot_bound(a: _Layout, b: _Layout) -> int:
     return a.height * b.height * min(len(a.num), len(b.num)) * min(a.length, b.length)
 
 
-def _prefix_sums(a, cols, dens, field) -> list:
+def _prefix_sums(a, cols, dens, field, layout: _Layout | None = None) -> list:
     """[sum_k a[k] * c[k] / e for c, e in zip(cols, dens)] over ``field``:
     column c pairs with the first len(c) >= 1 entries of a, and e is a
     positive integer.  The entries of one column are all ints (a power
-    table over Q) or all RatFuncs (a table over Q(L)).
+    table over Q) or all RatFuncs (a table over Q(L)).  ``layout`` is
+    ``_lay_out(a)`` when the caller has it already, as a Sheffer route has
+    from the proof of its 1/g, and is laid out here otherwise.
 
     RatFunc columns take one ``vec_dot`` each, divided by e.  Integer
     columns are packed sums over the prefix layout of a: the numerators A_k
@@ -881,7 +885,7 @@ def _prefix_sums(a, cols, dens, field) -> list:
     if cols and isinstance(cols[0][0], RatFunc):
         sums = [vec_dot(a, c, field.zero) for c in cols]
         return [v if e == 1 else v / e for v, e in zip(sums, dens)]
-    al = _lay_out(a)
+    al = _lay_out(a) if layout is None else layout
     cofactors = [al.cofactors[len(c) - 1] for c in cols]
     bound = al.height * max(sum(map(abs, c)) for c in cols) if cols else 0
     if any(c != _Z_ONE for c in cofactors):

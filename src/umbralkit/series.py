@@ -25,8 +25,9 @@ over the outer's layout when the inner series is over Q), which reads the
 table its caller gives it.  ``_revert_rows`` solves for fbar over the rows
 of s, builds fbar's table, checks the round trip s(fbar) = t over it and
 returns it with fbar; ``revert`` is that body, and the GF route of
-:mod:`umbralkit.umbral` reads the same checked table for g(fbar) and its
-columns.  Over Q(L) the rows are the plain products and every dens[k] is 1.
+:mod:`umbralkit.umbral` reads the same checked table for its columns, and
+for g(fbar) only when the pair has no proven 1/g.  Over Q(L) the rows are
+the plain products and every dens[k] is 1.
 
 The kernels' outputs (products, inverses, compositions, reversions,
 shifts, exp, log, and the S_n of the Sheffer routes) are made in their
@@ -379,9 +380,10 @@ class Series(CoeffVector):
 
         Before returning, the round trip s(fbar) = t is checked over fbar's
         table (``_compose_rows``), and that same table is returned: the
-        Sheffer GF route (``umbral.sheffer_gf``) reads it for g(fbar) and its
-        columns, so it builds no other table of fbar and reads none that
-        the round trip did not check.
+        Sheffer GF route (``umbral.sheffer_gf``) reads it for its columns,
+        and for g(fbar) when the pair has no proven 1/g, so it builds no
+        other table of fbar and reads none that the round trip did not
+        check.
         """
         T = self.trunc
         if T < 2:

@@ -21,44 +21,50 @@ either route.
 
 Every sum against a power table is one prefix sum (``fields._prefix_sums``):
 the y^j coefficients of the GF route, the x^j coefficients of the transfer
-route and of :func:`operator_apply`.  Its Q or Q(L) operand (1/g(fbar),
-1/g or the series applied) is laid out over one common denominator and
-packed once per call; each output is divided by the cofactor of the
-denominators it did not use and normalised once.  The orthogonality check
-keeps its own packed sums, so that it stays an independent oracle, and
-normalises none: it compares the two sides of each condition as packed
-integers over common denominators, and only a list that fails a condition
-is read by the plain functionals <g f^k | S_n>.
+route and of :func:`operator_apply`.  Its Q or Q(L) operand (ginv or
+1/g(fbar) in the GF route, ginv or 1/g in the transfer route, the series
+applied) is laid out over one common denominator, once per call or, for a
+ginv, once by its proof, and packed once per call; each output is divided
+by the cofactor of the denominators it did not use and normalised once.
+The orthogonality check keeps its own packed sums, so that it stays an
+independent oracle, and normalises none: it compares the two sides of each
+condition as packed integers over common denominators, and only a list
+that fails a condition is read by the plain functionals <g f^k | S_n>.
 
 Only g carries L in the registry's pairs over Q(L); f is free of it.  A
 :class:`ShefferPair` keeps an L-free f over Q (``series._over_q``), so the
 reversion fbar, the power tables of fbar and t/f, and the inverse t/f run
 on the Q kernel, and Q(L) arithmetic is left to the terms that meet g:
-1/g(fbar), the y^j coefficients of S_n (one sum each, of fbar^j against
-1/g(fbar)), and the x^j coefficients of (1/g) x (t/f)^n x^{n-1} (one sum
-each, of (t/f)^n against 1/g).  An f that carries L stays over Q(L), with g
-over Q or Q(L).
+the y^j coefficients of S_n (one sum each, of the table of fbar against
+ginv, or of fbar^j against 1/g(fbar), which that path makes first), and the
+x^j coefficients of (1/g) x (t/f)^n x^{n-1} (one sum each, of (t/f)^n
+against 1/g).  An f that carries L stays over Q(L), with g over Q or
+Q(L).
 
 1/g comes in one of two ways.  A registry pair with a Frobenius g carries
 its reciprocal ``ginv``, built by the same integer sum as g
 (``families._frobenius_g`` at order -a).  Each route first proves
 g * ginv = 1 mod t^T at the answer's truncation, as one product of two
-packed integers (``_proven_ginv``), and then takes ginv for 1/g and
-ginv(fbar) for 1/g(fbar), packed sums over Q(L) with no Q(L) inverse.  A
-pair with no ginv, as every DSL pair, or with a ginv the proof rejects,
-takes the two Q(L) inversions, 1/g in the transfer route and 1/g(fbar) of
-g(fbar) in the GF route, and those routes share no 1/g.  With a proven ginv
-both routes read the same 1/g, and the proof, not a second inversion, is
-what makes it 1/g; a ginv is never read unproven, since a wrong one read by
-both routes would pass their cross-check.
+packed integers (``_proven_ginv``), and then sums over ginv itself,
+packed against the layout the proof made, so each route lays ginv out once
+and runs no Q(L) inverse: the transfer route takes ginv for 1/g, and the GF
+route composes nothing, since fbar^j ginv(fbar) = sum_k ginv[k] fbar^(j+k)
+(Roman, ch. 2) makes the y^j coefficient of S_n one sum of ginv against
+the table of fbar.  A pair with no ginv, as every DSL pair, or with a
+ginv the proof rejects, takes the two Q(L) inversions, 1/g in the transfer
+route and 1/g(fbar) of g(fbar) in the GF route, and those routes share no
+1/g.  With a proven ginv both routes read the same 1/g, and the proof, not
+a second inversion, is what makes it 1/g; a ginv is never read unproven,
+since a wrong one read by both routes would pass their cross-check.
 
 The power tables over Q are read as integer rows, each over its own
 reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
 never as Fractions: the columns of both routes are integers made from those
-rows, over dens[k] times a factorial, packed against the prefix layout of
-1/g(fbar) or 1/g (as g(fbar) is inside ``Series._compose_rows``).  The GF
-route builds one table of fbar, the one the reversion's round trip checks,
-and the transfer route one of t/f.
+rows, over a factorial times dens[k] or, in the GF route's sum over ginv,
+times the lcm of the dens[k] the column reads, packed against the prefix
+layout of ginv, 1/g(fbar) or 1/g (as g(fbar) is inside
+``Series._compose_rows``).  The GF route builds one table of fbar, the one
+the reversion's round trip checks, and the transfer route one of t/f.
 
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
@@ -69,8 +75,8 @@ computing; ``_cut`` is that one rule.
 
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import factorial
+from itertools import accumulate, zip_longest
+from math import factorial, lcm
 from operator import add, is_, mul
 
 from .errors import (
@@ -197,9 +203,11 @@ def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
 
 
 def _proven_ginv(pair: ShefferPair):
-    """pair.ginv cut to g's truncation T when g * ginv = 1 mod t^T, else
-    None: for no ginv, for one known through less than t^(T - 1), and for a
-    wrong one.
+    """(ginv, its layout) for pair.ginv cut to g's truncation T when
+    g * ginv = 1 mod t^T, else (None, None): for no ginv, for one known
+    through less than t^(T - 1), and for a wrong one.  The layout
+    (``fields._lay_out``) is the one the proof packs; a route passes it to
+    ``fields._prefix_sums``, so it lays out ginv once.
 
     With g_m = G_m / (q D) and ginv_m = H_m / (q' D') over common
     denominators (``fields._lay_out``), the claim is the equality of integer
@@ -220,7 +228,7 @@ def _proven_ginv(pair: ShefferPair):
     g, h = pair.g, pair.ginv
     T = g.trunc
     if h is None or h.trunc < T:
-        return None
+        return None, None
     h = h.truncate(T)
     gl, hl = _lay_out(g.coeffs), _lay_out(h.coeffs)
     unit = [gl.q * hl.q * c for c in _zmul(gl.den, hl.den)]
@@ -228,37 +236,58 @@ def _proven_ginv(pair: ShefferPair):
     lg, lh = [len(t) for t in gl.num], [len(t) for t in hl.num]
     w = s * max(len(unit), *(max(map(add, lg[: k + 1], lh[k::-1])) - 1 for k in range(T)))
     low = _pack(gl.packed(s), w) * _pack(hl.packed(s), w) - _pack(unit, s)
-    return None if low & ((1 << T * w) - 1) else h
+    return (None, None) if low & ((1 << T * w) - 1) else (h, hl)
 
 
 def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     """S_0 .. S_{n_max} from the generating-function route.
 
-    The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)):
-    with fbar^j = rows[j] / dens[j], the sum over i <= n - j of
-    (n!/j!) rows[j][n - i] * ginv[i] / dens[j], one prefix sum of 1/g(fbar)
-    (``fields._prefix_sums``), packed when fbar is over Q.
+    The y^j coefficient of S_n is (n!/j!) [t^n] fbar(t)^j / g(fbar(t)),
+    read from the power table of fbar (fbar^k = rows[k] / dens[k]) as one
+    prefix sum per (n, j) (``fields._prefix_sums``), packed when fbar is
+    over Q.  The table is built once, by the reversion
+    (``Series._revert_rows``), whose round trip f(fbar) = t checks it.
 
-    The power table of fbar is built once, by the reversion
-    (``Series._revert_rows``), whose round trip f(fbar) = t checks it; the
-    same table gives the columns and 1/g(fbar) (``Series._compose_rows``):
-    ginv(fbar) for a ginv that ``_proven_ginv`` proves, else the inverse of
-    g(fbar).
+    With a ginv that ``_proven_ginv`` proves, fbar^j ginv(fbar) =
+    sum_k ginv[k] fbar^(j+k) (Roman, *The Umbral Calculus*, 1984, ch. 2),
+    so the sum is of ginv itself,
+    (n!/j!) sum_{k <= n - j} ginv[k] rows[j + k][n] / dens[j + k]: the
+    integers n! rows[j + k][n] (E / dens[j + k]) over E j!, E the lcm of
+    dens[j .. n], packed against the proof's layout of ginv, and no
+    composition is made.  Otherwise 1/g(fbar) is the inverse of g(fbar)
+    (``Series._compose_rows`` over the same table), and the sum is
+    (n!/j!) sum_{i <= n - j} 1/g(fbar)[i] rows[j][n - i] / dens[j].
     """
     pair = _cut(pair, n_max)
     fbar, table = pair.f._revert_rows()
-    h = _proven_ginv(pair)
-    ginv = (pair.g._compose_rows(fbar, table).inverse() if h is None
-            else h._compose_rows(fbar, table)).coeffs
     row_dens, rows = table
     fact = _factorials(n_max + 1)
+    ginv, layout = _proven_ginv(pair)
     cols, dens = [], []
-    for n in range(n_max + 1):
-        for j in range(n + 1):
-            # pairs ginv[i] with fbar^j[n - i] = rows[j][n - i] / row_dens[j]
-            cols.append([fact[n] // fact[j] * rows[j][n - i] for i in range(n - j + 1)])
-            dens.append(row_dens[j])
-    values = _prefix_sums(ginv, cols, dens, pair.field)
+    if ginv is None:
+        ginv = pair.g._compose_rows(fbar, table).inverse()
+        for n in range(n_max + 1):
+            for j in range(n + 1):
+                # pairs 1/g(fbar)[i] with fbar^j[n - i] = rows[j][n - i] / row_dens[j]
+                cols.append([fact[n] // fact[j] * rows[j][n - i] for i in range(n - j + 1)])
+                dens.append(row_dens[j])
+    else:
+        # column (n, j) pairs ginv[k] with n! fbar^(j+k)[n] = X[j + k] / row_dens[j + k]
+        # over E j!, E = lcms[j][n - j] the lcm of row_dens[j .. n]; quots[j]
+        # holds E // row_dens[j .. n], made afresh only when E grows
+        lcms = [list(accumulate(row_dens[j:], lcm)) for j in range(n_max + 1)]
+        quots = [[] for _ in range(n_max + 1)]
+        for n in range(n_max + 1):
+            X = [fact[n] * row[n] for row in rows[: n + 1]]
+            for j in range(n + 1):
+                E = lcms[j][n - j]
+                if n > j and E == lcms[j][n - j - 1]:
+                    quots[j].append(E // row_dens[n])
+                else:
+                    quots[j] = [E // d for d in row_dens[j : n + 1]]
+                cols.append(list(map(mul, quots[j], X[j:])))
+                dens.append(E * fact[j])
+    values = _prefix_sums(ginv.coeffs, cols, dens, pair.field, layout)
     return [Poly._raw(pair.field, vec_trim(values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]))
             for n in range(n_max + 1)]
 
@@ -268,10 +297,12 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     t/f and one layout of 1/g: every x^j coefficient of every S_n is a
     prefix sum of 1/g against integers from the rows of (t/f)^n
     (``fields._prefix_sums``, one call for all of them).  1/g is the pair's
-    ginv when ``_proven_ginv`` proves it, else the inverse of g."""
+    ginv when ``_proven_ginv`` proves it, laid out by the proof, else the
+    inverse of g."""
     pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
-    h = _proven_ginv(pair)
-    ginv = (pair.g.inverse() if h is None else h).coeffs
+    ginv, layout = _proven_ginv(pair)
+    if ginv is None:
+        ginv = pair.g.inverse()
     t_over_f = pair.f.shift_div(1).inverse()
     row_dens, rows = t_over_f._power_rows(n_max)
     zero = 0 if t_over_f.field is QQ else t_over_f.field.zero  # the table's zero
@@ -286,7 +317,7 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
         for j in range(n + 1):
             cols.append(P[j:])
             dens.append(fact[j] * row_dens[n])
-    values = _prefix_sums(ginv, cols, dens, pair.field)
+    values = _prefix_sums(ginv.coeffs, cols, dens, pair.field, layout)
     # S_n takes the n + 1 values after the 2 + 3 + .. + n of S_1 .. S_{n-1}
     return [Poly._raw(pair.field,
                       vec_trim(values[n * (n + 1) // 2 - 1 : (n + 1) * (n + 2) // 2 - 1]))

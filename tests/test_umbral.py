@@ -552,11 +552,12 @@ class TestLambdaDependentF:
             assert at == sheffer_gf(self.pair(QQ, lam0), n)
 
 
-def _with_f_lifted(pair):
-    """The pair with f lifted into Q(L), built past ``ShefferPair.__init__``
-    so that f stays there and the routes run f's half over Q(L)."""
+def _with_f_lifted(pair, ginv=None):
+    """The pair with f lifted into Q(L) and the claim ``ginv``, built past
+    ``ShefferPair.__init__`` so that f stays there and the routes run f's
+    half over Q(L)."""
     lifted = object.__new__(ShefferPair)
-    Record.__init__(lifted, pair.g, Series(QL, pair.f.coeffs))
+    Record.__init__(lifted, pair.g, Series(QL, pair.f.coeffs), ginv)
     return lifted
 
 
@@ -1009,6 +1010,8 @@ class TestPackedMixedSums:
         want = [vec_dot(a[: len(c)], c, field.zero) / e for c, e in zip(cols, dens)]
         assert [_form(x) for x in got] == [_form(field.coerce(x)) for x in want]
         assert all(type(x) is type(field.zero) for x in got)
+        # a layout passed in, as the Sheffer routes pass the proof's, is a's
+        assert fields._prefix_sums(a, cols, dens, field, _lay_out(a)) == got
 
     def test_zero_entry_inside_a_prefix(self):
         # g over Q(L) with zero coefficients between denominators (1 - L)
@@ -1072,7 +1075,8 @@ def _public_gf(pair, n_max):
 
 class TestSharedFbarTable:
     """``sheffer_gf`` builds one power table of fbar, checked by the
-    reversion's round trip, and reads it for g(fbar) and its columns."""
+    reversion's round trip, and reads it for its columns, and for g(fbar)
+    when the pair has no proven ginv."""
 
     def test_universe_matches_the_public_path(self):
         pairs = _sheffer_q_lambda_pairs()
@@ -1151,7 +1155,7 @@ class TestProvenGinv:
         assert (pair.g * pair.ginv).coeffs == one(pair.g.field, 12).coeffs
         cut = umbral._cut(pair, 7)
         assert cut.ginv == pair.ginv.truncate(8)
-        assert umbral._proven_ginv(cut) is cut.ginv
+        assert umbral._proven_ginv(cut)[0] is cut.ginv
 
     @pytest.mark.parametrize("name,order,params", [
         ("bernoulli", 2, {}), ("narumi", 1, {}), ("poisson_charlier", 1, {"a": F(2)}),
@@ -1159,7 +1163,7 @@ class TestProvenGinv:
     ])
     def test_other_pairs_carry_none(self, name, order, params):
         pair = bespoke_pair(name, 8, order=order, **params)
-        assert pair.ginv is None and umbral._proven_ginv(pair) is None
+        assert pair.ginv is None and umbral._proven_ginv(pair)[0] is None
 
     def test_ginv_must_be_a_series(self):
         with pytest.raises(DomainError, match="ginv"):
@@ -1168,8 +1172,8 @@ class TestProvenGinv:
     def test_short_ginv_is_not_read(self):
         pair = bespoke_pair("T2", 8, order=1, b=F(1, 2), lam=None)
         short = ShefferPair(pair.g, pair.f, pair.ginv.truncate(6))
-        assert umbral._proven_ginv(short) is None
-        assert umbral._proven_ginv(umbral._cut(short, 5)) is not None
+        assert umbral._proven_ginv(short)[0] is None
+        assert umbral._proven_ginv(umbral._cut(short, 5))[0] is not None
 
     @given(claim=_ginv_claims(QL, ratfuncs()) | _ginv_claims(QQ, st.fractions(-40, 40, max_denominator=12)))
     @settings(max_examples=120, deadline=None)
@@ -1180,7 +1184,7 @@ class TestProvenGinv:
         g, ginv = claim
         pair = ShefferPair(g, t_series(QQ, 2), ginv)
         want = (g * ginv).coeffs == one(g.field, g.trunc).coeffs
-        assert (umbral._proven_ginv(pair) is not None) is want
+        assert (umbral._proven_ginv(pair)[0] is not None) is want
 
     @pytest.mark.parametrize("name,order,params", FROBENIUS_G_PAIRS, ids=[r[0] for r in FROBENIUS_G_PAIRS])
     @pytest.mark.parametrize("m", [0, 1, 6])
@@ -1192,7 +1196,7 @@ class TestProvenGinv:
         wrong = list(pair.ginv.coeffs)
         wrong[m] = wrong[m] + 1
         bumped = ShefferPair(pair.g, pair.f, Series(pair.ginv.field, wrong))
-        assert umbral._proven_ginv(bumped) is None
+        assert umbral._proven_ginv(bumped)[0] is None
         for route in (sheffer_gf, sheffer_transfer_all):
             want = route(_without_ginv(pair), n_max)
             assert _texts(route(bumped, n_max)) == _texts(want)
@@ -1208,7 +1212,7 @@ class TestProvenGinv:
         # difference -2^s + 2^s is 0, and the false claim would be proven
         pair = ShefferPair(Series(QQ, [1, 0]), t_series(QQ, 2),
                            Series(QQ, [F(-1, 3), F(1, 3 * 2 ** (s - 2))]))
-        assert umbral._proven_ginv(pair) is None
+        assert umbral._proven_ginv(pair)[0] is None
         widths = []
 
         def narrower(bound):
@@ -1216,7 +1220,7 @@ class TestProvenGinv:
             return widths[-1]
 
         monkeypatch.setattr(umbral, "_slot_width", narrower)
-        assert umbral._proven_ginv(pair) is pair.ginv
+        assert umbral._proven_ginv(pair)[0] is pair.ginv
         assert widths == [s]
         assert sheffer_gf(pair, 1) != sheffer_gf(_without_ginv(pair), 1)
 
@@ -1242,3 +1246,161 @@ class TestProvenGinv:
         for route in (sheffer_gf, sheffer_transfer_all):
             with pytest.raises(AssertionError, match="Q\\(L\\)"):
                 route(dsl, 4)
+
+
+# ---------------------------------------------------------------------------
+# the GF route's sum over the proven ginv against the composed form it
+# replaced, and one layout of ginv per route
+# ---------------------------------------------------------------------------
+
+
+def _composed_gf(pair, n_max):
+    """S_0 .. S_n_max for a pair whose ginv is proven, by the GF route's
+    former form: ginv(fbar) over the reversion's table
+    (``Series._compose_rows``), then the y^j coefficient of S_n one prefix
+    sum of ginv(fbar) against (n!/j!) rows[j][n - i] / dens[j]."""
+    pair = umbral._cut(pair, n_max)
+    ginv, _ = umbral._proven_ginv(pair)
+    assert ginv is not None
+    fbar, table = pair.f._revert_rows()
+    row_dens, rows = table
+    cols, dens = [], []
+    for n in range(n_max + 1):
+        for j in range(n + 1):
+            cols.append([factorial(n) // factorial(j) * rows[j][n - i] for i in range(n - j + 1)])
+            dens.append(row_dens[j])
+    values = fields._prefix_sums(ginv._compose_rows(fbar, table).coeffs, cols, dens, pair.field)
+    return [Poly(pair.field, values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2])
+            for n in range(n_max + 1)]
+
+
+def _same_polys(got, want):
+    return len(got) == len(want) and all(map(_same_poly, got, want))
+
+
+# every Frobenius pair tag, with lambda the symbol L and a rational where it
+# takes one (euler and T4 are at lambda = -1)
+FROBENIUS_G_TAGS = [
+    (name, order, {**params, **({"lam": lam} if "lam" in params else {})})
+    for name, order, params in FROBENIUS_G_PAIRS
+    for lam in ((None, F(-1, 3)) if "lam" in params else (None,))
+]
+FROBENIUS_G_TAG_IDS = [f"{name}-lam={params.get('lam', -1)}" for name, _, params in FROBENIUS_G_TAGS]
+
+
+class TestGFSumsOverGinv:
+    """With a proven ginv the GF route sums S_n over ginv itself, since
+    fbar^j ginv(fbar) = sum_k ginv[k] fbar^(j+k); the values are those of
+    ginv(fbar) summed against fbar^j, the form it replaced."""
+
+    @pytest.mark.parametrize("name,order,params", FROBENIUS_G_TAGS, ids=FROBENIUS_G_TAG_IDS)
+    @pytest.mark.parametrize("n_max", [0, 1, 12])
+    def test_frobenius_tags(self, name, order, params, n_max):
+        pair = bespoke_pair(name, answer_trunc(n_max), order=order, **params)
+        got = sheffer_gf(pair, n_max)
+        assert _same_polys(got, _composed_gf(pair, n_max))
+        assert _texts(got) == _texts(sheffer_gf(_without_ginv(pair), n_max))
+
+    @pytest.mark.parametrize("name,order,params", FROBENIUS_G_TAGS, ids=FROBENIUS_G_TAG_IDS)
+    def test_frobenius_tags_with_f_over_q_lambda(self, name, order, params):
+        # f lifted into Q(L): the columns are RatFuncs, one vec_dot each
+        n_max = 6
+        pair = bespoke_pair(name, answer_trunc(n_max), order=order, **params)
+        lifted = _with_f_lifted(pair, pair.ginv)
+        assert lifted.f.field is QL and umbral._cut(lifted, n_max) is lifted
+        got = sheffer_gf(lifted, n_max)
+        assert _same_polys(got, _composed_gf(lifted, n_max))
+        assert got == _lifted_polys(sheffer_gf(pair, n_max))
+
+    @pytest.mark.parametrize("g_field,lam", [(QL, LAMBDA), (QQ, F(1, 2))], ids=["g-QL", "g-Q"])
+    def test_f_carrying_lambda(self, g_field, lam):
+        # g = e^{lam t}, ginv = e^{-lam t}, f = t e^{Lt} over Q(L)
+        n_max = 8
+        T = answer_trunc(n_max)
+        f = exp_ct(QL, LAMBDA, T).mul_t(1)
+        pair = ShefferPair(exp_ct(g_field, lam, T), f, exp_ct(g_field, -lam, T))
+        assert pair.f.field is QL and umbral._proven_ginv(pair)[0] is pair.ginv
+        got = sheffer_gf(pair, n_max)
+        assert _same_polys(got, _composed_gf(pair, n_max))
+        assert got == sheffer_gf(_without_ginv(pair), n_max)
+
+    @given(claim=_ginv_claims(QL, ratfuncs()) | _ginv_claims(QQ, st.fractions(-40, 40, max_denominator=12)),
+           lift=st.booleans(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_claims(self, claim, lift, data):
+        # a claim the proof accepts is summed over ginv and gives the
+        # composed form's values; a rejected one gives the plain path's.
+        # f over Q, or lifted into Q(L) when g is known through t^1
+        g, ginv = claim
+        f = data.draw(qq_series(max(g.trunc, 2), min_order=1).filter(lambda s: s.coeffs[1] != 0))
+        n_max = g.trunc - 1
+        lift = lift and g.trunc >= 2
+        pair = _with_f_lifted(ShefferPair(g, f), ginv) if lift else ShefferPair(g, f, ginv)
+        plain = _with_f_lifted(ShefferPair(g, f)) if lift else ShefferPair(g, f)
+        got = sheffer_gf(pair, n_max)
+        if umbral._proven_ginv(umbral._cut(pair, n_max))[0] is not None:
+            assert _same_polys(got, _composed_gf(pair, n_max))
+        assert got == sheffer_gf(plain, n_max)
+
+
+class TestOneLayoutOfGinv:
+    """Each route lays ginv out once, in ``_proven_ginv``, and passes that
+    layout to ``fields._prefix_sums``; the GF route composes only for the
+    reversion's round trip.  A DSL pair, with no ginv, keeps the two Q(L)
+    inversions.  The pins count calls, so they hold on any host."""
+
+    N = 10
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(laid, composed, inverted): the vectors laid out (``_lay_out``),
+        and the outer series of ``Series._compose_rows`` and the series of
+        ``Series.inverse``, in call order."""
+        laid, composed, inverted = [], [], []
+        lay_out, compose_rows, inverse = fields._lay_out, Series._compose_rows, Series.inverse
+
+        def counted_lay_out(c, w=None):
+            laid.append(tuple(c))
+            return lay_out(c, w)
+
+        def counted_compose_rows(s, inner, table):
+            composed.append(s)
+            return compose_rows(s, inner, table)
+
+        def counted_inverse(s):
+            inverted.append(s)
+            return inverse(s)
+
+        for module in (fields, umbral):
+            monkeypatch.setattr(module, "_lay_out", counted_lay_out)
+        monkeypatch.setattr(Series, "_compose_rows", counted_compose_rows)
+        monkeypatch.setattr(Series, "inverse", counted_inverse)
+        return laid, composed, inverted
+
+    def test_frobenius_pair(self, monkeypatch):
+        pair = bespoke_pair("T2", answer_trunc(self.N), order=-1, b=F(1, 2), lam=None)
+        assert umbral._cut(pair, self.N) is pair and pair.g.field is QL
+        t_f = pair.f.shift_div(1)
+        laid, composed, inverted = self._spy(monkeypatch)
+        sheffer_gf(pair, self.N)
+        assert laid.count(pair.ginv.coeffs) == 1
+        assert laid == [pair.f.coeffs, pair.g.coeffs, pair.ginv.coeffs]  # round trip, proof
+        assert composed == [pair.f] and inverted == []
+        del laid[:], composed[:], inverted[:]
+        sheffer_transfer_all(pair, self.N)
+        assert laid.count(pair.ginv.coeffs) == 1
+        assert laid == [pair.g.coeffs, pair.ginv.coeffs]  # proof
+        assert composed == [] and inverted == [t_f]
+
+    def test_dsl_pair_keeps_both_inversions(self, monkeypatch):
+        pair = dsl_pair("(exp(t)-L)/(1-L)", "log1p(t)", answer_trunc(self.N))
+        assert pair.ginv is None and pair.g.field is QL
+        g_of_fbar = pair.g.compose(pair.f.revert())
+        laid, composed, inverted = self._spy(monkeypatch)
+        sheffer_gf(pair, self.N)
+        assert composed == [pair.f, pair.g]
+        assert inverted == [g_of_fbar]
+        del composed[:], inverted[:]
+        sheffer_transfer_all(pair, self.N)
+        assert composed == []
+        assert [s for s in inverted if s.field is QL] == [pair.g]
