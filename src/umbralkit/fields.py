@@ -84,7 +84,8 @@ it sums integer columns against the leading entries of one Q or Q(L)
 vector.  A sum that uses only the first entries of a layout is an integer
 polynomial divisible by the cofactor of the entries it skips, so each
 packed sum is divided by its packed cofactor as one integer, with
-Mignotte's factor bound added to the slot so the quotient unpacks exactly.
+Mignotte's factor bound added to the slot so the quotient unpacks exactly;
+each distinct cofactor is packed once per call.
 It serves the coefficients of g(fbar) for a g over Q(L) and fbar over Q
 (``Series._compose_rows``), the y^j coefficients of the GF route (the
 table of fbar against a proven ginv, else fbar^j against 1/g(fbar)), the
@@ -96,7 +97,8 @@ an integer row over its own reduced denominator, one ``_zmul`` per power),
 and ``Series.revert`` solves over the same rows.  No consumer builds a
 ``Fraction`` per table entry.  The orthogonality check reads no power
 table: it lays out g, f and each S_n once and packs the sums of Sheffer's
-two conditions, each from the entries of g and f that its S_n reaches.
+two conditions, each from the entries of g and f that its S_n reaches, at
+a slot that only grows, so g and f are packed once per width.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
 gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
@@ -457,14 +459,12 @@ class RatFunc:
         self._become(sn / sd, *_lowest_terms(_zmul(n, dd), _zmul(d, dn)))
 
     def _become(self, scale, n, d):
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "_n", n)
-        object.__setattr__(self, "_d", d)
+        self.scale, self._n, self._d = scale, n, d
 
     @classmethod
     def _raw(cls, scale: Fraction, n, d) -> "RatFunc":
         obj = object.__new__(cls)
-        obj._become(scale, n, d)
+        obj.scale, obj._n, obj._d = scale, n, d
         return obj
 
     @classmethod
@@ -669,8 +669,9 @@ def _lcm_cofactors(den, d):
     """(l, m, md) with l = lcm(den, d) = den * m = d * md, for primitive
     integer polynomials (tuples) with positive leads: exact division both
     ways (``_zquo``) first, ``_zgcd`` only when neither divides the other.
-    Memoised: the Q(L) routes meet few distinct pairs (313 in about 10 400
-    calls over the 60 operations ``sheffer_q_lambda`` draws from)."""
+    Memoised: the Q(L) routes meet few distinct pairs (74 in 2 282 calls
+    over the 60 operations ``sheffer_q_lambda`` draws from, after
+    ``_lay_out`` skips the 6 298 whose d is the running lcm already)."""
     if d == den:
         return den, _Z_ONE, _Z_ONE
     if d == _Z_ONE:
@@ -819,7 +820,7 @@ class _Layout:
     each entry i, the lcm dens[i] of the denominators of the entries up to
     i and cofactors[i] = den / dens[i], which divides the numerators of all
     those entries.  ``height`` bounds the numerators' coefficients and
-    ``length`` their lengths; ``packed(s, k)`` is num[:k] at 2^s."""
+    ``length`` their lengths; ``packed(s)`` is num at 2^s."""
 
     __slots__ = ("num", "q", "den", "dens", "cofactors", "height", "length")
 
@@ -828,10 +829,9 @@ class _Layout:
         self.height = max(map(abs, chain.from_iterable(num)), default=0)
         self.length = max(map(len, num), default=0)
 
-    def packed(self, s: int, k: int | None = None) -> list:
-        """[num[i] at 2^s for i < k], every i when k is None, packed afresh
-        at each call."""
-        return [_pack(t, s) for t in self.num[:k]]
+    def packed(self, s: int) -> list:
+        """[num[i] at 2^s for every i], packed afresh at each call."""
+        return [_pack(t, s) for t in self.num]
 
 
 def _lay_out(c, w=None) -> _Layout:
@@ -845,7 +845,9 @@ def _lay_out(c, w=None) -> _Layout:
     den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
     # a unit cofactor, as most are, skips its product
     for i, (_, n, d) in enumerate(parts):
-        den, steps[i], md = _lcm_cofactors(den, d)
+        md = _Z_ONE
+        if d != den:  # most entries are over the running lcm already
+            den, steps[i], md = _lcm_cofactors(den, d)
         dens[i], own[i] = den, n if md == _Z_ONE else _zmul(n, md)
     # entry i is own[i] / dens[i]; the lcm steps after it bring it onto den
     num, cofactors, cof = [()] * len(c), [_Z_ONE] * len(c), _Z_ONE
@@ -876,8 +878,9 @@ def _prefix_sums(a, cols, dens, field, layout: _Layout | None = None) -> list:
     columns are packed sums over the prefix layout of a: the numerators A_k
     of a[0 .. len(c) - 1] are divisible by cofactors[len(c) - 1], so the
     packed sum_k c[k] A_k is divided by the packed cofactor exactly, as one
-    integer, which leaves the denominator q * e * dens[len(c) - 1], and
-    ``_element`` makes the canonical form.  A coefficient of the sum is at
+    integer, packed once for all the columns of one length, which leaves
+    the denominator q * e * dens[len(c) - 1], and ``_element`` makes the
+    canonical form.  A coefficient of the sum is at
     most height(a) * sum_k |c[k]|.  The quotient unpacks exactly: a factor Q
     of an integer polynomial P with d + 1 coefficients has
     |Q_i| <= C(d, d // 2) ||P||_2 (Mignotte 1974), so the slot holds that
@@ -886,18 +889,20 @@ def _prefix_sums(a, cols, dens, field, layout: _Layout | None = None) -> list:
         sums = [vec_dot(a, c, field.zero) for c in cols]
         return [v if e == 1 else v / e for v, e in zip(sums, dens)]
     al = _lay_out(a) if layout is None else layout
-    cofactors = [al.cofactors[len(c) - 1] for c in cols]
+    # the prefix lengths whose cofactor is not 1, each packed once below
+    lengths = {k for k in map(len, cols) if al.cofactors[k - 1] != _Z_ONE}
     bound = al.height * max(sum(map(abs, c)) for c in cols) if cols else 0
-    if any(c != _Z_ONE for c in cofactors):
+    if lengths:
         d = max(al.length - 1, 0)
         bound *= comb(d, d // 2) * (isqrt(d) + 1)
     s = _slot_width(bound)
     A = al.packed(s)
+    cofactors = {k: _pack(al.cofactors[k - 1], s) for k in lengths}
     out = []
-    for c, e, cof in zip(cols, dens, cofactors):
+    for c, e in zip(cols, dens):
         v = sum(map(mul, c, A))
-        if v and cof != _Z_ONE:
-            v //= _pack(cof, s)
+        if v and len(c) in cofactors:
+            v //= cofactors[len(c)]
         out.append(_element(field, _unpack(v, s), al.q * e, al.dens[len(c) - 1]))
     return out
 
@@ -906,11 +911,13 @@ def _element(field, num, q: int, den):
     """num / (q * den) in ``field``'s canonical form, for an integer
     polynomial num (over Q, a constant) and den primitive with positive
     lead (over Q, (1,))."""
-    if not num:  # a third of the sums in the Q(L) routes are zero
+    if not num:  # rare: 12 of the 7 860 Q(L) sums of the sheffer_q_lambda universe
         return field.zero
     if field is QQ:
         return Fraction(num[0], q)
     cont, num = _zprimitive(num)
+    if len(den) == 1:  # den (1,), as for 4 772 of those sums: lowest terms already
+        return RatFunc._raw(Fraction(cont, q), num, den)
     return RatFunc._raw(Fraction(cont, q), *_lowest_terms(num, den))
 
 

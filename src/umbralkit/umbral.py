@@ -44,8 +44,8 @@ Q(L).
 1/g comes in one of two ways.  A registry pair with a Frobenius g carries
 its reciprocal ``ginv``, built by the same integer sum as g
 (``families._frobenius_g`` at order -a).  Each route first proves
-g * ginv = 1 mod t^T at the answer's truncation, as one product of two
-packed integers (``_proven_ginv``), and then sums over ginv itself,
+g * ginv = 1 mod t^T at the answer's truncation, as one sum of packed
+products per t^k (``_proven_ginv``), and then sums over ginv itself,
 packed against the layout the proof made, so each route lays ginv out once
 and runs no Q(L) inverse: the transfer route takes ginv for 1/g, and the GF
 route composes nothing, since fbar^j ginv(fbar) = sum_k ginv[k] fbar^(j+k)
@@ -77,7 +77,7 @@ from __future__ import annotations
 
 from itertools import accumulate, zip_longest
 from math import factorial, lcm
-from operator import add, is_, mul
+from operator import is_, mul
 
 from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
@@ -212,19 +212,13 @@ def _proven_ginv(pair: ShefferPair):
     With g_m = G_m / (q D) and ginv_m = H_m / (q' D') over common
     denominators (``fields._lay_out``), the claim is the equality of integer
     polynomials in L sum_{i <= k} G_i H_{k-i} = delta_{k,0} q q' D D' for
-    every k < T.  Each side is packed in two levels: a polynomial in L at
-    2^s, and the coefficient of t^k at 2^(kw), w = s times the longest
-    polynomial either side can have at a k < T: at most the length of G_i
-    plus that of H_{k-i}, less 1.  (A Frobenius-type g and its reciprocal
-    have L-degree about m at t^m, so this is about half the longest G_i plus
-    the longest H_j.)  So all T sums are the low T slots of one
-    product of two integers, and the claim holds exactly when the low T w
-    bits of that product minus the packed unit are zero.  The slot width s
-    holds either side, as in ``orthogonality_failure`` (``_dot_bound``
-    bounds a sum of products G_i H_j as it bounds a dot product), so each
-    coefficient of their difference is below 2^s in size, and the lowest
-    nonzero one would leave a nonzero residue; the slots of t^k for k >= T
-    are multiples of 2^(Tw) and do not reach the low bits."""
+    every k < T.  Each polynomial is packed at 2^s, and each k is decided by
+    one sum of k + 1 products of packed integers, compared with the packed
+    unit at k = 0 and with 0 above it; the proof stops at the first k that
+    fails.  The slot width s holds either side, as in
+    ``orthogonality_failure`` (``_dot_bound`` bounds a sum of products
+    G_i H_j as it bounds a dot product), so two packed sides are equal
+    exactly when their polynomials are."""
     g, h = pair.g, pair.ginv
     T = g.trunc
     if h is None or h.trunc < T:
@@ -233,10 +227,9 @@ def _proven_ginv(pair: ShefferPair):
     gl, hl = _lay_out(g.coeffs), _lay_out(h.coeffs)
     unit = [gl.q * hl.q * c for c in _zmul(gl.den, hl.den)]
     s = _slot_width(max([_dot_bound(gl, hl)] + list(map(abs, unit))))
-    lg, lh = [len(t) for t in gl.num], [len(t) for t in hl.num]
-    w = s * max(len(unit), *(max(map(add, lg[: k + 1], lh[k::-1])) - 1 for k in range(T)))
-    low = _pack(gl.packed(s), w) * _pack(hl.packed(s), w) - _pack(unit, s)
-    return (None, None) if low & ((1 << T * w) - 1) else (h, hl)
+    G, H = gl.packed(s), hl.packed(s)
+    sums = (sum(map(mul, G, H[k::-1])) for k in range(T))  # packed t^k of g * ginv
+    return (h, hl) if next(sums) == _pack(unit, s) and not any(sums) else (None, None)
 
 
 def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
@@ -343,10 +336,12 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     and n S_{n-1} are sum_k F_k P_{j+k} / (j! q_f q_n D_f D_n) and
     n P'_j / (j! q' D').  Each condition is then an equality of integer
     polynomials, each side multiplied by the other side's q D, which their
-    packed integers decide at one slot per n that holds both sides; no sum
-    is normalised.  Condition n reads g and f only through t^(deg S_n), so
-    only their first deg S_n + 1 entries are packed at that slot; the slot
-    width still bounds the products over the whole layouts of g and f.
+    packed integers decide at a slot that holds both sides; no sum is
+    normalised.  The slot grows with n and never narrows, in steps of 64
+    bits: a wider slot is as sound, so g, f and S_{n-1} are packed afresh
+    only when it grows, S_n's packing serves as the next n's S_{n-1}, and
+    condition n reads the packed g and f only through t^(deg S_n).  The
+    slot width bounds the products over the whole layouts of g and f.
 
     A list that first fails a condition at S_N is read by the definition:
     the chain of products g f^k, each applied to S_N .. S_{n_max} in turn,
@@ -366,6 +361,7 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
             raise DomainError(f"S_{n} must be a Poly, got {type(p).__name__}")
     pair = _cut(pair, max([n_max] + [p.degree for p in polys]))
     gl, fl, prev = _lay_out(pair.g.coeffs), _lay_out(pair.f.coeffs), _lay_out(())
+    w = 0
     for n, p in enumerate(polys):
         pl = _lay_out(p.coeffs, _factorials(len(p.coeffs)))
         unit = [gl.q * pl.q * c for c in _zmul(gl.den, pl.den)] if n == 0 else []
@@ -373,14 +369,16 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
         right = [n * fl.q * pl.q * c for c in _zmul(fl.den, pl.den)]
         s = _slot_width(max([_dot_bound(gl, pl), _dot_bound(fl, pl) * sum(map(abs, left)),
                              prev.height * sum(map(abs, right))] + list(map(abs, unit))))
-        # both conditions read g and f only through t^(deg S_n)
-        m = len(pl.num)
-        F, P, left, right = fl.packed(s, m), pl.packed(s), _pack(left, s), _pack(right, s)
-        fs = (sum(map(mul, F, P[j:])) for j in range(m))  # packed x^j of f(t) S_n
-        if sum(map(mul, gl.packed(s, m), P)) != _pack(unit, s) or any(
-                a * left != right * b for a, b in zip_longest(fs, prev.packed(s), fillvalue=0)):
+        if s > w:  # a wider slot is sound too, so w never narrows
+            w = -(-s // 64) * 64
+            G, F, Q = gl.packed(w), fl.packed(w), prev.packed(w)
+        P, left, right = pl.packed(w), _pack(left, w), _pack(right, w)
+        # both conditions read g and f only through t^(deg S_n): map stops at P's end
+        fs = (sum(map(mul, F, P[j:])) for j in range(len(P)))  # packed x^j of f(t) S_n
+        if sum(map(mul, G, P)) != _pack(unit, w) or any(
+                a * left != right * b for a, b in zip_longest(fs, Q, fillvalue=0)):
             break
-        prev = pl
+        prev, Q = pl, P
     else:
         return None
     acc, first = pair.g, n

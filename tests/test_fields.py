@@ -626,6 +626,22 @@ class TestPackedLayout:
         assert vec_mul(a, m) == vec_mul(b, mb) == lcm
         assert len(lcm) - 1 == len(a) + len(b) - len(_zgcd(a, b)) - 1
 
+    @given(num=st.lists(st.integers(-12, 12), max_size=6), k=st.integers(-(2**64), 2**64).filter(bool),
+           q=st.integers(1, 2**40))
+    @settings(max_examples=80, deadline=None)
+    def test_element_over_a_constant_den(self, num, k, q):
+        # a den of (1,) skips _lowest_terms and gives the very form that
+        # _lowest_terms would, for any content of num
+        num = tuple(vec_trim([k * c for c in num]))
+        got = fields._element(QL, num, q, (1,))
+        assert got == _as_element(num, q, (1,))
+        if not num:
+            assert got is QL.zero
+            return
+        cont, prim = _zprimitive(num)
+        want = RatFunc._raw(F(cont, q), *_lowest_terms(prim, (1,)))
+        assert (got.scale, got._n, got._d) == (want.scale, want._n, want._d)
+
 
 class TestZquo:
     """``_zquo``: the Z[L] quotient or None, certain either way."""

@@ -1,8 +1,9 @@
 """Functionals, operators, and the two Sheffer constructions."""
 
 from fractions import Fraction as F
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -915,6 +916,110 @@ class TestPackedOrthogonality:
         assert isinstance(got[2], RatFunc)
 
 
+# the route-table pairs at n = 40, lambda the symbol L
+ROUTE_TABLE_PAIRS = {
+    "T2[a=-1]": lambda T: bespoke_pair("T2", T, order=-1, b=F(1, 2), lam=None),
+    "T6[a=-1]": lambda T: bespoke_pair("T6", T, order=-1, c=F(1, 2), lam=None),
+    "daehee": lambda T: catalog_pair(FamilySpec.make("daehee", 1, lam=None), T=T),
+    "T10[a=2]": lambda T: bespoke_pair("T10", T, order=2, b=F(1, 2), c=F(1, 3), m=2, lam=None),
+}
+
+
+@lru_cache(maxsize=None)
+def _route_table_sequence(name):
+    pair = ROUTE_TABLE_PAIRS[name](answer_trunc(40))
+    return pair, tuple(sheffer_gf(pair, 40))
+
+
+class TestOrthogonalitySlotReuse:
+    """``orthogonality_failure`` keeps one slot width that grows with n in
+    64-bit steps and never narrows, packs g, f and S_{n-1} afresh only
+    when it grows, and packs each S_n once."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(laid, packs, needed): the layouts made, (layout, width) for each
+        packing in call order, and the width each n's bound asks for."""
+        laid, packs, needed = [], [], []
+        lay_out, packed = umbral._lay_out, fields._Layout.packed
+
+        def counted_lay_out(c, w=None):
+            laid.append(lay_out(c, w))
+            return laid[-1]
+
+        def counted_packed(self, s):
+            packs.append((self, s))
+            return packed(self, s)
+
+        def recorded(bound):
+            needed.append(fields._slot_width(bound))
+            return needed[-1]
+
+        monkeypatch.setattr(umbral, "_lay_out", counted_lay_out)
+        monkeypatch.setattr(fields._Layout, "packed", counted_packed)
+        monkeypatch.setattr(umbral, "_slot_width", recorded)
+        return laid, packs, needed
+
+    @pytest.mark.parametrize("name", ROUTE_TABLE_PAIRS)
+    def test_route_table_pairs_pass_by_the_two_conditions(self, name, monkeypatch):
+        pair, polys = _route_table_sequence(name)
+
+        def no_definition(f, p):
+            raise AssertionError("a Sheffer sequence failed the two conditions")
+
+        monkeypatch.setattr(umbral, "functional_apply", no_definition)
+        assert orthogonality_failure(pair, list(polys), 40) is None
+
+    def test_held_then_grown_slot(self, monkeypatch):
+        # T10's needed widths fall at n = 33 and 34 below the width held
+        # since n = 32, and S_35 plus 1/7 needs more than that width: the
+        # two conditions must hold through S_34 at the held width and fail
+        # first at S_35, at the grown one, as the plain chain of g f^k says
+        pair, polys = _route_table_sequence("T10[a=2]")
+        polys = list(polys)
+        polys[35] = polys[35] + F(1, 7)
+        _, _, widths = self._spy(monkeypatch)
+        read, apply = [], umbral.functional_apply
+        monkeypatch.setattr(umbral, "functional_apply", lambda f, p: read.append(p) or apply(f, p))
+        got = orthogonality_failure(pair, polys, 40)
+        assert len(widths) == 36 and widths[33] < widths[34] < widths[32] < widths[35]
+        assert -(-widths[35] // 64) > -(-max(widths[:35]) // 64)
+        assert read[0] is polys[35]
+        assert got == _direct_orthogonality(pair, polys, 40) and got[:2] == (35, 0)
+
+    @pytest.mark.parametrize("name", ROUTE_TABLE_PAIRS)
+    def test_each_condition_at_one_width_that_holds_it(self, name, monkeypatch):
+        # when S_n is packed, g, f and S_{n-1} were last packed at the same
+        # width, a multiple of 64 bits and at least the width that n asks for
+        pair, polys = _route_table_sequence(name)
+        laid, packs, needed = self._spy(monkeypatch)
+        assert orthogonality_failure(pair, list(polys), 40) is None
+        gl, fl, *pls = laid  # pls[0] is the empty S_{-1}
+        last, used = {}, []
+        for lay, s in packs:
+            if lay is pls[len(used) + 1]:
+                assert last[id(gl)] == last[id(fl)] == last[id(pls[len(used)])] == s
+                used.append(s)
+            last[id(lay)] = s
+        assert len(used) == len(needed) == 41
+        assert all(s % 64 == 0 and s >= want for s, want in zip(used, needed))
+        assert used == sorted(used)
+
+    def test_g_is_packed_once_per_width(self, monkeypatch):
+        # a call-count pin, the same on any host: g, f and S_{n-1} are packed
+        # at each distinct width, S_n once per n
+        pair, polys = _route_table_sequence("T2[a=-1]")
+        laid, packs, _ = self._spy(monkeypatch)
+        assert orthogonality_failure(pair, list(polys), 40) is None
+        gl, fl, _, *pls = laid
+        widths = [s for lay, s in packs if lay is gl]
+        assert widths == [s for lay, s in packs if lay is fl] == [256, 320, 384, 448, 512]
+        # g, f and S_{n-1} (none at n = 0) at each width, and each S_n once
+        # as S_n, so an S_n is packed twice only when the slot grows at n + 1
+        assert len(pls) == 41 and len(packs) == 3 * len(widths) + 41
+        assert sorted(sum(lay is pl for lay, _ in packs) for pl in pls) == [1] * 37 + [2] * 4
+
+
 # ---------------------------------------------------------------------------
 # the packed Q(L) x Q sums against the plain per-coefficient loops
 # ---------------------------------------------------------------------------
@@ -1012,6 +1117,28 @@ class TestPackedMixedSums:
         assert all(type(x) is type(field.zero) for x in got)
         # a layout passed in, as the Sheffer routes pass the proof's, is a's
         assert fields._prefix_sums(a, cols, dens, field, _lay_out(a)) == got
+
+    @given(a=st.lists(_planted_ratfuncs(), min_size=1, max_size=7),
+           lengths=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+           weights=st.lists(st.integers(-40, 40), min_size=7, max_size=7))
+    @settings(max_examples=60, deadline=None)
+    @example(a=[RatFunc(1, (1, -1)), RatFunc(1, (2, 1)), RatFunc((1, 1), (1, -2, 1))],
+             lengths=[1, 2, 3], weights=[3, -5, 7, 0, 0, 0, 0])
+    def test_columns_sharing_a_prefix_length(self, a, lengths, weights):
+        # five columns per prefix length share its cofactor, which is packed
+        # once per call: the values are the plain sums, and _pack runs once
+        # per entry of a and once per distinct cofactor that is not 1
+        lengths = [min(k, len(a)) for k in lengths]
+        cols = [[w * (i + r) for i, w in enumerate(weights[:k])] for k in lengths for r in range(5)]
+        dens = [1 + 7 * i % 30 for i in range(len(cols))]
+        want = [QL.coerce(vec_dot(a[: len(c)], c, QL.zero) / e) for c, e in zip(cols, dens)]
+        cofactors = _lay_out(a).cofactors
+        packs, pack = [], fields._pack
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fields, "_pack", lambda t, s: packs.append(t) or pack(t, s))
+            got = fields._prefix_sums(a, cols, dens, QL)
+        assert [_form(x) for x in got] == [_form(x) for x in want]
+        assert len(packs) == len(a) + len({k for k in lengths if cofactors[k - 1] != (1,)})
 
     def test_zero_entry_inside_a_prefix(self):
         # g over Q(L) with zero coefficients between denominators (1 - L)
@@ -1142,6 +1269,26 @@ def _ginv_claims(draw, field, coeffs):
     return g, Series(field, ginv)
 
 
+def _two_level_proof(pair):
+    """The ginv proof as one product of two packed integers, the form the
+    sums per t^k replaced: each polynomial in L at 2^s, and the coefficient
+    of t^k at 2^(kw), w = s times the longest polynomial either side can
+    have at a k < T.  True exactly when g * ginv = 1 mod t^T, that is when
+    the low T w bits of the product minus the packed unit are zero."""
+    g, h = pair.g, pair.ginv
+    T = g.trunc
+    if h is None or h.trunc < T:
+        return False
+    h = h.truncate(T)
+    gl, hl = _lay_out(g.coeffs), _lay_out(h.coeffs)
+    unit = [gl.q * hl.q * c for c in _zmul(gl.den, hl.den)]
+    s = fields._slot_width(max([fields._dot_bound(gl, hl)] + list(map(abs, unit))))
+    lg, lh = [len(t) for t in gl.num], [len(t) for t in hl.num]
+    w = s * max(len(unit), *(max(map(add, lg[: k + 1], lh[k::-1])) - 1 for k in range(T)))
+    low = fields._pack(gl.packed(s), w) * fields._pack(hl.packed(s), w) - fields._pack(unit, s)
+    return not low & ((1 << T * w) - 1)
+
+
 class TestProvenGinv:
     """A Frobenius pair carries ``ginv`` = 1/g from its builder; a route
     reads it only after ``umbral._proven_ginv`` proves g * ginv = 1 at the
@@ -1202,16 +1349,36 @@ class TestProvenGinv:
             assert _texts(route(bumped, n_max)) == _texts(want)
             assert _texts(route(pair, n_max)) == _texts(want)
 
+    @given(claim=_ginv_claims(QL, ratfuncs()) | _ginv_claims(QQ, st.fractions(-40, 40, max_denominator=12)))
+    @settings(max_examples=120, deadline=None)
+    def test_same_verdict_as_the_two_level_product(self, claim):
+        # true claims and claims with one coefficient moved: the sums per
+        # t^k accept exactly what the one padded product accepted
+        g, ginv = claim
+        pair = ShefferPair(g, t_series(QQ, 2), ginv)
+        assert (umbral._proven_ginv(pair)[0] is not None) is _two_level_proof(pair)
+
+    @pytest.mark.parametrize("name,order,params", FROBENIUS_G_PAIRS, ids=[r[0] for r in FROBENIUS_G_PAIRS])
+    def test_same_verdict_on_frobenius_pairs(self, name, order, params):
+        pair = bespoke_pair(name, 16, order=order, **params)
+        assert _two_level_proof(pair) and umbral._proven_ginv(pair)[0] is pair.ginv
+        for m in (0, 7, 15):
+            moved = list(pair.ginv.coeffs)
+            moved[m] = moved[m] + F(1, 3)
+            bumped = ShefferPair(pair.g, pair.f, Series(pair.ginv.field, moved))
+            assert not _two_level_proof(bumped) and umbral._proven_ginv(bumped)[0] is None
+
     @pytest.mark.parametrize("s", [2, 3, 8, 40])
     def test_one_bit_narrower_slot_accepts_a_false_reciprocal(self, s, monkeypatch):
         # the slot width holds either side of the claim and no more.  Here
-        # g = 1 and the claimed ginv = -1/3 + t / (3 * 2^(s-2)) lay out as
-        # G = (1, 0) and H = (-2^(s-2), 1) over q' = 3 * 2^(s-2), so the
-        # t^0 slot compares -2^(s-2) with 3 * 2^(s-2) and the t^1 slot 1 with
-        # 0.  The true width s + 1 tells them apart; at width s their
-        # difference -2^s + 2^s is 0, and the false claim would be proven
-        pair = ShefferPair(Series(QQ, [1, 0]), t_series(QQ, 2),
-                           Series(QQ, [F(-1, 3), F(1, 3 * 2 ** (s - 2))]))
+        # g = 1 and the claimed ginv_0 = (L - 2^(s-2)) / (3 * 2^(s-2)) lay
+        # out as G_0 = (1,) and H_0 = (-2^(s-2), 1) over q' = 3 * 2^(s-2), so
+        # the t^0 comparison is (-2^(s-2), 1) against 3 * 2^(s-2).  The true
+        # width s + 1 tells them apart; at width s their difference
+        # (-2^s, 1) packs to -2^s + 2^s = 0, and the false claim would be
+        # proven
+        ginv0 = RatFunc((-2 ** (s - 2), 1), 3 * 2 ** (s - 2))
+        pair = ShefferPair(Series(QL, [1, 0]), t_series(QQ, 2), Series(QL, [ginv0, 0]))
         assert umbral._proven_ginv(pair)[0] is None
         widths = []
 
