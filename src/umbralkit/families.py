@@ -50,8 +50,9 @@ with integer arithmetic and makes one canonical element per coefficient:
 no series product, inverse or power.  1/g is the same sum at order -a, so
 every pair with a Frobenius g carries its reciprocal ``ginv`` from the same
 builder (``_frobenius_pair``), and the Sheffer routes take it for 1/g once
-they have proven g * ginv = 1 (``umbral._proven_ginv``) instead of running
-a Q(L) inverse.  ``stirling2`` reads the same rows,
+g * ginv = 1 is proven (``umbral._proven_ginv``, run once per pair and
+answer truncation by ``umbral._prepare``) instead of running a Q(L)
+inverse.  ``stirling2`` reads the same rows,
 but pair building never calls ``stirling2``, and the identities module
 reads it through its module attribute: a wrong row is seen twice, by the
 Stirling-2 sums of the checks' scalar halves and by g in their basis
@@ -348,8 +349,8 @@ def bernoulli_2nd(n: int, x_shift=0) -> Fraction:
 
 def _frobenius_pair(a, lam, T, rate, f):
     """(g, f, 1/g) for the Frobenius g of order a (``_frobenius_g``): 1/g
-    is the same sum at order -a, which a route still proves before use
-    (``umbral._proven_ginv``)."""
+    is the same sum at order -a, which is still proven before a route reads
+    it (``umbral._proven_ginv``, once per pair and answer truncation)."""
     return _frobenius_g(a, lam, T, rate), f, _frobenius_g(-a, lam, T, rate)
 
 

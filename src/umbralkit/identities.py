@@ -138,12 +138,23 @@ def _compare(triples):
     return ("fail" if ces else "pass"), ces, ""
 
 
+_B2_POWERS = {}  # (c, n) -> u^n, kept at the longest truncation asked for
+
+
 def b2_convolution(n: int, l: int, c) -> Fraction:
-    """l! [t^l] (t(1+t)^c / log(1+t))^n — the n-fold convolution route,
-    stated for n >= 1 factors and l >= 0."""
+    """l! [t^l] u^n, u = t(1+t)^c / log(1+t) — the n-fold convolution
+    route, stated for n >= 1 factors and l >= 0.
+
+    One power u^n per (c, n), made at truncation max(n, l + 1) and kept at
+    the longest asked for: the t^l coefficient of a power depends only on
+    u through t^l, so a longer power is read as the shorter one.  The
+    triangles of T7 and R35 read l < n, so one power serves every l of
+    an n, and R35 reads the powers T7 made."""
     n, l, c = nonnegative_integer("n", n, 1), nonnegative_integer("l", l), rational("c", c)
-    u = _narumi_base(-1, l + 1) * one_plus_t_pow(QQ, c, l + 1)
-    return factorial(l) * u.pow_int(n).coeffs[l]
+    power, T = _B2_POWERS.get((c, n)), max(n, l + 1)
+    if power is None or power.trunc < T:
+        power = _B2_POWERS[c, n] = (_narumi_base(-1, T) * one_plus_t_pow(QQ, c, T)).pow_int(n)
+    return factorial(l) * power.coeffs[l]
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,17 @@ f(t) S_n = n S_{n-1} (Roman, *The Umbral Calculus*, 1984, section 2.3),
 which imply it for every k through the adjoint rule
 <h(t) f(t) | p(x)> = <h(t) | f(t) p(x)>.  The check reads only g, f and
 the S_n, so it shares no power table, and no fbar, 1/g or (t/f)^n, with
-either route.
+either route; it shares with them only the cut pair and g's common-
+denominator layout, which describe g itself (``_prepare``).
 
 Every sum against a power table is one prefix sum (``fields._prefix_sums``):
 the y^j coefficients of the GF route, the x^j coefficients of the transfer
 route and of :func:`operator_apply`.  Its Q or Q(L) operand (ginv or
 1/g(fbar) in the GF route, ginv or 1/g in the transfer route, the series
 applied) is laid out over one common denominator, once per call or, for a
-ginv, once by its proof, and packed once per call; each output is divided
-by the cofactor of the denominators it did not use and normalised once.
+ginv, once by its proof per pair and truncation, and packed once per call;
+each output is divided by the cofactor of the denominators it did not use
+and normalised once.
 The orthogonality check keeps its own packed sums, so that it stays an
 independent oracle, and normalises none: it compares the two sides of each
 condition as packed integers over common denominators, and only a list
@@ -43,11 +45,11 @@ Q(L).
 
 1/g comes in one of two ways.  A registry pair with a Frobenius g carries
 its reciprocal ``ginv``, built by the same integer sum as g
-(``families._frobenius_g`` at order -a).  Each route first proves
-g * ginv = 1 mod t^T at the answer's truncation, as one sum of packed
-products per t^k (``_proven_ginv``), and then sums over ginv itself,
-packed against the layout the proof made, so each route lays ginv out once
-and runs no Q(L) inverse: the transfer route takes ginv for 1/g, and the GF
+(``families._frobenius_g`` at order -a).  Before a route reads it,
+g * ginv = 1 mod t^T is proven at the answer's truncation T, as one sum of
+packed products per t^k (``_proven_ginv``), and the route sums over ginv
+itself, packed against the layout the proof made, so ginv is laid out once
+and no Q(L) inverse runs: the transfer route takes ginv for 1/g, and the GF
 route composes nothing, since fbar^j ginv(fbar) = sum_k ginv[k] fbar^(j+k)
 (Roman, ch. 2) makes the y^j coefficient of S_n one sum of ginv against
 the table of fbar.  A pair with no ginv, as every DSL pair, or with a
@@ -56,6 +58,15 @@ route and 1/g(fbar) of g(fbar) in the GF route, and those routes share no
 1/g.  With a proven ginv both routes read the same 1/g, and the proof, not
 a second inversion, is what makes it 1/g; a ginv is never read unproven,
 since a wrong one read by both routes would pass their cross-check.
+
+A pair is prepared once per answer truncation T (``_prepare``): it is cut,
+its ginv proven and g laid out (for a proof, or for orthogonality) the
+first time a route or the orthogonality check asks at that T, and the
+result is kept on the pair object for the last T only, outside its fields.
+So the GF route, the transfer route and the orthogonality check of one
+pair at one n cut it once, prove ginv once and lay out g once.  The proof
+is still the gate: a route reads ginv only as the proof on the cut pair
+returned it, and an equal pair built afresh is proven afresh.
 
 The power tables over Q are read as integer rows, each over its own
 reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
@@ -70,7 +81,7 @@ Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
 on its inputs only through t^k.  So every route takes a pair truncated at
 T >= n + 1 and cuts a longer one to n + 1 (:func:`answer_trunc`) before
-computing; ``_cut`` is that one rule.
+computing; ``_cut`` is that one rule, and ``_prepare`` keeps its result.
 """
 
 from __future__ import annotations
@@ -148,7 +159,15 @@ class ShefferPair(Record):
     truncation T, and takes g's own inverse otherwise, so every result is
     the Sheffer sequence of (g, f) whether ginv is right, wrong or absent.
     The Frobenius-g pair builders (``families``) supply it: 1/g is the
-    same integer sum at order -a.  A DSL pair has none."""
+    same integer sum at order -a.  A DSL pair has none.
+
+    The pair is prepared once per answer truncation T (``_prepare``): the
+    cut pair, the verdict of the proof and g's layout are kept in the slot
+    ``_prepared``, for the last T only.  The slot is not a field: equality,
+    hash, repr and ``__dict__`` read the fields alone, and a copy or a
+    pickle starts without it."""
+
+    __slots__ = ("_prepared",)  # the memo of ``_prepare``, outside the fields
 
     g: Series
     f: Series
@@ -168,6 +187,9 @@ class ShefferPair(Record):
             raise TruncationTooShort("f must be known through t^1 (truncation >= 2)")
         if self.f.order() != 1:
             raise NotDelta("f must be a delta series (order exactly 1)")
+
+    def __getstate__(self):  # a copy or a pickle starts with no memo
+        return self.__dict__
 
     @property
     def field(self):
@@ -202,12 +224,46 @@ def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
     return ShefferPair(*cut)
 
 
-def _proven_ginv(pair: ShefferPair):
+def _prepare(pair: ShefferPair, n_max: int, proof: bool = True) -> tuple:
+    """(cut, ginv, ginv's layout, g's layout) of the pair at the answer
+    truncation T = answer_trunc(n_max), with the errors of ``_cut``: the
+    pair cut by ``_cut``; when ``proof``, the (ginv, layout) that
+    ``_proven_ginv`` gives for the cut pair, else (None, None); and g's
+    layout (``fields._lay_out``), made only for a proof that reads it or
+    when ``proof`` is false (orthogonality reads it), else None.
+
+    A pair is prepared once per T.  What is made is kept on the pair
+    object, for the last T asked for only, in the slot ``_prepared``
+    outside its fields, and is completed as it is asked for: the GF route,
+    the transfer route and ``orthogonality_failure`` on one pair at one T
+    cut it once, prove its ginv once and lay out g once.  A pair equal to
+    it but not the same object shares none of it.  A pair is immutable,
+    so what is kept stays right, and ginv is still read only as the proof
+    on this cut pair returned it."""
+    memo = getattr(pair, "_prepared", None)
+    # a kept T was reached through _cut's checks; the pair's truncation
+    # still gates an n_max that shares its T (n_max = 0 and 1 give T = 2)
+    if memo is None or memo[1] != answer_trunc(n_max) or pair.trunc <= n_max:
+        # the cut pair and T, then (ginv, layout) and g's layout once asked for
+        memo = [_cut(pair, n_max), answer_trunc(n_max), None, None]
+        object.__setattr__(pair, "_prepared", memo)
+    cut, _, proven, gl = memo
+    if gl is None and (not proof or cut.ginv is not None and cut.ginv.trunc >= cut.g.trunc):
+        gl = memo[3] = _lay_out(cut.g.coeffs)
+    if proof and proven is None:
+        proven = memo[2] = _proven_ginv(cut, gl)
+    return (cut, *(proven if proof else (None, None)), gl)
+
+
+def _proven_ginv(pair: ShefferPair, gl=None):
     """(ginv, its layout) for pair.ginv cut to g's truncation T when
     g * ginv = 1 mod t^T, else (None, None): for no ginv, for one known
     through less than t^(T - 1), and for a wrong one.  The layout
     (``fields._lay_out``) is the one the proof packs; a route passes it to
-    ``fields._prefix_sums``, so it lays out ginv once.
+    ``fields._prefix_sums``, so ginv is laid out once.  ``gl`` is g's
+    layout when the caller has it (``_prepare`` keeps it for the
+    orthogonality check), and is made here otherwise.  The function keeps
+    nothing: each call decides afresh.
 
     With g_m = G_m / (q D) and ginv_m = H_m / (q' D') over common
     denominators (``fields._lay_out``), the claim is the equality of integer
@@ -224,7 +280,7 @@ def _proven_ginv(pair: ShefferPair):
     if h is None or h.trunc < T:
         return None, None
     h = h.truncate(T)
-    gl, hl = _lay_out(g.coeffs), _lay_out(h.coeffs)
+    gl, hl = _lay_out(g.coeffs) if gl is None else gl, _lay_out(h.coeffs)
     unit = [gl.q * hl.q * c for c in _zmul(gl.den, hl.den)]
     s = _slot_width(max([_dot_bound(gl, hl)] + list(map(abs, unit))))
     G, H = gl.packed(s), hl.packed(s)
@@ -241,7 +297,10 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     over Q.  The table is built once, by the reversion
     (``Series._revert_rows``), whose round trip f(fbar) = t checks it.
 
-    With a ginv that ``_proven_ginv`` proves, fbar^j ginv(fbar) =
+    The pair is cut, and its ginv proven, by ``_prepare``, once per pair
+    and answer truncation, so the transfer route and the orthogonality
+    check of the same pair at the same n redo neither.  With a ginv that
+    ``_proven_ginv`` proves, fbar^j ginv(fbar) =
     sum_k ginv[k] fbar^(j+k) (Roman, *The Umbral Calculus*, 1984, ch. 2),
     so the sum is of ginv itself,
     (n!/j!) sum_{k <= n - j} ginv[k] rows[j + k][n] / dens[j + k]: the
@@ -251,11 +310,10 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     (``Series._compose_rows`` over the same table), and the sum is
     (n!/j!) sum_{i <= n - j} 1/g(fbar)[i] rows[j][n - i] / dens[j].
     """
-    pair = _cut(pair, n_max)
+    pair, ginv, layout, _ = _prepare(pair, n_max)
     fbar, table = pair.f._revert_rows()
     row_dens, rows = table
     fact = _factorials(n_max + 1)
-    ginv, layout = _proven_ginv(pair)
     cols, dens = [], []
     if ginv is None:
         ginv = pair.g._compose_rows(fbar, table).inverse()
@@ -291,9 +349,10 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     prefix sum of 1/g against integers from the rows of (t/f)^n
     (``fields._prefix_sums``, one call for all of them).  1/g is the pair's
     ginv when ``_proven_ginv`` proves it, laid out by the proof, else the
-    inverse of g."""
-    pair = _cut(pair, nonnegative_integer("n_max", n_max, 1))
-    ginv, layout = _proven_ginv(pair)
+    inverse of g.  The cut pair and the proof come from ``_prepare``, so a
+    pair the GF route has prepared at the same n is neither cut nor proven
+    again."""
+    pair, ginv, layout, _ = _prepare(pair, nonnegative_integer("n_max", n_max, 1))
     if ginv is None:
         ginv = pair.g.inverse()
     t_over_f = pair.f.shift_div(1).inverse()
@@ -323,7 +382,10 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
 
     <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
     to the largest degree among polys[0 .. n_max] (n_max when that is
-    larger) and the same values are compared.
+    larger) and the same values are compared.  The cut pair and g's layout
+    come from ``_prepare`` without a proof of ginv, which the check does
+    not read: for a sequence the routes made from the same pair object at
+    the same n, the check neither cuts the pair nor lays out g again.
 
     Sheffer's two conditions decide first: when <g | S_n> = delta_{n,0}
     and f(t) S_n = n S_{n-1} for every n <= n_max, then by the adjoint rule
@@ -359,8 +421,8 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     for n, p in enumerate(polys):
         if not isinstance(p, Poly):
             raise DomainError(f"S_{n} must be a Poly, got {type(p).__name__}")
-    pair = _cut(pair, max([n_max] + [p.degree for p in polys]))
-    gl, fl, prev = _lay_out(pair.g.coeffs), _lay_out(pair.f.coeffs), _lay_out(())
+    pair, _, _, gl = _prepare(pair, max([n_max] + [p.degree for p in polys]), proof=False)
+    fl, prev = _lay_out(pair.f.coeffs), _lay_out(())
     w = 0
     for n, p in enumerate(polys):
         pl = _lay_out(p.coeffs, _factorials(len(p.coeffs)))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,56 @@ class TestConvolutionOracles:
             for n in range(1, 6):
                 for l in range(6):
                     assert b2_convolution(n, l, c) == b2_convolution_enumerated(n, l, c)
+
+    # the form ``b2_convolution`` replaced: a fresh power u^n at T = l + 1
+    # for every (n, l), with u = t(1+t)^c / log(1+t)
+    @staticmethod
+    def _fresh_power_per_l(n, l, c):
+        from umbralkit.families import _narumi_base, one_plus_t_pow
+
+        u = _narumi_base(-1, l + 1) * one_plus_t_pow(QQ, c, l + 1)
+        return factorial(l) * u.pow_int(n).coeffs[l]
+
+    def test_one_power_per_c_and_n_is_the_fresh_power_per_l(self, monkeypatch):
+        # from an empty cache, every read in the triangles' order (l < n),
+        # then in reverse, then past l = n, which lengthens a kept power,
+        # and the triangle again over the lengthened powers
+        import umbralkit.identities as identities
+
+        monkeypatch.setattr(identities, "_B2_POWERS", {})
+        cs = sorted({p["c"] for tag, p in default_grid() if tag in ("T7", "R35")})
+        assert cs == [F(-1), F(1, 3), F(1)]
+        cs += [F(-1, 2), F(3)]
+        triangle = [(n, l) for n in range(1, 13) for l in range(n)]
+        beyond = [(n, l) for n in range(1, 13) for l in range(n, n + 3)]
+        for c in cs:
+            for n, l in triangle + triangle[::-1] + beyond + triangle:
+                assert b2_convolution(n, l, c) == self._fresh_power_per_l(n, l, c), (n, l, c)
+        assert set(identities._B2_POWERS) == {(c, n) for c in cs for n in range(1, 13)}
+
+    def test_r35_reads_the_powers_t7_made(self, monkeypatch):
+        # T7's triangle keeps one power per n, at T = n, and R35's, on the
+        # same c, takes no positive power at all (its left side takes only
+        # the negative powers of Narumi's base)
+        import umbralkit.identities as identities
+
+        monkeypatch.setattr(identities, "_B2_POWERS", {})
+        c = F(1, 3)
+        assert verify_identity("T7", {"c": c}, 12).status == "pass"
+        kept = dict(identities._B2_POWERS)
+        assert sorted(kept) == [(c, n) for n in range(1, 13)]
+        assert [kept[c, n].trunc for n in range(1, 13)] == list(range(1, 13))
+        powers, pow_int = [], Series.pow_int
+
+        def counted(s, n):
+            if n > 0:
+                powers.append(n)
+            return pow_int(s, n)
+
+        monkeypatch.setattr(Series, "pow_int", counted)
+        assert verify_identity("R35", {"c": c}, 12).status == "pass"
+        assert powers == []
+        assert all(identities._B2_POWERS[key] is power for key, power in kept.items())
 
     def test_matches_bernoulli_route(self):
         c = F(1)

@@ -990,11 +990,15 @@ class TestOrthogonalitySlotReuse:
     @pytest.mark.parametrize("name", ROUTE_TABLE_PAIRS)
     def test_each_condition_at_one_width_that_holds_it(self, name, monkeypatch):
         # when S_n is packed, g, f and S_{n-1} were last packed at the same
-        # width, a multiple of 64 bits and at least the width that n asks for
+        # width, a multiple of 64 bits and at least the width that n asks
+        # for.  g's layout is the one the pair keeps (``umbral._prepare``),
+        # so the check lays out f, the empty S_{-1} and the S_n only
         pair, polys = _route_table_sequence(name)
+        gl = umbral._prepare(pair, 40, proof=False)[3]
         laid, packs, needed = self._spy(monkeypatch)
         assert orthogonality_failure(pair, list(polys), 40) is None
-        gl, fl, *pls = laid  # pls[0] is the empty S_{-1}
+        fl, *pls = laid  # pls[0] is the empty S_{-1}
+        assert len(pls) == 42 and gl not in laid
         last, used = {}, []
         for lay, s in packs:
             if lay is pls[len(used) + 1]:
@@ -1009,9 +1013,10 @@ class TestOrthogonalitySlotReuse:
         # a call-count pin, the same on any host: g, f and S_{n-1} are packed
         # at each distinct width, S_n once per n
         pair, polys = _route_table_sequence("T2[a=-1]")
+        gl = umbral._prepare(pair, 40, proof=False)[3]  # the layout the pair keeps
         laid, packs, _ = self._spy(monkeypatch)
         assert orthogonality_failure(pair, list(polys), 40) is None
-        gl, fl, _, *pls = laid
+        fl, _, *pls = laid
         widths = [s for lay, s in packs if lay is gl]
         assert widths == [s for lay, s in packs if lay is fl] == [256, 320, 384, 448, 512]
         # g, f and S_{n-1} (none at n = 0) at each width, and each S_n once
@@ -1511,8 +1516,9 @@ class TestGFSumsOverGinv:
 
 
 class TestOneLayoutOfGinv:
-    """Each route lays ginv out once, in ``_proven_ginv``, and passes that
-    layout to ``fields._prefix_sums``; the GF route composes only for the
+    """A pair's ginv is laid out once, in ``_proven_ginv`` under
+    ``umbral._prepare``, and both routes pass that layout to
+    ``fields._prefix_sums``; the GF route composes only for the
     reversion's round trip.  A DSL pair, with no ginv, keeps the two Q(L)
     inversions.  The pins count calls, so they hold on any host."""
 
@@ -1550,13 +1556,12 @@ class TestOneLayoutOfGinv:
         t_f = pair.f.shift_div(1)
         laid, composed, inverted = self._spy(monkeypatch)
         sheffer_gf(pair, self.N)
-        assert laid.count(pair.ginv.coeffs) == 1
-        assert laid == [pair.f.coeffs, pair.g.coeffs, pair.ginv.coeffs]  # round trip, proof
+        assert laid == [pair.g.coeffs, pair.ginv.coeffs, pair.f.coeffs]  # proof, round trip
         assert composed == [pair.f] and inverted == []
-        del laid[:], composed[:], inverted[:]
-        sheffer_transfer_all(pair, self.N)
+        del composed[:], inverted[:]
+        sheffer_transfer_all(pair, self.N)  # reads the proof the GF route made
         assert laid.count(pair.ginv.coeffs) == 1
-        assert laid == [pair.g.coeffs, pair.ginv.coeffs]  # proof
+        assert laid == [pair.g.coeffs, pair.ginv.coeffs, pair.f.coeffs]
         assert composed == [] and inverted == [t_f]
 
     def test_dsl_pair_keeps_both_inversions(self, monkeypatch):
@@ -1571,3 +1576,166 @@ class TestOneLayoutOfGinv:
         sheffer_transfer_all(pair, self.N)
         assert composed == []
         assert [s for s in inverted if s.field is QL] == [pair.g]
+
+
+# ---------------------------------------------------------------------------
+# each pair prepared once per answer truncation: one cut, one proof of ginv
+# and one layout of g, kept on the pair object for the last T only
+# ---------------------------------------------------------------------------
+
+
+class TestPreparedOnce:
+    """``umbral._prepare`` cuts a pair, proves its ginv and lays out g once
+    per answer truncation T, and keeps that on the pair object itself, for
+    the last T only, outside the pair's fields.  The pins count calls, so
+    they hold on any host."""
+
+    N = 10
+
+    @staticmethod
+    def _pair(T):
+        return bespoke_pair("T2", T, order=-1, b=F(1, 2), lam=None)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(laid, proofs): the vectors laid out (``_lay_out``) and the pairs
+        whose ginv ``_proven_ginv`` decided, in call order."""
+        laid, proofs = [], []
+        lay_out, proven_ginv = fields._lay_out, umbral._proven_ginv
+
+        def counted_lay_out(c, w=None):
+            laid.append(tuple(c))
+            return lay_out(c, w)
+
+        def counted_proven_ginv(pair, gl=None):
+            proofs.append(pair)
+            return proven_ginv(pair, gl)
+
+        for module in (fields, umbral):
+            monkeypatch.setattr(module, "_lay_out", counted_lay_out)
+        monkeypatch.setattr(umbral, "_proven_ginv", counted_proven_ginv)
+        return laid, proofs
+
+    def test_one_proof_and_one_layout_of_g_and_ginv_across_the_three_steps(self, monkeypatch):
+        pair = self._pair(answer_trunc(self.N))
+        assert umbral._cut(pair, self.N) is pair and pair.g.field is QL
+        laid, proofs = self._spy(monkeypatch)
+        polys = sheffer_gf(pair, self.N)
+        assert sheffer_transfer_all(pair, self.N) == polys[1:]
+        assert orthogonality_failure(pair, polys, self.N) is None
+        assert proofs == [pair]
+        assert laid.count(pair.g.coeffs) == laid.count(pair.ginv.coeffs) == 1
+        # a second GF call lays out neither g nor ginv, only f for the
+        # reversion's round trip, and proves nothing
+        del laid[:]
+        assert sheffer_gf(pair, self.N) == polys
+        assert laid == [pair.f.coeffs] and proofs == [pair]
+
+    def test_a_fresh_equal_pair_proves_again(self, monkeypatch):
+        pair, fresh = self._pair(answer_trunc(self.N)), self._pair(answer_trunc(self.N))
+        assert pair == fresh and pair is not fresh
+        laid, proofs = self._spy(monkeypatch)
+        want = sheffer_gf(pair, self.N)
+        assert sheffer_gf(fresh, self.N) == want
+        assert proofs == [pair, fresh] and proofs[0] is pair and proofs[1] is fresh
+        assert laid.count(pair.g.coeffs) == laid.count(pair.ginv.coeffs) == 2
+
+    def test_one_truncation_at_a_time(self, monkeypatch):
+        # each T is prepared afresh, and only the last is kept: 4, 10, 4
+        # and 10 again prove four times, and every answer is that of a
+        # fresh pair at its own n_max
+        pair = self._pair(22)
+        want = {n: sheffer_gf(self._pair(22), n) for n in (4, self.N)}
+        _, proofs = self._spy(monkeypatch)
+        for n in (4, self.N, 4, self.N):
+            assert sheffer_gf(pair, n) == want[n]
+            assert sheffer_transfer_all(pair, n) == want[n][1:]
+            assert orthogonality_failure(pair, want[n], n) is None
+        assert [p.g.trunc for p in proofs] == [5, 11, 5, 11]
+
+    def test_the_truncation_gate_holds_for_a_kept_truncation(self):
+        # n_max = 0 and 1 share T = 2, but a g known through t^0 only
+        # serves n_max = 0 alone, kept or not
+        pair = ShefferPair(one(QQ, 1), t_series(QQ, 2))
+        assert sheffer_gf(pair, 0) == [Poly(QQ, [1])]
+        with pytest.raises(TruncationTooShort):
+            sheffer_gf(pair, 1)
+        with pytest.raises(DomainError):
+            sheffer_gf(pair, -1)
+
+    def test_orthogonality_first_lays_out_g_once_and_proves_nothing(self, monkeypatch):
+        pair = self._pair(answer_trunc(self.N))
+        polys = sheffer_gf(self._pair(answer_trunc(self.N)), self.N)
+        laid, proofs = self._spy(monkeypatch)
+        assert orthogonality_failure(pair, polys, self.N) is None
+        assert proofs == [] and laid.count(pair.g.coeffs) == 1
+        assert sheffer_gf(pair, self.N) == polys
+        assert proofs == [pair] and laid.count(pair.g.coeffs) == 1
+        assert laid.count(pair.ginv.coeffs) == 1
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_wrong_ginv_takes_the_plain_path_in_both_routes(self, m, monkeypatch):
+        pair = self._pair(answer_trunc(self.N))
+        wrong = list(pair.ginv.coeffs)
+        wrong[m] = wrong[m] + 1
+        bumped = ShefferPair(pair.g, pair.f, Series(pair.ginv.field, wrong))
+        plain = _without_ginv(pair)
+        _, proofs = self._spy(monkeypatch)
+        polys = sheffer_gf(bumped, self.N)
+        assert _texts(polys) == _texts(sheffer_gf(plain, self.N))
+        assert _texts(sheffer_transfer_all(bumped, self.N)) == _texts(
+            sheffer_transfer_all(plain, self.N))
+        assert orthogonality_failure(bumped, polys, self.N) is None
+        assert proofs == [bumped, plain]  # the rejection is kept too
+
+    def test_fields_equality_hash_and_repr_do_not_see_the_memo(self):
+        pair = self._pair(answer_trunc(self.N))
+        before = (dict(pair.__dict__), hash(pair), repr(pair))
+        polys = sheffer_gf(pair, self.N)
+        sheffer_transfer_all(pair, self.N)
+        orthogonality_failure(pair, polys, self.N)
+        assert list(pair.__dict__) == ["g", "f", "ginv"]
+        assert (dict(pair.__dict__), hash(pair), repr(pair)) == before
+        fresh = self._pair(answer_trunc(self.N))
+        assert pair == fresh and hash(pair) == hash(fresh)
+        with pytest.raises(AttributeError):
+            pair._prepared = None
+
+    def test_a_copy_of_a_routed_pair_starts_without_the_memo(self, monkeypatch):
+        import copy
+
+        pair = self._pair(answer_trunc(self.N))
+        polys = sheffer_gf(pair, self.N)
+        twin = copy.copy(pair)
+        assert twin == pair and twin is not pair
+        _, proofs = self._spy(monkeypatch)
+        assert sheffer_gf(twin, self.N) == polys and proofs == [twin]
+
+    def test_a_pair_built_past_its_init(self, monkeypatch):
+        # as _with_f_lifted builds it, by Record.__init__ alone: no memo
+        # until a route asks, then one proof for both routes
+        pair = self._pair(answer_trunc(self.N))
+        lifted = _with_f_lifted(pair, pair.ginv)
+        assert lifted.f.field is QL
+        _, proofs = self._spy(monkeypatch)
+        polys = sheffer_gf(lifted, self.N)
+        assert polys == _lifted_polys(sheffer_gf(pair, self.N))
+        assert sheffer_transfer_all(lifted, self.N) == polys[1:]
+        assert orthogonality_failure(lifted, polys, self.N) is None
+        assert proofs == [lifted, pair]
+
+    def test_every_sheffer_q_lambda_pair_as_on_a_fresh_pair(self):
+        # each step on a pair that the steps before it prepared gives what
+        # it gives on a pair of its own, and the GF route what its former
+        # form gives, which reads umbral._cut and _proven_ginv directly
+        routed = _sheffer_q_lambda_pairs()
+        fresh = [_sheffer_q_lambda_pairs() for _ in range(3)]
+        assert len(routed) == 60
+        for i, pair in enumerate(routed):
+            polys = sheffer_gf(pair, self.N)
+            assert _same_polys(polys, sheffer_gf(fresh[0][i], self.N))
+            assert _same_polys(polys, _composed_gf(fresh[0][i], self.N))
+            assert _same_polys(sheffer_transfer_all(pair, self.N),
+                               sheffer_transfer_all(fresh[1][i], self.N))
+            assert orthogonality_failure(pair, polys, self.N) is None
+            assert orthogonality_failure(fresh[2][i], polys, self.N) is None
