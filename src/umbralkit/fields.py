@@ -86,12 +86,12 @@ polynomial divisible by the cofactor of the entries it skips, so each
 packed sum is divided by its packed cofactor as one integer, with
 Mignotte's factor bound added to the slot so the quotient unpacks exactly;
 each distinct cofactor is packed once per call.
-It serves the coefficients of g(fbar) for a g over Q(L) and fbar over Q
-(``Series._compose_rows``), the y^j coefficients of the GF route (the
-table of fbar against a proven ginv, else fbar^j against 1/g(fbar)), the
-x^j coefficients of the transfer route ((t/f)^n against 1/g) and
+It serves the coefficients of a composition outer(inner) for an outer over
+Q(L) and an inner over Q (``Series._compose_rows``), the y^j coefficients
+of the GF route (the table of fbar against the pair's proven 1/g), the x^j
+coefficients of the transfer route ((t/f)^n against the same 1/g) and
 ``umbral.operator_apply``.  A caller that has the operand's layout already,
-as a route has its ginv's from the proof, passes it in.  The integer
+as a route has 1/g's from the proof, passes it in.  The integer
 columns are rows of the power table ``Series._power_rows`` over Q (s^k as
 an integer row over its own reduced denominator, one ``_zmul`` per power),
 and ``Series.revert`` solves over the same rows.  No consumer builds a
@@ -948,6 +948,9 @@ class RationalField:
     def __repr__(self):
         return "QQ"
 
+    def __reduce__(self):  # a pickle or copy is the module's one field object
+        return "QQ"
+
 
 class LambdaField:
     """Q(L) with RatFunc elements."""
@@ -967,6 +970,9 @@ class LambdaField:
         return str(v)
 
     def __repr__(self):
+        return "QL"
+
+    def __reduce__(self):  # a pickle or copy is the module's one field object
         return "QL"
 
 

@@ -25,9 +25,9 @@ over the outer's layout when the inner series is over Q), which reads the
 table its caller gives it.  ``_revert_rows`` solves for fbar over the rows
 of s, builds fbar's table, checks the round trip s(fbar) = t over it and
 returns it with fbar; ``revert`` is that body, and the GF route of
-:mod:`umbralkit.umbral` reads the same checked table for its columns, and
-for g(fbar) only when the pair has no proven 1/g.  Over Q(L) the rows are
-the plain products and every dens[k] is 1.
+:mod:`umbralkit.umbral` reads the same checked table for its columns, which
+it sums against the pair's proven 1/g, so it composes nothing itself.  Over
+Q(L) the rows are the plain products and every dens[k] is 1.
 
 The kernels' outputs (products, inverses, compositions, reversions,
 shifts, exp, log, and the S_n of the Sheffer routes) are made in their
@@ -255,8 +255,8 @@ class Series(CoeffVector):
         """Multiplicative inverse; requires a nonzero constant term.
 
         Coefficient k is -(1/a_0) sum_{i=1..k} a_i out[k - i], one
-        ``vec_dot``; for a_0 = 1, as for every pair's g and for g(fbar), the
-        sum is only negated."""
+        ``vec_dot``; for a_0 = 1, as for every pair's g, the sum is only
+        negated."""
         a, zero = self.coeffs, self.field.zero
         if not a[0]:
             raise NotInvertible("series has zero constant term")
@@ -381,9 +381,8 @@ class Series(CoeffVector):
         Before returning, the round trip s(fbar) = t is checked over fbar's
         table (``_compose_rows``), and that same table is returned: the
         Sheffer GF route (``umbral.sheffer_gf``) reads it for its columns,
-        and for g(fbar) when the pair has no proven 1/g, so it builds no
-        other table of fbar and reads none that the round trip did not
-        check.
+        so it builds no other table of fbar and reads none that the round
+        trip did not check.
         """
         T = self.trunc
         if T < 2:

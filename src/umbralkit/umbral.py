@@ -22,12 +22,11 @@ denominator layout, which describe g itself (``_prepare``).
 
 Every sum against a power table is one prefix sum (``fields._prefix_sums``):
 the y^j coefficients of the GF route, the x^j coefficients of the transfer
-route and of :func:`operator_apply`.  Its Q or Q(L) operand (ginv or
-1/g(fbar) in the GF route, ginv or 1/g in the transfer route, the series
-applied) is laid out over one common denominator, once per call or, for a
-ginv, once by its proof per pair and truncation, and packed once per call;
-each output is divided by the cofactor of the denominators it did not use
-and normalised once.
+route and of :func:`operator_apply`.  Its Q or Q(L) operand (1/g in both
+routes, the series applied) is laid out over one common denominator, once
+per call or, for 1/g, once by its proof per pair and truncation, and
+packed once per call; each output is divided by the cofactor of the
+denominators it did not use and normalised once.
 The orthogonality check keeps its own packed sums, so that it stays an
 independent oracle, and normalises none: it compares the two sides of each
 condition as packed integers over common denominators, and only a list
@@ -38,44 +37,44 @@ Only g carries L in the registry's pairs over Q(L); f is free of it.  A
 reversion fbar, the power tables of fbar and t/f, and the inverse t/f run
 on the Q kernel, and Q(L) arithmetic is left to the terms that meet g:
 the y^j coefficients of S_n (one sum each, of the table of fbar against
-ginv, or of fbar^j against 1/g(fbar), which that path makes first), and the
-x^j coefficients of (1/g) x (t/f)^n x^{n-1} (one sum each, of (t/f)^n
-against 1/g).  An f that carries L stays over Q(L), with g over Q or
-Q(L).
+1/g), and the x^j coefficients of (1/g) x (t/f)^n x^{n-1} (one sum each,
+of (t/f)^n against 1/g).  An f that carries L stays over Q(L), with g
+over Q or Q(L).
 
-1/g comes in one of two ways.  A registry pair with a Frobenius g carries
-its reciprocal ``ginv``, built by the same integer sum as g
-(``families._frobenius_g`` at order -a).  Before a route reads it,
-g * ginv = 1 mod t^T is proven at the answer's truncation T, as one sum of
-packed products per t^k (``_proven_ginv``), and the route sums over ginv
-itself, packed against the layout the proof made, so ginv is laid out once
-and no Q(L) inverse runs: the transfer route takes ginv for 1/g, and the GF
-route composes nothing, since fbar^j ginv(fbar) = sum_k ginv[k] fbar^(j+k)
-(Roman, ch. 2) makes the y^j coefficient of S_n one sum of ginv against
-the table of fbar.  A pair with no ginv, as every DSL pair, or with a
-ginv the proof rejects, takes the two Q(L) inversions, 1/g in the transfer
-route and 1/g(fbar) of g(fbar) in the GF route, and those routes share no
-1/g.  With a proven ginv both routes read the same 1/g, and the proof, not
-a second inversion, is what makes it 1/g; a ginv is never read unproven,
-since a wrong one read by both routes would pass their cross-check.
+Every pair has one 1/g, made once per answer truncation T (``_prepare``)
+and read by both routes.  A registry pair with a Frobenius g carries its
+reciprocal ``ginv``, built by the same integer sum as g
+(``families._frobenius_g`` at order -a), and no Q(L) inverse runs for it.
+A pair with no ginv, as every DSL pair, or with a ginv the proof rejects,
+takes g's own inverse (``Series.inverse``).  Either way g * (1/g) = 1
+mod t^T is proven before a route reads it, as one sum of packed products
+per t^k (``_proven_ginv``), and the routes sum over 1/g itself, packed
+against the layout the proof made, so 1/g is laid out once: the transfer
+route reads it as is, and the GF route composes nothing, since
+fbar^j (1/g)(fbar) = sum_k (1/g)[k] fbar^(j+k) (Roman, ch. 2) makes the
+y^j coefficient of S_n one sum of 1/g against the table of fbar.  The
+proof, not a second inversion, is what makes it 1/g, and nothing is read
+unproven, since a wrong 1/g read by both routes would pass their
+cross-check; an inverse of g that fails the proof is a fault of the kernel
+and raises, with no fallback.  The orthogonality check reads g, not 1/g,
+so a wrong 1/g that got past the proof would still fail it.
 
 A pair is prepared once per answer truncation T (``_prepare``): it is cut,
-its ginv proven and g laid out (for a proof, or for orthogonality) the
-first time a route or the orthogonality check asks at that T, and the
-result is kept on the pair object for the last T only, outside its fields.
-So the GF route, the transfer route and the orthogonality check of one
-pair at one n cut it once, prove ginv once and lay out g once.  The proof
-is still the gate: a route reads ginv only as the proof on the cut pair
-returned it, and an equal pair built afresh is proven afresh.
+g laid out, and its 1/g made and proven, the first time a route or the
+orthogonality check asks at that T, and the result is kept on the pair
+object for the last T only, outside its fields.  So the GF route, the
+transfer route and the orthogonality check of one pair at one n cut it
+once, prove 1/g once and lay out g once.  The proof is still the gate: a
+route reads 1/g only as the proof on the cut pair returned it, and an
+equal pair built afresh is proven afresh.
 
 The power tables over Q are read as integer rows, each over its own
 reduced denominator (``Series._power_rows``: s^k = rows[k] / dens[k]),
 never as Fractions: the columns of both routes are integers made from those
-rows, over a factorial times dens[k] or, in the GF route's sum over ginv,
-times the lcm of the dens[k] the column reads, packed against the prefix
-layout of ginv, 1/g(fbar) or 1/g (as g(fbar) is inside
-``Series._compose_rows``).  The GF route builds one table of fbar, the one
-the reversion's round trip checks, and the transfer route one of t/f.
+rows, over a factorial times dens[k] in the transfer route or, in the GF
+route, times the lcm of the dens[k] the column reads, packed against the
+prefix layout of 1/g.  The GF route builds one table of fbar, the one the
+reversion's round trip checks, and the transfer route one of t/f.
 
 Truncation: an answer of degree n needs g and f through t^n only, because
 the t^k coefficient of a product, inverse, composition or reversion depends
@@ -156,16 +155,17 @@ class ShefferPair(Record):
 
     ``ginv`` is a claim, never trusted: a route reads it only after
     ``_proven_ginv`` proves g * ginv = 1 mod t^T at the answer's
-    truncation T, and takes g's own inverse otherwise, so every result is
-    the Sheffer sequence of (g, f) whether ginv is right, wrong or absent.
-    The Frobenius-g pair builders (``families``) supply it: 1/g is the
-    same integer sum at order -a.  A DSL pair has none.
+    truncation T, and takes g's own inverse, proven the same way,
+    otherwise, so every result is the Sheffer sequence of (g, f) whether
+    ginv is right, wrong or absent.  The Frobenius-g pair builders
+    (``families``) supply it: 1/g is the same integer sum at order -a.  A
+    DSL pair has none.
 
     The pair is prepared once per answer truncation T (``_prepare``): the
-    cut pair, the verdict of the proof and g's layout are kept in the slot
-    ``_prepared``, for the last T only.  The slot is not a field: equality,
-    hash, repr and ``__dict__`` read the fields alone, and a copy or a
-    pickle starts without it."""
+    cut pair (or None when it is the pair itself), the proven 1/g and g's
+    layout are kept in the slot ``_prepared``, for the last T only.  The
+    slot is not a field: equality, hash, repr and ``__dict__`` read the
+    fields alone, and a copy or a pickle starts without it."""
 
     __slots__ = ("_prepared",)  # the memo of ``_prepare``, outside the fields
 
@@ -225,45 +225,61 @@ def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:
 
 
 def _prepare(pair: ShefferPair, n_max: int, proof: bool = True) -> tuple:
-    """(cut, ginv, ginv's layout, g's layout) of the pair at the answer
+    """(cut, 1/g, its layout, g's layout) of the pair at the answer
     truncation T = answer_trunc(n_max), with the errors of ``_cut``: the
-    pair cut by ``_cut``; when ``proof``, the (ginv, layout) that
-    ``_proven_ginv`` gives for the cut pair, else (None, None); and g's
-    layout (``fields._lay_out``), made only for a proof that reads it or
-    when ``proof`` is false (orthogonality reads it), else None.
+    pair cut by ``_cut``; when ``proof``, the (1/g, layout) that
+    ``_proven_ginv`` gives, else (None, None); and g's layout
+    (``fields._lay_out``), which every proof and the orthogonality check
+    read.  1/g is the cut pair's ginv when the proof accepts it, and
+    otherwise g's own inverse (``Series.inverse``), read only once the same
+    proof accepts it too; an inverse the proof rejects is a fault of the
+    kernel, and an AssertionError (not an ``UmbralError``) is raised by an
+    explicit ``raise``, so ``python -O`` keeps it and the CLI reports an
+    internal error.
 
     A pair is prepared once per T.  What is made is kept on the pair
     object, for the last T asked for only, in the slot ``_prepared``
     outside its fields, and is completed as it is asked for: the GF route,
     the transfer route and ``orthogonality_failure`` on one pair at one T
-    cut it once, prove its ginv once and lay out g once.  A pair equal to
-    it but not the same object shares none of it.  A pair is immutable,
-    so what is kept stays right, and ginv is still read only as the proof
-    on this cut pair returned it."""
+    cut it once, prove its 1/g once and lay out g once.  A cut pair that is
+    the pair itself is kept as None, so the memo makes no reference cycle
+    and the pair is freed with its last reference.  A pair equal to it but
+    not the same object shares none of it.  A pair is immutable, so what
+    is kept stays right, and 1/g is still read only as the proof on this
+    cut pair returned it."""
     memo = getattr(pair, "_prepared", None)
     # a kept T was reached through _cut's checks; the pair's truncation
     # still gates an n_max that shares its T (n_max = 0 and 1 give T = 2)
     if memo is None or memo[1] != answer_trunc(n_max) or pair.trunc <= n_max:
-        # the cut pair and T, then (ginv, layout) and g's layout once asked for
-        memo = [_cut(pair, n_max), answer_trunc(n_max), None, None]
+        # the cut pair (None for the pair itself, so the memo makes no
+        # reference cycle) and T, then (1/g, layout) and g's layout once asked for
+        cut = _cut(pair, n_max)
+        memo = [None if cut is pair else cut, answer_trunc(n_max), None, None]
         object.__setattr__(pair, "_prepared", memo)
     cut, _, proven, gl = memo
-    if gl is None and (not proof or cut.ginv is not None and cut.ginv.trunc >= cut.g.trunc):
+    cut = pair if cut is None else cut
+    if gl is None:
         gl = memo[3] = _lay_out(cut.g.coeffs)
     if proof and proven is None:
-        proven = memo[2] = _proven_ginv(cut, gl)
+        proven = _proven_ginv(cut, gl)
+        if proven[0] is None:  # no claim, or a wrong one: g's own inverse, proven alike
+            proven = _proven_ginv(ShefferPair(cut.g, cut.f, cut.g.inverse()), gl)
+        if proven[0] is None:  # explicit, so that python -O keeps it
+            raise AssertionError("kernel fault: Series.inverse of g failed g * (1/g) = 1")
+        memo[2] = proven
     return (cut, *(proven if proof else (None, None)), gl)
 
 
 def _proven_ginv(pair: ShefferPair, gl=None):
     """(ginv, its layout) for pair.ginv cut to g's truncation T when
     g * ginv = 1 mod t^T, else (None, None): for no ginv, for one known
-    through less than t^(T - 1), and for a wrong one.  The layout
-    (``fields._lay_out``) is the one the proof packs; a route passes it to
-    ``fields._prefix_sums``, so ginv is laid out once.  ``gl`` is g's
-    layout when the caller has it (``_prepare`` keeps it for the
-    orthogonality check), and is made here otherwise.  The function keeps
-    nothing: each call decides afresh.
+    through less than t^(T - 1), and for a wrong one.  ``_prepare`` proves
+    by it both a builder's claim and g's own inverse, so no 1/g is read
+    unproven.  The layout (``fields._lay_out``) is the one the proof packs;
+    a route passes it to ``fields._prefix_sums``, so 1/g is laid out once.
+    ``gl`` is g's layout when the caller has it (``_prepare`` keeps it for
+    every proof and the orthogonality check), and is made here otherwise.
+    The function keeps nothing: each call decides afresh.
 
     With g_m = G_m / (q D) and ginv_m = H_m / (q' D') over common
     denominators (``fields._lay_out``), the claim is the equality of integer
@@ -297,47 +313,35 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     over Q.  The table is built once, by the reversion
     (``Series._revert_rows``), whose round trip f(fbar) = t checks it.
 
-    The pair is cut, and its ginv proven, by ``_prepare``, once per pair
-    and answer truncation, so the transfer route and the orthogonality
-    check of the same pair at the same n redo neither.  With a ginv that
-    ``_proven_ginv`` proves, fbar^j ginv(fbar) =
-    sum_k ginv[k] fbar^(j+k) (Roman, *The Umbral Calculus*, 1984, ch. 2),
-    so the sum is of ginv itself,
-    (n!/j!) sum_{k <= n - j} ginv[k] rows[j + k][n] / dens[j + k]: the
+    The pair is cut, and its 1/g made and proven, by ``_prepare``, once
+    per pair and answer truncation, so the transfer route and the
+    orthogonality check of the same pair at the same n redo neither.
+    Since fbar^j (1/g)(fbar) = sum_k (1/g)[k] fbar^(j+k) (Roman, *The
+    Umbral Calculus*, 1984, ch. 2), the sum is of 1/g itself,
+    (n!/j!) sum_{k <= n - j} (1/g)[k] rows[j + k][n] / dens[j + k]: the
     integers n! rows[j + k][n] (E / dens[j + k]) over E j!, E the lcm of
-    dens[j .. n], packed against the proof's layout of ginv, and no
-    composition is made.  Otherwise 1/g(fbar) is the inverse of g(fbar)
-    (``Series._compose_rows`` over the same table), and the sum is
-    (n!/j!) sum_{i <= n - j} 1/g(fbar)[i] rows[j][n - i] / dens[j].
+    dens[j .. n], packed against the proof's layout of 1/g, and no
+    composition is made.
     """
     pair, ginv, layout, _ = _prepare(pair, n_max)
-    fbar, table = pair.f._revert_rows()
-    row_dens, rows = table
+    _, (row_dens, rows) = pair.f._revert_rows()  # fbar is read through its table
     fact = _factorials(n_max + 1)
     cols, dens = [], []
-    if ginv is None:
-        ginv = pair.g._compose_rows(fbar, table).inverse()
-        for n in range(n_max + 1):
-            for j in range(n + 1):
-                # pairs 1/g(fbar)[i] with fbar^j[n - i] = rows[j][n - i] / row_dens[j]
-                cols.append([fact[n] // fact[j] * rows[j][n - i] for i in range(n - j + 1)])
-                dens.append(row_dens[j])
-    else:
-        # column (n, j) pairs ginv[k] with n! fbar^(j+k)[n] = X[j + k] / row_dens[j + k]
-        # over E j!, E = lcms[j][n - j] the lcm of row_dens[j .. n]; quots[j]
-        # holds E // row_dens[j .. n], made afresh only when E grows
-        lcms = [list(accumulate(row_dens[j:], lcm)) for j in range(n_max + 1)]
-        quots = [[] for _ in range(n_max + 1)]
-        for n in range(n_max + 1):
-            X = [fact[n] * row[n] for row in rows[: n + 1]]
-            for j in range(n + 1):
-                E = lcms[j][n - j]
-                if n > j and E == lcms[j][n - j - 1]:
-                    quots[j].append(E // row_dens[n])
-                else:
-                    quots[j] = [E // d for d in row_dens[j : n + 1]]
-                cols.append(list(map(mul, quots[j], X[j:])))
-                dens.append(E * fact[j])
+    # column (n, j) pairs ginv[k] with n! fbar^(j+k)[n] = X[j + k] / row_dens[j + k]
+    # over E j!, E = lcms[j][n - j] the lcm of row_dens[j .. n]; quots[j]
+    # holds E // row_dens[j .. n], made afresh only when E grows
+    lcms = [list(accumulate(row_dens[j:], lcm)) for j in range(n_max + 1)]
+    quots = [[] for _ in range(n_max + 1)]
+    for n in range(n_max + 1):
+        X = [fact[n] * row[n] for row in rows[: n + 1]]
+        for j in range(n + 1):
+            E = lcms[j][n - j]
+            if n > j and E == lcms[j][n - j - 1]:
+                quots[j].append(E // row_dens[n])
+            else:
+                quots[j] = [E // d for d in row_dens[j : n + 1]]
+            cols.append(list(map(mul, quots[j], X[j:])))
+            dens.append(E * fact[j])
     values = _prefix_sums(ginv.coeffs, cols, dens, pair.field, layout)
     return [Poly._raw(pair.field, vec_trim(values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]))
             for n in range(n_max + 1)]
@@ -347,14 +351,12 @@ def sheffer_transfer_all(pair: ShefferPair, n_max: int) -> list[Poly]:
     """[S_1 .. S_{n_max}] by the operator route, sharing 1/g, the inverse
     t/f and one layout of 1/g: every x^j coefficient of every S_n is a
     prefix sum of 1/g against integers from the rows of (t/f)^n
-    (``fields._prefix_sums``, one call for all of them).  1/g is the pair's
-    ginv when ``_proven_ginv`` proves it, laid out by the proof, else the
-    inverse of g.  The cut pair and the proof come from ``_prepare``, so a
-    pair the GF route has prepared at the same n is neither cut nor proven
-    again."""
+    (``fields._prefix_sums``, one call for all of them).  1/g is the one
+    the GF route reads too, laid out by its proof: the pair's ginv when
+    ``_proven_ginv`` proves it, else g's own inverse, proven alike.  The
+    cut pair and the proof come from ``_prepare``, so a pair the GF route
+    has prepared at the same n is neither cut nor proven again."""
     pair, ginv, layout, _ = _prepare(pair, nonnegative_integer("n_max", n_max, 1))
-    if ginv is None:
-        ginv = pair.g.inverse()
     t_over_f = pair.f.shift_div(1).inverse()
     row_dens, rows = t_over_f._power_rows(n_max)
     zero = 0 if t_over_f.field is QQ else t_over_f.field.zero  # the table's zero
@@ -383,7 +385,7 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     <g f^k | S_n> reads g f^k only through t^{deg S_n}, so the pair is cut
     to the largest degree among polys[0 .. n_max] (n_max when that is
     larger) and the same values are compared.  The cut pair and g's layout
-    come from ``_prepare`` without a proof of ginv, which the check does
+    come from ``_prepare`` without a proof of 1/g, which the check does
     not read: for a sequence the routes made from the same pair object at
     the same n, the check neither cuts the pair nor lays out g again.
 

@@ -1207,8 +1207,7 @@ def _public_gf(pair, n_max):
 
 class TestSharedFbarTable:
     """``sheffer_gf`` builds one power table of fbar, checked by the
-    reversion's round trip, and reads it for its columns, and for g(fbar)
-    when the pair has no proven ginv."""
+    reversion's round trip, and reads it for its columns."""
 
     def test_universe_matches_the_public_path(self):
         pairs = _sheffer_q_lambda_pairs()
@@ -1516,11 +1515,12 @@ class TestGFSumsOverGinv:
 
 
 class TestOneLayoutOfGinv:
-    """A pair's ginv is laid out once, in ``_proven_ginv`` under
+    """A pair's 1/g is laid out once, in ``_proven_ginv`` under
     ``umbral._prepare``, and both routes pass that layout to
     ``fields._prefix_sums``; the GF route composes only for the
-    reversion's round trip.  A DSL pair, with no ginv, keeps the two Q(L)
-    inversions.  The pins count calls, so they hold on any host."""
+    reversion's round trip.  A DSL pair, with no ginv, inverts g once for
+    both routes, and that inverse is proven and laid out like a claimed
+    ginv.  The pins count calls, so they hold on any host."""
 
     N = 10
 
@@ -1564,18 +1564,18 @@ class TestOneLayoutOfGinv:
         assert laid == [pair.g.coeffs, pair.ginv.coeffs, pair.f.coeffs]
         assert composed == [] and inverted == [t_f]
 
-    def test_dsl_pair_keeps_both_inversions(self, monkeypatch):
+    def test_dsl_pair_inverts_g_once(self, monkeypatch):
+        # across both routes: one Q(L) inversion, of g, and one composition,
+        # the reversion's round trip; 1/g is laid out once, by its proof
         pair = dsl_pair("(exp(t)-L)/(1-L)", "log1p(t)", answer_trunc(self.N))
         assert pair.ginv is None and pair.g.field is QL
-        g_of_fbar = pair.g.compose(pair.f.revert())
+        ginv = pair.g.inverse()
         laid, composed, inverted = self._spy(monkeypatch)
         sheffer_gf(pair, self.N)
-        assert composed == [pair.f, pair.g]
-        assert inverted == [g_of_fbar]
-        del composed[:], inverted[:]
         sheffer_transfer_all(pair, self.N)
-        assert composed == []
+        assert composed == [pair.f]
         assert [s for s in inverted if s.field is QL] == [pair.g]
+        assert laid.count(pair.g.coeffs) == laid.count(ginv.coeffs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1686,7 +1686,9 @@ class TestPreparedOnce:
         assert _texts(sheffer_transfer_all(bumped, self.N)) == _texts(
             sheffer_transfer_all(plain, self.N))
         assert orthogonality_failure(bumped, polys, self.N) is None
-        assert proofs == [bumped, plain]  # the rejection is kept too
+        # per pair: the claim's proof (wrong or absent), then that of g's own inverse
+        assert proofs[0::2] == [bumped, plain]
+        assert [p.ginv for p in proofs[1::2]] == [pair.g.inverse()] * 2
 
     def test_fields_equality_hash_and_repr_do_not_see_the_memo(self):
         pair = self._pair(answer_trunc(self.N))
@@ -1739,3 +1741,145 @@ class TestPreparedOnce:
                                sheffer_transfer_all(fresh[1][i], self.N))
             assert orthogonality_failure(pair, polys, self.N) is None
             assert orthogonality_failure(fresh[2][i], polys, self.N) is None
+
+
+# ---------------------------------------------------------------------------
+# the memo makes no reference cycle: a routed pair is freed at its last del
+# ---------------------------------------------------------------------------
+
+
+class TestPreparedPairIsFreed:
+    """``_prepare`` keeps None, not the pair, for a cut pair that is the
+    pair itself, so a pair routed at its own answer truncation is freed by
+    reference counting alone, as one cut from a longer truncation is."""
+
+    N = 8
+
+    @pytest.mark.parametrize("make", [
+        lambda T: catalog_pair(FamilySpec.make("frobenius_euler", -1, lam=None), T=T),
+        lambda T: dsl_pair("(exp(t)-L)/(1-L)", "log1p(t)", T),
+    ], ids=["family_polys", "dsl"])
+    @pytest.mark.parametrize("T", [answer_trunc(N), 22])
+    def test_freed_at_del(self, make, T):
+        import gc
+        import weakref
+
+        pair = make(T)
+        assert (umbral._cut(pair, self.N) is pair) is (T == answer_trunc(self.N))
+        gc.disable()
+        try:
+            polys = sheffer_gf(pair, self.N)
+            assert sheffer_transfer_all(pair, self.N) == polys[1:]
+            assert orthogonality_failure(pair, polys, self.N) is None
+            assert (pair._prepared[0] is None) is (T == answer_trunc(self.N))
+            alive = weakref.ref(pair)
+            del pair
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# copies: a pickled or deep-copied object reads the module's field objects
+# ---------------------------------------------------------------------------
+
+
+class TestCopiedObjects:
+    """``QQ`` and ``QL`` pickle and copy as themselves, so every ``field is
+    QQ`` test in the kernel holds for a copied Series, RatFunc, Poly or
+    ShefferPair, and a copied pair routes as the original."""
+
+    @staticmethod
+    def _round_trips(x):
+        import copy
+        import pickle
+
+        return [pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)]
+
+    def test_fields_are_their_singletons(self):
+        for field in (QQ, QL):
+            assert all(c is field for c in self._round_trips(field))
+
+    @pytest.mark.parametrize("value", [
+        Series(QQ, [1, F(2, 3), -5]),
+        Series(QL, [1, RatFunc((1, 2), (3, 0, 1)), LAMBDA]),
+        RatFunc((F(1, 2), -1), (1, 1)),
+        Poly(QQ, [F(-1, 2), 0, 3]),
+        Poly(QL, [LAMBDA, 1]),
+    ], ids=["series-Q", "series-QL", "ratfunc", "poly-Q", "poly-QL"])
+    def test_values(self, value):
+        for copied in self._round_trips(value):
+            assert copied == value and hash(copied) == hash(value)
+            if not isinstance(value, RatFunc):
+                assert copied.field is value.field
+
+    def test_pair_routes_as_the_original(self):
+        n_max = 8
+        pair = bespoke_pair("T2", 9, order=-1, b=F(1, 2), lam=None)
+        polys = sheffer_gf(pair, n_max)
+        transfer = sheffer_transfer_all(pair, n_max)
+        assert orthogonality_failure(pair, polys, n_max) is None
+        for copied in self._round_trips(pair):
+            assert copied == pair and copied.g.field is QL and copied.f.field is QQ
+            assert sheffer_gf(copied, n_max) == polys
+            assert sheffer_transfer_all(copied, n_max) == transfer
+            assert orthogonality_failure(copied, polys, n_max) is None
+            assert orthogonality_failure(copied, sheffer_gf(copied, n_max), n_max) is None
+
+
+# ---------------------------------------------------------------------------
+# the two guards on the one 1/g both routes read
+# ---------------------------------------------------------------------------
+
+
+class TestSharedInverseGuards:
+    """Both routes read one 1/g, so their cross-check cannot see a wrong
+    one.  Two guards can: the proof of g's own inverse, whose rejection is
+    a fault of the kernel and raises (exit 3 in the CLI), and the
+    orthogonality check, which reads g and not 1/g."""
+
+    N = 6
+    G, F_ = "(exp(t)-L)/(1-L)", "log1p(t)"
+
+    @staticmethod
+    def _bump_inverse(monkeypatch):
+        """Series.inverse over Q(L), as of g, returns the true inverse with
+        coefficient 2 moved; over Q, as of t/f, it is left right."""
+        inverse = Series.inverse
+
+        def bumped(s):
+            out = list(inverse(s).coeffs)
+            if s.field is QL:
+                out[2] = out[2] + 1
+            return Series(s.field, out)
+
+        monkeypatch.setattr(Series, "inverse", bumped)
+
+    def test_a_wrong_inverse_is_a_kernel_fault(self, monkeypatch):
+        for route in (sheffer_gf, sheffer_transfer_all):
+            pair = dsl_pair(self.G, self.F_, answer_trunc(self.N))
+            with monkeypatch.context() as m:
+                self._bump_inverse(m)
+                with pytest.raises(AssertionError, match="kernel fault") as raised:
+                    route(pair, self.N)
+            assert not isinstance(raised.value, UmbralError)
+
+    def test_the_cli_reports_it_as_an_internal_error(self, monkeypatch, capsys):
+        from umbralkit import cli
+
+        self._bump_inverse(monkeypatch)
+        argv = ["sheffer", "--g", self.G, "--f", self.F_, "--n", str(self.N), "--format", "csv"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error: AssertionError: kernel fault")
+
+    def test_orthogonality_fails_a_wrong_inverse_the_proof_let_through(self, monkeypatch):
+        pair = dsl_pair(self.G, self.F_, answer_trunc(self.N))
+        want = sheffer_gf(dsl_pair(self.G, self.F_, answer_trunc(self.N)), self.N)
+        self._bump_inverse(monkeypatch)
+        monkeypatch.setattr(umbral, "_proven_ginv", lambda p, gl=None: (
+            (None, None) if p.ginv is None else (p.ginv, fields._lay_out(p.ginv.coeffs))))
+        polys = sheffer_gf(pair, self.N)
+        assert polys != want
+        assert sheffer_transfer_all(pair, self.N) == polys[1:]  # the routes agree
+        assert orthogonality_failure(pair, polys, self.N) is not None
