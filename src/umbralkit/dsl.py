@@ -8,7 +8,11 @@ Grammar (left associative, parentheses override):
     atom   := INT | "t" | "L" | "(" expr ")" | FUNC "(" args ")"
     FUNC   := exp | log1p | inv | rev | pow | compose
 
-``pow`` takes (expr, rational-literal); ``compose`` takes two expressions.
+The binary operators and their binding levels come from one table,
+``_LEVELS``, which the parser (one ``_parse_level`` per level) and
+``render`` both read; the call syntax ``name(arg)`` or ``name(arg,
+second)`` is parsed in one place.  ``pow`` takes (expr, rational-literal);
+``compose`` takes two expressions.
 ``L`` is the ASCII spelling of the lambda indeterminate.  Rational values
 arise from division (``1/2``) except in pow's exponent, which is lexed as a
 signed literal.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add, mul, sub, truediv
+from operator import add, methodcaller, mul, neg, sub, truediv
 
 from .errors import CompositionOrder, DomainError, ParseError, rational
 from .fields import QQ, LAMBDA
@@ -74,32 +78,29 @@ class ComposeNode(Record):
 
 _FUNCS = ("exp", "log1p", "inv", "rev", "pow", "compose")
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/(),])")
+# The binary operators, loosest level first: symbol -> Binary op.  The
+# parser reads one level per entry and ``render`` takes each operator's
+# symbol and binding level from here.
+_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+
+# one token per match; the last alternative takes any other character
+_TOKEN_RE = re.compile(r"\s*(?:(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(?P<SYM>[-+*/(),])|(?P<BAD>\S))")
 
 
 class _Tokens:
+    """A cursor over the (kind, text, offset) tokens of the text, ending in
+    EOF; a character no token takes is a ParseError before any parsing."""
+
     def __init__(self, src: str):
-        self.src = src
-        self.items: list[tuple[str, str, int]] = []  # (kind, text, offset)
-        pos = 0
-        n = len(src)
-        while True:
-            while pos < n and src[pos].isspace():
-                pos += 1
-            if pos >= n:
-                break
-            m = _TOKEN_RE.match(src, pos)
-            if not m:
-                raise ParseError(f"unexpected character {src[pos]!r}", pos)
-            if m.group(1):
-                self.items.append(("INT", m.group(1), pos))
-            elif m.group(2):
-                self.items.append(("NAME", m.group(2), pos))
-            else:
-                self.items.append((m.group(3), m.group(3), pos))
-            pos = m.end()
+        self.items, self.i = [], 0
+        for m in _TOKEN_RE.finditer(src):
+            kind = m.lastgroup
+            text, offset = m.group(kind), m.start(kind)
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {text!r}", offset)
+            self.items.append((text if kind == "SYM" else kind, text, offset))
         self.items.append(("EOF", "", len(src)))
-        self.i = 0
 
     def peek(self):
         return self.items[self.i]
@@ -112,9 +113,7 @@ class _Tokens:
     def expect(self, kind: str, expected: tuple[str, ...]):
         tok = self.peek()
         if tok[0] != kind:
-            raise ParseError(
-                f"unexpected {tok[0] or 'end of input'} {tok[1]!r}", tok[2], expected
-            )
+            raise ParseError(f"unexpected {tok[0]} {tok[1]!r}", tok[2], expected)
         return self.next()
 
 
@@ -124,30 +123,25 @@ def parse_expr(src: str):
         raise DomainError(f"an expression must be a str, got {type(src).__name__}")
     toks = _Tokens(src)
     try:
-        ast = _parse_sum(toks)
+        ast = _parse_level(toks)
     except RecursionError:
         raise ParseError("expression nested too deeply", toks.peek()[2]) from None
     tok = toks.peek()
     if tok[0] != "EOF":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("+", "-", "*", "/", "EOF"))
+        expected = (*[sym for ops in _LEVELS for sym in ops], "EOF")
+        raise ParseError(f"trailing input {tok[1]!r}", tok[2], expected)
     return ast
 
 
-def _parse_sum(toks):
-    node = _parse_term(toks)
-    while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
-        rhs = _parse_term(toks)
-        node = Binary("add" if op == "+" else "sub", node, rhs)
-    return node
-
-
-def _parse_term(toks):
-    node = _parse_factor(toks)
-    while toks.peek()[0] in ("*", "/"):
-        op = toks.next()[0]
-        rhs = _parse_factor(toks)
-        node = Binary("mul" if op == "*" else "div", node, rhs)
+def _parse_level(toks, level: int = 0):
+    """A left-associative chain of the operators of ``_LEVELS[level]``.  The
+    last level reads its operands by ``_parse_factor`` itself, so that a
+    parenthesis costs four frames, one per grammar rule."""
+    ops, last = _LEVELS[level], level + 1 == len(_LEVELS)
+    node = _parse_factor(toks) if last else _parse_level(toks, level + 1)
+    while toks.peek()[0] in ops:
+        op = ops[toks.next()[0]]
+        node = Binary(op, node, _parse_factor(toks) if last else _parse_level(toks, level + 1))
     return node
 
 
@@ -162,40 +156,33 @@ _ATOM_EXPECTED = ("INT", "t", "L", "(", *_FUNCS)
 
 
 def _parse_atom(toks):
-    kind, text, offset = toks.peek()
+    kind, text, offset = toks.next()
     if kind == "INT":
-        toks.next()
         return Lit(Fraction(int(text)))
     if kind == "(":
-        toks.next()
-        node = _parse_sum(toks)
+        node = _parse_level(toks)
         toks.expect(")", (")",))
         return node
-    if kind == "NAME":
-        toks.next()
-        if text == "t":
-            return TVar()
-        if text == "L":
-            return LSym()
-        if text in _FUNCS:
-            toks.expect("(", ("(",))
+    if text == "t":
+        return TVar()
+    if text == "L":
+        return LSym()
+    if text in _FUNCS:
+        toks.expect("(", ("(",))
+        arg = _parse_level(toks)
+        if text in ("pow", "compose"):
+            toks.expect(",", (",",))
+            # pow's exponent is a rational literal, compose's inner an expression
             if text == "pow":
-                base = _parse_sum(toks)
-                toks.expect(",", (",",))
-                expo = _parse_rational(toks)
-                toks.expect(")", (")",))
-                return PowNode(base, expo)
-            if text == "compose":
-                outer = _parse_sum(toks)
-                toks.expect(",", (",",))
-                inner = _parse_sum(toks)
-                toks.expect(")", (")",))
-                return ComposeNode(outer, inner)
-            arg = _parse_sum(toks)
-            toks.expect(")", (")",))
-            return Unary(text, arg)
-        raise ParseError(f"unknown name {text!r}", offset, _ATOM_EXPECTED)
-    raise ParseError(f"unexpected {kind or 'end of input'} {text!r}", offset, _ATOM_EXPECTED)
+                node = PowNode(arg, _parse_rational(toks))
+            else:
+                node = ComposeNode(arg, _parse_level(toks))
+        else:
+            node = Unary(text, arg)
+        toks.expect(")", (")",))
+        return node
+    what = "unknown name" if kind == "NAME" else f"unexpected {kind}"
+    raise ParseError(f"{what} {text!r}", offset, _ATOM_EXPECTED)
 
 
 def _parse_rational(toks) -> Fraction:
@@ -218,7 +205,12 @@ def _parse_rational(toks) -> Fraction:
 # rendering (render . parse == identity on the AST)
 # ---------------------------------------------------------------------------
 
-_LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
+# Binary op -> (symbol, binding level), level i + 1 for _LEVELS[i]; the
+# loosest level is written with spaces.  Unary minus binds tighter than
+# every binary operator, and atoms tightest.
+_SYMBOLS = {op: (f" {sym} " if i == 0 else sym, i + 1)
+            for i, ops in enumerate(_LEVELS) for sym, op in ops.items()}
+_LEVEL_UNARY, _LEVEL_ATOM = len(_LEVELS) + 1, len(_LEVELS) + 2
 
 
 def render(ast) -> str:
@@ -232,13 +224,10 @@ def render(ast) -> str:
 def _render(ast, parent_level: int) -> str:
     if isinstance(ast, Lit):
         value = rational("literal", ast.value)
-        if value.denominator == 1 and value >= 0:
-            text, level = str(value), _LEVEL_ATOM
-        elif value < 0:
+        if value < 0:
             return _render(Unary("neg", Lit(-value)), parent_level)
-        else:
-            text = f"{value.numerator}/{value.denominator}"
-            level = _LEVEL_TERM
+        # a fraction n/d is a division of two literals
+        text, level = str(value), _LEVEL_ATOM if value.denominator == 1 else _SYMBOLS["div"][1]
     elif isinstance(ast, TVar):
         text, level = "t", _LEVEL_ATOM
     elif isinstance(ast, LSym):
@@ -248,17 +237,13 @@ def _render(ast, parent_level: int) -> str:
             text, level = "-" + _render(ast.arg, _LEVEL_UNARY), _LEVEL_UNARY
         else:
             text, level = f"{ast.op}({_render(ast.arg, 0)})", _LEVEL_ATOM
-    elif isinstance(ast, Binary) and ast.op in _BINARY:
-        sym = {"add": " + ", "sub": " - ", "mul": "*", "div": "/"}[ast.op]
-        mine = _LEVEL_SUM if ast.op in ("add", "sub") else _LEVEL_TERM
-        left = _render(ast.left, mine)
+    elif isinstance(ast, Binary) and ast.op in _SYMBOLS:
+        sym, level = _SYMBOLS[ast.op]
         # left associativity: the right child needs strictly tighter binding
-        right = _render(ast.right, mine + 1)
-        text, level = left + sym + right, mine
+        text = _render(ast.left, level) + sym + _render(ast.right, level + 1)
     elif isinstance(ast, PowNode):
         expo = rational("exponent", ast.exponent)
-        es = str(expo) if expo.denominator == 1 else f"{expo.numerator}/{expo.denominator}"
-        text, level = f"pow({_render(ast.base, 0)}, {es})", _LEVEL_ATOM
+        text, level = f"pow({_render(ast.base, 0)}, {expo})", _LEVEL_ATOM
     elif isinstance(ast, ComposeNode):
         text, level = f"compose({_render(ast.outer, 0)}, {_render(ast.inner, 0)})", _LEVEL_ATOM
     else:
@@ -295,8 +280,9 @@ def _log1p(arg: Series) -> Series:
     return (arg + 1).log()
 
 
-_UNARY = {"neg": Series.__neg__, "inv": Series.inverse, "exp": Series.exp,
-          "log1p": _log1p, "rev": Series.revert}
+# methods looked up on each call, so a patched or traced method is the one run
+_UNARY = {"neg": neg, "inv": methodcaller("inverse"), "exp": methodcaller("exp"),
+          "log1p": _log1p, "rev": methodcaller("revert")}
 _BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
 
 

@@ -62,6 +62,7 @@ halves.
 from __future__ import annotations
 
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -481,8 +482,14 @@ SCHEMAS = {
 
 
 def check_params(name: str, params: dict) -> dict:
-    """The parameters of a registry name in canonical form, schema order."""
-    schema = SCHEMAS[name]
+    """The parameters of a registry name in canonical form, schema order.
+    A DomainError for a name not in ``SCHEMAS`` (a name that is not a str
+    included) and for params that are not a mapping."""
+    schema = SCHEMAS.get(name) if isinstance(name, str) else None
+    if schema is None:
+        raise DomainError(f"no registry name {name!r}")
+    if not isinstance(params, Mapping):
+        raise DomainError(f"{name}: params must be a mapping, got {type(params).__name__}")
     unknown = set(params) - {q.name for q in schema.params}
     if unknown:
         raise DomainError(f"{name} does not take parameter(s) {sorted(unknown)}")
@@ -509,8 +516,9 @@ def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
     for a T above ``MAX_PAIR_TRUNC``, before any coefficient is made, for an
     ``a`` in ``params`` that disagrees with ``order``, for an order other
     than 1 given to a name that takes none, and for a name in ``params``
-    that the name does not take (``check_params``)."""
-    schema = SCHEMAS.get(name)
+    that the name does not take (``check_params``).  A name that is not a
+    str is an unknown name."""
+    schema = SCHEMAS.get(name) if isinstance(name, str) else None
     if schema is None or schema.pair is None:
         raise DomainError(f"no Sheffer pair named {name!r}")
     if integer_order("T", T) > MAX_PAIR_TRUNC:
@@ -547,8 +555,17 @@ class FamilySpec(Record):
 def catalog_pair(spec: FamilySpec, T: int) -> ShefferPair:
     """The classical (g, f) Sheffer pair of a named family (or of any
     registry name with a pair), with ``spec.order`` as its order a,
-    truncated at T; parameters as in ``build_pair``."""
-    return build_pair(spec.name, T, spec.order, dict(spec.params))
+    truncated at T; parameters as in ``build_pair``.  A DomainError for a
+    spec that is not a FamilySpec or whose params are not (name, value)
+    pairs."""
+    if not isinstance(spec, FamilySpec):
+        raise DomainError(f"a FamilySpec is required, got {type(spec).__name__}")
+    try:
+        params = dict(spec.params)
+    except (TypeError, ValueError):
+        raise DomainError(f"{spec.name}: params must be (name, value) pairs, "
+                          f"got {spec.params!r}") from None
+    return build_pair(spec.name, T, spec.order, params)
 
 
 def family_polys(name: str, order: int, n_max: int, **params) -> list:

@@ -48,6 +48,7 @@ with the parameters and pair declared there.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial
 
@@ -395,8 +396,9 @@ IDENTITY_TAGS = tuple(CHECKS)
 
 
 def _identity(tag: str):
-    """The (check, description) of an identity tag."""
-    if tag not in CHECKS:
+    """The (check, description) of an identity tag; UnknownIdentity for any
+    other value, a tag that is not a str included."""
+    if not isinstance(tag, str) or tag not in CHECKS:
         raise UnknownIdentity(f"unknown identity tag {tag!r}")
     return CHECKS[tag]
 
@@ -407,14 +409,14 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
     A parameter not given takes its default in ``families.SCHEMAS``
     (lambda: the symbol L).  Raises UnknownIdentity for a bad tag and
     DomainError for an n_max above ``MAX_PAIR_TRUNC - 1`` (the CLI's
-    ``--n-max`` bound, checked for every tag before any work), for
-    parameters outside the identity's stated domain, or for T10's ``m``
-    when it is not given.
+    ``--n-max`` bound, checked for every tag before any work), for params
+    that are not a mapping or None, for parameters outside the identity's
+    stated domain, or for T10's ``m`` when it is not given.
     """
     check, _ = _identity(tag)
     if nonnegative_integer("n_max", n_max, 1) > MAX_PAIR_TRUNC - 1:
         raise DomainError(f"n_max must be <= {MAX_PAIR_TRUNC - 1}, got {n_max}")
-    p = check_params(tag, params or {})
+    p = check_params(tag, {} if params is None else params)
     if SCHEMAS[tag].pair is None:
         status, ces, note = check(p, n_max)
     else:
@@ -425,12 +427,13 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
 
 
 def verify_identity_report_errors(tag, params, n_max) -> IdentityReport:
-    """Like verify_identity, but domain violations become a report."""
+    """Like verify_identity, but domain violations become a report; params
+    that are not a mapping are reported as none."""
     try:
         return verify_identity(tag, params, n_max)
     except DomainError as exc:
         cleaned = {}
-        for k, v in (params or {}).items():
+        for k, v in (params if isinstance(params, Mapping) else {}).items():
             cleaned[k] = _render_param(None if v in _SYMBOLIC else v)
         return IdentityReport(
             tag, tuple(sorted(cleaned.items())), n_max, "domain_error", (), str(exc)

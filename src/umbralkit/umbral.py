@@ -85,6 +85,7 @@ computing; ``_cut`` is that one rule, and ``_prepare`` keeps its result.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate, zip_longest
 from math import factorial, lcm
 from operator import is_, mul
@@ -414,6 +415,8 @@ def orthogonality_failure(pair: ShefferPair, polys: list[Poly], n_max: int):
     <g f^k | S_m> = m! delta_{m,k} for every k.  A list with a degree above
     n_max can fail a condition and still have no failure, since k stops at
     n_max."""
+    if not isinstance(polys, Sequence):
+        raise DomainError(f"S_0 .. S_n_max must be a sequence of Poly, got {type(polys).__name__}")
     if len(polys) < nonnegative_integer("n_max", n_max) + 1:
         raise DomainError(
             f"orthogonality up to n_max = {n_max} needs {n_max + 1} polynomials "

@@ -52,6 +52,34 @@ class TestParse:
                 parse_expr(src)
             assert exc.value.offset == offset, src
 
+    # what an atom may start with, as every atom error reports it
+    ATOM = ("INT", "t", "L", "(", "exp", "log1p", "inv", "rev", "pow", "compose")
+    ATOM_TEXT = "INT, t, L, (, exp, log1p, inv, rev, pow, compose"
+
+    # (text, str(exc), offset, expected); deep nesting is left out, since
+    # the offset where the interpreter's recursion limit stops it varies
+    @pytest.mark.parametrize("src,message,offset,expected", [
+        ("", f"unexpected EOF '' at offset 0 (expected {ATOM_TEXT})", 0, ATOM),
+        ("(1+t", "unexpected EOF '' at offset 4 (expected ))", 4, (")",)),
+        ("1 @ 2", "unexpected character '@' at offset 2", 2, ()),
+        ("pow(t)", "unexpected ) ')' at offset 5 (expected ,)", 5, (",",)),
+        ("t*)", f"unexpected ) ')' at offset 2 (expected {ATOM_TEXT})", 2, ATOM),
+        ("pow(t, 1/0)", "zero denominator at offset 9", 9, ()),
+        ("foo(t)", f"unknown name 'foo' at offset 0 (expected {ATOM_TEXT})", 0, ATOM),
+        ("t t", "trailing input 't' at offset 2 (expected +, -, *, /, EOF)", 2,
+         ("+", "-", "*", "/", "EOF")),
+        ("pow(t, x)", "unexpected NAME 'x' at offset 7 (expected INT)", 7, ("INT",)),
+        ("compose(t)", "unexpected ) ')' at offset 9 (expected ,)", 9, (",",)),
+        ("exp t", "unexpected NAME 't' at offset 4 (expected ()", 4, ("(",)),
+        ("-", f"unexpected EOF '' at offset 1 (expected {ATOM_TEXT})", 1, ATOM),
+        ("1/", f"unexpected EOF '' at offset 2 (expected {ATOM_TEXT})", 2, ATOM),
+        ("pow(1+t, -)", "unexpected ) ')' at offset 10 (expected INT)", 10, ("INT",)),
+    ])
+    def test_error_contract(self, src, message, offset, expected):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(src)
+        assert (str(exc.value), exc.value.offset, exc.value.expected) == (message, offset, expected)
+
     def test_precedence(self):
         assert parse_expr("1+2*t") == Binary(
             "add", Lit(F(1)), Binary("mul", Lit(F(2)), TVar())

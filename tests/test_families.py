@@ -54,7 +54,7 @@ from umbralkit import (
 )
 from umbralkit.families import (
     MAX_PAIR_TRUNC, SCHEMAS, Schema, _appell_poly, _bern_base, _falling_sum, _frobenius_g,
-    _narumi_base, build_pair,
+    _narumi_base, build_pair, check_params,
 )
 from umbralkit.fields import LAMBDA, RatFunc
 
@@ -564,6 +564,14 @@ def test_bad_degree_is_domain_error(call):
         lambda: operator_apply(exp_ct(QQ, 1, 4), [1]),
         lambda: orthogonality_failure(catalog_pair(FamilySpec.make("bernoulli", 1), T=4),
                                       [Poly(QQ, [1]), 1, Poly(QQ, [0, 0, 1])], 2),
+        lambda: catalog_pair("bernoulli", 5),
+        lambda: catalog_pair(FamilySpec("bernoulli", 1, "ab"), 5),
+        lambda: family_polys(["T2"], 1, 3),
+        lambda: bespoke_pair(["T2"], 6),
+        lambda: check_params(["T2"], {}),
+        lambda: check_params("T2", ["b"]),
+        lambda: check_params("nope", {}),
+        lambda: orthogonality_failure(catalog_pair(FamilySpec.make("bernoulli", 1), T=4), None, 2),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -580,7 +588,10 @@ def test_bad_degree_is_domain_error(call):
          "route_pair_none", "binom_float", "multinomial_float", "working_trunc_float",
          "answer_trunc_text", "ratfunc_pow_float", "ratfunc_pow_fraction",
          "functional_apply_not_series", "functional_apply_not_poly",
-         "operator_apply_not_series", "operator_apply_not_poly", "orthogonality_not_poly"],
+         "operator_apply_not_series", "operator_apply_not_poly", "orthogonality_not_poly",
+         "catalog_pair_not_spec", "catalog_pair_params_not_pairs", "family_polys_name_not_str",
+         "bespoke_pair_name_not_str", "check_params_name_not_str", "check_params_not_mapping",
+         "check_params_unknown_name", "orthogonality_polys_none"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):

@@ -209,6 +209,10 @@ class TestDomainHandling:
             verify_identity("T99", {}, 4)
         with pytest.raises(UnknownIdentity):
             describe("nope")
+        with pytest.raises(UnknownIdentity):
+            verify_identity(["T2"])
+        with pytest.raises(UnknownIdentity):
+            describe(["T2"])
 
     def test_c_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -243,11 +247,13 @@ class TestDomainHandling:
 
     @pytest.mark.parametrize(
         "tag,params",
-        [("T2", {"b": 0.1}), ("T2", {"a": True}), ("T10", {"m": False}), ("T6", {"lam": 0.5})],
+        [("T2", {"b": 0.1}), ("T2", {"a": True}), ("T10", {"m": False}), ("T6", {"lam": 0.5}),
+         ("T2", "b"), ("T2", ["b"])],
     )
     def test_float_and_bool_are_domain_errors(self, tag, params):
         # a float is a binary approximation and a bool is not a number of
-        # the schema, so neither is taken as an exact parameter
+        # the schema, so neither is taken as an exact parameter; params that
+        # are not a mapping are refused the same way
         with pytest.raises(DomainError):
             verify_identity(tag, params, 2)
         assert verify_identity_report_errors(tag, params, 2).status == "domain_error"
@@ -315,6 +321,8 @@ class TestDomainHandling:
         reports = run_registry([("T6", {"a": 1, "c": F(0), "lam": None})], 4)
         assert reports[0].status == "domain_error"
         assert not aggregate_pass(reports)
+        reports = run_registry([("T2", "x")], 3)
+        assert [(r.status, r.params) for r in reports] == [("domain_error", ())]
 
 
 class TestRegistry:

@@ -47,6 +47,18 @@ def test_tracer_counts_a_lambda_pair_and_restores_originals():
     assert _originals() == before
 
 
+def test_dsl_calls_count_as_series_methods():
+    # the DSL runs inv, exp and rev through the Series methods the tracer
+    # patches, looked up when the expression is evaluated
+    tracer = Tracer().install()
+    try:
+        dsl.eval_expr(dsl.parse_expr("exp(t) + inv(1 + t) + rev(t + t*t)"), 6)
+    finally:
+        tracer.remove()
+    calls = tracer.snapshot()["calls"]
+    assert [calls.get(f"series.{name}") for name in ("exp", "inverse", "revert")] == [1, 1, 1]
+
+
 def test_pair_builders_keep_their_span_names():
     # the benchmark calls these through the package, as here
     tracer = Tracer().install()
