@@ -179,9 +179,9 @@ def _cmd_verify(args, out) -> int:
     _check_size("--n-max", args.n_max, 1, MAX_PAIR_TRUNC - 1)  # a pair's T is n_max + 1
     grid = default_grid()
     if args.id is not None:
-        if args.id not in IDENTITY_TAGS:
-            raise UnknownIdentity(f"unknown identity tag {args.id!r}")
         grid = [(tag, params) for tag, params in grid if tag == args.id]
+        if not grid:
+            raise UnknownIdentity(f"unknown identity tag {args.id!r}")
     reports = run_registry(grid, args.n_max)
     if len(reports) == 1:
         out.write(json.dumps(reports[0].to_dict(), sort_keys=True) + "\n")

@@ -492,7 +492,9 @@ def check_params(name: str, params: dict) -> dict:
         raise DomainError(f"{name}: params must be a mapping, got {type(params).__name__}")
     unknown = set(params) - {q.name for q in schema.params}
     if unknown:
-        raise DomainError(f"{name} does not take parameter(s) {sorted(unknown)}")
+        # names of any type in one order, str names in their own
+        names = sorted(unknown, key=lambda k: (str(k), repr(k)))
+        raise DomainError(f"{name} does not take parameter(s) {names}")
     out = {}
     for q in schema.params:
         v = q.default if params.get(q.name) is None else params[q.name]

@@ -43,13 +43,18 @@ fixed truncation, n <= 4) and E25 (series coefficients l <= 8 for every n).
 This module holds the checking half of the registry, ``CHECKS`` (tag ->
 check, description).  The other half, every name's parameters and pair
 builder, is ``families.SCHEMAS``, beside the builders; a tag is checked
-with the parameters and pair declared there.
+with the parameters and pair declared there.  This module keeps only the
+default grid's values: ``default_grid`` gives each tag the product of its
+``SCHEMAS`` parameters over ``_GRID``, with b and c drawn together from
+``_BC``, so a pair tag's rows are its g values (a, lambda) times its f
+values (b, c, m).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .errors import _SYMBOLIC, DomainError, UnknownIdentity, nonnegative_integer, rational
@@ -427,48 +432,50 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
 
 
 def verify_identity_report_errors(tag, params, n_max) -> IdentityReport:
-    """Like verify_identity, but domain violations become a report; params
-    that are not a mapping are reported as none."""
+    """Like verify_identity, but domain violations become a report, its
+    params each name and value as a str, sorted; params that are not a
+    mapping are reported as none."""
     try:
         return verify_identity(tag, params, n_max)
     except DomainError as exc:
-        cleaned = {}
-        for k, v in (params if isinstance(params, Mapping) else {}).items():
-            cleaned[k] = _render_param(None if v in _SYMBOLIC else v)
-        return IdentityReport(
-            tag, tuple(sorted(cleaned.items())), n_max, "domain_error", (), str(exc)
-        )
+        cleaned = sorted((str(k), _render_param(None if v in _SYMBOLIC else v))
+                         for k, v in (params if isinstance(params, Mapping) else {}).items())
+        return IdentityReport(tag, tuple(cleaned), n_max, "domain_error", (), str(exc))
+
+
+# the default grid's values; which parameters a tag takes is its SCHEMAS row
+_GRID = {"a": (1, 2, -1), "m": (1, 2), "lam": (None,)}
+_BC = ((Fraction(1), Fraction(1)), (Fraction(2), Fraction(-1)), (Fraction(1, 2), Fraction(1, 3)))
 
 
 def default_grid() -> list[tuple[str, dict]]:
-    """The default parameter grid: symbolic lambda, (b,c) pairs, orders, m."""
-    bc_pairs = [(Fraction(1), Fraction(1)), (Fraction(2), Fraction(-1)), (Fraction(1, 2), Fraction(1, 3))]
-    orders = [1, 2, -1]
-    grid: list[tuple[str, dict]] = []
-    for a in orders:
-        for b, c in bc_pairs:
-            grid.append(("T2", {"a": a, "b": b, "lam": None}))
-            grid.append(("T3", {"a": a, "b": b, "c": c}))
-            grid.append(("T6", {"a": a, "c": c, "lam": None}))
-            grid.append(("P8", {"a": a, "c": c, "lam": None}))
-            for m in (1, 2):
-                grid.append(("T10", {"a": a, "b": b, "c": c, "lam": None, "m": m}))
-        grid.append(("T4", {"a": a}))
-        grid.append(("R27", {"a": a}))
-        grid.append(("E14", {"a": Fraction(a)}))
-    for _, c in bc_pairs:
-        grid.append(("T7", {"c": c}))
-        grid.append(("R35", {"c": c}))
-        grid.append(("T9", {"c": c}))
-    grid.extend([("C5", {}), ("R42", {}), ("DAE", {"lam": None}), ("E25", {})])
+    """The default parameter grid, tag by tag in registry order: the rows of
+    a tag are the product of the ``_GRID`` values of each parameter its
+    ``SCHEMAS`` row lists and the ``_BC`` pairs, each cut down to whichever
+    of b and c the tag takes (symbolic lambda, three (b, c) pairs, three
+    orders a, two m)."""
+    grid = []
+    for tag in IDENTITY_TAGS:
+        names = [q.name for q in SCHEMAS[tag].params]
+        # the (b, c) pairs cut to the tag's own; a tag with neither keeps one empty cut
+        bcs = dict.fromkeys(tuple((k, v) for k, v in zip("bc", bc) if k in names) for bc in _BC)
+        axes = [[(k, v) for v in _GRID[k]] for k in names if k in _GRID]
+        grid += [(tag, dict(bc + rest)) for bc in bcs for rest in product(*axes)]
     return grid
 
 
 def run_registry(grid, n_max: int = 6) -> list[IdentityReport]:
-    """Run every grid entry; deterministic (id, params) report order."""
-    reports = [verify_identity_report_errors(tag, params, n_max) for tag, params in grid]
-    reports.sort(key=lambda r: (r.id, r.params))
-    return reports
+    """Run every grid entry; deterministic (id, params) report order.  A
+    DomainError, before any entry runs, for a grid that is not iterable or
+    an entry that is not a (tag, params) tuple."""
+    if not isinstance(grid, Iterable):
+        raise DomainError(f"grid must be iterable, got {type(grid).__name__}")
+    rows = list(grid)
+    for row in rows:
+        if not (isinstance(row, tuple) and len(row) == 2):
+            raise DomainError(f"grid entry must be a (tag, params) tuple, got {row!r}")
+    return sorted((verify_identity_report_errors(tag, params, n_max) for tag, params in rows),
+                  key=lambda r: (r.id, r.params))
 
 
 def aggregate_pass(reports) -> bool:

@@ -572,6 +572,8 @@ def test_bad_degree_is_domain_error(call):
         lambda: check_params("T2", ["b"]),
         lambda: check_params("nope", {}),
         lambda: orthogonality_failure(catalog_pair(FamilySpec.make("bernoulli", 1), T=4), None, 2),
+        lambda: check_params("T2", {1: 2, "x": 3}),
+        lambda: catalog_pair(FamilySpec("T2", 1, ((1, 2), ("x", 3))), 5),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -591,7 +593,8 @@ def test_bad_degree_is_domain_error(call):
          "operator_apply_not_series", "operator_apply_not_poly", "orthogonality_not_poly",
          "catalog_pair_not_spec", "catalog_pair_params_not_pairs", "family_polys_name_not_str",
          "bespoke_pair_name_not_str", "check_params_name_not_str", "check_params_not_mapping",
-         "check_params_unknown_name", "orthogonality_polys_none"],
+         "check_params_unknown_name", "orthogonality_polys_none", "check_params_mixed_names",
+         "catalog_pair_mixed_names"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):
@@ -608,8 +611,11 @@ def test_bad_argument_is_domain_error(call):
         (lambda: catalog_pair(FamilySpec.make("bernoulli", 2, a=3), T=6),
          "bernoulli: a = 3 disagrees with order 2"),
         (lambda: family_polys("daehee", 7, 2), "daehee takes no order, got 7"),
+        (lambda: check_params("T2", {1: 2, "x": 3, "bb": 4}),
+         "T2 does not take parameter(s) [1, 'bb', 'x']"),
     ],
-    ids=["family_polys", "catalog_pair", "order_and_a_disagree", "order_for_a_name_without"],
+    ids=["family_polys", "catalog_pair", "order_and_a_disagree", "order_for_a_name_without",
+         "names_of_mixed_types"],
 )
 def test_misspelt_parameter_is_domain_error(call, message):
     with pytest.raises(DomainError) as exc:

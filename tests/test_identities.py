@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from math import factorial
 from pathlib import Path
@@ -213,6 +214,8 @@ class TestDomainHandling:
             verify_identity(["T2"])
         with pytest.raises(UnknownIdentity):
             describe(["T2"])
+        with pytest.raises(UnknownIdentity):
+            run_registry([("T2", {}), ("T99", {})], 2)
 
     def test_c_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -323,9 +326,69 @@ class TestDomainHandling:
         assert not aggregate_pass(reports)
         reports = run_registry([("T2", "x")], 3)
         assert [(r.status, r.params) for r in reports] == [("domain_error", ())]
+        # parameter names of mixed types are named, each as a str, and sorted
+        reports = run_registry([("T2", {1: 2, "x": 3})], 2)
+        assert [(r.status, r.params) for r in reports] == [
+            ("domain_error", (("1", "2"), ("x", "3")))]
+        with pytest.raises(DomainError, match=r"T2 does not take parameter\(s\) \[1, 'x'\]"):
+            verify_identity("T2", {1: 2, "x": 3}, 2)
+
+    @pytest.mark.parametrize(
+        "grid,named",
+        [([("T2",)], "('T2',)"), ([("T2", {}, 1)], "('T2', {}, 1)"), (None, "NoneType"),
+         ([None], "None"), (["T2"], "'T2'"), ([("T99", {}), ["T2", {}]], "['T2', {}]"),
+         (7, "int")],
+        ids=["short_row", "long_row", "grid_none", "row_none", "row_str", "row_list", "grid_int"],
+    )
+    def test_malformed_grid_is_domain_error(self, grid, named, monkeypatch):
+        # refused, naming the grid's type or the bad row, before any row is
+        # checked: the unknown tag ahead of the list row is never reached
+        import umbralkit.identities as identities
+
+        def unreachable(*args):
+            raise AssertionError("a row was checked")
+
+        monkeypatch.setattr(identities, "verify_identity_report_errors", unreachable)
+        with pytest.raises(DomainError) as exc:
+            run_registry(grid, 2)
+        assert str(exc.value).endswith(f"got {named}")
+
+
+def _reference_grid():
+    # the default grid written out tag by tag, as it was before default_grid
+    # read each tag's parameters from SCHEMAS
+    bc_pairs = [(F(1), F(1)), (F(2), F(-1)), (F(1, 2), F(1, 3))]
+    orders = [1, 2, -1]
+    grid = []
+    for a in orders:
+        for b, c in bc_pairs:
+            grid.append(("T2", {"a": a, "b": b, "lam": None}))
+            grid.append(("T3", {"a": a, "b": b, "c": c}))
+            grid.append(("T6", {"a": a, "c": c, "lam": None}))
+            grid.append(("P8", {"a": a, "c": c, "lam": None}))
+            for m in (1, 2):
+                grid.append(("T10", {"a": a, "b": b, "c": c, "lam": None, "m": m}))
+        grid.append(("T4", {"a": a}))
+        grid.append(("R27", {"a": a}))
+        grid.append(("E14", {"a": F(a)}))
+    for _, c in bc_pairs:
+        grid.append(("T7", {"c": c}))
+        grid.append(("R35", {"c": c}))
+        grid.append(("T9", {"c": c}))
+    grid.extend([("C5", {}), ("R42", {}), ("DAE", {"lam": None}), ("E25", {})])
+    return grid
 
 
 class TestRegistry:
+    def test_default_grid_is_the_reference_grid(self):
+        # the same rows as a multiset of (tag, canonical params); the order
+        # is free, as run_registry sorts its reports
+        def rows(grid):
+            return Counter((tag, tuple(check_params(tag, p).items())) for tag, p in grid)
+
+        assert rows(default_grid()) == rows(_reference_grid())
+        assert len(default_grid()) == len(_reference_grid()) == 76
+
     def test_default_grid_covers_all_tags(self):
         tags = {tag for tag, _ in default_grid()}
         assert tags == set(IDENTITY_TAGS)
@@ -628,6 +691,52 @@ class TestMutation:
         report = verify_identity(tag, params, 3)
         assert report.status == "fail", (member, tag)
         assert report.counterexamples[0].indices[0] == n, (member, tag)
+
+
+# each pair tag's base point, and the one-parameter moves away from it
+_SPLIT_BASE = {"a": 1, "lam": None, "b": F(1, 2), "c": F(1, 3), "m": 1}
+_SPLIT_MOVES = {"a": 2, "lam": F(1, 2), "b": F(2), "c": F(-1), "m": 2}
+_SPLIT_CASES = [(tag, q.name) for tag in IDENTITY_TAGS if SCHEMAS[tag].pair
+                for q in SCHEMAS[tag].params]
+
+
+def _split_holds(tag, name):
+    """Whether moving one parameter of a pair tag changes only its half of
+    the pair at T = 9: a or lambda changes g and leaves f, and b, c or m
+    changes f and leaves g and ginv."""
+    base = {q.name: _SPLIT_BASE[q.name] for q in SCHEMAS[tag].params}
+    moved = {**base, name: _SPLIT_MOVES[name]}
+    before, after = (build_pair(tag, 9, p.get("a", 1), p) for p in (base, moved))
+    if name in ("a", "lam"):
+        return after.g != before.g and after.f == before.f
+    return after.f != before.f and (after.g, after.ginv) == (before.g, before.ginv)
+
+
+class TestGFSplit:
+    """The split the default grid's g values x f values rest on: by the
+    connection-constants theorem a pair tag's basis half reads g alone and
+    its scalar half f alone, so g may read only a and lambda and f only b,
+    c and m."""
+
+    @pytest.mark.parametrize("tag,name", _SPLIT_CASES)
+    def test_each_parameter_moves_its_own_half(self, tag, name):
+        assert _split_holds(tag, name)
+
+    def test_cases_cover_every_pair_tag(self):
+        assert {tag for tag, _ in _SPLIT_CASES} == {
+            "T2", "T3", "T4", "R27", "T6", "P8", "T10", "DAE"}
+        assert len(_SPLIT_CASES) == 20
+
+    def test_an_f_that_reads_a_fails(self, monkeypatch):
+        build = SCHEMAS["T2"].pair
+
+        def wrong(T, **kw):
+            g, f, *ginv = build(T, **kw)
+            return (g, f * kw["a"], *ginv)
+
+        assert _split_holds("T2", "a")
+        monkeypatch.setitem(SCHEMAS, "T2", Schema(SCHEMAS["T2"].params, wrong))
+        assert not _split_holds("T2", "a")
 
 
 @pytest.mark.parametrize("tag,params", [

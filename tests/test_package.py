@@ -1,5 +1,6 @@
 """The package's public surface: its name lists, the README's library
-quickstart, and the pair entries the benchmark calls."""
+quickstart, and the pair entries the benchmark calls; and the code-line
+count the repository's line figures come from."""
 
 import json
 import sys
@@ -8,6 +9,7 @@ from types import ModuleType
 
 import umbralkit
 
+from code_lines import code_lines
 from readme_quickstart import expected_output, quickstart, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +46,25 @@ def test_benchmark_pair_entries_build_every_operation():
         output, error, _ = wl.run_op(str(ROOT), op)
         assert error is None, wl.op_id(op)
         assert wl.digest(wl.canonical_text(op, output)) == table[wl.op_id(op)], wl.op_id(op)
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    source = "\n".join([
+        '"""Module docstring,',
+        'two lines."""',
+        "",
+        "# a comment",
+        "class A:",
+        '    """Class docstring."""',
+        "",
+        "    def f(self):  # a trailing comment",
+        '        """Function',
+        '        docstring."""',
+        '        text = """a string',
+        "        on three",
+        '        lines"""',
+        "        return text",
+        "",
+    ])
+    # class A, def f, the three lines of the string, and return
+    assert code_lines(source) == 6
