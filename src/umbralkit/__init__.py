@@ -3,145 +3,28 @@
 Truncated formal power series and polynomials over Q or Q(L), the umbral
 pairing and operator action, named polynomial families, and an executable
 registry of convolution identities checked in exact rational arithmetic.
+
+Each module declares the public names it defines in its own ``__all__``;
+the package exports those names and no other, and its ``__all__`` is the
+modules' lists joined in import order.
 """
 
-from .errors import (
-    CompositionOrder,
-    DivisionByZero,
-    DomainError,
-    EvalPole,
-    NotDelta,
-    NotInvertible,
-    OrderTooLow,
-    ParseError,
-    TruncationTooShort,
-    UmbralError,
-    UnitConstantRequired,
-    UnknownIdentity,
-)
-from .fields import LAMBDA, QL, QQ, RatFunc
-from .series import (
-    Poly,
-    Series,
-    exp_ct,
-    falling_factorial,
-    log1p_series,
-    monomial,
-    one,
-    one_plus_t_pow,
-    t_series,
-    working_trunc,
-    zero,
-)
-from .umbral import (
-    ShefferPair,
-    answer_trunc,
-    functional_apply,
-    operator_apply,
-    orthogonality_failure,
-    sheffer_gf,
-    sheffer_transfer_all,
-)
-from .families import (
-    FamilySpec,
-    bernoulli_2nd,
-    bernoulli_number,
-    bernoulli_poly,
-    bernoulli_value,
-    bespoke_pair,
-    binom,
-    catalog_pair,
-    euler_poly,
-    family_polys,
-    frobenius_euler_poly,
-    frobenius_eulerian_poly,
-    gen_binom,
-    narumi_number,
-    narumi_poly,
-    narumi_value,
-    poisson_charlier,
-    stirling1,
-    stirling2,
-)
-from .identities import (
-    IDENTITY_TAGS,
-    Counterexample,
-    IdentityReport,
-    aggregate_pass,
-    b2_convolution,
-    default_grid,
-    describe,
-    run_registry,
-    verify_identity,
-)
-from .dsl import eval_expr, parse_expr, render
+from .errors import *
+from .fields import *
+from .series import *
+from .umbral import *
+from .families import *
+from .identities import *
+from .dsl import *
+from . import dsl, errors, families, fields, identities, series, umbral
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompositionOrder",
-    "DivisionByZero",
-    "DomainError",
-    "EvalPole",
-    "NotDelta",
-    "NotInvertible",
-    "OrderTooLow",
-    "ParseError",
-    "TruncationTooShort",
-    "UmbralError",
-    "UnitConstantRequired",
-    "UnknownIdentity",
-    "LAMBDA",
-    "QL",
-    "QQ",
-    "RatFunc",
-    "Poly",
-    "Series",
-    "exp_ct",
-    "falling_factorial",
-    "log1p_series",
-    "monomial",
-    "one",
-    "one_plus_t_pow",
-    "t_series",
-    "working_trunc",
-    "zero",
-    "ShefferPair",
-    "answer_trunc",
-    "functional_apply",
-    "operator_apply",
-    "orthogonality_failure",
-    "sheffer_gf",
-    "sheffer_transfer_all",
-    "FamilySpec",
-    "bernoulli_2nd",
-    "bernoulli_number",
-    "bernoulli_poly",
-    "bernoulli_value",
-    "bespoke_pair",
-    "binom",
-    "catalog_pair",
-    "euler_poly",
-    "family_polys",
-    "frobenius_euler_poly",
-    "frobenius_eulerian_poly",
-    "gen_binom",
-    "narumi_number",
-    "narumi_poly",
-    "narumi_value",
-    "poisson_charlier",
-    "stirling1",
-    "stirling2",
-    "IDENTITY_TAGS",
-    "Counterexample",
-    "IdentityReport",
-    "aggregate_pass",
-    "b2_convolution",
-    "default_grid",
-    "describe",
-    "run_registry",
-    "verify_identity",
-    "parse_expr",
-    "eval_expr",
-    "render",
-]
+__all__ = []
+__all__ += errors.__all__
+__all__ += fields.__all__
+__all__ += series.__all__
+__all__ += umbral.__all__
+__all__ += families.__all__
+__all__ += identities.__all__
+__all__ += dsl.__all__

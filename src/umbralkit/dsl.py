@@ -37,6 +37,12 @@ from .fields import QQ, LAMBDA
 from .record import Record
 from .series import Series, constant, one, t_series
 
+__all__ = [
+    "parse_expr",
+    "eval_expr",
+    "render",
+]
+
 
 # ---------------------------------------------------------------------------
 # AST

@@ -3,6 +3,21 @@ raise them."""
 
 from fractions import Fraction
 
+__all__ = [
+    "CompositionOrder",
+    "DivisionByZero",
+    "DomainError",
+    "EvalPole",
+    "NotDelta",
+    "NotInvertible",
+    "OrderTooLow",
+    "ParseError",
+    "TruncationTooShort",
+    "UmbralError",
+    "UnitConstantRequired",
+    "UnknownIdentity",
+]
+
 
 class UmbralError(Exception):
     """Base class for every error raised by this package."""

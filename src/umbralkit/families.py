@@ -10,8 +10,12 @@ rows every Frobenius g is built from.  The polynomial families are still
 read off their generating functions as truncated series: an Appell family
 from the coefficients of factor(t) e^{xt}, and ``narumi_poly`` and the
 Poisson-Charlier polynomials as sums sum_m c_m (x)_m over the falling
-rows (``_falling_sum``).  ``narumi_value``, ``bernoulli_number`` and
-``bernoulli_2nd`` (Narumi's order -1) are series coefficients too.
+rows (``_falling_sum``).  A value is one dot of a base series against
+e^{xt} or (1+t)^x, with no product formed: ``bernoulli_value`` is n! times
+the dot of (t/(e^t-1))^a with the reversed e^{xt} and ``bernoulli_number``
+its value at 0, and ``narumi_value`` is n! times the dot of
+(log(1+t)/t)^a with the reversed (1+t)^x, read by ``narumi_number`` at 0
+and by ``bernoulli_2nd`` (Narumi's order -1).
 
 Each generating series is built in one place and read under every name it
 has (Roman, *The Umbral Calculus*, 1984).  The Euler polynomials of order a
@@ -86,6 +90,28 @@ from .series import (
 )
 from .umbral import ShefferPair, answer_trunc, sheffer_gf
 
+__all__ = [
+    "FamilySpec",
+    "bernoulli_2nd",
+    "bernoulli_number",
+    "bernoulli_poly",
+    "bernoulli_value",
+    "bespoke_pair",
+    "binom",
+    "catalog_pair",
+    "euler_poly",
+    "family_polys",
+    "frobenius_euler_poly",
+    "frobenius_eulerian_poly",
+    "gen_binom",
+    "narumi_number",
+    "narumi_poly",
+    "narumi_value",
+    "poisson_charlier",
+    "stirling1",
+    "stirling2",
+]
+
 
 def binom(n: int, k: int) -> int:
     """C(n, k) for ints n and k, and 0 unless 0 <= k <= n."""
@@ -112,11 +138,13 @@ def _lam_element(lam):
 
 # ---------------------------------------------------------------------------
 # generating-series building blocks (cached where a cache hits; Series is
-# immutable)
+# immutable).  Each bound is above the entries the largest pinned command
+# leaves: ``verify --all --n-max 30`` leaves 1 051, 990 and 282 in
+# ``_bern_base``, ``_narumi_base`` and ``_frobenius_g``
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _bern_base(a: int, T: int) -> Series:
     """((e^t - 1)/t)^a over Q."""
     base = (exp_ct(QQ, 1, T + 1) - 1).shift_div(1)
@@ -142,7 +170,7 @@ def _surjection_row(n: int) -> tuple:
     return _surjections(n + 1)[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _frobenius_g(a: int, lam, T: int, rate: bool) -> Series:
     """The Frobenius-Euler g, G(t) = ((e^t - lam)/(1 - lam))^a, or, when
     ``rate``, the Frobenius-type Eulerian g G((lam - 1)t), mod t^T over Q(L)
@@ -188,7 +216,7 @@ def _frobenius_g(a: int, lam, T: int, rate: bool) -> Series:
     return Series(QL if lam is None else QQ, coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def _narumi_base(a: int, T: int) -> Series:
     """(log(1+t)/t)^a over Q."""
     base = log1p_series(QQ, T + 1).shift_div(1)
@@ -226,14 +254,17 @@ def bernoulli_poly(a: int, n: int) -> Poly:
 
 
 def bernoulli_value(a: int, n: int, at) -> Fraction:
-    """B_n^(a) evaluated at a rational point."""
-    return bernoulli_poly(a, n).eval(rational("at", at))
+    """B_n^(a)(at) = n! [t^n] (t/(e^t-1))^a e^{at t} at a rational point:
+    one dot of the base with the reversed e^{at t}."""
+    n = nonnegative_integer("n_max", n)
+    base = _bern_base(-integer_order("a", a), n + 1)
+    exps = exp_ct(QQ, rational("at", at), n + 1)
+    return factorial(n) * vec_dot(base.coeffs, exps.coeffs[::-1])
 
 
 def bernoulli_number(a: int, n: int) -> Fraction:
     """B_n^(a) = B_n^(a)(0) = n! [t^n] (t/(e^t-1))^a."""
-    n = nonnegative_integer("n_max", n)
-    return factorial(n) * _bern_base(-integer_order("a", a), n + 1).coeffs[n]
+    return bernoulli_value(a, n, 0)
 
 
 def euler_poly(alpha: int, n: int) -> Poly:
@@ -267,15 +298,18 @@ def narumi_poly(a: int, n: int) -> Poly:
 
 
 def narumi_value(a: int, n: int, shift=0):
-    """N_n^(a)(shift) = n! [t^n] (log(1+t)/t)^a (1+t)^shift.
+    """N_n^(a)(shift) = n! [t^n] (log(1+t)/t)^a (1+t)^shift: one dot of the
+    base with the reversed (1+t)^shift.
 
-    ``shift`` may be any field element; rational shifts stay in Q.
+    ``shift`` may be any field element; rational shifts stay in Q, and a
+    shift in L makes the dot one over Q(L).
     """
     T = nonnegative_integer("n_max", n) + 1
     base = _narumi_base(integer_order("a", a), T)
     if not isinstance(shift, RatFunc) or shift.is_constant():
         shift = rational("shift", shift.as_rat() if isinstance(shift, RatFunc) else shift)
-    return factorial(n) * (base * one_plus_t_pow(QQ, shift, T)).coeffs[n]
+    binoms = one_plus_t_pow(QQ, shift, T)
+    return factorial(n) * vec_dot(base.coeffs, binoms.coeffs[::-1], binoms.field.zero)
 
 
 def narumi_number(a: int, n: int) -> Fraction:

@@ -133,12 +133,10 @@ from operator import mul
 from .errors import DivisionByZero, DomainError, EvalPole, integer_order, rational
 
 __all__ = [
-    "RatFunc",
     "LAMBDA",
-    "QQ",
     "QL",
-    "RationalField",
-    "LambdaField",
+    "QQ",
+    "RatFunc",
 ]
 
 

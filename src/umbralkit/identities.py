@@ -11,13 +11,14 @@ compared in exact arithmetic:
 The right route never calls the umbral engine.  Its Stirling numbers and
 falling factorials are integer definitions that read no series; its Euler
 and Frobenius-type values come from integer Stirling rows
-(``families._frobenius_g``); its Bernoulli and Narumi values are
-coefficients of truncated series, so those checks share the series
-primitives (products, ``pow_int``, ``inverse``) with the left route and
-nothing else.  Agreement is a genuine cross-check.  Failures are reported
-with exact counterexamples; a known misprint is arbitrated by a brute-force
-oracle and reported as ``paper_discrepancy`` carrying both the failing
-as-printed form and the passing corrected form.
+(``families._frobenius_g``); its Bernoulli and Narumi values are each one
+dot of a base series, (t/(e^t-1))^a or (log(1+t)/t)^a, against e^{xt} or
+(1+t)^x, so those checks share the series primitives that build the bases
+(products, ``pow_int``, ``inverse``) with the left route and nothing else.
+Agreement is a genuine cross-check.  Failures are reported with exact
+counterexamples; a known misprint is arbitrated by a brute-force oracle and
+reported as ``paper_discrepancy`` carrying both the failing as-printed form
+and the passing corrected form.
 
 Most checks take one of two forms, each built by one helper:
 
@@ -80,9 +81,21 @@ from .families import (
     stirling2,
 )
 from .series import Poly, exp_ct, log1p_series, one, one_plus_t_pow, t_series
-from .fields import QQ
+from .fields import QQ, vec_dot
 from .record import Record
 from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
+
+__all__ = [
+    "IDENTITY_TAGS",
+    "Counterexample",
+    "IdentityReport",
+    "aggregate_pass",
+    "b2_convolution",
+    "default_grid",
+    "describe",
+    "run_registry",
+    "verify_identity",
+]
 
 
 class Counterexample(Record):
@@ -232,24 +245,19 @@ def _s2_over_binom(n, l):
 
 def _t3_coef(p, n, k):
     # sum_{l+j=k} C(k, l) S2(l+n, n)/C(l+n, n) c^(n+l) (-nb)^j, the double
-    # sum over (l, j) folded by C(n-1, l) C(n-1-l, j) = C(n-1, k) C(k, l)
-    # l runs down, so both powers are running products: c is nonzero, b may be 0
+    # sum over (l, j) folded by C(n-1, l) C(n-1-l, j) = C(n-1, k) C(k, l):
+    # one dot with the integer weights C(k, l); (-nb)^0 = 1 when b = 0
     b, c = p["b"], p["c"]
-    total, c_pow, nb_pow = Fraction(0), c ** (n + k), Fraction(1)
-    for l in range(k, -1, -1):
-        total += binom(k, l) * _s2_over_binom(n, l) * c_pow * nb_pow
-        c_pow /= c
-        nb_pow *= -n * b
-    return total
+    return vec_dot([_s2_over_binom(n, l) for l in range(k + 1)],
+                   [c ** (n + l) * (-n * b) ** (k - l) for l in range(k + 1)],
+                   w=[binom(k, l) for l in range(k + 1)])
 
 
 def _t9_rhs(p, n, l):
     # l! sum_k n!/(n+k)! S1(k+n, n) C(-nc, l-k)
-    return factorial(l) * sum(
-        Fraction(factorial(n), factorial(n + k)) * stirling1(k + n, n)
-        * gen_binom(-n * p["c"], l - k)
-        for k in range(l + 1)
-    )
+    return factorial(l) * vec_dot(
+        [Fraction(factorial(n), factorial(n + k)) * stirling1(k + n, n) for k in range(l + 1)],
+        [gen_binom(-n * p["c"], l - k) for k in range(l + 1)])
 
 
 _R42_NOTE = (

@@ -69,6 +69,20 @@ from .fields import (
     latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
 )
 
+__all__ = [
+    "Poly",
+    "Series",
+    "exp_ct",
+    "falling_factorial",
+    "log1p_series",
+    "monomial",
+    "one",
+    "one_plus_t_pow",
+    "t_series",
+    "working_trunc",
+    "zero",
+]
+
 
 def working_trunc(n_max: int) -> int:
     """Default truncation for building a pair for answers of degree <= n_max:

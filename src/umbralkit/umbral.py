@@ -100,6 +100,16 @@ from .fields import (
 from .record import Record
 from .series import Poly, Series, _over_q
 
+__all__ = [
+    "ShefferPair",
+    "answer_trunc",
+    "functional_apply",
+    "operator_apply",
+    "orthogonality_failure",
+    "sheffer_gf",
+    "sheffer_transfer_all",
+]
+
 
 def functional_apply(f: Series, p: Poly):
     """<f(t) | p(x)> = sum_n n! f[n] p_n."""

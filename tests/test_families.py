@@ -181,6 +181,45 @@ class TestNarumi:
             assert polys[n] == narumi_poly(2, n)
 
 
+class TestValuesAsOneDot:
+    """Each value read as one dot of its base with the reversed (1+t)^x or
+    e^{xt}, against the forms that dot replaced: the whole product for
+    Narumi, the polynomial by Horner's rule and the base's own coefficient
+    for Bernoulli."""
+
+    @staticmethod
+    def _narumi_value_by_product(a, n, shift):
+        T = n + 1
+        if not isinstance(shift, RatFunc) or shift.is_constant():
+            shift = F(shift.as_rat() if isinstance(shift, RatFunc) else shift)
+        return factorial(n) * (_narumi_base(a, T) * one_plus_t_pow(QQ, shift, T)).coeffs[n]
+
+    @pytest.mark.parametrize("shift", [
+        0, 3, F(-3, 2), F(1, 3), QL.coerce(F(2, 5)), LAMBDA, 2 * LAMBDA - F(1, 2),
+        QL.one / (LAMBDA + 1),
+    ])
+    def test_narumi_value_is_the_product_coefficient(self, shift):
+        for a in (-3, -1, 0, 1, 2, 4):
+            for n in range(9):
+                got, want = narumi_value(a, n, shift), self._narumi_value_by_product(a, n, shift)
+                assert (type(got), str(got)) == (type(want), str(want)), (a, n)
+
+    @pytest.mark.parametrize("at", [0, 1, -2, F(1, 2), F(-7, 3)])
+    def test_bernoulli_value_is_the_polynomial_at_the_point(self, at):
+        for a in (-3, -1, 0, 1, 2, 4):
+            for n in range(10):
+                got = bernoulli_value(a, n, at)
+                assert type(got) is F
+                assert got == bernoulli_poly(a, n).eval(F(at)), (a, n)
+
+    def test_bernoulli_number_is_the_base_coefficient(self):
+        for a in (-3, -1, 0, 1, 2, 4):
+            for n in range(10):
+                got = bernoulli_number(a, n)
+                assert type(got) is F
+                assert got == factorial(n) * _bern_base(-a, n + 1).coeffs[n], (a, n)
+
+
 class TestStirling:
     def test_second_kind_values(self):
         assert stirling2(4, 2) == 7

@@ -31,12 +31,15 @@ from umbralkit import (
 )
 from umbralkit import (
     LAMBDA, QQ, Poly, Series, answer_trunc, bernoulli_poly, binom, euler_poly,
-    frobenius_euler_poly, frobenius_eulerian_poly, narumi_number, poisson_charlier, stirling2,
+    frobenius_euler_poly, frobenius_eulerian_poly, gen_binom, narumi_number, poisson_charlier,
+    stirling1, stirling2,
 )
 from umbralkit.families import MAX_PAIR_TRUNC, SCHEMAS, Param, Schema, build_pair, check_params
 from umbralkit.identities import (
     CHECKS,
     IDENTITY_TAGS,
+    _t3_coef,
+    _t9_rhs,
     verify_identity_report_errors,
 )
 
@@ -202,6 +205,48 @@ class TestConvolutionOracles:
     def test_matches_narumi_route(self):
         c = F(1)
         assert narumi_value(-1, 1, c) == F(3, 2)
+
+
+class TestScalarSumsAsOneDot:
+    """T3's and T9's coefficient sums as one dot, against the loops they
+    replaced, over a grid with T3's default b = 0."""
+
+    @staticmethod
+    def _t3_coef_by_running_products(p, n, k):
+        b, c = p["b"], p["c"]
+        total, c_pow, nb_pow = F(0), c ** (n + k), F(1)
+        for l in range(k, -1, -1):
+            total += binom(k, l) * F(stirling2(l + n, n), binom(l + n, n)) * c_pow * nb_pow
+            c_pow /= c
+            nb_pow *= -n * b
+        return total
+
+    @staticmethod
+    def _t9_rhs_by_sum(p, n, l):
+        return factorial(l) * sum(
+            F(factorial(n), factorial(n + k)) * stirling1(k + n, n)
+            * gen_binom(-n * p["c"], l - k)
+            for k in range(l + 1)
+        )
+
+    @pytest.mark.parametrize("c", [F(1), F(-1), F(1, 2), F(-2, 3)])
+    def test_t3_coef_is_the_running_product_sum(self, c):
+        for b in (F(0), F(1), F(2), F(1, 2), F(-1, 3)):
+            p = {"b": b, "c": c}
+            for n in range(1, 9):
+                for k in range(n):
+                    got = _t3_coef(p, n, k)
+                    assert type(got) is F
+                    assert got == self._t3_coef_by_running_products(p, n, k), (b, n, k)
+
+    @pytest.mark.parametrize("c", [F(1), F(-1), F(1, 2), F(-2, 3)])
+    def test_t9_rhs_is_the_term_sum(self, c):
+        p = {"c": c}
+        for n in range(1, 9):
+            for l in range(n + 1):
+                got = _t9_rhs(p, n, l)
+                assert type(got) is F
+                assert got == self._t9_rhs_by_sum(p, n, l), (n, l)
 
 
 class TestDomainHandling:
