@@ -1,12 +1,12 @@
 """Named polynomial and number families, plus the Sheffer pairs they
 belong to.
 
-The Stirling numbers are integer definitions, one integer table per kind,
-each row kept per n: ``stirling1(n, k)`` is a coefficient of the integer
-row of (x)_n (``series._falling_rows``, one product by a linear factor per
-row), the row ``falling_factorial`` also returns, and ``stirling2(n, k)``
-is k! S2(n, k) / k! from the surjection row of n (``_surjections``), the
-rows every Frobenius g is built from.  The polynomial families are still
+The Stirling numbers are integer definitions, one integer table per kind:
+``stirling1(n, k)`` is a coefficient of the integer row of (x)_n
+(``series._falling_rows``, one product by a linear factor per row), the
+row ``falling_factorial`` also returns, and ``stirling2(n, k)`` is
+k! S2(n, k) / k! from the surjection row of n (``_surjections``), the rows
+every Frobenius g is built from.  The polynomial families are still
 read off their generating functions as truncated series: an Appell family
 from the coefficients of factor(t) e^{xt}, and ``narumi_poly`` and the
 Poisson-Charlier polynomials as sums sum_m c_m (x)_m over the falling
@@ -24,6 +24,12 @@ so ``euler_poly`` and the Euler and T4 pairs read ``_frobenius_g`` at
 lam = -1.  t/log(1+t) is Narumi's base at order -1, ``_narumi_base(-1,
 T)``: the second-kind Bernoulli values, the T4 and P8 pairs and the
 identities' b2 convolution read it there.
+
+The bases, the Frobenius g and both Stirling tables are kept by the one
+rule of ``series._kept``: per key without T, the table at the longest T
+asked for, read as its first T entries, at most 256 keys per builder.  A
+new truncation of a kept key makes no entry, so the number of entries is
+the number of orders and parameters asked for.
 
 The family functions (``bernoulli_poly`` .. ``bernoulli_2nd``) are
 deliberately independent of the umbral operator engine, so the identity
@@ -68,7 +74,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
 from .errors import (
@@ -83,6 +88,7 @@ from .series import (
     Poly,
     Series,
     _falling_rows,
+    _kept,
     exp_ct,
     log1p_series,
     one_plus_t_pow,
@@ -137,25 +143,24 @@ def _lam_element(lam):
 
 
 # ---------------------------------------------------------------------------
-# generating-series building blocks (cached where a cache hits; Series is
-# immutable).  Each bound is above the entries the largest pinned command
-# leaves: ``verify --all --n-max 30`` leaves 1 051, 990 and 282 in
-# ``_bern_base``, ``_narumi_base`` and ``_frobenius_g``
+# generating-series building blocks, each kept at the longest T asked for
+# (``series._kept``; Series and tuples are immutable)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=2048)
+@_kept
 def _bern_base(a: int, T: int) -> Series:
     """((e^t - 1)/t)^a over Q."""
     base = (exp_ct(QQ, 1, T + 1) - 1).shift_div(1)
     return base.pow_int(a).truncate(T)
 
 
+@_kept
 def _surjections(T: int) -> tuple:
     """The integer rows k! S2(m, k), k = 0 .. m, for m < T: the number of
     maps from an m-set onto a k-set, by the recurrence
-    k! S2(m, k) = k ((k-1)! S2(m-1, k-1) + k! S2(m-1, k)).  Uncached: its
-    callers, ``_frobenius_g`` and ``_surjection_row``, are cached."""
+    k! S2(m, k) = k ((k-1)! S2(m-1, k-1) + k! S2(m-1, k)).  One kept table,
+    read by ``_frobenius_g`` and ``stirling2``."""
     rows = [(1,)]
     for m in range(1, T):
         prev = rows[-1] + (0,)
@@ -163,19 +168,14 @@ def _surjections(T: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=256)
-def _surjection_row(n: int) -> tuple:
-    """The integer row k! S2(n, k), k = 0 .. n, alone: the row is kept, not
-    the table that builds it."""
-    return _surjections(n + 1)[n]
-
-
-@lru_cache(maxsize=1024)
-def _frobenius_g(a: int, lam, T: int, rate: bool) -> Series:
+@_kept
+def _frobenius_g(a: int, lam, rate: bool, T: int) -> Series:
     """The Frobenius-Euler g, G(t) = ((e^t - lam)/(1 - lam))^a, or, when
     ``rate``, the Frobenius-type Eulerian g G((lam - 1)t), mod t^T over Q(L)
     (lam None) or Q, one canonical element per coefficient; the one builder
-    and the one cache of both.
+    of both, kept per (a, lam, rate) at the longest T.  Coefficient m reads
+    only row m and C(a, k) for k <= min(m, a) (k <= m for a < 0), so it
+    does not depend on T.
 
     With u = lam - 1 and e^t - lam = -u (1 - (e^t - 1)/u), the binomial
     series gives g_m = (1/m!) sum_{k <= K} c_k u^(-k), where
@@ -216,7 +216,7 @@ def _frobenius_g(a: int, lam, T: int, rate: bool) -> Series:
     return Series(QL if lam is None else QQ, coeffs)
 
 
-@lru_cache(maxsize=2048)
+@_kept
 def _narumi_base(a: int, T: int) -> Series:
     """(log(1+t)/t)^a over Q."""
     base = log1p_series(QQ, T + 1).shift_div(1)
@@ -238,7 +238,7 @@ def _appell_poly(factor: Series, n: int) -> Poly:
 def _falling_sum(c) -> Poly:
     """sum_m c[m] (x)_m over Q: the x^k coefficient is one dot product of
     c[k:] with the x^k coefficients of the falling-factorial rows."""
-    rows = _falling_rows(len(c) - 1)
+    rows = _falling_rows(len(c))
     return Poly(QQ, [vec_dot(c[k:], [r[k] for r in rows[k:]]) for k in range(len(c))])
 
 
@@ -270,21 +270,21 @@ def bernoulli_number(a: int, n: int) -> Fraction:
 def euler_poly(alpha: int, n: int) -> Poly:
     """Euler polynomial of order alpha, degree n, over Q."""
     n = nonnegative_integer("n_max", n)
-    return _appell_poly(_frobenius_g(-integer_order("alpha", alpha), Fraction(-1), n + 1, False), n)
+    return _appell_poly(_frobenius_g(-integer_order("alpha", alpha), Fraction(-1), False, n + 1), n)
 
 
 def frobenius_euler_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-Euler H_n^(a)(x|lam); symbolic over Q(L) when lam is None."""
     n = nonnegative_integer("n_max", n)
     lam = lambda_value("lam", lam)
-    return _appell_poly(_frobenius_g(-integer_order("a", a), lam, n + 1, False), n)
+    return _appell_poly(_frobenius_g(-integer_order("a", a), lam, False, n + 1), n)
 
 
 def frobenius_eulerian_poly(a: int, n: int, lam=None) -> Poly:
     """Frobenius-type Eulerian A_n^(a)(x|lam)."""
     n = nonnegative_integer("n_max", n)
     lam = lambda_value("lam", lam)
-    return _appell_poly(_frobenius_g(-integer_order("a", a), lam, n + 1, True), n)
+    return _appell_poly(_frobenius_g(-integer_order("a", a), lam, True, n + 1), n)
 
 
 def narumi_poly(a: int, n: int) -> Poly:
@@ -318,18 +318,11 @@ def narumi_number(a: int, n: int) -> Fraction:
 
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling numbers of the second kind: k! S2(n, k) from the surjection
-    row of n (``_surjection_row``), over k!."""
+    row of n (``_surjections``), over k!."""
     n = nonnegative_integer("n_max", n)
     if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
-    return Fraction(_surjection_row(n)[k], factorial(k))
-
-
-@lru_cache(maxsize=256)
-def _falling_row(n: int) -> tuple:
-    """The integer coefficients of (x)_n alone: the row is kept, not the
-    table (x)_0 .. (x)_n that builds it."""
-    return _falling_rows(n)[n]
+    return Fraction(_surjections(n + 1)[n][k], factorial(k))
 
 
 def stirling1(n: int, k: int) -> Fraction:
@@ -337,7 +330,7 @@ def stirling1(n: int, k: int) -> Fraction:
     n = nonnegative_integer("n_max", n)
     if not 0 <= integer_order("k", k) <= n:
         return Fraction(0)
-    return Fraction(_falling_row(n)[k])
+    return Fraction(_falling_rows(n + 1)[n][k])
 
 
 def poisson_charlier(n: int, a, x_eval=None):
@@ -386,7 +379,7 @@ def _frobenius_pair(a, lam, T, rate, f):
     """(g, f, 1/g) for the Frobenius g of order a (``_frobenius_g``): 1/g
     is the same sum at order -a, which is still proven before a route reads
     it (``umbral._proven_ginv``, once per pair and answer truncation)."""
-    return _frobenius_g(a, lam, T, rate), f, _frobenius_g(-a, lam, T, rate)
+    return _frobenius_g(a, lam, rate, T), f, _frobenius_g(-a, lam, rate, T)
 
 
 def _bernoulli_pair(T, a):

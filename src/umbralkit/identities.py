@@ -80,7 +80,7 @@ from .families import (
     stirling1,
     stirling2,
 )
-from .series import Poly, exp_ct, log1p_series, one, one_plus_t_pow, t_series
+from .series import Poly, _kept, exp_ct, log1p_series, one, one_plus_t_pow, t_series
 from .fields import QQ, vec_dot
 from .record import Record
 from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
@@ -157,23 +157,24 @@ def _compare(triples):
     return ("fail" if ces else "pass"), ces, ""
 
 
-_B2_POWERS = {}  # (c, n) -> u^n, kept at the longest truncation asked for
+@_kept
+def _b2_power(c, n: int, T: int):
+    """u^n mod t^T, u = t(1+t)^c / log(1+t)."""
+    return (_narumi_base(-1, T) * one_plus_t_pow(QQ, c, T)).pow_int(n)
 
 
 def b2_convolution(n: int, l: int, c) -> Fraction:
     """l! [t^l] u^n, u = t(1+t)^c / log(1+t) — the n-fold convolution
     route, stated for n >= 1 factors and l >= 0.
 
-    One power u^n per (c, n), made at truncation max(n, l + 1) and kept at
-    the longest asked for: the t^l coefficient of a power depends only on
-    u through t^l, so a longer power is read as the shorter one.  The
+    One power u^n per (c, n), read at truncation max(n, l + 1) from the
+    power kept at the longest truncation asked for (``_b2_power``,
+    ``series._kept``): the t^l coefficient of a power depends only on u
+    through t^l, so a longer power is read as the shorter one.  The
     triangles of T7 and R35 read l < n, so one power serves every l of
     an n, and R35 reads the powers T7 made."""
     n, l, c = nonnegative_integer("n", n, 1), nonnegative_integer("l", l), rational("c", c)
-    power, T = _B2_POWERS.get((c, n)), max(n, l + 1)
-    if power is None or power.trunc < T:
-        power = _B2_POWERS[c, n] = (_narumi_base(-1, T) * one_plus_t_pow(QQ, c, T)).pow_int(n)
-    return factorial(l) * power.coeffs[l]
+    return factorial(l) * _b2_power(c, n, max(n, l + 1)).coeffs[l]
 
 
 # ---------------------------------------------------------------------------

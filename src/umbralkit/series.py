@@ -44,12 +44,25 @@ lifts a series or polynomial over Q in ``+ - * /``, ``pow_field``,
 it takes a Q(L) series whose coefficients are all constants down to Q; a
 Sheffer pair keeps an L-free f over Q by it, so the routes run their
 L-free half on the Q kernel.
+
+The generating series that the families and identities read again and
+again (a base (t/(e^t-1))^a or (log(1+t)/t)^a, a Frobenius g, the
+Stirling rows, the falling rows ``_falling_rows``, the b2 power u^n) are
+kept by one rule, ``_kept``: per key, the table at the longest truncation
+T asked for, read as its first T entries.  Its condition is that a
+builder's first T entries do not depend on T, as a coefficient mod t^T of
+a product, power or composition does not (Roman, *The Umbral Calculus*,
+1984, ch. 2).  Each kept builder holds at most 256 keys, T not among
+them.  A kept Stirling table holds every row up to the largest n asked
+for, which is the table that request builds anyway, so keeping it raises
+no peak.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache, wraps
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -618,15 +631,36 @@ class Poly(CoeffVector):
         return f"Poly[{self.field.name}]({self})"
 
 
-def _falling_rows(n: int) -> list:
-    """The integer coefficients of (x)_0 .. (x)_n, ascending powers of x:
-    (x)_m is (x)_{m-1} times x - m + 1."""
-    rows = [(1,)]
-    for m in range(n):
-        rows.append(_zmul(rows[-1], (-m, 1)))
-    return rows
+def _kept(build):
+    """``build(*key, T)`` for T >= 1, kept per key at the longest T asked
+    for and read as its first T entries: ``truncate(T)`` of a Series, a
+    slice of a tuple of rows.  Sound only for a builder whose first T
+    entries do not depend on T.  The tables sit in one ``lru_cache`` of 256
+    keys, T not among them; its ``cache_info()`` and ``cache_clear()`` are
+    the kept builder's, so a read that lengthens a kept table counts as a
+    hit of its key."""
+    longest = lru_cache(maxsize=256)(lambda *key: [(0, None)])  # [(T, the table at T)]
+
+    @wraps(build)
+    def read(*args):
+        cell, T = longest(*args[:-1]), args[-1]
+        held, table = cell[0]  # one snapshot: another thread may replace the pair
+        if table is None or held < T:
+            table = build(*args)
+            cell[0] = T, table
+        return table.truncate(T) if isinstance(table, Series) else table[:T]
+
+    read.cache_info, read.cache_clear = longest.cache_info, longest.cache_clear
+    return read
+
+
+@_kept
+def _falling_rows(T: int) -> tuple:
+    """The integer coefficients of (x)_0 .. (x)_{T-1}, ascending powers of
+    x: (x)_m is (x)_{m-1} times x - m + 1."""
+    return tuple(accumulate(range(T - 1), lambda row, m: _zmul(row, (-m, 1)), initial=(1,)))
 
 
 def falling_factorial(field, n: int) -> Poly:
     """(x)_n = x (x-1) ... (x-n+1); (x)_0 = 1."""
-    return Poly(field, _falling_rows(nonnegative_integer("degree", n))[-1])
+    return Poly(field, _falling_rows(nonnegative_integer("degree", n) + 1)[-1])

@@ -419,9 +419,9 @@ class TestSeriesAndProductOracles:
         [
             lambda T: _bern_base(1, T),
             lambda T: _bern_base(-2, T),
-            lambda T: _frobenius_g(-1, None, T, False),
-            lambda T: _frobenius_g(2, None, T, True),
-            lambda T: _frobenius_g(-2, F(1, 2), T, True),
+            lambda T: _frobenius_g(-1, None, False, T),
+            lambda T: _frobenius_g(2, None, True, T),
+            lambda T: _frobenius_g(-2, F(1, 2), True, T),
         ],
         ids=["bernoulli", "bernoulli_order-2", "frobenius_euler_L", "frobenius_eulerian_L",
              "frobenius_eulerian_1/2"],
@@ -467,7 +467,7 @@ class TestFrobeniusBuilders:
     def test_matches_series_arithmetic(self, rate, lam):
         for a in self.ORDERS:
             for T in self.TRUNCS:
-                assert _frobenius_g(a, lam, T, rate) == self._by_series(a, lam, T, rate), (a, T)
+                assert _frobenius_g(a, lam, rate, T) == self._by_series(a, lam, T, rate), (a, T)
 
     @given(a=st.integers(-4, 4), lam=st.sampled_from((None,) + LAM_SET),
            T=st.integers(1, 30), rate=st.booleans())
@@ -476,15 +476,15 @@ class TestFrobeniusBuilders:
     @example(a=-4, lam=None, T=30, rate=True)
     def test_reciprocal_is_the_order_negated(self, a, lam, T, rate):
         # the reciprocal a Frobenius pair carries: 1/g is the same sum at -a
-        assert _frobenius_g(-a, lam, T, rate) == _frobenius_g(a, lam, T, rate).inverse()
+        assert _frobenius_g(-a, lam, rate, T) == _frobenius_g(a, lam, rate, T).inverse()
 
     @pytest.mark.parametrize("rate", [False, True], ids=["frobenius_euler", "frobenius_eulerian"])
     def test_symbolic_specialises_to_rational(self, rate):
         for a in self.ORDERS:
             for T in self.TRUNCS:
-                sym = _frobenius_g(a, None, T, rate)
+                sym = _frobenius_g(a, None, rate, T)
                 for lam0 in self.LAMS:
-                    spec = _frobenius_g(a, lam0, T, rate)
+                    spec = _frobenius_g(a, lam0, rate, T)
                     assert [c.evaluate(lam0) for c in sym.coeffs] == list(spec.coeffs), (a, T, lam0)
 
 

@@ -143,13 +143,14 @@ class TestConvolutionOracles:
         u = _narumi_base(-1, l + 1) * one_plus_t_pow(QQ, c, l + 1)
         return factorial(l) * u.pow_int(n).coeffs[l]
 
-    def test_one_power_per_c_and_n_is_the_fresh_power_per_l(self, monkeypatch):
+    def test_one_power_per_c_and_n_is_the_fresh_power_per_l(self):
         # from an empty cache, every read in the triangles' order (l < n),
         # then in reverse, then past l = n, which lengthens a kept power,
-        # and the triangle again over the lengthened powers
-        import umbralkit.identities as identities
+        # and the triangle again over the lengthened powers: one kept key,
+        # and one first build, per (c, n)
+        from umbralkit.identities import _b2_power
 
-        monkeypatch.setattr(identities, "_B2_POWERS", {})
+        _b2_power.cache_clear()
         cs = sorted({p["c"] for tag, p in default_grid() if tag in ("T7", "R35")})
         assert cs == [F(-1), F(1, 3), F(1)]
         cs += [F(-1, 2), F(3)]
@@ -158,20 +159,22 @@ class TestConvolutionOracles:
         for c in cs:
             for n, l in triangle + triangle[::-1] + beyond + triangle:
                 assert b2_convolution(n, l, c) == self._fresh_power_per_l(n, l, c), (n, l, c)
-        assert set(identities._B2_POWERS) == {(c, n) for c in cs for n in range(1, 13)}
+        info = _b2_power.cache_info()
+        assert info.currsize == info.misses == len(cs) * 12
 
     def test_r35_reads_the_powers_t7_made(self, monkeypatch):
-        # T7's triangle keeps one power per n, at T = n, and R35's, on the
-        # same c, takes no positive power at all (its left side takes only
-        # the negative powers of Narumi's base)
-        import umbralkit.identities as identities
+        # T7's triangle keeps one power per n, at T = n (a read at the kept
+        # T is the kept object itself), and R35's, on the same c, builds no
+        # power and takes no positive power at all (its left side takes
+        # only the negative powers of Narumi's base)
+        from umbralkit.identities import _b2_power
 
-        monkeypatch.setattr(identities, "_B2_POWERS", {})
+        _b2_power.cache_clear()
         c = F(1, 3)
         assert verify_identity("T7", {"c": c}, 12).status == "pass"
-        kept = dict(identities._B2_POWERS)
-        assert sorted(kept) == [(c, n) for n in range(1, 13)]
-        assert [kept[c, n].trunc for n in range(1, 13)] == list(range(1, 13))
+        made = _b2_power.cache_info()
+        assert made.currsize == made.misses == 12
+        kept = {n: _b2_power(c, n, n) for n in range(1, 13)}
         powers, pow_int = [], Series.pow_int
 
         def counted(s, n):
@@ -182,7 +185,9 @@ class TestConvolutionOracles:
         monkeypatch.setattr(Series, "pow_int", counted)
         assert verify_identity("R35", {"c": c}, 12).status == "pass"
         assert powers == []
-        assert all(identities._B2_POWERS[key] is power for key, power in kept.items())
+        info = _b2_power.cache_info()
+        assert (info.misses, info.currsize) == (made.misses, made.currsize)
+        assert all(_b2_power(c, n, n) is power for n, power in kept.items())
 
     def test_matches_bernoulli_route(self):
         c = F(1)
@@ -694,7 +699,9 @@ class TestMutation:
         # coefficient in their basis halves and fail at n = 3
         import umbralkit.families as families
 
-        caches = (families._frobenius_g, families._surjection_row)
+        # a kept g built from the wrong rows would outlive the patch, so the
+        # kept tables that read the rows are emptied before it and after it
+        caches = (families._frobenius_g,)
         surjections = families._surjections
 
         def wrong(T):
