@@ -542,15 +542,16 @@ MAX_PAIR_TRUNC = sys.maxsize - 2
 def build_pair(name: str, T: int, order: int, params: dict) -> ShefferPair:
     """The Sheffer pair of a registry name truncated at T.  ``order`` fills
     the integer-order parameter ``a`` if the name takes one.  A DomainError
-    for a T above ``MAX_PAIR_TRUNC``, before any coefficient is made, for an
-    ``a`` in ``params`` that disagrees with ``order``, for an order other
-    than 1 given to a name that takes none, and for a name in ``params``
-    that the name does not take (``check_params``).  A name that is not a
-    str is an unknown name."""
+    for a T below 2 (f is known through t^1) or above ``MAX_PAIR_TRUNC``,
+    before any coefficient is made, for an ``a`` in ``params`` that
+    disagrees with ``order``, for an order other than 1 given to a name
+    that takes none, and for a name in ``params`` that the name does not
+    take (``check_params``).  A name that is not a str is an unknown
+    name."""
     schema = SCHEMAS.get(name) if isinstance(name, str) else None
     if schema is None or schema.pair is None:
         raise DomainError(f"no Sheffer pair named {name!r}")
-    if integer_order("T", T) > MAX_PAIR_TRUNC:
+    if nonnegative_integer("T", T, 2) > MAX_PAIR_TRUNC:
         raise DomainError(f"T must be <= {MAX_PAIR_TRUNC}, got {T}")
     if ORDER in schema.params:
         if params.get("a", order) != order:

@@ -53,6 +53,7 @@ values (b, c, m).
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import product
@@ -174,6 +175,8 @@ def b2_convolution(n: int, l: int, c) -> Fraction:
     triangles of T7 and R35 read l < n, so one power serves every l of
     an n, and R35 reads the powers T7 made."""
     n, l, c = nonnegative_integer("n", n, 1), nonnegative_integer("l", l), rational("c", c)
+    if max(n, l + 1) > sys.maxsize:  # the power's truncation, at most sys.maxsize (``Series``)
+        raise DomainError(f"n and l + 1 must be <= {sys.maxsize}, got n = {n}, l = {l}")
     return factorial(l) * _b2_power(c, n, max(n, l + 1)).coeffs[l]
 
 
@@ -488,7 +491,14 @@ def run_registry(grid, n_max: int = 6) -> list[IdentityReport]:
 
 
 def aggregate_pass(reports) -> bool:
-    """True iff every report passes or is a documented discrepancy."""
+    """True iff every report passes or is a documented discrepancy.  A
+    DomainError for anything but an iterable of IdentityReports."""
+    if not isinstance(reports, Iterable):
+        raise DomainError(f"reports must be iterable, got {type(reports).__name__}")
+    reports = list(reports)
+    for r in reports:
+        if not isinstance(r, IdentityReport):
+            raise DomainError(f"report must be an IdentityReport, got {r!r}")
     return all(r.ok for r in reports)
 
 

@@ -108,10 +108,14 @@ def working_trunc(n_max: int) -> int:
     return 2 * nonnegative_integer("n_max", n_max) + 2
 
 
-def _field_with(field, v):
+def _field_with(field, v=None):
     """The field of an operation on a vector over ``field`` and the scalar
-    v: a RatFunc is an element of Q(L) (``common_field``)."""
-    return common_field(field, QL) if isinstance(v, RatFunc) else field
+    v: a RatFunc is an element of Q(L) (``common_field``).  The one check of
+    a field argument, which every Series and Poly constructor reaches
+    first: a DomainError unless ``field`` is QQ or QL."""
+    if field is not QQ and field is not QL:
+        raise DomainError(f"field must be QQ or QL, got {field!r}")
+    return QL if isinstance(v, RatFunc) else field
 
 
 class CoeffVector:
@@ -173,6 +177,7 @@ class Series(CoeffVector):
     __slots__ = ()
 
     def __init__(self, field, coeffs, trunc: int | None = None):
+        field = _field_with(field)
         coeffs = [field.coerce(c) for c in coeffs]
         if trunc is not None:
             if integer_order("trunc", trunc) < 1:
@@ -490,7 +495,7 @@ def _over_q(s: Series) -> Series:
 
 
 def constant(field, c, T: int) -> Series:
-    return Series(field, [field.coerce(c)], trunc=T)
+    return Series(field, [c], trunc=T)
 
 
 def zero(field, T: int) -> Series:
@@ -498,7 +503,7 @@ def zero(field, T: int) -> Series:
 
 
 def one(field, T: int) -> Series:
-    return constant(field, field.one, T)
+    return constant(field, 1, T)
 
 
 def t_series(field, T: int) -> Series:
@@ -506,7 +511,7 @@ def t_series(field, T: int) -> Series:
 
 
 def monomial(field, k: int, T: int) -> Series:
-    return Series(field, [field.zero] * nonnegative_integer("degree", k) + [field.one], trunc=T)
+    return Series(field, [0] * nonnegative_integer("degree", k) + [1], trunc=T)
 
 
 def exp_ct(field, c, T: int) -> Series:
@@ -523,11 +528,8 @@ def exp_ct(field, c, T: int) -> Series:
 
 def log1p_series(field, T: int) -> Series:
     """log(1+t): coefficient of t^k is (-1)^(k+1)/k for k >= 1."""
-    out = [field.zero]
-    for k in range(1, integer_order("T", T)):
-        q = Fraction(1, k) if k % 2 else Fraction(-1, k)
-        out.append(field.coerce(q))
-    return Series(field, out, trunc=T)
+    return Series(field, [0, *(Fraction(1 if k % 2 else -1, k)
+                               for k in range(1, integer_order("T", T)))], trunc=T)
 
 
 def one_plus_t_pow(field, c, T: int) -> Series:
@@ -551,22 +553,22 @@ class Poly(CoeffVector):
     __slots__ = ()
 
     def __init__(self, field, coeffs=()):
-        self.field = field
+        self.field = _field_with(field)
         self.coeffs = vec_trim([field.coerce(c) for c in coeffs])
 
     # constructors ----------------------------------------------------------
 
     @classmethod
     def x(cls, field) -> "Poly":
-        return cls(field, [field.zero, field.one])
+        return cls(field, [0, 1])
 
     @classmethod
     def monomial(cls, field, n: int, c=1) -> "Poly":
-        return cls(field, [field.zero] * nonnegative_integer("degree", n) + [field.coerce(c)])
+        return cls(field, [0] * nonnegative_integer("degree", n) + [c])
 
     @classmethod
     def constant(cls, field, c) -> "Poly":
-        return cls(field, [field.coerce(c)])
+        return cls(field, [c])
 
     # structure ---------------------------------------------------------------
 

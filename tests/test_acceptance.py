@@ -9,8 +9,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from hashlib import sha256
-from pathlib import Path
 
 import pytest
 
@@ -35,6 +33,7 @@ from umbralkit import (
 )
 
 from conftest import b2_convolution_enumerated
+from pins import DATA, differing, read_pins
 
 N_MAX = 10
 T = working_trunc(N_MAX)
@@ -228,92 +227,38 @@ def test_criterion_6_series_kernel_properties(catalog_gf):
     _report("6 (series kernel property suite)", failures)
 
 
-# expand with L symbolic and bound, over Q(L) from an operand over Q in a
-# difference, a product, a composition and a fractional power; the CI step
-# "Runtime is stdlib-only" runs the same commands
-EXPAND_FIELDS = [
-    ("(1-L)/(exp(t)-L)", "--order", "6", "--format", "csv"),
-    ("(1-L)/(exp(t)-L)", "--order", "6", "--lambda", "-1/2", "--format", "csv"),
-    ("(1-L)/(exp(t)-L)", "--order", "6", "--format", "latex"),
-    ("exp(L*t)", "--order", "6", "--format", "latex"),
-    ("compose(exp(t), L*t)", "--order", "6", "--format", "csv"),
-    ("pow(1+L*t, 1/2)", "--order", "6", "--format", "latex"),
+# README commands that no pin records
+UNPINNED = [
+    ["expand", "t/(exp(t)-1)", "--order", "6", "--format", "json"],
+    ["family", "bernoulli", "--order-param", "2", "--n", "5", "--format", "csv"],
+    ["verify", "C5", "--n-max", "12", "--format", "json"],
 ]
 
 
 def test_criterion_7_cli_contract():
-    """Documented commands byte-stable across runs, the Q(L) composition
-    commands printing the bytes of tests/data/sheffer_qlambda.csv,
-    tests/data/sheffer_lambda_f.csv, tests/data/sheffer_two_dens.csv and
-    tests/data/sheffer_linear_power.csv, the Q one those of
-    tests/data/sheffer_q.csv, the one with g over Q and f over Q(L) those
-    of tests/data/sheffer_mixed_fields.csv, the n = 30 Q(L) one the SHA-256 digest in
-    tests/data/sheffer_qlambda_n30.sha256; the expand commands of
-    EXPAND_FIELDS print, one after another, the bytes of
-    tests/data/expand_fields.txt; verify --all exits 0 and prints the bytes
-    of tests/data/verify_all.json."""
+    """Each UNPINNED command, and each argv of the pins in tests/data/pins.txt
+    that record bytes rather than a digest, exits 0 and prints the same bytes
+    in two ``python -m umbralkit.cli`` processes; each such pin's joined
+    stdout is the bytes of its data file.  tests/test_pins.py checks every
+    pin in process, digests included."""
     failures = []
-    data = Path(__file__).parent / "data"
-    documented = [
-        (["expand", "t/(exp(t)-1)", "--order", "6", "--format", "json"], None),
-        (["family", "bernoulli", "--order-param", "2", "--n", "5", "--format", "csv"], None),
-        (["verify", "C5", "--n-max", "12", "--format", "json"], None),
-        # rev, compose and a fractional pow over Q(L)
-        (["sheffer", "--g", "(exp(t)-L)/(1-L)", "--f", "log1p(t)*pow(1+t, -1/2)",
-          "--n", "12", "--format", "csv"], "sheffer_qlambda.csv"),
-        # a delta series f that carries L, so f itself stays over Q(L)
-        (["sheffer", "--g", "exp(L*t)", "--f", "t*exp(L*t)", "--n", "8", "--format", "csv"],
-         "sheffer_lambda_f.csv"),
-        # g with two unrelated denominator factors, 1 - L and 1 + L, so the
-        # common denominators of the packed applies are not nested powers
-        (["sheffer", "--g", "(exp(t)-L)/(1-L)*(exp(2*t)+L)/(1+L)",
-          "--f", "log1p(t)*pow(1+t, -1/2)", "--n", "10", "--format", "csv"],
-         "sheffer_two_dens.csv"),
-        # denominators that are powers of 2L - 1: the exact normalisation
-        # against a linear power P = aL + b with a != 1
-        (["sheffer", "--g", "(exp(t)-2*L)/(1-2*L)", "--f", "log1p(t)", "--n", "10",
-          "--format", "csv"], "sheffer_linear_power.csv"),
-        # a pair over Q: the Q branch of the power tables and prefix sums
-        (["sheffer", "--g", "pow(1+t, 1/3)*exp(t/2)", "--f", "log1p(t)*pow(1+t, -1/2)",
-          "--n", "12", "--format", "csv"], "sheffer_q.csv"),
-        # g free of L over Q, f carrying L over Q(L): each keeps its own field
-        (["sheffer", "--g", "exp(t/2)", "--f", "t*exp(L*t)", "--n", "8", "--format", "csv"],
-         "sheffer_mixed_fields.csv"),
-        # the first command at n = 30, where power tables over one d^k
-        # took seconds; pinned by the digest of its 239 726 bytes
-        (["sheffer", "--g", "(exp(t)-L)/(1-L)", "--f", "log1p(t)*pow(1+t, -1/2)",
-          "--n", "30", "--format", "csv"], "sheffer_qlambda_n30.sha256"),
-    ]
-    for argv, pinned in documented:
+
+    def run_twice(argv):
         cmd = [sys.executable, "-m", "umbralkit.cli", *argv]
-        first = subprocess.run(cmd, capture_output=True, timeout=600)
-        second = subprocess.run(cmd, capture_output=True, timeout=600)
+        first, second = (subprocess.run(cmd, capture_output=True, timeout=600) for _ in range(2))
         if first.returncode != 0 or second.returncode != 0:
-            failures.append((argv[0], "exit", first.returncode, second.returncode))
+            failures.append((argv[:2], "exit", first.returncode, second.returncode))
         if first.stdout != second.stdout:
-            failures.append((argv[0], "bytes differ"))
-        if pinned and pinned.endswith(".sha256"):
-            if sha256(first.stdout).hexdigest() != (data / pinned).read_text().strip():
-                failures.append((argv[0], f"digest differs from tests/data/{pinned}"))
-        elif pinned and first.stdout != (data / pinned).read_bytes():
-            failures.append((argv[0], f"bytes differ from tests/data/{pinned}"))
+            failures.append((argv[:2], "bytes differ"))
+        return first
 
-    runs = [subprocess.run([sys.executable, "-m", "umbralkit.cli", "expand", *argv],
-                           capture_output=True, timeout=600) for argv in EXPAND_FIELDS]
-    if any(run.returncode for run in runs):
-        failures.append(("expand", "exit", [run.returncode for run in runs]))
-    if b"".join(run.stdout for run in runs) != (data / "expand_fields.txt").read_bytes():
-        failures.append(("expand", "bytes differ from tests/data/expand_fields.txt"))
-
-    all_run = subprocess.run(
-        [sys.executable, "-m", "umbralkit.cli", "verify", "--all"],
-        capture_output=True,
-        timeout=600,
-    )
-    if all_run.returncode != 0:
-        failures.append(("verify --all", "exit", all_run.returncode))
-    # the registry's output is pinned byte for byte: a change to any report
-    # shows here, and CI compares the same file under every Python version
-    if all_run.stdout != (data / "verify_all.json").read_bytes():
-        failures.append(("verify --all", "bytes differ from tests/data/verify_all.json"))
+    for argv in UNPINNED:
+        run_twice(argv)
+    outputs = {}
+    for name, argvs in read_pins().items():
+        if not name.endswith(".sha256"):
+            runs = [run_twice(argv) for argv in argvs]
+            outputs[name] = [run.returncode for run in runs], b"".join(run.stdout for run in runs)
+    expected = {name: (DATA / name).read_bytes() for name in outputs}
+    failures += [(name, "differs from its pin") for name in differing(outputs, expected)]
     _report("7 (CLI contract)", failures)

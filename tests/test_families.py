@@ -20,6 +20,7 @@ from umbralkit import (
     QQ,
     Series,
     ShefferPair,
+    aggregate_pass,
     answer_trunc,
     b2_convolution,
     bernoulli_2nd,
@@ -42,6 +43,7 @@ from umbralkit import (
     narumi_number,
     narumi_poly,
     narumi_value,
+    one,
     one_plus_t_pow,
     operator_apply,
     orthogonality_failure,
@@ -51,6 +53,7 @@ from umbralkit import (
     stirling2,
     t_series,
     working_trunc,
+    zero,
 )
 from umbralkit.families import (
     MAX_PAIR_TRUNC, SCHEMAS, Schema, _appell_poly, _bern_base, _falling_sum, _frobenius_g,
@@ -613,6 +616,24 @@ def test_bad_degree_is_domain_error(call):
         lambda: orthogonality_failure(catalog_pair(FamilySpec.make("bernoulli", 1), T=4), None, 2),
         lambda: check_params("T2", {1: 2, "x": 3}),
         lambda: catalog_pair(FamilySpec("T2", 1, ((1, 2), ("x", 3))), 5),
+        lambda: build_pair("T2", -1, 1, {"b": 1, "lam": None}),
+        lambda: build_pair("bernoulli", -1, 1, {}),
+        lambda: build_pair("frobenius_euler", -1, 1, {}),
+        lambda: build_pair("T10", -1, 1, {"b": 1, "c": 1, "m": 1, "lam": None}),
+        lambda: build_pair("bernoulli", -3, 1, {}),
+        lambda: build_pair("bernoulli", 0, 1, {}),
+        lambda: build_pair("bernoulli", 1, 1, {}),
+        lambda: exp_ct(None, 1, 4),
+        lambda: zero(None, 4),
+        lambda: one(None, 4),
+        lambda: t_series(None, 4),
+        lambda: monomial(None, 2, 4),
+        lambda: log1p_series(None, 4),
+        lambda: one_plus_t_pow(None, 1, 4),
+        lambda: Poly(None, [1]),
+        lambda: Series(None, None),
+        lambda: b2_convolution(3, 2**63, -1),
+        lambda: aggregate_pass(None),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -633,7 +654,11 @@ def test_bad_degree_is_domain_error(call):
          "catalog_pair_not_spec", "catalog_pair_params_not_pairs", "family_polys_name_not_str",
          "bespoke_pair_name_not_str", "check_params_name_not_str", "check_params_not_mapping",
          "check_params_unknown_name", "orthogonality_polys_none", "check_params_mixed_names",
-         "catalog_pair_mixed_names"],
+         "catalog_pair_mixed_names", "build_pair_T2_T_-1", "build_pair_bernoulli_T_-1",
+         "build_pair_frobenius_euler_T_-1", "build_pair_T10_T_-1", "build_pair_T_-3",
+         "build_pair_T_0", "build_pair_T_1", "exp_ct_field", "zero_field", "one_field",
+         "t_series_field", "monomial_field", "log1p_series_field", "one_plus_t_pow_field",
+         "poly_field", "series_field", "b2_convolution_l_huge", "aggregate_pass_none"],
 )
 def test_bad_argument_is_domain_error(call):
     with pytest.raises(DomainError):
@@ -680,6 +705,17 @@ def test_truncation_too_large_is_refused_before_building(call, monkeypatch):
     # the largest T passes the bound, and its builder runs at sys.maxsize
     with pytest.raises(AssertionError, match=f"T = {sys.maxsize}$"):
         build_pair("bernoulli", MAX_PAIR_TRUNC, 1, {})
+
+
+@pytest.mark.parametrize("T", [-3, -1, 0, 1])
+def test_truncation_too_short_is_refused_before_building(T, monkeypatch):
+    # f must be known through t^1: a shorter T is refused, naming T, before a builder runs
+    def builder(T, **params):
+        raise AssertionError(f"the builder ran at T = {T}")
+
+    monkeypatch.setitem(SCHEMAS, "bernoulli", Schema(SCHEMAS["bernoulli"].params, builder))
+    with pytest.raises(DomainError, match=f"^T must be >= 2, got {T}$"):
+        build_pair("bernoulli", T, 1, {})
 
 
 def test_bespoke_pair_refuses_parameters_a_tag_does_not_take():
