@@ -17,8 +17,10 @@ import sys
 
 from . import __version__
 from .dsl import eval_expr, parse_expr
-from .errors import DomainError, ParseError, UmbralError, UnknownIdentity, integer_order
-from .families import MAX_PAIR_TRUNC, SCHEMAS, family_polys
+from .errors import (
+    MAX_PAIR_TRUNC, DomainError, ParseError, UmbralError, UnknownIdentity, integer_order,
+)
+from .families import SCHEMAS, family_polys
 from .fields import format_terms
 from .identities import IDENTITY_TAGS, aggregate_pass, default_grid, run_registry
 from .series import Poly, working_trunc

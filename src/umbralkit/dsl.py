@@ -5,17 +5,18 @@ Grammar (left associative, parentheses override):
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
     factor := atom | "-" factor
-    atom   := INT | "t" | "L" | "(" expr ")" | FUNC "(" args ")"
-    FUNC   := exp | log1p | inv | rev | pow | compose
+    atom   := INT | "t" | "L" | "(" expr ")" | CALL "(" args ")"
+    CALL   := the name of a call row of _OPS: exp | log1p | inv | rev | pow | compose
 
-The binary operators and their binding levels come from one table,
-``_LEVELS``, which the parser (one ``_parse_level`` per level) and
-``render`` both read; the call syntax ``name(arg)`` or ``name(arg,
-second)`` is parsed in one place.  ``pow`` takes (expr, rational-literal);
-``compose`` takes two expressions.
+Every operator is declared once, as one row of ``_OPS``: how it is written
+(an infix symbol and its binding level, prefix minus, or a call
+``name(arg, ...)``), the kind of each argument (an expression, or a signed
+rational literal such as pow's exponent), and the Series operation that
+evaluates it.  The parser, ``render`` and ``eval_expr`` all read that
+table, and the AST has three node types: ``Lit`` (a rational), ``Sym``
+(``t`` or ``L``) and ``Op(name, args)`` for a row of the table.
 ``L`` is the ASCII spelling of the lambda indeterminate.  Rational values
-arise from division (``1/2``) except in pow's exponent, which is lexed as a
-signed literal.
+arise from division (``1/2``) except in a rational-literal argument.
 
 ``eval_expr`` evaluates each leaf as its own element: ``L`` is the
 indeterminate over Q(L), or the rational ``lam`` over Q when one is given,
@@ -53,41 +54,78 @@ class Lit(Record):
     value: Fraction
 
 
-class TVar(Record):
-    pass
+class Sym(Record):
+    name: str  # t | L
 
 
-class LSym(Record):
-    pass
+class Op(Record):
+    name: str  # a key of _OPS
+    args: tuple
 
 
-class Unary(Record):
-    op: str  # neg | inv | exp | log1p | rev
-    arg: object
+_LEAVES = ("t", "L")
 
 
-class Binary(Record):
-    op: str  # add | sub | mul | div
-    left: object
-    right: object
+# ---------------------------------------------------------------------------
+# the operator table
+# ---------------------------------------------------------------------------
 
 
-class PowNode(Record):
-    base: object
-    exponent: Fraction
+class _Row(Record):
+    symbol: str  # the infix or prefix symbol, or the name of a call
+    level: int  # binding level: infix 1 (loosest) and 2, then _PREFIX, _ATOM for a call
+    kinds: tuple  # per argument, _EXPR or _RATIONAL
+    run: object  # the Series operation, called with the evaluated arguments
 
 
-class ComposeNode(Record):
-    outer: object
-    inner: object
+_PREFIX, _ATOM = 3, 4
+_EXPR, _RATIONAL = "expression", "rational literal"
 
 
-_FUNCS = ("exp", "log1p", "inv", "rev", "pow", "compose")
+def _log1p(arg: Series) -> Series:
+    if arg.order() == 0:
+        raise CompositionOrder("log1p needs an argument with zero constant term")
+    return (arg + 1).log()
 
-# The binary operators, loosest level first: symbol -> Binary op.  The
-# parser reads one level per entry and ``render`` takes each operator's
-# symbol and binding level from here.
-_LEVELS = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})
+
+def _pow(base: Series, e: Fraction) -> Series:
+    return base.pow_int(int(e)) if e.denominator == 1 else base.pow_field(e)
+
+
+# Series methods are looked up on each call, so a patched or traced method
+# is the one run.  Infix rows are listed loosest level first.
+_OPS = {
+    "add": _Row("+", 1, (_EXPR, _EXPR), add),
+    "sub": _Row("-", 1, (_EXPR, _EXPR), sub),
+    "mul": _Row("*", 2, (_EXPR, _EXPR), mul),
+    "div": _Row("/", 2, (_EXPR, _EXPR), truediv),
+    "neg": _Row("-", _PREFIX, (_EXPR,), neg),
+    "exp": _Row("exp", _ATOM, (_EXPR,), methodcaller("exp")),
+    "log1p": _Row("log1p", _ATOM, (_EXPR,), _log1p),
+    "inv": _Row("inv", _ATOM, (_EXPR,), methodcaller("inverse")),
+    "rev": _Row("rev", _ATOM, (_EXPR,), methodcaller("revert")),
+    "pow": _Row("pow", _ATOM, (_EXPR, _RATIONAL), _pow),
+    "compose": _Row("compose", _ATOM, (_EXPR, _EXPR), lambda outer, inner: outer.compose(inner)),
+}
+
+# what the parser reads: the operators of each binding level, symbol -> name
+_WRITTEN = {level: {row.symbol: name for name, row in _OPS.items() if row.level == level}
+            for level in range(1, _ATOM + 1)}
+# str(Fraction) writes n/d, which parses as a division of two literals
+_FRACTION_LEVEL = _OPS["div"].level
+
+
+def _row(ast) -> _Row:
+    """The row of an ``Op`` node whose arguments fit it; else DomainError."""
+    row = _OPS.get(ast.name) if isinstance(ast, Op) and isinstance(ast.name, str) else None
+    if row is None or not isinstance(ast.args, tuple) or len(ast.args) != len(row.kinds):
+        raise DomainError(f"not an AST node: {ast!r}")
+    return row
+
+
+# ---------------------------------------------------------------------------
+# parsing
+# ---------------------------------------------------------------------------
 
 # one token per match; the last alternative takes any other character
 _TOKEN_RE = re.compile(r"\s*(?:(?P<INT>\d+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
@@ -112,14 +150,14 @@ class _Tokens:
         return self.items[self.i]
 
     def next(self):
-        tok = self.items[self.i]
         self.i += 1
-        return tok
+        return self.items[self.i - 1]
 
-    def expect(self, kind: str, expected: tuple[str, ...]):
+    def expect(self, kind: str):
+        """The next token, which must be of ``kind``."""
         tok = self.peek()
         if tok[0] != kind:
-            raise ParseError(f"unexpected {tok[0]} {tok[1]!r}", tok[2], expected)
+            raise ParseError(f"unexpected {tok[0]} {tok[1]!r}", tok[2], (kind,))
         return self.next()
 
 
@@ -134,31 +172,30 @@ def parse_expr(src: str):
         raise ParseError("expression nested too deeply", toks.peek()[2]) from None
     tok = toks.peek()
     if tok[0] != "EOF":
-        expected = (*[sym for ops in _LEVELS for sym in ops], "EOF")
+        expected = (*[sym for level in range(1, _PREFIX) for sym in _WRITTEN[level]], "EOF")
         raise ParseError(f"trailing input {tok[1]!r}", tok[2], expected)
     return ast
 
 
-def _parse_level(toks, level: int = 0):
-    """A left-associative chain of the operators of ``_LEVELS[level]``.  The
-    last level reads its operands by ``_parse_factor`` itself, so that a
+def _parse_level(toks, level: int = 1):
+    """A left-associative chain of the infix operators of ``level``.  The
+    tightest level reads its operands by ``_parse_factor`` itself, so that a
     parenthesis costs four frames, one per grammar rule."""
-    ops, last = _LEVELS[level], level + 1 == len(_LEVELS)
+    ops, last = _WRITTEN[level], level + 1 == _PREFIX
     node = _parse_factor(toks) if last else _parse_level(toks, level + 1)
     while toks.peek()[0] in ops:
-        op = ops[toks.next()[0]]
-        node = Binary(op, node, _parse_factor(toks) if last else _parse_level(toks, level + 1))
+        name = ops[toks.next()[0]]
+        node = Op(name, (node, _parse_factor(toks) if last else _parse_level(toks, level + 1)))
     return node
 
 
 def _parse_factor(toks):
-    if toks.peek()[0] == "-":
-        toks.next()
-        return Unary("neg", _parse_factor(toks))
+    if toks.peek()[0] in _WRITTEN[_PREFIX]:
+        return Op(_WRITTEN[_PREFIX][toks.next()[0]], (_parse_factor(toks),))
     return _parse_atom(toks)
 
 
-_ATOM_EXPECTED = ("INT", "t", "L", "(", *_FUNCS)
+_ATOM_EXPECTED = ("INT", *_LEAVES, "(", *_WRITTEN[_ATOM])
 
 
 def _parse_atom(toks):
@@ -167,56 +204,41 @@ def _parse_atom(toks):
         return Lit(Fraction(int(text)))
     if kind == "(":
         node = _parse_level(toks)
-        toks.expect(")", (")",))
+        toks.expect(")")
         return node
-    if text == "t":
-        return TVar()
-    if text == "L":
-        return LSym()
-    if text in _FUNCS:
-        toks.expect("(", ("(",))
-        arg = _parse_level(toks)
-        if text in ("pow", "compose"):
-            toks.expect(",", (",",))
-            # pow's exponent is a rational literal, compose's inner an expression
-            if text == "pow":
-                node = PowNode(arg, _parse_rational(toks))
-            else:
-                node = ComposeNode(arg, _parse_level(toks))
-        else:
-            node = Unary(text, arg)
-        toks.expect(")", (")",))
-        return node
+    if text in _LEAVES:
+        return Sym(text)
+    if text in _WRITTEN[_ATOM]:
+        # a call: the first argument follows "(", each other one a ","
+        name, args, sep = _WRITTEN[_ATOM][text], [], "("
+        for arg_kind in _OPS[name].kinds:
+            toks.expect(sep)
+            args.append(_parse_level(toks) if arg_kind == _EXPR else _parse_rational(toks))
+            sep = ","
+        toks.expect(")")
+        return Op(name, tuple(args))
     what = "unknown name" if kind == "NAME" else f"unexpected {kind}"
     raise ParseError(f"{what} {text!r}", offset, _ATOM_EXPECTED)
 
 
 def _parse_rational(toks) -> Fraction:
-    sign = 1
-    if toks.peek()[0] == "-":
+    """A rational literal: an optional sign, INT, and an optional "/" INT."""
+    sign = -1 if toks.peek()[0] == "-" else 1
+    if sign < 0:
         toks.next()
-        sign = -1
-    num = toks.expect("INT", ("INT",))
-    value = Fraction(sign * int(num[1]))
+    value = Fraction(sign * int(toks.expect("INT")[1]))
     if toks.peek()[0] == "/":
         toks.next()
-        den = toks.expect("INT", ("INT",))
+        den = toks.expect("INT")
         if not int(den[1]):
             raise ParseError("zero denominator", den[2])
-        value = value / int(den[1])
+        value /= int(den[1])
     return value
 
 
 # ---------------------------------------------------------------------------
 # rendering (render . parse == identity on the AST)
 # ---------------------------------------------------------------------------
-
-# Binary op -> (symbol, binding level), level i + 1 for _LEVELS[i]; the
-# loosest level is written with spaces.  Unary minus binds tighter than
-# every binary operator, and atoms tightest.
-_SYMBOLS = {op: (f" {sym} " if i == 0 else sym, i + 1)
-            for i, ops in enumerate(_LEVELS) for sym, op in ops.items()}
-_LEVEL_UNARY, _LEVEL_ATOM = len(_LEVELS) + 1, len(_LEVELS) + 2
 
 
 def render(ast) -> str:
@@ -231,32 +253,24 @@ def _render(ast, parent_level: int) -> str:
     if isinstance(ast, Lit):
         value = rational("literal", ast.value)
         if value < 0:
-            return _render(Unary("neg", Lit(-value)), parent_level)
-        # a fraction n/d is a division of two literals
-        text, level = str(value), _LEVEL_ATOM if value.denominator == 1 else _SYMBOLS["div"][1]
-    elif isinstance(ast, TVar):
-        text, level = "t", _LEVEL_ATOM
-    elif isinstance(ast, LSym):
-        text, level = "L", _LEVEL_ATOM
-    elif isinstance(ast, Unary) and ast.op in _UNARY:
-        if ast.op == "neg":
-            text, level = "-" + _render(ast.arg, _LEVEL_UNARY), _LEVEL_UNARY
-        else:
-            text, level = f"{ast.op}({_render(ast.arg, 0)})", _LEVEL_ATOM
-    elif isinstance(ast, Binary) and ast.op in _SYMBOLS:
-        sym, level = _SYMBOLS[ast.op]
-        # left associativity: the right child needs strictly tighter binding
-        text = _render(ast.left, level) + sym + _render(ast.right, level + 1)
-    elif isinstance(ast, PowNode):
-        expo = rational("exponent", ast.exponent)
-        text, level = f"pow({_render(ast.base, 0)}, {expo})", _LEVEL_ATOM
-    elif isinstance(ast, ComposeNode):
-        text, level = f"compose({_render(ast.outer, 0)}, {_render(ast.inner, 0)})", _LEVEL_ATOM
+            return _render(Op("neg", (Lit(-value),)), parent_level)
+        text, level = str(value), _ATOM if value.denominator == 1 else _FRACTION_LEVEL
+    elif isinstance(ast, Sym) and ast.name in _LEAVES:
+        text, level = ast.name, _ATOM
     else:
-        raise DomainError(f"not an AST node: {ast!r}")
-    if level < parent_level:
-        return f"({text})"
-    return text
+        row = _row(ast)
+        level, parts = row.level, []
+        # a call's arguments stand alone; an operand binds at the operator's
+        # level, and by left associativity a right operand strictly tighter
+        for i, (arg, kind) in enumerate(zip(ast.args, row.kinds)):
+            parts.append(_render(arg, 0 if level == _ATOM else level + i) if kind == _EXPR
+                         else str(rational(f"{ast.name}'s {kind}", arg)))
+        if level == _ATOM:
+            text = f"{row.symbol}({', '.join(parts)})"
+        else:  # prefix minus, or infix with spaces at the loosest level
+            sym = f" {row.symbol} " if level == 1 else row.symbol
+            text = sym + parts[0] if level == _PREFIX else sym.join(parts)
+    return f"({text})" if level < parent_level else text
 
 
 # ---------------------------------------------------------------------------
@@ -280,32 +294,12 @@ def eval_expr(ast, T: int, *, lam=None) -> Series:
         raise DomainError("expression nested too deeply to evaluate") from None
 
 
-def _log1p(arg: Series) -> Series:
-    if arg.order() == 0:
-        raise CompositionOrder("log1p needs an argument with zero constant term")
-    return (arg + 1).log()
-
-
-# methods looked up on each call, so a patched or traced method is the one run
-_UNARY = {"neg": neg, "inv": methodcaller("inverse"), "exp": methodcaller("exp"),
-          "log1p": _log1p, "rev": methodcaller("revert")}
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
-
-
 def _eval(ast, T, L) -> Series:
     if isinstance(ast, Lit):
         return constant(QQ, ast.value, T)
-    if isinstance(ast, TVar):
-        return t_series(QQ, T)
-    if isinstance(ast, LSym):
-        return one(QQ, T) * L
-    if isinstance(ast, Unary) and ast.op in _UNARY:
-        return _UNARY[ast.op](_eval(ast.arg, T, L))
-    if isinstance(ast, Binary) and ast.op in _BINARY:
-        return _BINARY[ast.op](_eval(ast.left, T, L), _eval(ast.right, T, L))
-    if isinstance(ast, PowNode):
-        base, e = _eval(ast.base, T, L), rational("exponent", ast.exponent)
-        return base.pow_int(int(e)) if e.denominator == 1 else base.pow_field(e)
-    if isinstance(ast, ComposeNode):
-        return _eval(ast.outer, T, L).compose(_eval(ast.inner, T, L))
-    raise DomainError(f"not an AST node: {ast!r}")
+    if isinstance(ast, Sym) and ast.name in _LEAVES:
+        return t_series(QQ, T) if ast.name == "t" else one(QQ, T) * L
+    row, args = _row(ast), []
+    for arg, kind in zip(ast.args, row.kinds):
+        args.append(_eval(arg, T, L) if kind == _EXPR else rational(f"{ast.name}'s {kind}", arg))
+    return row.run(*args)

@@ -1,6 +1,7 @@
 """Exception types shared across the kernel, and the argument domains that
 raise them."""
 
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -94,6 +95,10 @@ class ParseError(UmbralError):
 
 _SYMBOLIC = (None, "sym", "L", "symbolic")
 
+# the largest index or truncation the library takes: a pair truncated at T
+# is built at T + 2, and a truncation is at most sys.maxsize (``Series``)
+MAX_PAIR_TRUNC = sys.maxsize - 2
+
 
 def integer_order(key, v):
     """An int; a bool is not taken for one."""
@@ -102,11 +107,15 @@ def integer_order(key, v):
     raise DomainError(f"{key} must be an int, got {v!r}")
 
 
-def nonnegative_integer(key, v, least=0):
-    """An int >= least (0 unless the operation is stated from 1 on)."""
-    if integer_order(key, v) >= least:
-        return v
-    raise DomainError(f"{key} must be >= {least}, got {v}")
+def nonnegative_integer(key, v, least=0, most=MAX_PAIR_TRUNC):
+    """An int from least (0 unless the operation is stated from 1 on) to
+    most; ``most`` None bounds nothing, for a size that only becomes a
+    truncation that is bounded where it is used."""
+    if integer_order(key, v) < least:
+        raise DomainError(f"{key} must be >= {least}, got {v}")
+    if most is not None and v > most:
+        raise DomainError(f"{key} must be <= {most}, got {v}")
+    return v
 
 
 def rational(key, v):

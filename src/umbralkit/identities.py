@@ -53,15 +53,15 @@ values (b, c, m).
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
-from .errors import _SYMBOLIC, DomainError, UnknownIdentity, nonnegative_integer, rational
+from .errors import (
+    _SYMBOLIC, MAX_PAIR_TRUNC, DomainError, UnknownIdentity, nonnegative_integer, rational,
+)
 from .families import (
-    MAX_PAIR_TRUNC,
     SCHEMAS,
     _lam_element,
     _narumi_base,
@@ -114,17 +114,10 @@ class IdentityReport(Record):
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "params": {k: v for k, v in self.params},
-            "n_max": self.n_max,
-            "status": self.status,
-            "counterexamples": [
-                {"indices": list(c.indices), "lhs": c.lhs, "rhs": c.rhs}
-                for c in self.counterexamples
-            ],
-            "note": self.note,
-        }
+        """The report's own fields, as JSON takes them: ``params`` as a dict,
+        and each counterexample as a dict of its fields, indices a list."""
+        ces = [{**vars(c), "indices": list(c.indices)} for c in self.counterexamples]
+        return {**vars(self), "params": dict(self.params), "counterexamples": ces}
 
     @property
     def ok(self) -> bool:
@@ -175,8 +168,6 @@ def b2_convolution(n: int, l: int, c) -> Fraction:
     triangles of T7 and R35 read l < n, so one power serves every l of
     an n, and R35 reads the powers T7 made."""
     n, l, c = nonnegative_integer("n", n, 1), nonnegative_integer("l", l), rational("c", c)
-    if max(n, l + 1) > sys.maxsize:  # the power's truncation, at most sys.maxsize (``Series``)
-        raise DomainError(f"n and l + 1 must be <= {sys.maxsize}, got n = {n}, l = {l}")
     return factorial(l) * _b2_power(c, n, max(n, l + 1)).coeffs[l]
 
 
@@ -431,8 +422,7 @@ def verify_identity(tag: str, params: dict | None = None, n_max: int = 6) -> Ide
     stated domain, or for T10's ``m`` when it is not given.
     """
     check, _ = _identity(tag)
-    if nonnegative_integer("n_max", n_max, 1) > MAX_PAIR_TRUNC - 1:
-        raise DomainError(f"n_max must be <= {MAX_PAIR_TRUNC - 1}, got {n_max}")
+    nonnegative_integer("n_max", n_max, 1, MAX_PAIR_TRUNC - 1)
     p = check_params(tag, {} if params is None else params)
     if SCHEMAS[tag].pair is None:
         status, ces, note = check(p, n_max)

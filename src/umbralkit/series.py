@@ -118,6 +118,18 @@ def _field_with(field, v=None):
     return QL if isinstance(v, RatFunc) else field
 
 
+def _truncation(key, T):
+    """T as a truncation, an int from 1 to sys.maxsize (the longest tuple):
+    TruncationTooShort below, DomainError above.  The one check of a
+    truncation, which the Series constructor and the named series make
+    before any coefficient."""
+    if integer_order(key, T) < 1:
+        raise TruncationTooShort("truncation order must be >= 1")
+    if T > sys.maxsize:
+        raise DomainError(f"{key} must be <= {sys.maxsize}, got {T}")
+    return T
+
+
 class CoeffVector:
     """A field and a tuple of its elements: what Series and Poly share."""
 
@@ -180,11 +192,7 @@ class Series(CoeffVector):
         field = _field_with(field)
         coeffs = [field.coerce(c) for c in coeffs]
         if trunc is not None:
-            if integer_order("trunc", trunc) < 1:
-                raise TruncationTooShort("truncation order must be >= 1")
-            if trunc > sys.maxsize:
-                raise DomainError(f"trunc must be <= {sys.maxsize}, got {trunc}")
-            coeffs = (coeffs + [field.zero] * trunc)[:trunc]
+            coeffs = (coeffs + [field.zero] * _truncation("trunc", trunc))[:trunc]
         elif not coeffs:
             raise TruncationTooShort("a series needs at least one stored coefficient")
         self.field = field
@@ -521,7 +529,7 @@ def exp_ct(field, c, T: int) -> Series:
     field = _field_with(field, c)
     c = field.coerce(c)
     out = [field.one]
-    for k in range(1, integer_order("T", T)):
+    for k in range(1, _truncation("T", T)):
         out.append(out[-1] * c / k)
     return Series(field, out, trunc=T)
 
@@ -529,7 +537,7 @@ def exp_ct(field, c, T: int) -> Series:
 def log1p_series(field, T: int) -> Series:
     """log(1+t): coefficient of t^k is (-1)^(k+1)/k for k >= 1."""
     return Series(field, [0, *(Fraction(1 if k % 2 else -1, k)
-                               for k in range(1, integer_order("T", T)))], trunc=T)
+                               for k in range(1, _truncation("T", T)))], trunc=T)
 
 
 def one_plus_t_pow(field, c, T: int) -> Series:
@@ -539,7 +547,7 @@ def one_plus_t_pow(field, c, T: int) -> Series:
     field = _field_with(field, c)
     c = field.coerce(c)
     out = [field.one]
-    for k in range(1, integer_order("T", T)):
+    for k in range(1, _truncation("T", T)):
         out.append(out[-1] * (c - (k - 1)) / k)
     return Series(field, out, trunc=T)
 

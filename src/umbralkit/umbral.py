@@ -214,7 +214,7 @@ class ShefferPair(Record):
 def answer_trunc(n_max: int) -> int:
     """The truncation S_0 .. S_{n_max} need: n_max + 1, and at least 2,
     since f must be known through t^1."""
-    return max(nonnegative_integer("n_max", n_max) + 1, 2)
+    return max(nonnegative_integer("n_max", n_max, most=None) + 1, 2)
 
 
 def _cut(pair: ShefferPair, n_max: int) -> ShefferPair:

@@ -1,8 +1,12 @@
 """The expression DSL: lexing, parsing, rendering, evaluation."""
 
 import io
+import itertools
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,20 +29,20 @@ from umbralkit import (
     t_series,
 )
 from umbralkit.cli import main
-from umbralkit.dsl import Binary, ComposeNode, Lit, LSym, PowNode, TVar, Unary
+from umbralkit.dsl import _ATOM, _EXPR, _LEAVES, _OPS, _RATIONAL, Lit, Op, Sym
 from umbralkit.fields import LAMBDA
 
 
 class TestParse:
     def test_bernoulli_expression(self):
         ast = parse_expr("t/(exp(t)-1)")
-        assert ast == Binary(
-            "div", TVar(), Binary("sub", Unary("exp", TVar()), Lit(F(1)))
+        assert ast == Op(
+            "div", (Sym("t"), Op("sub", (Op("exp", (Sym("t"),)), Lit(F(1)))))
         )
 
     def test_pow_with_rational_exponent(self):
         ast = parse_expr("pow((1+t), -1/2)")
-        assert ast == PowNode(Binary("add", Lit(F(1)), TVar()), F(-1, 2))
+        assert ast == Op("pow", (Op("add", (Lit(F(1)), Sym("t"))), F(-1, 2)))
 
     def test_error_offset(self):
         with pytest.raises(ParseError) as exc:
@@ -81,32 +85,32 @@ class TestParse:
         assert (str(exc.value), exc.value.offset, exc.value.expected) == (message, offset, expected)
 
     def test_precedence(self):
-        assert parse_expr("1+2*t") == Binary(
-            "add", Lit(F(1)), Binary("mul", Lit(F(2)), TVar())
+        assert parse_expr("1+2*t") == Op(
+            "add", (Lit(F(1)), Op("mul", (Lit(F(2)), Sym("t"))))
         )
         # unary minus binds tighter than multiplication
-        assert parse_expr("-t*2") == Binary("mul", Unary("neg", TVar()), Lit(F(2)))
+        assert parse_expr("-t*2") == Op("mul", (Op("neg", (Sym("t"),)), Lit(F(2))))
 
     def test_left_associativity(self):
-        assert parse_expr("1-2-3") == Binary(
-            "sub", Binary("sub", Lit(F(1)), Lit(F(2))), Lit(F(3))
+        assert parse_expr("1-2-3") == Op(
+            "sub", (Op("sub", (Lit(F(1)), Lit(F(2)))), Lit(F(3)))
         )
 
     def test_lambda_symbol(self):
-        assert parse_expr("L") == LSym()
-        assert parse_expr("L") != TVar() and TVar() != LSym()
+        assert parse_expr("L") == Sym("L")
+        assert parse_expr("L") != Sym("t") and Sym("t") != Sym("L")
 
     def test_nodes_are_immutable_records(self):
         assert Lit(F(1)) == Lit(F(1)) and hash(Lit(F(1))) == hash(Lit(F(1)))
         assert Lit(F(1)) != (F(1),) and Lit(F(1)) != Lit(F(2))
-        assert Unary(op="neg", arg=TVar()) == Unary("neg", TVar())
+        assert Op(name="neg", args=(Sym("t"),)) == Op("neg", (Sym("t"),))
         assert "Lit(" in repr(Lit(F(1))) and "value=" in repr(Lit(F(1)))
         with pytest.raises(AttributeError):
             Lit(F(1)).value = F(2)
         with pytest.raises(AttributeError):
-            Binary("add", TVar(), LSym()).left = LSym()
+            Op("add", (Sym("t"), Sym("L"))).args = (Sym("L"),)
         with pytest.raises(TypeError):
-            PowNode(TVar())
+            Op("pow")
 
 
 class TestRender:
@@ -139,39 +143,93 @@ class TestRender:
             render(parse_expr("+".join(["t"] * 3000)))
 
     # render checks literal values and exponents as exact rationals, and op
-    # names against the operator tables of the evaluator
+    # names against the operator table
     @pytest.mark.parametrize("ast", [
         Lit(0.5),
         Lit("x"),
-        PowNode(TVar(), 0.5),
-        Binary("pow", TVar(), TVar()),
-        Unary("foo", TVar()),
+        Op("pow", (Sym("t"), 0.5)),
+        Op("pow", (Sym("t"), Sym("t"))),
+        Op("foo", (Sym("t"),)),
     ], ids=["float-literal", "text-literal", "float-exponent", "binary-op", "unary-op"])
     def test_bad_node_is_domain_error(self, ast):
         with pytest.raises(DomainError):
             render(ast)
 
+    # an Op must name a row and give it one argument per kind, in a tuple;
+    # a Sym must name a leaf
+    @pytest.mark.parametrize("ast", [
+        Op("exp", (Sym("t"), Sym("t"))),
+        Op("add", (Sym("t"),)),
+        Op("neg", Sym("t")),
+        Op("neg", [Sym("t")]),
+        Op(["exp"], (Sym("t"),)),
+        Sym("x"),
+    ], ids=["too-many-args", "too-few-args", "args-not-a-tuple", "args-a-list", "name-not-a-str",
+            "unknown-leaf"])
+    @pytest.mark.parametrize("use", [render, lambda ast: eval_expr(ast, 3)], ids=["render", "eval"])
+    def test_malformed_node_is_domain_error(self, ast, use):
+        with pytest.raises(DomainError):
+            use(ast)
+
 
 def _asts():
-    """Random ASTs of the shapes the parser builds, at most four levels deep."""
+    """Random ASTs of the shapes the parser builds, at most four levels deep:
+    one Op per row of the operator table, its arguments of the row's kinds."""
     leaves = st.one_of(
-        st.builds(Lit, st.integers(0, 3).map(F)), st.just(TVar()), st.just(LSym())
+        st.builds(Lit, st.integers(0, 3).map(F)), st.sampled_from([Sym(n) for n in _LEAVES])
     )
 
     def extend(sub):
-        return st.one_of(
-            st.builds(Unary, st.sampled_from(("neg", "inv", "exp", "log1p", "rev")), sub),
-            st.builds(Binary, st.sampled_from(("add", "sub", "mul", "div")), sub, sub),
-            st.builds(PowNode, sub, st.fractions(-3, 3, max_denominator=2)),
-            st.builds(ComposeNode, sub, sub),
-        )
+        kinds = {_EXPR: sub, _RATIONAL: st.fractions(-3, 3, max_denominator=2)}
+        return st.one_of(*[
+            st.tuples(*[kinds[kind] for kind in row.kinds]).map(partial(Op, name))
+            for name, row in _OPS.items()
+        ])
 
     return st.recursive(leaves, extend, max_leaves=6).filter(lambda a: _depth(a) <= 4)
 
 
 def _depth(ast) -> int:
-    kids = [v for v in vars(ast).values() if not isinstance(v, (str, F))]
+    kids = [a for a in getattr(ast, "args", ()) if not isinstance(a, F)]
     return 1 + max(map(_depth, kids), default=0)
+
+
+# the argument candidates of the per-row case: a unit (invertible, with
+# constant term 1) and a delta series, both sums, so that an operator that
+# binds tighter than + must parenthesise them
+_UNIT, _DELTA = parse_expr("1 + t"), parse_expr("t + t*t")
+
+
+@pytest.mark.parametrize("name", _OPS)
+def test_each_row_parses_renders_and_evaluates(name):
+    """Each row's Op, built from the row alone, renders to text that parses
+    back to it and evaluates to the row's operation on its evaluated
+    arguments; at least one choice of arguments is in the operation's domain."""
+    row, T, results = _OPS[name], 5, []
+    choices = [(_UNIT, _DELTA) if kind == _EXPR else (F(-1, 2),) for kind in row.kinds]
+    for args in itertools.product(*choices):
+        ast = Op(name, args)
+        text = render(ast)
+        assert parse_expr(text) == ast, text
+        try:
+            got = eval_expr(parse_expr(text), T)
+        except UmbralError:
+            continue
+        want = row.run(*[eval_expr(a, T) if kind == _EXPR else a
+                         for a, kind in zip(args, row.kinds)])
+        assert got == want, text
+        results.append(text)
+    assert results, name
+
+
+def test_readme_grammar_names_every_call():
+    # the expand grammar paragraph writes each call with one argument per kind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    grammar = readme[readme.index("Grammar:"):].split("\n\n")[0]
+    for name, row in _OPS.items():
+        if row.level == _ATOM:
+            call = re.search(rf"`{re.escape(row.symbol)}\(([^`]*)\)`", grammar)
+            assert call and len(call[1].split(", ")) == len(row.kinds), name
 
 
 class TestFuzz:
@@ -267,9 +325,9 @@ class TestEval:
         lambda: parse_expr(5),
         lambda: parse_expr(None),
         lambda: eval_expr("t", 3),
-        lambda: eval_expr(Unary("foo", TVar()), 3),
-        lambda: eval_expr(Binary("pow", TVar(), TVar()), 3),
-        lambda: eval_expr(PowNode(TVar(), 0.5), 3),
+        lambda: eval_expr(Op("foo", (Sym("t"),)), 3),
+        lambda: eval_expr(Op("pow", (Sym("t"), Sym("t"))), 3),
+        lambda: eval_expr(Op("pow", (Sym("t"), 0.5)), 3),
         lambda: eval_expr(parse_expr("t"), 3, lam="x"),
         lambda: eval_expr(parse_expr("t"), 3, lam=0.5),
         lambda: render(5),

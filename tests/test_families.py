@@ -1,7 +1,9 @@
 """Named polynomial families and their Sheffer pairs."""
 
 import ast
+import signal
 import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 from math import factorial
 from pathlib import Path
@@ -55,8 +57,9 @@ from umbralkit import (
     working_trunc,
     zero,
 )
+from umbralkit.errors import MAX_PAIR_TRUNC
 from umbralkit.families import (
-    MAX_PAIR_TRUNC, SCHEMAS, Schema, _appell_poly, _bern_base, _falling_sum, _frobenius_g,
+    SCHEMAS, Schema, _appell_poly, _bern_base, _falling_sum, _frobenius_g,
     _narumi_base, build_pair, check_params,
 )
 from umbralkit.fields import LAMBDA, RatFunc
@@ -634,6 +637,18 @@ def test_bad_degree_is_domain_error(call):
         lambda: Series(None, None),
         lambda: b2_convolution(3, 2**63, -1),
         lambda: aggregate_pass(None),
+        lambda: stirling1(2**63, 0),
+        lambda: stirling2(2**63, 0),
+        lambda: bernoulli_poly(1, 2**63),
+        lambda: bernoulli_number(-1, 2**63),
+        lambda: exp_ct(QQ, 1, 2**63),
+        lambda: falling_factorial(QQ, 2**63),
+        lambda: euler_poly(1, 2**63),
+        lambda: narumi_poly(1, 2**63),
+        lambda: gen_binom(1, 2**63),
+        lambda: poisson_charlier(2**63, 1),
+        lambda: one_plus_t_pow(QQ, 1, 2**63),
+        lambda: log1p_series(QQ, 2**63),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -658,11 +673,50 @@ def test_bad_degree_is_domain_error(call):
          "build_pair_frobenius_euler_T_-1", "build_pair_T10_T_-1", "build_pair_T_-3",
          "build_pair_T_0", "build_pair_T_1", "exp_ct_field", "zero_field", "one_field",
          "t_series_field", "monomial_field", "log1p_series_field", "one_plus_t_pow_field",
-         "poly_field", "series_field", "b2_convolution_l_huge", "aggregate_pass_none"],
+         "poly_field", "series_field", "b2_convolution_l_huge", "aggregate_pass_none",
+         "stirling1_n_huge", "stirling2_n_huge", "bernoulli_poly_n_huge",
+         "bernoulli_number_n_huge", "exp_ct_T_huge", "falling_factorial_degree_huge",
+         "euler_poly_n_huge", "narumi_poly_n_huge", "gen_binom_m_huge",
+         "poisson_charlier_n_huge", "one_plus_t_pow_T_huge", "log1p_series_T_huge"],
 )
 def test_bad_argument_is_domain_error(call):
-    with pytest.raises(DomainError):
+    # under a wall-clock limit, 100 times what any case takes: a call that
+    # starts work on an oversized index fails here instead of running until
+    # memory runs out
+    with _time_limit(0.5), pytest.raises(DomainError):
         call()
+
+
+class _Timeout(BaseException):
+    """Not an Exception, so that no handler in the code under test takes it."""
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Stop the block once ``seconds`` of wall time pass (SIGALRM), and fail
+    the test; no limit where ``signal.setitimer`` is missing."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def alarm(signum, frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Timeout:
+        timed_out = True
+    else:
+        timed_out = False
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if timed_out:
+        # a failure without the interrupted traceback, which can hold a
+        # frame with no line number
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
 
 
 @pytest.mark.parametrize(

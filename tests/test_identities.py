@@ -34,7 +34,8 @@ from umbralkit import (
     frobenius_euler_poly, frobenius_eulerian_poly, gen_binom, narumi_number, poisson_charlier,
     stirling1, stirling2,
 )
-from umbralkit.families import MAX_PAIR_TRUNC, SCHEMAS, Param, Schema, build_pair, check_params
+from umbralkit.errors import MAX_PAIR_TRUNC
+from umbralkit.families import SCHEMAS, Param, Schema, build_pair, check_params
 from umbralkit.identities import (
     CHECKS,
     IDENTITY_TAGS,
