@@ -76,7 +76,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import (
-    DivisionByZero, DomainError, integer_order, lambda_value, nonnegative_integer,
+    MAX_PAIR_TRUNC, DivisionByZero, DomainError, integer_order, lambda_value, nonnegative_integer,
     nonzero_rational, rational,
 )
 from .fields import (
@@ -119,8 +119,10 @@ __all__ = [
 
 
 def binom(n: int, k: int) -> int:
-    """C(n, k) for ints n and k, and 0 unless 0 <= k <= n."""
+    """C(n, k) for ints n <= MAX_PAIR_TRUNC and k, and 0 unless 0 <= k <= n."""
     n, k = integer_order("n", n), integer_order("k", k)
+    if n > MAX_PAIR_TRUNC:
+        raise DomainError(f"n must be <= {MAX_PAIR_TRUNC}, got {n}")
     if k < 0 or k > n:
         return 0
     return comb(n, k)

@@ -5,9 +5,11 @@ positive denominator).  ``RatFunc`` is the field of rational functions in
 one indeterminate ``L`` over Q, kept in canonical form (gcd-reduced, monic
 denominator) so equality is plain structural comparison.
 
-Internally a RatFunc is a reduced rational scale times a ratio of primitive
-integer polynomials with positive leading coefficients; polynomial work
-stays in machine/big ints and only the scale pays Fraction overhead.  The
+Internally a RatFunc is N / (q * D): N an integer polynomial, q a
+positive integer prime to N's content, and D a primitive integer
+polynomial with positive leading coefficient, prime to N.  That is one
+entry of the packed layout below, so a kernel's integer output is a
+RatFunc's own form, and Q(L) arithmetic builds no ``Fraction``.  The
 public ``num``/``den`` views are the canonical monic-denominator form over
 Q.
 
@@ -23,7 +25,7 @@ is P^v, v the order of num's root -b/a, found by exact integer evaluation
 only through (1 - L)/(e^t - L) and e^((L - 1)t), so every denominator of
 those routes is a power of L - 1; each distinct P^e is recognised once
 (the 60 operations the ``sheffer_q_lambda`` benchmark draws from meet 23
-of them in about 4 000 normalisations).
+of them in 2 888 normalisations).
 
 Sums over Q follow FLINT's ``fmpq_poly`` layout: integer numerators over
 one common denominator.  ``vec_mul`` brings each operand to integers over
@@ -36,10 +38,9 @@ Every sum over Q(L) but the packed ones below is normalised in one place,
 ``_ratfunc_dot``: a coefficient of a series product, an inverse, a
 composition with an inner series over Q(L), a reversion, a functional (all
 through ``vec_dot``), and ``a + b`` itself, the sum 1*a + 1*b.  Each
-product a_i*b_i is left unreduced (numerators, denominators and rational
-scales multiplied); the numerators are summed over a running lcm of the
-denominators and a running lcm of the scales' integer denominators; one
-content extraction and one ``_lowest_terms`` at the end give the canonical
+product a_i*b_i is left unreduced (the N's, the q's and the D's
+multiplied); the numerators are summed over a running lcm of the q's and a
+running lcm of the D's, and ``_element`` at the end gives the canonical
 form, which is unique, so the value and every printed byte do not depend
 on how a sum is grouped.  Each lcm step (``_lcm_cofactors``) first tries
 exact division both ways with ``_zquo``, whose "no" is certain: the
@@ -47,19 +48,23 @@ denominators are primitive, and by Gauss's lemma a quotient in Q[L] of a
 polynomial by a primitive one is integral, so an integer long division
 that meets an indivisible leading coefficient or leaves a remainder proves
 non-divisibility.  ``_zgcd`` runs only when neither denominator divides
-the other.  ``_lowest_terms`` is also the tail of ``RatFunc.__init__``, so
-canonical form is made in one function.
+the other.  ``_element`` (``_lowest_terms``, then one integer gcd of q and
+N's coefficients) is also the tail of ``RatFunc.__init__``,
+``_prefix_sums`` and ``families._frobenius_g``, so canonical form is made
+in one function.
 
 An int or Fraction operand of ``_ratfunc_dot`` is a constant read as it
-is, with no ``RatFunc`` built for it: its numerator and denominator are the
-polynomial 1, so its products take the same running-lcm step as any other,
-and a zero product is skipped.
+is, with no ``RatFunc`` built for it: its N and D are the polynomial 1, its
+q is its denominator and its numerator joins the product's weight, so its
+products take the same running-lcm step as any other, and a zero product
+is skipped.
 
 The packed sums and the orthogonality check lay a whole Q or Q(L) vector out
 over one common denominator, FLINT's ``fmpq_poly`` layout one level up,
-over Z[L]: entry i is num[i] / (q * den) with q a positive integer, den in
-Z[L] primitive with positive lead, and num[i] in Z[L] (``_lay_out``, whose
-running lcm takes the same ``_lcm_cofactors`` step as ``_ratfunc_dot``).
+over Z[L]: entry i is num[i] / (q * den), a RatFunc's form with one q and
+den for the whole vector (``_lay_out``: q is the lcm of the entries' q's,
+and the running lcm of their D's takes the same ``_lcm_cofactors`` step as
+``_ratfunc_dot``).
 The layout also keeps the lcm of the denominators up to each entry, so a
 sum that uses only some entries can be divided by the cofactor of the ones
 it skips.  A numerator is packed into one Python int by Kronecker
@@ -101,7 +106,8 @@ two conditions, each from the entries of g and f that its S_n reaches, at
 a slot that only grows, so g and f are packed once per width.
 
 ``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
-gcds gcd(na, db) and gcd(nb, da) of its reduced operands.  Most products
+gcds gcd(na, db) and gcd(nb, da) of its reduced operands, then divides out
+the integer gcd of q and N as ``_element`` does.  Most products
 have a constant factor, for which both cross gcds are free, while a gcd of
 the whole product's numerator and denominator runs a mod-p Euclid every
 time; as a one-term sum, products made the ``sheffer_q_lambda`` benchmark
@@ -127,10 +133,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from math import comb, gcd as _int_gcd, isqrt
+from math import comb, gcd as _int_gcd, isqrt, lcm
 from operator import mul
 
-from .errors import DivisionByZero, DomainError, EvalPole, integer_order, rational
+from .errors import (
+    MAX_PAIR_TRUNC, DivisionByZero, DomainError, EvalPole, integer_order, rational,
+)
 
 __all__ = [
     "LAMBDA",
@@ -436,51 +444,48 @@ def _zgcd(f, g):
 class RatFunc:
     """An element of Q(L), canonical and immutable.
 
-    Value = ``scale * N / D`` with N, D primitive integer polynomials with
-    positive leading coefficients and gcd 1; ``scale`` a reduced Fraction.
-    The public ``num``/``den`` are the equivalent reduced Q-polynomials
-    with monic denominator.
+    Value = ``N / (q * D)``: N an integer polynomial, q >= 1 an integer
+    with gcd(q, content N) = 1, D primitive with positive leading
+    coefficient, and gcd(N, D) = 1; zero is ((), 1, (1,)).  So equal values
+    have equal (N, q, D).  The public ``num``/``den`` are the equivalent
+    reduced Q-polynomials with monic denominator.
     """
 
-    __slots__ = ("scale", "_n", "_d")
+    __slots__ = ("_n", "_q", "_d")
 
     def __init__(self, num=0, den=1):
-        sn, n, dn = _as_zfrac(num)
-        sd, d, dd = _as_zfrac(den)
-        if not d:
+        nn, qn, dn = _as_entry(num)
+        nd, qd, dd = _as_entry(den)
+        if not nd:
             raise DivisionByZero("zero denominator in Q(L)")
-        if not n:
-            self._become(Fraction(0), (), (1,))
-            return
-        # (sn n / dn) / (sd d / dd); products of primitive polynomials with
-        # positive leads are primitive with positive leads (Gauss's lemma)
-        self._become(sn / sd, *_lowest_terms(_zmul(n, dd), _zmul(d, dn)))
-
-    def _become(self, scale, n, d):
-        self.scale, self._n, self._d = scale, n, d
+        # (nn / (qn dn)) / (nd / (qd dd)) with nd = c * pd, pd primitive with
+        # positive lead; products of such polynomials are such (Gauss's lemma)
+        c, pd = _zprimitive(nd)
+        k = qd if c > 0 else -qd
+        v = _element(QL, tuple([k * a for a in _zmul(nn, dd)]), qn * abs(c), _zmul(dn, pd))
+        self._n, self._q, self._d = v._n, v._q, v._d
 
     @classmethod
-    def _raw(cls, scale: Fraction, n, d) -> "RatFunc":
+    def _raw(cls, n, q: int, d) -> "RatFunc":
         obj = object.__new__(cls)
-        obj.scale, obj._n, obj._d = scale, n, d
+        obj._n, obj._q, obj._d = n, q, d
         return obj
 
     @classmethod
     def from_rat(cls, q) -> "RatFunc":
-        q = Fraction(q)
-        if not q:
-            return _RF_ZERO
-        return cls._raw(q, (1,), (1,))
+        """The constant q: an int or a Fraction as it is, anything else
+        through ``errors.rational``."""
+        if type(q) not in (int, Fraction):
+            q = rational("q", q)
+        return cls._raw((q.numerator,) if q else (), q.denominator, _Z_ONE)
 
     # views -------------------------------------------------------------------
 
     @property
     def num(self):
         """Numerator over Q in the monic-denominator canonical form."""
-        if not self._n:
-            return ()
-        s = self.scale / self._d[-1]
-        return tuple(c * s for c in self._n)
+        s = self._q * self._d[-1]
+        return tuple(Fraction(c, s) for c in self._n)
 
     @property
     def den(self):
@@ -499,11 +504,9 @@ class RatFunc:
         return len(self._n) <= 1 and len(self._d) == 1
 
     def as_rat(self) -> Fraction:
-        if not self._n:
-            return Fraction(0)
         if not self.is_constant():
             raise DomainError(f"{self} is not a rational constant")
-        return self.scale * self._n[0] / self._d[0]
+        return Fraction(self._n[0] if self._n else 0, self._q)
 
     # arithmetic ----------------------------------------------------------------
 
@@ -516,9 +519,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        if not self._n:
-            return self
-        return RatFunc._raw(-self.scale, self._n, self._d)
+        return RatFunc._raw(tuple([-c for c in self._n]), self._q, self._d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -548,15 +549,18 @@ class RatFunc:
         if len(g2) > 1:
             nb = _zquo(nb, g2)
             da = _zquo(da, g2)
-        return RatFunc._raw(self.scale * other.scale, _zmul(na, nb), _zmul(da, db))
+        return _canonical(_zmul(na, nb), _zmul(da, db), self._q * other._q)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RatFunc":
         if not self._n:
             raise DivisionByZero("division by zero in Q(L)")
-        # N always has positive lead; flipping keeps both leads positive
-        return RatFunc._raw(Fraction(1) / self.scale, self._d, self._n)
+        # N = c * P with P primitive with positive lead: 1 / value is
+        # (q D) / (c P), and c moves into q; gcd(q, c) = 1 already
+        c, p = _zprimitive(self._n)
+        q = self._q if c > 0 else -self._q
+        return RatFunc._raw(tuple([q * a for a in self._d]), abs(c), p)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -571,7 +575,9 @@ class RatFunc:
         return other.__mul__(self.reciprocal())
 
     def __pow__(self, n: int):
-        if integer_order("exponent", n) < 0:
+        if abs(integer_order("exponent", n)) > MAX_PAIR_TRUNC:
+            raise DomainError(f"|exponent| must be <= {MAX_PAIR_TRUNC}, got {n}")
+        if n < 0:
             base = self.reciprocal()
             n = -n
         else:
@@ -591,14 +597,12 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return (
-            self.scale == other.scale and self._n == other._n and self._d == other._d
-        )
+        return self._n == other._n and self._q == other._q and self._d == other._d
 
     def __hash__(self):
         if self.is_constant():
             return hash(self.as_rat())
-        return hash((self.scale, self._n, self._d))
+        return hash((self._n, self._q, self._d))
 
     # evaluation / rendering --------------------------------------------------------
 
@@ -608,7 +612,7 @@ class RatFunc:
         dv = vec_horner(self._d, lam0, Fraction(0))
         if not dv:
             raise EvalPole(f"pole of {self} at L = {lam0}")
-        return self.scale * vec_horner(self._n, lam0, Fraction(0)) / dv
+        return vec_horner(self._n, lam0, Fraction(0)) / (self._q * dv)
 
     def __str__(self) -> str:
         num = format_terms([str(c) for c in self.num], "L")
@@ -624,27 +628,26 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
     """``sum w[i] * a[i] * b[i]`` over Q(L) with one normalisation; int and
     Fraction entries are constants, read as they are.
 
-    Each product is left unreduced: scale pa*pb / (qa*qb) times
-    (na*nb) / (da*db).  The sum is kept as num / (q * den), with q the lcm
-    of the scales' denominators and den a running lcm of the product
-    denominators (all primitive, positive leads).  Each lcm step tries
-    exact division both ways (``_zquo``) and runs ``_zgcd`` only when
-    neither denominator divides the other.  One content extraction and
-    ``_lowest_terms`` at the end give RatFunc's canonical form.
+    Each product is left unreduced: (na*nb) / ((qa*qb) * (da*db)).  The sum
+    is kept as num / (q * den), a running lcm q of the products' q's and a
+    running lcm den of their D's (all primitive, positive leads).  Each lcm
+    step of den tries exact division both ways (``_zquo``) and runs
+    ``_zgcd`` only when neither denominator divides the other.
+    ``_element`` at the end gives RatFunc's canonical form.
     """
     q, den, num = 1, _Z_ONE, []
     for x, y, k in zip(a, b, repeat(1) if w is None else w):
         if not x or not y:
             continue
         if isinstance(x, RatFunc):
-            sx, nx, dx = x.scale, x._n, x._d
+            nx, qx, dx = x._n, x._q, x._d
         else:
-            sx, nx, dx = x, _Z_ONE, _Z_ONE
+            nx, qx, dx, k = _Z_ONE, x.denominator, _Z_ONE, k * x.numerator
         if isinstance(y, RatFunc):
-            sy, ny, dy = y.scale, y._n, y._d
+            ny, qy, dy = y._n, y._q, y._d
         else:
-            sy, ny, dy = y, _Z_ONE, _Z_ONE
-        qi = sx.denominator * sy.denominator
+            ny, qy, dy, k = _Z_ONE, y.denominator, _Z_ONE, k * y.numerator
+        qi = qx * qy
         # bring num / (q * den) and the term onto lcm(q, qi) * lcm(den, d)
         g = _int_gcd(q, qi)
         if g != qi:
@@ -654,7 +657,7 @@ def _ratfunc_dot(a, b, w=None) -> "RatFunc":
         if m != _Z_ONE:
             num = list(_zmul(num, m))
         n = _zmul(_zmul(nx, ny), mt)
-        f = k * sx.numerator * sy.numerator * (q // qi)
+        f = k * (q // qi)
         if len(num) < len(n):
             num += [0] * (len(n) - len(num))
         for i, c in enumerate(n):
@@ -667,9 +670,10 @@ def _lcm_cofactors(den, d):
     """(l, m, md) with l = lcm(den, d) = den * m = d * md, for primitive
     integer polynomials (tuples) with positive leads: exact division both
     ways (``_zquo``) first, ``_zgcd`` only when neither divides the other.
-    Memoised: the Q(L) routes meet few distinct pairs (74 in 2 282 calls
+    Memoised: the Q(L) routes meet few distinct pairs (74 in 1 870 calls
     over the 60 operations ``sheffer_q_lambda`` draws from, after
-    ``_lay_out`` skips the 6 298 whose d is the running lcm already)."""
+    ``_lay_out`` skips the 4 730 of its 6 600 entries whose d is the
+    running lcm already)."""
     if d == den:
         return den, _Z_ONE, _Z_ONE
     if d == _Z_ONE:
@@ -688,8 +692,9 @@ def _lcm_cofactors(den, d):
 
 
 def _lowest_terms(num, den):
-    """num and den with their gcd divided out: nonzero integer polynomials,
-    primitive with positive leads, as RatFunc's canonical form holds them.
+    """num and den with their gcd divided out, for a nonzero integer
+    polynomial num and den primitive with positive lead, as RatFunc's
+    canonical form holds it (so num keeps its content).
 
     A den that is a power P^e of a linear P = aL + b (``_linear_power``)
     takes an exact path with no Euclid.  P is primitive of degree 1, so it
@@ -744,20 +749,17 @@ def _vanishes_at(num, b, a) -> bool:
     return not acc
 
 
-def _as_zfrac(v):
-    """(rational scale, primitive numerator, primitive denominator), integer
-    tuples with positive leads, from a RatFunc, an exact rational, or a
-    tuple or list of exact rationals (ascending powers); a float or a bool
-    is a DomainError (``errors.rational``)."""
+def _as_entry(v):
+    """(N, q, D) of RatFunc's form, but N and q not yet coprime, from a
+    RatFunc, an exact rational, or a tuple or list of exact rationals
+    (ascending powers); a float or a bool is a DomainError
+    (``errors.rational``)."""
     if isinstance(v, RatFunc):
-        return v.scale, v._n, v._d
-    qs = vec_trim([rational("coefficient", c)
-                   for c in (v if isinstance(v, (tuple, list)) else (v,))])
-    if not qs:
-        return Fraction(1), (), _Z_ONE
-    den, ints = _common_den(qs)
-    cont, prim = _zprimitive(ints)
-    return Fraction(cont, den), prim, _Z_ONE
+        return v._n, v._q, v._d
+    q, ints = _common_den(vec_trim([
+        c if type(c) in (int, Fraction) else rational("coefficient", c)
+        for c in (v if isinstance(v, (tuple, list)) else (v,))]))
+    return tuple(ints), q, _Z_ONE
 
 
 def _coerce(v):
@@ -769,10 +771,10 @@ def _coerce(v):
 
 
 _Z_ONE = (1,)
-_RF_ZERO = RatFunc._raw(Fraction(0), (), (1,))
-_RF_ONE = RatFunc._raw(Fraction(1), (1,), (1,))
+_RF_ZERO = RatFunc._raw((), 1, _Z_ONE)
+_RF_ONE = RatFunc._raw(_Z_ONE, 1, _Z_ONE)
 
-LAMBDA = RatFunc._raw(Fraction(1), (0, 1), (1,))
+LAMBDA = RatFunc._raw((0, 1), 1, _Z_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -835,14 +837,15 @@ class _Layout:
 def _lay_out(c, w=None) -> _Layout:
     """The layout of the entries w[i] * c[i] (w integer weights, all 1 when
     None; int and Fraction entries are constants)."""
-    parts = [(x.scale, x._n, x._d) if isinstance(x, RatFunc)
-             else (x, _Z_ONE if x else (), _Z_ONE) for x in c]
-    q, ks = _common_den([scale for scale, _, _ in parts])
+    parts = [(x._n, x._q, x._d) if isinstance(x, RatFunc)
+             else ((x.numerator,) if x else (), x.denominator, _Z_ONE) for x in c]
+    q = lcm(*[qi for _, qi, _ in parts])
+    ks = [q // qi for _, qi, _ in parts]
     if w is not None:
         ks = [k * x for k, x in zip(ks, w)]
     den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
     # a unit cofactor, as most are, skips its product
-    for i, (_, n, d) in enumerate(parts):
+    for i, (n, _, d) in enumerate(parts):
         md = _Z_ONE
         if d != den:  # most entries are over the running lcm already
             den, steps[i], md = _lcm_cofactors(den, d)
@@ -907,16 +910,26 @@ def _prefix_sums(a, cols, dens, field, layout: _Layout | None = None) -> list:
 
 def _element(field, num, q: int, den):
     """num / (q * den) in ``field``'s canonical form, for an integer
-    polynomial num (over Q, a constant) and den primitive with positive
-    lead (over Q, (1,))."""
-    if not num:  # rare: 12 of the 7 860 Q(L) sums of the sheffer_q_lambda universe
+    polynomial num (over Q, a constant), q >= 1 and den primitive with
+    positive lead (over Q, (1,))."""
+    if not num:
         return field.zero
     if field is QQ:
         return Fraction(num[0], q)
-    cont, num = _zprimitive(num)
-    if len(den) == 1:  # den (1,), as for 4 772 of those sums: lowest terms already
-        return RatFunc._raw(Fraction(cont, q), num, den)
-    return RatFunc._raw(Fraction(cont, q), *_lowest_terms(num, den))
+    # a den (1,), as for 4 872 of the 8 052 Q(L) elements made over the
+    # sheffer_q_lambda universe, is prime to every num
+    if len(den) > 1:
+        num, den = _lowest_terms(num, den)
+    return _canonical(num, den, q)
+
+
+def _canonical(num, den, q: int) -> RatFunc:
+    """The RatFunc num / (q * den) for coprime num and den, den primitive
+    with positive lead: gcd(q, content num) is divided out of both."""
+    g = _int_gcd(q, *num)
+    if g != 1:
+        num, q = tuple([c // g for c in num]), q // g
+    return RatFunc._raw(num, q, den)
 
 
 # ---------------------------------------------------------------------------

@@ -649,6 +649,9 @@ def test_bad_degree_is_domain_error(call):
         lambda: poisson_charlier(2**63, 1),
         lambda: one_plus_t_pow(QQ, 1, 2**63),
         lambda: log1p_series(QQ, 2**63),
+        lambda: (1 + LAMBDA) ** (2**63),
+        lambda: (1 + LAMBDA) ** -(2**63),
+        lambda: binom(2**63, 2**62),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -677,7 +680,8 @@ def test_bad_degree_is_domain_error(call):
          "stirling1_n_huge", "stirling2_n_huge", "bernoulli_poly_n_huge",
          "bernoulli_number_n_huge", "exp_ct_T_huge", "falling_factorial_degree_huge",
          "euler_poly_n_huge", "narumi_poly_n_huge", "gen_binom_m_huge",
-         "poisson_charlier_n_huge", "one_plus_t_pow_T_huge", "log1p_series_T_huge"],
+         "poisson_charlier_n_huge", "one_plus_t_pow_T_huge", "log1p_series_T_huge",
+         "ratfunc_pow_huge", "ratfunc_pow_negative_huge", "binom_n_huge"],
 )
 def test_bad_argument_is_domain_error(call):
     # under a wall-clock limit, 100 times what any case takes: a call that

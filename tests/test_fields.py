@@ -3,7 +3,7 @@
 import inspect
 import textwrap
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +107,105 @@ class TestRatFunc:
         assert a + (-a) == RatFunc(0)
         if b:
             assert (a / b) * b == a
+
+
+def _assert_canonical(v):
+    """RatFunc's one form N / (q * D): q >= 1 prime to N's content, D
+    primitive with positive lead, gcd(N, D) = 1, and zero ((), 1, (1,))."""
+    n, q, d = v._n, v._q, v._d
+    assert type(n) is tuple and type(d) is tuple and type(q) is int
+    assert not n or n[-1]
+    assert q >= 1 and gcd(q, *n) == 1
+    assert d[-1] > 0 and gcd(*d) == 1
+    assert _zgcd(n, d) == (1,)
+    if not n:
+        assert (n, q, d) == ((), 1, (1,))
+
+
+_COEFFICIENT = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=6))
+
+
+def _elements():
+    """``fields._element(QL, num, q, den)`` for den primitive with positive lead."""
+    den = st.lists(st.integers(-6, 6), min_size=1, max_size=3).filter(any).map(
+        lambda d: _zprimitive(vec_trim(d))[1])
+    return st.builds(lambda n, q, d: fields._element(QL, vec_trim(n), q, d),
+                     st.lists(st.integers(-40, 40), max_size=4), st.integers(1, 36), den)
+
+
+def _canonical_values():
+    """Q(L) values from every way one is made: the constructor, ``from_rat``
+    and ``_element``, then + - * /, ``**`` and ``reciprocal``."""
+    poly = st.lists(_COEFFICIENT, max_size=4)
+    base = st.one_of(st.builds(RatFunc, poly, poly.filter(any)),
+                     st.builds(RatFunc, _COEFFICIENT), st.builds(RatFunc.from_rat, _COEFFICIENT),
+                     _elements(), st.just(L))
+
+    def steps(kids):
+        pairs = st.tuples(kids, kids)
+        return st.one_of(
+            pairs.map(lambda ab: ab[0] + ab[1]), pairs.map(lambda ab: ab[0] - ab[1]),
+            pairs.map(lambda ab: ab[0] * ab[1]),
+            pairs.filter(lambda ab: ab[1]).map(lambda ab: ab[0] / ab[1]),
+            kids.map(lambda a: -a), kids.filter(bool).map(RatFunc.reciprocal),
+            st.tuples(kids.filter(bool), st.integers(-3, 3)).map(lambda ak: ak[0] ** ak[1]))
+
+    return st.recursive(base, steps, max_leaves=5)
+
+
+class TestCanonicalForm:
+    """Every RatFunc is in the one form N / (q * D)."""
+
+    @given(v=_canonical_values())
+    @settings(max_examples=150, deadline=None)
+    def test_invariant(self, v):
+        _assert_canonical(v)
+
+    @given(a=_canonical_values(), b=_canonical_values().filter(bool), k=st.integers(1, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_have_equal_triples(self, a, b, k):
+        twins = [a * b / b, a + b - b, RatFunc(a.num, a.den), RatFunc(a * b, b),
+                 fields._element(QL, tuple(k * c for c in a._n), k * a._q, a._d)]
+        if a:
+            twins.append(a.reciprocal().reciprocal())
+        for t in twins:
+            _assert_canonical(t)
+            assert t == a and (t._n, t._q, t._d) == (a._n, a._q, a._d) and hash(t) == hash(a)
+
+    @given(c=st.fractions(-9, 9, max_denominator=9), v=_canonical_values().filter(bool),
+           k=st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_constant_is_its_fraction(self, c, v, k):
+        for x in [RatFunc.from_rat(c), RatFunc(c), RatFunc((c,)), v - v + c, c * v / v,
+                  fields._element(QL, (k * c.numerator,) if c else (), k * c.denominator, (1,))]:
+            _assert_canonical(x)
+            assert x == c and x.as_rat() == c and hash(x) == hash(c)
+
+    def test_arithmetic_builds_no_fraction(self, monkeypatch):
+        a, b = (1 + 2 * L) / (3 - L), (L * L + F(1, 2)) / (L - 1) ** 2
+        c, entries = F(2, 5), [a, b, F(2, 3), 4, 0]
+        built = []
+        new = F.__new__
+        monkeypatch.setattr(F, "__new__",
+                            lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        if hasattr(F, "_from_coprime_ints"):  # Fraction arithmetic from Python 3.12 on
+            coprime = F._from_coprime_ints
+            monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
+                lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+        values = [RatFunc((1, 2), (3, 4)), RatFunc(a, b), a * b, a * 3, b * c, -a,
+                  a.reciprocal(), a + b, a - c, a / b, 2 / a, a ** 3, b ** -2,
+                  fields._element(QL, (2, 4), 6, (3, 1)),
+                  fields._ratfunc_dot(entries, entries[::-1])]
+        fields._lay_out(entries, [1, 2, 3, 4, 5])
+        assert built == []
+        assert values[-2] == F(1, 3) * (1 + 2 * L) / (L + 3)
+
+    @given(c=st.lists(st.one_of(_canonical_values(), _COEFFICIENT), max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_layout_q_is_the_lcm(self, c):
+        # the layout's q is the lcm of the entries' q's, not a multiple of it
+        qs = [x._q if isinstance(x, RatFunc) else F(x).denominator for x in c]
+        assert _lay_out(c).q == lcm(*qs)
 
 
 def _zpolys(max_size=5):
@@ -295,8 +394,8 @@ def _plain_dot(a, b, w=None):
 
 
 def _same_form(x, y):
-    """Structural equality of canonical forms: scale, numerator, denominator."""
-    return (x.scale, x._n, x._d) == (y.scale, y._n, y._d)
+    """Structural equality of canonical forms N / (q * D): (N, q, D)."""
+    return (x._n, x._q, x._d) == (y._n, y._q, y._d)
 
 
 def _as_q_fraction(v):
@@ -638,9 +737,8 @@ class TestPackedLayout:
         if not num:
             assert got is QL.zero
             return
-        cont, prim = _zprimitive(num)
-        want = RatFunc._raw(F(cont, q), *_lowest_terms(prim, (1,)))
-        assert (got.scale, got._n, got._d) == (want.scale, want._n, want._d)
+        g = gcd(q, *num)
+        assert (got._n, got._q, got._d) == (tuple(c // g for c in num), q // g, (1,))
 
 
 class TestZquo:

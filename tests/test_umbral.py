@@ -642,8 +642,8 @@ def _plain_apply(f, p):
 
 
 def _form(c):
-    """A RatFunc's canonical form, scale included; any other value as it is."""
-    return (c.scale, c._n, c._d) if isinstance(c, RatFunc) else c
+    """A RatFunc's canonical form (N, q, D); any other value as it is."""
+    return (c._n, c._q, c._d) if isinstance(c, RatFunc) else c
 
 
 def _same_poly(got, want):
