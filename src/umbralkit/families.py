@@ -73,6 +73,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial
 
 from .errors import (
@@ -88,6 +89,7 @@ from .series import (
     Series,
     _falling_rows,
     _kept,
+    _running_products,
     exp_ct,
     log1p_series,
     one_plus_t_pow,
@@ -129,12 +131,14 @@ def binom(n: int, k: int) -> int:
 
 
 def gen_binom(c, m: int):
-    """Generalized binomial coefficient C(c, m) = c(c-1)...(c-m+1)/m!."""
+    """Generalized binomial coefficient C(c, m) = c(c-1)...(c-m+1)/m!: with
+    c = p/q, the one Fraction p (p - q) .. (p - (m-1) q) / (q^m m!) of the
+    running integer products of ``one_plus_t_pow`` over Q
+    (``series._running_products``), which stop at a zero numerator."""
     c, m = rational("c", c), nonnegative_integer("m", m)
-    acc = Fraction(1)
-    for i in range(m):
-        acc = acc * (c - i)
-    return acc / factorial(m)
+    for n, d in _running_products(count(c.numerator, -c.denominator), c.denominator, m + 1):
+        pass
+    return Fraction(n, d)
 
 
 def _lam_element(lam):

@@ -27,12 +27,17 @@ those routes is a power of L - 1; each distinct P^e is recognised once
 (the 60 operations the ``sheffer_q_lambda`` benchmark draws from meet 23
 of them in 2 888 normalisations).
 
-Sums over Q follow FLINT's ``fmpq_poly`` layout: integer numerators over
-one common denominator.  ``vec_mul`` brings each operand to integers over
-the lcm of its denominators and runs the integer convolution; ``vec_dot``
-sums integer numerators over a running lcm of the products' denominators.
-Either way each output is one ``Fraction``, so the gcd that normalises a
-rational runs once per output instead of at every ``+=``.
+Sums over Q run on integers.  ``vec_mul`` follows FLINT's ``fmpq_poly``
+layout: it brings each operand to integers over the lcm of its
+denominators and runs the integer convolution.  Every other sum over Q is
+``_qsum``: integer numerators n over positive integer denominators d,
+summed over a running lcm of the d's.  ``vec_dot`` feeds it the products
+of its entries' numerators and denominators; ``Series.inverse`` and the
+reversion's solve and round trip feed it integer weights times the reduced
+(numerator, denominator) pairs of the coefficients they have solved, and
+so do no ``Fraction`` arithmetic.  Either way each output is one
+``Fraction``, so the gcd that normalises a rational runs once per output
+instead of at every ``+=``.
 
 Every sum over Q(L) but the packed ones below is normalised in one place,
 ``_ratfunc_dot``: a coefficient of a series product, an inverse, a
@@ -91,8 +96,8 @@ polynomial divisible by the cofactor of the entries it skips, so each
 packed sum is divided by its packed cofactor as one integer, with
 Mignotte's factor bound added to the slot so the quotient unpacks exactly;
 each distinct cofactor is packed once per call.
-It serves the coefficients of a composition outer(inner) for an outer over
-Q(L) and an inner over Q (``Series._compose_rows``), the y^j coefficients
+It serves the coefficients of a composition outer(inner) with an inner
+over Q (``Series._compose_rows``), the y^j coefficients
 of the GF route (the table of fbar against the pair's proven 1/g), the x^j
 coefficients of the transfer route ((t/f)^n against the same 1/g) and
 ``umbral.operator_apply``.  A caller that has the operand's layout already,
@@ -208,16 +213,27 @@ def vec_dot(a, b, zero=0, w=None):
     numerators over a running lcm of their denominators into one Fraction."""
     if isinstance(zero, RatFunc):
         return _ratfunc_dot(a, b, w)
-    q, s = 1, 0  # the sum is s / q
-    for x, y, k in zip(a, b, repeat(1) if w is None else w):
-        if x and y:
-            d = x.denominator * y.denominator
-            if q % d:
+    return Fraction(*_qsum((k * x.numerator * y.numerator, x.denominator * y.denominator)
+                           for x, y, k in zip(a, b, repeat(1) if w is None else w) if x and y))
+
+
+def _qsum(terms):
+    """(s, q) with s / q the sum of n / d over the integer pairs (n, d) of
+    ``terms``, each d > 0: the n's are summed over a running lcm q of the
+    d's of the nonzero n's, so the gcd that reduces a rational runs once,
+    when the caller makes its ``Fraction(s, q)``.  The one sum over Q of
+    ``vec_dot``, ``Series.inverse`` and ``Series._revert_rows``."""
+    q, s = 1, 0
+    for n, d in terms:
+        if n:
+            k, r = divmod(q, d)
+            if r:  # q grows to lcm(q, d) = (q / g) d
                 g = _int_gcd(q, d)
+                k = q // g
                 s *= d // g
-                q = q // g * d
-            s += k * x.numerator * y.numerator * (q // d)
-    return Fraction(s, q)
+                q = k * d
+            s += n * k
+    return s, q
 
 
 def _common_den(c):

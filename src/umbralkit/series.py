@@ -18,16 +18,30 @@ before it times the integer numerators of s (``fields._zmul``), reduced by
 the gcd of the row and its denominator, so the integers stay the size of
 s^k's coefficients in lowest terms.  The public ``powers`` makes canonical
 Fractions of the rows; the rest read the integer rows themselves.  Each
-table is built once per operation and passed down, never cached:
-``compose`` and the reversion's round trip share one body,
-``_compose_rows`` (a prefix sum of the outer series per coefficient, packed
-over the outer's layout when the inner series is over Q), which reads the
-table its caller gives it.  ``_revert_rows`` solves for fbar over the rows
+table is built once per operation and passed down, never cached.
+``compose`` reads its table through ``_compose_rows`` (a prefix sum of the
+outer series per coefficient, packed over the outer's layout when the
+inner series is over Q).  ``_revert_rows`` solves for fbar over the rows
 of s, builds fbar's table, checks the round trip s(fbar) = t over it and
 returns it with fbar; ``revert`` is that body, and the GF route of
 :mod:`umbralkit.umbral` reads the same checked table for its columns, which
 it sums against the pair's proven 1/g, so it composes nothing itself.  Over
-Q(L) the rows are the plain products and every dens[k] is 1.
+Q(L) the rows are the plain products and every dens[k] is 1, and the
+round trip is ``_compose_rows`` over fbar's table.
+
+Over Q the inverse, the reversion's solve and its round trip do no
+``Fraction`` arithmetic.  Each coefficient they solve for is kept as its
+reduced integer pair (numerator, denominator), not over the one denominator
+per vector of FLINT's ``fmpq_poly`` (W. Hart, ICMS 2010), which is the lcm
+of them all and can be far larger than any one of them.  Each
+coefficient is one sum of integer weights times those pairs over a running
+lcm of the denominators (``fields._qsum``, the sum of ``vec_dot`` over Q),
+and one ``Fraction`` of that sum is both the output coefficient and, read
+back, its reduced pair.  The round trip sums the integers of fbar's table
+the same way, one sum per power of t, and compares integers: it builds no
+Series and no Fraction.  ``exp_ct`` and ``one_plus_t_pow`` over Q make
+coefficient k as one Fraction of running integer products, as does
+``families.gen_binom`` (``_running_products``).
 
 The kernels' outputs (products, inverses, compositions, reversions,
 shifts, exp, log, and the S_n of the Sheffer routes) are made in their
@@ -63,8 +77,9 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     CompositionOrder,
@@ -78,7 +93,7 @@ from .errors import (
     nonnegative_integer,
 )
 from .fields import (
-    QL, QQ, RatFunc, _common_den, _prefix_sums, _zmul, common_field, format_terms,
+    QL, QQ, RatFunc, _common_den, _prefix_sums, _qsum, _zmul, common_field, format_terms,
     latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
 )
 
@@ -294,12 +309,26 @@ class Series(CoeffVector):
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Coefficient k is -(1/a_0) sum_{i=1..k} a_i out[k - i], one
-        ``vec_dot``; for a_0 = 1, as for every pair's g, the sum is only
-        negated."""
+        Coefficient k is -(1/a_0) sum_{i=1..k} a_i out[k - i].  Over Q, with
+        a = A / d over the lcm d of its denominators, that is
+        -sum_i A_i out[k - i] / A_0: one ``fields._qsum`` of the integer
+        weights A_i against the reduced pairs of out, and one Fraction,
+        whose numerator and denominator the later sums read.  Over Q(L) it
+        is one ``vec_dot``; for a_0 = 1, as for every pair's g, the sum is
+        only negated."""
         a, zero = self.coeffs, self.field.zero
         if not a[0]:
             raise NotInvertible("series has zero constant term")
+        if self.field is QQ:
+            d, A = _common_den(a)
+            out = [Fraction(d, A[0])]
+            nums, dens = [out[0].numerator], [out[0].denominator]
+            for k in range(1, self.trunc):
+                s, q = _qsum(zip(map(mul, A[1 : k + 1], reversed(nums)), reversed(dens)))
+                out.append(Fraction(-s, q * A[0]))
+                nums.append(out[k].numerator)
+                dens.append(out[k].denominator)
+            return Series._raw(QQ, tuple(out))
         inv0 = self.field.one / a[0]
         unit = inv0 == self.field.one
         out = [inv0]
@@ -412,34 +441,50 @@ class Series(CoeffVector):
         """(fbar, fbar's power table ``_power_rows(T - 1)``) for the
         compositional inverse fbar of this delta series, T its truncation.
 
-        With s^k = rows[k] / dens[k] (this series' table) and E_m the lcm of
-        dens[0 .. m], coefficient m of fbar solves
-        sum_k c_k rows[k][m] (E_m / dens[k]) = [m == 1] E_m, triangular
-        since rows[k] has order k; one ``vec_dot`` with those integer
-        weights, over the integer rows.
+        With s^k = rows[k] / dens[k] (this series' table), coefficient m of
+        fbar solves sum_{k <= m} c_k rows[k][m] / dens[k] = [m == 1],
+        triangular since rows[k] has order k.  Over Q the sum over k < m is
+        one ``fields._qsum`` of the integers rows[k][m] against c_k's
+        reduced pair, its denominator times dens[k], and c_m is one
+        Fraction; over Q(L) it is one ``vec_dot``.
 
         Before returning, the round trip s(fbar) = t is checked over fbar's
-        table (``_compose_rows``), and that same table is returned: the
-        Sheffer GF route (``umbral.sheffer_gf``) reads it for its columns,
-        so it builds no other table of fbar and reads none that the round
-        trip did not check.
+        table for every m < T, and that same table is returned: the Sheffer
+        GF route (``umbral.sheffer_gf``) reads it for its columns, so it
+        builds no other table of fbar and reads none that the round trip
+        did not check.  Over Q, with s = F / d, the check is
+        sum_k F[k] frows[k][m] / fdens[k] = [m == 1] d, one ``_qsum`` per m
+        compared as integers; over Q(L) it is ``_compose_rows`` and
+        ``agrees``.
         """
         T = self.trunc
         if T < 2:
             raise TruncationTooShort("compositional inverse needs truncation >= 2")
         if self.order() != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
-        zero = self.field.zero
+        zero, over_q = self.field.zero, self.field is QQ
         dens, rows = self._power_rows(T - 1)
-        E = list(accumulate(dens, lcm))
-        c = [zero] * T
+        c, nums, D = [zero], [], []  # over Q: c[k]'s numerator, its denominator times dens[k]
         for m in range(1, T):
-            w = [E[m] // e for e in dens[1 : m + 1]]
-            acc = vec_dot(c[1:m], [rows[k][m] for k in range(1, m)], zero, w)
-            c[m] = ((self.field.coerce(E[m]) if m == 1 else zero) - acc) / (w[-1] * rows[m][m])
+            col = [row[m] for row in rows[1:m]]
+            if over_q:
+                s, q = _qsum(zip(map(mul, nums, col), D))
+                c.append(Fraction(((q if m == 1 else 0) - s) * dens[m], q * rows[m][m]))
+                nums.append(c[m].numerator)
+                D.append(c[m].denominator * dens[m])
+            else:
+                c.append(((self.field.one if m == 1 else zero) - vec_dot(c[1:m], col, zero))
+                         / rows[m][m])
         out = Series._raw(self.field, tuple(c))
-        table = out._power_rows(T - 1)
-        if not self._compose_rows(out, table).agrees(t_series(self.field, T)):
+        table = fdens, frows = out._power_rows(T - 1)
+        if over_q:
+            d, F = _common_den(self.coeffs)  # d [t^m] s(fbar) = sum_k F[k] fbar^k[m]
+            sums = (_qsum(zip(map(mul, F, [row[m] for row in frows[: m + 1]]), fdens))
+                    for m in range(T))
+            ok = all(s == (d * q if m == 1 else 0) for m, (s, q) in enumerate(sums))
+        else:
+            ok = self._compose_rows(out, table).agrees(t_series(self.field, T))
+        if not ok:
             raise NotDelta("reversion failed its round-trip check")
         return out, table
 
@@ -522,12 +567,39 @@ def monomial(field, k: int, T: int) -> Series:
     return Series(field, [0] * nonnegative_integer("degree", k) + [1], trunc=T)
 
 
+def _running_products(tops, q: int, T: int):
+    """(t_1 t_2 .. t_k, q^k k!) for k = 0 .. T - 1, t_k the k-th of the
+    integers ``tops``: each pair one integer step from the last, unreduced.
+    The pairs stop after the first zero numerator, past which every
+    numerator is zero.  Over Q, coefficient k of e^{ct} and of (1+t)^c for
+    c = p/q, and ``families.gen_binom``, are one ``Fraction`` of such a
+    pair."""
+    n = d = 1
+    yield n, d
+    for k, top in zip(range(1, T), tops):
+        n *= top
+        d *= q * k
+        yield n, d
+        if not n:
+            return
+
+
+def _q_series(tops, q: int, T: int) -> Series:
+    """The series over Q whose t^k coefficient is t_1 .. t_k / (q^k k!)
+    (``_running_products``), one Fraction per coefficient."""
+    coeffs = tuple(Fraction(n, d) for n, d in _running_products(tops, q, T))
+    return Series._raw(QQ, coeffs + (QQ.zero,) * (T - len(coeffs)))
+
+
 def exp_ct(field, c, T: int) -> Series:
-    """e^{c t}: coefficient of t^k is c^k / k!, each one step from the last,
-    c_k = c_{k-1} c / k.  A RatFunc rate c lifts a field Q to Q(L), as in
-    ``*``."""
+    """e^{c t}: coefficient of t^k is c^k / k!.  Over Q, with c = p/q, it is
+    the one Fraction p^k / (q^k k!) of running integer products; over Q(L)
+    each is one step from the last, c_k = c_{k-1} c / k.  A RatFunc rate c
+    lifts a field Q to Q(L), as in ``*``."""
     field = _field_with(field, c)
     c = field.coerce(c)
+    if field is QQ:
+        return _q_series(repeat(c.numerator), c.denominator, _truncation("T", T))
     out = [field.one]
     for k in range(1, _truncation("T", T)):
         out.append(out[-1] * c / k)
@@ -541,11 +613,16 @@ def log1p_series(field, T: int) -> Series:
 
 
 def one_plus_t_pow(field, c, T: int) -> Series:
-    """(1+t)^c with generalized binomial coefficients C(c, k), each one step
-    from the last, C(c, k) = C(c, k-1) (c - k + 1) / k; a RatFunc c lifts Q
-    to Q(L), as in ``exp_ct``."""
+    """(1+t)^c with generalized binomial coefficients C(c, k).  Over Q, with
+    c = p/q, C(c, k) is the one Fraction p (p - q) .. (p - (k-1) q) / (q^k k!)
+    of running integer products, as in ``exp_ct``; over Q(L) each is one
+    step from the last, C(c, k) = C(c, k-1) (c - k + 1) / k.  A RatFunc c
+    lifts Q to Q(L), as in ``exp_ct``."""
     field = _field_with(field, c)
     c = field.coerce(c)
+    if field is QQ:
+        return _q_series(count(c.numerator, -c.denominator), c.denominator,
+                         _truncation("T", T))
     out = [field.one]
     for k in range(1, _truncation("T", T)):
         out.append(out[-1] * (c - (k - 1)) / k)

@@ -5,7 +5,7 @@ import signal
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -504,6 +504,22 @@ class TestHelpers:
         assert gen_binom(F(-1), 3) == -1
         assert gen_binom(F(1, 2), 2) == F(-1, 8)
         assert gen_binom(F(5), 2) == 10
+
+    @given(c=st.one_of(st.fractions(-30, 30, max_denominator=12), st.integers(0, 40),
+                       st.builds(F, st.integers(-(2**70), 2**70), st.integers(2**64, 2**70))),
+           m=st.integers(0, 24))
+    @example(c=0, m=0)
+    @example(c=0, m=3)
+    @example(c=7, m=7)
+    @example(c=7, m=8)
+    @settings(max_examples=80, deadline=None)
+    def test_gen_binom_is_a_binomial_series_coefficient(self, c, m):
+        got = gen_binom(c, m)
+        assert type(got) is F
+        assert got == one_plus_t_pow(QQ, c, m + 1).coeffs[m]
+        assert got == one_plus_t_pow(QL, c, m + 1).coeffs[m].as_rat()
+        if isinstance(c, int):
+            assert got == comb(c, m)
 
     def test_multinomial(self):
         assert multinomial(()) == 1

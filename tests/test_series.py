@@ -24,6 +24,7 @@ from umbralkit import (
     exp_ct,
     falling_factorial,
     functional_apply,
+    gen_binom,
     log1p_series,
     monomial,
     one,
@@ -336,10 +337,12 @@ class TestRevert:
         assert f.compose(got) == t_series(QQ, 4)
 
     def test_not_delta(self):
-        with pytest.raises(NotDelta):
+        with pytest.raises(NotDelta, match="order exactly 1"):
             S(1, 1, 1).revert()
-        with pytest.raises(NotDelta):
+        with pytest.raises(NotDelta, match="order exactly 1"):
             S(0, 0, 1).revert()
+        with pytest.raises(TruncationTooShort, match="truncation >= 2"):
+            S(0).revert()
 
     @given(f=qq_series(8, min_order=1))
     @settings(max_examples=60)
@@ -349,6 +352,25 @@ class TestRevert:
         fbar = f.revert()
         assert f.compose(fbar) == t_series(QQ, 8)
         assert fbar.compose(f) == t_series(QQ, 8)
+
+    @pytest.mark.parametrize("m", [2, 8], ids=["second", "last"])
+    def test_round_trip_catches_a_wrong_coefficient(self, monkeypatch, m):
+        # the solve over Q makes fbar's coefficient m as its m-th Fraction;
+        # one made off by one (its table built from it as from any other)
+        # fails the round trip f(fbar) = t, at m = 2 and at m = T - 1
+        f = exp_ct(QQ, F(1, 3), 9) - 1
+        made = []
+
+        def fraction(n, d):
+            made.append(F(n, d))
+            return made[-1] + (len(made) == m)
+
+        monkeypatch.setattr(series, "Fraction", fraction)
+        with pytest.raises(NotDelta, match="round-trip check"):
+            f.revert()
+        assert len(made) == f.trunc - 1 and m <= f.trunc - 1
+        monkeypatch.undo()
+        assert f.revert() == log1p_series(QQ, 9) * 3
 
 
 class TestPow:
@@ -719,3 +741,92 @@ class TestQKernelLifted:
         assert _over_q(f) is f
         l_delta = Series(QL, [0, 1, LAMBDA])
         assert _over_q(l_delta) is l_delta
+
+
+def _big_rationals():
+    """Rationals whose numerator or denominator is above 2^64."""
+    big = st.integers(2**64 + 1, 2**72)
+    return st.one_of(
+        st.builds(F, st.one_of(big, big.map(lambda n: -n)), st.integers(1, 2**72)),
+        st.builds(F, st.integers(-9, 9), big),
+    )
+
+
+def _q_coefficients():
+    """Small rationals, zero among them, and rationals of height above 2^64."""
+    return st.one_of(st.just(F(0)), fractions(), _big_rationals())
+
+
+def _down(s):
+    """A series over Q(L) whose coefficients are all constants, over Q."""
+    assert s.field is QL
+    return Series(QQ, [c.as_rat() for c in s.coeffs])
+
+
+class TestQKernelsAgainstQL:
+    """Each Q kernel against the same kernel over Q(L) constants, the plain
+    path (``vec_dot`` over RatFuncs), brought back to Q."""
+
+    @given(head=st.one_of(st.sampled_from([F(-2), F(-7, 3), F(1)]), _q_coefficients()
+                          .filter(lambda q: q not in (0, 1, -1))),
+           rest=st.lists(_q_coefficients(), max_size=9))
+    @example(head=F(-3), rest=[])
+    @example(head=F(-2**65 - 1, 3), rest=[F(0)])
+    @example(head=F(1), rest=[F(0), F(0), F(2**70 + 1, 7)])
+    @settings(max_examples=60, deadline=None)
+    def test_inverse(self, head, rest):
+        s = Series(QQ, [head] + rest)
+        got = s.inverse()
+        assert got == _down(_lift(s).inverse())
+        assert s * got == one(QQ, s.trunc)
+        assert all(type(c) is F for c in got.coeffs)
+
+    @given(f1=_q_coefficients().filter(bool), rest=st.lists(_q_coefficients(), max_size=9))
+    @example(f1=F(-2), rest=[])
+    @example(f1=F(2**65 + 3, 5), rest=[F(0), F(-1, 2**66)])
+    @settings(max_examples=60, deadline=None)
+    def test_revert_rows(self, f1, rest):
+        f = Series(QQ, [0, f1] + rest)
+        fbar, (dens, rows) = f._revert_rows()
+        lbar, (ldens, lrows) = _lift(f)._revert_rows()
+        assert fbar == _down(lbar)
+        assert set(ldens) == {1}
+        assert ([[F(x, d) for x in row] for d, row in zip(dens, rows)]
+                == [[x.as_rat() for x in row] for row in lrows])
+
+    @given(c=st.one_of(_q_coefficients(), st.integers(0, 12)), T=st.integers(1, 14))
+    @example(c=0, T=1)
+    @example(c=0, T=2)
+    @example(c=3, T=9)
+    @example(c=F(-2**65 - 1, 2**64 + 3), T=2)
+    @settings(max_examples=60, deadline=None)
+    def test_exp_ct_and_one_plus_t_pow(self, c, T):
+        for make in (exp_ct, one_plus_t_pow):
+            got, want = make(QQ, c, T), make(QQ, RatFunc.from_rat(c), T)
+            assert got.field is QQ and want.field is QL
+            assert got == _down(want)
+            assert all(type(v) is F for v in got.coeffs)
+
+    def test_builds_only_the_output_fractions(self, monkeypatch):
+        # over Q the kernels do no Fraction arithmetic: each Fraction they
+        # build is an output coefficient (a solved one, for the reversion,
+        # and a zero one where a terminating binomial stops)
+        c, four, T = F(-7, 3), F(4), 12
+        a, f = (exp_ct(QQ, c, T + 1) - 1).shift_div(1), log1p_series(QQ, T)
+        built = []
+        new = F.__new__
+        monkeypatch.setattr(F, "__new__",
+                            lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+        if hasattr(F, "_from_coprime_ints"):  # Fraction arithmetic from Python 3.12 on
+            coprime = F._from_coprime_ints
+            monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
+                lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
+        for run, made in [
+            (a.inverse, T), (f._revert_rows, T - 1),
+            (lambda: exp_ct(QQ, c, T), T), (lambda: one_plus_t_pow(QQ, c, T), T),
+            (lambda: one_plus_t_pow(QQ, four, T), 6),
+            (lambda: gen_binom(c, T), 2),  # the checked c, and C(c, T)
+        ]:
+            del built[:]
+            run()
+            assert len(built) == made
