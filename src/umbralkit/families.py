@@ -134,7 +134,7 @@ def gen_binom(c, m: int):
     """Generalized binomial coefficient C(c, m) = c(c-1)...(c-m+1)/m!: with
     c = p/q, the one Fraction p (p - q) .. (p - (m-1) q) / (q^m m!) of the
     running integer products of ``one_plus_t_pow`` over Q
-    (``series._running_products``), which stop at a zero numerator."""
+    (``series._running_products``)."""
     c, m = rational("c", c), nonnegative_integer("m", m)
     for n, d in _running_products(count(c.numerator, -c.denominator), c.denominator, m + 1):
         pass

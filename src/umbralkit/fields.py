@@ -33,7 +33,7 @@ denominators and runs the integer convolution.  Every other sum over Q is
 ``_qsum``: integer numerators n over positive integer denominators d,
 summed over a running lcm of the d's.  ``vec_dot`` feeds it the products
 of its entries' numerators and denominators; ``Series.inverse`` and the
-reversion's solve and round trip feed it integer weights times the reduced
+reversion's solve feed it integer weights times the reduced
 (numerator, denominator) pairs of the coefficients they have solved, and
 so do no ``Fraction`` arithmetic.  Either way each output is one
 ``Fraction``, so the gcd that normalises a rational runs once per output
@@ -226,13 +226,11 @@ def _qsum(terms):
     q, s = 1, 0
     for n, d in terms:
         if n:
-            k, r = divmod(q, d)
-            if r:  # q grows to lcm(q, d) = (q / g) d
+            if q % d:
                 g = _int_gcd(q, d)
-                k = q // g
                 s *= d // g
-                q = k * d
-            s += n * k
+                q = q // g * d
+            s += n * (q // d)
     return s, q
 
 

@@ -18,30 +18,28 @@ before it times the integer numerators of s (``fields._zmul``), reduced by
 the gcd of the row and its denominator, so the integers stay the size of
 s^k's coefficients in lowest terms.  The public ``powers`` makes canonical
 Fractions of the rows; the rest read the integer rows themselves.  Each
-table is built once per operation and passed down, never cached.
-``compose`` reads its table through ``_compose_rows`` (a prefix sum of the
-outer series per coefficient, packed over the outer's layout when the
-inner series is over Q).  ``_revert_rows`` solves for fbar over the rows
+table is built once per operation and passed down, never cached:
+``compose`` and the reversion's round trip share one body,
+``_compose_rows`` (a prefix sum of the outer series per coefficient, packed
+over the outer's layout when the inner series is over Q), which reads the
+table its caller gives it.  ``_revert_rows`` solves for fbar over the rows
 of s, builds fbar's table, checks the round trip s(fbar) = t over it and
 returns it with fbar; ``revert`` is that body, and the GF route of
 :mod:`umbralkit.umbral` reads the same checked table for its columns, which
 it sums against the pair's proven 1/g, so it composes nothing itself.  Over
-Q(L) the rows are the plain products and every dens[k] is 1, and the
-round trip is ``_compose_rows`` over fbar's table.
+Q(L) the rows are the plain products and every dens[k] is 1.
 
-Over Q the inverse, the reversion's solve and its round trip do no
-``Fraction`` arithmetic.  Each coefficient they solve for is kept as its
-reduced integer pair (numerator, denominator), not over the one denominator
-per vector of FLINT's ``fmpq_poly`` (W. Hart, ICMS 2010), which is the lcm
-of them all and can be far larger than any one of them.  Each
-coefficient is one sum of integer weights times those pairs over a running
-lcm of the denominators (``fields._qsum``, the sum of ``vec_dot`` over Q),
-and one ``Fraction`` of that sum is both the output coefficient and, read
-back, its reduced pair.  The round trip sums the integers of fbar's table
-the same way, one sum per power of t, and compares integers: it builds no
-Series and no Fraction.  ``exp_ct`` and ``one_plus_t_pow`` over Q make
-coefficient k as one Fraction of running integer products, as does
-``families.gen_binom`` (``_running_products``).
+Over Q the inverse and the reversion's solve do no ``Fraction``
+arithmetic.  Each coefficient they solve for is kept as its reduced integer
+pair (numerator, denominator), not over the one denominator per vector of
+FLINT's ``fmpq_poly`` (W. Hart, ICMS 2010), which is the lcm of them all
+and can be far larger than any one of them.  Each coefficient is one sum of
+integer weights times those pairs over a running lcm of the denominators
+(``fields._qsum``, the sum of ``vec_dot`` over Q), and one ``Fraction`` of
+that sum is both the output coefficient and, read back, its reduced pair.
+``exp_ct`` and ``one_plus_t_pow`` over Q make coefficient k as one Fraction
+of running integer products, as does ``families.gen_binom``
+(``_running_products``).
 
 The kernels' outputs (products, inverses, compositions, reversions,
 shifts, exp, log, and the S_n of the Sheffer routes) are made in their
@@ -77,7 +75,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, repeat, starmap
 from math import gcd, lcm
 from operator import mul
 
@@ -449,13 +447,10 @@ class Series(CoeffVector):
         Fraction; over Q(L) it is one ``vec_dot``.
 
         Before returning, the round trip s(fbar) = t is checked over fbar's
-        table for every m < T, and that same table is returned: the Sheffer
-        GF route (``umbral.sheffer_gf``) reads it for its columns, so it
-        builds no other table of fbar and reads none that the round trip
-        did not check.  Over Q, with s = F / d, the check is
-        sum_k F[k] frows[k][m] / fdens[k] = [m == 1] d, one ``_qsum`` per m
-        compared as integers; over Q(L) it is ``_compose_rows`` and
-        ``agrees``.
+        table (``_compose_rows``), and that same table is returned: the
+        Sheffer GF route (``umbral.sheffer_gf``) reads it for its columns,
+        so it builds no other table of fbar and reads none that the round
+        trip did not check.
         """
         T = self.trunc
         if T < 2:
@@ -476,15 +471,8 @@ class Series(CoeffVector):
                 c.append(((self.field.one if m == 1 else zero) - vec_dot(c[1:m], col, zero))
                          / rows[m][m])
         out = Series._raw(self.field, tuple(c))
-        table = fdens, frows = out._power_rows(T - 1)
-        if over_q:
-            d, F = _common_den(self.coeffs)  # d [t^m] s(fbar) = sum_k F[k] fbar^k[m]
-            sums = (_qsum(zip(map(mul, F, [row[m] for row in frows[: m + 1]]), fdens))
-                    for m in range(T))
-            ok = all(s == (d * q if m == 1 else 0) for m, (s, q) in enumerate(sums))
-        else:
-            ok = self._compose_rows(out, table).agrees(t_series(self.field, T))
-        if not ok:
+        table = out._power_rows(T - 1)
+        if not self._compose_rows(out, table).agrees(t_series(self.field, T)):
             raise NotDelta("reversion failed its round-trip check")
         return out, table
 
@@ -569,26 +557,17 @@ def monomial(field, k: int, T: int) -> Series:
 
 def _running_products(tops, q: int, T: int):
     """(t_1 t_2 .. t_k, q^k k!) for k = 0 .. T - 1, t_k the k-th of the
-    integers ``tops``: each pair one integer step from the last, unreduced.
-    The pairs stop after the first zero numerator, past which every
-    numerator is zero.  Over Q, coefficient k of e^{ct} and of (1+t)^c for
-    c = p/q, and ``families.gen_binom``, are one ``Fraction`` of such a
-    pair."""
+    integers ``tops``: each pair one integer step from the last, unreduced,
+    and the last pair again once its numerator is zero.  Over Q, coefficient
+    k of e^{ct} and of (1+t)^c for c = p/q, and ``families.gen_binom``, are
+    one ``Fraction`` of such a pair."""
     n = d = 1
     yield n, d
     for k, top in zip(range(1, T), tops):
-        n *= top
-        d *= q * k
+        if n:
+            n *= top
+            d *= q * k
         yield n, d
-        if not n:
-            return
-
-
-def _q_series(tops, q: int, T: int) -> Series:
-    """The series over Q whose t^k coefficient is t_1 .. t_k / (q^k k!)
-    (``_running_products``), one Fraction per coefficient."""
-    coeffs = tuple(Fraction(n, d) for n, d in _running_products(tops, q, T))
-    return Series._raw(QQ, coeffs + (QQ.zero,) * (T - len(coeffs)))
 
 
 def exp_ct(field, c, T: int) -> Series:
@@ -599,7 +578,8 @@ def exp_ct(field, c, T: int) -> Series:
     field = _field_with(field, c)
     c = field.coerce(c)
     if field is QQ:
-        return _q_series(repeat(c.numerator), c.denominator, _truncation("T", T))
+        pairs = _running_products(repeat(c.numerator), c.denominator, _truncation("T", T))
+        return Series._raw(QQ, tuple(starmap(Fraction, pairs)))
     out = [field.one]
     for k in range(1, _truncation("T", T)):
         out.append(out[-1] * c / k)
@@ -621,8 +601,9 @@ def one_plus_t_pow(field, c, T: int) -> Series:
     field = _field_with(field, c)
     c = field.coerce(c)
     if field is QQ:
-        return _q_series(count(c.numerator, -c.denominator), c.denominator,
-                         _truncation("T", T))
+        pairs = _running_products(count(c.numerator, -c.denominator), c.denominator,
+                                  _truncation("T", T))
+        return Series._raw(QQ, tuple(starmap(Fraction, pairs)))
     out = [field.one]
     for k in range(1, _truncation("T", T)):
         out.append(out[-1] * (c - (k - 1)) / k)

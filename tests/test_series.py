@@ -810,9 +810,10 @@ class TestQKernelsAgainstQL:
     def test_builds_only_the_output_fractions(self, monkeypatch):
         # over Q the kernels do no Fraction arithmetic: each Fraction they
         # build is an output coefficient (a solved one, for the reversion,
-        # and a zero one where a terminating binomial stops)
+        # with those its round trip builds)
         c, four, T = F(-7, 3), F(4), 12
         a, f = (exp_ct(QQ, c, T + 1) - 1).shift_div(1), log1p_series(QQ, T)
+        fbar, table = f._revert_rows()
         built = []
         new = F.__new__
         monkeypatch.setattr(F, "__new__",
@@ -821,12 +822,17 @@ class TestQKernelsAgainstQL:
             coprime = F._from_coprime_ints
             monkeypatch.setattr(F, "_from_coprime_ints", classmethod(
                 lambda cls, n, d: built.append((n, d)) or coprime(n, d)))
-        for run, made in [
-            (a.inverse, T), (f._revert_rows, T - 1),
-            (lambda: exp_ct(QQ, c, T), T), (lambda: one_plus_t_pow(QQ, c, T), T),
-            (lambda: one_plus_t_pow(QQ, four, T), 6),
-            (lambda: gen_binom(c, T), 2),  # the checked c, and C(c, T)
-        ]:
+
+        def built_by(run):
             del built[:]
             run()
-            assert len(built) == made
+            return len(built)
+
+        round_trip = built_by(lambda: f._compose_rows(fbar, table).agrees(t_series(QQ, T)))
+        for run, made in [
+            (a.inverse, T), (f._revert_rows, T - 1 + round_trip),
+            (lambda: exp_ct(QQ, c, T), T), (lambda: one_plus_t_pow(QQ, c, T), T),
+            (lambda: one_plus_t_pow(QQ, four, T), T),
+            (lambda: gen_binom(c, T), 2),  # the checked c, and C(c, T)
+        ]:
+            assert built_by(run) == made

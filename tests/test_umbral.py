@@ -1517,9 +1517,9 @@ class TestGFSumsOverGinv:
 class TestOneLayoutOfGinv:
     """A pair's 1/g is laid out once, in ``_proven_ginv`` under
     ``umbral._prepare``, and both routes pass that layout to
-    ``fields._prefix_sums``.  Neither route composes: the round trip of
-    the reversion of an f over Q is integer sums over fbar's table.  A DSL
-    pair, with no ginv, inverts g once for both routes, and that inverse is proven and laid out like a claimed
+    ``fields._prefix_sums``; the GF route composes only for the
+    reversion's round trip.  A DSL pair, with no ginv, inverts g once for
+    both routes, and that inverse is proven and laid out like a claimed
     ginv.  The pins count calls, so they hold on any host."""
 
     N = 10
@@ -1556,24 +1556,24 @@ class TestOneLayoutOfGinv:
         t_f = pair.f.shift_div(1)
         laid, composed, inverted = self._spy(monkeypatch)
         sheffer_gf(pair, self.N)
-        assert laid == [pair.g.coeffs, pair.ginv.coeffs]  # the proof
-        assert composed == [] and inverted == []
+        assert laid == [pair.g.coeffs, pair.ginv.coeffs, pair.f.coeffs]  # proof, round trip
+        assert composed == [pair.f] and inverted == []
         del composed[:], inverted[:]
         sheffer_transfer_all(pair, self.N)  # reads the proof the GF route made
         assert laid.count(pair.ginv.coeffs) == 1
-        assert laid == [pair.g.coeffs, pair.ginv.coeffs]
+        assert laid == [pair.g.coeffs, pair.ginv.coeffs, pair.f.coeffs]
         assert composed == [] and inverted == [t_f]
 
     def test_dsl_pair_inverts_g_once(self, monkeypatch):
-        # across both routes: one Q(L) inversion, of g, and no composition,
-        # since f is over Q; 1/g is laid out once, by its proof
+        # across both routes: one Q(L) inversion, of g, and one composition,
+        # the reversion's round trip; 1/g is laid out once, by its proof
         pair = dsl_pair("(exp(t)-L)/(1-L)", "log1p(t)", answer_trunc(self.N))
         assert pair.ginv is None and pair.g.field is QL
         ginv = pair.g.inverse()
         laid, composed, inverted = self._spy(monkeypatch)
         sheffer_gf(pair, self.N)
         sheffer_transfer_all(pair, self.N)
-        assert composed == []
+        assert composed == [pair.f]
         assert [s for s in inverted if s.field is QL] == [pair.g]
         assert laid.count(pair.g.coeffs) == laid.count(ginv.coeffs) == 1
 
@@ -1625,10 +1625,11 @@ class TestPreparedOnce:
         assert orthogonality_failure(pair, polys, self.N) is None
         assert proofs == [pair]
         assert laid.count(pair.g.coeffs) == laid.count(pair.ginv.coeffs) == 1
-        # a second GF call lays out nothing and proves nothing
+        # a second GF call lays out neither g nor ginv, only f for the
+        # reversion's round trip, and proves nothing
         del laid[:]
         assert sheffer_gf(pair, self.N) == polys
-        assert laid == [] and proofs == [pair]
+        assert laid == [pair.f.coeffs] and proofs == [pair]
 
     def test_a_fresh_equal_pair_proves_again(self, monkeypatch):
         pair, fresh = self._pair(answer_trunc(self.N)), self._pair(answer_trunc(self.N))
