@@ -39,37 +39,36 @@ so do no ``Fraction`` arithmetic.  Either way each output is one
 ``Fraction``, so the gcd that normalises a rational runs once per output
 instead of at every ``+=``.
 
-Every sum over Q(L) but the packed ones below is normalised in one place,
-``_ratfunc_dot``: a coefficient of a series product, an inverse, a
-composition with an inner series over Q(L), a reversion, a functional (all
-through ``vec_dot``), and ``a + b`` itself, the sum 1*a + 1*b.  Each
-product a_i*b_i is left unreduced (the N's, the q's and the D's
-multiplied); the numerators are summed over a running lcm of the q's and a
-running lcm of the D's, and ``_element`` at the end gives the canonical
-form, which is unique, so the value and every printed byte do not depend
-on how a sum is grouped.  Each lcm step (``_lcm_cofactors``) first tries
-exact division both ways with ``_zquo``, whose "no" is certain: the
+A Q(L) value is normalised in one place, ``_element``: ``_lowest_terms``
+divides out gcd(N, D), then one integer gcd of q and N's coefficients is
+divided out.  It is the tail of ``RatFunc.__init__``, of ``a * b`` (one
+``_element`` of the unreduced product Na*Nb / (qa*qb * Da*Db)), of every
+Q(L) sum, of ``_prefix_sums`` and of ``families._frobenius_g``.  The
+canonical form is unique, so the value and every printed byte do not depend
+on how a sum is grouped or on the factors a product shares.
+
+Every Q(L) sum is one common-denominator layout and one ``_element``
+(``_sum``).  ``vec_dot`` lays out the unreduced products of its nonzero
+terms with their integer weights: a coefficient of a series product, an
+inverse, a composition with an inner series over Q(L), a reversion and a
+functional are such dots.  ``a + b`` is the sum of the two terms.  An int
+or Fraction operand is a constant: its N is its numerator, its q its
+denominator and its D the polynomial 1.  Products are laid out, not
+operands: the lcm of the operands' own denominators overshoots each
+product's and sends ``_lowest_terms`` to the PRS gcd.
+
+The packed sums and the orthogonality check lay a whole Q or Q(L) vector out
+over one common denominator too, FLINT's ``fmpq_poly`` layout one level up,
+over Z[L]: entry i is num[i] / (q * den), a RatFunc's form with one q and
+den for the whole vector (``_lay_out``).  ``_common_form`` takes the one
+running lcm of Q(L) denominators: q is the lcm of the entries' q's, and den
+the running lcm of their D's.  Each lcm step (``_lcm_cofactors``) first
+tries exact division both ways with ``_zquo``, whose "no" is certain: the
 denominators are primitive, and by Gauss's lemma a quotient in Q[L] of a
 polynomial by a primitive one is integral, so an integer long division
 that meets an indivisible leading coefficient or leaves a remainder proves
 non-divisibility.  ``_zgcd`` runs only when neither denominator divides
-the other.  ``_element`` (``_lowest_terms``, then one integer gcd of q and
-N's coefficients) is also the tail of ``RatFunc.__init__``,
-``_prefix_sums`` and ``families._frobenius_g``, so canonical form is made
-in one function.
-
-An int or Fraction operand of ``_ratfunc_dot`` is a constant read as it
-is, with no ``RatFunc`` built for it: its N and D are the polynomial 1, its
-q is its denominator and its numerator joins the product's weight, so its
-products take the same running-lcm step as any other, and a zero product
-is skipped.
-
-The packed sums and the orthogonality check lay a whole Q or Q(L) vector out
-over one common denominator, FLINT's ``fmpq_poly`` layout one level up,
-over Z[L]: entry i is num[i] / (q * den), a RatFunc's form with one q and
-den for the whole vector (``_lay_out``: q is the lcm of the entries' q's,
-and the running lcm of their D's takes the same ``_lcm_cofactors`` step as
-``_ratfunc_dot``).
+the other.
 The layout also keeps the lcm of the denominators up to each entry, so a
 sum that uses only some entries can be divided by the cofactor of the ones
 it skips.  A numerator is packed into one Python int by Kronecker
@@ -110,14 +109,6 @@ table: it lays out g, f and each S_n once and packs the sums of Sheffer's
 two conditions, each from the entries of g and f that its S_n reaches, at
 a slot that only grows, so g and f are packed once per width.
 
-``RatFunc.__mul__`` is not a one-term ``_ratfunc_dot``: it keeps the cross
-gcds gcd(na, db) and gcd(nb, da) of its reduced operands, then divides out
-the integer gcd of q and N as ``_element`` does.  Most products
-have a constant factor, for which both cross gcds are free, while a gcd of
-the whole product's numerator and denominator runs a mod-p Euclid every
-time; as a one-term sum, products made the ``sheffer_q_lambda`` benchmark
-about 11% slower.
-
 Every series/polynomial in this package is parameterized by a field object
 (``QQ`` or ``QL``) that knows how to coerce scalars and render elements.
 Q is a subfield of Q(L): ``common_field`` gives Q(L) as the field of an
@@ -137,7 +128,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, repeat, zip_longest
 from math import comb, gcd as _int_gcd, isqrt, lcm
 from operator import mul
 
@@ -208,11 +199,19 @@ def vec_dot(a, b, zero=0, w=None):
     holds integer weights, all 1 when it is None.
 
     Over Q(L) (a RatFunc ``zero``; int and Fraction entries are taken as
-    constants) the sum is normalised once, by ``_ratfunc_dot``.  Otherwise
-    the entries are ints and Fractions, whose products are summed as integer
-    numerators over a running lcm of their denominators into one Fraction."""
+    constants) each nonzero term's product is left unreduced,
+    Na*Nb / (qa*qb * Da*Db), and ``_sum`` adds the products over their
+    common denominator and normalises once.  Otherwise the entries are ints
+    and Fractions, whose products are summed as integer numerators over a
+    running lcm of their denominators into one Fraction."""
     if isinstance(zero, RatFunc):
-        return _ratfunc_dot(a, b, w)
+        parts, ks = [], []
+        for x, y, k in zip(a, b, repeat(1) if w is None else w):
+            if x and y:
+                x, y = _coerce(x), _coerce(y)
+                parts.append((_zmul(x._n, y._n), x._q * y._q, _zmul(x._d, y._d)))
+                ks.append(k)
+        return _sum(parts, ks)
     return Fraction(*_qsum((k * x.numerator * y.numerator, x.denominator * y.denominator)
                            for x, y, k in zip(a, b, repeat(1) if w is None else w) if x and y))
 
@@ -528,7 +527,7 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        return _ratfunc_dot((self, other), (_RF_ONE, _RF_ONE))
+        return _sum(((self._n, self._q, self._d), (other._n, other._q, other._d)))
 
     __radd__ = __add__
 
@@ -551,19 +550,8 @@ class RatFunc:
         other = _coerce(other)
         if other is NotImplemented:
             return other
-        if not self._n or not other._n:
-            return _RF_ZERO
-        na, da = self._n, self._d
-        nb, db = other._n, other._d
-        g1 = _zgcd(na, db)
-        if len(g1) > 1:
-            na = _zquo(na, g1)
-            db = _zquo(db, g1)
-        g2 = _zgcd(nb, da)
-        if len(g2) > 1:
-            nb = _zquo(nb, g2)
-            da = _zquo(da, g2)
-        return _canonical(_zmul(na, nb), _zmul(da, db), self._q * other._q)
+        return _element(QL, _zmul(self._n, other._n), self._q * other._q,
+                        _zmul(self._d, other._d))
 
     __rmul__ = __mul__
 
@@ -638,55 +626,15 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def _ratfunc_dot(a, b, w=None) -> "RatFunc":
-    """``sum w[i] * a[i] * b[i]`` over Q(L) with one normalisation; int and
-    Fraction entries are constants, read as they are.
-
-    Each product is left unreduced: (na*nb) / ((qa*qb) * (da*db)).  The sum
-    is kept as num / (q * den), a running lcm q of the products' q's and a
-    running lcm den of their D's (all primitive, positive leads).  Each lcm
-    step of den tries exact division both ways (``_zquo``) and runs
-    ``_zgcd`` only when neither denominator divides the other.
-    ``_element`` at the end gives RatFunc's canonical form.
-    """
-    q, den, num = 1, _Z_ONE, []
-    for x, y, k in zip(a, b, repeat(1) if w is None else w):
-        if not x or not y:
-            continue
-        if isinstance(x, RatFunc):
-            nx, qx, dx = x._n, x._q, x._d
-        else:
-            nx, qx, dx, k = _Z_ONE, x.denominator, _Z_ONE, k * x.numerator
-        if isinstance(y, RatFunc):
-            ny, qy, dy = y._n, y._q, y._d
-        else:
-            ny, qy, dy, k = _Z_ONE, y.denominator, _Z_ONE, k * y.numerator
-        qi = qx * qy
-        # bring num / (q * den) and the term onto lcm(q, qi) * lcm(den, d)
-        g = _int_gcd(q, qi)
-        if g != qi:
-            num = [c * (qi // g) for c in num]
-            q = q // g * qi
-        den, m, mt = _lcm_cofactors(den, _zmul(dx, dy))
-        if m != _Z_ONE:
-            num = list(_zmul(num, m))
-        n = _zmul(_zmul(nx, ny), mt)
-        f = k * (q // qi)
-        if len(num) < len(n):
-            num += [0] * (len(n) - len(num))
-        for i, c in enumerate(n):
-            num[i] += c * f
-    return _element(QL, vec_trim(num), q, den)
-
-
 @lru_cache(maxsize=1024)
 def _lcm_cofactors(den, d):
     """(l, m, md) with l = lcm(den, d) = den * m = d * md, for primitive
     integer polynomials (tuples) with positive leads: exact division both
     ways (``_zquo``) first, ``_zgcd`` only when neither divides the other.
+    The lcm step of ``_common_form``, its only caller.
     Memoised: the Q(L) routes meet few distinct pairs (74 in 1 870 calls
     over the 60 operations ``sheffer_q_lambda`` draws from, after
-    ``_lay_out`` skips the 4 730 of its 6 600 entries whose d is the
+    ``_common_form`` skips the 4 730 of its 6 600 entries whose d is the
     running lcm already)."""
     if d == den:
         return den, _Z_ONE, _Z_ONE
@@ -850,14 +798,27 @@ class _Layout:
 
 def _lay_out(c, w=None) -> _Layout:
     """The layout of the entries w[i] * c[i] (w integer weights, all 1 when
-    None; int and Fraction entries are constants)."""
-    parts = [(x._n, x._q, x._d) if isinstance(x, RatFunc)
-             else ((x.numerator,) if x else (), x.denominator, _Z_ONE) for x in c]
+    None; int and Fraction entries are constants).  Each entry is read
+    inline as its (N, q, D), which ``_common_form`` lays out: the Sheffer
+    routes lay out every pair, and a helper call per entry timed the 60
+    operations ``sheffer_q_lambda`` draws from about 7% slower."""
+    return _Layout(*_common_form([(x._n, x._q, x._d) if isinstance(x, RatFunc)
+                                  else ((x.numerator,) if x else (), x.denominator, _Z_ONE)
+                                  for x in c], w))
+
+
+def _common_form(parts, w=None) -> tuple:
+    """(num, q, den, dens, cofactors) of ``_Layout`` for the entries
+    w[i] * N / (q' * D) over the (N, q', D) of ``parts`` (w integer weights,
+    all 1 when None; D primitive with positive lead).  This is the one
+    running lcm of Q(L) denominators: q is the lcm of the q's, and den the
+    lcm of the D's, one ``_lcm_cofactors`` step per entry whose D is not
+    the lcm so far."""
     q = lcm(*[qi for _, qi, _ in parts])
     ks = [q // qi for _, qi, _ in parts]
     if w is not None:
         ks = [k * x for k, x in zip(ks, w)]
-    den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(c), [_Z_ONE] * len(c), [()] * len(c)
+    den, dens, steps, own = _Z_ONE, [_Z_ONE] * len(parts), [_Z_ONE] * len(parts), [()] * len(parts)
     # a unit cofactor, as most are, skips its product
     for i, (n, _, d) in enumerate(parts):
         md = _Z_ONE
@@ -865,15 +826,23 @@ def _lay_out(c, w=None) -> _Layout:
             den, steps[i], md = _lcm_cofactors(den, d)
         dens[i], own[i] = den, n if md == _Z_ONE else _zmul(n, md)
     # entry i is own[i] / dens[i]; the lcm steps after it bring it onto den
-    num, cofactors, cof = [()] * len(c), [_Z_ONE] * len(c), _Z_ONE
-    for i in range(len(c) - 1, -1, -1):
+    num, cofactors, cof = [()] * len(parts), [_Z_ONE] * len(parts), _Z_ONE
+    for i in range(len(parts) - 1, -1, -1):
         cofactors[i] = cof
         if own[i]:
             t = own[i] if cof == _Z_ONE else _zmul(own[i], cof)
             num[i] = tuple([ks[i] * a for a in t])
         if steps[i] != _Z_ONE:
             cof = _zmul(cof, steps[i])
-    return _Layout(num, q, den, dens, cofactors)
+    return num, q, den, dens, cofactors
+
+
+def _sum(parts, w=None) -> RatFunc:
+    """sum w[i] * N / (q * D) over the (N, q, D) of ``parts``, as
+    ``_common_form`` takes them: the numerators over the common denominator
+    are added, and one ``_element`` normalises the sum."""
+    num, q, den, _, _ = _common_form(parts, w)
+    return _element(QL, vec_trim([sum(c) for c in zip_longest(*num, fillvalue=0)]), q, den)
 
 
 def _dot_bound(a: _Layout, b: _Layout) -> int:
@@ -925,7 +894,9 @@ def _prefix_sums(a, cols, dens, field, layout: _Layout | None = None) -> list:
 def _element(field, num, q: int, den):
     """num / (q * den) in ``field``'s canonical form, for an integer
     polynomial num (over Q, a constant), q >= 1 and den primitive with
-    positive lead (over Q, (1,))."""
+    positive lead (over Q, (1,)).  The one normaliser of a Q(L) value:
+    ``_lowest_terms`` divides out gcd(num, den), and gcd(q, content num) is
+    divided out of q and num."""
     if not num:
         return field.zero
     if field is QQ:
@@ -934,12 +905,6 @@ def _element(field, num, q: int, den):
     # sheffer_q_lambda universe, is prime to every num
     if len(den) > 1:
         num, den = _lowest_terms(num, den)
-    return _canonical(num, den, q)
-
-
-def _canonical(num, den, q: int) -> RatFunc:
-    """The RatFunc num / (q * den) for coprime num and den, den primitive
-    with positive lead: gcd(q, content num) is divided out of both."""
     g = _int_gcd(q, *num)
     if g != 1:
         num, q = tuple([c // g for c in num]), q // g

@@ -312,8 +312,9 @@ class Series(CoeffVector):
         -sum_i A_i out[k - i] / A_0: one ``fields._qsum`` of the integer
         weights A_i against the reduced pairs of out, and one Fraction,
         whose numerator and denominator the later sums read.  Over Q(L) it
-        is one ``vec_dot``; for a_0 = 1, as for every pair's g, the sum is
-        only negated."""
+        is one ``vec_dot``; for a_0 = 1 the sum is only negated.  Every
+        registry pair carries a proven 1/g, so the only g a Sheffer route
+        inverts is a DSL pair's, such as (e^t - L)/(1 - L), whose a_0 is 1."""
         a, zero = self.coeffs, self.field.zero
         if not a[0]:
             raise NotInvertible("series has zero constant term")

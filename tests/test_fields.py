@@ -195,7 +195,7 @@ class TestCanonicalForm:
         values = [RatFunc((1, 2), (3, 4)), RatFunc(a, b), a * b, a * 3, b * c, -a,
                   a.reciprocal(), a + b, a - c, a / b, 2 / a, a ** 3, b ** -2,
                   fields._element(QL, (2, 4), 6, (3, 1)),
-                  fields._ratfunc_dot(entries, entries[::-1])]
+                  vec_dot(entries, entries[::-1], QL.zero)]
         fields._lay_out(entries, [1, 2, 3, 4, 5])
         assert built == []
         assert values[-2] == F(1, 3) * (1 + 2 * L) / (L + 3)
@@ -387,15 +387,24 @@ def _pow(base, k):
 
 
 def _plain_dot(a, b, w=None):
-    acc = QL.zero
+    """sum w[i] * a[i] * b[i] built as ``_sum_form`` builds a sum, by no
+    Q(L) arithmetic: the Q-polynomial numerators and denominators are
+    cross-multiplied with ``vec_mul`` and ``vec_add``, and one
+    ``RatFunc(num, den)`` is made at the end."""
+    num, den = (F(0),), (F(1),)
     for i, (x, y) in enumerate(zip(a, b)):
-        acc += (1 if w is None else w[i]) * x * y
-    return acc
+        (nx, dx), (ny, dy) = _as_q_fraction(x), _as_q_fraction(y)
+        k = 1 if w is None else w[i]
+        d = vec_mul(dx, dy)
+        num = vec_add(vec_mul(num, d), vec_mul([k * c for c in vec_mul(nx, ny)], den))
+        den = vec_mul(den, d)
+    return RatFunc(num, den)
 
 
 def _same_form(x, y):
-    """Structural equality of canonical forms N / (q * D): (N, q, D)."""
-    return (x._n, x._q, x._d) == (y._n, y._q, y._d)
+    """Structural equality of canonical forms N / (q * D), (N, q, D), of
+    which the first is reduced: gcd(N, D) = 1 by the plain PRS."""
+    return (x._n, x._q, x._d) == (y._n, y._q, y._d) and _zgcd_prs(x._n, x._d) == (1,)
 
 
 def _as_q_fraction(v):
@@ -460,7 +469,8 @@ class TestAdd:
 
 
 class TestVecDot:
-    """``vec_dot`` over Q(L), one normalisation, against the ``+=`` loop."""
+    """``vec_dot`` over Q(L), one normalisation, against ``_plain_dot``, which
+    cross-multiplies over Q and reads no Q(L) kernel."""
 
     @given(a=_planted_terms(), b=_planted_terms())
     @settings(max_examples=150, deadline=None)
@@ -604,7 +614,7 @@ def _agrees_at_points(got, a, b, w=None):
 class TestQLambdaKernel:
     """``vec_dot`` and ``vec_mul`` over Q(L) on int and Fraction operands and
     on zero entries, which take the same path as any other: against the same
-    sums with every operand a RatFunc, and against the ``+=`` loop."""
+    sums with every operand a RatFunc, and against ``_plain_dot``."""
 
     @given(a=_planted_terms(), b=st.one_of(_planted_terms(), _q_entries()),
            w=st.none() | st.lists(st.integers(-30, 30), min_size=8))

@@ -40,7 +40,7 @@ from umbralkit import (
     FamilySpec,
 )
 
-from umbralkit import fields, umbral
+from umbralkit import families, fields, identities, series, umbral
 from umbralkit.families import SCHEMAS
 from umbralkit.record import Record
 from umbralkit.fields import (
@@ -1576,6 +1576,54 @@ class TestOneLayoutOfGinv:
         assert composed == [pair.f]
         assert [s for s in inverted if s.field is QL] == [pair.g]
         assert laid.count(pair.g.coeffs) == laid.count(ginv.coeffs) == 1
+
+
+# ---------------------------------------------------------------------------
+# a registry pair over Q(L) runs no element arithmetic over Q(L)
+# ---------------------------------------------------------------------------
+
+
+class TestNoQLambdaElementArithmetic:
+    """A registry pair over Q(L), built as the ``sheffer_q_lambda`` benchmark
+    builds it, runs both routes and the orthogonality check with no
+    ``RatFunc`` operator and no ``vec_dot`` over Q(L): its Q(L) work is the
+    packed layouts and ``fields._element``.  ``fields`` keeps one Q(L) sum
+    for the element arithmetic of DSL pairs and ``expand``, at a cost per
+    call that this path does not pay; if this test fails, that trade-off
+    has to be measured again.  The pins count calls, so they hold on any
+    host."""
+
+    N = 10
+    OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__", "reciprocal")
+
+    def test_registry_pair_routes(self, monkeypatch):
+        pair = bespoke_pair("T6", 22, order=2, c=F(1, 3), lam=None)
+        assert pair.g.field is QL
+        ran, dots = [], []
+
+        def counted(name, method):
+            def wrapper(*args):
+                ran.append(name)
+                return method(*args)
+            return wrapper
+
+        def counted_dot(a, b, zero=0, w=None):
+            if isinstance(zero, RatFunc):
+                dots.append(zero)
+            return vec_dot(a, b, zero, w)
+
+        for name in self.OPERATORS:
+            monkeypatch.setattr(RatFunc, name, counted(name, RatFunc.__dict__[name]))
+        for module in (fields, series, umbral, families, identities):
+            monkeypatch.setattr(module, "vec_dot", counted_dot)
+        polys = sheffer_gf(pair, self.N)
+        assert sheffer_transfer_all(pair, self.N) == polys[1:]
+        assert orthogonality_failure(pair, polys, self.N) is None
+        assert ran == [] and dots == []
+        # the spies see element arithmetic when it runs
+        assert (LAMBDA + 1) * LAMBDA and series.vec_dot([LAMBDA], [LAMBDA], QL.zero)
+        assert ran == ["__add__", "__mul__"] and dots == [QL.zero]
 
 
 # ---------------------------------------------------------------------------
