@@ -29,7 +29,8 @@ of them in 2 888 normalisations).
 
 Sums over Q run on integers.  ``vec_mul`` follows FLINT's ``fmpq_poly``
 layout: it brings each operand to integers over the lcm of its
-denominators and runs the integer convolution.  Every other sum over Q is
+denominators (``_common_den``, one ``math.lcm``) and runs the integer
+convolution.  Every other sum over Q is
 ``_qsum``: integer numerators n over positive integer denominators d,
 summed over a running lcm of the d's.  ``vec_dot`` feeds it the products
 of its entries' numerators and denominators; ``Series.inverse`` and the
@@ -119,9 +120,10 @@ anything a field's ``coerce`` cannot take as one of its elements.
 
 This module also holds the coefficient-vector kernels that ``RatFunc``'s
 integer polynomials, ``Series`` and ``Poly`` share (``vec_add``,
-``vec_mul``, ``vec_dot``, ``vec_horner``, ``vec_trim``) and the one term
-formatter, ``format_terms``, behind every "coefficient * var^k" string,
-plain or LaTeX.
+``vec_mul``, ``vec_dot``, ``vec_horner``, ``vec_trim``), the one
+repeated-squaring loop of ``RatFunc ** n`` and ``Series.pow_int``
+(``_binary_power``), and the one term formatter, ``format_terms``, behind
+every "coefficient * var^k" string, plain or LaTeX.
 """
 
 from __future__ import annotations
@@ -236,11 +238,23 @@ def _qsum(terms):
 def _common_den(c):
     """(d, integers) with c[i] = integers[i] / d and d the lcm of the
     denominators of the ints and Fractions in c."""
-    d = 1
-    for x in c:
-        if d % x.denominator:
-            d = d // _int_gcd(d, x.denominator) * x.denominator
+    d = lcm(*[x.denominator for x in c])
     return d, [x.numerator * (d // x.denominator) for x in c]
+
+
+def _binary_power(base, n: int):
+    """base ** n for an int n >= 1 by repeated squaring, the right-to-left
+    binary method (Knuth, *TAOCP* vol. 2, section 4.6.3): at most
+    2 log2(n) products, and none by a unit, since the first factor is taken
+    as it is.  The one loop of ``RatFunc.__pow__`` and ``Series.pow_int``."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def vec_horner(c, x, acc):
@@ -577,21 +591,13 @@ class RatFunc:
         return other.__mul__(self.reciprocal())
 
     def __pow__(self, n: int):
+        """self ** n for an int n with |n| <= MAX_PAIR_TRUNC: 1 for n = 0, and
+        otherwise ``_binary_power`` of self, or of its reciprocal for n < 0."""
         if abs(integer_order("exponent", n)) > MAX_PAIR_TRUNC:
             raise DomainError(f"|exponent| must be <= {MAX_PAIR_TRUNC}, got {n}")
-        if n < 0:
-            base = self.reciprocal()
-            n = -n
-        else:
-            base = self
-        out = _RF_ONE
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if n == 0:
+            return _RF_ONE
+        return _binary_power(self.reciprocal() if n < 0 else self, abs(n))
 
     # comparison / hashing --------------------------------------------------------
 
@@ -916,10 +922,26 @@ def _element(field, num, q: int, den):
 # ---------------------------------------------------------------------------
 
 
-class RationalField:
+class _Field:
+    """What Q and Q(L) share: an element's text is its ``str``, and the
+    repr, a pickle and a copy of a field object are the module's one object
+    by the name ``_name``."""
+
+    def to_str(self, v) -> str:
+        return str(v)
+
+    def __repr__(self):
+        return self._name
+
+    def __reduce__(self):
+        return self._name
+
+
+class RationalField(_Field):
     """Q with Fraction elements."""
 
     name = "Q"
+    _name = "QQ"
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -932,20 +954,12 @@ class RationalField:
             return v.as_rat()
         raise DomainError(f"cannot coerce {v!r} into Q")
 
-    def to_str(self, v) -> str:
-        return str(v)
 
-    def __repr__(self):
-        return "QQ"
-
-    def __reduce__(self):  # a pickle or copy is the module's one field object
-        return "QQ"
-
-
-class LambdaField:
+class LambdaField(_Field):
     """Q(L) with RatFunc elements."""
 
     name = "Q(L)"
+    _name = "QL"
     zero = _RF_ZERO
     one = _RF_ONE
 
@@ -955,15 +969,6 @@ class LambdaField:
         if isinstance(v, (int, float, Fraction)):
             return RatFunc.from_rat(rational("coefficient", v))
         raise DomainError(f"cannot coerce {v!r} into Q(L)")
-
-    def to_str(self, v) -> str:
-        return str(v)
-
-    def __repr__(self):
-        return "QL"
-
-    def __reduce__(self):  # a pickle or copy is the module's one field object
-        return "QL"
 
 
 QQ = RationalField()

@@ -91,8 +91,8 @@ from .errors import (
     nonnegative_integer,
 )
 from .fields import (
-    QL, QQ, RatFunc, _common_den, _prefix_sums, _qsum, _zmul, common_field, format_terms,
-    latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
+    QL, QQ, RatFunc, _binary_power, _common_den, _prefix_sums, _qsum, _zmul, common_field,
+    format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
 )
 
 __all__ = [
@@ -353,21 +353,12 @@ class Series(CoeffVector):
         return Series(self.field, (self.field.zero,) * k + self.coeffs[: self.trunc - k])
 
     def pow_int(self, n: int) -> "Series":
-        """Integer power; negative n needs an invertible base."""
+        """Integer power; negative n needs an invertible base.  1 for n = 0,
+        and otherwise ``fields._binary_power`` of the series, or of its
+        inverse for n < 0."""
         if integer_order("n", n) == 0:
             return one(self.field, self.trunc)
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        out = None
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _binary_power(self.inverse() if n < 0 else self, abs(n))
 
     def _power_rows(self, n: int):
         """(dens, rows) with s^k = rows[k] / dens[k] for k = 0 .. n, each row
@@ -408,6 +399,8 @@ class Series(CoeffVector):
     def compose(self, inner: "Series") -> "Series":
         """outer(inner(t)); inner must have order >= 1: ``_compose_rows``
         over the power table of inner cut to the shorter truncation."""
+        if not isinstance(inner, Series):
+            raise DomainError(f"compose needs a Series, got {type(inner).__name__}")
         if inner.order() == 0:
             raise CompositionOrder("inner series has a nonzero constant term")
         T = min(self.trunc, inner.trunc)
@@ -684,6 +677,9 @@ class Poly(CoeffVector):
         return vec_horner(self.coeffs, field.coerce(at), field.zero)
 
     def compose(self, inner: "Poly") -> "Poly":
+        """p(inner(x)); ``eval`` is the form for a scalar."""
+        if not isinstance(inner, Poly):
+            raise DomainError(f"compose needs a Poly, got {type(inner).__name__}")
         return vec_horner(self.coeffs, inner, Poly(self.field))
 
     def shift_arg(self, s) -> "Poly":

@@ -121,21 +121,18 @@ def functional_apply(f: Series, p: Poly):
 def operator_apply(f: Series, p: Poly) -> Poly:
     """f(t) p(x) = sum_k f[k] p^(k)(x); t^k acts as d^k/dx^k, so the x^j
     coefficient is sum_k f[k] (j+k)!/j! p[j+k], one prefix sum of f
-    (``fields._prefix_sums``).  Over Q, m! p[m] = P[m] / d with integers P,
-    and the sum is of P[j:] over j! d, packed; over Q(L) it is of RatFuncs
-    weighted (j+k)!/j!."""
+    (``fields._prefix_sums``) per j.  With m! p[m] = P[m] / d, the sum is
+    of the column P[j:] over j! d.  Over Q, P holds integers over the lcm d
+    of p's denominators, and the sums are packed; over Q(L), P holds
+    RatFuncs over d = 1, and each sum is one dot product and one division
+    by j!."""
     _check_apply("operator", f, p)
     field, n = common_field(f.field, p.field), len(p.coeffs)
     fact = _factorials(n)
-    if p.field is QQ:
-        d, P = _common_den(p.coeffs)
-        P = list(map(mul, fact, P))
-        cols, dens = [P[j:] for j in range(n)], [e * d for e in fact]
-    else:
-        cols = [[x * (fact[j + k] // fact[j]) for k, x in enumerate(p.coeffs[j:])]
-                for j in range(n)]
-        dens = [1] * n
-    return Poly(field, _prefix_sums(f.coeffs[:n], cols, dens, field))
+    d, P = _common_den(p.coeffs) if p.field is QQ else (1, p.coeffs)
+    P = list(map(mul, fact, P))
+    return Poly(field, _prefix_sums(f.coeffs[:n], [P[j:] for j in range(n)],
+                                    [e * d for e in fact], field))
 
 
 def _check_apply(what: str, f, p) -> None:
@@ -339,19 +336,13 @@ def sheffer_gf(pair: ShefferPair, n_max: int) -> list[Poly]:
     fact = _factorials(n_max + 1)
     cols, dens = [], []
     # column (n, j) pairs ginv[k] with n! fbar^(j+k)[n] = X[j + k] / row_dens[j + k]
-    # over E j!, E = lcms[j][n - j] the lcm of row_dens[j .. n]; quots[j]
-    # holds E // row_dens[j .. n], made afresh only when E grows
+    # over E j!, E = lcms[j][n - j] the lcm of row_dens[j .. n]
     lcms = [list(accumulate(row_dens[j:], lcm)) for j in range(n_max + 1)]
-    quots = [[] for _ in range(n_max + 1)]
     for n in range(n_max + 1):
         X = [fact[n] * row[n] for row in rows[: n + 1]]
         for j in range(n + 1):
             E = lcms[j][n - j]
-            if n > j and E == lcms[j][n - j - 1]:
-                quots[j].append(E // row_dens[n])
-            else:
-                quots[j] = [E // d for d in row_dens[j : n + 1]]
-            cols.append(list(map(mul, quots[j], X[j:])))
+            cols.append([E // e * x for e, x in zip(row_dens[j : n + 1], X[j:])])
             dens.append(E * fact[j])
     values = _prefix_sums(ginv.coeffs, cols, dens, pair.field, layout)
     return [Poly._raw(pair.field, vec_trim(values[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]))

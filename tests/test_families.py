@@ -668,6 +668,15 @@ def test_bad_degree_is_domain_error(call):
         lambda: (1 + LAMBDA) ** (2**63),
         lambda: (1 + LAMBDA) ** -(2**63),
         lambda: binom(2**63, 2**62),
+        lambda: exp_ct(QQ, 1, 4).compose(3),
+        lambda: exp_ct(QQ, 1, 4).compose(None),
+        lambda: exp_ct(QQ, 1, 4).compose(Poly(QQ, [0, 1])),
+        lambda: Poly(QQ, [1, 2]).compose(None),
+        lambda: Poly(QQ, [1, 2]).compose("x"),
+        lambda: Poly(QQ, [1, 2]).compose(t_series(QQ, 4)),
+        lambda: Poly(QQ, [1, 2]).compose({}),
+        lambda: Poly(QQ, [1, 2]).compose(QQ),
+        lambda: Poly(QQ, [1, 2]).compose(3),
     ],
     ids=["frobenius_euler_lam", "narumi_value_shift", "poisson_charlier_a", "bernoulli_2nd_shift",
          "bernoulli_value_at", "bernoulli_number_order", "bernoulli_poly_order", "stirling2_k",
@@ -697,7 +706,10 @@ def test_bad_degree_is_domain_error(call):
          "bernoulli_number_n_huge", "exp_ct_T_huge", "falling_factorial_degree_huge",
          "euler_poly_n_huge", "narumi_poly_n_huge", "gen_binom_m_huge",
          "poisson_charlier_n_huge", "one_plus_t_pow_T_huge", "log1p_series_T_huge",
-         "ratfunc_pow_huge", "ratfunc_pow_negative_huge", "binom_n_huge"],
+         "ratfunc_pow_huge", "ratfunc_pow_negative_huge", "binom_n_huge",
+         "series_compose_int", "series_compose_none", "series_compose_poly",
+         "poly_compose_none", "poly_compose_text", "poly_compose_series", "poly_compose_dict",
+         "poly_compose_field", "poly_compose_int"],
 )
 def test_bad_argument_is_domain_error(call):
     # under a wall-clock limit, 100 times what any case takes: a call that

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbralkit import DomainError, EvalPole, LAMBDA, QL, QQ, RatFunc
+from umbralkit import DivisionByZero, DomainError, EvalPole, LAMBDA, QL, QQ, RatFunc, Series
 from umbralkit import fields
 from umbralkit.fields import (
     _P, _coprime_mod_p, _lay_out, _lcm_cofactors, _linear_power, _lowest_terms, _pack,
     _slot_width, _unpack, _zgcd, _zgcd_prs, _zprimitive, _zquo, latex_scalar, vec_add,
     vec_dot, vec_mul, vec_trim,
 )
+
+from umbralkit.series import one, zero
 
 from conftest import fractions, ratfuncs
 
@@ -86,6 +88,24 @@ class TestRatFunc:
         assert v ** 2 == v * v
         assert v ** 0 == RatFunc(1)
         assert v ** -1 == 1 / v
+        # RatFunc ** n and Series.pow_int share one squaring loop: both against
+        # the plain product of |n| factors, over Q and Q(L), for n in -6 .. 9
+        cases = [(RatFunc(F(-2, 3)), RatFunc(1), RatFunc.reciprocal, pow),
+                 (v, RatFunc(1), RatFunc.reciprocal, pow),
+                 (Series(QQ, [F(1, 2), 3, F(-1, 5), 0, 7]), one(QQ, 5), Series.inverse,
+                  Series.pow_int),
+                 (Series(QL, [1 - L, L, 0, F(1, 3)]), one(QL, 4), Series.inverse,
+                  Series.pow_int)]
+        for base, unit, invert, power in cases:
+            for n in range(-6, 10):
+                want, factor = unit, invert(base) if n < 0 else base
+                for _ in range(abs(n)):
+                    want = want * factor
+                assert power(base, n) == want, (base, n)
+        assert RatFunc(0) ** 0 == 1
+        assert zero(QQ, 3).pow_int(0) == one(QQ, 3)
+        with pytest.raises(DivisionByZero):
+            RatFunc(0) ** -1
 
     def test_nested_ratfunc_is_num_over_den(self):
         v = 1 / (1 + L)
