@@ -33,12 +33,12 @@ denominators (``_common_den``, one ``math.lcm``) and runs the integer
 convolution.  Every other sum over Q is
 ``_qsum``: integer numerators n over positive integer denominators d,
 summed over a running lcm of the d's.  ``vec_dot`` feeds it the products
-of its entries' numerators and denominators; ``Series.inverse`` and the
-reversion's solve feed it integer weights times the reduced
-(numerator, denominator) pairs of the coefficients they have solved, and
-so do no ``Fraction`` arithmetic.  Either way each output is one
-``Fraction``, so the gcd that normalises a rational runs once per output
-instead of at every ``+=``.
+of its entries' numerators and denominators; ``series._forward_solve``, the
+one solve of ``Series.inverse``, the reversion, ``exp`` and ``log``, feeds
+it integer weights times the reduced (numerator, denominator) pairs of the
+coefficients it has solved, and so does no ``Fraction`` arithmetic.
+Either way each output is one ``Fraction``, so the gcd that normalises a
+rational runs once per output instead of at every ``+=``.
 
 A Q(L) value is normalised in one place, ``_element``: ``_lowest_terms``
 divides out gcd(N, D), then one integer gcd of q and N's coefficients is
@@ -50,13 +50,14 @@ on how a sum is grouped or on the factors a product shares.
 
 Every Q(L) sum is one common-denominator layout and one ``_element``
 (``_sum``).  ``vec_dot`` lays out the unreduced products of its nonzero
-terms with their integer weights: a coefficient of a series product, an
-inverse, a composition with an inner series over Q(L), a reversion and a
-functional are such dots.  ``a + b`` is the sum of the two terms.  An int
-or Fraction operand is a constant: its N is its numerator, its q its
-denominator and its D the polynomial 1.  Products are laid out, not
-operands: the lcm of the operands' own denominators overshoots each
-product's and sends ``_lowest_terms`` to the PRS gcd.
+terms with their integer weights: a coefficient of a series product, of
+a composition with an inner series over Q(L) and of the one solve of an
+inverse, a reversion, exp and log, and a functional, are such dots.
+``a + b`` is the sum of the two terms.  An int or Fraction operand is a
+constant: its N is its numerator, its q its denominator and its D the
+polynomial 1.  Products are laid out, not operands: the lcm of the
+operands' own denominators overshoots each product's and sends
+``_lowest_terms`` to the PRS gcd.
 
 The packed sums and the orthogonality check lay a whole Q or Q(L) vector out
 over one common denominator too, FLINT's ``fmpq_poly`` layout one level up,
@@ -218,13 +219,13 @@ def vec_dot(a, b, zero=0, w=None):
                            for x, y, k in zip(a, b, repeat(1) if w is None else w) if x and y))
 
 
-def _qsum(terms):
+def _qsum(terms, q=1):
     """(s, q) with s / q the sum of n / d over the integer pairs (n, d) of
     ``terms``, each d > 0: the n's are summed over a running lcm q of the
-    d's of the nonzero n's, so the gcd that reduces a rational runs once,
-    when the caller makes its ``Fraction(s, q)``.  The one sum over Q of
-    ``vec_dot``, ``Series.inverse`` and ``Series._revert_rows``."""
-    q, s = 1, 0
+    given q and the d's of the nonzero n's, so the gcd that reduces a
+    rational runs once, when the caller makes its ``Fraction(s, q)``.  The
+    one sum over Q of ``vec_dot`` and ``series._forward_solve``."""
+    s = 0
     for n, d in terms:
         if n:
             if q % d:
@@ -240,6 +241,12 @@ def _common_den(c):
     denominators of the ints and Fractions in c."""
     d = lcm(*[x.denominator for x in c])
     return d, [x.numerator * (d // x.denominator) for x in c]
+
+
+def _cleared(field, c):
+    """(d, C) with c = C / d: ``_common_den`` over Q, and (1, c) over Q(L),
+    whose entries stay RatFuncs."""
+    return _common_den(c) if field is QQ else (1, c)
 
 
 def _binary_power(base, n: int):

@@ -32,7 +32,9 @@ Most checks take one of two forms, each built by one helper:
   each P_k against the transfer route of (g, t), a failure indexed (k, j),
   and the x^m coefficient of s_n by the transfer route against
   C(n-1, n-m) c(n, n-m), over Q since f is free of L, a failure indexed
-  (n, m); j and m are powers of x;
+  (n, m); j and m are powers of x.  P and the pair's g are read from one
+  kept table, so :func:`_connection` also checks g against a plain
+  construction, a failure indexed (0, m) for t^m;
 * a triangle (C5, T7, R35, T9): two scalar formulas lhs(n, l) and
   rhs(n, l), compared by :func:`_triangle` for 1 <= n <= n_max, 0 <= l < n.
 
@@ -81,7 +83,7 @@ from .families import (
     stirling1,
     stirling2,
 )
-from .series import Poly, _kept, exp_ct, log1p_series, one, one_plus_t_pow, t_series
+from .series import Poly, Series, _kept, exp_ct, log1p_series, one, one_plus_t_pow, t_series
 from .fields import QQ, vec_dot
 from .record import Record
 from .umbral import ShefferPair, answer_trunc, sheffer_transfer_all
@@ -176,7 +178,7 @@ def b2_convolution(n: int, l: int, c) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _connection(basis, coef):
+def _connection(basis, coef, plain_g):
     """The check of a pair tag whose sequence is written in the basis of a
     named Appell family P with the tag's own g, S_n = sum_{l<n} C(n-1, l)
     coef(p, n, l) P_{n-l}.  By the connection-constants theorem that holds
@@ -188,7 +190,13 @@ def _connection(basis, coef):
       sequence of f, against C(n-1, l) coef(p, n, l), indexed (n, n - l)
       and compared over Q.
 
-    The triples come n by n, P_n's before s_n's."""
+    The basis and the pair's g come from one kept builder, so a builder
+    wrong the same way on both sides passes the basis half.  So the pair's
+    g through t^min(T - 1, 7) is also compared with plain_g(p, min(T, 8)),
+    the same series made by the Series kernel alone, reading no kept table,
+    indexed (0, m) for t^m, an index no half uses.
+
+    The triples come n by n, P_n's before s_n's, and g's last."""
 
     def check(pair, p, n_max):
         T = pair.g.trunc
@@ -198,7 +206,9 @@ def _connection(basis, coef):
         s = _route_vs(ShefferPair(one(QQ, T), pair.f), n_max, [
             Poly(QQ, [0, *[binom(n - 1, l) * coef(p, n, l) for l in range(n)][::-1]])
             for n in range(1, n_max + 1)])
-        return sorted([*P, *s], key=lambda triple: triple[0][0])
+        g = plain_g(p, min(T, 8)).coeffs
+        return [*sorted([*P, *s], key=lambda triple: triple[0][0]),
+                *(((0, m), pair.g.coeffs[m], c) for m, c in enumerate(g))]
 
     return check
 
@@ -232,6 +242,27 @@ def _fte_basis(p, k):
 
 def _bernoulli_basis(p, k):
     return bernoulli_poly(p["a"], k)
+
+
+# the plain g of each basis: a power of a series with constant term 1, made
+# by exp_ct or its coefficients 1/(k+1)!, and ``pow_field``, exp(a log), so
+# that a negative a takes no Q(L) inverse, as no check over Q(L) does
+
+def _fe_g(p, T, rate=False):
+    # ((e^(ut) - lambda)/(1 - lambda))^a, u = lambda - 1 when rate, else 1;
+    # T4's Euler g is lambda = -1
+    lam = _lam_element(p.get("lam", -1))
+    e = exp_ct(QQ, lam - 1 if rate else 1, T)
+    return ((e - lam) * (1 / (1 - lam))).pow_field(p["a"])
+
+
+def _fte_g(p, T):
+    return _fe_g(p, T, rate=True)
+
+
+def _bernoulli_g(p, T):
+    # ((e^t - 1)/t)^a
+    return Series(QQ, [Fraction(1, factorial(k + 1)) for k in range(T)]).pow_field(p["a"])
 
 
 def _s2_over_binom(n, l):
@@ -344,15 +375,16 @@ def _run_E25(p, n_max):
 
 CHECKS = {
     "T2": (
-        _connection(_fe_basis, lambda p, n, l: _s2_over_binom(n, l) * p["b"] ** (n + l)),
+        _connection(_fe_basis, lambda p, n, l: _s2_over_binom(n, l) * p["b"] ** (n + l), _fe_g),
         "pair (((e^t-L)/(1-L))^a, t^2/(e^{bt}-1)) vs Stirling-2 / Frobenius-Euler sum",
     ),
     "T3": (
-        _connection(_bernoulli_basis, _t3_coef),
+        _connection(_bernoulli_basis, _t3_coef, _bernoulli_g),
         "pair (((e^t-1)/t)^a, t^2 e^{bt}/(e^{ct}-1)) vs Stirling-2 / Bernoulli double sum",
     ),
     "T4": (
-        _connection(lambda p, k: euler_poly(p["a"], k), lambda p, n, l: narumi_number(n, l)),
+        _connection(lambda p, k: euler_poly(p["a"], k), lambda p, n, l: narumi_number(n, l),
+                    _fe_g),
         "pair (((e^t+1)/2)^a, t^2/log(1+t)) vs Narumi-number / Euler sum",
     ),
     "C5": (
@@ -361,11 +393,12 @@ CHECKS = {
         "Narumi numbers vs higher-order Bernoulli numbers: N_l^(n)/n = B_l^(n+l)/(n+l)",
     ),
     "R27": (
-        _connection(_bernoulli_basis, lambda p, n, l: narumi_number(-n, l)),
+        _connection(_bernoulli_basis, lambda p, n, l: narumi_number(-n, l), _bernoulli_g),
         "pair (((e^t-1)/t)^a, log(1+t)) vs negative-order Narumi / Bernoulli sum",
     ),
     "T6": (
-        _connection(_fe_basis, lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1)),
+        _connection(_fe_basis, lambda p, n, l: bernoulli_value(l - n + 1, l, p["c"] * n + 1),
+                    _fe_g),
         "pair (((e^t-L)/(1-L))^a, log(1+t)/(1+t)^c) vs shifted-Bernoulli / Frobenius-Euler sum",
     ),
     "T7": (
@@ -379,7 +412,7 @@ CHECKS = {
         "N_l^(-n)(cn) vs the same n-fold convolution of 2nd-kind Bernoulli values",
     ),
     "P8": (
-        _connection(_fte_basis, lambda p, n, l: narumi_value(n, l, -p["c"] * n)),
+        _connection(_fte_basis, lambda p, n, l: narumi_value(n, l, -p["c"] * n), _fte_g),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t^2(1+t)^c/log(1+t)) vs shifted-Narumi / Eulerian sum",
     ),
     "T9": (
@@ -389,7 +422,7 @@ CHECKS = {
     "R42": (_run_R42, "N_l^(n) vs Stirling-number-over-binomial form (misprint arbitration)"),
     "T10": (
         _connection(_fte_basis, lambda p, n, l: (-1) ** (p["m"] * n) * (n * p["c"]) ** l
-                    * poisson_charlier(p["m"] * n, -n * p["c"] / p["b"], x_eval=l)),
+                    * poisson_charlier(p["m"] * n, -n * p["c"] / p["b"], x_eval=l), _fte_g),
         "pair (((e^{(L-1)t}-L)/(1-L))^a, t/(e^{ct}(1+bt)^m)) vs Poisson-Charlier-value sum",
     ),
     "DAE": (

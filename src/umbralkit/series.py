@@ -29,14 +29,18 @@ returns it with fbar; ``revert`` is that body, and the GF route of
 it sums against the pair's proven 1/g, so it composes nothing itself.  Over
 Q(L) the rows are the plain products and every dens[k] is 1.
 
-Over Q the inverse and the reversion's solve do no ``Fraction``
-arithmetic.  Each coefficient they solve for is kept as its reduced integer
-pair (numerator, denominator), not over the one denominator per vector of
-FLINT's ``fmpq_poly`` (W. Hart, ICMS 2010), which is the lcm of them all
-and can be far larger than any one of them.  Each coefficient is one sum of
-integer weights times those pairs over a running lcm of the denominators
-(``fields._qsum``, the sum of ``vec_dot`` over Q), and one ``Fraction`` of
-that sum is both the output coefficient and, read back, its reduced pair.
+The inverse, the reversion, ``exp`` and ``log`` each state a
+lower-triangular system and solve it by one forward substitution,
+``_forward_solve``: 1/a from a (1/a) = 1, fbar from the rows of s, exp(f)
+from E' = f' E and log(f) from f log(f)' = f'.  Over Q the solve does no
+``Fraction`` arithmetic.  Each coefficient it solves for is kept as its
+reduced integer pair (numerator, denominator), not over the one
+denominator per vector of FLINT's ``fmpq_poly`` (W. Hart, ICMS 2010), which
+is the lcm of them all and can be far larger than any one of them.  Each
+coefficient is one sum of integer weights times those pairs over a running
+lcm of the denominators (``fields._qsum``, the sum of ``vec_dot`` over Q),
+and one ``Fraction`` of that sum is both the output coefficient and, read
+back, its reduced pair.  Over Q(L) each is one ``vec_dot``.
 ``exp_ct`` and ``one_plus_t_pow`` over Q make coefficient k as one Fraction
 of running integer products, as does ``families.gen_binom``
 (``_running_products``).
@@ -91,8 +95,8 @@ from .errors import (
     nonnegative_integer,
 )
 from .fields import (
-    QL, QQ, RatFunc, _binary_power, _common_den, _prefix_sums, _qsum, _zmul, common_field,
-    format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
+    QL, QQ, RatFunc, _binary_power, _cleared, _common_den, _prefix_sums, _qsum, _zmul,
+    common_field, format_terms, latex_scalar, vec_add, vec_dot, vec_horner, vec_mul, vec_trim,
 )
 
 __all__ = [
@@ -141,6 +145,50 @@ def _truncation(key, T):
     if T > sys.maxsize:
         raise DomainError(f"{key} must be <= {sys.maxsize}, got {T}")
     return T
+
+
+def _forward_solve(field, cols, pivots, rhs, dens=repeat(1), w=None) -> tuple:
+    """(x_0, .., x_{T-1}), T = len(pivots), with
+    sum_{k < m} x_k cols[m][m-1-k] / dens[k] + x_m pivots[m] / dens[m] = rhs[m]
+    for every m: forward substitution on a lower-triangular system (Roman,
+    *The Umbral Calculus*, 1984, ch. 2), the one solve of ``inverse``,
+    the reversion, ``exp`` and ``log``.  cols[m] holds the weights of
+    x_{m-1} .. x_0, newest first (a longer column is read as its first m
+    entries), each times w[i] for its entry i when the integers w are given.
+
+    Over Q the weights, pivots, rhs and dens are integers.  Each x_k is kept
+    as its reduced pair (numerator, denominator times dens[k]), the sum over
+    k < m is one ``fields._qsum`` of the weights against those pairs, and
+    x_m is one Fraction, so no Fraction arithmetic is done.  The sum starts
+    from the lcm of every denominator so far, one ``math.lcm`` step per x:
+    that lcm is the newest denominator in an inverse but the oldest in a
+    reversion, and a running lcm that grows term by term costs more.
+
+    Over Q(L) every dens[k] is 1, and the sum is one ``vec_dot`` with the
+    newest x first (the older x's denominators usually divide its, so the
+    running lcm of ``fields._common_form`` does not grow at every term) and
+    its integer weights negated, so rhs[m] - sum is the dot itself when
+    rhs[m] is 0.  x_m is divided only by a pivot that is not 1."""
+    x = []
+    if field is QQ:
+        nums, D, top = [], [], 1
+        for col, p, r, e in zip(cols, pivots, rhs, dens):
+            if w is not None:
+                col = map(mul, w, col)
+            s, q = _qsum(zip(map(mul, col, reversed(nums)), reversed(D)), top)
+            xm = Fraction((r * q - s) * e, q * p)
+            x.append(xm)
+            nums.append(xm.numerator)
+            D.append(xm.denominator * e)
+            top = lcm(top, D[-1])
+        return tuple(x)
+    neg = repeat(-1) if w is None else [-k for k in w]
+    for col, p, r in zip(cols, pivots, rhs):
+        v = vec_dot(col, x[::-1], field.zero, neg) if x else field.zero
+        if r:
+            v = v + r if v else field.coerce(r)
+        x.append(v if p == 1 else v / p)
+    return tuple(x)
 
 
 class CoeffVector:
@@ -307,34 +355,16 @@ class Series(CoeffVector):
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Coefficient k is -(1/a_0) sum_{i=1..k} a_i out[k - i].  Over Q, with
-        a = A / d over the lcm d of its denominators, that is
-        -sum_i A_i out[k - i] / A_0: one ``fields._qsum`` of the integer
-        weights A_i against the reduced pairs of out, and one Fraction,
-        whose numerator and denominator the later sums read.  Over Q(L) it
-        is one ``vec_dot``; for a_0 = 1 the sum is only negated.  Every
-        registry pair carries a proven 1/g, so the only g a Sheffer route
-        inverts is a DSL pair's, such as (e^t - L)/(1 - L), whose a_0 is 1."""
-        a, zero = self.coeffs, self.field.zero
-        if not a[0]:
+        With a = A / d (``fields._cleared``), coefficient m of 1/a solves
+        sum_{i <= m} A_i out[m - i] = d [m == 0] (``_forward_solve``).
+        Every registry pair carries a proven 1/g, so the only g a Sheffer
+        route inverts is a DSL pair's, such as (e^t - L)/(1 - L), whose a_0
+        is 1."""
+        if not self.coeffs[0]:
             raise NotInvertible("series has zero constant term")
-        if self.field is QQ:
-            d, A = _common_den(a)
-            out = [Fraction(d, A[0])]
-            nums, dens = [out[0].numerator], [out[0].denominator]
-            for k in range(1, self.trunc):
-                s, q = _qsum(zip(map(mul, A[1 : k + 1], reversed(nums)), reversed(dens)))
-                out.append(Fraction(-s, q * A[0]))
-                nums.append(out[k].numerator)
-                dens.append(out[k].denominator)
-            return Series._raw(QQ, tuple(out))
-        inv0 = self.field.one / a[0]
-        unit = inv0 == self.field.one
-        out = [inv0]
-        for k in range(1, self.trunc):
-            dot = vec_dot(a[1 : k + 1], out[::-1], zero)
-            out.append(-dot if unit else -inv0 * dot)
-        return Series._raw(self.field, tuple(out))
+        T, (d, A) = self.trunc, _cleared(self.field, self.coeffs)
+        return Series._raw(self.field, _forward_solve(self.field, [A[1:]] * T, [A[0]] * T,
+                                                      [d] + [0] * (T - 1)))
 
     def shift_div(self, k: int) -> "Series":
         """Exact division by t^k; truncation drops by k."""
@@ -435,10 +465,8 @@ class Series(CoeffVector):
 
         With s^k = rows[k] / dens[k] (this series' table), coefficient m of
         fbar solves sum_{k <= m} c_k rows[k][m] / dens[k] = [m == 1],
-        triangular since rows[k] has order k.  Over Q the sum over k < m is
-        one ``fields._qsum`` of the integers rows[k][m] against c_k's
-        reduced pair, its denominator times dens[k], and c_m is one
-        Fraction; over Q(L) it is one ``vec_dot``.
+        triangular since rows[k] has order k: c_0 = 0, and c_1 .. c_{T-1}
+        are one ``_forward_solve`` over dens[1:].
 
         Before returning, the round trip s(fbar) = t is checked over fbar's
         table (``_compose_rows``), and that same table is returned: the
@@ -451,49 +479,40 @@ class Series(CoeffVector):
             raise TruncationTooShort("compositional inverse needs truncation >= 2")
         if self.order() != 1:
             raise NotDelta("compositional inverse needs order exactly 1")
-        zero, over_q = self.field.zero, self.field is QQ
         dens, rows = self._power_rows(T - 1)
-        c, nums, D = [zero], [], []  # over Q: c[k]'s numerator, its denominator times dens[k]
-        for m in range(1, T):
-            col = [row[m] for row in rows[1:m]]
-            if over_q:
-                s, q = _qsum(zip(map(mul, nums, col), D))
-                c.append(Fraction(((q if m == 1 else 0) - s) * dens[m], q * rows[m][m]))
-                nums.append(c[m].numerator)
-                D.append(c[m].denominator * dens[m])
-            else:
-                c.append(((self.field.one if m == 1 else zero) - vec_dot(c[1:m], col, zero))
-                         / rows[m][m])
-        out = Series._raw(self.field, tuple(c))
+        cols = [[rows[k][m] for k in range(m - 1, 0, -1)] for m in range(1, T)]
+        c = _forward_solve(self.field, cols, [rows[m][m] for m in range(1, T)],
+                           [1] + [0] * (T - 2), dens[1:])
+        out = Series._raw(self.field, (self.field.zero, *c))
         table = out._power_rows(T - 1)
         if not self._compose_rows(out, table).agrees(t_series(self.field, T)):
             raise NotDelta("reversion failed its round-trip check")
         return out, table
 
     def exp(self) -> "Series":
-        """exp(f) for f of order >= 1 (or the zero series)."""
+        """exp(f) for f of order >= 1 (or the zero series).
+
+        E = exp(f) solves t E' = t f' E: with f = F / d (``fields._cleared``),
+        m d E_m - sum_{1 <= j <= m} j F_j E_{m-j} = 0 for m >= 1 and E_0 = 1,
+        one ``_forward_solve`` whose integer weights -j scale F_j."""
         if self.order() == 0:
             raise CompositionOrder("exp needs a zero constant term")
-        T = self.trunc
-        # E' = f' E, solved degree by degree
-        out = [self.field.one]
-        for k in range(1, T):
-            js = range(1, k + 1)
-            out.append(vec_dot(self.coeffs[1 : k + 1], out[::-1], self.field.zero, js) / k)
-        return Series._raw(self.field, tuple(out))
+        T, (d, F) = self.trunc, _cleared(self.field, self.coeffs)
+        return Series._raw(self.field, _forward_solve(
+            self.field, [F[1:]] * T, [1, *range(d, T * d, d)], [1] + [0] * (T - 1),
+            w=range(-1, -T, -1)))
 
     def log(self) -> "Series":
-        """log(f) for f with constant term exactly 1."""
+        """log(f) for f with constant term exactly 1.
+
+        y = t log(f)' solves f y = t f': with f = F / d (``fields._cleared``,
+        so F_0 = d), sum_{k <= m} F_{m-k} y_k = m F_m, one
+        ``_forward_solve``, and log(f) has coefficient y_m / m for m >= 1."""
         if self.coeffs[0] != self.field.one:
             raise UnitConstantRequired("log needs constant term 1")
-        T = self.trunc
-        # L' = f'/f, integrated termwise
-        fprime = [k * self.coeffs[k] for k in range(1, T)] + [self.field.zero]
-        quot = Series(self.field, fprime) * self.inverse()
-        out = [self.field.zero] * T
-        for k in range(1, T):
-            out[k] = quot.coeffs[k - 1] / k
-        return Series._raw(self.field, tuple(out))
+        T, (d, F) = self.trunc, _cleared(self.field, self.coeffs)
+        y = _forward_solve(self.field, [F[1:]] * T, [d] * T, [m * c for m, c in enumerate(F)])
+        return Series._raw(self.field, (self.field.zero, *[v / m for m, v in enumerate(y[1:], 1)]))
 
     def pow_field(self, c) -> "Series":
         """u^c for a field-element exponent; u must have constant term 1.  A

@@ -94,7 +94,7 @@ from .errors import (
     DomainError, NotDelta, NotInvertible, TruncationTooShort, nonnegative_integer,
 )
 from .fields import (
-    QQ, _common_den, _dot_bound, _lay_out, _pack, _prefix_sums, _slot_width, _zmul,
+    QQ, _cleared, _dot_bound, _lay_out, _pack, _prefix_sums, _slot_width, _zmul,
     common_field, vec_dot, vec_trim,
 )
 from .record import Record
@@ -129,7 +129,7 @@ def operator_apply(f: Series, p: Poly) -> Poly:
     _check_apply("operator", f, p)
     field, n = common_field(f.field, p.field), len(p.coeffs)
     fact = _factorials(n)
-    d, P = _common_den(p.coeffs) if p.field is QQ else (1, p.coeffs)
+    d, P = _cleared(p.field, p.coeffs)
     P = list(map(mul, fact, P))
     return Poly(field, _prefix_sums(f.coeffs[:n], [P[j:] for j in range(n)],
                                     [e * d for e in fact], field))

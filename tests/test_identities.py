@@ -30,7 +30,7 @@ from umbralkit import (
     sheffer_transfer_all,
 )
 from umbralkit import (
-    LAMBDA, QQ, Poly, Series, answer_trunc, bernoulli_poly, binom, euler_poly,
+    LAMBDA, QQ, Poly, Series, answer_trunc, bernoulli_poly, binom, euler_poly, exp_ct,
     frobenius_euler_poly, frobenius_eulerian_poly, gen_binom, narumi_number, poisson_charlier,
     stirling1, stirling2,
 )
@@ -744,6 +744,40 @@ class TestMutation:
         report = verify_identity(tag, params, 3)
         assert report.status == "fail", (member, tag)
         assert report.counterexamples[0].indices[0] == n, (member, tag)
+
+    @pytest.mark.parametrize("builder,rows", [
+        ("_frobenius_g", [("T2", {"a": 2, "b": F(1, 2), "lam": F(3)}), ("T4", {"a": 1}),
+                          ("T6", {"a": -1, "c": F(1), "lam": F(3)}),
+                          ("P8", {"a": 1, "c": F(1, 3), "lam": F(3)}),
+                          ("T10", {"a": 1, "b": F(2), "c": F(-1), "m": 1, "lam": F(3)})]),
+        ("_bern_base", [("T3", {"a": 1, "b": F(1, 2), "c": F(1)}), ("R27", {"a": -1}),
+                        ("R27", {"a": 2})]),
+    ], ids=["frobenius-lambda-plus-5", "bernoulli-rate-2"])
+    def test_a_kept_builder_wrong_on_both_sides_fails(self, monkeypatch, builder, rows):
+        # the pair's g and the Appell basis read the same kept builder, so a
+        # builder wrong the same way for both passes the basis half: a
+        # Frobenius g at lambda + 5, or the Bernoulli base at rate 2,
+        # ((e^(2t) - 1)/(2t))^a, which is consistent under a -> -a.  The
+        # pair's g against its plain construction fails, indexed (0, m)
+        import umbralkit.families as families
+
+        right = getattr(families, builder)
+
+        def frobenius_at_lambda_plus_5(a, lam, rate, T):
+            return right(a, F(lam) + 5, rate, T)
+
+        def bernoulli_at_rate_2(a, T):
+            base = (exp_ct(QQ, 2, T + 1) - 1).shift_div(1) * F(1, 2)
+            return base.pow_int(a).truncate(T)
+
+        for tag, params in rows:
+            assert verify_identity(tag, params, 6).status == "pass"
+        monkeypatch.setattr(families, builder, frobenius_at_lambda_plus_5
+                            if builder == "_frobenius_g" else bernoulli_at_rate_2)
+        for tag, params in rows:
+            report = verify_identity(tag, params, 6)
+            assert report.status == "fail", tag
+            assert {c.indices[0] for c in report.counterexamples} == {0}, tag
 
 
 # each pair tag's base point, and the one-parameter moves away from it

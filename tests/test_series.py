@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction as F
 from itertools import chain
 from math import factorial, gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +37,7 @@ from umbralkit import (
     t_series,
     stirling1,
 )
-from umbralkit.fields import LAMBDA, RatFunc, vec_horner
+from umbralkit.fields import LAMBDA, RatFunc, _common_den, _qsum, vec_dot, vec_horner, vec_mul
 from umbralkit import series
 from umbralkit.series import _over_q
 
@@ -836,3 +837,141 @@ class TestQKernelsAgainstQL:
             (lambda: gen_binom(c, T), 2),  # the checked c, and C(c, T)
         ]:
             assert built_by(run) == made
+
+
+# ----------------------------------------------------------------------------
+# the one forward substitution (``series._forward_solve``) behind inverse,
+# the reversion, exp and log, against the four loops it replaced
+# ----------------------------------------------------------------------------
+
+
+def _loop_inverse(s):
+    """1/s by the inverse's own loop before the shared solve."""
+    a, zero = s.coeffs, s.field.zero
+    if s.field is QQ:
+        d, A = _common_den(a)
+        out = [F(d, A[0])]
+        nums, dens = [out[0].numerator], [out[0].denominator]
+        for k in range(1, s.trunc):
+            total, q = _qsum(zip(map(mul, A[1 : k + 1], reversed(nums)), reversed(dens)))
+            out.append(F(-total, q * A[0]))
+            nums.append(out[k].numerator)
+            dens.append(out[k].denominator)
+        return tuple(out)
+    inv0 = s.field.one / a[0]
+    unit = inv0 == s.field.one
+    out = [inv0]
+    for k in range(1, s.trunc):
+        dot = vec_dot(a[1 : k + 1], out[::-1], zero)
+        out.append(-dot if unit else -inv0 * dot)
+    return tuple(out)
+
+
+def _loop_revert(s):
+    """The compositional inverse by the reversion's own solve before the
+    shared one (no round trip)."""
+    T = s.trunc
+    zero, over_q = s.field.zero, s.field is QQ
+    dens, rows = s._power_rows(T - 1)
+    c, nums, D = [zero], [], []
+    for m in range(1, T):
+        col = [row[m] for row in rows[1:m]]
+        if over_q:
+            total, q = _qsum(zip(map(mul, nums, col), D))
+            c.append(F(((q if m == 1 else 0) - total) * dens[m], q * rows[m][m]))
+            nums.append(c[m].numerator)
+            D.append(c[m].denominator * dens[m])
+        else:
+            c.append(((s.field.one if m == 1 else zero) - vec_dot(c[1:m], col, zero))
+                     / rows[m][m])
+    return tuple(c)
+
+
+def _loop_exp(s):
+    """exp(s) by E' = s' E, solved degree by degree."""
+    out = [s.field.one]
+    for k in range(1, s.trunc):
+        out.append(vec_dot(s.coeffs[1 : k + 1], out[::-1], s.field.zero, range(1, k + 1)) / k)
+    return tuple(out)
+
+
+def _loop_log(s):
+    """log(s) by L' = s'/s (the loop inverse above), integrated termwise."""
+    T, zero = s.trunc, s.field.zero
+    fprime = [k * s.coeffs[k] for k in range(1, T)] + [zero]
+    quot = vec_mul(fprime, _loop_inverse(s), zero, T)
+    return (zero, *[quot[k - 1] / k for k in range(1, T)])
+
+
+@st.composite
+def solve_operands(draw, field, head_at, T_min=1):
+    """A series over ``field`` with T from T_min to 12: zeros below index
+    head_at, then a head (over Q(L) 1 or not 1, so that a pivot
+    division runs or not), then any entries; head_at -1 draws no head."""
+    T = draw(st.integers(T_min, 12))
+    entry = ratfuncs() if field is QL else fractions()
+    if head_at < 0:
+        return Series(field, [0] + draw(st.lists(entry, min_size=T - 1, max_size=T - 1)))
+    if field is QL:
+        head = draw(st.one_of(st.just(RatFunc(1)), entry.filter(lambda r: r not in (0, 1))))
+    else:
+        head = draw(fractions().filter(bool))
+    rest = draw(st.lists(entry, min_size=T - head_at - 1, max_size=T - head_at - 1))
+    return Series(field, [0] * head_at + [head] + rest)
+
+
+class TestForwardSolve:
+    """``inverse``, ``revert``, ``exp`` and ``log`` solve through one
+    forward substitution; each gives the value and the coefficient types
+    of its own loop before it, over Q and Q(L)."""
+
+    @pytest.mark.parametrize("field", [QQ, QL], ids=["q", "ql"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_inverse(self, field, data):
+        s = data.draw(solve_operands(field, 0))
+        got = s.inverse()
+        assert got.coeffs == _loop_inverse(s)
+        assert all(type(c) is type(field.zero) for c in got.coeffs)
+
+    @pytest.mark.parametrize("field", [QQ, QL], ids=["q", "ql"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_revert(self, field, data):
+        s = data.draw(solve_operands(field, 1, T_min=2))
+        got = s.revert()
+        assert got.coeffs == _loop_revert(s)
+        assert all(type(c) is type(field.zero) for c in got.coeffs)
+
+    @pytest.mark.parametrize("field", [QQ, QL], ids=["q", "ql"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_exp(self, field, data):
+        s = data.draw(solve_operands(field, -1))
+        got = s.exp()
+        assert got.coeffs == _loop_exp(s)
+        assert all(type(c) is type(field.zero) for c in got.coeffs)
+
+    @pytest.mark.parametrize("field", [QQ, QL], ids=["q", "ql"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_log(self, field, data):
+        s = data.draw(solve_operands(field, -1))
+        s = s + 1  # constant term exactly 1
+        got = s.log()
+        assert got.coeffs == _loop_log(s)
+        assert all(type(c) is type(field.zero) for c in got.coeffs)
+
+    @pytest.mark.parametrize("T", [1, 2, 12])
+    def test_pow_field_takes_no_inverse(self, monkeypatch, T):
+        # log solves f y = t f' itself, so pow_field, exp(c log u), runs no
+        # inverse
+        u = exp_ct(QQ, F(1, 3), T) + t_series(QQ, T) * F(2, 7)
+        want = u.pow_field(F(1, 2))
+
+        def refused(s):
+            raise AssertionError("Series.inverse")
+
+        monkeypatch.setattr(Series, "inverse", refused)
+        assert u.pow_field(F(1, 2)) == want
+        assert want * want == u
